@@ -4,9 +4,9 @@ DATE ?= $(shell date +%Y-%m-%d)
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker).
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense'
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge'
 
-.PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
+.PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
 
 build:
 	$(GO) build ./...
@@ -98,11 +98,19 @@ bench-json:
 	@rm -f bench-json.tmp
 	@echo wrote BENCH_$(DATE).json
 
-# Short native-fuzzing passes over the coding-theory kernels (one -fuzz
-# pattern per package run, as the fuzz engine requires).
+# The repo benchmark's own tests (bench/ is a module of its own, so the root
+# ./... never reaches it): a short smoke of all five BENCHMARK.json workloads
+# plus the estimator and comparison-gate unit tests.
+bench-check:
+	$(GO) -C bench test .
+
+# Short native-fuzzing passes over the coding-theory kernels and the
+# atomicity checker against its search oracle (one -fuzz pattern per package
+# run, as the fuzz engine requires).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
+	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
 
 # Build every example and smoke-run each one (all finish in well under a
 # second), so example rot is caught on push.
@@ -140,4 +148,4 @@ apicheck-update:
 	@echo wrote API.txt
 
 # Exactly what CI runs.
-ci: build vet fmt-check apicheck race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke
+ci: build vet fmt-check apicheck race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check

@@ -4,9 +4,8 @@
 // aggregate throughput and per-operation latency percentiles, swept across
 // client counts. Safety is still enforced by default: every shard's merged
 // history is checked against the algorithm's consistency condition, exactly
-// as the simulator and live backends do; high-concurrency sweeps can disable
-// the check (-check=false), since the checkers are worst-case exponential in
-// write concurrency. -check-online switches to the streaming windowed
+// as the simulator and live backends do; -check=false disables the check to
+// measure unchecked throughput. -check-online switches to the streaming windowed
 // checker instead: settled operations are verified while the run executes,
 // memory stays bounded by the window, and the verified/lag columns report
 // how far the linearization frontier got.
@@ -73,7 +72,7 @@ func run() error {
 	stepDur := flag.Duration("stepdur", 100*time.Microsecond, "wall-clock duration of one fault step (delays and partition windows)")
 	opTimeout := flag.Duration("optimeout", 5*time.Second, "per-operation completion timeout")
 	pipeline := flag.Int("pipeline", 1, "operations kept in flight per client (per-client order preserved)")
-	check := flag.Bool("check", true, "consistency-check every shard history (disable for high-concurrency sweeps; the checkers are exponential in write concurrency)")
+	check := flag.Bool("check", true, "consistency-check every shard history (disable to measure unchecked throughput)")
 	checkOnline := flag.Bool("check-online", false, "verify atomicity with the streaming windowed checker while the run executes (memory bounded by the window; adds verified/lag columns)")
 	checkWindow := flag.Int("check-window", 0, "online checker retirement window in operations (0 = default)")
 	telemetryAddr := flag.String("telemetry", "", "serve Prometheus /metrics, /trace and pprof on this address for the run's duration (e.g. 127.0.0.1:9100; empty disables)")

@@ -2,7 +2,10 @@ package consistency
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ioa"
@@ -13,227 +16,184 @@ import (
 // pending operations may take effect or not, at the checker's discretion
 // (the standard completion semantics).
 //
-// The checker runs a depth-first search over linearizations with two
-// standard optimizations: only "minimal" operations (all real-time
-// predecessors already linearized) are candidates, and failed search states
-// (chosen-set, last-written-value) are memoized. Candidate minimality is
-// tracked through precomputed per-op predecessor counts (no rescan of every
-// op per level), and the memo is an open-addressed table over packed uint64
-// bitset words backed by a flat arena, so a search state costs no per-state
-// allocation. For the bounded-concurrency histories produced by the
-// experiments this is fast; worst-case it is exponential, as linearizability
-// checking fundamentally is.
+// With unique values every read names its write, and for such histories
+// linearizability is decidable without search [Gibbons & Korach, "Testing
+// Shared Memories", SIAM J. Comput. 26(4), 1997, Theorem 4.2]. Group each
+// write with the reads returning its value into a cluster; the cluster's zone
+// runs between its earliest response f and its latest invocation s — forward
+// when f < s (two of its operations are ordered in real time, so the cluster
+// occupies at least [f, s] of any linearization), backward otherwise (all of
+// its operations overlap in [s, f], so it can be placed at any point
+// there). The history is atomic iff
+//
+//  1. no read responds before its own write is invoked,
+//  2. no two forward zones overlap, and
+//  3. no backward zone lies strictly inside a forward zone,
+//
+// which costs one hash pass over the operations plus one sort of the forward
+// zones: O(n log n) whatever the concurrency.
+//
+// Conventions. Precedence is strict (a.RespondStep < b.InvokeStep; equal
+// steps are concurrent, as Op.PrecedesOp says), i.e. invocation t sits at 2t
+// and response t at 2t+1 on a common axis. Every comparison below is between
+// a response and an invocation and is strict, which is exactly what that
+// mapping yields, so zone ends never tie. The initial value is a virtual
+// write at −∞. Pending reads are dropped. A pending write responds at +∞: if
+// no read returns its value its zone is the backward [invoke, +∞), which
+// rule 3 can never fire on — the write is free not to take effect — and if
+// some read does, the reads supply the zone's finite ends.
 func CheckAtomic(h *ioa.History, initial []byte) error {
-	ops := make([]ioa.Op, 0, len(h.Ops))
-	for _, op := range h.Ops {
-		if op.Pending() && op.Kind == ioa.OpRead {
-			// A pending read constrains nothing: it may simply never take
-			// effect.
-			continue
-		}
-		ops = append(ops, op)
-	}
-	if _, err := writesByValue(ops); err != nil {
-		return err
-	}
-	c, err := newLinChecker(ops, initial)
+	return checkZones(h.Ops, initial)
+}
+
+// zone summarises one cluster: a write and the completed reads of its value.
+type zone struct {
+	write   int // ops index of the cluster's write; -1 = the initial value
+	minResp int // earliest response among the members: f
+	maxInv  int // latest invocation among the members: s
+	last    int // ops index of the member invoked at maxInv (-1 = the virtual write)
+}
+
+func (z *zone) forward() bool { return z.minResp < z.maxInv }
+
+// checkZones is the decision procedure behind CheckAtomic and the online
+// checker: nil when ops linearize from register value initial, a
+// *Violation naming the broken rule otherwise (or a plain error when written
+// values are not unique).
+func checkZones(ops []ioa.Op, initial []byte) error {
+	byVal, err := writesByValue(ops)
 	if err != nil {
 		return err
 	}
-	if c.search() {
-		return nil
-	}
-	return &Violation{
-		Condition: "atomicity",
-		Op:        c.blame(),
-		Detail:    "no linearization of the history exists",
-	}
-}
-
-// linChecker holds the search state for one linearizability check.
-type linChecker struct {
-	ops     []ioa.Op
-	initial []byte
-	// chosen[i] reports whether ops[i] has been linearized; state is the
-	// same set packed into uint64 words, maintained incrementally as the
-	// memo key prefix.
-	chosen []bool
-	state  []uint64
-	nDone  int // count of chosen completed ops
-	nMust  int // number of completed ops (all must be linearized)
-	// writeVal[i] is the value id a write op installs (-1 for reads);
-	// readVal[i] is the value id a read op returns (-1 for writes). Value
-	// ids substitute smallint comparisons for byte-slice map lookups in the
-	// search.
-	writeVal []int
-	readVal  []int
-	// Ops are sorted by invocation, so the set of ops invoked after op j's
-	// response is the suffix starting at succFrom[j]; predLeft[i] counts op
-	// i's not-yet-linearized real-time predecessors. An op is a search
-	// candidate exactly when predLeft is 0.
-	succFrom []int32
-	predLeft []int32
-	memo     deadTable
-	keyBuf   []uint64
-}
-
-func newLinChecker(ops []ioa.Op, initial []byte) (*linChecker, error) {
-	// Sort by invocation for deterministic candidate order.
-	sorted := append([]ioa.Op(nil), ops...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].InvokeStep < sorted[j].InvokeStep })
-	n := len(sorted)
-	words := (n + 63) / 64
-	c := &linChecker{
-		ops:      sorted,
-		initial:  initial,
-		chosen:   make([]bool, n),
-		state:    make([]uint64, words),
-		writeVal: make([]int, n),
-		readVal:  make([]int, n),
-		succFrom: make([]int32, n),
-		predLeft: make([]int32, n),
-		keyBuf:   make([]uint64, words+1),
-	}
-	c.memo.init(words + 1)
-	// valueID maps each distinct written value (plus initial) to a small
-	// integer; it is only needed during construction.
-	valueID := map[string]int{string(initial): 0}
-	for i, op := range sorted {
-		if !op.Pending() {
-			c.nMust++
-		}
-		c.writeVal[i], c.readVal[i] = -1, -1
+	// zones[i] is the cluster of the write ops[i] (unused at read indices);
+	// the last slot is the initial value's, a virtual write at -inf.
+	zones := make([]zone, len(ops)+1)
+	initZone := len(ops)
+	zones[initZone] = zone{write: -1, minResp: math.MinInt, maxInv: math.MinInt, last: -1}
+	for i, op := range ops {
 		if op.Kind == ioa.OpWrite {
-			key := string(op.Input)
-			id, ok := valueID[key]
-			if !ok {
-				id = len(valueID)
-				valueID[key] = id
+			zones[i] = zone{write: i, minResp: respondOrInf(op), maxInv: op.InvokeStep, last: i}
+		}
+	}
+	// A write may rewrite the initial value, which leaves the reads of it
+	// ambiguous. One invoked after any other operation responded must follow
+	// a write, so it is the rewrite's; the rest precede or overlap everything
+	// else and can always be linearized first, as reads of the initial value.
+	rewrite, rewritten := byVal[string(initial)]
+	othersRespond := math.MaxInt
+	if rewritten {
+		for _, op := range ops {
+			if op.Kind == ioa.OpWrite || !op.Pending() && !bytes.Equal(op.Output, initial) {
+				othersRespond = min(othersRespond, respondOrInf(op))
 			}
-			c.writeVal[i] = id
+		}
+	} else {
+		byVal[string(initial)] = initZone
+	}
+	for i, op := range ops {
+		if op.Kind != ioa.OpRead || op.Pending() {
+			continue
+		}
+		zi, ok := byVal[string(op.Output)]
+		if !ok {
+			return &Violation{Condition: "atomicity", Op: op, Detail: "read returned a value that was never written"}
+		}
+		if rewritten && zi == rewrite && op.InvokeStep <= othersRespond {
+			zi = initZone
+		}
+		z := &zones[zi]
+		if w := z.write; w >= 0 && op.RespondStep < ops[w].InvokeStep {
+			return &Violation{Condition: "atomicity", Op: op, Detail: fmt.Sprintf(
+				"read-before-write: read op %d responded at step %d, before write op %d of the value it returned was invoked at step %d",
+				op.ID, op.RespondStep, ops[w].ID, ops[w].InvokeStep)}
+		}
+		z.minResp = min(z.minResp, op.RespondStep)
+		if op.InvokeStep > z.maxInv {
+			z.maxInv, z.last = op.InvokeStep, i
 		}
 	}
-	for i, op := range sorted {
-		if op.Kind == ioa.OpRead && !op.Pending() {
-			id, ok := valueID[string(op.Output)]
-			if !ok {
-				return nil, &Violation{
-					Condition: "atomicity",
-					Op:        op,
-					Detail:    "read returned a value that was never written",
-				}
+
+	var fwd, bwd []*zone
+	for i := range zones {
+		if i != initZone && ops[i].Kind != ioa.OpWrite {
+			continue
+		}
+		if z := &zones[i]; z.forward() {
+			fwd = append(fwd, z)
+		} else {
+			bwd = append(bwd, z)
+		}
+	}
+	slices.SortFunc(fwd, func(a, b *zone) int {
+		if c := cmp.Compare(a.minResp, b.minResp); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.write, b.write)
+	})
+	// Sorted by f, any two overlapping forward zones force an adjacent pair
+	// to overlap: f_i <= f_i+1 <= f_j < s_i.
+	for i := 1; i < len(fwd); i++ {
+		if a, b := fwd[i-1], fwd[i]; b.minResp < a.maxInv {
+			// Each cluster has an operation preceding one of the other's;
+			// blame the later-invoked of the two zone-closing operations.
+			blame := a
+			if b.maxInv > a.maxInv {
+				blame = b
 			}
-			c.readVal[i] = id
+			return &Violation{Condition: "atomicity", Op: ops[blame.last], Detail: fmt.Sprintf(
+				"forward zones overlap: the clusters of %s %s and %s %s must each precede the other",
+				a.name(ops), a.span(), b.name(ops), b.span())}
 		}
 	}
-	// Precompute the real-time precedence structure: j precedes i when j's
-	// response happens before i's invocation, and (by the invocation sort)
-	// those i form the suffix starting at the first op invoked after j
-	// responded.
-	for j, opj := range sorted {
-		r := respondOrInf(opj)
-		lo := sort.Search(n, func(i int) bool { return sorted[i].InvokeStep > r })
-		c.succFrom[j] = int32(lo)
-		for i := lo; i < n; i++ {
-			c.predLeft[i]++
+	// The forward zones are now disjoint and ascending in both ends, so the
+	// only one that can contain a backward zone [s, f] is the last with F < s.
+	for _, z := range bwd {
+		k := sort.Search(len(fwd), func(k int) bool { return fwd[k].minResp >= z.maxInv })
+		if k == 0 {
+			continue
+		}
+		if a := fwd[k-1]; z.minResp < a.maxInv {
+			return &Violation{Condition: "atomicity", Op: ops[a.last], Detail: fmt.Sprintf(
+				"backward zone inside forward zone: the cluster of %s %s falls between operations of the cluster of %s %s",
+				z.name(ops), z.span(), a.name(ops), a.span())}
 		}
 	}
-	return c, nil
+	return nil
+}
+
+// name identifies the zone's cluster by its write for violation reports.
+func (z *zone) name(ops []ioa.Op) string {
+	if z.write < 0 {
+		return "the initial value"
+	}
+	return fmt.Sprintf("write op %d", ops[z.write].ID)
+}
+
+// span formats the zone's ends, earlier first.
+func (z *zone) span() string {
+	lo, hi := z.minResp, z.maxInv
+	if !z.forward() {
+		lo, hi = hi, lo
+	}
+	return fmt.Sprintf("[%s,%s]", stepString(lo), stepString(hi))
+}
+
+func stepString(t int) string {
+	switch t {
+	case math.MinInt:
+		return "-inf"
+	case math.MaxInt:
+		return "+inf"
+	}
+	return fmt.Sprint(t)
 }
 
 // respondOrInf treats pending ops as responding at +infinity.
 func respondOrInf(op ioa.Op) int {
 	if op.Pending() {
-		return int(^uint(0) >> 1) // max int
+		return math.MaxInt
 	}
 	return op.RespondStep
-}
-
-// search tries to linearize all completed ops starting from the initial
-// value. Returns true on success.
-func (c *linChecker) search() bool {
-	return c.dfs(0)
-}
-
-func (c *linChecker) dfs(lastVal int) bool {
-	if c.nDone == c.nMust {
-		return true
-	}
-	if c.memo.contains(c.stateKey(lastVal)) {
-		return false // known dead end
-	}
-	for i := range c.ops {
-		if c.chosen[i] || c.predLeft[i] > 0 {
-			continue
-		}
-		if w := c.writeVal[i]; w >= 0 {
-			c.take(i)
-			if c.dfs(w) {
-				return true
-			}
-			c.untake(i)
-		} else if c.readVal[i] == lastVal {
-			c.take(i)
-			if c.dfs(lastVal) {
-				return true
-			}
-			c.untake(i)
-		}
-	}
-	// stateKey's buffer was clobbered by the recursive calls; rebuild it
-	// (take/untake restored the underlying state).
-	c.memo.add(c.stateKey(lastVal))
-	return false
-}
-
-func (c *linChecker) take(i int) {
-	c.chosen[i] = true
-	c.state[i>>6] |= 1 << (uint(i) & 63)
-	for s := int(c.succFrom[i]); s < len(c.predLeft); s++ {
-		c.predLeft[s]--
-	}
-	if !c.ops[i].Pending() {
-		c.nDone++
-	}
-}
-
-func (c *linChecker) untake(i int) {
-	c.chosen[i] = false
-	c.state[i>>6] &^= 1 << (uint(i) & 63)
-	for s := int(c.succFrom[i]); s < len(c.predLeft); s++ {
-		c.predLeft[s]++
-	}
-	if !c.ops[i].Pending() {
-		c.nDone--
-	}
-}
-
-// stateKey packs (chosen bitmap, last value) into the checker's reusable key
-// buffer — valid only until the next stateKey call.
-func (c *linChecker) stateKey(lastVal int) []uint64 {
-	n := copy(c.keyBuf, c.state)
-	c.keyBuf[n] = uint64(lastVal)
-	return c.keyBuf
-}
-
-// blame picks a representative operation to report: the earliest completed
-// read whose value never matches a possible predecessor; falls back to the
-// first completed op.
-func (c *linChecker) blame() ioa.Op {
-	for _, op := range c.ops {
-		if op.Kind == ioa.OpRead && !op.Pending() {
-			return op
-		}
-	}
-	for _, op := range c.ops {
-		if !op.Pending() {
-			return op
-		}
-	}
-	if len(c.ops) > 0 {
-		return c.ops[0]
-	}
-	return ioa.Op{}
 }
 
 // MustBeValue is a test helper asserting a read output.

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/ioa"
@@ -55,6 +56,25 @@ func BenchmarkCheckAtomicDense(b *testing.B) {
 		if err := CheckAtomic(h, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckAtomicLarge runs the checker on dense histories of 10^3, 10^4
+// and 10^5 operations. ns/op is per check; ns/histop divides by the history
+// length, so n log n growth shows as a slowly rising column rather than the
+// linear-in-n one a quadratic checker would print.
+func BenchmarkCheckAtomicLarge(b *testing.B) {
+	for _, n := range []int{1e3, 1e4, 1e5} {
+		h := denseHistory(n / 5)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := CheckAtomic(h, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(h.Ops)), "ns/histop")
+		})
 	}
 }
 

@@ -27,19 +27,18 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("consistency: %s violated by %s: %s", v.Condition, v.Op, v.Detail)
 }
 
-// writesByValue indexes completed and pending writes by their (unique)
-// values.
-func writesByValue(ops []ioa.Op) (map[string]ioa.Op, error) {
-	byVal := make(map[string]ioa.Op)
-	for _, op := range ops {
+// writesByValue maps the (unique) value of every completed or pending write
+// to that write's index in ops.
+func writesByValue(ops []ioa.Op) (map[string]int, error) {
+	byVal := make(map[string]int)
+	for i, op := range ops {
 		if op.Kind != ioa.OpWrite {
 			continue
 		}
-		key := string(op.Input)
-		if prev, dup := byVal[key]; dup {
-			return nil, fmt.Errorf("consistency: duplicate write value %q (ops %d and %d); checkers require unique values", key, prev.ID, op.ID)
+		if prev, dup := byVal[string(op.Input)]; dup {
+			return nil, fmt.Errorf("consistency: duplicate write value %q (ops %d and %d); checkers require unique values", op.Input, ops[prev].ID, op.ID)
 		}
-		byVal[key] = op
+		byVal[string(op.Input)] = i
 	}
 	return byVal, nil
 }
@@ -149,10 +148,11 @@ func CheckWeaklyRegular(h *ioa.History, initial []byte) error {
 			}
 			continue
 		}
-		w, ok := byVal[string(r.Output)]
+		wi, ok := byVal[string(r.Output)]
 		if !ok {
 			return &Violation{Condition: "weak regularity", Op: r, Detail: "returned a value never written"}
 		}
+		w := h.Ops[wi]
 		if r.PrecedesOp(w) {
 			return &Violation{Condition: "weak regularity", Op: r, Detail: fmt.Sprintf("returned value of write op %d invoked after the read completed", w.ID)}
 		}

@@ -2,19 +2,21 @@ package consistency_test
 
 // Differential tests for the consistency checkers: small random histories
 // are checked by CheckAtomic / CheckRegular and, independently, by
-// brute-force enumeration of every serialization the definitions admit. The
-// two verdicts must agree on every history. The brute force shares no code
-// or search strategy with the checkers (the production checker prunes with
-// minimal-candidate ordering and memoization; the brute force literally
-// tries all subset choices and permutations), so agreement over thousands of
-// adversarial histories pins the checkers' semantics, not their
-// implementation.
+// brute-force enumeration of every serialization the definitions admit (and,
+// for atomicity, by the memoized linearization search of oracle_test.go).
+// The verdicts must agree on every history. The three share no code or
+// strategy (the production checker compares cluster zones and never builds a
+// linearization; the search prunes with minimal-candidate ordering and
+// memoization; the brute force literally tries all subset choices and
+// permutations), so agreement over a hundred thousand adversarial histories
+// pins the checkers' semantics, not their implementation.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/abd"
 	"repro/internal/consistency"
@@ -223,29 +225,140 @@ func genHistory(rng *rand.Rand, maxOps int, sequentialWrites bool) *ioa.History 
 	return h
 }
 
-// TestAtomicDifferential compares CheckAtomic against the brute force over
-// thousands of random small histories.
+// genAtomicHistory builds a random history for the atomicity differential.
+// Unlike genHistory it draws steps with replacement from a span it picks per
+// history, so narrow spans give equal-step ties and dense overlap (every
+// operation concurrent with most others) and wide ones give mostly
+// sequential histories. Pending writes are both read and unread; reads
+// return written values, the initial value or a value nobody wrote. Values
+// are "v<i>", so a history checked with initial "v0" may rewrite it.
+func genAtomicHistory(rng *rand.Rand, maxOps int) *ioa.History {
+	k := 1 + rng.Intn(maxOps)
+	span := 2 + rng.Intn(4*k)
+	h := &ioa.History{}
+	var values [][]byte
+	for i := 0; i < k; i++ {
+		o := ioa.Op{ID: i, Client: ioa.NodeID(10 + i), Kind: ioa.OpRead}
+		if rng.Intn(2) == 0 {
+			o.Kind = ioa.OpWrite
+			o.Input = []byte(fmt.Sprintf("v%d", i))
+			values = append(values, o.Input)
+		}
+		o.InvokeStep = rng.Intn(span)
+		o.RespondStep = o.InvokeStep + rng.Intn(span-o.InvokeStep)
+		if rng.Intn(6) == 0 {
+			o.RespondStep = -1
+		}
+		h.Ops = append(h.Ops, o)
+	}
+	for i := range h.Ops {
+		if h.Ops[i].Kind != ioa.OpRead || h.Ops[i].Pending() {
+			continue
+		}
+		switch pick := rng.Intn(10); {
+		case pick == 0:
+			h.Ops[i].Output = []byte("never-written")
+		case pick == 1 || len(values) == 0:
+			h.Ops[i].Output = nil
+		case pick == 2:
+			h.Ops[i].Output = []byte("v0")
+		default:
+			h.Ops[i].Output = values[rng.Intn(len(values))]
+		}
+	}
+	return h
+}
+
+// TestAtomicDifferential holds CheckAtomic to the linearization search and
+// the brute force over 120 000 random histories: 100 000 small enough for
+// the brute force (three-way), the rest larger (zone test against the
+// search). Every third history is checked from initial value "v0", which its
+// first operation may rewrite.
 func TestAtomicDifferential(t *testing.T) {
+	small, large := 100000, 20000
+	if testing.Short() {
+		small, large = 10000, 2000
+	}
 	rng := rand.New(rand.NewSource(1))
-	agreeViolating, agreeLinearizable := 0, 0
-	for i := 0; i < 3000; i++ {
-		h := genHistory(rng, 6, false)
-		got := consistency.CheckAtomic(h, nil) == nil
-		want := bruteForceAtomic(h, nil)
+	violating, linearizable, tied, readPending, unreadPending, rewrites := 0, 0, 0, 0, 0, 0
+	for i := 0; i < small+large; i++ {
+		maxOps := 6
+		if i >= small {
+			maxOps = 14
+		}
+		h := genAtomicHistory(rng, maxOps)
+		if i%4 == 3 {
+			h = genHistory(rng, 6, false) // distinct steps: the kernel's shape
+		}
+		var initial []byte
+		if i%3 == 0 {
+			initial = []byte("v0")
+		}
+		got := consistency.CheckAtomic(h, initial) == nil
+		want := dfsAtomic(h, initial)
 		if got != want {
-			t.Fatalf("case %d: CheckAtomic says %t, brute force says %t, history:\n%v", i, got, want, h.Ops)
+			t.Fatalf("case %d: CheckAtomic says %t, search says %t, initial %q, history:\n%v", i, got, want, initial, h.Ops)
+		}
+		if i < small {
+			if brute := bruteForceAtomic(h, initial); brute != want {
+				t.Fatalf("case %d: search says %t, brute force says %t, initial %q, history:\n%v", i, want, brute, initial, h.Ops)
+			}
 		}
 		if want {
-			agreeLinearizable++
+			linearizable++
 		} else {
-			agreeViolating++
+			violating++
+		}
+		sh := shapeOf(h, initial)
+		tied += sh.tied
+		readPending += sh.readPending
+		unreadPending += sh.unreadPending
+		rewrites += sh.rewrite
+	}
+	t.Logf("%d linearizable, %d violating; %d with response/invocation ties, %d with read and %d with unread pending writes, %d rewriting a read initial value",
+		linearizable, violating, tied, readPending, unreadPending, rewrites)
+	// The generators must actually exercise both verdicts and every
+	// convention for the differential to mean anything.
+	for name, n := range map[string]int{"linearizable": linearizable, "violating": violating, "tied": tied,
+		"read-pending-write": readPending, "unread-pending-write": unreadPending, "initial-rewriting": rewrites} {
+		if n < (small+large)/100 {
+			t.Errorf("degenerate sample: only %d %s histories", n, name)
 		}
 	}
-	// The generator must actually exercise both verdicts for the
-	// differential to mean anything.
-	if agreeViolating == 0 || agreeLinearizable == 0 {
-		t.Fatalf("degenerate sample: %d linearizable, %d violating", agreeLinearizable, agreeViolating)
+}
+
+// historyShape flags (0 or 1 each) the shapes the zone test's conventions
+// exist for, so the differential can prove its sample covers them.
+type historyShape struct{ tied, readPending, unreadPending, rewrite int }
+
+func shapeOf(h *ioa.History, initial []byte) historyShape {
+	var sh historyShape
+	read := map[string]bool{}
+	for _, o := range h.Ops {
+		if o.Kind == ioa.OpRead && !o.Pending() {
+			read[string(o.Output)] = true
+		}
 	}
+	for i, o := range h.Ops {
+		for j, p := range h.Ops {
+			if i != j && o.RespondStep == p.InvokeStep {
+				sh.tied = 1 // concurrent, by the strict-precedence convention
+			}
+		}
+		if o.Kind != ioa.OpWrite {
+			continue
+		}
+		switch {
+		case o.Pending() && read[string(o.Input)]:
+			sh.readPending = 1
+		case o.Pending():
+			sh.unreadPending = 1
+		}
+		if bytes.Equal(o.Input, initial) && read[string(initial)] {
+			sh.rewrite = 1
+		}
+	}
+	return sh
 }
 
 // TestRegularDifferential compares CheckRegular against the brute force on
@@ -389,5 +502,36 @@ func TestSeededRunDifferential(t *testing.T) {
 		if !bruteForceAtomic(res.History, nil) {
 			t.Errorf("seed %d: brute force rejects a real ABD history", seed)
 		}
+	}
+}
+
+// TestAtomicScale checks a 10^5-operation simulator history (ABD, four
+// writers kept concurrently active) in well under a second; a checker
+// quadratic in history length takes minutes here.
+func TestAtomicScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives a 10^5-op simulator run")
+	}
+	cl, err := abd.Deploy(abd.Options{Servers: 3, F: 1, Writers: 4, Readers: 4, MultiWriter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := workload.Run(cl, workload.Spec{
+		Seed: 1, Writes: 50000, Reads: 50000, TargetNu: 4, ValueBytes: 16, MaxSteps: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.History.Ops); n < 100000 {
+		t.Fatalf("history has %d ops, want 10^5", n)
+	}
+	start := time.Now()
+	if err := consistency.CheckAtomic(res.History, nil); err != nil {
+		t.Fatalf("checker rejects a real ABD history: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("CheckAtomic took %v on %d ops, want < 1s", d, len(res.History.Ops))
+	} else {
+		t.Logf("CheckAtomic: %d ops in %v", len(res.History.Ops), d)
 	}
 }

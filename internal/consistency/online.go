@@ -1,10 +1,11 @@
 package consistency
 
 // Online windowed linearizability checking. The offline CheckAtomic holds
-// the whole history and searches it at once; the OnlineChecker consumes the
+// the whole history and tests it at once; the OnlineChecker consumes the
 // same histories as a stream (ioa.HistorySink) and retires provably
-// linearized prefixes as it goes, so its memory — and each check's cost —
-// is bounded by a sliding window rather than the run length.
+// linearized prefixes as it goes, so its memory is bounded by a sliding
+// window rather than the run length. That bound, not speed, is its job: the
+// zone test is O(n log n) either way.
 //
 // Soundness rests on a clean-cut composition rule. Call a position c in an
 // invocation-ordered history a *clean cut* when every operation before c
@@ -27,14 +28,12 @@ package consistency
 // with no write invoked entirely after it (a "maximal" write) — or, for
 // write-free segments, the inherited value itself; (b) "P linearizes ending
 // with u" reduces to the plain check by appending a synthetic probe read of
-// u that real-time-follows the whole segment, so the memoized CheckAtomic
-// core is reused unchanged.
+// u that real-time-follows the whole segment, so the CheckAtomic zone test
+// is reused unchanged.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/ioa"
@@ -228,8 +227,8 @@ func (c *OnlineChecker) Result(extra ...ioa.Op) error {
 	}
 	var firstViol error
 	for _, v := range c.carry {
-		ok, viol := linearizes(ops, v, nil)
-		if ok {
+		viol := checkZones(ops, v)
+		if viol == nil {
 			return nil
 		}
 		if firstViol == nil {
@@ -306,8 +305,9 @@ func checkSegment(seg []ioa.Op, carry [][]byte) ([][]byte, error) {
 	}
 	var firstViol error
 	for _, v := range carry {
-		ok, viol := linearizes(seg, v, nil)
-		if !ok {
+		// A read of a value foreign to seg and v fails this carry only: the
+		// value may be legal under another.
+		if viol := checkZones(seg, v); viol != nil {
 			if firstViol == nil {
 				firstViol = viol
 			}
@@ -326,7 +326,7 @@ func checkSegment(seg []ioa.Op, carry [][]byte) ([][]byte, error) {
 				if have[string(u)] {
 					continue
 				}
-				if ok, _ := linearizes(seg, v, u); ok {
+				if endsWith(seg, v, u) == nil {
 					add(u)
 				}
 			}
@@ -356,228 +356,23 @@ func maximalWriteValues(seg []ioa.Op, maxWriteInvoke int) [][]byte {
 	return finals
 }
 
-// linearizes reports whether seg linearizes starting from register value v.
-// With probe non-nil it additionally requires some linearization to end
-// with the register holding probe, enforced by a synthetic completed read
-// of probe appended strictly after every response in seg — the memoized
-// CheckAtomic core then does all the work. A false verdict carries the
-// violation; a read of a value foreign to seg∪{v} is a per-initial-value
-// verdict (that value may be legal under a different carry), not an error.
-func linearizes(seg []ioa.Op, v []byte, probe []byte) (bool, error) {
-	ops := seg
-	if probe != nil {
-		maxResp := math.MinInt
-		for _, op := range seg {
-			if r := respondOrInf(op); r > maxResp {
-				maxResp = r
-			}
-		}
-		ops = make([]ioa.Op, len(seg), len(seg)+1)
-		copy(ops, seg)
-		ops = append(ops, ioa.Op{
-			Client:      -1, // synthetic; the checker core never reads Client
-			Kind:        ioa.OpRead,
-			Output:      probe,
-			InvokeStep:  maxResp + 1,
-			RespondStep: maxResp + 2,
-		})
+// endsWith reports whether seg has a linearization that starts from register
+// value v and ends with the register holding u: nil, or the violation. The
+// requirement is a synthetic completed read of u appended strictly after
+// every response in seg; the zone test does the rest.
+func endsWith(seg []ioa.Op, v, u []byte) error {
+	maxResp := math.MinInt
+	for _, op := range seg {
+		maxResp = max(maxResp, respondOrInf(op))
 	}
-	c, err := newLinChecker(ops, v)
-	if err != nil {
-		return false, err
-	}
-	if c.search() {
-		return true, nil
-	}
-	return false, &Violation{
-		Condition: "atomicity",
-		Op:        c.blame(),
-		Detail:    "no linearization of the window exists",
-	}
-}
-
-// CheckWindowed verifies atomicity of a batch history with the same
-// windowed decomposition the OnlineChecker uses, checking the windows in
-// parallel: the history is split at clean cuts at least windowOps apart,
-// every segment's (inherited value → final value) transfer relation is
-// computed concurrently on a worker pool, and a cheap sequential
-// reachability pass over the carried value sets delivers the verdict. The
-// verdict is exactly CheckAtomic's on every history; wall-clock drops both
-// because windows bound the exponential search and because segments check
-// in parallel. windowOps <= 0 selects DefaultWindowOps.
-func CheckWindowed(h *ioa.History, initial []byte, windowOps int) error {
-	if windowOps <= 0 {
-		windowOps = DefaultWindowOps
-	}
-	ops := make([]ioa.Op, 0, len(h.Ops))
-	for _, op := range h.Ops {
-		if op.Pending() && op.Kind == ioa.OpRead {
-			continue
-		}
-		ops = append(ops, op)
-	}
-	if _, err := writesByValue(ops); err != nil {
-		return err
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].InvokeStep < ops[j].InvokeStep })
-	if len(ops) == 0 {
-		return nil
-	}
-
-	// Segment boundaries: clean cuts (every earlier op responded before
-	// this op invokes) spaced at least windowOps apart.
-	starts := []int{0}
-	runningMax := math.MinInt
-	for i, op := range ops {
-		if i-starts[len(starts)-1] >= windowOps && runningMax < op.InvokeStep {
-			starts = append(starts, i)
-		}
-		if r := respondOrInf(op); r > runningMax {
-			runningMax = r
-		}
-	}
-	nseg := len(starts)
-	segOf := func(k int) []ioa.Op {
-		if k+1 < nseg {
-			return ops[starts[k]:starts[k+1]]
-		}
-		return ops[starts[k]:]
-	}
-
-	// Candidate inherited/final value sets per segment. A write-free
-	// segment passes its inherited set through.
-	ins := make([][][]byte, nseg)
-	outs := make([][][]byte, nseg)
-	cur := [][]byte{initial}
-	for k := 0; k < nseg; k++ {
-		ins[k] = cur
-		maxWriteInvoke := math.MinInt
-		for _, op := range segOf(k) {
-			if op.Kind == ioa.OpWrite && op.InvokeStep > maxWriteInvoke {
-				maxWriteInvoke = op.InvokeStep
-			}
-		}
-		outs[k] = maximalWriteValues(segOf(k), maxWriteInvoke)
-		if outs[k] != nil {
-			cur = outs[k]
-		}
-	}
-
-	// Per-(segment, inherited value) checks on a worker pool. Each job
-	// writes only its own slots, so no locking is needed.
-	type segResult struct {
-		plain []bool   // plain[i]: segment linearizes from ins[k][i]
-		viol  []error  // violation when !plain[i]
-		mat   [][]bool // mat[i][j]: ... ending with outs[k][j]; nil unless needed
-	}
-	res := make([]segResult, nseg)
-	type job struct{ k, i int }
-	njobs := 0
-	for k := 0; k < nseg; k++ {
-		res[k].plain = make([]bool, len(ins[k]))
-		res[k].viol = make([]error, len(ins[k]))
-		if k < nseg-1 && len(outs[k]) > 1 {
-			res[k].mat = make([][]bool, len(ins[k]))
-			for i := range res[k].mat {
-				res[k].mat[i] = make([]bool, len(outs[k]))
-			}
-		}
-		njobs += len(ins[k])
-	}
-	jobs := make(chan job, njobs)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > njobs {
-		workers = njobs
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				seg, vin := segOf(jb.k), ins[jb.k][jb.i]
-				ok, viol := linearizes(seg, vin, nil)
-				if !ok {
-					res[jb.k].viol[jb.i] = viol
-					continue
-				}
-				res[jb.k].plain[jb.i] = true
-				if res[jb.k].mat != nil {
-					for j, u := range outs[jb.k] {
-						ok2, _ := linearizes(seg, vin, u)
-						res[jb.k].mat[jb.i][j] = ok2
-					}
-				}
-			}
-		}()
-	}
-	for k := 0; k < nseg; k++ {
-		for i := range ins[k] {
-			jobs <- job{k, i}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Sequential reachability over the carried value sets.
-	reach := make([]bool, len(ins[0]))
-	reach[0] = true
-	for k := 0; k < nseg; k++ {
-		r := res[k]
-		anyPass := false
-		var next []bool
-		switch {
-		case outs[k] == nil: // pass-through: next indexes ins[k]
-			next = make([]bool, len(ins[k]))
-			for i, ok := range reach {
-				if ok && r.plain[i] {
-					next[i] = true
-					anyPass = true
-				}
-			}
-		case len(outs[k]) == 1: // forced final value
-			next = make([]bool, 1)
-			for i, ok := range reach {
-				if ok && r.plain[i] {
-					next[0] = true
-					anyPass = true
-				}
-			}
-		case k == nseg-1: // last segment: only the plain verdict matters
-			for i, ok := range reach {
-				if ok && r.plain[i] {
-					anyPass = true
-				}
-			}
-		default:
-			next = make([]bool, len(outs[k]))
-			for i, ok := range reach {
-				if !ok || !r.plain[i] {
-					continue
-				}
-				anyPass = true
-				for j := range outs[k] {
-					if r.mat[i][j] {
-						next[j] = true
-					}
-				}
-			}
-		}
-		if !anyPass {
-			end := len(ops)
-			if k+1 < nseg {
-				end = starts[k+1]
-			}
-			for i, ok := range reach {
-				if ok && r.viol[i] != nil {
-					return fmt.Errorf("consistency: window %d of %d (ops %d..%d): %w", k+1, nseg, starts[k], end, r.viol[i])
-				}
-			}
-			// Unreachable in theory (a passing plain check implies an
-			// attainable final value); kept as a defensive verdict.
-			return &Violation{Condition: "atomicity", Detail: "no linearization of the history exists"}
-		}
-		reach = next
-	}
-	return nil
+	ops := make([]ioa.Op, len(seg), len(seg)+1)
+	copy(ops, seg)
+	ops = append(ops, ioa.Op{
+		Client:      -1, // synthetic; the zone test never reads Client
+		Kind:        ioa.OpRead,
+		Output:      u,
+		InvokeStep:  maxResp + 1,
+		RespondStep: maxResp + 2,
+	})
+	return checkZones(ops, v)
 }

@@ -103,9 +103,9 @@ type Config struct {
 	// Put/Get, which stay one-op-per-client.
 	Pipeline int
 	// SkipCheck disables batch runs' per-shard consistency checking
-	// (store.Options.SkipCheck): required for high-concurrency throughput
-	// sweeps, since the checkers are worst-case exponential in write
-	// concurrency. Interactive CheckConsistency is unaffected.
+	// (store.Options.SkipCheck), to measure unchecked throughput; only the
+	// regularity checks are still quadratic. Interactive CheckConsistency is
+	// unaffected.
 	SkipCheck bool
 	// OnlineCheck streams every settled operation into a windowed online
 	// atomicity checker instead of accumulating a batch history. Interactive
@@ -186,8 +186,8 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // drivers (per-client program order is preserved; see Config.Pipeline).
 func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
 
-// WithSkipCheck disables batch runs' per-shard consistency checking — for
-// high-concurrency throughput sweeps the exponential checkers cannot afford.
+// WithSkipCheck disables batch runs' per-shard consistency checking, to
+// measure unchecked throughput (see Config.SkipCheck).
 func WithSkipCheck() Option { return func(c *Config) { c.SkipCheck = true } }
 
 // WithOnlineCheck streams settled operations into the windowed online

@@ -64,10 +64,10 @@ type Options struct {
 	// step duration, per-op timeout, transport bounds). The zero value
 	// selects the defaults; ignored elsewhere.
 	Net netrun.Config
-	// SkipCheck disables the per-shard consistency check. The checkers are
-	// worst-case exponential in write concurrency ν, so high-concurrency
-	// throughput sweeps (ν in the hundreds) cannot afford them; safety at
-	// those scales is covered by checked runs at checkable concurrency.
+	// SkipCheck disables the per-shard consistency check, to measure
+	// unchecked throughput. The atomicity check is O(n log n) at any write
+	// concurrency ν; CheckRegular and CheckWeaklyRegular are still quadratic
+	// scans, which long regular-condition runs may not want to pay.
 	// History well-formedness (per-client interval ordering) is still
 	// enforced — it is built into history construction on every backend.
 	SkipCheck bool
@@ -75,11 +75,11 @@ type Options struct {
 	// On the live and net backends the runtime feeds every settled operation
 	// into a consistency.OnlineChecker as it completes, so the verdict is
 	// ready at shutdown and run memory stays bounded by the checker's window
-	// instead of the full history. On the simulator (whose schedule is a
-	// single discrete sequence with the complete history already in hand) it
-	// selects the parallel windowed batch checker instead. Shards checked
-	// under a regular condition keep the offline checker — the windowed
-	// decomposition is proved for atomicity. Ignored when SkipCheck is set.
+	// instead of the full history. The simulator (whose schedule is a single
+	// discrete sequence with the complete history already in hand) checks
+	// offline either way. Shards checked under a regular condition keep the
+	// offline checker — the windowed decomposition is proved for atomicity.
+	// Ignored when SkipCheck is set.
 	OnlineCheck bool
 	// OnlineWindow is the online checker's retirement window in operations
 	// (0 = consistency.DefaultWindowOps).
@@ -473,8 +473,7 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 	}
 	// Safety must hold whatever the faults did: the completed operations of
 	// even a quiescent shard are checked against the algorithm's condition
-	// (unless the caller opted out for a high-ν sweep the exponential
-	// checker cannot afford).
+	// (unless the caller opted out to measure unchecked throughput).
 	var opsVerified int64
 	var windowLag int
 	switch {
@@ -487,16 +486,14 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 		}
 		opsVerified = checker.OpsVerified()
 		windowLag = checker.WindowLag()
-	case online:
-		// Simulator shards hold the full history, so the windowed checker
-		// runs as a parallel batch pass over the same clean-cut segments.
-		if err := consistency.CheckWindowed(wres.History, nil, o.OnlineWindow); err != nil {
-			return ShardResult{}, fmt.Errorf("consistency (%s, windowed): %w", cond, err)
-		}
-		opsVerified = int64(len(wres.History.Ops) - len(wres.History.PendingOps()))
 	default:
 		if err := wres.CheckConsistency(cond); err != nil {
 			return ShardResult{}, fmt.Errorf("consistency (%s): %w", cond, err)
+		}
+		if online {
+			// Simulator shards hold the full history and check it offline;
+			// every completed operation is verified.
+			opsVerified = int64(len(wres.History.Ops) - len(wres.History.PendingOps()))
 		}
 	}
 	return ShardResult{

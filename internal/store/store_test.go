@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/faults"
 	"repro/internal/ioa"
 	"repro/internal/workload"
@@ -449,5 +450,63 @@ func TestBackendValidation(t *testing.T) {
 	stepFaults.Workload.Faults = []string{"crash-f@30"}
 	if err := stepFaults.validate(); err != nil {
 		t.Errorf("live backend with step-indexed faults: validate = %v, want acceptance", err)
+	}
+}
+
+// TestCheckedHighConcurrency runs checked shards with 64 writers kept
+// concurrently active — a width no linearization search finishes at — and
+// then shows the check has teeth at that width: one stale read injected into
+// the same history is caught and blamed.
+func TestCheckedHighConcurrency(t *testing.T) {
+	const nu = 64
+	spec := workload.MultiSpec{
+		Seed: 7, Keys: 8, Ops: 4000, ReadFraction: 0.5, TargetNu: nu, ValueBytes: 64,
+	}
+	res, err := Run(Options{
+		Shards: 2, Algorithms: []string{AlgABDMW, AlgCASGC}, Servers: 5, F: 1, Workload: spec,
+	})
+	if err != nil {
+		t.Fatalf("checked run at nu=%d: %v", nu, err)
+	}
+	for _, s := range res.PerShard {
+		if s.PeakActiveWrites < nu/2 {
+			t.Errorf("shard %d (%s) peaked at %d active writes, want a run near nu=%d", s.Shard, s.Algorithm, s.PeakActiveWrites, nu)
+		}
+	}
+
+	for _, alg := range []string{AlgABDMW, AlgCASGC} {
+		cl, _, err := DeployAlgorithm(alg, 5, 1, nu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := workload.Run(cl, workload.Spec{Seed: 7, Writes: 2000, Reads: 2000, TargetNu: nu, ValueBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := run.History
+		if err := consistency.CheckAtomic(h, nil); err != nil {
+			t.Fatalf("%s: clean history rejected: %v", alg, err)
+		}
+		// The last read to be invoked returns the first write's value,
+		// thousands of completed writes later.
+		first, stale := -1, -1
+		for i, op := range h.Ops {
+			if op.Pending() {
+				continue
+			}
+			if op.Kind == ioa.OpWrite && (first < 0 || op.InvokeStep < h.Ops[first].InvokeStep) {
+				first = i
+			}
+			if op.Kind == ioa.OpRead && (stale < 0 || op.InvokeStep > h.Ops[stale].InvokeStep) {
+				stale = i
+			}
+		}
+		h.Ops[stale].Output = h.Ops[first].Input
+		var v *consistency.Violation
+		if err := consistency.CheckAtomic(h, nil); !errors.As(err, &v) {
+			t.Fatalf("%s: injected stale read not caught: %v", alg, err)
+		} else if v.Op.ID != h.Ops[stale].ID {
+			t.Errorf("%s: blamed op %d, want the stale read op %d: %v", alg, v.Op.ID, h.Ops[stale].ID, err)
+		}
 	}
 }

@@ -139,10 +139,10 @@ func WithWorkers(n int) Option { return session.WithWorkers(n) }
 // simulator and for interactive Put/Get.
 func WithPipeline(depth int) Option { return session.WithPipeline(depth) }
 
-// WithSkipCheck disables batch runs' per-shard consistency checking — needed
-// for high-concurrency throughput sweeps, where the checkers' worst-case
-// exponential cost in write concurrency is unaffordable. Interactive
-// CheckConsistency is unaffected.
+// WithSkipCheck disables batch runs' per-shard consistency checking, to
+// measure unchecked throughput. The atomicity check is O(n log n) at any
+// write concurrency; only the regularity checks are still quadratic scans.
+// Interactive CheckConsistency is unaffected.
 func WithSkipCheck() Option { return session.WithSkipCheck() }
 
 // WithOnlineCheck streams every settled operation into a windowed online
@@ -152,8 +152,8 @@ func WithSkipCheck() Option { return session.WithSkipCheck() }
 // off the standing verdict, and Metrics reports the verified frontier
 // (OpsVerified, WindowLag). Applies to interactive atomic-condition shards
 // and, through Store.RunMulti, to batch runs on the live and net backends
-// (the simulator's complete histories get the equivalent parallel windowed
-// batch check). Regular-condition shards keep the offline checker.
+// (the simulator holds complete histories and checks them offline either
+// way). Regular-condition shards keep the offline checker.
 func WithOnlineCheck() Option { return session.WithOnlineCheck() }
 
 // WithOnlineWindow sets the online checker's retirement window in
@@ -489,17 +489,9 @@ func runClusterOp(cl *Cluster, client ioa.NodeID, inv ioa.Invocation, budget int
 // unique per seed — writes in checked histories must have distinct values.
 func MakeValue(size int, seed uint64) []byte { return register.MakeValue(size, seed) }
 
-// CheckAtomic verifies linearizability of a history (unique write values).
+// CheckAtomic verifies linearizability of a history (unique write values)
+// in O(n log n), whatever its concurrency.
 func CheckAtomic(h *History, initial []byte) error { return consistency.CheckAtomic(h, initial) }
-
-// CheckAtomicWindowed verifies linearizability by the clean-cut windowed
-// decomposition the online checker uses, checking the cut segments in
-// parallel — the batch face of the streaming checker, far faster than
-// CheckAtomic on long low-concurrency histories. windowOps <= 0 selects
-// DefaultOnlineWindow.
-func CheckAtomicWindowed(h *History, initial []byte, windowOps int) error {
-	return consistency.CheckWindowed(h, initial, windowOps)
-}
 
 // OnlineChecker is the streaming linearizability checker behind
 // WithOnlineCheck: feed it operations in invocation order with Observe and

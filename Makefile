@@ -4,7 +4,7 @@ DATE ?= $(shell date +%Y-%m-%d)
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker).
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge'
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues'
 
 .PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
 

@@ -43,7 +43,12 @@ import (
 // rule 3 can never fire on — the write is free not to take effect — and if
 // some read does, the reads supply the zone's finite ends.
 func CheckAtomic(h *ioa.History, initial []byte) error {
-	return checkZones(h.Ops, initial)
+	return checkAtomic(new(valueTable), h, initial)
+}
+
+func checkAtomic(vals *valueTable, h *ioa.History, initial []byte) error {
+	ids, init := vals.idsOf(h.Ops), vals.id(initial)
+	return checkZones(h.Ops, ids, len(vals.vals), init)
 }
 
 // zone summarises one cluster: a write and the completed reads of its value.
@@ -59,9 +64,10 @@ func (z *zone) forward() bool { return z.minResp < z.maxInv }
 // checkZones is the decision procedure behind CheckAtomic and the online
 // checker: nil when ops linearize from register value initial, a
 // *Violation naming the broken rule otherwise (or a plain error when written
-// values are not unique).
-func checkZones(ops []ioa.Op, initial []byte) error {
-	byVal, err := writesByValue(ops)
+// values are not unique). Values are interned: ids[i] is the ID of ops[i]'s
+// value, initial the ID of the initial value, all below n.
+func checkZones(ops []ioa.Op, ids []int32, n int, initial int32) error {
+	byVal, err := writesByValue(ops, ids, n)
 	if err != nil {
 		return err
 	}
@@ -79,23 +85,24 @@ func checkZones(ops []ioa.Op, initial []byte) error {
 	// ambiguous. One invoked after any other operation responded must follow
 	// a write, so it is the rewrite's; the rest precede or overlap everything
 	// else and can always be linearized first, as reads of the initial value.
-	rewrite, rewritten := byVal[string(initial)]
+	rewrite := byVal[initial]
+	rewritten := rewrite >= 0
 	othersRespond := math.MaxInt
 	if rewritten {
-		for _, op := range ops {
-			if op.Kind == ioa.OpWrite || !op.Pending() && !bytes.Equal(op.Output, initial) {
+		for i, op := range ops {
+			if op.Kind == ioa.OpWrite || !op.Pending() && ids[i] != initial {
 				othersRespond = min(othersRespond, respondOrInf(op))
 			}
 		}
 	} else {
-		byVal[string(initial)] = initZone
+		byVal[initial] = initZone
 	}
 	for i, op := range ops {
 		if op.Kind != ioa.OpRead || op.Pending() {
 			continue
 		}
-		zi, ok := byVal[string(op.Output)]
-		if !ok {
+		zi := byVal[ids[i]]
+		if zi < 0 {
 			return &Violation{Condition: "atomicity", Op: op, Detail: "read returned a value that was never written"}
 		}
 		if rewritten && zi == rewrite && op.InvokeStep <= othersRespond {
@@ -199,7 +206,7 @@ func respondOrInf(op ioa.Op) int {
 // MustBeValue is a test helper asserting a read output.
 func MustBeValue(op ioa.Op, want []byte) error {
 	if !bytes.Equal(op.Output, want) {
-		return fmt.Errorf("consistency: op %s returned %q, want %q", op, op.Output, want)
+		return fmt.Errorf("consistency: op %d returned %s, want %s", op.ID, preview(op.Output), preview(want))
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ package consistency
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 
 	"repro/internal/ioa"
 )
@@ -27,20 +28,108 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("consistency: %s violated by %s: %s", v.Condition, v.Op, v.Detail)
 }
 
-// writesByValue maps the (unique) value of every completed or pending write
-// to that write's index in ops.
-func writesByValue(ops []ioa.Op) (map[string]int, error) {
-	byVal := make(map[string]int)
+// valueTable interns register values: every distinct value gets a small
+// dense ID and equal values get equal IDs, so the checkers index and compare
+// values as integers. A value is hashed once, when it is interned, and a hash
+// match is confirmed with bytes.Equal: the IDs are exact whatever the hash
+// does, and no value is ever copied. The zero value is an empty table.
+type valueTable struct {
+	hash func([]byte) uint64 // replaces maphash when set; tests force collisions here
+	head map[uint64]int32    // hash -> the latest ID with that hash, plus one
+	vals []interned          // by ID
+}
+
+type interned struct {
+	val  []byte
+	sum  uint64 // the hash of val
+	prev int32  // the previous ID with the same hash, -1 = none
+}
+
+var hashSeed = maphash.MakeSeed()
+
+// id interns v.
+func (t *valueTable) id(v []byte) int32 {
+	sum := maphash.Bytes(hashSeed, v)
+	if t.hash != nil {
+		sum = t.hash(v)
+	}
+	for id := t.head[sum] - 1; id >= 0; id = t.vals[id].prev {
+		if bytes.Equal(t.vals[id].val, v) {
+			return id
+		}
+	}
+	return t.add(v, sum)
+}
+
+// add gives v, which must not be in the table, the next ID.
+func (t *valueTable) add(v []byte, sum uint64) int32 {
+	if t.head == nil {
+		t.head = make(map[uint64]int32)
+	}
+	t.vals = append(t.vals, interned{v, sum, t.head[sum] - 1})
+	t.head[sum] = int32(len(t.vals))
+	return int32(len(t.vals)) - 1
+}
+
+// idsOf interns each operation's value: a write's input, a read's output.
+func (t *valueTable) idsOf(ops []ioa.Op) []int32 {
+	if t.head == nil { // sized for a history that is half writes
+		t.head, t.vals = make(map[uint64]int32, len(ops)/2), make([]interned, 0, len(ops)/2)
+	}
+	ids := make([]int32, len(ops))
+	for i := range ops {
+		ids[i] = t.id(opValue(&ops[i]))
+	}
+	return ids
+}
+
+func opValue(op *ioa.Op) []byte {
+	if op.Kind == ioa.OpWrite {
+		return op.Input
+	}
+	return op.Output
+}
+
+// compact drops every value not named in live and renumbers the rest,
+// rewriting live in place. Nothing is hashed or compared again: distinct old
+// IDs are distinct values.
+func (t *valueTable) compact(live ...[]int32) {
+	old := *t
+	*t = valueTable{hash: old.hash}
+	renamed := make([]int32, len(old.vals)) // new ID + 1; 0 = not yet kept
+	for _, ids := range live {
+		for i, id := range ids {
+			if renamed[id] == 0 {
+				renamed[id] = t.add(old.vals[id].val, old.vals[id].sum) + 1
+			}
+			ids[i] = renamed[id] - 1
+		}
+	}
+}
+
+// preview formats a value for an error message by its length and first 16
+// bytes: values run to megabytes, messages should not.
+func preview(v []byte) string {
+	return fmt.Sprintf("%d bytes %q", len(v), v[:min(len(v), 16)])
+}
+
+// writesByValue maps each of the n value IDs to the index in ops of the
+// (unique) completed or pending write of that value, -1 where there is none.
+func writesByValue(ops []ioa.Op, ids []int32, n int) ([]int, error) {
+	writeOf := make([]int, n)
+	for id := range writeOf {
+		writeOf[id] = -1
+	}
 	for i, op := range ops {
 		if op.Kind != ioa.OpWrite {
 			continue
 		}
-		if prev, dup := byVal[string(op.Input)]; dup {
-			return nil, fmt.Errorf("consistency: duplicate write value %q (ops %d and %d); checkers require unique values", op.Input, ops[prev].ID, op.ID)
+		if prev := writeOf[ids[i]]; prev >= 0 {
+			return nil, fmt.Errorf("consistency: duplicate write value %s (ops %d and %d); checkers require unique values", preview(op.Input), ops[prev].ID, op.ID)
 		}
-		byVal[string(op.Input)] = i
+		writeOf[ids[i]] = i
 	}
-	return byVal, nil
+	return writeOf, nil
 }
 
 // CheckRegular verifies single-writer regularity: every completed read
@@ -49,7 +138,9 @@ func writesByValue(ops []ioa.Op) (map[string]int, error) {
 // when no write completed or overlaps. Writes must come from a single client
 // and be sequential (guaranteed by the kernel's well-formedness).
 func CheckRegular(h *ioa.History, initial []byte) error {
-	if _, err := writesByValue(h.Ops); err != nil {
+	var vals valueTable
+	ids := vals.idsOf(h.Ops)
+	if _, err := writesByValue(h.Ops, ids, len(vals.vals)); err != nil {
 		return err
 	}
 	var writer ioa.NodeID
@@ -110,7 +201,7 @@ func checkRegularRead(h *ioa.History, r ioa.Op, initial []byte) error {
 	return &Violation{
 		Condition: "regularity",
 		Op:        r,
-		Detail:    fmt.Sprintf("returned %q, allowed values: last-complete or overlapping writes only", r.Output),
+		Detail:    fmt.Sprintf("returned %s, allowed values: last-complete or overlapping writes only", preview(r.Output)),
 	}
 }
 
@@ -128,11 +219,13 @@ func checkRegularRead(h *ioa.History, r ioa.Op, initial []byte) error {
 //   - a read of the initial value must not be preceded by any terminating
 //     write.
 func CheckWeaklyRegular(h *ioa.History, initial []byte) error {
-	byVal, err := writesByValue(h.Ops)
+	var vals valueTable
+	ids := vals.idsOf(h.Ops)
+	writeOf, err := writesByValue(h.Ops, ids, len(vals.vals))
 	if err != nil {
 		return err
 	}
-	for _, r := range h.Ops {
+	for i, r := range h.Ops {
 		if r.Kind != ioa.OpRead || r.Pending() {
 			continue
 		}
@@ -148,8 +241,8 @@ func CheckWeaklyRegular(h *ioa.History, initial []byte) error {
 			}
 			continue
 		}
-		wi, ok := byVal[string(r.Output)]
-		if !ok {
+		wi := writeOf[ids[i]]
+		if wi < 0 {
 			return &Violation{Condition: "weak regularity", Op: r, Detail: "returned a value never written"}
 		}
 		w := h.Ops[wi]

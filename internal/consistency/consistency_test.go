@@ -2,6 +2,8 @@ package consistency
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ioa"
@@ -156,6 +158,17 @@ func TestAtomicDuplicateValuesRejected(t *testing.T) {
 	)
 	if err := CheckAtomic(h, v0); err == nil {
 		t.Error("duplicate write values must be rejected")
+	}
+	// The errors that quote a value quote its length and a 16-byte prefix: a
+	// 64 KiB value must not become a 200 KB message.
+	big := strings.Repeat("v", 64<<10)
+	err := CheckAtomic(hist(w(1, big, 0, 10), w(1, big, 20, 30)), v0)
+	if err == nil || len(err.Error()) > 200 || !strings.Contains(err.Error(), `65536 bytes "vvvvvvvvvvvvvvvv"`) {
+		t.Errorf("duplicate large value: want a short error naming length and prefix, got %d bytes: %.120v", len(fmt.Sprint(err)), err)
+	}
+	err = MustBeValue(ioa.Op{ID: 3, Kind: ioa.OpRead, Output: []byte(big)}, []byte("w"))
+	if err == nil || len(err.Error()) > 200 || MustBeValue(ioa.Op{Output: []byte("w")}, []byte("w")) != nil {
+		t.Errorf("MustBeValue: want nil on a match and a short error otherwise, got %d bytes: %.120v", len(fmt.Sprint(err)), err)
 	}
 }
 

@@ -34,6 +34,7 @@ package consistency
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/ioa"
@@ -58,14 +59,15 @@ const DefaultWindowOps = 256
 // methods are safe for concurrent use.
 type OnlineChecker struct {
 	mu        sync.Mutex
-	initial   []byte
 	windowOps int
 
-	window     []ioa.Op // settled ops not yet retired, invocation order
-	runningMax int      // max respondOrInf over window ops
-	lastCut    int      // window index of the latest clean cut (0 = none)
-	lastInvoke int      // order enforcement across Observe calls
-	carry      [][]byte // values the retired prefix may end with
+	vals       valueTable // the values of window and carry, interned on arrival
+	window     []ioa.Op   // settled ops not yet retired, invocation order
+	ids        []int32    // ids[i] = the value ID of window[i]
+	runningMax int        // max respondOrInf over window ops
+	lastCut    int        // window index of the latest clean cut (0 = none)
+	lastInvoke int        // order enforcement across Observe calls
+	carry      []int32    // IDs of the values the retired prefix may end with
 
 	observed  int64
 	verified  int64
@@ -92,14 +94,13 @@ func WithWindowOps(n int) OnlineOption {
 // initial value is initial (nil for the usual fresh register).
 func NewOnlineChecker(initial []byte, opts ...OnlineOption) *OnlineChecker {
 	c := &OnlineChecker{
-		initial:    initial,
 		windowOps:  DefaultWindowOps,
 		runningMax: math.MinInt,
-		carry:      [][]byte{initial},
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	c.carry = []int32{c.vals.id(initial)}
 	return c
 }
 
@@ -133,6 +134,7 @@ func (c *OnlineChecker) Observe(op ioa.Op) error {
 		c.lastCut = len(c.window)
 	}
 	c.window = append(c.window, op)
+	c.ids = append(c.ids, c.vals.id(opValue(&op)))
 	if r := respondOrInf(op); r > c.runningMax {
 		c.runningMax = r
 	}
@@ -167,7 +169,7 @@ func (c *OnlineChecker) retireLocked() {
 	if c.lastCut <= 0 {
 		return
 	}
-	newCarry, viol := checkSegment(c.window[:c.lastCut], c.carry)
+	newCarry, viol := checkSegment(c.window[:c.lastCut], c.ids[:c.lastCut], len(c.vals.vals), c.carry)
 	if viol != nil {
 		c.windows++
 		c.violation = fmt.Errorf("consistency: online window %d (after %d verified ops): %w", c.windows, c.verified, viol)
@@ -176,9 +178,12 @@ func (c *OnlineChecker) retireLocked() {
 	c.carry = newCarry
 	c.verified += int64(c.lastCut)
 	c.windows++
-	rest := make([]ioa.Op, len(c.window)-c.lastCut) // fresh copy frees the retired backing array
-	copy(rest, c.window[c.lastCut:])
-	c.window = rest
+	// Slide the survivors to the front of the same backing arrays and drop
+	// what the vacated tail and the value table still hold of retired values.
+	rest := c.window[:copy(c.window, c.window[c.lastCut:])]
+	clear(c.window[len(rest):])
+	c.window, c.ids = rest, c.ids[:copy(c.ids, c.ids[c.lastCut:])]
+	c.vals.compact(c.ids, c.carry)
 	// Rescan the surviving suffix for its cut structure: removing a prefix
 	// preserves every cut and can only expose new ones.
 	c.lastCut = 0
@@ -211,15 +216,16 @@ func (c *OnlineChecker) Result(extra ...ioa.Op) error {
 	if c.violation != nil {
 		return c.violation
 	}
-	ops := c.window
+	ops, ids := c.window, c.ids
 	if len(extra) > 0 {
-		ops = make([]ioa.Op, 0, len(c.window)+len(extra))
-		ops = append(ops, c.window...)
+		ops = slices.Clip(ops)
+		ids = slices.Clip(ids)
 		for _, op := range extra {
 			if op.Pending() && op.Kind == ioa.OpRead {
 				continue
 			}
 			ops = append(ops, op)
+			ids = append(ids, c.vals.id(opValue(&op)))
 		}
 	}
 	if len(ops) == 0 {
@@ -227,7 +233,7 @@ func (c *OnlineChecker) Result(extra ...ioa.Op) error {
 	}
 	var firstViol error
 	for _, v := range c.carry {
-		viol := checkZones(ops, v)
+		viol := checkZones(ops, ids, len(c.vals.vals), v)
 		if viol == nil {
 			return nil
 		}
@@ -279,56 +285,34 @@ func (c *OnlineChecker) Windows() int64 {
 
 // checkSegment decides which register values a linearization of the
 // cleanly-cut segment seg may end with, given that it must start from one
-// of the carry values. It returns the attainable final-value set, or the
-// first violation encountered if the set is empty. seg must contain no
-// pending operations (guaranteed for retired segments: a pending op
-// suppresses every later cut).
-func checkSegment(seg []ioa.Op, carry [][]byte) ([][]byte, error) {
-	// Candidate final values: a write can be linearized last only if no
-	// other write is invoked entirely after it responds, i.e. its response
-	// is no earlier than the latest write invocation.
-	maxWriteInvoke := math.MinInt
-	for _, op := range seg {
-		if op.Kind == ioa.OpWrite && op.InvokeStep > maxWriteInvoke {
-			maxWriteInvoke = op.InvokeStep
-		}
-	}
-	finals := maximalWriteValues(seg, maxWriteInvoke)
-
-	out := make([][]byte, 0, len(finals)+1)
-	have := make(map[string]bool, len(finals)+1)
-	add := func(v []byte) {
-		if !have[string(v)] {
-			have[string(v)] = true
-			out = append(out, v)
-		}
-	}
+// of the carry values; values are the IDs checkZones takes. It returns the
+// attainable final-value set, or the first violation encountered if the set
+// is empty. seg must contain no pending operations (guaranteed for retired
+// segments: a pending op suppresses every later cut).
+func checkSegment(seg []ioa.Op, ids []int32, n int, carry []int32) ([]int32, error) {
+	// The segment ends with the input of a maximal write, or, having no
+	// writes, with the value it inherited.
+	finals := maximalWriteValues(seg, ids)
+	var out []int32
 	var firstViol error
 	for _, v := range carry {
 		// A read of a value foreign to seg and v fails this carry only: the
 		// value may be legal under another.
-		if viol := checkZones(seg, v); viol != nil {
+		if viol := checkZones(seg, ids, n, v); viol != nil {
 			if firstViol == nil {
 				firstViol = viol
 			}
 			continue
 		}
-		switch {
-		case finals == nil:
-			// No writes: the inherited value survives unchanged.
-			add(v)
-		case len(finals) == 1:
-			// Every write must be linearized, so the unique maximal write
-			// is forced to be last; no probe needed.
-			add(finals[0])
-		default:
-			for _, u := range finals {
-				if have[string(u)] {
-					continue
-				}
-				if endsWith(seg, v, u) == nil {
-					add(u)
-				}
+		ends := finals
+		if ends == nil {
+			ends = []int32{v}
+		}
+		for _, u := range ends {
+			// Every write must be linearized, so a unique maximal write is
+			// forced to be last; only a choice among several needs the probe.
+			if !slices.Contains(out, u) && (len(ends) == 1 || endsWith(seg, ids, n, v, u) == nil) {
+				out = append(out, u)
 			}
 		}
 	}
@@ -338,19 +322,21 @@ func checkSegment(seg []ioa.Op, carry [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// maximalWriteValues returns the distinct inputs of writes that may be
-// linearized last in seg (response >= the latest write invocation), or nil
-// when seg contains no writes.
-func maximalWriteValues(seg []ioa.Op, maxWriteInvoke int) [][]byte {
-	if maxWriteInvoke == math.MinInt {
-		return nil
-	}
-	var finals [][]byte
-	seen := make(map[string]bool, 2)
+// maximalWriteValues returns the inputs of the writes that may be linearized
+// last in seg, or nil when seg contains no writes. A write can be last only
+// if no other write is invoked entirely after it responds, i.e. its response
+// is no earlier than the latest write invocation.
+func maximalWriteValues(seg []ioa.Op, ids []int32) []int32 {
+	maxWriteInvoke := math.MinInt
 	for _, op := range seg {
-		if op.Kind == ioa.OpWrite && respondOrInf(op) >= maxWriteInvoke && !seen[string(op.Input)] {
-			seen[string(op.Input)] = true
-			finals = append(finals, op.Input)
+		if op.Kind == ioa.OpWrite {
+			maxWriteInvoke = max(maxWriteInvoke, op.InvokeStep)
+		}
+	}
+	var finals []int32
+	for i, op := range seg {
+		if op.Kind == ioa.OpWrite && respondOrInf(op) >= maxWriteInvoke {
+			finals = append(finals, ids[i])
 		}
 	}
 	return finals
@@ -360,19 +346,16 @@ func maximalWriteValues(seg []ioa.Op, maxWriteInvoke int) [][]byte {
 // value v and ends with the register holding u: nil, or the violation. The
 // requirement is a synthetic completed read of u appended strictly after
 // every response in seg; the zone test does the rest.
-func endsWith(seg []ioa.Op, v, u []byte) error {
+func endsWith(seg []ioa.Op, ids []int32, n int, v, u int32) error {
 	maxResp := math.MinInt
 	for _, op := range seg {
 		maxResp = max(maxResp, respondOrInf(op))
 	}
-	ops := make([]ioa.Op, len(seg), len(seg)+1)
-	copy(ops, seg)
-	ops = append(ops, ioa.Op{
-		Client:      -1, // synthetic; the zone test never reads Client
+	probe := ioa.Op{
+		Client:      -1, // synthetic; the zone test reads neither Client nor Output
 		Kind:        ioa.OpRead,
-		Output:      u,
 		InvokeStep:  maxResp + 1,
 		RespondStep: maxResp + 2,
-	})
-	return checkZones(ops, v)
+	}
+	return checkZones(append(slices.Clip(seg), probe), append(slices.Clip(ids), u), n, v)
 }

@@ -148,14 +148,18 @@ func TestForeignValue(t *testing.T) {
 		t.Errorf("the same read is fine when x is the initial value: %v", err)
 	}
 	seg := hist(r(2, "x", 0, 5), w(1, "a", 10, 20)).Ops
-	if err := checkZones(seg, []byte("y")); err == nil {
+	var vals valueTable
+	ids := vals.idsOf(seg)
+	x, y, z, a := vals.id([]byte("x")), vals.id([]byte("y")), vals.id([]byte("z")), vals.id([]byte("a"))
+	n := len(vals.vals)
+	if err := checkZones(seg, ids, n, y); err == nil {
 		t.Error("the zone test must fail from a carry the read does not match")
 	}
-	finals, err := checkSegment(seg, [][]byte{[]byte("y"), []byte("x")})
-	if err != nil || len(finals) != 1 || string(finals[0]) != "a" {
-		t.Errorf("checkSegment = %q, %v; want the segment to pass under carry x and end with a", finals, err)
+	finals, err := checkSegment(seg, ids, n, []int32{y, x})
+	if err != nil || len(finals) != 1 || finals[0] != a {
+		t.Errorf("checkSegment = %v, %v; want the segment to pass under carry x and end with a (%d)", finals, err, a)
 	}
-	if _, err := checkSegment(seg, [][]byte{[]byte("y"), []byte("z")}); err == nil {
+	if _, err := checkSegment(seg, ids, n, []int32{y, z}); err == nil {
 		t.Error("checkSegment must fail when no carry explains the read")
 	}
 }
@@ -199,4 +203,31 @@ func TestOnlineViolationWrapper(t *testing.T) {
 		t.Fatalf("want a window-context error, got %v", err)
 	}
 	mustViolate(t, err, 5, "backward zone inside forward zone", "write op 4 [7,8]", "write op 3 [6,9]")
+}
+
+// TestValueTable: equal values share an ID and distinct values never do,
+// whether the hash spreads them or sends them all to one chain; compact keeps
+// exactly the values still named and renumbers them without confusing any.
+func TestValueTable(t *testing.T) {
+	for name, hash := range map[string]func([]byte) uint64{"maphash": nil, "one chain": func([]byte) uint64 { return 7 }} {
+		vals := valueTable{hash: hash}
+		a, b, c := vals.id([]byte("a")), vals.id([]byte("b")), vals.id([]byte("c"))
+		if a == b || b == c || a == c {
+			t.Errorf("%s: distinct values share an ID: %d %d %d", name, a, b, c)
+		}
+		if vals.id([]byte("a")) != a || vals.id([]byte("c")) != c || vals.id(nil) != vals.id([]byte{}) {
+			t.Errorf("%s: equal values got different IDs", name)
+		}
+		window, carry := []int32{c, b, c}, []int32{b}
+		vals.compact(window, carry)
+		if len(vals.vals) != 2 || window[0] != window[2] || window[1] != carry[0] || window[0] == window[1] {
+			t.Fatalf("%s: compact kept %d values, window %v carry %v", name, len(vals.vals), window, carry)
+		}
+		if vals.id([]byte("b")) != carry[0] || vals.id([]byte("c")) != window[0] {
+			t.Errorf("%s: kept values changed identity across compact", name)
+		}
+		if again := vals.id([]byte("a")); again == window[0] || again == window[1] {
+			t.Errorf("%s: a dropped value came back as a kept one's ID", name)
+		}
+	}
 }

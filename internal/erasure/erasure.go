@@ -9,7 +9,9 @@
 //
 // The code is systematic: shards 0..k-1 are the raw data splits, and shards
 // k..n-1 are parity computed from a Vandermonde-derived encoding matrix whose
-// every k x k submatrix is invertible (the MDS property).
+// every k x k submatrix is invertible (the MDS property). The parity block is
+// normalised so that its first row and first column are all ones, and
+// multiplying by one is a plain vector XOR.
 package erasure
 
 import (
@@ -26,17 +28,13 @@ import (
 type Code struct {
 	n, k   int
 	field  *gf.Field
-	matrix *gf.Matrix // n x k encoding matrix; top k rows are identity
+	matrix *gf.Matrix // n x k; top k rows identity, row k and column 0 below it all ones
 
 	// invCache memoizes decode matrices by shard-index set: sweeps decode
 	// thousands of values under a handful of availability patterns, and
 	// inverting the k x k submatrix per value dwarfs the row multiplies
 	// themselves. Keys are string(indices), values are *gf.Matrix.
 	invCache sync.Map
-
-	// scratch pools the split buffer used by EncodeOne and Decode so the
-	// steady state of a sweep allocates only the bytes it returns.
-	scratch sync.Pool
 }
 
 // Shard is one coded symbol of a value, tagged with its index in [0, n).
@@ -71,11 +69,28 @@ func New(n, k int) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
-	systematic, err := vm.Mul(field, topInv)
+	g, err := vm.Mul(field, topInv)
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
-	return &Code{n: n, k: k, field: field, matrix: systematic}, nil
+	// Normalise the parity block P (rows k..n-1) by diagonal scaling: divide
+	// each column by its entry in row k and each row by its entry in column
+	// 0, leaving P[r][c] * P[k][0] / (P[k][c] * P[r][0]). The code is MDS iff
+	// every square submatrix of P is nonsingular (so no entry is zero), and
+	// scaling rows and columns by nonzero constants multiplies each such
+	// determinant by a nonzero constant: the MDS property, and with it every
+	// shard size, is unchanged. Row k and column 0 go last in their loops
+	// because the other entries divide by them.
+	for r := n - 1; r >= k; r-- {
+		for col := k - 1; col >= 0; col-- {
+			v, err := field.Div(field.Mul(g.At(r, col), g.At(k, 0)), field.Mul(g.At(k, col), g.At(r, 0)))
+			if err != nil {
+				return nil, fmt.Errorf("erasure: %w", err)
+			}
+			g.Set(r, col, v)
+		}
+	}
+	return &Code{n: n, k: k, field: field, matrix: g}, nil
 }
 
 // N returns the total number of shards produced per value.
@@ -90,44 +105,30 @@ func (c *Code) ShardSize(valueLen int) int {
 	return (valueLen + 4 + c.k - 1) / c.k
 }
 
-// getScratch returns a zeroed buffer of at least size bytes from the pool.
-func (c *Code) getScratch(size int) []byte {
-	if v := c.scratch.Get(); v != nil {
-		buf := *(v.(*[]byte))
-		if cap(buf) >= size {
-			buf = buf[:size]
-			clear(buf)
-			return buf
-		}
+// layDown copies bytes [off, off+len(dst)) of the coded stream — a 4-byte
+// big-endian length header, the value, zero padding — into dst, which must
+// be zeroed.
+func layDown(dst, value []byte, off int) {
+	n := 0
+	if off < 4 {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(value)))
+		n = copy(dst, hdr[off:])
 	}
-	return make([]byte, size)
+	if v := off + n - 4; v >= 0 && v < len(value) {
+		copy(dst[n:], value[v:])
+	}
 }
 
-func (c *Code) putScratch(buf []byte) { c.scratch.Put(&buf) }
-
-// Encode splits value into k data shards and produces all n shards.
-// The returned shards do not alias value.
-//
-// All n shards are carved out of one contiguous block: the header and value
-// are laid down directly in the data-shard region, so encoding performs no
-// intermediate split copy and allocates exactly the bytes it returns. The
-// shards therefore alias each other's backing array — retaining one shard
-// long-term retains the whole block; callers keeping a single shard per
-// server should use EncodeOne, which allocates that shard alone.
+// Encode splits value into k data shards and produces all n shards, each
+// allocated on its own and none aliasing value.
 func (c *Code) Encode(value []byte) ([]Shard, error) {
-	shardLen := c.ShardSize(len(value))
-	block := make([]byte, c.n*shardLen)
-	binary.BigEndian.PutUint32(block, uint32(len(value)))
-	copy(block[4:], value)
 	shards := make([]Shard, c.n)
-	for i := 0; i < c.n; i++ {
-		data := block[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
-		if i >= c.k {
-			for j := 0; j < c.k; j++ {
-				c.field.MulSlice(c.matrix.At(i, j), block[j*shardLen:(j+1)*shardLen], data)
-			}
+	for i := range shards {
+		var err error
+		if shards[i], err = c.EncodeOne(value, i); err != nil {
+			return nil, err
 		}
-		shards[i] = Shard{Index: i, Data: data}
 	}
 	return shards, nil
 }
@@ -141,29 +142,30 @@ func (c *Code) EncodeOne(value []byte, index int) (Shard, error) {
 	shardLen := c.ShardSize(len(value))
 	data := make([]byte, shardLen)
 	if index < c.k {
-		// Data shard: the index-th slice of header+value+padding, assembled
-		// by region copies (data is already zeroed, covering the padding).
-		off := index * shardLen
-		n := 0
-		if off < 4 {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(value)))
-			n = copy(data, hdr[off:])
-		}
-		if n < shardLen {
-			if vstart := off + n - 4; vstart >= 0 && vstart < len(value) {
-				copy(data[n:], value[vstart:])
-			}
-		}
+		layDown(data, value, index*shardLen)
 		return Shard{Index: index, Data: data}, nil
 	}
-	splits := c.getScratch(c.k * shardLen)
-	binary.BigEndian.PutUint32(splits, uint32(len(value)))
-	copy(splits[4:], value)
-	for j := 0; j < c.k; j++ {
-		c.field.MulSlice(c.matrix.At(index, j), splits[j*shardLen:(j+1)*shardLen], data)
+	// Parity is sum_j row[j] * split_j. At positions [lo, hi) every split is
+	// value bytes — no header, no padding — and is read in place out of
+	// value, once: split 0, whose coefficient is 1, overwrites and the rest
+	// accumulate. The at most 4 positions before and fewer than k after are
+	// accumulated into the zeroed shard through layDown.
+	lo := min(4, shardLen)
+	hi := max(lo, shardLen-(c.k*shardLen-4-len(value)))
+	var edge [gf.Order]byte
+	for j, coef := range c.matrix.Data[index*c.k : (index+1)*c.k] {
+		if hi > lo && j == 0 {
+			copy(data[lo:hi], value)
+		} else if hi > lo {
+			c.field.MulSlice(coef, value[j*shardLen:j*shardLen+hi-lo], data[lo:hi])
+		}
+		for _, at := range [2][2]int{{0, lo}, {hi, shardLen}} {
+			split := edge[:at[1]-at[0]]
+			clear(split)
+			layDown(split, value, j*shardLen+at[0])
+			c.field.MulSlice(coef, split, data[at[0]:at[1]])
+		}
 	}
-	c.putScratch(splits)
 	return Shard{Index: index, Data: data}, nil
 }
 
@@ -172,58 +174,81 @@ func (c *Code) EncodeOne(value []byte, index int) (Shard, error) {
 // than k distinct shard indices are supplied or the shards are inconsistent
 // in length.
 func (c *Code) Decode(shards []Shard) ([]byte, error) {
-	// Deduplicate by index, keeping the k lowest distinct indices —
-	// deterministic, and identical to sorting the distinct set and taking
-	// its prefix.
-	var have [gf.Order][]byte
-	distinct := 0
+	// Deduplicate by index and keep the k lowest distinct indices.
+	have := make([][]byte, c.n)
 	for _, s := range shards {
 		if s.Index < 0 || s.Index >= c.n {
 			return nil, fmt.Errorf("erasure: shard index %d out of range [0,%d)", s.Index, c.n)
 		}
 		if have[s.Index] == nil {
 			have[s.Index] = s.Data
-			distinct++
 		}
-	}
-	if distinct < c.k {
-		return nil, fmt.Errorf("erasure: need %d distinct shards, have %d", c.k, distinct)
 	}
 	idxs := make([]int, 0, c.k)
+	srcs := make([][]byte, 0, c.k)
 	for i := 0; i < c.n && len(idxs) < c.k; i++ {
-		if have[i] != nil {
-			idxs = append(idxs, i)
+		if have[i] == nil {
+			continue
+		}
+		idxs, srcs = append(idxs, i), append(srcs, have[i])
+		if len(have[i]) != len(srcs[0]) {
+			return nil, fmt.Errorf("erasure: inconsistent shard lengths (%d vs %d)", len(have[i]), len(srcs[0]))
 		}
 	}
-	shardLen := len(have[idxs[0]])
-	for _, i := range idxs {
-		if len(have[i]) != shardLen {
-			return nil, fmt.Errorf("erasure: inconsistent shard lengths (%d vs %d)", len(have[i]), shardLen)
+	if len(idxs) < c.k {
+		return nil, fmt.Errorf("erasure: need %d distinct shards, have %d", c.k, len(idxs))
+	}
+	shardLen := len(srcs[0])
+
+	// Only the missing data splits (at most n-k, none when all k data shards
+	// arrived) are rebuilt, as split_j = sum_i inv[j][i] * shard[idxs[i]].
+	var inv *gf.Matrix
+	if idxs[c.k-1] != c.k-1 {
+		var err error
+		if inv, err = c.decodeMatrix(idxs); err != nil {
+			return nil, err
 		}
 	}
-
-	// Fast path: all k data shards present — gather the value straight out
-	// of the shards, no matrix work and no intermediate split buffer.
-	if idxs[c.k-1] == c.k-1 {
-		return c.joinDataShards(&have, shardLen)
+	total := c.k * shardLen
+	if total < 4 {
+		return nil, fmt.Errorf("erasure: decoded buffer too short (%d bytes)", total)
 	}
-
-	inv, err := c.decodeMatrix(idxs)
-	if err != nil {
-		return nil, err
+	// The length header is the coded stream's first 4 bytes, each read from
+	// its shard or, that shard missing, rebuilt on its own.
+	var hdr [4]byte
+	for p := range hdr {
+		j, at := p/shardLen, p%shardLen
+		if have[j] != nil {
+			hdr[p] = have[j][at]
+			continue
+		}
+		for i, s := range srcs {
+			hdr[p] ^= byte(c.field.Mul(inv.At(j, i), gf.Elem(s[at])))
+		}
 	}
-	// splits[j] = sum_i inv[j][i] * shard[idxs[i]], accumulated into one
-	// pooled buffer holding all k splits contiguously.
-	buf := c.getScratch(c.k * shardLen)
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n < 0 || n > total-4 {
+		return nil, fmt.Errorf("erasure: corrupt length header %d (buffer %d)", uint32(n), total-4)
+	}
+	// The value is stream bytes [4, 4+n) and split j starts at j*shardLen, so
+	// each split's share of the value goes straight to its place in the
+	// zeroed output: copied when the shard arrived, accumulated when not.
+	out := make([]byte, n)
 	for j := 0; j < c.k; j++ {
-		dst := buf[j*shardLen : (j+1)*shardLen]
-		for i := 0; i < c.k; i++ {
-			c.field.MulSlice(inv.At(j, i), have[idxs[i]], dst)
+		from, to := max(4-j*shardLen, 0), min(4+n-j*shardLen, shardLen)
+		if from >= to {
+			continue
+		}
+		dst := out[j*shardLen+from-4 : j*shardLen+to-4]
+		if have[j] != nil {
+			copy(dst, have[j][from:to])
+			continue
+		}
+		for i, s := range srcs {
+			c.field.MulSlice(inv.At(j, i), s[from:to], dst)
 		}
 	}
-	out, err := c.join(buf, shardLen)
-	c.putScratch(buf)
-	return out, err
+	return out, nil
 }
 
 // decodeMatrix returns the inverse of the encoding submatrix for the given
@@ -246,51 +271,4 @@ func (c *Code) decodeMatrix(idxs []int) (*gf.Matrix, error) {
 	}
 	c.invCache.Store(string(key), inv)
 	return inv, nil
-}
-
-// joinDataShards reassembles the value directly from the k data shards
-// (have[0..k-1]), reading the possibly shard-spanning length header and
-// copying each byte exactly once.
-func (c *Code) joinDataShards(have *[gf.Order][]byte, shardLen int) ([]byte, error) {
-	total := c.k * shardLen
-	if total < 4 {
-		return nil, fmt.Errorf("erasure: decoded buffer too short (%d bytes)", total)
-	}
-	var hdr [4]byte
-	for i := 0; i < 4; i++ {
-		hdr[i] = have[i/shardLen][i%shardLen]
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > total-4 {
-		return nil, fmt.Errorf("erasure: corrupt length header %d (buffer %d)", n, total-4)
-	}
-	out := make([]byte, n)
-	copied := 0
-	for j := 0; j < c.k && copied < n; j++ {
-		off := j * shardLen
-		if off+shardLen <= 4 {
-			continue // shard holds header bytes only
-		}
-		s := have[j]
-		if off < 4 {
-			s = s[4-off:]
-		}
-		copied += copy(out[copied:], s)
-	}
-	return out, nil
-}
-
-// join extracts the value from the contiguous splits buffer, stripping the
-// length header and padding.
-func (c *Code) join(buf []byte, shardLen int) ([]byte, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("erasure: decoded buffer too short (%d bytes)", len(buf))
-	}
-	n := binary.BigEndian.Uint32(buf)
-	if int(n) > len(buf)-4 {
-		return nil, fmt.Errorf("erasure: corrupt length header %d (buffer %d)", n, len(buf)-4)
-	}
-	out := make([]byte, n)
-	copy(out, buf[4:4+n])
-	return out, nil
 }

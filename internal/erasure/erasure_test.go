@@ -2,9 +2,13 @@ package erasure
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gf"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -58,30 +62,77 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeFromAnySubset(t *testing.T) {
-	c, err := New(6, 3)
-	if err != nil {
-		t.Fatal(err)
+// forEachCode runs f on every (n, k) code with n <= 9.
+func forEachCode(t *testing.T, f func(c *Code)) {
+	t.Helper()
+	for n := 1; n <= 9; n++ {
+		for k := 1; k <= n; k++ {
+			c, err := New(n, k)
+			if err != nil {
+				t.Fatalf("New(%d, %d): %v", n, k, err)
+			}
+			f(c)
+		}
 	}
-	value := []byte("the quick brown fox jumps over the lazy dog")
-	shards, err := c.Encode(value)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All C(6,3) = 20 subsets must decode.
-	for a := 0; a < 6; a++ {
-		for b := a + 1; b < 6; b++ {
-			for d := b + 1; d < 6; d++ {
-				got, err := c.Decode([]Shard{shards[a], shards[b], shards[d]})
-				if err != nil {
-					t.Fatalf("subset (%d,%d,%d): %v", a, b, d, err)
-				}
-				if !bytes.Equal(got, value) {
-					t.Fatalf("subset (%d,%d,%d): wrong value", a, b, d)
+}
+
+// TestGeneratorNormalised pins the shape New promises: identity on top, and
+// a parity block whose first row and first column are all ones.
+func TestGeneratorNormalised(t *testing.T) {
+	forEachCode(t, func(c *Code) {
+		for r := 0; r < c.n; r++ {
+			for col := 0; col < c.k; col++ {
+				got := c.matrix.At(r, col)
+				switch {
+				case r < c.k && got != gf.Elem(b2i(r == col)):
+					t.Errorf("(%d,%d): top block entry (%d,%d) = %d, want identity", c.n, c.k, r, col, got)
+				case r >= c.k && (r == c.k || col == 0) && got != 1:
+					t.Errorf("(%d,%d): parity entry (%d,%d) = %d, want 1", c.n, c.k, r, col, got)
+				case r >= c.k && got == 0:
+					t.Errorf("(%d,%d): parity entry (%d,%d) is zero", c.n, c.k, r, col)
 				}
 			}
 		}
+	})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+// TestDecodeFromAnySubset is the MDS pin: for every code with n <= 9, every
+// k-subset of the shards decodes — the normalised generator lost no
+// invertible submatrix — and decodes through the partial rebuild whenever
+// the subset misses a data shard.
+func TestDecodeFromAnySubset(t *testing.T) {
+	value := []byte("the quick brown fox jumps over the lazy dog")
+	forEachCode(t, func(c *Code) {
+		shards, err := c.Encode(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask := 0; mask < 1<<c.n; mask++ {
+			if bits.OnesCount(uint(mask)) != c.k {
+				continue
+			}
+			var subset []Shard
+			for i := c.n - 1; i >= 0; i-- { // descending: order must not matter
+				if mask&(1<<i) != 0 {
+					subset = append(subset, shards[i])
+				}
+			}
+			got, err := c.Decode(subset)
+			if err != nil {
+				t.Fatalf("(%d,%d) subset %b: %v", c.n, c.k, mask, err)
+			}
+			if !bytes.Equal(got, value) {
+				t.Fatalf("(%d,%d) subset %b: wrong value", c.n, c.k, mask)
+			}
+		}
+	})
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -110,30 +161,59 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestEncodeOneMatchesEncode(t *testing.T) {
-	c, err := New(9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny values make the shards shorter than the 4-byte header, so the
-	// header spans several data shards — the degenerate layout EncodeOne's
-	// region copies must handle.
-	for _, value := range [][]byte{
-		nil, {7}, {1, 2}, []byte("abc"), bytes.Repeat([]byte("abc123"), 33),
-	} {
-		all, err := c.Encode(value)
-		if err != nil {
-			t.Fatal(err)
+// naiveEncode is the definition the kernels are held to: lay the coded
+// stream (length header, value, zero padding) out in full, cut it into k
+// splits, and multiply by the generator one byte at a time.
+func naiveEncode(c *Code, value []byte) [][]byte {
+	shardLen := c.ShardSize(len(value))
+	stream := make([]byte, c.k*shardLen)
+	binary.BigEndian.PutUint32(stream, uint32(len(value)))
+	copy(stream[4:], value)
+	shards := make([][]byte, c.n)
+	for i := range shards {
+		shards[i] = make([]byte, shardLen)
+		for p := range shards[i] {
+			for j := 0; j < c.k; j++ {
+				shards[i][p] ^= byte(c.field.Mul(c.matrix.At(i, j), gf.Elem(stream[j*shardLen+p])))
+			}
 		}
-		for i := 0; i < 9; i++ {
-			one, err := c.EncodeOne(value, i)
+	}
+	return shards
+}
+
+// TestEncodeMatchesNaive compares Encode and EncodeOne byte for byte with
+// the naive matrix multiply, for every code with n <= 9 and every value
+// length from 0 to 3k+9: shards shorter than the 4-byte header (it straddles
+// splits), every padding length, and a bulk region of a few bytes.
+func TestEncodeMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	forEachCode(t, func(c *Code) {
+		for size := 0; size <= 3*c.k+9; size++ {
+			value := make([]byte, size)
+			rng.Read(value)
+			want := naiveEncode(c, value)
+			all, err := c.Encode(value)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(one.Data, all[i].Data) {
-				t.Errorf("EncodeOne(%d) differs from Encode for %d-byte value", i, len(value))
+			for i := 0; i < c.n; i++ {
+				one, err := c.EncodeOne(value, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one.Index != i || all[i].Index != i {
+					t.Fatalf("(%d,%d) shard %d carries index %d / %d", c.n, c.k, i, one.Index, all[i].Index)
+				}
+				if !bytes.Equal(one.Data, want[i]) || !bytes.Equal(all[i].Data, want[i]) {
+					t.Fatalf("(%d,%d) %d-byte value, shard %d: EncodeOne %x, Encode %x, naive %x",
+						c.n, c.k, size, i, one.Data, all[i].Data, want[i])
+				}
 			}
 		}
+	})
+	c, err := New(9, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	value := bytes.Repeat([]byte("abc123"), 33)
 	if _, err := c.EncodeOne(value, 9); err == nil {

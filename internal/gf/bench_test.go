@@ -24,20 +24,11 @@ func BenchmarkMulSlice(b *testing.B) {
 			}
 		})
 	}
-	// The 4-bit nibble-table kernel, for comparison with the flat-row kernel
-	// MulSlice settled on (see the MulSliceNibble doc comment).
-	b.Run("nibble/c=0x57", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.MulSliceNibble(0x57, src, dst)
-		}
-	})
 }
 
-// TestMulSliceNibbleMatchesMulSlice pins the two slice kernels to each other
-// and to the scalar definition.
-func TestMulSliceNibbleMatchesMulSlice(t *testing.T) {
+// TestMulSliceMatchesScalar pins the slice kernel (XOR path, word loop and
+// byte tail) to the scalar definition.
+func TestMulSliceMatchesScalar(t *testing.T) {
 	f := NewField()
 	src := make([]byte, 1027) // deliberately not a multiple of 8
 	for i := range src {
@@ -45,21 +36,15 @@ func TestMulSliceNibbleMatchesMulSlice(t *testing.T) {
 	}
 	for _, c := range []Elem{0, 1, 2, 0x1d, 0x57, 0xfe, 0xff} {
 		a := make([]byte, len(src))
-		bb := make([]byte, len(src))
 		want := make([]byte, len(src))
 		for i := range src {
 			a[i] = byte(i * 7)
-			bb[i] = byte(i * 7)
 			want[i] = byte(i*7) ^ byte(f.Mul(c, Elem(src[i])))
 		}
 		f.MulSlice(c, src, a)
-		f.MulSliceNibble(c, src, bb)
 		for i := range src {
 			if a[i] != want[i] {
 				t.Fatalf("MulSlice c=%#x byte %d: got %#x want %#x", c, i, a[i], want[i])
-			}
-			if bb[i] != want[i] {
-				t.Fatalf("MulSliceNibble c=%#x byte %d: got %#x want %#x", c, i, bb[i], want[i])
 			}
 		}
 	}

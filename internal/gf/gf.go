@@ -4,9 +4,8 @@
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by
 // most Reed-Solomon deployments. Single-element products come from a full
 // 256x256 product table; division uses logarithm/antilogarithm tables; and
-// the slice kernel behind Reed-Solomon encoding uses 4-bit nibble tables
-// with 8-bytes-per-step uint64 word processing (the technique popularized by
-// klauspost/reedsolomon's pure-Go kernels).
+// the slice kernel behind Reed-Solomon encoding walks a coefficient's product
+// row eight bytes per uint64 step.
 //
 // GF(2^8) is the substrate for the erasure codes in package erasure, which in
 // turn back the coded shared-memory registers that the storage-cost
@@ -14,6 +13,7 @@
 package gf
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -39,13 +39,6 @@ type Field struct {
 	// mul is the full product table: mul[a][b] = a*b. It removes the
 	// zero-branches and log/exp indirection from the matrix kernels.
 	mul [Order][Order]byte
-
-	// low and high are the 4-bit nibble tables of the slice kernel:
-	// low[c][x] = c * x and high[c][x] = c * (x << 4), so
-	// c * b = low[c][b&15] ^ high[c][b>>4] with two small cache-resident
-	// lookups per byte.
-	low  [Order][16]byte
-	high [Order][16]byte
 }
 
 // NewField builds the GF(2^8) tables. The generator is g = 2, which is
@@ -71,17 +64,11 @@ func NewField() *Field {
 			f.mul[a][b] = byte(f.exp[la+f.log[b]])
 		}
 	}
-	for c := 0; c < Order; c++ {
-		for x := 0; x < 16; x++ {
-			f.low[c][x] = f.mul[c][x]
-			f.high[c][x] = f.mul[c][x<<4]
-		}
-	}
 	return &f
 }
 
 // defaultField builds the shared field tables once; every (n, k) code uses
-// the same field, so there is no reason to rebuild 80 KiB of tables per
+// the same field, so there is no reason to rebuild 64 KiB of tables per
 // deployment.
 var defaultField = sync.OnceValue(NewField)
 
@@ -92,9 +79,6 @@ func Default() *Field { return defaultField() }
 // Add returns a + b. In characteristic 2, addition is XOR and is identical to
 // subtraction.
 func (f *Field) Add(a, b Elem) Elem { return a ^ b }
-
-// Sub returns a - b, which equals a + b in GF(2^8).
-func (f *Field) Sub(a, b Elem) Elem { return a ^ b }
 
 // Mul returns a * b.
 func (f *Field) Mul(a, b Elem) Elem { return Elem(f.mul[a][b]) }
@@ -147,14 +131,15 @@ func (f *Field) Exp(i int) Elem {
 // Reed-Solomon encoding. dst and src must have equal length.
 //
 // The kernel walks both slices in uint64 words: eight source bytes are
-// loaded at once, multiplied through the coefficient's two 16-entry nibble
-// tables, repacked, and folded into dst with a single 8-byte XOR store.
+// loaded at once, multiplied through the coefficient's 256-entry product row,
+// repacked, and folded into dst with a single 8-byte XOR store. c = 1, the
+// commonest coefficient of a normalised generator, is a plain vector XOR.
 func (f *Field) MulSlice(c Elem, src, dst []byte) {
 	if c == 0 {
 		return
 	}
 	if c == 1 {
-		xorSlice(src, dst)
+		subtle.XORBytes(dst, dst, src)
 		return
 	}
 	mt := &f.mul[c]
@@ -173,51 +158,5 @@ func (f *Field) MulSlice(c Elem, src, dst []byte) {
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] ^= mt[src[i]]
-	}
-}
-
-// MulSliceNibble is the 4-bit table variant of MulSlice: each byte is
-// resolved through the coefficient's two 16-entry nibble tables (32 bytes of
-// table, always cache-resident) instead of its 256-entry product row. On
-// cores with large L1 caches the flat row wins (see BenchmarkMulSlice), so
-// MulSlice uses the row kernel; this variant is kept for the comparison
-// benchmark and for cache-constrained targets.
-func (f *Field) MulSliceNibble(c Elem, src, dst []byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		xorSlice(src, dst)
-		return
-	}
-	low, high := &f.low[c], &f.high[c]
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		p := uint64(low[s&15] ^ high[s>>4&15])
-		p |= uint64(low[s>>8&15]^high[s>>12&15]) << 8
-		p |= uint64(low[s>>16&15]^high[s>>20&15]) << 16
-		p |= uint64(low[s>>24&15]^high[s>>28&15]) << 24
-		p |= uint64(low[s>>32&15]^high[s>>36&15]) << 32
-		p |= uint64(low[s>>40&15]^high[s>>44&15]) << 40
-		p |= uint64(low[s>>48&15]^high[s>>52&15]) << 48
-		p |= uint64(low[s>>56&15]^high[s>>60&15]) << 56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^p)
-	}
-	for i := n; i < len(src); i++ {
-		b := src[i]
-		dst[i] ^= low[b&15] ^ high[b>>4]
-	}
-}
-
-// xorSlice folds src into dst eight bytes per step.
-func xorSlice(src, dst []byte) {
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
 	}
 }

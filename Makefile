@@ -6,7 +6,7 @@ DATE ?= $(shell date +%Y-%m-%d)
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency
 MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues'
 
-.PHONY: build test race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
+.PHONY: build test race runtime-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
 
 build:
 	$(GO) build ./...
@@ -18,19 +18,21 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The live concurrent runtime is the one package whose correctness depends on
-# goroutine interleavings, so it gets a dedicated double-pass race smoke: two
-# counted runs catch schedules a single pass misses.
-live-race:
-	$(GO) test -race -count=2 ./internal/live
+# The node runtime is the one package whose correctness depends on goroutine
+# interleavings, so it gets a dedicated double-pass race smoke — every test
+# over both links, chan and tcp: two counted runs catch schedules a single
+# pass misses.
+runtime-race:
+	$(GO) test -race -count=2 ./internal/runtime
 
 # Chaos smoke: the wall-clock fault scheduler's crash+partition behavior on
 # the live and net backends under the race detector — the chaos tests first
-# (snapshot-restore durability, partition gate timing, goroutine reaping,
-# quorum-kill quiescence), then a small faultsim scenario matrix driving the
-# whole grid over real goroutines and real sockets.
+# (snapshot-restore durability, partition gate timing and healing, goroutine
+# reaping, quorum-kill quiescence, the gate order in front of the link, each
+# over both links), then a small faultsim scenario matrix driving the whole
+# grid over real goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill' ./internal/live ./internal/netrun
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder' ./internal/runtime
 	$(GO) run -race ./cmd/faultsim -grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 
@@ -148,4 +150,4 @@ apicheck-update:
 	@echo wrote API.txt
 
 # Exactly what CI runs.
-ci: build vet fmt-check apicheck race live-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check
+ci: build vet fmt-check apicheck race runtime-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check

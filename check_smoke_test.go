@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/consistency"
-	"repro/internal/live"
+	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -33,18 +33,18 @@ func TestCheckSmokeOnline(t *testing.T) {
 	if cond != "atomic" {
 		t.Fatalf("condition = %q, want atomic", cond)
 	}
-	res, err := live.RunConfig(cl, workload.Spec{
+	res, err := runtime.RunConfig(runtime.BackendLive, cl, workload.Spec{
 		Seed:       11,
 		Writes:     ops / 2,
 		Reads:      ops / 2,
 		TargetNu:   1,
 		ValueBytes: 16,
-	}, live.Config{Sink: checker, Pipeline: 8, SyncOps: window})
+	}, runtime.Config{Sink: checker, Pipeline: 8, SyncOps: window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PendingOps != 0 {
-		t.Fatalf("%d ops pending on a fault-free run", res.PendingOps)
+	if len(res.History.PendingOps()) != 0 {
+		t.Fatalf("%d ops pending on a fault-free run", len(res.History.PendingOps()))
 	}
 	if err := checker.Result(); err != nil {
 		t.Fatalf("online verdict: %v", err)

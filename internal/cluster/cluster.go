@@ -92,7 +92,7 @@ func ValidateRoleCounts(algorithm string, writers, readers int) error {
 }
 
 // Automaton returns the node automaton registered under id. Execution
-// backends other than the simulator (see internal/live) pull the automata
+// backends other than the simulator (see internal/runtime) pull the automata
 // out of the deployment through this: the System is only the registry, and
 // the backend drives each automaton itself.
 func (c *Cluster) Automaton(id ioa.NodeID) (ioa.Node, error) {

@@ -1,6 +1,6 @@
 // Wall-clock fault scheduling: the bridge that lets a step-indexed Plan run
-// on the concurrent backends (internal/live, internal/netrun), where there is
-// no kernel step counter — only real time.
+// on the concurrent backends (internal/runtime's live and net), where there
+// is no kernel step counter — only real time.
 //
 // A Plan positions outage windows and crash/recovery events in kernel steps.
 // The simulator interprets those steps exactly; a WallClock interprets them

@@ -1,0 +1,80 @@
+package runtime
+
+import (
+	"sync/atomic"
+	"time"
+
+	"repro/internal/ioa"
+	"repro/internal/telemetry"
+)
+
+// chanLink carries messages between node goroutines of one process: a send
+// is a channel send into the target's mailbox — no encoding, no extra hop,
+// no allocation. Attachment is the runtime's own down flag, so up and down
+// have nothing to do.
+type chanLink struct {
+	rt   *runtime
+	dead atomic.Int64 // messages addressed to a crashed node, or stranded in a sender that crashed mid-send
+}
+
+func (l *chanLink) up(*nodeState) error { return nil }
+func (l *chanLink) down(*nodeState)     {}
+func (l *chanLink) close()              {}
+
+func (l *chanLink) loss() (dropped, requeued int) { return int(l.dead.Load()), 0 }
+
+func (l *chanLink) sampler(*telemetry.Registry, telemetry.Label) func() { return func() {} }
+
+// send posts the message to the target's mailbox with backpressure and
+// deadlock avoidance. Messages addressed to a crashed node are loss: nothing
+// is listening. A node loop (inLoop) blocked on a peer's full mailbox keeps
+// siphoning its OWN mailbox into its deferred queue, so a cycle of mutually
+// full mailboxes (client blocked on server, server blocked on that client's
+// responses) cannot wedge: every blocked node keeps consuming, some send
+// always completes, and the system self-regulates to the slowest consumer
+// instead of spawning a goroutine per overflowing message. Only when
+// SendTimeout expires with the peer still full is the message dropped and
+// counted — loss the unordered lossy channel model already admits. Per-link
+// FIFO is preserved: siphoned events are handled before anything still in
+// the mailbox, in arrival order. A timer goroutine has no mailbox to siphon;
+// it blocks plainly with the deadline.
+func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoop bool) {
+	rt, to := l.rt, l.rt.nodes[toID]
+	if to.down.Load() {
+		l.dead.Add(1)
+		return
+	}
+	ev := event{from: from.id, msg: msg}
+	if !inLoop {
+		rt.post(to, ev, rt.cfg.SendTimeout)
+		return
+	}
+	select {
+	case to.mb <- ev:
+		return
+	case <-rt.done:
+		return
+	default:
+	}
+	t := time.NewTimer(rt.cfg.SendTimeout)
+	defer t.Stop()
+	for {
+		select {
+		case to.mb <- ev:
+			return
+		case own := <-from.mb:
+			from.deferred = append(from.deferred, own)
+		case <-from.crashCh:
+			// The sender's incarnation was crashed while blocked here; the
+			// undelivered message dies with it, and its loop notices the
+			// crash as soon as this send unwinds.
+			l.dead.Add(1)
+			return
+		case <-t.C:
+			rt.overflow.Add(1)
+			return
+		case <-rt.done:
+			return
+		}
+	}
+}

@@ -1,21 +1,20 @@
-package live_test
+package runtime_test
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/live"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // lossyDelayGrid filters the standard scenario library down to its
 // drop/delay points. The wall-clock scheduler runs partitions and crashes on
-// the live backend too, but those are timing-dependent by construction and
-// exercised by the chaos tests; this differential grid keeps only the rule
-// classes whose sim and live runs face the same fault odds, plus a composed
-// point stressing rule overlay on both substrates.
+// the live and net backends too, but those are timing-dependent by
+// construction and exercised by the chaos tests; this differential grid keeps
+// only the rule classes whose sim and wall-clock runs face the same fault
+// odds, plus a composed point stressing rule overlay on every substrate.
 func lossyDelayGrid(t *testing.T) []string {
 	t.Helper()
 	grid := []string{"none"}
@@ -26,7 +25,7 @@ func lossyDelayGrid(t *testing.T) []string {
 			t.Fatalf("library spec %q does not parse: %v", spec, err)
 		}
 		plan, err := parsed.Build(5, 1, 1)
-		if err != nil || live.PlanSupported(plan) != nil {
+		if err != nil || plan.Validate() != nil {
 			continue
 		}
 		if len(plan.Outages) > 0 || len(plan.Crashes) > 0 {
@@ -41,12 +40,13 @@ func lossyDelayGrid(t *testing.T) []string {
 }
 
 // TestCrossBackendDifferential is the backend contract test: the same
-// workload.MultiSpec runs on the simulator and on the live runtime at every
-// lossy/delay grid point, and each backend's histories must pass the
-// algorithm's consistency condition (store.Run errors otherwise). The
-// simulator side additionally re-asserts its determinism oracle role — the
-// same seed fingerprints byte-identically at two worker counts — while the
-// live side is checked for safety, the only guarantee it makes.
+// workload.MultiSpec runs on the simulator and on the node runtime over both
+// links at every lossy/delay grid point, and each backend's histories must
+// pass the algorithm's consistency condition (store.Run errors otherwise).
+// The simulator side additionally re-asserts its determinism oracle role —
+// the same seed fingerprints byte-identically at two worker counts — while
+// the live and net sides are checked for safety, the only guarantee they
+// make.
 func TestCrossBackendDifferential(t *testing.T) {
 	for _, alg := range []string{store.AlgABDMW, store.AlgCAS} {
 		for _, spec := range lossyDelayGrid(t) {
@@ -83,16 +83,16 @@ func TestCrossBackendDifferential(t *testing.T) {
 				if a, b := simA.Fingerprint(), simB.Fingerprint(); a != b {
 					t.Errorf("simulator oracle broke: fingerprints differ across worker counts\n%s\n%s", a, b)
 				}
-				liveRes, err := store.Run(opts(store.BackendLive, 4))
-				if err != nil {
-					t.Fatalf("live backend: %v", err)
-				}
-				// Under pure delay (no loss) the live run must not lose
-				// liveness; under loss, quiescent shards are legitimate
-				// verdicts on either backend.
-				if spec == "none" || spec == "delay=1:24" {
-					if liveRes.QuiescentShards != 0 {
-						t.Errorf("live backend lost liveness under %q: %d quiescent shards", spec, liveRes.QuiescentShards)
+				for _, backend := range []string{store.BackendLive, store.BackendNet} {
+					res, err := store.Run(opts(backend, 4))
+					if err != nil {
+						t.Fatalf("%s backend: %v", backend, err)
+					}
+					// Under pure delay (no loss) a wall-clock run must not
+					// lose liveness; under loss, quiescent shards are
+					// legitimate verdicts on any backend.
+					if (spec == "none" || spec == "delay=1:24") && res.QuiescentShards != 0 {
+						t.Errorf("%s backend lost liveness under %q: %d quiescent shards", backend, spec, res.QuiescentShards)
 					}
 				}
 			})

@@ -1,4 +1,4 @@
-package netrun
+package runtime
 
 import (
 	"context"
@@ -11,20 +11,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Interactive is a running net deployment accepting one-at-a-time client
-// operations: the node goroutines and their sockets stay up between calls,
-// so a sequence of Invoke calls interleaves with other clients' operations
-// over real TCP connections exactly as a deployed service would. It is the
-// net backend's single-op execution path — RunConfig remains for batch
-// experiments.
+// Interactive is a running deployment accepting one-at-a-time client
+// operations: the node goroutines (and, on the TCP link, their sockets) stay
+// up between calls, so a sequence of Invoke calls interleaves with other
+// clients' operations exactly as a real service would. It is the runtime's
+// single-op execution path — RunConfig remains for batch experiments.
 //
 // Invoke is safe for concurrent use across clients; operations at the same
 // client are serialized (a register client automaton holds one operation at
 // a time). A client whose operation times out is retired: its automaton is
-// stuck mid-protocol waiting on lost frames, so later Invokes on it fail
+// stuck mid-protocol waiting on lost messages, so later Invokes on it fail
 // fast with ErrClientRetired rather than corrupting the protocol state.
 type Interactive struct {
-	cfg           Config
 	rt            *runtime
 	stopTelemetry func()
 
@@ -39,39 +37,35 @@ type clientGate struct {
 	retired bool
 }
 
-// ErrClientRetired marks a net client whose earlier operation timed out:
+// ErrClientRetired marks a client whose earlier operation timed out:
 // the automaton is mid-protocol and cannot accept another invocation.
-var ErrClientRetired = fmt.Errorf("netrun: client retired after a timed-out operation")
+var ErrClientRetired = fmt.Errorf("runtime: client retired after a timed-out operation")
 
-// OpenInteractive clones the cluster's automata, opens every node's TCP
-// endpoint and returns a session ready for Invoke. The fault plan applies in
-// full, exactly as in RunConfig: drop/delay rules and outage windows at
-// every socket write, scheduled crash/recovery on the runtime's wall-clock
-// step mapping. Close stops the goroutines and closes every socket.
-func OpenInteractive(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
-	cfg = cfg.withDefaults()
-	if err := cl.Validate(); err != nil {
-		return nil, err
-	}
-	for _, id := range append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...) {
-		if _, err := cl.ClientAutomaton(id); err != nil {
-			return nil, err
-		}
-	}
-	rt, err := newRuntime(cl, plan, cfg)
+// OpenInteractive clones the cluster's automata, attaches them to the named
+// backend's link, starts the node goroutines and returns a session ready for
+// Invoke. The fault plan applies in full, exactly as in RunConfig: drop/delay
+// rules and outage windows at every send, scheduled crash/recovery on the
+// runtime's wall-clock step mapping. Close stops the goroutines and closes
+// the link.
+func OpenInteractive(backend string, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
+	mkLink, err := newLink(backend)
 	if err != nil {
 		return nil, err
 	}
-	s := &Interactive{cfg: cfg, rt: rt, perCl: make(map[ioa.NodeID]*clientGate)}
+	rt, err := newRuntime(cl, plan, cfg, mkLink)
+	if err != nil {
+		return nil, err
+	}
+	s := &Interactive{rt: rt, perCl: make(map[ioa.NodeID]*clientGate)}
 	for _, ids := range [][]ioa.NodeID{cl.Writers, cl.Readers} {
 		for _, id := range ids {
 			s.perCl[id] = &clientGate{}
 		}
 	}
-	rt.start()
 	// Interactive sessions have no fixed value size, so the sampler skips
 	// the paper-bound gauges and publishes the raw storage watermarks.
 	s.stopTelemetry = rt.startTelemetry(cl, workload.Spec{})
+	rt.start()
 	return s, nil
 }
 
@@ -85,12 +79,12 @@ func (s *Interactive) Invoke(ctx context.Context, client ioa.NodeID, inv ioa.Inv
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, false, fmt.Errorf("netrun: session closed")
+		return nil, false, fmt.Errorf("runtime: session closed")
 	}
 	gate := s.perCl[client]
 	s.mu.Unlock()
 	if gate == nil {
-		return nil, false, fmt.Errorf("netrun: node %d is not a client of this deployment", client)
+		return nil, false, fmt.Errorf("runtime: node %d is not a client of this deployment", client)
 	}
 	gate.mu.Lock()
 	defer gate.mu.Unlock()
@@ -100,19 +94,19 @@ func (s *Interactive) Invoke(ctx context.Context, client ioa.NodeID, inv ioa.Inv
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	out, started, ok := s.rt.invoke(ctx, client, inv, s.cfg.OpTimeout)
+	out, started, ok := s.rt.invokeAsync(client, inv).wait(ctx, s.rt.cfg.OpTimeout)
 	if !ok {
 		if !started {
-			// Backpressure dropped the invocation before the automaton saw
-			// it: the client is untouched and stays usable, and the op
-			// must NOT appear in any checked history.
-			return nil, false, fmt.Errorf("netrun: operation at client %d was dropped before it started (mailbox full past SendTimeout)", client)
+			// The automaton never saw the invocation: the client is
+			// untouched and stays usable, and the op must NOT appear in any
+			// checked history.
+			return nil, false, fmt.Errorf("runtime: operation at client %d was dropped before it started (its mailbox stayed full past OpTimeout, or the node crashed with the invocation still queued)", client)
 		}
 		gate.retired = true
 		if err := ctx.Err(); err != nil {
-			return nil, true, fmt.Errorf("netrun: operation at client %d abandoned: %w", client, err)
+			return nil, true, fmt.Errorf("runtime: operation at client %d abandoned: %w", client, err)
 		}
-		return nil, true, fmt.Errorf("netrun: operation at client %d timed out after %v (pending; client retired)", client, s.cfg.OpTimeout)
+		return nil, true, fmt.Errorf("runtime: operation at client %d timed out after %v (pending; client retired)", client, s.rt.cfg.OpTimeout)
 	}
 	return out, false, nil
 }
@@ -143,7 +137,7 @@ func (s *Interactive) FaultStats() ioa.FaultStats {
 	return s.rt.faultStats()
 }
 
-// Close stops the node goroutines and closes every socket. Idempotent.
+// Close stops the node goroutines and closes the link. Idempotent.
 func (s *Interactive) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

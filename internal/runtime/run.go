@@ -1,4 +1,4 @@
-package netrun
+package runtime
 
 import (
 	"fmt"
@@ -10,55 +10,45 @@ import (
 	"repro/internal/workload"
 )
 
-// Run executes the workload spec on the cluster's automata over real
-// sockets with the default Config. See RunConfig.
-func Run(cl *cluster.Cluster, spec workload.Spec) (*workload.Result, error) {
-	return RunConfig(cl, spec, Config{})
-}
-
-// RunConfig executes the workload on the net runtime: min(TargetNu, writers)
-// writer goroutines and every reader goroutine issue operations from shared
-// budgets until the spec's counts are exhausted, one operation in flight per
-// client, every message crossing a real TCP socket. It returns the shared
-// workload.Result shape — Latencies carries the per-operation wall times the
-// store layer aggregates into percentiles. Fault plans run in full —
-// drop/delay rules, outage windows and scheduled crash/recovery, the
-// step-indexed ones mapped onto wall time by the runtime's faults.WallClock.
-// The spec's random Crashes budget remains genuinely unsupported (it draws
-// crash points from the simulator's schedule, which does not exist here) and
-// is rejected with faults.ErrUnsupported.
-func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cl.Validate(); err != nil {
+// RunConfig executes the workload on the runtime behind the named backend
+// (BackendLive or BackendNet): min(TargetNu, writers) writer goroutines and
+// every reader goroutine issue operations from shared budgets until the
+// spec's counts are exhausted, Config.Pipeline operations in flight per
+// client. It returns the shared workload.Result shape — Latencies carries
+// the per-operation wall times the store layer aggregates into percentiles;
+// MaxTotalBits is the sum of the per-server maxima, an upper estimate of the
+// simulator's step-accurate total high-water mark, since no global snapshot
+// exists in a concurrent run. Fault plans run in full — drop/delay rules,
+// outage windows and scheduled crash/recovery, the step-indexed ones mapped
+// onto wall time by the runtime's faults.WallClock. The spec's random
+// Crashes budget remains genuinely unsupported (it draws crash points from
+// the simulator's schedule, which does not exist here) and is rejected with
+// faults.ErrUnsupported.
+func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.Result, error) {
+	mkLink, err := newLink(backend)
+	if err != nil {
 		return nil, err
 	}
 	if err := spec.Validate(cl); err != nil {
 		return nil, err
 	}
 	if spec.Crashes != 0 {
-		return nil, fmt.Errorf("netrun: %w: the random crash budget draws crash points from the simulator's schedule; schedule crashes via the fault plan instead (got Crashes=%d)",
+		return nil, fmt.Errorf("runtime: %w: the random crash budget draws crash points from the simulator's schedule; schedule crashes via the fault plan instead (got Crashes=%d)",
 			faults.ErrUnsupported, spec.Crashes)
 	}
 	if spec.Reads > 0 && len(cl.Readers) == 0 {
-		return nil, fmt.Errorf("netrun: %d reads requested but the cluster has no readers", spec.Reads)
+		return nil, fmt.Errorf("runtime: %d reads requested but the cluster has no readers", spec.Reads)
 	}
-	// Clients must actually be client automata; the cluster helper checks
-	// the registered originals, which the runtime clones.
-	for _, id := range append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...) {
-		if _, err := cl.ClientAutomaton(id); err != nil {
-			return nil, err
-		}
-	}
-	rt, err := newRuntime(cl, spec.FaultPlan, cfg)
+	rt, err := newRuntime(cl, spec.FaultPlan, cfg, mkLink)
 	if err != nil {
 		return nil, err
 	}
-	rt.start()
+	cfg = rt.cfg // defaults applied
 	stopTelemetry := rt.startTelemetry(cl, spec)
+	rt.start()
 
-	// The windowed flight driver is shared with the live runtime
-	// (workload.RunFlights); this runtime contributes the async invoke and
-	// the telemetry hooks.
+	// The windowed flight driver lives in workload.RunFlights; the runtime
+	// contributes the async invoke and the telemetry hooks.
 	onSubmit, observe := cfg.Telemetry.OpObserver()
 	fres := workload.RunFlights(cl, spec, workload.FlightConfig{
 		Pipeline:  cfg.Pipeline,
@@ -70,13 +60,17 @@ func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.R
 		OnSubmit: onSubmit,
 		Observe:  observe,
 	})
+	// Snapshot before tearing down: stop closes the link under whatever
+	// residual traffic is still in flight (late acks past a quorum), and
+	// messages that teardown strands are not faults of the run.
+	stats := rt.faultStats()
 	rt.stop()
 	stopTelemetry()
 
 	res := &workload.Result{
 		PeakActiveWrites: fres.PeakActiveWrites,
 		Log2V:            float64(8 * spec.ValueBytes),
-		Faults:           rt.faultStats(),
+		Faults:           stats,
 		Latencies:        fres.Latencies,
 	}
 
@@ -88,7 +82,7 @@ func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.R
 		// unchanged while run memory stays bounded by the sink, not the run.
 		pend, ferr := rt.feed.Flush()
 		if ferr != nil {
-			return nil, fmt.Errorf("netrun: history sink: %w", ferr)
+			return nil, fmt.Errorf("runtime: history sink: %w", ferr)
 		}
 		if res.History, err = ioa.HistoryFromOps(pend); err != nil {
 			return nil, err
@@ -98,7 +92,7 @@ func RunConfig(cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.R
 	}
 	if pending := len(res.History.PendingOps()); pending > 0 {
 		if spec.FaultPlan == nil {
-			return nil, fmt.Errorf("netrun: %d operations timed out with no fault plan installed", pending)
+			return nil, fmt.Errorf("runtime: %d operations timed out with no fault plan installed", pending)
 		}
 		res.Quiescent = true
 	}
@@ -135,9 +129,9 @@ func (rt *runtime) mergeHistory(cl *cluster.Cluster) (*ioa.History, error) {
 }
 
 // storageReport sums the per-server maxima observed by the node goroutines.
-// As on the live backend, MaxTotalBits is the sum of per-server maxima — an
-// upper estimate of the simulator's step-accurate global high-water mark,
-// since no global snapshot exists in a concurrent run.
+// It keys on the construction-time metered flag, not ns.meter: the meter is
+// rewritten by crash recovery on the scheduler goroutine, while the bit
+// counts live in atomics that any goroutine may read mid-run.
 func (rt *runtime) storageReport(cl *cluster.Cluster) ioa.StorageReport {
 	rep := ioa.StorageReport{PerServerMaxBits: make(map[ioa.NodeID]int, len(cl.Servers))}
 	for _, id := range cl.Servers {

@@ -1,22 +1,25 @@
-// Package live executes register-emulation clusters on a real concurrent
-// runtime: every node automaton runs on its own goroutine with a buffered
-// mailbox, messages flow over channels the moment they are sent, and
-// wall-clock time replaces the simulator's discrete steps. The node automata
+// Package runtime executes register-emulation clusters on a real concurrent
+// runtime: every node automaton runs on its own goroutine with a bounded
+// mailbox, wall-clock time replaces the simulator's discrete steps, and the
+// messages travel over one of two links chosen by backend name — in-process
+// channels ("live") or one TCP endpoint per node ("net"). The node automata
 // are exactly the ones `internal/abd`, `internal/cas` and `internal/coded`
 // deploy — the cluster is only the registry; this package clones the
 // automata out of it and drives them itself, so the same deployment runs
-// unchanged on either backend.
+// unchanged on every backend. Which channel carries a message is a parameter
+// of the system, not of the algorithm (the paper's Section 2 model), so
+// everything but the link is one code path.
 //
 // The contract with the simulator backend (DESIGN.md section 8):
 //
 //   - The simulator is the determinism oracle: same seed, same schedule,
-//     byte-identical histories and fingerprints. The live runtime makes NO
-//     such promise — schedules here are an accident of goroutine timing, and
-//     two runs of the same spec produce different histories.
+//     byte-identical histories and fingerprints. This runtime makes NO such
+//     promise — schedules here are an accident of goroutine timing, and two
+//     runs of the same spec produce different histories.
 //   - Safety is checked the same way on both: operations are recorded in
 //     per-client logs (mutex-free — each log is owned by its node's
 //     goroutine, ordered by a shared atomic clock) and merged into an
-//     ioa.History for the internal/consistency checkers. A history the live
+//     ioa.History for the internal/consistency checkers. A history this
 //     runtime produced must pass the same condition the algorithm guarantees
 //     on the simulator.
 //   - Faults: drop and delay rules of a faults.Plan are reused verbatim —
@@ -24,28 +27,27 @@
 //     number, exactly as the kernel does, with delay steps scaled to wall
 //     time by Config.StepDur. Outage windows and scheduled crash/recovery
 //     events, positioned in kernel steps, run against the same step clock
-//     via a faults.WallClock (DESIGN.md section 12): a partitioned link's
-//     messages are held until the window's wall-clock boundary, a crashed
-//     node's goroutine stops and its volatile state (mailbox, queues, the
-//     automaton itself) is discarded, and a scheduled recovery restarts the
-//     node from its last durable checkpoint (ioa.Recoverable). Recovery for
-//     a node without the Snapshot/Restore surface is the one remaining
-//     unsupported combination, rejected with faults.ErrUnsupported.
-//   - Flow control (DESIGN.md section 11): mailboxes are bounded and a
-//     sender facing a full mailbox blocks up to Config.SendTimeout before
-//     the message is dropped and counted — real backpressure in place of
-//     the old unbounded spawn-on-overflow fallback, which grew a goroutine
-//     per overflowing message, broke per-link FIFO, and lost messages with
-//     no accounting. The paper's channels are unordered, so the stronger
-//     FIFO the bounded path preserves is sound; the drop-after-deadline is
-//     message loss the asynchronous model already admits, surfaced in
-//     FaultStats.TransportDropped.
+//     via a faults.WallClock: a partitioned link's messages are held until
+//     the window's wall-clock boundary, a crashed node's goroutine stops,
+//     its link attachment is severed and its volatile state (mailbox,
+//     queues, the automaton itself) is discarded, and a scheduled recovery
+//     restarts the node from its last durable checkpoint (ioa.Recoverable).
+//     Recovery for a node without the Snapshot/Restore surface is the one
+//     unsupported combination, rejected with faults.ErrUnsupported. Every
+//     gate runs before the link sees the message, so a dropped message is
+//     never encoded and never touches a socket.
+//   - Flow control: mailboxes (and the TCP link's per-connection outboxes)
+//     are bounded and a sender facing a full queue blocks up to
+//     Config.SendTimeout before the message is dropped and counted in
+//     FaultStats.TransportDropped. The paper's channels are unordered and
+//     lossy under faults, so the per-link FIFO the bounded path preserves is
+//     sound and the drop-after-deadline is loss the model already admits.
 //   - Liveness is a verdict, not a hang: every operation carries a timeout,
 //     and a run whose operations time out under a fault plan reports
 //     Quiescent with the timed-out operations pending in the history (their
 //     effects may still land — the atomicity checker's standard completion
 //     semantics cover exactly this).
-package live
+package runtime
 
 import (
 	"context"
@@ -60,29 +62,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config tunes the live runtime. The zero value selects the defaults.
+// Backend names: each selects the link a runtime sends through.
+const (
+	BackendLive = "live" // in-process channels (chanLink)
+	BackendNet  = "net"  // one loopback TCP endpoint per node (tcpLink)
+)
+
+// Config tunes the runtime. The zero value selects the defaults.
 type Config struct {
-	// StepDur converts a fault plan's delay steps into wall-clock time
-	// (default 100µs; delay=1:24 thus holds messages up to ~2.4ms).
+	// StepDur converts a fault plan's steps into wall-clock time (default
+	// 100µs): delay steps scale to holds of delay*StepDur (delay=1:24 thus
+	// holds messages up to ~2.4ms), and outage windows [Start, End) cover
+	// wall-clock [Start*StepDur, End*StepDur) from the run's start.
 	StepDur time.Duration
 	// OpTimeout bounds each operation's completion (default 5s). A client
 	// whose operation times out is retired — its automaton may still be
 	// waiting on lost messages — and the operation stays pending in the
 	// history unless its response arrives before shutdown.
 	OpTimeout time.Duration
-	// Mailbox is the per-node buffered channel capacity (default 128).
+	// Mailbox is the per-node buffered event queue capacity (default 128).
 	Mailbox int
-	// SendTimeout bounds how long a sender blocks on a full mailbox before
-	// the message is dropped and counted (default 1s). This is the
-	// backpressure window: under sustained overload, senders slow to the
-	// receiver's drain rate instead of growing unbounded queues.
+	// SendTimeout bounds how long a sender blocks on a full mailbox (or, on
+	// the TCP link, a full connection outbox) before the message is dropped
+	// and counted (default 1s). This is the backpressure window: under
+	// sustained overload, senders slow to the receiver's drain rate instead
+	// of growing unbounded queues.
 	SendTimeout time.Duration
 	// Pipeline is the number of operations each batch driver keeps in
-	// flight per client (default 1: one at a time, the pre-pipelining
-	// behavior). The node queues invocations and starts each only when its
-	// predecessor responds, so the client automaton still holds one
-	// operation at a time and per-client program order is preserved;
-	// recorded operation intervals never overlap within a client.
+	// flight per client (default 1: one at a time). The node queues
+	// invocations and starts each only when its predecessor responds, so
+	// the client automaton still holds one operation at a time and
+	// per-client program order is preserved; recorded operation intervals
+	// never overlap within a client.
 	Pipeline int
 	// Checkpoint is the durable-state snapshot interval for nodes the fault
 	// plan schedules a recovery for (default 5ms). A recovering node
@@ -111,10 +122,25 @@ type Config struct {
 	SyncOps int
 	// Telemetry, when it carries a registry, streams run metrics into it:
 	// per-node storage-bit gauges sampled on a ticker next to the paper's
-	// Theorem 4.1/5.1 bounds, op counters/latency histograms from the batch
-	// drivers, online-checker lag gauges, and sampled op-lifecycle spans.
-	// nil (the default) records nothing and costs nothing on the hot path.
+	// Theorem 4.1/5.1 bounds, the link's own counters (per-node transport
+	// counters on the TCP link), op counters/latency histograms from the
+	// batch drivers, online-checker lag gauges, and sampled op-lifecycle
+	// spans. nil (the default) records nothing and costs nothing on the hot
+	// path.
 	Telemetry *telemetry.RunTelemetry
+
+	// The remaining fields are read by the TCP link only.
+
+	// ListenAddr is the address every node endpoint listens on (default
+	// "127.0.0.1:0": one ephemeral loopback port per node). A fixed port in
+	// the spec would collide across nodes, so the port part should stay 0.
+	ListenAddr string
+	// DialTimeout bounds each outbound connection attempt (default: the
+	// transport's own 2s).
+	DialTimeout time.Duration
+	// Outbox is the transport's per-connection send queue capacity
+	// (default: the transport's own 256).
+	Outbox int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,6 +162,9 @@ func (c Config) withDefaults() Config {
 	if c.Checkpoint <= 0 {
 		c.Checkpoint = 5 * time.Millisecond
 	}
+	if c.ListenAddr == "" {
+		c.ListenAddr = "127.0.0.1:0"
+	}
 	return c
 }
 
@@ -144,23 +173,55 @@ func (c Config) withDefaults() Config {
 // bound keeps one hot node from running unpreempted forever.
 const drainBatch = 32
 
-// PlanSupported reports whether a fault plan is well-formed for the live
-// runtime. Every fault class runs here now — drop/delay rules, outage
-// windows and scheduled crash/recovery events, the step-indexed ones mapped
-// onto wall time by a faults.WallClock — so this only validates the plan's
-// shape. The one genuinely unsupported combination, scheduled recovery of a
-// node without the ioa.Recoverable surface, needs the deployed automata to
-// detect and is rejected by the runtime itself with faults.ErrUnsupported.
-func PlanSupported(p *faults.Plan) error {
-	if p == nil {
-		return nil
+// link is the seam between the node runtime and the network that carries its
+// messages. The runtime owns a message until send is called: the fault
+// gates (drop, delay, outage hold, crashed sender) have all passed by then,
+// and from that call on the link owns it — it either reaches the target's
+// mailbox through rt.post or is counted in loss. There are two
+// implementations, chanLink and tcpLink, plus the recording fake the gate
+// tests substitute.
+type link interface {
+	// up attaches a node to the network before its loop starts: once at
+	// start and again at every recovery. An error leaves the node detached
+	// (a failed recovery leaves it down).
+	up(ns *nodeState) error
+	// down detaches a crashed node; its loop has been joined and ns.down is
+	// set. From here until the next up, messages addressed to the node are
+	// loss, and whatever still slipped into its mailbox is discarded by the
+	// runtime before the next incarnation starts. down must leave the
+	// node's loss counters readable from exactly one place.
+	down(ns *nodeState)
+	// send carries one gated message. inLoop reports that the caller is
+	// from's own loop goroutine (so the link may consume from's mailbox
+	// while it waits); a delayed or held message arrives on a timer
+	// goroutine with inLoop false.
+	send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool)
+	// loss reports the messages the link accepted and then lost, and the
+	// ones it had to re-enqueue onto a fresh connection.
+	loss() (dropped, requeued int)
+	// sampler registers the link's own telemetry series and returns the
+	// function the sampling goroutine calls each tick.
+	sampler(reg *telemetry.Registry, shard telemetry.Label) func()
+	// close releases the link's resources; called once by stop, before the
+	// node loops are joined.
+	close()
+}
+
+// newLink returns the link constructor the backend name selects.
+func newLink(backend string) (func(*runtime) link, error) {
+	switch backend {
+	case BackendLive:
+		return func(rt *runtime) link { return &chanLink{rt: rt} }, nil
+	case BackendNet:
+		return func(rt *runtime) link { return newTCPLink(rt) }, nil
 	}
-	return p.Validate()
+	return nil, fmt.Errorf("runtime: no link for backend %q (known: %s, %s)", backend, BackendLive, BackendNet)
 }
 
 // event is one mailbox entry: a message delivery, or (inv != nil) an
 // operation invocation injected by the driver. Both are handled on the
-// node's own goroutine, so automaton state is goroutine-confined.
+// node's own goroutine, so automaton state is goroutine-confined even when
+// the event arrived on a transport reader goroutine.
 type event struct {
 	from ioa.NodeID
 	msg  ioa.Message
@@ -211,17 +272,17 @@ type nodeState struct {
 	pendingTk   *ioa.Ticket // outstanding op's feed ticket (streaming mode)
 	pendingDone chan []byte
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
-	deferred    []event        // events siphoned off mb while blocked on a peer's full mailbox
+	deferred    []event        // events the chan link siphoned off mb while blocked on a peer's full mailbox
 
 	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
 	metered          bool             // set once at construction: the automaton type reports storage
 	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
 	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
 
-	// Crash-recovery machinery (DESIGN.md section 12). crashCh and loopDone
-	// belong to one incarnation of the node loop; the WallClock goroutine
-	// replaces them only between incarnations (after closing crashCh and
-	// joining loopDone), so the loop reads them race-free.
+	// Crash-recovery machinery. crashCh and loopDone belong to one
+	// incarnation of the node loop; the WallClock goroutine replaces them
+	// only between incarnations (after closing crashCh and joining
+	// loopDone), so the loop reads them race-free.
 	init     ioa.Node    // pristine automaton recovery restarts from; nil when no recovery is scheduled
 	ckpt     bool        // the plan schedules a recovery: checkpoint durable state
 	down     atomic.Bool // true between a crash and its recovery
@@ -239,6 +300,7 @@ type runtime struct {
 	plan  *faults.Plan
 	wc    *faults.WallClock // step clock + crash/recovery event schedule
 	nodes map[ioa.NodeID]*nodeState
+	link  link
 
 	clock atomic.Int64  // history timestamp source (batch mode)
 	feed  *ioa.OpFeed   // streaming-mode op pipeline; nil in batch mode
@@ -247,8 +309,8 @@ type runtime struct {
 	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
 
 	drops, delayed, delaySteps atomic.Int64
-	overflow                   atomic.Int64 // messages dropped after SendTimeout on a full mailbox
-	dead                       atomic.Int64 // messages addressed to a crashed node, dropped
+	overflow                   atomic.Int64 // events dropped after their deadline on a full mailbox
+	dead                       atomic.Int64 // gated messages whose sender had crashed by release time
 	checkpoints                atomic.Int64 // durable-state snapshots taken
 
 	timerMu sync.Mutex
@@ -259,12 +321,28 @@ type runtime struct {
 	wg   sync.WaitGroup
 }
 
-// newRuntime clones every automaton out of the cluster registry and prepares
-// (but does not start) a node goroutine per automaton. The cluster itself is
-// left untouched — its simulator System remains pristine.
-func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*runtime, error) {
-	if err := PlanSupported(plan); err != nil {
+// newRuntime clones every automaton out of the cluster registry, prepares
+// (but does not start) a node goroutine per automaton and attaches each to
+// the link, so on the TCP link the full NodeID -> address map exists before
+// any frame is sent. The cluster itself is left untouched — its simulator
+// System remains pristine. cfg's zero fields take their defaults here. On
+// error the link is closed.
+func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(*runtime) link) (*runtime, error) {
+	cfg = cfg.withDefaults()
+	if err := cl.Validate(); err != nil {
 		return nil, err
+	}
+	// Clients must actually be client automata; the cluster helper checks
+	// the registered originals, which the runtime clones.
+	for _, id := range append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...) {
+		if _, err := cl.ClientAutomaton(id); err != nil {
+			return nil, err
+		}
+	}
+	if plan != nil {
+		if err := plan.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	rt := &runtime{
 		cfg:    cfg,
@@ -300,10 +378,10 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*runtime, e
 		for _, id := range plan.RecoveredNodes() {
 			ns := rt.nodes[id]
 			if ns == nil {
-				return nil, fmt.Errorf("live: fault plan schedules recovery of unknown node %d", id)
+				return nil, fmt.Errorf("runtime: fault plan schedules recovery of unknown node %d", id)
 			}
 			if _, ok := ns.node.(ioa.Recoverable); !ok {
-				return nil, fmt.Errorf("live: %w: node %d (%T) is scheduled to recover but has no Snapshot/Restore surface",
+				return nil, fmt.Errorf("runtime: %w: node %d (%T) is scheduled to recover but has no Snapshot/Restore surface",
 					faults.ErrUnsupported, id, ns.node)
 			}
 			ns.init = ns.node.Clone()
@@ -311,6 +389,13 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*runtime, e
 		}
 	}
 	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
+	rt.link = mkLink(rt)
+	for _, ns := range rt.nodes {
+		if err := rt.link.up(ns); err != nil {
+			rt.link.close()
+			return nil, fmt.Errorf("runtime: node %d: %w", ns.id, err)
+		}
+	}
 	return rt, nil
 }
 
@@ -325,11 +410,12 @@ func (rt *runtime) start() {
 	rt.wc.Start(faults.NodeHooks{Crash: rt.crashNode, Recover: rt.recoverNode})
 }
 
-// stop shuts the node goroutines down, stops every pending delay timer and
-// joins everything. The wall clock stops first: after wc.Stop returns no
-// crash/recovery hook is in flight, so no new loop goroutine can race
-// wg.Wait. After stop returns, the per-node logs and storage maxima are safe
-// to read from the caller, and no timer from this run remains scheduled.
+// stop shuts everything down: every pending delay/outage timer is stopped,
+// the link closes (no more events are handed to mailboxes), every goroutine
+// joins. The wall clock stops first: after wc.Stop returns no crash/recovery
+// hook is in flight, so no new loop goroutine can race wg.Wait. After stop
+// returns, the per-node logs and storage maxima are safe to read from the
+// caller, and no timer from this run remains scheduled.
 func (rt *runtime) stop() {
 	rt.wc.Stop()
 	close(rt.done)
@@ -340,13 +426,13 @@ func (rt *runtime) stop() {
 	}
 	rt.timers = nil
 	rt.timerMu.Unlock()
+	rt.link.close()
 	rt.wg.Wait()
 }
 
 // after schedules f to run once after d, tracking the timer so stop can
-// cancel it. The old untracked time.AfterFunc calls leaked every in-flight
-// delay timer past Close — harmless-looking until a short run with a long
-// delay tail keeps firing into a dead runtime.
+// cancel it: an untracked time.AfterFunc would leak every in-flight delay
+// timer past Close and keep firing into a dead runtime.
 func (rt *runtime) after(d time.Duration, f func()) {
 	rt.timerMu.Lock()
 	defer rt.timerMu.Unlock()
@@ -372,9 +458,9 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // loop is one node goroutine — one incarnation of the node: it handles its
 // first event, then drains up to drainBatch more without going back to the
 // scheduler — under load a node wakes once per burst instead of once per
-// message. Events the node siphoned off its own mailbox while blocked
-// sending (see postFrom) are handled first: they arrived before anything
-// still queued, so per-link FIFO holds. A checkpointing node additionally
+// message. Events the chan link siphoned off the node's own mailbox while it
+// was blocked sending are handled first: they arrived before anything still
+// queued, so per-link FIFO holds. A checkpointing node additionally
 // snapshots its durable state on a ticker — on its own goroutine, so
 // Snapshot never races Deliver/Invoke — with one initial checkpoint before
 // any event, so a crash at any point has an image to recover from.
@@ -399,6 +485,7 @@ func (rt *runtime) loop(ns *nodeState) {
 			default:
 			}
 			ev := ns.deferred[0]
+			ns.deferred[0] = event{} // the backing array must not pin the handled message
 			ns.deferred = ns.deferred[1:]
 			rt.handle(ns, ev)
 			continue
@@ -439,12 +526,14 @@ func (rt *runtime) checkpoint(ns *nodeState) {
 }
 
 // crashNode stops a node mid-run: runs on the WallClock's event goroutine.
-// The incarnation's loop is signalled and joined, then the node's volatile
-// state — everything but the checkpoint — is discarded: queued mailbox
-// events, siphoned events, not-yet-started invocations (abandoned, so their
-// drivers see "never happened"). An operation the automaton held mid-protocol
-// stays pending in the log forever, which is exactly what the consistency
-// checkers' completion semantics expect of an op lost to a crash.
+// The incarnation's loop is signalled and joined, the node is detached from
+// the link (on TCP its endpoint closes and peers' in-flight frames die as
+// real network loss, counted by their senders), then its volatile state —
+// everything but the checkpoint — is discarded: queued mailbox events,
+// siphoned events, not-yet-started invocations (abandoned, so their drivers
+// see "never happened"). An operation the automaton held mid-protocol stays
+// pending in the log forever, which is exactly what the consistency checkers'
+// completion semantics expect of an op lost to a crash.
 func (rt *runtime) crashNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || ns.down.Load() {
@@ -453,6 +542,7 @@ func (rt *runtime) crashNode(id ioa.NodeID) {
 	ns.down.Store(true)
 	close(ns.crashCh)
 	<-ns.loopDone
+	rt.link.down(ns)
 	rt.discardVolatile(ns)
 }
 
@@ -489,7 +579,8 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 // clock fires all node events in schedule order on one goroutine). The new
 // incarnation is a pristine clone of the deployed automaton with the
 // checkpoint restored onto it — volatile state since the checkpoint is lost,
-// the durable state provably survives.
+// the durable state provably survives — re-attached to the link (on TCP a
+// fresh endpoint peers redial on their next send).
 func (rt *runtime) recoverNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || !ns.down.Load() || ns.init == nil {
@@ -505,9 +596,12 @@ func (rt *runtime) recoverNode(id ioa.NodeID) {
 			return // leave the node down rather than rejoin with bogus state
 		}
 	}
+	rt.discardVolatile(ns) // events that raced the detach die with the crash
+	if err := rt.link.up(ns); err != nil {
+		return // no attachment, no rejoin; the node stays down
+	}
 	ns.node = node
 	ns.meter, _ = node.(ioa.StorageMeter)
-	rt.discardVolatile(ns) // frames that raced the down flag die with the crash
 	ns.crashCh = make(chan struct{})
 	ns.loopDone = make(chan struct{})
 	ns.down.Store(false)
@@ -530,6 +624,7 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 	// immediately (e.g. a degenerate automaton), or skips abandoned entries.
 	for ns.pendingIdx < 0 && ns.pendingTk == nil && len(ns.invq) > 0 {
 		ie := ns.invq[0]
+		ns.invq[0] = nil // the backing array must not pin the started invocation's value
 		ns.invq = ns.invq[1:]
 		if !ie.state.CompareAndSwap(invQueued, invStarted) {
 			continue // abandoned before it started: it never happened
@@ -589,15 +684,13 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 	}
 }
 
-// send applies the fault plan's drop/delay rules and routes the message to
-// the target mailbox. Sequence numbers are global, as in the kernel, so the
-// same plan seed draws from the same decision stream.
+// send applies the fault plan's drop and delay rules to one automaton send
+// on the sender's loop. Sequence numbers are global, as in the kernel, so
+// the same plan seed draws from the same decision stream.
 func (rt *runtime) send(from *nodeState, s ioa.Send) {
-	to := rt.nodes[s.To]
-	if to == nil {
+	if rt.nodes[s.To] == nil {
 		return
 	}
-	ev := event{from: from.id, msg: s.Msg}
 	if rt.plan != nil {
 		seq := rt.seq.Add(1) - 1
 		drop, delay := rt.plan.MessageFate(from.id, s.To, seq, rt.wc.Step())
@@ -608,57 +701,40 @@ func (rt *runtime) send(from *nodeState, s ioa.Send) {
 		if delay > 0 {
 			rt.delayed.Add(1)
 			rt.delaySteps.Add(int64(delay))
-			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() {
-				// A timer goroutine has no mailbox to siphon; it blocks
-				// plainly with the deadline.
-				rt.deliver(nil, to, ev)
-			})
+			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() { rt.dispatch(from, s.To, s.Msg, false) })
 			return
 		}
 	}
-	rt.deliver(from, to, ev)
+	rt.dispatch(from, s.To, s.Msg, true)
 }
 
-// deliver gates the message on the plan's outage windows at the current
-// step, then posts it. A blocked message is held — not dropped — and
-// re-delivered at the next outage boundary, re-checking then in case windows
-// abut; held messages are accounted as delays of (boundary - now) steps,
-// exactly as on the net backend. Messages addressed to a crashed node are
-// transport-level loss: nothing is listening.
-func (rt *runtime) deliver(sender, to *nodeState, ev event) {
-	if hold, steps := rt.wc.Hold(ev.from, to.id); hold > 0 {
+// dispatch gates the message on the plan's outage windows at the current
+// step, then hands it to the link. A blocked message is held — not dropped —
+// and re-dispatched at the next outage boundary, re-checking then in case
+// windows abut; held messages are accounted as delays of (boundary - now)
+// steps. A message whose sender crashed while it was parked (or mid-handle)
+// dies with the sender: nothing is sent on behalf of a down node.
+func (rt *runtime) dispatch(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
+	if hold, steps := rt.wc.Hold(from.id, to); hold > 0 {
 		rt.delayed.Add(1)
 		rt.delaySteps.Add(int64(steps))
-		rt.after(hold, func() { rt.deliver(nil, to, ev) })
+		rt.after(hold, func() { rt.dispatch(from, to, msg, false) })
 		return
 	}
-	if to.down.Load() {
+	if from.down.Load() {
 		rt.dead.Add(1)
 		return
 	}
-	rt.postFrom(sender, to, ev, rt.cfg.SendTimeout)
+	rt.link.send(from, to, msg, inLoop)
 }
 
-// post enqueues with backpressure from outside any node loop: the fast path
-// is a non-blocking channel send; a full mailbox blocks the caller up to
-// timeout, after which the event is dropped and counted. It reports whether
-// the event was enqueued.
-func (rt *runtime) post(to *nodeState, ev event) bool {
-	return rt.postFrom(nil, to, ev, rt.cfg.SendTimeout)
-}
-
-// postFrom enqueues with backpressure and deadlock avoidance. A node loop
-// (sender != nil) blocked on a peer's full mailbox keeps siphoning its OWN
-// mailbox into its deferred queue, so a cycle of mutually full mailboxes
-// (client blocked on server, server blocked on that client's responses)
-// cannot wedge: every blocked node keeps consuming, some send always
-// completes, and the system self-regulates to the slowest consumer instead
-// of spawning a goroutine per overflowing message. Only when the deadline
-// expires with the peer still full is the event dropped and counted —
-// message loss the unordered lossy channel model already admits. Per-link
-// FIFO is preserved: siphoned events are handled before anything still in
-// the mailbox, in arrival order.
-func (rt *runtime) postFrom(sender, to *nodeState, ev event, timeout time.Duration) bool {
+// post enqueues with backpressure from outside any node loop — a driver, a
+// timer or a transport reader: the fast path is a non-blocking channel send;
+// a full mailbox blocks the caller up to timeout, after which the event is
+// dropped and counted. A blocked transport reader stops consuming its
+// socket, so on the TCP link the pressure propagates to the peer through
+// TCP flow control. It reports whether the event was enqueued.
+func (rt *runtime) post(to *nodeState, ev event, timeout time.Duration) bool {
 	select {
 	case to.mb <- ev:
 		return true
@@ -668,35 +744,14 @@ func (rt *runtime) postFrom(sender, to *nodeState, ev event, timeout time.Durati
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
-	for {
-		if sender == nil {
-			select {
-			case to.mb <- ev:
-				return true
-			case <-t.C:
-				rt.overflow.Add(1)
-				return false
-			case <-rt.done:
-				return false
-			}
-		}
-		select {
-		case to.mb <- ev:
-			return true
-		case own := <-sender.mb:
-			sender.deferred = append(sender.deferred, own)
-		case <-sender.crashCh:
-			// The sender's incarnation was crashed while blocked here; the
-			// undelivered message dies with it, and the loop above notices
-			// the crash as soon as this send unwinds.
-			rt.dead.Add(1)
-			return false
-		case <-t.C:
-			rt.overflow.Add(1)
-			return false
-		case <-rt.done:
-			return false
-		}
+	select {
+	case to.mb <- ev:
+		return true
+	case <-t.C:
+		rt.overflow.Add(1)
+		return false
+	case <-rt.done:
+		return false
 	}
 }
 
@@ -720,7 +775,7 @@ func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp
 	// a client mailbox saturated by protocol traffic clears as the node
 	// drains, and dropping the invocation early would under-run fault-free
 	// workloads that are merely overloaded.
-	if !rt.postFrom(nil, ns, event{inv: ie}, rt.cfg.OpTimeout) {
+	if !rt.post(ns, event{inv: ie}, rt.cfg.OpTimeout) {
 		ie.state.Store(invAbandoned)
 		p.failed = true
 		ie.span.End()
@@ -765,9 +820,15 @@ func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte
 	}
 }
 
-// abandon cancels an invocation that has not started and reports whether it
+// Wait and Abandon adapt pendingOp to the shared driver's workload.Flight.
+func (p *pendingOp) Wait(timeout time.Duration) bool {
+	_, _, ok := p.wait(context.Background(), timeout)
+	return ok
+}
+
+// Abandon cancels an invocation that has not started and reports whether it
 // did; a started invocation is left to run.
-func (p *pendingOp) abandon() bool {
+func (p *pendingOp) Abandon() bool {
 	if p.failed || p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
 		p.ie.span.End()
 		return true
@@ -775,38 +836,21 @@ func (p *pendingOp) abandon() bool {
 	return false
 }
 
-// Wait and Abandon adapt pendingOp to the shared driver's workload.Flight.
-func (p *pendingOp) Wait(timeout time.Duration) bool {
-	_, _, ok := p.wait(context.Background(), timeout)
-	return ok
-}
-
-// Abandon implements workload.Flight.
-func (p *pendingOp) Abandon() bool { return p.abandon() }
-
-// invoke injects an operation at a client and waits for its response, the
-// timeout, or the context's cancellation. It returns the response value and
-// whether the operation completed in time, plus whether it actually started:
-// an abandoned-but-started operation stays pending in the client's log and
-// the client automaton remains mid-protocol; an unstarted one was dropped by
-// backpressure and left no trace.
-func (rt *runtime) invoke(ctx context.Context, client ioa.NodeID, inv ioa.Invocation, timeout time.Duration) (out []byte, started, ok bool) {
-	return rt.invokeAsync(client, inv).wait(ctx, timeout)
-}
-
-// faultStats snapshots the fault counters in kernel form. Backpressure
-// drops (mailbox full past SendTimeout) and messages addressed to a crashed
-// node are transport-level loss, not plan decisions, so they land in
-// TransportDropped; outage holds fold into the delay counters exactly as on
-// the net backend.
+// faultStats snapshots the fault counters in kernel form. Outage holds fold
+// into the delay counters (each hold is a delay to the next window
+// boundary). Backpressure drops (mailbox full past its deadline), messages
+// of a crashed sender and whatever the link itself lost are transport-level
+// loss, not plan decisions, so they land in TransportDropped.
 func (rt *runtime) faultStats() ioa.FaultStats {
+	dropped, requeued := rt.link.loss()
 	return ioa.FaultStats{
-		Drops:            int(rt.drops.Load()),
-		DelayedMessages:  int(rt.delayed.Load()),
-		DelayStepsTotal:  int(rt.delaySteps.Load()),
-		Crashes:          rt.wc.Crashes(),
-		Recoveries:       rt.wc.Recoveries(),
-		Checkpoints:      int(rt.checkpoints.Load()),
-		TransportDropped: int(rt.overflow.Load() + rt.dead.Load()),
+		Drops:             int(rt.drops.Load()),
+		DelayedMessages:   int(rt.delayed.Load()),
+		DelayStepsTotal:   int(rt.delaySteps.Load()),
+		Crashes:           rt.wc.Crashes(),
+		Recoveries:        rt.wc.Recoveries(),
+		Checkpoints:       int(rt.checkpoints.Load()),
+		TransportDropped:  int(rt.overflow.Load()+rt.dead.Load()) + dropped,
+		TransportRequeued: requeued,
 	}
 }

@@ -1,0 +1,347 @@
+package runtime_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/consistency"
+	"repro/internal/faults"
+	"repro/internal/ioa"
+	"repro/internal/register"
+	"repro/internal/runtime"
+	"repro/internal/store"
+	"repro/internal/workload"
+)
+
+// links is the table every behavioural test in this package runs over: one
+// suite, two links. "chan" is the in-process channel link behind the live
+// backend, "tcp" the one-endpoint-per-node link behind the net backend.
+var links = []struct{ name, backend string }{
+	{"chan", runtime.BackendLive},
+	{"tcp", runtime.BackendNet},
+}
+
+// overLinks runs f once per link as a sequential subtest (sequential, so the
+// goroutine-count assertions of one never see the other's nodes).
+func overLinks(t *testing.T, f func(t *testing.T, backend string)) {
+	for _, l := range links {
+		l := l
+		t.Run(l.name, func(t *testing.T) { f(t, l.backend) })
+	}
+}
+
+func deploy(t *testing.T, alg string, n, f, writers, readers int) (*cluster.Cluster, string) {
+	t.Helper()
+	cl, cond, err := store.DeployAlgorithmSized(alg, n, f, writers, readers)
+	if err != nil {
+		t.Fatalf("deploy %s: %v", alg, err)
+	}
+	return cl, cond
+}
+
+func check(t *testing.T, alg, cond string, h *ioa.History) {
+	t.Helper()
+	var err error
+	switch cond {
+	case "atomic":
+		err = consistency.CheckAtomic(h, nil)
+	case "regular":
+		err = consistency.CheckRegular(h, nil)
+	default:
+		t.Fatalf("unknown condition %q", cond)
+	}
+	if err != nil {
+		t.Errorf("%s history not %s: %v", alg, cond, err)
+	}
+}
+
+// TestRunChecksConsistency drives each multi-writer algorithm on the runtime
+// and verifies the merged history passes the algorithm's consistency
+// condition — the backend contract's safety half; on tcp every protocol
+// message crosses the wire codec and a loopback socket.
+func TestRunChecksConsistency(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		for _, alg := range []string{store.AlgABDMW, store.AlgCAS, store.AlgCASGC} {
+			alg := alg
+			t.Run(alg, func(t *testing.T) {
+				t.Parallel()
+				cl, cond := deploy(t, alg, 5, 1, 3, 3)
+				res, err := runtime.RunConfig(backend, cl, workload.Spec{
+					Writes:     24,
+					Reads:      24,
+					TargetNu:   3,
+					ValueBytes: 64,
+				}, runtime.Config{})
+				if err != nil {
+					t.Fatalf("RunConfig: %v", err)
+				}
+				if res.Quiescent || len(res.History.PendingOps()) != 0 {
+					t.Fatalf("fault-free run reported quiescent=%t pending=%d", res.Quiescent, len(res.History.PendingOps()))
+				}
+				if got := len(res.History.Ops); got != 48 {
+					t.Fatalf("history has %d ops, want 48", got)
+				}
+				if len(res.Latencies) != 48 {
+					t.Fatalf("measured %d latencies, want 48", len(res.Latencies))
+				}
+				if res.Storage.MaxTotalBits <= 0 || res.Storage.MaxServerBits <= 0 {
+					t.Fatalf("storage not metered: %+v", res.Storage)
+				}
+				if res.PeakActiveWrites < 1 || res.PeakActiveWrites > 3 {
+					t.Fatalf("peak active writes %d outside [1,3]", res.PeakActiveWrites)
+				}
+				check(t, alg, cond, res.History)
+			})
+		}
+	})
+}
+
+// TestDelayRulesApply runs under a pure delay plan and checks the delay
+// counters moved while the history stays atomic and complete.
+func TestDelayRulesApply(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, cond := deploy(t, store.AlgCAS, 5, 1, 2, 2)
+		plan, err := faults.Delay{Min: 1, Max: 8}.Build(5, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runtime.RunConfig(backend, cl, workload.Spec{
+			Writes:     16,
+			Reads:      16,
+			TargetNu:   2,
+			ValueBytes: 64,
+			FaultPlan:  plan,
+		}, runtime.Config{})
+		if err != nil {
+			t.Fatalf("RunConfig: %v", err)
+		}
+		if res.Faults.DelayedMessages == 0 || res.Faults.DelayStepsTotal == 0 {
+			t.Errorf("delay plan applied no delays: %+v", res.Faults)
+		}
+		if res.Quiescent {
+			t.Errorf("pure delay run lost liveness: %d pending", len(res.History.PendingOps()))
+		}
+		check(t, store.AlgCAS, cond, res.History)
+	})
+}
+
+// TestPartitionHealsAndCompletes blocks every link from the start of a batch
+// run: messages are held at the senders (on tcp, before any socket write),
+// and once the window ends — in wall-clock time, via StepDur — the held
+// messages flow and every operation completes. Held messages are accounted
+// as delays, and the history stays atomic.
+func TestPartitionHealsAndCompletes(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, cond := deploy(t, store.AlgCAS, 5, 1, 1, 1)
+		// Block everything for the first 200 steps; at StepDur=1ms the
+		// network heals after ~200ms, well inside the op timeout.
+		plan := &faults.Plan{Outages: []faults.Outage{{Start: 0, End: 200, Symmetric: true}}}
+		res, err := runtime.RunConfig(backend, cl, workload.Spec{
+			Writes:     2,
+			Reads:      2,
+			TargetNu:   1,
+			ValueBytes: 16,
+			FaultPlan:  plan,
+		}, runtime.Config{StepDur: time.Millisecond, OpTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatalf("RunConfig: %v", err)
+		}
+		if res.Quiescent {
+			t.Fatal("run stayed quiescent after the partition healed")
+		}
+		if got := len(res.History.Ops); got != 4 {
+			t.Fatalf("history has %d ops, want 4", got)
+		}
+		if res.Faults.DelayedMessages == 0 {
+			t.Error("partition held no messages")
+		}
+		check(t, store.AlgCAS, cond, res.History)
+	})
+}
+
+// bareServer is a minimal automaton WITHOUT the ioa.Recoverable surface,
+// for pinning the one fault-plan combination the runtime still rejects:
+// scheduled recovery of a node that cannot snapshot its state.
+type bareServer struct{ id ioa.NodeID }
+
+func (s *bareServer) ID() ioa.NodeID                                       { return s.id }
+func (s *bareServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects { return ioa.Effects{} }
+func (s *bareServer) Clone() ioa.Node                                      { cp := *s; return &cp }
+
+type bareClient struct{ id ioa.NodeID }
+
+func (c *bareClient) ID() ioa.NodeID                                       { return c.id }
+func (c *bareClient) Busy() bool                                           { return false }
+func (c *bareClient) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects { return ioa.Effects{} }
+func (c *bareClient) Clone() ioa.Node                                      { cp := *c; return &cp }
+func (c *bareClient) Invoke(inv ioa.Invocation) ioa.Effects {
+	return ioa.Effects{Response: &ioa.Response{Kind: inv.Kind}}
+}
+
+// bareCluster deploys one bareServer and one bareClient writer.
+func bareCluster(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	sys := ioa.NewSystem()
+	if err := sys.AddServer(&bareServer{id: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddClient(&bareClient{id: 101}); err != nil {
+		t.Fatal(err)
+	}
+	return &cluster.Cluster{
+		Name:    "bare",
+		Sys:     sys,
+		Servers: []ioa.NodeID{1},
+		Writers: []ioa.NodeID{101},
+	}
+}
+
+// TestUnsupportedPlansAreTyped pins the remaining eager rejections and their
+// type: the random crash budget, and scheduled recovery of a node without a
+// Snapshot/Restore surface, both surface as faults.ErrUnsupported via
+// errors.Is before any goroutine starts or socket opens. Outage windows and
+// crash schedules themselves are not rejected (see the chaos tests), and a
+// crash WITHOUT scheduled recovery needs no snapshot surface.
+func TestUnsupportedPlansAreTyped(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
+		_, err := runtime.RunConfig(backend, cl, workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, Crashes: 1}, runtime.Config{})
+		if !errors.Is(err, faults.ErrUnsupported) {
+			t.Errorf("crash budget: err = %v, want faults.ErrUnsupported", err)
+		}
+
+		plan := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5, RecoverStep: 10}}}
+		_, err = runtime.RunConfig(backend, bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, FaultPlan: plan}, runtime.Config{})
+		if !errors.Is(err, faults.ErrUnsupported) {
+			t.Errorf("recovery without snapshot surface: err = %v, want faults.ErrUnsupported", err)
+		}
+
+		noRecover := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5}}}
+		in, err := runtime.OpenInteractive(backend, bareCluster(t), noRecover, runtime.Config{})
+		if err != nil {
+			t.Fatalf("crash-only plan on a node without a snapshot surface: %v", err)
+		}
+		in.Close()
+	})
+	if _, err := runtime.RunConfig("carrier-pigeon", bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8}, runtime.Config{}); err == nil {
+		t.Error("unknown backend name accepted")
+	}
+}
+
+// TestLossyTimeoutIsVerdict forces every message to drop (on tcp, before its
+// socket write): operations must time out, surface as a Quiescent verdict
+// (not a hang or an error), and the empty completed history still checks
+// atomic.
+func TestLossyTimeoutIsVerdict(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
+		plan := &faults.Plan{Seed: 3, Rules: []faults.Rule{{DropProb: 1}}}
+		res, err := runtime.RunConfig(backend, cl, workload.Spec{
+			Writes:     2,
+			Reads:      1,
+			TargetNu:   1,
+			ValueBytes: 8,
+			FaultPlan:  plan,
+		}, runtime.Config{OpTimeout: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("RunConfig: %v", err)
+		}
+		if !res.Quiescent || len(res.History.PendingOps()) == 0 {
+			t.Fatalf("total loss should be a quiescent verdict: quiescent=%t pending=%d",
+				res.Quiescent, len(res.History.PendingOps()))
+		}
+		if res.Faults.Drops == 0 {
+			t.Error("no drops counted")
+		}
+		if err := consistency.CheckAtomic(res.History, nil); err != nil {
+			t.Errorf("partial history not atomic: %v", err)
+		}
+	})
+}
+
+// TestInteractive exercises the single-op path: a write and a read at
+// distinct clients, with the read returning the written value, storage
+// metered mid-session, no retirement without a timeout, and the
+// closed/non-client error paths.
+func TestInteractive(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
+		in, err := runtime.OpenInteractive(backend, cl, nil, runtime.Config{})
+		if err != nil {
+			t.Fatalf("OpenInteractive: %v", err)
+		}
+		defer in.Close()
+
+		writer, reader := cl.Writers[0], cl.Readers[0]
+		val := register.MakeValue(32, 42)
+		ctx := context.Background()
+		if _, pending, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
+			t.Fatalf("write: pending=%t err=%v", pending, err)
+		}
+		out, pending, err := in.Invoke(ctx, reader, ioa.Invocation{Kind: ioa.OpRead})
+		if err != nil || pending {
+			t.Fatalf("read: pending=%t err=%v", pending, err)
+		}
+		if string(out) != string(val) {
+			t.Fatalf("read %d bytes, want the %d-byte written value", len(out), len(val))
+		}
+		if rep := in.Storage(cl); rep.MaxTotalBits <= 0 {
+			t.Errorf("mid-session storage not metered: %+v", rep)
+		}
+		if in.Retired(writer) || in.Retired(reader) {
+			t.Error("no operation timed out, but a client is retired")
+		}
+		if _, _, err := in.Invoke(ctx, ioa.NodeID(9999), ioa.Invocation{Kind: ioa.OpRead}); err == nil {
+			t.Error("invoking a non-client node must fail")
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err) // idempotent
+		}
+		if _, _, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpRead}); err == nil {
+			t.Error("invoke after close must fail")
+		}
+	})
+}
+
+// TestInteractiveRetiresOnTimeout pins the retirement contract: under total
+// loss an invoked write times out as a genuinely pending operation, its
+// client is retired, and the next Invoke there fails fast with
+// ErrClientRetired instead of corrupting the mid-protocol automaton; other
+// clients are untouched.
+func TestInteractiveRetiresOnTimeout(t *testing.T) {
+	overLinks(t, func(t *testing.T, backend string) {
+		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
+		plan := &faults.Plan{Seed: 3, Rules: []faults.Rule{{DropProb: 1}}}
+		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{OpTimeout: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("OpenInteractive: %v", err)
+		}
+		defer in.Close()
+
+		writer, ctx := cl.Writers[0], context.Background()
+		_, pending, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)})
+		if err == nil || !pending {
+			t.Fatalf("write under total loss: pending=%t err=%v, want a pending timeout", pending, err)
+		}
+		if !in.Retired(writer) {
+			t.Error("timed-out client not retired")
+		}
+		start := time.Now()
+		_, pending, err = in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)})
+		if !errors.Is(err, runtime.ErrClientRetired) || pending {
+			t.Errorf("second invoke at a retired client: pending=%t err=%v, want ErrClientRetired", pending, err)
+		}
+		if took := time.Since(start); took > 40*time.Millisecond {
+			t.Errorf("retired client took %v to refuse; must fail fast, not wait out OpTimeout", took)
+		}
+		if in.Retired(cl.Readers[0]) {
+			t.Error("an untouched client was retired")
+		}
+	})
+}

@@ -1,0 +1,217 @@
+package runtime
+
+import (
+	"encoding/binary"
+	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/ioa"
+	"repro/internal/telemetry"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// tcpLink carries messages over real sockets: every attached node owns a TCP
+// endpoint (internal/transport), messages cross as compact binary frames
+// (sender id + internal/wire encoding), and faults become physical events —
+// a crashed node's endpoint closes, so peers' in-flight frames die as real
+// network loss, and a recovered node listens on a FRESH endpoint peers
+// redial on their next send. A transport reader blocked on a full mailbox
+// stops reading its socket, so backpressure propagates peer-to-peer through
+// TCP's own flow control; node loops never block on a peer's mailbox here
+// (their sends go to sockets, whose kernel buffers break sender/receiver
+// cycles long before the drop deadline does), so nothing is ever siphoned.
+// The transport writer coalesces queued frames into compound envelopes, so a
+// burst costs one syscall instead of one per message.
+type tcpLink struct {
+	rt   *runtime
+	tcfg transport.Config
+
+	// mu guards everything below it: recovery replaces a node's endpoint and
+	// address. A node is in eps exactly while attached, so an endpoint's
+	// counters are read from one place at a time — the live sum while
+	// attached, the retired totals once down has folded them.
+	mu              sync.RWMutex
+	eps             map[ioa.NodeID]*transport.Endpoint
+	addrs           map[ioa.NodeID]string         // dialable address per node; a down node keeps its dead one
+	nt              map[ioa.NodeID]*nodeTransport // telemetry series per node; nil when telemetry is off
+	retiredDropped  uint64                        // transport loss folded off endpoints a crash retired
+	retiredRequeued uint64
+
+	badFrames atomic.Int64 // undecodable inbound frames, dropped
+	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints
+}
+
+func newTCPLink(rt *runtime) *tcpLink {
+	return &tcpLink{
+		rt:    rt,
+		tcfg:  transport.Config{DialTimeout: rt.cfg.DialTimeout, Outbox: rt.cfg.Outbox, SendTimeout: rt.cfg.SendTimeout},
+		eps:   make(map[ioa.NodeID]*transport.Endpoint),
+		addrs: make(map[ioa.NodeID]string),
+	}
+}
+
+// up opens a listening endpoint for the node and re-points its address, so
+// peers redial the new address on their next send while anything aimed at a
+// dead socket is counted loss.
+func (l *tcpLink) up(ns *nodeState) error {
+	ep, err := transport.Listen(l.rt.cfg.ListenAddr, l.tcfg)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.eps[ns.id] = ep
+	l.addrs[ns.id] = ep.Addr()
+	l.mu.Unlock()
+	ep.Serve(func(frame []byte) { l.inbound(ns, frame) })
+	return nil
+}
+
+// down closes the node's endpoint and detaches it, folding the endpoint's
+// loss accounting into the retired totals so loss never understates — and,
+// the endpoint being gone from eps, never counts it twice.
+func (l *tcpLink) down(ns *nodeState) {
+	l.mu.RLock()
+	ep := l.eps[ns.id]
+	l.mu.RUnlock()
+	ep.Close()
+	// Detach and fold in one critical section, so a concurrent loss() sees
+	// the endpoint's counters in the live sum or in the retired totals,
+	// never both and never neither.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	delete(l.eps, ns.id)
+	s := ep.Stats()
+	l.retiredDropped += s.DroppedFull + s.DroppedDead + s.Malformed
+	l.retiredRequeued += s.Requeued
+	if t := l.nt[ns.id]; t != nil {
+		t.lift(s) // the sampler no longer sees this endpoint: publish its final totals
+	}
+}
+
+func (l *tcpLink) close() {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, ep := range l.eps {
+		ep.Close()
+	}
+}
+
+// send frames the message and writes it to the sender's own socket pool. A
+// Send error (failed dial, closed endpoint) is real-network silence — the
+// pool redials on the next send and protocol timeouts own recovery — but it
+// is counted, so lossy-run reports do not understate loss. The endpoint and
+// address are snapshotted under mu (recovery replaces both); the Send itself
+// runs outside the lock, since it can block for a full SendTimeout.
+func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, _ bool) {
+	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
+	frame, err := wire.Append(frame, msg)
+	if err != nil {
+		// An unregistered message type cannot cross the network; surfacing
+		// it as loss would hide the bug, so panic — the wire registry tests
+		// make this unreachable for shipped algorithms.
+		panic(fmt.Sprintf("runtime: node %d sent unencodable message: %v", from.id, err))
+	}
+	l.mu.RLock()
+	ep, addr := l.eps[from.id], l.addrs[to]
+	l.mu.RUnlock()
+	if ep == nil || ep.Send(addr, frame) != nil {
+		l.sendErrs.Add(1)
+	}
+}
+
+// inbound decodes one frame off a node's socket and posts it to the node's
+// mailbox. Undecodable frames are counted and dropped — on a real network a
+// corrupt datagram is silence, and protocol timeouts own recovery.
+func (l *tcpLink) inbound(ns *nodeState, frame []byte) {
+	from, n := binary.Uvarint(frame)
+	if n <= 0 {
+		l.badFrames.Add(1)
+		return
+	}
+	msg, err := wire.Decode(frame[n:])
+	if err != nil {
+		l.badFrames.Add(1)
+		return
+	}
+	l.rt.post(ns, event{from: ioa.NodeID(from), msg: msg}, l.rt.cfg.SendTimeout)
+}
+
+func (l *tcpLink) loss() (dropped, requeued int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	dropped = int(l.sendErrs.Load()+l.badFrames.Load()) + int(l.retiredDropped)
+	requeued = int(l.retiredRequeued)
+	for _, ep := range l.eps {
+		s := ep.Stats()
+		dropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
+		requeued += int(s.Requeued)
+	}
+	return dropped, requeued
+}
+
+// nodeTransport is the per-node counter set the sampler lifts endpoint
+// stats into. Endpoint counters are absolute totals that reset when a crash
+// retires the endpoint, so the lift mirrors them with monotone Raise — the
+// registry series never move backward, at the price of undercounting while
+// a recovered endpoint's fresh totals catch up to the retired ones.
+type nodeTransport struct {
+	framesSent, framesRecv   telemetry.Counter
+	batchesSent              telemetry.Counter
+	bytesSent, bytesRecv     telemetry.Counter
+	droppedFull, droppedDead telemetry.Counter
+	requeued, malformed      telemetry.Counter
+	batchFrames              [len(transport.BatchBucketBounds)]telemetry.Counter
+}
+
+func (t *nodeTransport) lift(s transport.Stats) {
+	t.framesSent.Raise(s.FramesSent)
+	t.framesRecv.Raise(s.FramesReceived)
+	t.batchesSent.Raise(s.BatchesSent)
+	t.bytesSent.Raise(s.BytesSent)
+	t.bytesRecv.Raise(s.BytesReceived)
+	t.droppedFull.Raise(s.DroppedFull)
+	t.droppedDead.Raise(s.DroppedDead)
+	t.requeued.Raise(s.Requeued)
+	t.malformed.Raise(s.Malformed)
+	for i := range s.BatchFrames {
+		t.batchFrames[i].Raise(s.BatchFrames[i])
+	}
+}
+
+// sampler registers one transport counter set per node (servers and clients
+// both own an endpoint) and returns the lift from transport.Endpoint.Stats.
+func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
+	nt := make(map[ioa.NodeID]*nodeTransport, len(l.rt.nodes))
+	for id := range l.rt.nodes {
+		nl := telemetry.L("node", strconv.Itoa(int(id)))
+		t := &nodeTransport{
+			framesSent:  reg.Counter(telemetry.MetricTransportFramesSent, "frames written to peer sockets", sl, nl),
+			framesRecv:  reg.Counter(telemetry.MetricTransportFramesRecv, "frames received and handed to the node", sl, nl),
+			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "compound envelope flushes (frames/batches = coalescing factor)", sl, nl),
+			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "envelope bytes written to peer sockets", sl, nl),
+			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "envelope bytes received", sl, nl),
+			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full outbox past SendTimeout", sl, nl),
+			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
+			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
+			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound envelopes that failed to split", sl, nl),
+		}
+		for i, ub := range transport.BatchBucketBounds {
+			t.batchFrames[i] = reg.Counter(telemetry.MetricTransportBatchFrames,
+				"flushes by frames-per-batch bucket", sl, nl, telemetry.L("le", strconv.Itoa(ub)))
+		}
+		nt[id] = t
+	}
+	l.mu.Lock()
+	l.nt = nt
+	l.mu.Unlock()
+	return func() {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		for id, ep := range l.eps {
+			nt[id].lift(ep.Stats())
+		}
+	}
+}

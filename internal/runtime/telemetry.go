@@ -1,4 +1,4 @@
-package live
+package runtime
 
 import (
 	"strconv"
@@ -23,9 +23,9 @@ type checkerStats interface {
 // the sampling goroutine: every tick it reads each server node's storage
 // meter (the same curBits/maxBits watermark path storageReport folds at
 // shutdown — gauges can never exceed that watermark), the measured-vs-bound
-// slack, and the online checker's lag. The returned stop joins the sampler
-// after one final sample, so the end-of-run watermark is always published.
-// A no-op when telemetry is off.
+// slack, the link's own counters and the online checker's lag. The returned
+// stop joins the sampler after one final sample, so the end-of-run watermark
+// is always published. A no-op when telemetry is off.
 func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop func()) {
 	tel := rt.cfg.Telemetry
 	if !tel.Active() {
@@ -78,6 +78,8 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 		})
 	}
 
+	sampleLink := rt.link.sampler(reg, sl)
+
 	var lagG, retainedG telemetry.Gauge
 	var observedC, verifiedC telemetry.Counter
 	chk, hasChk := rt.cfg.Sink.(checkerStats)
@@ -102,6 +104,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 			slack41.Set(float64(maxSeen) - b41)
 			slack51.Set(float64(maxSeen) - b51)
 		}
+		sampleLink()
 		if hasChk {
 			obs, ver := chk.OpsObserved(), chk.OpsVerified()
 			lagG.Set(float64(chk.WindowLag()))

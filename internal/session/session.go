@@ -38,8 +38,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/faults"
 	"repro/internal/ioa"
-	"repro/internal/live"
-	"repro/internal/netrun"
+	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -84,11 +83,12 @@ type Config struct {
 	// store.ErrStepBudget. Ignored on the live and net backends, which
 	// bound operations by their OpTimeout instead.
 	StepBudget int
-	// Live tunes the live runtime; the zero value selects the defaults.
-	Live live.Config
-	// Net tunes the net runtime; the zero value selects the defaults
-	// (ephemeral loopback ports, 5s op timeout).
-	Net netrun.Config
+	// Live and Net tune the node runtime for the live and the net backend
+	// respectively — one type, and only the selected backend's value is
+	// read; the zero value selects the defaults (ephemeral loopback ports on
+	// net, 5s op timeout).
+	Live runtime.Config
+	Net  runtime.Config
 	// Seed derives each shard's fault-plan decision stream (and seeds batch
 	// runs through RunWorkload). Same seed, same injected faults.
 	Seed int64
@@ -98,9 +98,9 @@ type Config struct {
 	// batch drivers use (0 keeps each runtime's default of 1): each driver
 	// keeps up to this many operations in flight at one client, with the
 	// node starting each only after its predecessor responds, so per-client
-	// program order is preserved. It defaults Live.Pipeline and Net.Pipeline
-	// when those are unset; ignored on the simulator and for interactive
-	// Put/Get, which stay one-op-per-client.
+	// program order is preserved. It is the default for the selected
+	// runtime config's own Pipeline; ignored on the simulator and for
+	// interactive Put/Get, which stay one-op-per-client.
 	Pipeline int
 	// SkipCheck disables batch runs' per-shard consistency checking
 	// (store.Options.SkipCheck), to measure unchecked throughput; only the
@@ -150,12 +150,12 @@ func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 // WithFaults assigns fault scenario specs, cycled per shard.
 func WithFaults(specs ...string) Option { return func(c *Config) { c.Faults = specs } }
 
-// WithLiveConfig tunes the live runtime.
-func WithLiveConfig(lc live.Config) Option { return func(c *Config) { c.Live = lc } }
+// WithLiveConfig tunes the node runtime on the live backend.
+func WithLiveConfig(lc runtime.Config) Option { return func(c *Config) { c.Live = lc } }
 
-// WithNetConfig tunes the net runtime (listen address, step duration, op
-// timeout, transport dial/queue bounds).
-func WithNetConfig(nc netrun.Config) Option { return func(c *Config) { c.Net = nc } }
+// WithNetConfig tunes the node runtime on the net backend (listen address,
+// step duration, op timeout, transport dial/queue bounds).
+func WithNetConfig(nc runtime.Config) Option { return func(c *Config) { c.Net = nc } }
 
 // WithTransport selects the net backend listening on addrSpec — an address
 // whose port part should stay 0 so every node gets its own ephemeral port
@@ -222,30 +222,33 @@ func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.Pipeline > 0 {
-		if c.Live.Pipeline == 0 {
-			c.Live.Pipeline = c.Pipeline
-		}
-		if c.Net.Pipeline == 0 {
-			c.Net.Pipeline = c.Pipeline
-		}
-	}
 	return c
 }
 
-// runtimeConfigs returns the live and net runtime configs for one shard,
-// carrying the per-shard telemetry handle when a registry is configured.
-// Interactive shards get "interactive-<shard>" series labels so their
-// standing samplers never collide with batch runs reusing the same shard
-// indices.
-func (c Config) runtimeConfigs(shard int, interactive bool) (live.Config, netrun.Config) {
-	lc, nc := c.Live, c.Net
-	if c.Telemetry != nil {
-		tel := &telemetry.RunTelemetry{Registry: c.Telemetry, Shard: shard, Interactive: interactive}
-		lc.Telemetry = tel
-		nc.Telemetry = tel
+// runtimeConfig resolves the node-runtime config of the selected backend —
+// Net on the net backend, Live otherwise — with the store-level Pipeline as
+// its default depth.
+func (c Config) runtimeConfig() runtime.Config {
+	rc := c.Live
+	if c.Backend == store.BackendNet {
+		rc = c.Net
 	}
-	return lc, nc
+	if rc.Pipeline == 0 {
+		rc.Pipeline = c.Pipeline
+	}
+	return rc
+}
+
+// shardRuntime returns the store's runtime config for one shard, carrying
+// the per-shard telemetry handle when a registry is configured. Interactive
+// shards get "interactive-<shard>" series labels so their standing samplers
+// never collide with batch runs reusing the same shard indices.
+func (s *Store) shardRuntime(shard int, interactive bool) runtime.Config {
+	rc := s.runtime
+	if s.cfg.Telemetry != nil {
+		rc.Telemetry = &telemetry.RunTelemetry{Registry: s.cfg.Telemetry, Shard: shard, Interactive: interactive}
+	}
+	return rc
 }
 
 // interactiveClients returns the per-shard client counts interactive shards
@@ -359,6 +362,7 @@ type shard struct {
 // All methods are safe for concurrent use.
 type Store struct {
 	cfg     Config
+	runtime runtime.Config // the selected backend's node-runtime config, resolved once at Open
 	backend store.Backend
 	shards  []*shard
 	closed  atomic.Bool
@@ -386,7 +390,7 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	// with seed s would.
 	planSpec := workload.MultiSpec{Seed: cfg.Seed, Faults: cfg.Faults}
 	writers, readers := cfg.interactiveClients()
-	st := &Store{cfg: cfg, backend: backend}
+	st := &Store{cfg: cfg, runtime: cfg.runtimeConfig(), backend: backend}
 	for i := 0; i < cfg.Shards; i++ {
 		alg := cfg.Algorithms[i%len(cfg.Algorithms)]
 		cl, cond, err := store.DeployAlgorithmSized(alg, cfg.Servers, cfg.F, writers, readers)
@@ -399,12 +403,10 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 			st.Close()
 			return nil, fmt.Errorf("session: shard %d: %w", i, err)
 		}
-		shardLive, shardNet := cfg.runtimeConfigs(i, true)
 		sess, err := backend.OpenShard(cl, store.ShardOptions{
 			Plan:       plan,
 			StepBudget: cfg.StepBudget,
-			Live:       shardLive,
-			Net:        shardNet,
+			Runtime:    st.shardRuntime(i, true),
 		})
 		if err != nil {
 			st.Close()
@@ -777,8 +779,8 @@ func (s *Store) Metrics() Metrics {
 		m.Faults.Add(sm.Faults)
 	}
 	if len(lats) > 0 {
-		m.LatencyP50 = live.Percentile(lats, 0.50)
-		m.LatencyP99 = live.Percentile(lats, 0.99)
+		m.LatencyP50 = workload.Percentile(lats, 0.50)
+		m.LatencyP99 = workload.Percentile(lats, 0.99)
 	}
 	return m
 }
@@ -807,8 +809,7 @@ func (s *Store) RunWorkload(spec workload.Spec) (*workload.Result, error) {
 		}
 		spec.FaultPlan = plan
 	}
-	wlLive, wlNet := s.cfg.runtimeConfigs(0, false)
-	return s.backend.RunShard(cl, spec, store.ShardOptions{Live: wlLive, Net: wlNet})
+	return s.backend.RunShard(cl, spec, store.ShardOptions{Runtime: s.shardRuntime(0, false)})
 }
 
 // Condition returns the consistency condition the store's first algorithm
@@ -839,8 +840,7 @@ func (s *Store) RunMulti(m workload.MultiSpec) (*store.Result, error) {
 		Backend:      s.cfg.Backend,
 		Writers:      s.cfg.Writers,
 		Readers:      s.cfg.Readers,
-		Live:         s.cfg.Live,
-		Net:          s.cfg.Net,
+		Runtime:      s.runtime,
 		SkipCheck:    s.cfg.SkipCheck,
 		OnlineCheck:  s.cfg.OnlineCheck,
 		OnlineWindow: s.cfg.OnlineWindow,

@@ -10,8 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
-	"repro/internal/live"
-	"repro/internal/netrun"
+	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
@@ -28,11 +27,12 @@ import (
 //     ShardSession whose RunOp executes individual client operations
 //     interactively — the path session.Store routes Put/Get through.
 //
-// The two implementations differ in their guarantees (DESIGN.md section 8):
-// the simulator is the determinism oracle (same seed, byte-identical
-// fingerprints at any worker count), while the live runtime runs every node
-// on its own goroutine and measures real concurrency — its histories differ
-// run to run, and only the safety verdicts are comparable.
+// The implementations differ in their guarantees (DESIGN.md section 8): the
+// simulator is the determinism oracle (same seed, byte-identical
+// fingerprints at any worker count), while the wall-clock runtime behind
+// "live" and "net" runs every node on its own goroutine and measures real
+// concurrency — its histories differ run to run, and only the safety
+// verdicts are comparable.
 type Backend interface {
 	// Name returns the backend's selector string.
 	Name() string
@@ -44,8 +44,8 @@ type Backend interface {
 }
 
 // ShardOptions carries the per-shard tuning a backend may need: the fault
-// plan, the simulator's per-operation step budget, and the live runtime's
-// configuration. Zero values select the defaults.
+// plan, the simulator's per-operation step budget, and the wall-clock
+// runtime's configuration. Zero values select the defaults.
 type ShardOptions struct {
 	// Plan is the shard's fault plan (nil = fault-free). RunShard callers
 	// install the plan on the spec instead; OpenShard reads it from here.
@@ -54,11 +54,10 @@ type ShardOptions struct {
 	// consume on the simulator (0 = workload.DefaultStepBudget). The live
 	// and net runtimes bound operations by wall-clock timeout instead.
 	StepBudget int
-	// Live tunes the live runtime (step duration, op timeout, mailboxes).
-	Live live.Config
-	// Net tunes the net runtime (listen address, step duration, op timeout,
-	// mailboxes, transport dial/queue bounds).
-	Net netrun.Config
+	// Runtime tunes the live and net backends' node runtime (step duration,
+	// op timeout, mailboxes; listen address and transport dial/queue bounds
+	// on net). Ignored on the simulator.
+	Runtime runtime.Config
 }
 
 func (o ShardOptions) stepBudget() int {
@@ -95,8 +94,8 @@ var ErrStepBudget = errors.New("store: step budget exhausted before the operatio
 // Backend selector names accepted by Options.Backend.
 const (
 	BackendSim  = "sim"
-	BackendLive = "live"
-	BackendNet  = "net"
+	BackendLive = runtime.BackendLive
+	BackendNet  = runtime.BackendNet
 )
 
 // Backends lists the selectable backend names.
@@ -115,10 +114,8 @@ func BackendByName(name string) (Backend, error) {
 	switch name {
 	case "", BackendSim:
 		return simBackend{}, nil
-	case BackendLive:
-		return liveBackend{}, nil
-	case BackendNet:
-		return netBackend{}, nil
+	case BackendLive, BackendNet:
+		return runtimeBackend{name}, nil
 	default:
 		return nil, fmt.Errorf("store: %w %q (known: %s)", ErrUnknownBackend, name, strings.Join(Backends(), ", "))
 	}
@@ -211,16 +208,16 @@ func (s *simSession) FaultStats() ioa.FaultStats {
 
 func (s *simSession) Close() error { return nil }
 
-// validateLiveWorkload eagerly rejects multi-key workloads the live backend
-// cannot run, so the error surfaces from Options validation, not from inside
-// a shard mid-run (matching the eager window validation in faults.Parse).
-// Every fault scenario class runs on the live backend now; what remains
+// validateRuntimeWorkload eagerly rejects multi-key workloads the live and
+// net backends cannot run, so the error surfaces from Options validation, not
+// from inside a shard mid-run (matching the eager window validation in
+// faults.Parse). Every fault scenario class runs on both; what remains
 // rejected is the random crash budget (it draws crash points from the
 // simulator's schedule) and malformed scenario strings.
-func validateLiveWorkload(o Options) error {
+func validateRuntimeWorkload(o Options) error {
 	if o.Workload.Crashes != 0 {
-		return fmt.Errorf("store: live backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
-			faults.ErrUnsupported, o.Workload.Crashes)
+		return fmt.Errorf("store: %s backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
+			o.Backend, faults.ErrUnsupported, o.Workload.Crashes)
 	}
 	for i, spec := range o.Workload.Faults {
 		sc, err := faults.Parse(spec)
@@ -231,108 +228,45 @@ func validateLiveWorkload(o Options) error {
 			continue
 		}
 		plan, err := sc.Build(o.Servers, o.F, 1)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
+		if err == nil {
+			err = plan.Validate()
 		}
-		if err := live.PlanSupported(plan); err != nil {
+		if err != nil {
 			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
 		}
 	}
 	return nil
 }
 
-// liveBackend runs shards on the live concurrent runtime.
-type liveBackend struct{}
+// runtimeBackend runs shards on the wall-clock node runtime; its name picks
+// the link — in-process channels for "live", one loopback TCP endpoint per
+// node (wire codec, fault rules applied before the socket write) for "net".
+type runtimeBackend struct{ name string }
 
-func (liveBackend) Name() string { return BackendLive }
+func (b runtimeBackend) Name() string { return b.name }
 
-func (liveBackend) RunShard(cl *cluster.Cluster, spec workload.Spec, opts ShardOptions) (*workload.Result, error) {
-	res, err := live.RunConfig(cl, spec, opts.Live)
+func (b runtimeBackend) RunShard(cl *cluster.Cluster, spec workload.Spec, opts ShardOptions) (*workload.Result, error) {
+	return runtime.RunConfig(b.name, cl, spec, opts.Runtime)
+}
+
+func (b runtimeBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error) {
+	in, err := runtime.OpenInteractive(b.name, cl, opts.Plan, opts.Runtime)
 	if err != nil {
 		return nil, err
 	}
-	return res.AsWorkload(), nil
+	return &runtimeSession{cl: cl, in: in}, nil
 }
 
-func (liveBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error) {
-	in, err := live.OpenInteractive(cl, opts.Plan, opts.Live)
-	if err != nil {
-		return nil, err
-	}
-	return &liveSession{cl: cl, in: in}, nil
-}
-
-// liveSession adapts live.Interactive to the ShardSession surface.
-type liveSession struct {
+// runtimeSession adapts runtime.Interactive to the ShardSession surface.
+type runtimeSession struct {
 	cl *cluster.Cluster
-	in *live.Interactive
+	in *runtime.Interactive
 }
 
-func (s *liveSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
+func (s *runtimeSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
 	return s.in.Invoke(ctx, client, inv)
 }
 
-func (s *liveSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
-func (s *liveSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
-func (s *liveSession) Close() error               { return s.in.Close() }
-
-// validateNetWorkload eagerly rejects multi-key workloads the net backend
-// cannot run. Every fault scenario class runs on the net backend now; what
-// remains rejected is the random crash budget (it draws crash points from
-// the simulator's schedule) and malformed scenario strings.
-func validateNetWorkload(o Options) error {
-	if o.Workload.Crashes != 0 {
-		return fmt.Errorf("store: net backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
-			faults.ErrUnsupported, o.Workload.Crashes)
-	}
-	for i, spec := range o.Workload.Faults {
-		sc, err := faults.Parse(spec)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d]: %w", i, err)
-		}
-		if sc == nil {
-			continue
-		}
-		plan, err := sc.Build(o.Servers, o.F, 1)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
-		}
-		if err := netrun.PlanSupported(plan); err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
-		}
-	}
-	return nil
-}
-
-// netBackend runs shards over real TCP sockets: every node automaton owns a
-// loopback endpoint, messages cross the wire codec, and fault rules apply at
-// socket-write time.
-type netBackend struct{}
-
-func (netBackend) Name() string { return BackendNet }
-
-func (netBackend) RunShard(cl *cluster.Cluster, spec workload.Spec, opts ShardOptions) (*workload.Result, error) {
-	return netrun.RunConfig(cl, spec, opts.Net)
-}
-
-func (netBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error) {
-	in, err := netrun.OpenInteractive(cl, opts.Plan, opts.Net)
-	if err != nil {
-		return nil, err
-	}
-	return &netSession{cl: cl, in: in}, nil
-}
-
-// netSession adapts netrun.Interactive to the ShardSession surface.
-type netSession struct {
-	cl *cluster.Cluster
-	in *netrun.Interactive
-}
-
-func (s *netSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
-	return s.in.Invoke(ctx, client, inv)
-}
-
-func (s *netSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
-func (s *netSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
-func (s *netSession) Close() error               { return s.in.Close() }
+func (s *runtimeSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
+func (s *runtimeSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
+func (s *runtimeSession) Close() error               { return s.in.Close() }

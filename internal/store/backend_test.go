@@ -61,11 +61,11 @@ func TestBackendUnknownNameError(t *testing.T) {
 	}
 }
 
-// TestValidateLiveWorkloadPerShard pins that every fault scenario class now
+// TestValidateRuntimeWorkloadPerShard pins that every fault scenario class now
 // passes live-backend options validation — the wall-clock scheduler runs
 // step-indexed outages and crashes — and that a genuinely malformed spec
 // still fails naming the offending per-shard fault index.
-func TestValidateLiveWorkloadPerShard(t *testing.T) {
+func TestValidateRuntimeWorkloadPerShard(t *testing.T) {
 	base := Options{
 		Shards:  4,
 		Servers: 5,
@@ -92,7 +92,7 @@ func TestValidateLiveWorkloadPerShard(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := base
 			o.Workload.Faults = tc.faults
-			err := validateLiveWorkload(o)
+			err := validateRuntimeWorkload(o)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -113,11 +113,11 @@ func TestValidateLiveWorkloadPerShard(t *testing.T) {
 	}
 }
 
-// TestValidateLiveWorkloadRejectsCrashBudget pins the random crash budget
+// TestValidateRuntimeWorkloadRejectsCrashBudget pins the random crash budget
 // rejection and its type: it stays unsupported off the simulator (it draws
 // crash points from the simulator's schedule) and surfaces as
 // faults.ErrUnsupported.
-func TestValidateLiveWorkloadRejectsCrashBudget(t *testing.T) {
+func TestValidateRuntimeWorkloadRejectsCrashBudget(t *testing.T) {
 	o := Options{
 		Shards:  1,
 		Servers: 5,
@@ -127,7 +127,7 @@ func TestValidateLiveWorkloadRejectsCrashBudget(t *testing.T) {
 			Keys: 4, Ops: 4, TargetNu: 1, ValueBytes: 64, Crashes: 1,
 		},
 	}
-	err := validateLiveWorkload(o)
+	err := validateRuntimeWorkload(o)
 	if err == nil || !strings.Contains(err.Error(), "Crashes") {
 		t.Errorf("crash budget accepted on live backend: %v", err)
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"runtime"
+	goruntime "runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -16,8 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consistency"
 	"repro/internal/ioa"
-	"repro/internal/live"
-	"repro/internal/netrun"
+	"repro/internal/runtime"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -45,8 +44,8 @@ type Options struct {
 	Workers int
 	// Backend selects the execution substrate for every shard: BackendSim
 	// (default, the deterministic simulator), BackendLive (the concurrent
-	// goroutine-per-node runtime) or BackendNet (the live runtime's real-
-	// network sibling: one TCP socket per node). Fingerprints are only
+	// goroutine-per-node runtime over channels) or BackendNet (the same
+	// runtime over the real network: one TCP socket per node). Fingerprints are only
 	// meaningful on the simulator; live and net results vary run to run and
 	// are checked for safety.
 	Backend string
@@ -56,14 +55,11 @@ type Options struct {
 	// algorithms reject Writers > 1.
 	Writers int
 	Readers int
-	// Live tunes the live runtime when Backend is BackendLive (step
-	// duration for fault delays, per-op timeout, mailbox capacity). The
-	// zero value selects the defaults; ignored on the simulator.
-	Live live.Config
-	// Net tunes the net runtime when Backend is BackendNet (listen address,
-	// step duration, per-op timeout, transport bounds). The zero value
-	// selects the defaults; ignored elsewhere.
-	Net netrun.Config
+	// Runtime tunes the node runtime behind BackendLive and BackendNet (step
+	// duration for fault delays and partitions, per-op timeout, mailbox
+	// capacity; listen address and transport bounds on net). The zero value
+	// selects the defaults; ignored on the simulator.
+	Runtime runtime.Config
 	// SkipCheck disables the per-shard consistency check, to measure
 	// unchecked throughput. The atomicity check is O(n log n) at any write
 	// concurrency ν; CheckRegular and CheckWeaklyRegular are still quadratic
@@ -119,13 +115,8 @@ func (o Options) validate() error {
 	if _, err := BackendByName(o.Backend); err != nil {
 		return err
 	}
-	if o.Backend == BackendLive {
-		if err := validateLiveWorkload(o); err != nil {
-			return err
-		}
-	}
-	if o.Backend == BackendNet {
-		if err := validateNetWorkload(o); err != nil {
+	if o.Backend == BackendLive || o.Backend == BackendNet {
+		if err := validateRuntimeWorkload(o); err != nil {
 			return err
 		}
 	}
@@ -317,7 +308,7 @@ func Run(o Options) (*Result, error) {
 	}
 	workers := o.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = goruntime.GOMAXPROCS(0)
 	}
 	if workers > o.Shards {
 		workers = o.Shards
@@ -410,8 +401,8 @@ func Run(o Options) (*Result, error) {
 		lats = append(lats, s.Latencies...)
 	}
 	if len(lats) > 0 {
-		res.LatencyP50 = live.Percentile(lats, 0.50)
-		res.LatencyP99 = live.Percentile(lats, 0.99)
+		res.LatencyP50 = workload.Percentile(lats, 0.50)
+		res.LatencyP99 = workload.Percentile(lats, 0.99)
 	}
 	return res, nil
 }
@@ -429,13 +420,11 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 	if plan != nil {
 		spec.FaultPlan = plan
 	}
-	opts := ShardOptions{Live: o.Live, Net: o.Net}
+	opts := ShardOptions{Runtime: o.Runtime}
 	if o.Telemetry != nil {
 		// Each shard gets its own RunTelemetry value into one shared
 		// registry; the shard label keeps the series apart.
-		shardTel := &telemetry.RunTelemetry{Registry: o.Telemetry, Shard: load.Shard}
-		opts.Live.Telemetry = shardTel
-		opts.Net.Telemetry = shardTel
+		opts.Runtime.Telemetry = &telemetry.RunTelemetry{Registry: o.Telemetry, Shard: load.Shard}
 	}
 	// Online mode streams settled operations into the checker while the
 	// concurrent backends run; the verdict and the verified-frontier metrics
@@ -443,27 +432,17 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 	// windowed decomposition; regular-condition shards keep the offline path.
 	var checker *consistency.OnlineChecker
 	online := o.OnlineCheck && !o.SkipCheck && cond == "atomic"
-	if online {
+	if online && backend.Name() != BackendSim {
+		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
+		opts.Runtime.Sink = checker
 		// The drivers sync (drain + barrier) every window's worth of issued
 		// operations unless the caller tuned SyncOps themselves: each sync is
 		// a clean cut, so the checker's peak window is bounded by roughly the
 		// retirement window plus the in-flight population, by construction.
-		syncOps := o.OnlineWindow
-		if syncOps <= 0 {
-			syncOps = consistency.DefaultWindowOps
-		}
-		switch backend.Name() {
-		case BackendLive:
-			checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
-			opts.Live.Sink = checker
-			if opts.Live.SyncOps == 0 {
-				opts.Live.SyncOps = syncOps
-			}
-		case BackendNet:
-			checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
-			opts.Net.Sink = checker
-			if opts.Net.SyncOps == 0 {
-				opts.Net.SyncOps = syncOps
+		if opts.Runtime.SyncOps == 0 {
+			opts.Runtime.SyncOps = o.OnlineWindow
+			if opts.Runtime.SyncOps <= 0 {
+				opts.Runtime.SyncOps = consistency.DefaultWindowOps
 			}
 		}
 	}

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Canonical metric names emitted by the runtimes. Keeping them as constants
-// here means the live and net runtimes, the stat line, and the tests all
-// agree on one spelling.
+// Canonical metric names emitted by the node runtime. Keeping them as
+// constants here means the runtime, its links, the stat line, and the tests
+// all agree on one spelling.
 const (
 	// Per-op driver metrics (labels: shard, kind).
 	MetricOpsStarted   = "shmem_ops_started_total"

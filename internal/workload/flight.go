@@ -11,8 +11,8 @@ import (
 )
 
 // Flight is one asynchronously submitted operation, as handed back by a
-// concurrent runtime's async invoke. The live and net runtimes satisfy it
-// with their pendingOp.
+// concurrent runtime's async invoke. internal/runtime satisfies it with its
+// pendingOp.
 type Flight interface {
 	// Wait blocks until the operation completes or timeout elapses,
 	// reporting whether it completed. On timeout the runtime retires the
@@ -57,16 +57,15 @@ type FlightResult struct {
 	Elapsed time.Duration
 }
 
-// RunFlights is the windowed flight driver shared by the live and net
-// runtimes (they drifted once as near-identical copies; this is the single
-// home). min(TargetNu, writers) writer goroutines and every reader
-// goroutine issue operations from shared budgets until the spec's counts
-// are exhausted, keeping up to Pipeline ops in flight per client — the node
+// RunFlights is the windowed flight driver of the wall-clock node runtime
+// (internal/runtime). min(TargetNu, writers) writer goroutines and every
+// reader goroutine issue operations from shared budgets until the spec's
+// counts are exhausted, keeping up to Pipeline ops in flight per client — the node
 // starts each only when its predecessor responds, so per-client program
 // order holds and the automaton still sees one op at a time. A timed-out
 // operation retires its client: the automaton is stuck mid-protocol, so
 // every op queued behind it is abandoned rather than waited out. Latencies
-// are collected per driver — mutex-free, like the runtimes' logs — and
+// are collected per driver — mutex-free, like the runtime's logs — and
 // merged after the joins; a pipelined latency includes the queue wait at
 // the node.
 func RunFlights(cl *cluster.Cluster, spec Spec, cfg FlightConfig) FlightResult {

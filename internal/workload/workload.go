@@ -7,7 +7,9 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,6 +104,25 @@ type Result struct {
 	// fills it — simulator runs have no meaningful per-op wall time — so it
 	// is empty for simulator results and excluded from every fingerprint.
 	Latencies []time.Duration
+}
+
+// Percentile returns the p-th percentile (0 < p <= 1) of the durations —
+// Result.Latencies, typically — nearest-rank on a sorted copy, or 0 for an
+// empty slice.
+func Percentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }
 
 // Run drives the cluster through the workload.

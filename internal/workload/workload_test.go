@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/abd"
 	"repro/internal/cas"
@@ -152,5 +153,22 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if len(a.History.Ops) != len(b.History.Ops) {
 		t.Error("histories diverged under identical seeds")
+	}
+}
+
+// TestPercentile pins the nearest-rank percentile helper.
+func TestPercentile(t *testing.T) {
+	ds := []time.Duration{4, 1, 3, 2} // unsorted on purpose
+	cases := []struct {
+		p    float64
+		want time.Duration
+	}{{0.5, 2}, {0.99, 4}, {1, 4}, {0.01, 1}}
+	for _, tc := range cases {
+		if got := Percentile(ds, tc.p); got != tc.want {
+			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := Percentile(nil, 0.5); got != 0 {
+		t.Errorf("Percentile(nil) = %v, want 0", got)
 	}
 }

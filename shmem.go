@@ -48,9 +48,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ioa"
-	"repro/internal/live"
-	"repro/internal/netrun"
 	"repro/internal/register"
+	"repro/internal/runtime"
 	"repro/internal/session"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -378,43 +377,23 @@ func StoreAlgorithms() []string { return store.Algorithms() }
 // the loopback network).
 func StoreBackends() []string { return store.Backends() }
 
-// LiveConfig tunes the live concurrent runtime (step duration for fault
-// delays, per-operation timeout, mailbox capacity). The zero value selects
-// the defaults.
-type LiveConfig = live.Config
+// LiveConfig tunes the node runtime on the "live" backend (step duration for
+// fault delays, per-operation timeout, mailbox capacity). The zero value
+// selects the defaults. It is the same type as NetConfig: one runtime drives
+// both backends, and the transport fields are simply unread on live.
+type LiveConfig = runtime.Config
 
-// NetConfig tunes the real-network runtime behind the "net" backend: the
-// listen address spec (ephemeral loopback ports by default), the step
-// duration mapping fault delays and partition windows to wall time, the
-// per-operation timeout, and the transport's dial timeout and per-connection
-// send queue capacity. The zero value selects the defaults.
-type NetConfig = netrun.Config
-
-// LiveResult reports a live run: safety fields mirror WorkloadResult, plus
-// wall-clock throughput and per-operation latencies.
-type LiveResult = live.Result
-
-// RunLiveWorkload executes the workload on the live concurrent runtime:
-// every node automaton on its own goroutine, messages over channels, fault
-// drop/delay rules applied in wall-clock time. The simulator remains the
-// determinism oracle; live histories vary run to run and are checked for
-// safety only.
-//
-// Deprecated: use Store.RunWorkload on a handle opened with
-// WithBackend("live") — or WithBackend("net") for real sockets; latencies
-// now travel on WorkloadResult.Latencies (see MIGRATION.md).
-//
-// This is a pure forwarder to the internal live runtime, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunLiveWorkload(cl *Cluster, spec WorkloadSpec, cfg LiveConfig) (*LiveResult, error) {
-	return live.RunConfig(cl, spec, cfg)
-}
+// NetConfig tunes the node runtime on the "net" backend: the listen address
+// spec (ephemeral loopback ports by default), the step duration mapping
+// fault delays and partition windows to wall time, the per-operation
+// timeout, and the transport's dial timeout and per-connection send queue
+// capacity. The zero value selects the defaults.
+type NetConfig = runtime.Config
 
 // LatencyPercentile returns the p-th percentile (0 < p <= 1) of the given
 // latencies, nearest-rank.
 func LatencyPercentile(ds []time.Duration, p float64) time.Duration {
-	return live.Percentile(ds, p)
+	return workload.Percentile(ds, p)
 }
 
 // ParseFaultScenario parses a fault scenario spec — "crash-f[@STEP[:RECOVER]]",

@@ -2,9 +2,10 @@ GO ?= go
 DATE ?= $(shell date +%Y-%m-%d)
 
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
-# GF(2^8)/erasure coding, linearizability checker).
-MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues'
+# GF(2^8)/erasure coding, linearizability checker, the CAS server's collector
+# and the node runtime's interactive 64 KiB path).
+MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K'
 
 .PHONY: build test race runtime-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
 

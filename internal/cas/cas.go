@@ -160,22 +160,39 @@ func (s *Server) finalize(t register.Tag) {
 	s.gc()
 }
 
-// gc drops records below the (δ+1)-highest finalized tag.
+// gc drops records below the (δ+1)-highest finalized tag. It runs on every
+// pre-write and finalize, so it finds that tag without allocating or
+// sorting: with fins finalized records it is the (fins-δ)-th lowest, and
+// since every finalization is followed by a gc that leaves δ+1 of them,
+// fins-δ is at most 2 — a pass over O(δ+ν) records for the lowest and at
+// most one more for the next.
 func (s *Server) gc() {
 	if s.gcDepth < 0 {
 		return
 	}
-	fins := make([]register.Tag, 0, len(s.recs))
+	var threshold register.Tag // the lowest finalized tag, then the next, ...
+	fins := 0
 	for t, rec := range s.recs {
 		if rec.Fin {
-			fins = append(fins, t)
+			if fins == 0 || t.Less(threshold) {
+				threshold = t
+			}
+			fins++
 		}
 	}
-	if len(fins) <= s.gcDepth {
+	if fins <= s.gcDepth {
 		return
 	}
-	sort.Slice(fins, func(i, j int) bool { return fins[j].Less(fins[i]) }) // descending
-	threshold := fins[s.gcDepth]
+	for nth := 2; nth <= fins-s.gcDepth; nth++ {
+		var next register.Tag
+		found := false
+		for t, rec := range s.recs {
+			if rec.Fin && threshold.Less(t) && (!found || t.Less(next)) {
+				next, found = t, true
+			}
+		}
+		threshold = next
+	}
 	for t := range s.recs {
 		if t.Less(threshold) {
 			delete(s.recs, t)
@@ -340,7 +357,6 @@ type Client struct {
 	acks     int
 	maxFin   register.Tag
 	shards   []erasure.Shard
-	readVal  []byte
 }
 
 var (
@@ -459,6 +475,7 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		if len(c.shards) >= c.code.K() {
 			val, err := c.code.Decode(c.shards)
 			if err == nil {
+				c.shards = nil // decoded: an idle reader pins no coded elements
 				return c.respondRead(val)
 			}
 		}
@@ -484,6 +501,7 @@ func (c *Client) startPreWrite() ioa.Effects {
 		}
 		sends = append(sends, ioa.Send{To: s, Msg: preWriteMsg{RID: c.rid, Tag: c.tag, Shard: shard}})
 	}
+	c.writeVal = nil // encoded: the value is the servers' to hold now, not the writer's
 	return ioa.Effects{Sends: sends}
 }
 
@@ -514,7 +532,6 @@ func (c *Client) startReadFin() ioa.Effects {
 func (c *Client) respondRead(val []byte) ioa.Effects {
 	c.busy = false
 	c.phase = phaseIdle
-	c.readVal = val
 	return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: val}}
 }
 

@@ -10,6 +10,7 @@ package consistency
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 
@@ -30,11 +31,12 @@ func (v *Violation) Error() string {
 
 // valueTable interns register values: every distinct value gets a small
 // dense ID and equal values get equal IDs, so the checkers index and compare
-// values as integers. A value is hashed once, when it is interned, and a hash
-// match is confirmed with bytes.Equal: the IDs are exact whatever the hash
-// does, and no value is ever copied. The zero value is an empty table.
+// values as integers. A value is hashed once, when it is interned (long
+// values by a sample, see sampleHash), and a hash match is confirmed with
+// bytes.Equal: the IDs are exact whatever the hash does, and no value is
+// ever copied. The zero value is an empty table.
 type valueTable struct {
-	hash func([]byte) uint64 // replaces maphash when set; tests force collisions here
+	hash func([]byte) uint64 // replaces sampleHash when set; tests force collisions here
 	head map[uint64]int32    // hash -> the latest ID with that hash, plus one
 	vals []interned          // by ID
 }
@@ -47,12 +49,44 @@ type interned struct {
 
 var hashSeed = maphash.MakeSeed()
 
+// Values up to sampleWhole bytes are hashed whole; a longer one by its
+// length, its first and last sampleEdge bytes and sampleWords evenly spaced
+// sampleWord-byte words in between.
+const (
+	sampleWhole = 256
+	sampleEdge  = 64
+	sampleWords = 6
+	sampleWord  = 16
+)
+
+// sampleHash hashes v for the value table. The chain walk in id compares the
+// bytes anyway, so the hash only has to keep chains short, and a run's values
+// differ in a header or throughout: reading all 64 KiB of each to learn that
+// costs more than everything else the checker does with it. Values that agree
+// on every sampled byte share a chain and are told apart there, at a
+// comparison each.
+func sampleHash(v []byte) uint64 {
+	if len(v) <= sampleWhole {
+		return maphash.Bytes(hashSeed, v)
+	}
+	var buf [8 + 2*sampleEdge + sampleWords*sampleWord]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(v)))
+	n := 8 + copy(buf[8:], v[:sampleEdge])
+	stride := (len(v) - 2*sampleEdge - sampleWord) / (sampleWords + 1)
+	for w := 1; w <= sampleWords; w++ {
+		n += copy(buf[n:], v[sampleEdge+w*stride:][:sampleWord])
+	}
+	copy(buf[n:], v[len(v)-sampleEdge:])
+	return maphash.Bytes(hashSeed, buf[:])
+}
+
 // id interns v.
 func (t *valueTable) id(v []byte) int32 {
-	sum := maphash.Bytes(hashSeed, v)
-	if t.hash != nil {
-		sum = t.hash(v)
+	hash := t.hash
+	if hash == nil {
+		hash = sampleHash
 	}
+	sum := hash(v)
 	for id := t.head[sum] - 1; id >= 0; id = t.vals[id].prev {
 		if bytes.Equal(t.vals[id].val, v) {
 			return id

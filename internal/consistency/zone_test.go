@@ -231,3 +231,49 @@ func TestValueTable(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledHashStaysExact: a long value is hashed by a sample, so two
+// values that differ only in a byte the sample skips share a hash — and must
+// still get distinct IDs from the chain's byte comparison, while equal bytes
+// in different slices get the same one. Every sampled position, and the
+// length, does reach the hash.
+func TestSampledHashStaysExact(t *testing.T) {
+	const size = 64 << 10
+	a := make([]byte, size)
+	for i := range a {
+		a[i] = byte(i * 31)
+	}
+	b := append([]byte(nil), a...)
+	b[sampleEdge+1] ^= 1 // just past the leading edge, long before the first interior word
+	if sampleHash(a) != sampleHash(b) {
+		t.Fatalf("byte %d is meant to be outside the sample", sampleEdge+1)
+	}
+	var vals valueTable
+	ida, idb := vals.id(a), vals.id(b)
+	if ida == idb {
+		t.Fatal("two 64 KiB values differing in one unsampled byte share an ID")
+	}
+	if vals.id(append([]byte(nil), a...)) != ida || vals.id(append([]byte(nil), b...)) != idb {
+		t.Fatal("equal bytes in a different slice got a different ID")
+	}
+
+	stride := (size - 2*sampleEdge - sampleWord) / (sampleWords + 1)
+	sampled := []int{0, sampleEdge - 1, size - sampleEdge, size - 1}
+	for w := 1; w <= sampleWords; w++ {
+		sampled = append(sampled, sampleEdge+w*stride, sampleEdge+w*stride+sampleWord-1)
+	}
+	for _, i := range sampled {
+		c := append([]byte(nil), a...)
+		c[i] ^= 1
+		if sampleHash(c) == sampleHash(a) {
+			t.Errorf("flipping sampled byte %d left the hash unchanged", i)
+		}
+	}
+	if zeros := make([]byte, size); sampleHash(zeros[:size-1]) == sampleHash(zeros) {
+		t.Error("the length does not reach the hash")
+	}
+	// The shortest sampled value keeps every word inside the interior.
+	for n := sampleWhole; n <= sampleWhole+2*sampleWord*(sampleWords+1); n++ {
+		sampleHash(a[:n])
+	}
+}

@@ -56,11 +56,11 @@ func NewHistory() *History {
 	return &History{open: make(map[NodeID]int)}
 }
 
-// HistoryFromOps builds a History from externally recorded operations — the
-// live runtime merges its per-client logs through this. Ops must be ordered
-// by InvokeStep; IDs are reassigned to slice order, and the open-operation
-// index and completed-write count are rebuilt so the result behaves exactly
-// like a kernel-recorded history. A client may have at most one pending
+// HistoryFromOps builds a History from externally recorded operations — a
+// feed's pending tail, a session's sink plus its feed's snapshot. Ops must
+// be ordered by InvokeStep; IDs are reassigned to slice order, and the
+// open-operation index and completed-write count are rebuilt so the result
+// behaves exactly like a kernel-recorded history. A client may have at most one pending
 // operation (the well-formedness condition of Section 3).
 func HistoryFromOps(ops []Op) (*History, error) {
 	h := NewHistory()

@@ -106,7 +106,7 @@ func TestRecoveryServesSnapshotState(t *testing.T) {
 // TestHistoryAtomicThroughCrashRecover runs a batch workload while one
 // server is down from the start and rejoins mid-run from its checkpoint
 // (taken before it acked anything, so no acknowledged state is lost and the
-// f-tolerance argument holds). The merged history must stay atomic and the
+// f-tolerance argument holds). The recorded history must stay atomic and the
 // crash must be counted.
 func TestHistoryAtomicThroughCrashRecover(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {

@@ -69,7 +69,7 @@ func TestPostDropsAfterSendTimeout(t *testing.T) {
 		rt := &runtime{done: make(chan struct{})}
 		defer close(rt.done)
 		rt.link = mkLink(rt)
-		ns := &nodeState{mb: make(chan event, 2), pendingIdx: -1}
+		ns := &nodeState{mb: make(chan event, 2)}
 		for i := 0; i < 2; i++ {
 			if !rt.post(ns, event{}, 20*time.Millisecond) {
 				t.Fatal("post to empty mailbox failed")

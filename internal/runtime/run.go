@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -44,6 +43,15 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 		return nil, err
 	}
 	cfg = rt.cfg // defaults applied
+	// One history path: the feed stamps and orders every op into the
+	// caller's sink, or into a history of the run's own when there is none.
+	var own *ioa.History
+	if cfg.Sink != nil {
+		rt.feed = ioa.NewOpFeed(cfg.Sink)
+	} else {
+		own = ioa.NewHistory()
+		rt.feed = ioa.NewOpFeed(own)
+	}
 	stopTelemetry := rt.startTelemetry(cl, spec)
 	rt.start()
 
@@ -74,21 +82,21 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 		Latencies:        fres.Latencies,
 	}
 
-	if rt.feed != nil {
-		// Streaming mode: the sink has already absorbed every settled op in
-		// invocation order; all that remains here is the pending tail, which
-		// Flush settles as abandoned and reports. Result.History carries just
-		// those pending ops, so the pending/quiescent accounting below is
-		// unchanged while run memory stays bounded by the sink, not the run.
-		pend, ferr := rt.feed.Flush()
-		if ferr != nil {
-			return nil, fmt.Errorf("runtime: history sink: %w", ferr)
-		}
+	// The sink has already absorbed every settled op in invocation order;
+	// Flush settles the still-open ones as abandoned, emits them too and
+	// reports them. The run's own history now holds everything; a caller's
+	// sink keeps what it absorbed and Result.History carries just the pending
+	// ops, so the pending/quiescent accounting below is the same either way
+	// while run memory stays bounded by the sink, not the run.
+	pend, err := rt.feed.Flush()
+	if err != nil {
+		return nil, fmt.Errorf("runtime: history sink: %w", err)
+	}
+	res.History = own
+	if own == nil {
 		if res.History, err = ioa.HistoryFromOps(pend); err != nil {
 			return nil, err
 		}
-	} else if res.History, err = rt.mergeHistory(cl); err != nil {
-		return nil, err
 	}
 	if pending := len(res.History.PendingOps()); pending > 0 {
 		if spec.FaultPlan == nil {
@@ -99,33 +107,6 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 	res.Storage = rt.storageReport(cl)
 	res.NormalizedTotal = float64(res.Storage.MaxTotalBits) / res.Log2V
 	return res, nil
-}
-
-// mergeHistory folds the per-client logs into one ioa.History ordered by the
-// runtime clock.
-func (rt *runtime) mergeHistory(cl *cluster.Cluster) (*ioa.History, error) {
-	var ops []ioa.Op
-	for _, ids := range [][]ioa.NodeID{cl.Writers, cl.Readers} {
-		for _, id := range ids {
-			ns := rt.nodes[id]
-			for _, rec := range ns.log {
-				op := ioa.Op{
-					Client:      id,
-					Kind:        rec.kind,
-					Input:       rec.input,
-					Output:      rec.output,
-					InvokeStep:  int(rec.invokeTS),
-					RespondStep: -1,
-				}
-				if rec.respondTS >= 0 {
-					op.RespondStep = int(rec.respondTS)
-				}
-				ops = append(ops, op)
-			}
-		}
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].InvokeStep < ops[j].InvokeStep })
-	return ioa.HistoryFromOps(ops)
 }
 
 // storageReport sums the per-server maxima observed by the node goroutines.

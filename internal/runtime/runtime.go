@@ -16,12 +16,16 @@
 //     byte-identical histories and fingerprints. This runtime makes NO such
 //     promise — schedules here are an accident of goroutine timing, and two
 //     runs of the same spec produce different histories.
-//   - Safety is checked the same way on both: operations are recorded in
-//     per-client logs (mutex-free — each log is owned by its node's
-//     goroutine, ordered by a shared atomic clock) and merged into an
-//     ioa.History for the internal/consistency checkers. A history this
-//     runtime produced must pass the same condition the algorithm guarantees
-//     on the simulator.
+//   - Safety is checked the same way on both, over one history path: a
+//     batch run registers every operation with an ioa.OpFeed when its
+//     automaton is invoked and settles it when the response is determined;
+//     the feed's clock stamps both ends and releases settled operations in
+//     invocation order into the caller's sink, or into an ioa.History of
+//     the run's own when there is none. The runtime itself retains no
+//     operation and no value — an interactive session records nothing here,
+//     the session feed above it is the history. A history this runtime
+//     produced must pass the same condition the algorithm guarantees on the
+//     simulator.
 //   - Faults: drop and delay rules of a faults.Plan are reused verbatim —
 //     MessageFate is consulted at send time with a global send sequence
 //     number, exactly as the kernel does, with delay steps scaled to wall
@@ -100,13 +104,15 @@ type Config struct {
 	// restarts from its last checkpoint; state mutated after it is lost,
 	// exactly the crash-recovery model the paper's storage bounds assume.
 	Checkpoint time.Duration
-	// Sink, when non-nil, switches the runtime to streaming history mode:
-	// operations are registered with an ioa.OpFeed at invocation and
-	// released into the sink in invocation order as they settle, instead of
-	// accumulating in per-client logs merged at shutdown. The feed's own
-	// clock stamps every op, and Result.History then carries only the
-	// pending tail (the sink has absorbed everything else). Feed an
-	// OnlineChecker here to verify the run while it executes.
+	// Sink, when non-nil, receives a batch run's history as it happens:
+	// RunConfig registers every operation with an ioa.OpFeed at invocation
+	// and the feed releases it into the sink, in invocation order, once it
+	// settles. Result.History then carries only the pending tail (the sink
+	// has absorbed everything else). Feed an OnlineChecker here to verify
+	// the run while it executes. With no sink the same feed fills an
+	// ioa.History of the run's own and Result.History is all of it.
+	// Interactive sessions do not read it: their caller stamps and records
+	// the operations it invokes.
 	Sink ioa.HistorySink
 	// SyncOps, when positive, installs periodic quiescence points in the
 	// batch drivers: after every SyncOps issued operations (globally, across
@@ -245,32 +251,18 @@ type invokeEvent struct {
 	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
 }
 
-// opRecord is one per-client log entry. InvokeTS/RespondTS come from the
-// runtime's atomic clock, whose modification order is consistent with real
-// time — so merged records preserve the real-time precedence relation the
-// consistency checkers test.
-type opRecord struct {
-	kind      ioa.OpKind
-	input     []byte
-	output    []byte
-	invokeTS  int64
-	respondTS int64 // -1 while pending
-}
-
 // nodeState is everything a node goroutine owns: the automaton clone, its
-// mailbox, the client op log and the server storage maxima. Only the node's
-// own goroutine touches these fields between start and join — across a
-// scheduled crash, ownership passes to the WallClock's event goroutine (which
-// joins the loop first) and back to the next incarnation's loop.
+// mailbox, the outstanding operation and the server storage maxima. Only the
+// node's own goroutine touches these fields between start and join — across
+// a scheduled crash, ownership passes to the WallClock's event goroutine
+// (which joins the loop first) and back to the next incarnation's loop.
 type nodeState struct {
 	id   ioa.NodeID
 	node ioa.Node
 	mb   chan event // one channel for the node's whole lifetime, across incarnations
 
-	log         []opRecord
-	pendingIdx  int         // index in log of the outstanding op; -1 when none
-	pendingTk   *ioa.Ticket // outstanding op's feed ticket (streaming mode)
-	pendingDone chan []byte
+	pendingDone chan []byte    // outstanding op's response channel; non-nil exactly while the automaton holds an op
+	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil in interactive sessions
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
 	deferred    []event        // events the chan link siphoned off mb while blocked on a peer's full mailbox
 
@@ -302,9 +294,8 @@ type runtime struct {
 	nodes map[ioa.NodeID]*nodeState
 	link  link
 
-	clock atomic.Int64  // history timestamp source (batch mode)
-	feed  *ioa.OpFeed   // streaming-mode op pipeline; nil in batch mode
-	seq   atomic.Uint64 // global send sequence number for MessageFate
+	feed *ioa.OpFeed   // stamps and orders a batch run's ops into its sink; nil in interactive sessions
+	seq  atomic.Uint64 // global send sequence number for MessageFate
 
 	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
 
@@ -351,9 +342,6 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 		timers: make(map[*time.Timer]struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.Sink != nil {
-		rt.feed = ioa.NewOpFeed(cfg.Sink)
-	}
 	if cfg.Telemetry.Active() {
 		rt.tracer = cfg.Telemetry.Registry.Tracer()
 	}
@@ -363,12 +351,11 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 			return nil, err
 		}
 		ns := &nodeState{
-			id:         id,
-			node:       n.Clone(),
-			mb:         make(chan event, cfg.Mailbox),
-			pendingIdx: -1,
-			crashCh:    make(chan struct{}),
-			loopDone:   make(chan struct{}),
+			id:       id,
+			node:     n.Clone(),
+			mb:       make(chan event, cfg.Mailbox),
+			crashCh:  make(chan struct{}),
+			loopDone: make(chan struct{}),
 		}
 		ns.meter, _ = ns.node.(ioa.StorageMeter)
 		ns.metered = ns.meter != nil
@@ -414,8 +401,8 @@ func (rt *runtime) start() {
 // the link closes (no more events are handed to mailboxes), every goroutine
 // joins. The wall clock stops first: after wc.Stop returns no crash/recovery
 // hook is in flight, so no new loop goroutine can race wg.Wait. After stop
-// returns, the per-node logs and storage maxima are safe to read from the
-// caller, and no timer from this run remains scheduled.
+// returns, the storage maxima are final and no timer from this run remains
+// scheduled.
 func (rt *runtime) stop() {
 	rt.wc.Stop()
 	close(rt.done)
@@ -532,8 +519,8 @@ func (rt *runtime) checkpoint(ns *nodeState) {
 // everything but the checkpoint — is discarded: queued mailbox events,
 // siphoned events, not-yet-started invocations (abandoned, so their drivers
 // see "never happened"). An operation the automaton held mid-protocol stays
-// pending in the log forever, which is exactly what the consistency checkers'
-// completion semantics expect of an op lost to a crash.
+// pending in the history forever, which is exactly what the consistency
+// checkers' completion semantics expect of an op lost to a crash.
 func (rt *runtime) crashNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || ns.down.Load() {
@@ -562,7 +549,6 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 				ie.state.CompareAndSwap(invQueued, invAbandoned)
 			}
 			ns.invq = nil
-			ns.pendingIdx = -1
 			if ns.pendingTk != nil {
 				// The op dies with the crash: permanently pending.
 				ns.pendingTk.Abandon()
@@ -622,7 +608,7 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 	// Start queued invocations while the client is free. Normally at most
 	// one starts; the loop only cascades when an invocation responds
 	// immediately (e.g. a degenerate automaton), or skips abandoned entries.
-	for ns.pendingIdx < 0 && ns.pendingTk == nil && len(ns.invq) > 0 {
+	for ns.pendingDone == nil && len(ns.invq) > 0 {
 		ie := ns.invq[0]
 		ns.invq[0] = nil // the backing array must not pin the started invocation's value
 		ns.invq = ns.invq[1:]
@@ -633,46 +619,28 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 		ns.pendingSpan = ie.span
 		if rt.feed != nil {
 			ns.pendingTk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
-		} else {
-			ns.log = append(ns.log, opRecord{
-				kind:      ie.inv.Kind,
-				input:     ie.inv.Value,
-				invokeTS:  rt.clock.Add(1),
-				respondTS: -1,
-			})
-			ns.pendingIdx = len(ns.log) - 1
 		}
 		ns.pendingDone = ie.done
 		rt.apply(ns, ns.node.(ioa.Client).Invoke(ie.inv))
 	}
 }
 
-// apply records a response (the timestamp is taken before the effects' sends
-// are dispatched: the response is determined by then, so shrinking the
-// recorded operation interval to that point is sound for the checkers — the
+// apply settles a response (the feed stamps it before the effects' sends are
+// dispatched: the response is determined by then, so shrinking the recorded
+// operation interval to that point is sound for the checkers — the
 // linearization point of a quorum operation precedes response
 // determination), dispatches the sends, and refreshes the storage meters.
 func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
-	if eff.Response != nil && (ns.pendingIdx >= 0 || ns.pendingTk != nil) {
+	if eff.Response != nil && ns.pendingDone != nil {
 		out := eff.Response.Value
 		if ns.pendingTk != nil {
-			// Stamped and released to the sink before the effects' sends
-			// dispatch, so the feed clock preserves real-time precedence
-			// exactly as the batch clock does.
 			ns.pendingTk.Complete(out)
 			ns.pendingTk = nil
-		} else {
-			rec := &ns.log[ns.pendingIdx]
-			rec.output = out
-			rec.respondTS = rt.clock.Add(1)
-			ns.pendingIdx = -1
 		}
 		ns.pendingSpan.Mark(telemetry.StageEffect)
 		ns.pendingSpan = nil
-		if ns.pendingDone != nil {
-			ns.pendingDone <- out // buffered, single outstanding op: never blocks
-			ns.pendingDone = nil
-		}
+		ns.pendingDone <- out // buffered, single outstanding op: never blocks
+		ns.pendingDone = nil
 	}
 	for _, send := range eff.Sends {
 		rt.send(ns, send)

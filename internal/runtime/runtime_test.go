@@ -59,7 +59,7 @@ func check(t *testing.T, alg, cond string, h *ioa.History) {
 }
 
 // TestRunChecksConsistency drives each multi-writer algorithm on the runtime
-// and verifies the merged history passes the algorithm's consistency
+// and verifies the recorded history passes the algorithm's consistency
 // condition — the backend contract's safety half; on tcp every protocol
 // message crosses the wire codec and a loopback socket.
 func TestRunChecksConsistency(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // TestPipelinedManyClients runs a pipelined multi-client workload against 5
 // servers whose queues overflow for the whole run — sustained backpressure,
 // the regime a spawn-on-overflow fallback turns into a goroutine storm. The
-// run must complete, the merged history must be well-formed (RunConfig
-// rejects per-client interval overlap via ioa.HistoryFromOps — the
+// run must complete, the recorded history must be well-formed (RunConfig
+// rejects per-client interval overlap via ioa.History.AppendOp — the
 // per-client FIFO/ordering property pipelining must preserve), and the
 // goroutine count sampled during the run must stay linear in nodes, drivers
 // and connections.

@@ -308,6 +308,10 @@ func (c Config) validate() error {
 // or switch to WithOnlineCheck, whose retirement keeps residue small.
 const DefaultHistoryCap = 1 << 20
 
+// latencyWindow is how many of a shard's most recent completed operations
+// Metrics' latency percentiles cover.
+const latencyWindow = 1 << 16
+
 // ErrHistoryFull reports an interactive operation refused because the
 // shard's retained history reached Config.HistoryCap. The operation never
 // started (the register is untouched); branch with errors.Is.
@@ -334,8 +338,11 @@ type shard struct {
 	checker *consistency.OnlineChecker
 	// recorded counts operations accepted into the feed and not voided — the
 	// batch shard's retained-history size for the HistoryCap bound.
-	recorded   int
+	recorded int
+	// latencies is a ring of the last latencyWindow completed operations'
+	// durations, grown on demand; latNext is the slot the next one takes.
 	latencies  []time.Duration
+	latNext    int
 	writes     int
 	reads      int
 	nextWriter int
@@ -613,8 +620,19 @@ func (s *Store) runOp(ctx context.Context, sh *shard, client ioa.NodeID, inv ioa
 		return nil, fmt.Errorf("session: shard %d: %w", sh.index, err)
 	}
 	tk.Complete(out)
-	sh.latencies = append(sh.latencies, lat)
+	sh.recordLatency(lat)
 	return out, nil
+}
+
+// recordLatency puts lat in the ring, over the oldest entry once the ring is
+// full. Callers hold sh.mu.
+func (sh *shard) recordLatency(lat time.Duration) {
+	if len(sh.latencies) < latencyWindow {
+		sh.latencies = append(sh.latencies, lat)
+	} else {
+		sh.latencies[sh.latNext] = lat
+	}
+	sh.latNext = (sh.latNext + 1) % latencyWindow
 }
 
 // history rebuilds a batch shard's checkable history: the sink's settled
@@ -732,8 +750,10 @@ type Metrics struct {
 	MaxServerBits         int
 	// Faults sums the per-shard fault event counts.
 	Faults ioa.FaultStats
-	// LatencyP50 and LatencyP99 are nearest-rank percentiles over every
-	// completed interactive operation's wall-clock duration. On the
+	// LatencyP50 and LatencyP99 are nearest-rank percentiles over the
+	// wall-clock durations of each shard's most recent 65,536 completed
+	// interactive operations (a fixed window: a store's memory and the cost
+	// of Metrics do not grow with the operations it has served). On the
 	// simulator these measure host speed, not the algorithm; on the live
 	// backend they are the service's real latencies.
 	LatencyP50 time.Duration

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/register"
 	"repro/internal/store"
@@ -288,5 +289,34 @@ func TestRunMultiDeterministic(t *testing.T) {
 	}
 	if r1.Faults.DelayedMessages == 0 {
 		t.Error("config fault scenario not inherited by RunMulti")
+	}
+}
+
+// TestLatencyWindowIsBounded: a shard remembers the durations of its last
+// latencyWindow completed operations and no more, so a long-lived store's
+// Metrics stays the same size and its percentiles follow recent operations.
+func TestLatencyWindowIsBounded(t *testing.T) {
+	st := openSim(t, Config{})
+	sh := st.shards[0]
+	sh.mu.Lock()
+	for i := 0; i < latencyWindow; i++ {
+		sh.recordLatency(time.Hour) // old and slow
+	}
+	sh.mu.Unlock()
+	if m := st.Metrics(); m.LatencyP50 != time.Hour || m.LatencyP99 != time.Hour {
+		t.Fatalf("full window of 1h ops: p50 %v p99 %v", m.LatencyP50, m.LatencyP99)
+	}
+	sh.mu.Lock()
+	for i := 0; i < latencyWindow-1; i++ {
+		sh.recordLatency(time.Millisecond)
+	}
+	held := len(sh.latencies)
+	sh.mu.Unlock()
+	if held != latencyWindow {
+		t.Fatalf("ring holds %d durations, want %d", held, latencyWindow)
+	}
+	// One old operation is left: it is the maximum, not the 99th percentile.
+	if m := st.Metrics(); m.LatencyP50 != time.Millisecond || m.LatencyP99 != time.Millisecond {
+		t.Fatalf("after a window of 1ms ops: p50 %v p99 %v", m.LatencyP50, m.LatencyP99)
 	}
 }

@@ -65,8 +65,7 @@ type FlightResult struct {
 // order holds and the automaton still sees one op at a time. A timed-out
 // operation retires its client: the automaton is stuck mid-protocol, so
 // every op queued behind it is abandoned rather than waited out. Latencies
-// are collected per driver — mutex-free, like the runtime's logs — and
-// merged after the joins; a pipelined latency includes the queue wait at
+// are collected per driver, mutex-free, and merged after the joins; a pipelined latency includes the queue wait at
 // the node.
 func RunFlights(cl *cluster.Cluster, spec Spec, cfg FlightConfig) FlightResult {
 	var writesLeft, readsLeft atomic.Int64

@@ -1,5 +1,4 @@
 GO ?= go
-DATE ?= $(shell date +%Y-%m-%d)
 
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector
@@ -7,7 +6,7 @@ DATE ?= $(shell date +%Y-%m-%d)
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime
 MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K'
 
-.PHONY: build test race runtime-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-json bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update ci
+.PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
 build:
 	$(GO) build ./...
@@ -30,11 +29,11 @@ runtime-race:
 # the live and net backends under the race detector — the chaos tests first
 # (snapshot-restore durability, partition gate timing and healing, goroutine
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
-# over both links), then a small faultsim scenario matrix driving the whole
+# over both links), then a small `shmem grid` scenario matrix driving the whole
 # grid over real goroutines and real sockets.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder' ./internal/runtime
-	$(GO) run -race ./cmd/faultsim -grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
+	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 
 # Streaming-checker smoke: one live-backend cluster streams a 10^5-op
@@ -46,30 +45,26 @@ check-smoke:
 	$(GO) test -race -count=1 -run TestCheckSmokeOnline -v .
 	@echo check-smoke ok
 
-# End-to-end smoke of the live load generator: a small client-count sweep on
-# two shards, consistency-checked per shard, plus one pipelined point
-# (depth > 1) exercising the bounded-mailbox flow-control path.
-liveload-smoke:
-	$(GO) run ./cmd/liveload -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null
-	$(GO) run ./cmd/liveload -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null
-	@echo liveload-smoke ok
+# End-to-end smoke of the load generator on both wall-clock backends: a small
+# client-count sweep on two shards, consistency-checked per shard; one
+# healing-partition point (held at the channel on live, at the socket on net);
+# and one pipelined point (depth > 1) exercising the bounded-mailbox
+# flow-control path.
+load-smoke:
+	@set -e; for b in live net; do \
+		$(GO) run ./cmd/shmem load -backend $$b -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null; \
+		$(GO) run ./cmd/shmem load -backend $$b -clients 1 -ops 16 -shards 1 -keys 4 -faults partition@0:200 > /dev/null; \
+		$(GO) run ./cmd/shmem load -backend $$b -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null; \
+	done
+	@echo load-smoke ok
 
-# End-to-end smoke of the real-network load generator: the same sweep shape
-# over actual loopback TCP sockets, plus one healing-partition point — the
-# fault class only the net backend can run outside the simulator.
-netload-smoke:
-	$(GO) run ./cmd/netload -clients 1,2,4 -ops 48 -shards 2 -keys 16 > /dev/null
-	$(GO) run ./cmd/netload -clients 1 -ops 16 -shards 1 -keys 4 -faults partition@0:200 > /dev/null
-	$(GO) run ./cmd/netload -clients 4 -ops 64 -shards 1 -keys 8 -pipeline 4 > /dev/null
-	@echo netload-smoke ok
-
-# Telemetry smoke: a netload sweep with -telemetry serving live /metrics,
-# scraped repeatedly while it runs — every scrape must be a well-formed
+# Telemetry smoke: a `shmem load -backend net` sweep with -telemetry serving
+# live /metrics, scraped repeatedly while it runs — every scrape must be a well-formed
 # Prometheus exposition with monotone counters (TestTelemetrySmoke), and the
 # storage gauges a live run publishes must never exceed the final ioa
 # watermark (TestTelemetryScrapeDuringLiveRun).
 telemetry-smoke:
-	$(GO) test -race -count=1 -run TestTelemetrySmoke ./cmd/netload
+	$(GO) test -race -count=1 -run TestTelemetrySmoke ./cmd/shmem
 	$(GO) test -race -count=1 -run TestTelemetryScrapeDuringLiveRun .
 	@echo telemetry-smoke ok
 
@@ -88,18 +83,6 @@ bench-micro:
 # hot-path harnesses compiling and running.
 bench-micro-smoke:
 	$(GO) test -run NONE -bench $(MICRO_BENCH) -benchtime 1x $(MICRO_PKGS)
-
-# Machine-readable perf record: runs the micro-benchmarks plus the
-# experiment benchmarks (E9-E12, E14) and writes BENCH_<date>.json for the repository's
-# perf trajectory. Override DATE to control the filename/stamp. Bench output
-# is staged in a temp file so a failing benchmark run aborts the target
-# instead of silently committing a partial baseline.
-bench-json:
-	$(GO) test -run NONE -bench $(MICRO_BENCH) -benchmem -benchtime 0.2s $(MICRO_PKGS) > bench-json.tmp
-	$(GO) test -run NONE -bench 'E9|E10ShardedStore|E11FaultScenarios|E12LiveThroughput|E14OnlineCheck' -benchmem -benchtime 2x . >> bench-json.tmp
-	$(GO) run ./cmd/benchjson -date $(DATE) < bench-json.tmp > BENCH_$(DATE).json
-	@rm -f bench-json.tmp
-	@echo wrote BENCH_$(DATE).json
 
 # The repo benchmark's own tests (bench/ is a module of its own, so the root
 # ./... never reaches it): a short smoke of all five BENCHMARK.json workloads
@@ -150,5 +133,11 @@ apicheck-update:
 	$(GO) doc -all . > API.txt
 	@echo wrote API.txt
 
+# The public API has no deprecated predecessor beside it; this keeps one from
+# quietly growing back.
+deprecated-check:
+	@! grep -rn 'Deprecated:' --include='*.go' .
+	@echo deprecated-check ok
+
 # Exactly what CI runs.
-ci: build vet fmt-check apicheck race runtime-race chaos-smoke check-smoke liveload-smoke netload-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check
+ci: build vet fmt-check apicheck deprecated-check race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check

@@ -12,21 +12,32 @@ package shmem
 //	E6 BenchmarkE6BoundSweep         — bound evaluation across parameters
 //	E7 BenchmarkE7RestrictedClass    — executable Theorem 6.5 experiment
 //	E8 (cmd/lowerbounds -summary)    — Section 7 summary (not timed)
-//	E9 BenchmarkE9CheckerThroughput  — consistency-checker throughput
-//	E10 BenchmarkE10ShardedStore     — sharded store: normcost and ops/sec vs shard count
-//	E11 BenchmarkE11FaultScenarios   — storage high-water marks and liveness verdicts across the fault scenario grid
-//	E12 BenchmarkE12LiveThroughput   — live-backend throughput across client counts and pipeline depths
-//	E13 (cmd/liveload, cmd/netload -faults crash-f@...) — crash-recovery durability (not timed)
-//	E14 BenchmarkE14OnlineCheck      — online windowed checking vs offline CheckAtomic vs no check on a live run
+//
+// These are the paper-reproduction experiments. Performance is measured by
+// the repository benchmark instead (BENCHMARK.json, bench/) and by the
+// hot-path micro-benchmarks next to the code they time (make bench-micro).
 //
 // Custom metrics (b.ReportMetric) carry the experiment's headline numbers so
 // that bench output doubles as the results record: "normcost" is total
 // storage normalized by log2|V|, directly comparable to Figure 1's y-axis.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
+
+// withStore runs one experiment iteration against a fresh one-shard simulator
+// store of the algorithm, with the given writer count and one reader.
+func withStore(b *testing.B, alg string, n, f, writers int, iteration func(*Store)) {
+	b.Helper()
+	st, err := Open(Config{Algorithms: []string{alg}, Servers: n, F: f}, WithClients(writers, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	iteration(st)
+}
 
 // E1: Figure 1 series generation at the paper's parameters.
 func BenchmarkFigure1Series(b *testing.B) {
@@ -51,24 +62,18 @@ func BenchmarkE2ClassicalComparison(b *testing.B) {
 	const n, f, valBytes = 8, 2, 4096
 	log2V := float64(8 * valBytes)
 	var abdNorm, soloNorm float64
+	writeOnce := func(alg string) (norm float64) {
+		withStore(b, alg, n, f, 1, func(st *Store) {
+			if err := st.Put(context.Background(), 0, MakeValue(valBytes, 1)); err != nil {
+				b.Fatal(err)
+			}
+			norm = float64(st.Metrics().AggregateMaxTotalBits) / log2V
+		})
+		return norm
+	}
 	for i := 0; i < b.N; i++ {
-		abdCl, err := DeployABD(n, f, 1, 1, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := Write(abdCl, 0, MakeValue(valBytes, 1)); err != nil {
-			b.Fatal(err)
-		}
-		abdNorm = float64(abdCl.Sys.Storage().MaxTotalBits) / log2V
-
-		soloCl, err := DeploySolo(n, f, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := Write(soloCl, 0, MakeValue(valBytes, 1)); err != nil {
-			b.Fatal(err)
-		}
-		soloNorm = float64(soloCl.Sys.Storage().MaxTotalBits) / log2V
+		abdNorm = writeOnce("abd")
+		soloNorm = writeOnce("solo")
 	}
 	p := Params{N: n, F: f}
 	b.ReportMetric(abdNorm, "replication_normcost")
@@ -84,17 +89,15 @@ func BenchmarkE3StorageVsNu(b *testing.B) {
 		b.Run(fmt.Sprintf("casgc/nu=%d", nu), func(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
-				cl, err := DeployCAS(n, f, 0, nu, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := RunWorkload(cl, WorkloadSpec{
-					Seed: 7, Writes: 5 * nu, Reads: 2, TargetNu: nu, ValueBytes: valBytes,
+				withStore(b, "casgc", n, f, nu, func(st *Store) {
+					res, err := st.RunWorkload(WorkloadSpec{
+						Seed: 7, Writes: 5 * nu, Reads: 2, TargetNu: nu, ValueBytes: valBytes,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					norm = res.NormalizedTotal
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				norm = res.NormalizedTotal
 			}
 			b.ReportMetric(norm, "normcost")
 			b.ReportMetric(Theorem65TotalBits(Params{N: n, F: f}, nu, float64(8*valBytes))/float64(8*valBytes), "T65_bound")
@@ -103,17 +106,15 @@ func BenchmarkE3StorageVsNu(b *testing.B) {
 	b.Run("abd/nu=3", func(b *testing.B) {
 		var norm float64
 		for i := 0; i < b.N; i++ {
-			cl, err := DeployABD(n, f, 3, 1, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := RunWorkload(cl, WorkloadSpec{
-				Seed: 7, Writes: 15, Reads: 2, TargetNu: 3, ValueBytes: valBytes,
+			withStore(b, "abd-mwmr", n, f, 3, func(st *Store) {
+				res, err := st.RunWorkload(WorkloadSpec{
+					Seed: 7, Writes: 15, Reads: 2, TargetNu: 3, ValueBytes: valBytes,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				norm = res.NormalizedTotal
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			norm = res.NormalizedTotal
 		}
 		b.ReportMetric(norm, "normcost")
 	})
@@ -126,17 +127,16 @@ func BenchmarkE4SingletonBound(b *testing.B) {
 	log2V := float64(8 * valBytes)
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		cl, err := DeploySolo(n, f, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := Write(cl, 0, MakeValue(valBytes, 9)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
-		norm = float64(cl.Sys.Storage().CurrentTotalBits) / log2V
+		withStore(b, "solo", n, f, 1, func(st *Store) {
+			ctx := context.Background()
+			if err := st.Put(ctx, 0, MakeValue(valBytes, 9)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.Get(ctx, 0); err != nil {
+				b.Fatal(err)
+			}
+			norm = float64(st.Metrics().PerShard[0].Storage.CurrentTotalBits) / log2V
+		})
 	}
 	b.ReportMetric(norm, "normcost")
 	b.ReportMetric(SingletonTotalBits(Params{N: n, F: f}, log2V)/log2V, "B1_bound")
@@ -197,244 +197,4 @@ func BenchmarkE7RestrictedClass(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.PrefixServers), "prefix_servers")
 	b.ReportMetric(float64(res.VectorsDistinct), "distinct_vectors")
-}
-
-// E9: consistency-checker throughput on a realistic concurrent history.
-func BenchmarkE9CheckerThroughput(b *testing.B) {
-	cl, err := DeployABD(5, 2, 2, 2, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := RunWorkload(cl, WorkloadSpec{
-		Seed: 11, Writes: 40, Reads: 40, TargetNu: 2, ValueBytes: 32,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := CheckAtomic(res.History, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.History.Ops)), "ops")
-}
-
-// E10: the sharded multi-register store — aggregate normalized storage and
-// operation throughput as the keyspace spreads over 1 to 16 CAS shards,
-// each shard an independent system run by the parallel workload engine.
-// Load scales with the shard count so per-shard work stays constant.
-func BenchmarkE10ShardedStore(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var res *StoreResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = RunStore(StoreOptions{
-					Shards:     shards,
-					Algorithms: []string{"cas"},
-					Servers:    5,
-					F:          1,
-					Workload: MultiWorkloadSpec{
-						Seed:         11,
-						Keys:         8 * shards,
-						Ops:          16 * shards,
-						ReadFraction: 0.25,
-						Skew:         "zipf",
-						TargetNu:     2,
-						ValueBytes:   256,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.NormalizedTotal, "normcost")
-			b.ReportMetric(res.OpsPerSec, "ops/sec")
-		})
-	}
-}
-
-// E11: the fault scenario grid — the store under quorum-preserving crashes,
-// a healing partition, lossy links and delay/reorder, per algorithm class
-// (ABD replication vs CAS erasure coding). Reported metrics are the
-// experiment's verdict record: the storage high-water mark normalized by
-// log2|V| ("normcost"), the largest single-server footprint in bits, and how
-// many shards went quiescent (liveness lost; safety is asserted via the
-// per-shard consistency checks inside RunStore either way).
-func BenchmarkE11FaultScenarios(b *testing.B) {
-	scenarios := []string{"none", "crash-f@10", "partition@40:4000", "lossy=0.02", "delay=1:16"}
-	for _, algo := range []string{"abd-mwmr", "cas"} {
-		for _, scenario := range scenarios {
-			b.Run(algo+"/"+scenario, func(b *testing.B) {
-				b.ReportAllocs()
-				var res *StoreResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = RunStore(StoreOptions{
-						Shards:     2,
-						Algorithms: []string{algo},
-						Servers:    5,
-						F:          1,
-						Workload: MultiWorkloadSpec{
-							Seed:         11,
-							Keys:         16,
-							Ops:          48,
-							ReadFraction: 0.25,
-							TargetNu:     2,
-							ValueBytes:   256,
-							Faults:       []string{scenario},
-						},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(res.NormalizedTotal, "normcost")
-				b.ReportMetric(float64(res.MaxServerBits), "maxsrvbits")
-				b.ReportMetric(float64(res.QuiescentShards), "quiescent")
-			})
-		}
-	}
-}
-
-// E12: live-backend throughput across client counts and pipeline depths —
-// the flow-control record. Bounded mailboxes give the run backpressure
-// instead of goroutine storms, and pipelining keeps each client's next
-// operations queued at the node, so throughput holds as concurrency grows.
-// Consistency checking is disabled (the checkers are worst-case exponential
-// in write concurrency); history well-formedness is still enforced by
-// construction. "ops/sec" is the headline metric; "lost" must stay 0 on a
-// fault-free run. The clients=64/pipeline=4 point runs twice — telemetry off
-// and on — as the instrumentation-overhead record: the lock-free counters,
-// latency histograms and storage samplers are budgeted at under 5% of
-// throughput (DESIGN.md section 14), and this pair is the regression gate.
-func BenchmarkE12LiveThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		clients, pipeline int
-		telemetry         bool
-	}{
-		{16, 1, false}, {16, 4, false}, {64, 4, false}, {64, 4, true}, {256, 8, false},
-	} {
-		name := fmt.Sprintf("clients=%d/pipeline=%d", tc.clients, tc.pipeline)
-		if tc.telemetry {
-			name += "/telemetry=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res *StoreResult
-			for i := 0; i < b.N; i++ {
-				opts := []Option{WithClients(tc.clients, tc.clients), WithPipeline(tc.pipeline), WithSkipCheck()}
-				if tc.telemetry {
-					opts = append(opts, WithTelemetry(NewTelemetry()))
-				}
-				st, err := Open(Config{
-					Algorithms: []string{"abd-mwmr"},
-					Servers:    5,
-					F:          1,
-					Backend:    "live",
-				}, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = st.RunMulti(MultiWorkloadSpec{
-					Seed:         11,
-					Keys:         32,
-					Ops:          8 * tc.clients,
-					ReadFraction: 0.3,
-					TargetNu:     tc.clients,
-					ValueBytes:   64,
-				})
-				st.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.OpsPerSec, "ops/sec")
-			b.ReportMetric(float64(res.Faults.Drops+res.Faults.TransportDropped), "lost")
-		})
-	}
-}
-
-// E14: the cost of verification on a live run — the streaming-checker
-// record. The same abd-mwmr workload runs three ways: online (the windowed
-// checker rides the run via the history sink, drivers quiescing every
-// window), offline (the full history accumulates and CheckAtomic runs after
-// the fact, worst-case exponential and quadratic even when it behaves), and
-// skip (no checking: the throughput ceiling). "ops/sec" includes the check
-// for the online and offline modes — that is the point — and "verified"
-// reports how much of the history the online frontier retired.
-func BenchmarkE14OnlineCheck(b *testing.B) {
-	const ops = 20_000
-	for _, mode := range []string{"online", "offline", "skip"} {
-		b.Run(mode, func(b *testing.B) {
-			var res *StoreResult
-			for i := 0; i < b.N; i++ {
-				opts := []Option{WithClients(1, 1), WithPipeline(8)}
-				switch mode {
-				case "online":
-					opts = append(opts, WithOnlineCheck())
-				case "skip":
-					opts = append(opts, WithSkipCheck())
-				}
-				st, err := Open(Config{
-					Algorithms: []string{"abd-mwmr"},
-					Servers:    5,
-					F:          1,
-					Backend:    "live",
-				}, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = st.RunMulti(MultiWorkloadSpec{
-					Seed:         11,
-					Keys:         32,
-					Ops:          ops,
-					ReadFraction: 0.5,
-					TargetNu:     1,
-					ValueBytes:   16,
-				})
-				st.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.OpsPerSec, "ops/sec")
-			b.ReportMetric(float64(res.OpsVerified), "verified")
-		})
-	}
-}
-
-// End-to-end operation latency benchmarks for the two main algorithms.
-func BenchmarkABDWriteReadPair(b *testing.B) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Write(cl, 0, MakeValue(64, uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCASWriteReadPair(b *testing.B) {
-	cl, err := DeployCAS(7, 2, 0, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Write(cl, 0, MakeValue(64, uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(cl, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

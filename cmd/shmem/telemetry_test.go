@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -17,15 +16,14 @@ import (
 // name, optional label set, one float value.
 var sampleLineRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE.+-]+$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [+-]Inf$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? NaN$`)
 
-// TestTelemetrySmoke runs netload with -telemetry and scrapes the live
+// TestTelemetrySmoke runs a net load sweep with -telemetry and scrapes the live
 // /metrics endpoint repeatedly while the sweep executes: every scrape must
 // be a well-formed exposition, counters must be monotone across consecutive
 // scrapes, and the net-backend families (transport counters, storage
 // gauges, latency histograms) must appear. This is the in-process version of
 // `make telemetry-smoke`.
 func TestTelemetrySmoke(t *testing.T) {
-	flag.CommandLine = flag.NewFlagSet("netload", flag.ContinueOnError)
-	os.Args = []string{"netload",
+	os.Args = []string{"shmem", "load", "-backend", "net",
 		"-clients", "2", "-ops", "600", "-shards", "1", "-keys", "8",
 		"-telemetry", "127.0.0.1:0", "-stat-interval", "100ms"}
 

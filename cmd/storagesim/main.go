@@ -15,6 +15,8 @@ import (
 	"os"
 
 	shmem "repro"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -36,11 +38,18 @@ func run() error {
 	crashes := flag.Int("crashes", 0, "random server crashes during the run")
 	flag.Parse()
 
-	cl, cond, err := shmem.DeployAlgorithm(*alg, *n, *f, *nu)
+	// The store handle does not expose a cluster's write profile, which the
+	// Theorem 6.5 line below reads, so this command deploys the cluster itself
+	// — through the same Config validation Open applies.
+	cfg, err := store.Config{Algorithms: []string{*alg}, Servers: *n, F: *f}.Resolve()
 	if err != nil {
 		return err
 	}
-	res, err := shmem.RunWorkload(cl, shmem.WorkloadSpec{
+	cl, cond, err := store.DeployAlgorithm(*alg, cfg.Servers, cfg.F, *nu)
+	if err != nil {
+		return err
+	}
+	res, err := workload.Run(cl, workload.Spec{
 		Seed: *seed, Writes: *writes, Reads: *reads, TargetNu: *nu,
 		ValueBytes: *valueBytes, Crashes: *crashes,
 	})
@@ -50,10 +59,10 @@ func run() error {
 	if err := res.CheckConsistency(cond); err != nil {
 		return fmt.Errorf("consistency check (%s) FAILED: %w", cond, err)
 	}
-	p := shmem.Params{N: *n, F: *f}
+	p := shmem.Params{N: cfg.Servers, F: cfg.F}
 	log2V := res.Log2V
 	fmt.Printf("algorithm        : %s (write profile: %d phases)\n", cl.Name, len(cl.Profile.Phases))
-	fmt.Printf("configuration    : N=%d f=%d target-nu=%d log2|V|=%.0f\n", *n, *f, *nu, log2V)
+	fmt.Printf("configuration    : N=%d f=%d target-nu=%d log2|V|=%.0f\n", p.N, p.F, *nu, log2V)
 	fmt.Printf("operations       : %d (peak active writes %d)\n", len(res.History.Ops), res.PeakActiveWrites)
 	fmt.Printf("consistency      : %s OK\n", cond)
 	fmt.Printf("max total storage: %d bits (normalized %.4f)\n", res.Storage.MaxTotalBits, res.NormalizedTotal)

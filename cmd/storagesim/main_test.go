@@ -32,3 +32,12 @@ func TestRunCASGC(t *testing.T) {
 		t.Errorf("missing Theorem 6.5 line:\n%s", out)
 	}
 }
+
+// TestRejectsBadShape: a negative server count is a named error, not a panic
+// inside cluster construction.
+func TestRejectsBadShape(t *testing.T) {
+	err := cmdtest.RunErr(t, run, "storagesim", "-n", "-1")
+	if err == nil || !strings.Contains(err.Error(), "Servers must be >= 1") {
+		t.Errorf("storagesim -n -1: err = %v, want an error naming Servers", err)
+	}
+}

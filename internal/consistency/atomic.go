@@ -1,7 +1,6 @@
 package consistency
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -201,12 +200,4 @@ func respondOrInf(op ioa.Op) int {
 		return math.MaxInt
 	}
 	return op.RespondStep
-}
-
-// MustBeValue is a test helper asserting a read output.
-func MustBeValue(op ioa.Op, want []byte) error {
-	if !bytes.Equal(op.Output, want) {
-		return fmt.Errorf("consistency: op %d returned %s, want %s", op.ID, preview(op.Output), preview(want))
-	}
-	return nil
 }

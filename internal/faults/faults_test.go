@@ -68,7 +68,7 @@ func TestParseErrors(t *testing.T) {
 // grammar production: specs whose parameters can never build (recovery
 // before or at the crash step, heal before or at the partition start,
 // inverted delay range) must fail at Parse time — a CLI user of
-// `shardsim -faults` or `faultsim` gets the error immediately, not from
+// `shmem run -faults` gets the error immediately, not from
 // Scenario.Build in the middle of a run. Boundary-valid neighbours of each
 // bad spec must keep parsing.
 func TestParseRejectsImpossibleWindows(t *testing.T) {

@@ -53,30 +53,33 @@ func TestCrossBackendDifferential(t *testing.T) {
 			alg, spec := alg, spec
 			t.Run(fmt.Sprintf("%s/%s", alg, spec), func(t *testing.T) {
 				t.Parallel()
-				opts := func(backend string, workers int) store.Options {
-					return store.Options{
+				run := func(backend string, workers int) (*store.Result, error) {
+					cfg, err := store.Config{
 						Shards:     4,
 						Algorithms: []string{alg},
 						Servers:    5,
 						F:          1,
 						Workers:    workers,
 						Backend:    backend,
-						Workload: workload.MultiSpec{
-							Seed:         11,
-							Keys:         16,
-							Ops:          48,
-							ReadFraction: 0.4,
-							TargetNu:     2,
-							ValueBytes:   64,
-							Faults:       []string{spec},
-						},
+						Faults:     []string{spec},
+					}.Resolve()
+					if err != nil {
+						return nil, err
 					}
+					return store.Run(cfg, workload.MultiSpec{
+						Seed:         11,
+						Keys:         16,
+						Ops:          48,
+						ReadFraction: 0.4,
+						TargetNu:     2,
+						ValueBytes:   64,
+					})
 				}
-				simA, err := store.Run(opts(store.BackendSim, 1))
+				simA, err := run(store.BackendSim, 1)
 				if err != nil {
 					t.Fatalf("sim backend: %v", err)
 				}
-				simB, err := store.Run(opts(store.BackendSim, 4))
+				simB, err := run(store.BackendSim, 4)
 				if err != nil {
 					t.Fatalf("sim backend (4 workers): %v", err)
 				}
@@ -84,7 +87,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 					t.Errorf("simulator oracle broke: fingerprints differ across worker counts\n%s\n%s", a, b)
 				}
 				for _, backend := range []string{store.BackendLive, store.BackendNet} {
-					res, err := store.Run(opts(backend, 4))
+					res, err := run(backend, 4)
 					if err != nil {
 						t.Fatalf("%s backend: %v", backend, err)
 					}

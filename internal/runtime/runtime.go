@@ -123,7 +123,7 @@ type Config struct {
 	// at least once per sync, bounding its peak memory by construction
 	// rather than by the scheduler happening to align the clients' idle
 	// gaps. Zero disables syncing; the store engine's online-check mode
-	// (store.Options.OnlineCheck) defaults it to the retirement window, and
+	// (store.Config.OnlineCheck) defaults it to the retirement window, and
 	// a negative value forces it off even there.
 	SyncOps int
 	// Telemetry, when it carries a registry, streams run metrics into it:

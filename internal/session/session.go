@@ -29,284 +29,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/consistency"
-	"repro/internal/faults"
 	"repro/internal/ioa"
-	"repro/internal/runtime"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// Config names everything a Store needs: the algorithm mix, the per-shard
-// cluster shape (n, f), the shard count, the execution backend, the fault
-// scenarios, and the interactive tuning. The zero value opens a one-shard
-// CAS store of 5 servers tolerating 1 crash on the simulator.
-type Config struct {
-	// Algorithms assigns an algorithm per shard, cycling when shorter than
-	// Shards (shard i runs Algorithms[i mod len]), exactly as
-	// store.Options.Algorithms does. Empty defaults to CAS everywhere.
-	Algorithms []string
-	// Servers and F shape every shard's cluster (N servers, f tolerated
-	// crashes). Servers 0 defaults to 5 servers tolerating 1 crash.
-	Servers int
-	F       int
-	// Shards is the number of independent register deployments (default 1).
-	// Keys are routed to shards by workload.KeyShard.
-	Shards int
-	// Backend selects the execution substrate: store.BackendSim (default,
-	// the deterministic simulator), store.BackendLive (the concurrent
-	// goroutine-per-node runtime) or store.BackendNet (every node on its own
-	// TCP socket over the real loopback network).
-	Backend string
-	// Faults assigns a fault scenario spec per shard, cycling like
-	// Algorithms; "" or "none" leaves a shard fault-free. Specs follow the
-	// internal/faults.Parse grammar and every scenario class runs on every
-	// backend — the live and net runtimes execute outage windows and
-	// crash/recovery schedules against a wall-clock step mapping (see
-	// faults.WallClock). Malformed specs are rejected at Open.
-	Faults []string
-	// Writers and Readers are the per-shard client counts. Zero means the
-	// defaults: one writer and one reader for interactive shards, and the
-	// per-algorithm DeployAlgorithm shapes for batch runs (RunMulti,
-	// RunWorkload). Single-writer algorithms reject Writers > 1.
-	Writers int
-	Readers int
-	// StepBudget bounds the deliveries one interactive simulator operation
-	// may consume (0 = workload.DefaultStepBudget). Exhausting it returns
-	// store.ErrStepBudget. Ignored on the live and net backends, which
-	// bound operations by their OpTimeout instead.
-	StepBudget int
-	// Live and Net tune the node runtime for the live and the net backend
-	// respectively — one type, and only the selected backend's value is
-	// read; the zero value selects the defaults (ephemeral loopback ports on
-	// net, 5s op timeout).
-	Live runtime.Config
-	Net  runtime.Config
-	// Seed derives each shard's fault-plan decision stream (and seeds batch
-	// runs through RunWorkload). Same seed, same injected faults.
-	Seed int64
-	// Workers bounds the goroutines RunMulti uses (0 = GOMAXPROCS).
-	Workers int
-	// Pipeline sets the per-client operation pipeline depth the live and net
-	// batch drivers use (0 keeps each runtime's default of 1): each driver
-	// keeps up to this many operations in flight at one client, with the
-	// node starting each only after its predecessor responds, so per-client
-	// program order is preserved. It is the default for the selected
-	// runtime config's own Pipeline; ignored on the simulator and for
-	// interactive Put/Get, which stay one-op-per-client.
-	Pipeline int
-	// SkipCheck disables batch runs' per-shard consistency checking
-	// (store.Options.SkipCheck), to measure unchecked throughput; only the
-	// regularity checks are still quadratic. Interactive CheckConsistency is
-	// unaffected.
-	SkipCheck bool
-	// OnlineCheck streams every settled operation into a windowed online
-	// atomicity checker instead of accumulating a batch history. Interactive
-	// atomic-condition shards then retire provably-linearized prefixes as the
-	// store runs — CheckConsistency reads off the standing verdict plus the
-	// residual window, memory stays bounded by the window rather than the op
-	// count, and Metrics reports the verified frontier (OpsVerified,
-	// WindowLag). Regular-condition shards keep the batch history — the
-	// windowed decomposition is proved for atomicity. Batch runs (RunMulti)
-	// inherit the same switch through store.Options.OnlineCheck.
-	OnlineCheck bool
-	// OnlineWindow is the online checker's retirement window in operations
-	// (0 = consistency.DefaultWindowOps).
-	OnlineWindow int
-	// HistoryCap bounds the interactive operations a batch-history shard
-	// retains (0 = DefaultHistoryCap). Once a shard's retained history
-	// reaches the cap, further operations on it fail with ErrHistoryFull
-	// rather than growing without bound. Online-checked shards reclaim
-	// retired prefixes instead, so the cap binds only their unretired
-	// residue (pending ops plus the open window), not the total op count.
-	HistoryCap int
-	// Telemetry, when set, wires the store into the metrics registry: the
-	// live and net runtimes publish per-node storage-bit gauges against the
-	// paper bounds, op-latency histograms, transport counters and
-	// online-checker lag under a per-shard "shard" label, for batch runs
-	// (RunWorkload, RunMulti) and interactive shards alike. Serve the
-	// registry with telemetry.Serve (shmem.ServeTelemetry). Ignored on the
-	// simulator backend. Nil disables all instrumentation at zero cost.
-	Telemetry *telemetry.Registry
-}
-
-// Option mutates a Config before Open validates it — the functional-options
-// face of the same knobs, for call sites that start from the zero Config.
-type Option func(*Config)
-
-// WithBackend selects the execution backend ("sim", "live" or "net").
-func WithBackend(name string) Option { return func(c *Config) { c.Backend = name } }
-
-// WithShards sets the number of independent register shards.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// WithFaults assigns fault scenario specs, cycled per shard.
-func WithFaults(specs ...string) Option { return func(c *Config) { c.Faults = specs } }
-
-// WithLiveConfig tunes the node runtime on the live backend.
-func WithLiveConfig(lc runtime.Config) Option { return func(c *Config) { c.Live = lc } }
-
-// WithNetConfig tunes the node runtime on the net backend (listen address,
-// step duration, op timeout, transport dial/queue bounds).
-func WithNetConfig(nc runtime.Config) Option { return func(c *Config) { c.Net = nc } }
-
-// WithTransport selects the net backend listening on addrSpec — an address
-// whose port part should stay 0 so every node gets its own ephemeral port
-// (e.g. "127.0.0.1:0"). Empty keeps the default loopback spec. It implies
-// WithBackend("net").
-func WithTransport(addrSpec string) Option {
-	return func(c *Config) {
-		c.Backend = store.BackendNet
-		c.Net.ListenAddr = addrSpec
-	}
-}
-
-// WithStepBudget bounds each interactive simulator operation's deliveries.
-func WithStepBudget(n int) Option { return func(c *Config) { c.StepBudget = n } }
-
-// WithClients sets the per-shard writer and reader client counts.
-func WithClients(writers, readers int) Option {
-	return func(c *Config) { c.Writers, c.Readers = writers, readers }
-}
-
-// WithSeed sets the fault and batch-workload seed.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithWorkers bounds RunMulti's worker pool.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithPipeline sets the per-client pipeline depth for live and net batch
-// drivers (per-client program order is preserved; see Config.Pipeline).
-func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
-
-// WithSkipCheck disables batch runs' per-shard consistency checking, to
-// measure unchecked throughput (see Config.SkipCheck).
-func WithSkipCheck() Option { return func(c *Config) { c.SkipCheck = true } }
-
-// WithOnlineCheck streams settled operations into the windowed online
-// atomicity checker as the store runs (see Config.OnlineCheck).
-func WithOnlineCheck() Option { return func(c *Config) { c.OnlineCheck = true } }
-
-// WithOnlineWindow sets the online checker's retirement window in operations
-// (0 keeps consistency.DefaultWindowOps).
-func WithOnlineWindow(n int) Option { return func(c *Config) { c.OnlineWindow = n } }
-
-// WithHistoryCap bounds the interactive history a batch shard retains (see
-// Config.HistoryCap and ErrHistoryFull).
-func WithHistoryCap(n int) Option { return func(c *Config) { c.HistoryCap = n } }
-
-// WithTelemetry publishes the store's runtime metrics — storage gauges vs
-// the paper bounds, latency histograms, transport counters — into reg (see
-// Config.Telemetry).
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(c *Config) { c.Telemetry = reg }
-}
-
-func (c Config) withDefaults() Config {
-	if len(c.Algorithms) == 0 {
-		c.Algorithms = []string{store.AlgCAS}
-	}
-	if c.Servers == 0 {
-		c.Servers = 5
-		if c.F == 0 {
-			c.F = 1
-		}
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	return c
-}
-
-// runtimeConfig resolves the node-runtime config of the selected backend —
-// Net on the net backend, Live otherwise — with the store-level Pipeline as
-// its default depth.
-func (c Config) runtimeConfig() runtime.Config {
-	rc := c.Live
-	if c.Backend == store.BackendNet {
-		rc = c.Net
-	}
-	if rc.Pipeline == 0 {
-		rc.Pipeline = c.Pipeline
-	}
-	return rc
-}
-
-// shardRuntime returns the store's runtime config for one shard, carrying
-// the per-shard telemetry handle when a registry is configured. Interactive
-// shards get "interactive-<shard>" series labels so their standing samplers
-// never collide with batch runs reusing the same shard indices.
-func (s *Store) shardRuntime(shard int, interactive bool) runtime.Config {
-	rc := s.runtime
-	if s.cfg.Telemetry != nil {
-		rc.Telemetry = &telemetry.RunTelemetry{Registry: s.cfg.Telemetry, Shard: shard, Interactive: interactive}
-	}
-	return rc
-}
-
-// interactiveClients returns the per-shard client counts interactive shards
-// deploy with (zero defaults to one each).
-func (c Config) interactiveClients() (writers, readers int) {
-	writers, readers = c.Writers, c.Readers
-	if writers == 0 {
-		writers = 1
-	}
-	if readers == 0 {
-		readers = 1
-	}
-	return writers, readers
-}
-
-func (c Config) validate() error {
-	if c.Shards < 1 {
-		return fmt.Errorf("session: Shards must be >= 1")
-	}
-	if c.Writers < 0 || c.Readers < 0 {
-		return fmt.Errorf("session: negative client counts (writers=%d readers=%d)", c.Writers, c.Readers)
-	}
-	if c.StepBudget < 0 {
-		return fmt.Errorf("session: negative step budget %d", c.StepBudget)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("session: negative worker count")
-	}
-	if c.Pipeline < 0 {
-		return fmt.Errorf("session: negative pipeline depth %d", c.Pipeline)
-	}
-	if c.OnlineWindow < 0 {
-		return fmt.Errorf("session: negative online window %d", c.OnlineWindow)
-	}
-	if c.HistoryCap < 0 {
-		return fmt.Errorf("session: negative history cap %d", c.HistoryCap)
-	}
-	for _, a := range c.Algorithms {
-		if !slices.Contains(store.Algorithms(), a) {
-			return fmt.Errorf("session: unknown algorithm %q (known: %v)", a, store.Algorithms())
-		}
-	}
-	if _, err := store.BackendByName(c.Backend); err != nil {
-		return err
-	}
-	for i, spec := range c.Faults {
-		if _, err := faults.Parse(spec); err != nil {
-			return fmt.Errorf("session: Faults[%d]: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// DefaultHistoryCap is the retained-history bound a batch shard gets when
-// Config.HistoryCap is zero. A million 16-byte operations is roughly 100 MB
-// of retained history — past that, callers should either check and reopen,
-// or switch to WithOnlineCheck, whose retirement keeps residue small.
-const DefaultHistoryCap = 1 << 20
 
 // latencyWindow is how many of a shard's most recent completed operations
 // Metrics' latency percentiles cover.
@@ -368,24 +100,21 @@ type shard struct {
 // either backend. Open builds it; Close releases it (live node goroutines).
 // All methods are safe for concurrent use.
 type Store struct {
-	cfg     Config
-	runtime runtime.Config // the selected backend's node-runtime config, resolved once at Open
+	cfg     store.Config // resolved once at Open; nothing downstream re-defaults it
 	backend store.Backend
 	shards  []*shard
 	closed  atomic.Bool
 }
 
-// Open deploys the configured shards on the configured backend and returns
-// the store handle. Every shard's cluster and fault plan are built eagerly,
-// so configuration errors (unknown algorithm or backend, malformed or
-// backend-unsupported fault specs, invalid client counts) surface here, not
-// mid-operation.
-func Open(cfg Config, opts ...Option) (*Store, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+// Open resolves the configuration — every default filled, everything
+// validated, once — deploys its shards on its backend and returns the store
+// handle. Every shard's cluster and fault plan are built eagerly, so
+// configuration errors (unknown algorithm or backend, a non-positive cluster
+// shape, malformed or unbuildable fault specs, invalid client counts) surface
+// here, not mid-operation.
+func Open(cfg store.Config) (*Store, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	backend, err := store.BackendByName(cfg.Backend)
@@ -396,8 +125,9 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	// store opened with seed s injects exactly the faults a batch RunMulti
 	// with seed s would.
 	planSpec := workload.MultiSpec{Seed: cfg.Seed, Faults: cfg.Faults}
-	writers, readers := cfg.interactiveClients()
-	st := &Store{cfg: cfg, runtime: cfg.runtimeConfig(), backend: backend}
+	// Interactive shards deploy with one client of a role unless told more.
+	writers, readers := max(cfg.Writers, 1), max(cfg.Readers, 1)
+	st := &Store{cfg: cfg, backend: backend}
 	for i := 0; i < cfg.Shards; i++ {
 		alg := cfg.Algorithms[i%len(cfg.Algorithms)]
 		cl, cond, err := store.DeployAlgorithmSized(alg, cfg.Servers, cfg.F, writers, readers)
@@ -410,11 +140,9 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 			st.Close()
 			return nil, fmt.Errorf("session: shard %d: %w", i, err)
 		}
-		sess, err := backend.OpenShard(cl, store.ShardOptions{
-			Plan:       plan,
-			StepBudget: cfg.StepBudget,
-			Runtime:    st.shardRuntime(i, true),
-		})
+		opts := cfg.Shard(i, true)
+		opts.Plan = plan
+		sess, err := backend.OpenShard(cl, opts)
 		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("session: shard %d (%s, backend %s): %w", i, alg, backend.Name(), err)
@@ -450,8 +178,9 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 	return st, nil
 }
 
-// Config returns the effective (defaulted) configuration the store runs.
-func (s *Store) Config() Config { return s.cfg }
+// Config returns the resolved configuration the store runs: every default
+// filled in at Open, and the value every later call reads unchanged.
+func (s *Store) Config() store.Config { return s.cfg }
 
 // Backend returns the execution backend's name.
 func (s *Store) Backend() string { return s.backend.Name() }
@@ -555,13 +284,6 @@ func (sh *shard) retainedLocked() int {
 	return sh.recorded
 }
 
-func (c Config) historyCap() int {
-	if c.HistoryCap == 0 {
-		return DefaultHistoryCap
-	}
-	return c.HistoryCap
-}
-
 // runOp opens a ticket for the operation on the shard's feed, executes it on
 // the backend session, and settles the ticket with the outcome. The feed's
 // clock stamps the invocation when the ticket is issued — before the backend
@@ -580,7 +302,7 @@ func (s *Store) runOp(ctx context.Context, sh *shard, client ioa.NodeID, inv ioa
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("session: shard %d: client %d is retired after an abandoned operation", sh.index, client)
 	}
-	if hcap := s.cfg.historyCap(); sh.retainedLocked() >= hcap {
+	if hcap := s.cfg.HistoryCap; sh.retainedLocked() >= hcap {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("session: shard %d: %w (cap %d; check and reopen, raise WithHistoryCap, or switch to WithOnlineCheck)", sh.index, ErrHistoryFull, hcap)
 	}
@@ -807,8 +529,7 @@ func (s *Store) Metrics() Metrics {
 
 // RunWorkload runs one seeded single-register workload on a fresh cluster
 // of this store's configuration (first algorithm, same n/f and client
-// counts, same backend) — the batch path that replaces the free-function
-// RunWorkload/RunLiveWorkload pair. The store's first fault scenario is
+// counts, same backend). The store's first fault scenario is
 // installed unless the spec carries its own plan; the interactive shards
 // are untouched. The result's history is not consistency-checked; use
 // Result.CheckConsistency with Condition().
@@ -829,7 +550,7 @@ func (s *Store) RunWorkload(spec workload.Spec) (*workload.Result, error) {
 		}
 		spec.FaultPlan = plan
 	}
-	return s.backend.RunShard(cl, spec, store.ShardOptions{Runtime: s.shardRuntime(0, false)})
+	return s.backend.RunShard(cl, spec, s.cfg.Shard(0, false))
 }
 
 // Condition returns the consistency condition the store's first algorithm
@@ -839,34 +560,15 @@ func (s *Store) Condition() string {
 }
 
 // RunMulti partitions a multi-key workload across this store's shard count
-// and runs it on fresh clusters through the parallel store engine — the
-// batch path that replaces the free-function RunStore. The store's
-// algorithm mix, backend, client counts and fault scenarios apply (the
-// spec's own Faults win when set); the interactive shards are untouched.
+// and runs it on fresh clusters through the parallel store engine. The
+// store's algorithm mix, backend, client counts and fault scenarios apply
+// (the spec's own Faults win when set); the interactive shards are untouched.
 // Results on the simulator are byte-identical across worker counts.
 func (s *Store) RunMulti(m workload.MultiSpec) (*store.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if len(m.Faults) == 0 {
-		m.Faults = s.cfg.Faults
-	}
-	return store.Run(store.Options{
-		Shards:       s.cfg.Shards,
-		Algorithms:   s.cfg.Algorithms,
-		Servers:      s.cfg.Servers,
-		F:            s.cfg.F,
-		Workers:      s.cfg.Workers,
-		Backend:      s.cfg.Backend,
-		Writers:      s.cfg.Writers,
-		Readers:      s.cfg.Readers,
-		Runtime:      s.runtime,
-		SkipCheck:    s.cfg.SkipCheck,
-		OnlineCheck:  s.cfg.OnlineCheck,
-		OnlineWindow: s.cfg.OnlineWindow,
-		Telemetry:    s.cfg.Telemetry,
-		Workload:     m,
-	})
+	return store.Run(s.cfg, m)
 }
 
 // Close releases every shard (stopping live node goroutines). Idempotent;

@@ -4,20 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/consistency"
 	"repro/internal/register"
+	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // openSim opens a simulator store and registers its cleanup.
-func openSim(t *testing.T, cfg Config, opts ...Option) *Store {
+func openSim(t *testing.T, cfg store.Config) *Store {
 	t.Helper()
-	st, err := Open(cfg, opts...)
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,36 +28,60 @@ func openSim(t *testing.T, cfg Config, opts ...Option) *Store {
 	return st
 }
 
-func TestOpenDefaults(t *testing.T) {
-	st := openSim(t, Config{})
-	if st.Shards() != 1 {
-		t.Errorf("default Shards = %d, want 1", st.Shards())
+// TestOpenResolvesConfigOnce: Open fills every default of the zero Config,
+// Config() shows them, and nothing downstream re-defaults or rewrites the
+// value — it is the same before and after batch runs.
+func TestOpenResolvesConfigOnce(t *testing.T) {
+	st := openSim(t, store.Config{})
+	want := store.Config{
+		Algorithms:   []string{store.AlgCAS},
+		Servers:      5,
+		F:            1,
+		Shards:       1,
+		Backend:      store.BackendSim,
+		StepBudget:   workload.DefaultStepBudget,
+		OnlineWindow: consistency.DefaultWindowOps,
+		HistoryCap:   store.DefaultHistoryCap,
 	}
-	if st.Backend() != store.BackendSim {
-		t.Errorf("default backend = %q, want sim", st.Backend())
+	if got := st.Config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resolved zero Config = %+v\nwant %+v", got, want)
 	}
-	cfg := st.Config()
-	if cfg.Servers != 5 || cfg.F != 1 {
-		t.Errorf("default cluster shape = (%d, %d), want (5, 1)", cfg.Servers, cfg.F)
+	if st.Shards() != 1 || st.Backend() != store.BackendSim {
+		t.Errorf("handle reports %d shards on %q, want 1 on sim", st.Shards(), st.Backend())
 	}
-	if got := cfg.Algorithms; len(got) != 1 || got[0] != store.AlgCAS {
-		t.Errorf("default algorithms = %v, want [cas]", got)
+	for i := 0; i < 2; i++ {
+		if _, err := st.RunMulti(workload.MultiSpec{Seed: 1, Keys: 4, Ops: 8, TargetNu: 1, ValueBytes: 32, Faults: []string{"delay=1:4"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Config(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Config changed across RunMulti calls: %+v\nwant %+v", got, want)
+	}
+
+	// The store-level pipeline is the default of the selected backend's
+	// runtime config only, and an explicit runtime depth wins.
+	live := openSim(t, store.Config{Backend: store.BackendLive, Pipeline: 4, Net: runtime.Config{Pipeline: 2}}).Config()
+	if live.Live.Pipeline != 4 || live.Net.Pipeline != 2 {
+		t.Errorf("live store pipelines = (live %d, net %d), want (4, 2)", live.Live.Pipeline, live.Net.Pipeline)
 	}
 }
 
 func TestOpenValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
+		cfg  store.Config
 		want string
 	}{
-		{"unknown algorithm", Config{Algorithms: []string{"paxos"}}, "unknown algorithm"},
-		{"unknown backend", Config{Backend: "quantum"}, "unknown backend"},
-		{"bad fault spec", Config{Faults: []string{"bogus"}}, "Faults[0]"},
-		{"negative clients", Config{Writers: -1}, "negative client counts"},
-		{"negative budget", Config{StepBudget: -5}, "negative step budget"},
-		{"single-writer with many writers", Config{Algorithms: []string{store.AlgABD}, Writers: 3, Readers: 1}, "single-writer"},
-		{"malformed fault window", Config{Backend: store.BackendLive, Faults: []string{"partition@40:20"}}, "Faults[0]"},
+		{"unknown algorithm", store.Config{Algorithms: []string{"paxos"}}, "unknown algorithm"},
+		{"unknown backend", store.Config{Backend: "quantum"}, "unknown backend"},
+		{"bad fault spec", store.Config{Faults: []string{"bogus"}}, "Faults[0]"},
+		{"negative servers", store.Config{Servers: -1}, "Servers must be >= 1"},
+		{"negative f", store.Config{Servers: 5, F: -1}, "F must be >= 0"},
+		{"negative shards", store.Config{Shards: -1}, "Shards must be >= 1"},
+		{"negative clients", store.Config{Writers: -1}, "negative client counts"},
+		{"negative budget", store.Config{StepBudget: -5}, "negative step budget"},
+		{"single-writer with many writers", store.Config{Algorithms: []string{store.AlgABD}, Writers: 3, Readers: 1}, "single-writer"},
+		{"malformed fault window", store.Config{Backend: store.BackendLive, Faults: []string{"partition@40:20"}}, "Faults[0]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,7 +97,7 @@ func TestOpenValidation(t *testing.T) {
 // store: every key reads back its latest write, the history stays
 // consistent, and the metrics account for every operation.
 func TestPutGetAcrossShards(t *testing.T) {
-	st := openSim(t, Config{}, WithShards(4), WithClients(2, 2))
+	st := openSim(t, store.Config{Shards: 4, Writers: 2, Readers: 2})
 	ctx := context.Background()
 
 	latest := make(map[int][]byte)
@@ -128,7 +155,7 @@ func TestPutGetAcrossShards(t *testing.T) {
 // TestClientSelectionRangeErrors pins the named-range error text on the
 // store's explicit client-selection path.
 func TestClientSelectionRangeErrors(t *testing.T) {
-	st := openSim(t, Config{}, WithClients(2, 1))
+	st := openSim(t, store.Config{Writers: 2, Readers: 1})
 	ctx := context.Background()
 	err := st.PutAs(ctx, 5, 0, register.MakeValue(64, 1))
 	if err == nil || !strings.Contains(err.Error(), "writer index 5 out of range [0,2)") {
@@ -143,7 +170,7 @@ func TestClientSelectionRangeErrors(t *testing.T) {
 // TestStepBudgetTyped pins the typed ErrStepBudget on an interactive op
 // whose budget cannot cover a quorum round trip.
 func TestStepBudgetTyped(t *testing.T) {
-	st := openSim(t, Config{}, WithStepBudget(2))
+	st := openSim(t, store.Config{StepBudget: 2})
 	err := st.Put(context.Background(), 0, register.MakeValue(64, 1))
 	if !errors.Is(err, store.ErrStepBudget) {
 		t.Fatalf("Put error = %v, want ErrStepBudget", err)
@@ -165,7 +192,7 @@ func TestStepBudgetTyped(t *testing.T) {
 // through the rotation report every writer retired, reads still work, and
 // CheckConsistency keeps returning verdicts, not malformed-history errors.
 func TestSimRetirementAfterAbandonedOp(t *testing.T) {
-	st := openSim(t, Config{Algorithms: []string{store.AlgABD}, Servers: 3, F: 1}, WithStepBudget(2))
+	st := openSim(t, store.Config{Algorithms: []string{store.AlgABD}, Servers: 3, F: 1, StepBudget: 2})
 	ctx := context.Background()
 	if err := st.Put(ctx, 0, register.MakeValue(64, 1)); !errors.Is(err, store.ErrStepBudget) {
 		t.Fatalf("first Put = %v, want ErrStepBudget", err)
@@ -191,7 +218,7 @@ func TestSimRetirementAfterAbandonedOp(t *testing.T) {
 // TestContextCancelled pins context awareness: an already-cancelled context
 // fails fast without invoking anything.
 func TestContextCancelled(t *testing.T) {
-	st := openSim(t, Config{})
+	st := openSim(t, store.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := st.Put(ctx, 0, register.MakeValue(64, 1)); !errors.Is(err, context.Canceled) {
@@ -205,7 +232,7 @@ func TestContextCancelled(t *testing.T) {
 // TestLiveInteractive drives the same interactive surface on the live
 // backend: concurrent multi-key clients, value round trip, consistency.
 func TestLiveInteractive(t *testing.T) {
-	st := openSim(t, Config{}, WithBackend(store.BackendLive), WithShards(2), WithClients(2, 2))
+	st := openSim(t, store.Config{Backend: store.BackendLive, Shards: 2, Writers: 2, Readers: 2})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -254,7 +281,7 @@ func TestLiveInteractive(t *testing.T) {
 // TestRunWorkloadBatch checks the handle's single-register batch path on
 // the simulator, including the config fault scenario inheritance.
 func TestRunWorkloadBatch(t *testing.T) {
-	st := openSim(t, Config{Algorithms: []string{store.AlgABDMW}}, WithFaults("lossy=0.02"), WithSeed(7))
+	st := openSim(t, store.Config{Algorithms: []string{store.AlgABDMW}, Faults: []string{"lossy=0.02"}, Seed: 7})
 	res, err := st.RunWorkload(workload.Spec{Seed: 7, Writes: 8, Reads: 8, TargetNu: 2, ValueBytes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +301,10 @@ func TestRunMultiDeterministic(t *testing.T) {
 	spec := workload.MultiSpec{
 		Seed: 3, Keys: 16, Ops: 48, ReadFraction: 0.25, TargetNu: 2, ValueBytes: 64,
 	}
-	st1 := openSim(t, Config{Algorithms: []string{store.AlgCAS, store.AlgABDMW}}, WithShards(4), WithWorkers(1), WithFaults("delay=1:8"))
-	st4 := openSim(t, Config{Algorithms: []string{store.AlgCAS, store.AlgABDMW}}, WithShards(4), WithWorkers(4), WithFaults("delay=1:8"))
+	cfg := store.Config{Algorithms: []string{store.AlgCAS, store.AlgABDMW}, Shards: 4, Workers: 1, Faults: []string{"delay=1:8"}}
+	st1 := openSim(t, cfg)
+	cfg.Workers = 4
+	st4 := openSim(t, cfg)
 	r1, err := st1.RunMulti(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +325,7 @@ func TestRunMultiDeterministic(t *testing.T) {
 // latencyWindow completed operations and no more, so a long-lived store's
 // Metrics stays the same size and its percentiles follow recent operations.
 func TestLatencyWindowIsBounded(t *testing.T) {
-	st := openSim(t, Config{})
+	st := openSim(t, store.Config{})
 	sh := st.shards[0]
 	sh.mu.Lock()
 	for i := 0; i < latencyWindow; i++ {

@@ -43,28 +43,22 @@ type Backend interface {
 	OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error)
 }
 
-// ShardOptions carries the per-shard tuning a backend may need: the fault
-// plan, the simulator's per-operation step budget, and the wall-clock
-// runtime's configuration. Zero values select the defaults.
+// ShardOptions carries the per-shard tuning a backend needs: the fault plan,
+// the simulator's per-operation step budget, and the wall-clock runtime's
+// configuration (telemetry label and history sink included). Config.Shard
+// derives it from the resolved store config.
 type ShardOptions struct {
 	// Plan is the shard's fault plan (nil = fault-free). RunShard callers
 	// install the plan on the spec instead; OpenShard reads it from here.
 	Plan *faults.Plan
 	// StepBudget bounds the deliveries a single interactive operation may
-	// consume on the simulator (0 = workload.DefaultStepBudget). The live
-	// and net runtimes bound operations by wall-clock timeout instead.
+	// consume on the simulator. The live and net runtimes bound operations
+	// by wall-clock timeout instead.
 	StepBudget int
 	// Runtime tunes the live and net backends' node runtime (step duration,
 	// op timeout, mailboxes; listen address and transport dial/queue bounds
 	// on net). Ignored on the simulator.
 	Runtime runtime.Config
-}
-
-func (o ShardOptions) stepBudget() int {
-	if o.StepBudget > 0 {
-		return o.StepBudget
-	}
-	return workload.DefaultStepBudget
 }
 
 // ShardSession executes interactive operations against one shard's running
@@ -88,10 +82,10 @@ type ShardSession interface {
 
 // ErrStepBudget reports that an interactive simulator operation exhausted
 // its delivery budget before completing. Callers can widen the budget with
-// a larger ShardOptions.StepBudget (shmem.WithStepBudget).
+// a larger Config.StepBudget (shmem.WithStepBudget).
 var ErrStepBudget = errors.New("store: step budget exhausted before the operation completed")
 
-// Backend selector names accepted by Options.Backend.
+// Backend selector names accepted by Config.Backend.
 const (
 	BackendSim  = "sim"
 	BackendLive = runtime.BackendLive
@@ -102,8 +96,8 @@ const (
 func Backends() []string { return []string{BackendSim, BackendLive, BackendNet} }
 
 // ErrUnknownBackend reports a backend selector naming no registered backend.
-// Every selection surface — BackendByName, Options.Backend validation,
-// shmem.WithBackend, the CLI -backend flags — funnels through it, so callers
+// Every selection surface — BackendByName, Config validation,
+// shmem.WithBackend, the CLI -backend flag — funnels through it, so callers
 // branch with errors.Is(err, ErrUnknownBackend) instead of matching message
 // text. The message always lists the valid names.
 var ErrUnknownBackend = errors.New("unknown backend")
@@ -140,7 +134,7 @@ func (simBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSessio
 		}
 		cl.Sys.SetFaultPlan(opts.Plan)
 	}
-	return &simSession{cl: cl, budget: opts.stepBudget()}, nil
+	return &simSession{cl: cl, budget: opts.StepBudget}, nil
 }
 
 // simSession drives interactive operations on a shard's simulated system.
@@ -208,34 +202,21 @@ func (s *simSession) FaultStats() ioa.FaultStats {
 
 func (s *simSession) Close() error { return nil }
 
-// validateRuntimeWorkload eagerly rejects multi-key workloads the live and
-// net backends cannot run, so the error surfaces from Options validation, not
-// from inside a shard mid-run (matching the eager window validation in
-// faults.Parse). Every fault scenario class runs on both; what remains
-// rejected is the random crash budget (it draws crash points from the
-// simulator's schedule) and malformed scenario strings.
-func validateRuntimeWorkload(o Options) error {
-	if o.Workload.Crashes != 0 {
+// validateWorkload eagerly rejects multi-key workloads the resolved config
+// cannot run, so the error surfaces before any shard starts rather than from
+// inside one mid-run. Every fault scenario class runs on every backend; what
+// the live and net backends reject is the random crash budget (it draws crash
+// points from the simulator's schedule). The spec's shape itself is validated
+// by Partition.
+func validateWorkload(c Config, m workload.MultiSpec) error {
+	if m.Crashes != 0 && c.Backend != BackendSim {
 		return fmt.Errorf("store: %s backend: %w: the random crash budget draws crash points from the simulator's schedule; use a crash scenario instead (got Crashes=%d)",
-			o.Backend, faults.ErrUnsupported, o.Workload.Crashes)
+			c.Backend, faults.ErrUnsupported, m.Crashes)
 	}
-	for i, spec := range o.Workload.Faults {
-		sc, err := faults.Parse(spec)
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d]: %w", i, err)
-		}
-		if sc == nil {
-			continue
-		}
-		plan, err := sc.Build(o.Servers, o.F, 1)
-		if err == nil {
-			err = plan.Validate()
-		}
-		if err != nil {
-			return fmt.Errorf("store: Faults[%d] %q: %w", i, spec, err)
-		}
+	if m.Crashes > c.F {
+		return fmt.Errorf("store: per-shard crash budget %d exceeds f=%d", m.Crashes, c.F)
 	}
-	return nil
+	return validateFaults(c, m.Faults)
 }
 
 // runtimeBackend runs shards on the wall-clock node runtime; its name picks

@@ -56,25 +56,18 @@ func TestBackendUnknownNameError(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if _, err := Run(Options{Shards: 1, Backend: "quantum"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("store.Run with unknown backend: err = %v, want ErrUnknownBackend", err)
+	if _, err := (Config{Backend: "quantum"}).Resolve(); !errors.Is(err, ErrUnknownBackend) {
+		t.Errorf("Config.Resolve with unknown backend: err = %v, want ErrUnknownBackend", err)
 	}
 }
 
-// TestValidateRuntimeWorkloadPerShard pins that every fault scenario class now
-// passes live-backend options validation — the wall-clock scheduler runs
+// TestValidateWorkloadPerShard pins that every fault scenario class now
+// passes live-backend workload validation — the wall-clock scheduler runs
 // step-indexed outages and crashes — and that a genuinely malformed spec
 // still fails naming the offending per-shard fault index.
-func TestValidateRuntimeWorkloadPerShard(t *testing.T) {
-	base := Options{
-		Shards:  4,
-		Servers: 5,
-		F:       1,
-		Backend: BackendLive,
-		Workload: workload.MultiSpec{
-			Keys: 8, Ops: 8, TargetNu: 1, ValueBytes: 64,
-		},
-	}
+func TestValidateWorkloadPerShard(t *testing.T) {
+	base := Config{Shards: 4, Servers: 5, F: 1, Backend: BackendLive}
+	load := workload.MultiSpec{Keys: 8, Ops: 8, TargetNu: 1, ValueBytes: 64}
 
 	cases := []struct {
 		name   string
@@ -90,9 +83,9 @@ func TestValidateRuntimeWorkloadPerShard(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := base
-			o.Workload.Faults = tc.faults
-			err := validateRuntimeWorkload(o)
+			m := load
+			m.Faults = tc.faults
+			err := validateWorkload(base, m)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -105,29 +98,24 @@ func TestValidateRuntimeWorkloadPerShard(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not name %s", err, tc.want)
 			}
-			// The same rejection must surface from full Options validation.
-			if verr := o.validate(); verr == nil || !strings.Contains(verr.Error(), tc.want) {
-				t.Errorf("Options.validate() = %v, want error naming %s", verr, tc.want)
+			// The same rejection must surface when the scenarios arrive in
+			// the store config: Resolve is what Open runs.
+			c := base
+			c.Faults = tc.faults
+			if _, verr := c.Resolve(); verr == nil || !strings.Contains(verr.Error(), tc.want) {
+				t.Errorf("Config.Resolve() = %v, want error naming %s", verr, tc.want)
 			}
 		})
 	}
 }
 
-// TestValidateRuntimeWorkloadRejectsCrashBudget pins the random crash budget
+// TestValidateWorkloadRejectsCrashBudget pins the random crash budget
 // rejection and its type: it stays unsupported off the simulator (it draws
 // crash points from the simulator's schedule) and surfaces as
 // faults.ErrUnsupported.
-func TestValidateRuntimeWorkloadRejectsCrashBudget(t *testing.T) {
-	o := Options{
-		Shards:  1,
-		Servers: 5,
-		F:       1,
-		Backend: BackendLive,
-		Workload: workload.MultiSpec{
-			Keys: 4, Ops: 4, TargetNu: 1, ValueBytes: 64, Crashes: 1,
-		},
-	}
-	err := validateRuntimeWorkload(o)
+func TestValidateWorkloadRejectsCrashBudget(t *testing.T) {
+	err := validateWorkload(Config{Shards: 1, Servers: 5, F: 1, Backend: BackendLive},
+		workload.MultiSpec{Keys: 4, Ops: 4, TargetNu: 1, ValueBytes: 64, Crashes: 1})
 	if err == nil || !strings.Contains(err.Error(), "Crashes") {
 		t.Errorf("crash budget accepted on live backend: %v", err)
 	}
@@ -170,7 +158,7 @@ func TestSimSessionCompletesOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := BackendByName("")
-	sess, err := b.OpenShard(cl, ShardOptions{})
+	sess, err := b.OpenShard(cl, ShardOptions{StepBudget: workload.DefaultStepBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

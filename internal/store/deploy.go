@@ -15,7 +15,7 @@ import (
 	"repro/internal/coded"
 )
 
-// Algorithm names accepted by DeployAlgorithm and Options.Algorithms.
+// Algorithm names accepted by DeployAlgorithm and Config.Algorithms.
 const (
 	AlgABD              = "abd"
 	AlgABDMW            = "abd-mwmr"

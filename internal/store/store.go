@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	goruntime "runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,116 +15,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consistency"
 	"repro/internal/ioa"
-	"repro/internal/runtime"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// Options configures a sharded store run.
-type Options struct {
-	// Shards is the number of independent register deployments.
-	Shards int
-	// Algorithms assigns an algorithm per shard, cycling when shorter than
-	// Shards (shard i runs Algorithms[i mod len]). Empty defaults to CAS on
-	// every shard. Mixing algorithms across shards is allowed — each shard
-	// is checked against its own algorithm's consistency condition.
-	Algorithms []string
-	// Servers and F shape every shard's cluster (N servers, f tolerated
-	// crashes).
-	Servers int
-	F       int
-	// Workers bounds the goroutines running shards concurrently; 0 means
-	// GOMAXPROCS. On the simulator backend, successful results are
-	// independent of the worker count: every shard runs on its own
-	// ioa.System with a seed derived from (Workload.Seed, shard index).
-	// Failed runs abort early, but the reported error is still
-	// deterministic — the lowest-indexed failing shard's — at any worker
-	// count (see Run).
-	Workers int
-	// Backend selects the execution substrate for every shard: BackendSim
-	// (default, the deterministic simulator), BackendLive (the concurrent
-	// goroutine-per-node runtime over channels) or BackendNet (the same
-	// runtime over the real network: one TCP socket per node). Fingerprints are only
-	// meaningful on the simulator; live and net results vary run to run and
-	// are checked for safety.
-	Backend string
-	// Writers and Readers override each shard's client counts. Zero keeps
-	// DeployAlgorithm's per-algorithm shapes (the default); setting them is
-	// how live client-count sweeps scale concurrency. Single-writer
-	// algorithms reject Writers > 1.
-	Writers int
-	Readers int
-	// Runtime tunes the node runtime behind BackendLive and BackendNet (step
-	// duration for fault delays and partitions, per-op timeout, mailbox
-	// capacity; listen address and transport bounds on net). The zero value
-	// selects the defaults; ignored on the simulator.
-	Runtime runtime.Config
-	// SkipCheck disables the per-shard consistency check, to measure
-	// unchecked throughput. The atomicity check is O(n log n) at any write
-	// concurrency ν; CheckRegular and CheckWeaklyRegular are still quadratic
-	// scans, which long regular-condition runs may not want to pay.
-	// History well-formedness (per-client interval ordering) is still
-	// enforced — it is built into history construction on every backend.
-	SkipCheck bool
-	// OnlineCheck switches atomic-condition shards to the streaming checker.
-	// On the live and net backends the runtime feeds every settled operation
-	// into a consistency.OnlineChecker as it completes, so the verdict is
-	// ready at shutdown and run memory stays bounded by the checker's window
-	// instead of the full history. The simulator (whose schedule is a single
-	// discrete sequence with the complete history already in hand) checks
-	// offline either way. Shards checked under a regular condition keep the
-	// offline checker — the windowed decomposition is proved for atomicity.
-	// Ignored when SkipCheck is set.
-	OnlineCheck bool
-	// OnlineWindow is the online checker's retirement window in operations
-	// (0 = consistency.DefaultWindowOps).
-	OnlineWindow int
-	// Telemetry, when non-nil, receives live run metrics from every shard on
-	// the concurrent backends: per-node storage gauges against the paper
-	// bounds, op counters and latency histograms, transport counters, and
-	// checker gauges, each labeled with its shard index. Ignored on the
-	// simulator backend, whose runs have no wall-clock dynamics to sample.
-	Telemetry *telemetry.Registry
-	// Workload is the multi-key workload to partition across shards.
-	Workload workload.MultiSpec
-}
-
-func (o Options) algorithms() []string {
-	if len(o.Algorithms) == 0 {
-		return []string{AlgCAS}
-	}
-	return o.Algorithms
-}
-
-func (o Options) validate() error {
-	if o.Shards < 1 {
-		return fmt.Errorf("store: Shards must be >= 1")
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("store: negative worker count")
-	}
-	for _, a := range o.algorithms() {
-		if !slices.Contains(Algorithms(), a) {
-			return fmt.Errorf("store: unknown algorithm %q (known: %v)", a, Algorithms())
-		}
-	}
-	if o.Writers < 0 || o.Readers < 0 {
-		return fmt.Errorf("store: negative client counts (writers=%d readers=%d)", o.Writers, o.Readers)
-	}
-	if _, err := BackendByName(o.Backend); err != nil {
-		return err
-	}
-	if o.Backend == BackendLive || o.Backend == BackendNet {
-		if err := validateRuntimeWorkload(o); err != nil {
-			return err
-		}
-	}
-	if o.Workload.Crashes > o.F {
-		return fmt.Errorf("store: per-shard crash budget %d exceeds f=%d", o.Workload.Crashes, o.F)
-	}
-	// The workload spec itself is validated by Partition.
-	return nil
-}
 
 // ShardResult reports one shard's run.
 type ShardResult struct {
@@ -168,7 +59,7 @@ type ShardResult struct {
 	// run and are excluded from Fingerprint.
 	Latencies []time.Duration
 	// OpsVerified counts operations the online checker retired as provably
-	// linearized (Options.OnlineCheck runs only; zero otherwise), and
+	// linearized (Config.OnlineCheck runs only; zero otherwise), and
 	// WindowLag is the residual window still unretired at shutdown. Both
 	// depend on real-time interleaving, so they are excluded from
 	// Fingerprint.
@@ -225,7 +116,7 @@ type Result struct {
 
 // Fingerprint returns a hex digest of every deterministic field — per-shard
 // loads, storage reports (per-server, sorted) and aggregates. Two runs of
-// the same Options must produce identical fingerprints regardless of worker
+// the same Config and workload must produce identical fingerprints regardless of worker
 // count or scheduling, which is how the engine's reproducibility is tested.
 func (r *Result) Fingerprint() string {
 	var b strings.Builder
@@ -280,10 +171,11 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// Run partitions the workload across the shards, executes every shard on
-// the selected backend under a bounded worker pool, verifies each history
-// against its algorithm's consistency condition, and aggregates the shard
-// results.
+// Run partitions the workload across the resolved config's shards (see
+// Config.Resolve), executes every shard on fresh clusters on the configured
+// backend under a bounded worker pool, verifies each history against its
+// algorithm's consistency condition, and aggregates the shard results. The
+// config's fault scenarios apply unless the workload carries its own.
 //
 // Error surfacing is deterministic: when shards fail, Run reports the
 // lowest-indexed failing shard, byte-identically at any worker count. A
@@ -293,30 +185,32 @@ func (r *Result) Table() string {
 // goroutine scheduling. On failure Run returns the partial result alongside
 // the error, with never-run shards explicitly marked (ShardResult.Skipped)
 // and no aggregates computed.
-func Run(o Options) (*Result, error) {
-	if err := o.validate(); err != nil {
+func Run(c Config, m workload.MultiSpec) (*Result, error) {
+	if len(m.Faults) == 0 {
+		m.Faults = c.Faults
+	}
+	if err := validateWorkload(c, m); err != nil {
 		return nil, err
 	}
-	loads, err := o.Workload.Partition(o.Shards)
+	loads, err := m.Partition(c.Shards)
 	if err != nil {
 		return nil, err
 	}
-	algs := o.algorithms()
-	backend, err := BackendByName(o.Backend)
+	backend, err := BackendByName(c.Backend)
 	if err != nil {
 		return nil, err
 	}
-	workers := o.Workers
+	workers := c.Workers
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	if workers > o.Shards {
-		workers = o.Shards
+	if workers > c.Shards {
+		workers = c.Shards
 	}
 
-	shardResults := make([]ShardResult, o.Shards)
-	shardErrs := make([]error, o.Shards)
-	skipped := make([]bool, o.Shards)
+	shardResults := make([]ShardResult, c.Shards)
+	shardErrs := make([]error, c.Shards)
+	skipped := make([]bool, c.Shards)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	// minFailed tracks the lowest failing shard index so far (MaxInt64 =
@@ -335,7 +229,7 @@ func Run(o Options) (*Result, error) {
 					skipped[i] = true
 					continue
 				}
-				shardResults[i], shardErrs[i] = runShard(o, backend, algs[i%len(algs)], loads[i])
+				shardResults[i], shardErrs[i] = runShard(c, m, backend, loads[i])
 				if shardErrs[i] != nil {
 					for {
 						cur := minFailed.Load()
@@ -347,7 +241,7 @@ func Run(o Options) (*Result, error) {
 			}
 		}()
 	}
-	for i := 0; i < o.Shards; i++ {
+	for i := 0; i < c.Shards; i++ {
 		jobs <- i
 	}
 	close(jobs)
@@ -362,12 +256,12 @@ func Run(o Options) (*Result, error) {
 			partial.PerShard[j].Skipped = skipped[j]
 			partial.PerShard[j].Failed = shardErrs[j] != nil
 		}
-		return partial, fmt.Errorf("store: shard %d (%s): %w", i, algs[i%len(algs)], shardErrs[i])
+		return partial, fmt.Errorf("store: shard %d (%s): %w", i, c.Algorithms[i%len(c.Algorithms)], shardErrs[i])
 	}
 
 	res := &Result{
 		PerShard: shardResults,
-		Log2V:    float64(8 * o.Workload.ValueBytes),
+		Log2V:    float64(8 * m.ValueBytes),
 		Elapsed:  elapsed,
 		Workers:  workers,
 	}
@@ -407,43 +301,36 @@ func Run(o Options) (*Result, error) {
 	return res, nil
 }
 
-func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (ShardResult, error) {
-	cl, cond, err := DeployShard(alg, o.Servers, o.F, o.Workload.TargetNu, o.Writers, o.Readers)
+func runShard(c Config, m workload.MultiSpec, backend Backend, load workload.ShardLoad) (ShardResult, error) {
+	alg := c.Algorithms[load.Shard%len(c.Algorithms)]
+	cl, cond, err := DeployShard(alg, c.Servers, c.F, m.TargetNu, c.Writers, c.Readers)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	spec := load.Spec(o.Workload)
-	plan, err := o.Workload.ShardFaultPlan(load.Shard, o.Servers, o.F)
+	spec := load.Spec(m)
+	plan, err := m.ShardFaultPlan(load.Shard, c.Servers, c.F)
 	if err != nil {
 		return ShardResult{}, err
 	}
 	if plan != nil {
 		spec.FaultPlan = plan
 	}
-	opts := ShardOptions{Runtime: o.Runtime}
-	if o.Telemetry != nil {
-		// Each shard gets its own RunTelemetry value into one shared
-		// registry; the shard label keeps the series apart.
-		opts.Runtime.Telemetry = &telemetry.RunTelemetry{Registry: o.Telemetry, Shard: load.Shard}
-	}
+	opts := c.Shard(load.Shard, false)
 	// Online mode streams settled operations into the checker while the
 	// concurrent backends run; the verdict and the verified-frontier metrics
 	// are ready the moment the run stops. Only the atomic condition has the
 	// windowed decomposition; regular-condition shards keep the offline path.
 	var checker *consistency.OnlineChecker
-	online := o.OnlineCheck && !o.SkipCheck && cond == "atomic"
+	online := c.OnlineCheck && !c.SkipCheck && cond == "atomic"
 	if online && backend.Name() != BackendSim {
-		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(o.OnlineWindow))
+		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(c.OnlineWindow))
 		opts.Runtime.Sink = checker
 		// The drivers sync (drain + barrier) every window's worth of issued
 		// operations unless the caller tuned SyncOps themselves: each sync is
 		// a clean cut, so the checker's peak window is bounded by roughly the
 		// retirement window plus the in-flight population, by construction.
 		if opts.Runtime.SyncOps == 0 {
-			opts.Runtime.SyncOps = o.OnlineWindow
-			if opts.Runtime.SyncOps <= 0 {
-				opts.Runtime.SyncOps = consistency.DefaultWindowOps
-			}
+			opts.Runtime.SyncOps = c.OnlineWindow
 		}
 	}
 	wres, err := backend.RunShard(cl, spec, opts)
@@ -456,7 +343,7 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 	var opsVerified int64
 	var windowLag int
 	switch {
-	case o.SkipCheck:
+	case c.SkipCheck:
 	case checker != nil:
 		// The runtime's flush already pushed the pending tail into the
 		// checker, so Result needs no extras here.
@@ -479,7 +366,7 @@ func runShard(o Options, backend Backend, alg string, load workload.ShardLoad) (
 		Shard:            load.Shard,
 		Algorithm:        alg,
 		Condition:        cond,
-		FaultSpec:        o.Workload.ShardFault(load.Shard),
+		FaultSpec:        m.ShardFault(load.Shard),
 		Faults:           wres.Faults,
 		Quiescent:        wres.Quiescent,
 		PendingOps:       len(wres.History.PendingOps()),

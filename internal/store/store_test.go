@@ -11,15 +11,32 @@ import (
 	"repro/internal/workload"
 )
 
+// scenario is one batch run as the tests describe it: a store configuration,
+// resolved the way session.Open resolves it, and the workload Run drives.
+type scenario struct {
+	Config
+	Workload workload.MultiSpec
+}
+
+func (s scenario) run() (*Result, error) {
+	c, err := s.Config.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return Run(c, s.Workload)
+}
+
 // acceptanceOptions is the ISSUE's acceptance scenario — 8 CAS shards, a
 // 64-key Zipf keyspace — with a worker-count knob.
-func acceptanceOptions(workers int) Options {
-	return Options{
-		Shards:     8,
-		Algorithms: []string{AlgCAS},
-		Servers:    5,
-		F:          1,
-		Workers:    workers,
+func acceptanceOptions(workers int) scenario {
+	return scenario{
+		Config: Config{
+			Shards:     8,
+			Algorithms: []string{AlgCAS},
+			Servers:    5,
+			F:          1,
+			Workers:    workers,
+		},
 		Workload: workload.MultiSpec{
 			Seed:         1,
 			Keys:         64,
@@ -36,15 +53,15 @@ func acceptanceOptions(workers int) Options {
 // the same seed reproduces byte-identical aggregate results across runs
 // despite parallel shard execution.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := Run(acceptanceOptions(1))
+	serial, err := acceptanceOptions(1).run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel1, err := Run(acceptanceOptions(8))
+	parallel1, err := acceptanceOptions(8).run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel2, err := Run(acceptanceOptions(8))
+	parallel2, err := acceptanceOptions(8).run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +77,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestAggregation(t *testing.T) {
-	res, err := Run(acceptanceOptions(0))
+	res, err := acceptanceOptions(0).run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +125,7 @@ func TestAggregation(t *testing.T) {
 func TestSingleShardMatchesDirectWorkload(t *testing.T) {
 	opts := acceptanceOptions(1)
 	opts.Shards = 1
-	res, err := Run(opts)
+	res, err := opts.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +153,13 @@ func TestSingleShardMatchesDirectWorkload(t *testing.T) {
 // TestMixedAlgorithms runs a replication shard next to erasure-coded
 // shards and checks each is verified against its own condition.
 func TestMixedAlgorithms(t *testing.T) {
-	opts := Options{
-		Shards:     4,
-		Algorithms: []string{AlgABDMW, AlgCASGC},
-		Servers:    5,
-		F:          1,
+	opts := scenario{
+		Config: Config{
+			Shards:     4,
+			Algorithms: []string{AlgABDMW, AlgCASGC},
+			Servers:    5,
+			F:          1,
+		},
 		Workload: workload.MultiSpec{
 			Seed:         7,
 			Keys:         16,
@@ -150,7 +169,7 @@ func TestMixedAlgorithms(t *testing.T) {
 			ValueBytes:   32,
 		},
 	}
-	res, err := Run(opts)
+	res, err := opts.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +197,20 @@ func TestMixedAlgorithms(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	good := acceptanceOptions(1)
-	bad := []func(*Options){
-		func(o *Options) { o.Shards = 0 },
-		func(o *Options) { o.Workers = -1 },
-		func(o *Options) { o.Algorithms = []string{"paxos"} },
-		func(o *Options) { o.Workload.Crashes = o.F + 1 },
-		func(o *Options) { o.Workload.Keys = 0 },
-		func(o *Options) { o.Workload.TargetNu = 0 },
+	bad := []func(*scenario){
+		func(o *scenario) { o.Shards = -1 },
+		func(o *scenario) { o.Servers = -1 },
+		func(o *scenario) { o.F = -1 },
+		func(o *scenario) { o.Workers = -1 },
+		func(o *scenario) { o.Algorithms = []string{"paxos"} },
+		func(o *scenario) { o.Workload.Crashes = o.F + 1 },
+		func(o *scenario) { o.Workload.Keys = 0 },
+		func(o *scenario) { o.Workload.TargetNu = 0 },
 	}
 	for i, mutate := range bad {
 		o := good
 		mutate(&o)
-		if _, err := Run(o); err == nil {
+		if _, err := o.run(); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}
@@ -217,7 +238,7 @@ func TestUnknownAlgorithmError(t *testing.T) {
 func TestCrashesWithinBudget(t *testing.T) {
 	opts := acceptanceOptions(0)
 	opts.Workload.Crashes = 1 // equals f, allowed per shard
-	res, err := Run(opts)
+	res, err := opts.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +250,15 @@ func TestCrashesWithinBudget(t *testing.T) {
 // faultedOptions is the fault acceptance scenario: six shards cycling over a
 // quorum-preserving crash, a lossy network, a healing partition and a
 // fault-free control, with a worker-count knob.
-func faultedOptions(workers int) Options {
-	return Options{
-		Shards:     6,
-		Algorithms: []string{AlgCAS, AlgABDMW},
-		Servers:    5,
-		F:          1,
-		Workers:    workers,
+func faultedOptions(workers int) scenario {
+	return scenario{
+		Config: Config{
+			Shards:     6,
+			Algorithms: []string{AlgCAS, AlgABDMW},
+			Servers:    5,
+			F:          1,
+			Workers:    workers,
+		},
 		Workload: workload.MultiSpec{
 			Seed:         3,
 			Keys:         24,
@@ -255,7 +278,7 @@ func TestFaultedDeterministicAcrossWorkerCounts(t *testing.T) {
 	var prints []string
 	var tables []string
 	for _, workers := range []int{1, 4, 16} {
-		res, err := Run(faultedOptions(workers))
+		res, err := faultedOptions(workers).run()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -275,7 +298,7 @@ func TestFaultedDeterministicAcrossWorkerCounts(t *testing.T) {
 // specs cycle across shards, fault stats land on the right shards, and the
 // fault-free control shards record no events.
 func TestMixedFaultScenarios(t *testing.T) {
-	res, err := Run(faultedOptions(0))
+	res, err := faultedOptions(0).run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +340,13 @@ func TestMixedFaultScenarios(t *testing.T) {
 // TestFingerprintSeesFaults checks that the fingerprint distinguishes a
 // faulted run from a fault-free run of the same workload.
 func TestFingerprintSeesFaults(t *testing.T) {
-	faulted, err := Run(faultedOptions(1))
+	faulted, err := faultedOptions(1).run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := faultedOptions(1)
 	clean.Workload.Faults = nil
-	cleanRes, err := Run(clean)
+	cleanRes, err := clean.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,19 +359,21 @@ func TestFingerprintSeesFaults(t *testing.T) {
 // fail inside runShard: their fault spec parses (the grammar and windows are
 // valid) but cannot build for a 5-server deployment (isolate 99 > n), forcing
 // a mid-run shard failure while every other shard keeps working.
-func failingOptions(workers int) Options {
+func failingOptions(workers int) scenario {
 	faults := make([]string, 16)
 	for i := range faults {
 		faults[i] = "none"
 	}
 	faults[5] = "partition@1:2:99"
 	faults[11] = "partition@1:2:99"
-	return Options{
-		Shards:     16,
-		Algorithms: []string{AlgCAS},
-		Servers:    5,
-		F:          1,
-		Workers:    workers,
+	return scenario{
+		Config: Config{
+			Shards:     16,
+			Algorithms: []string{AlgCAS},
+			Servers:    5,
+			F:          1,
+			Workers:    workers,
+		},
 		Workload: workload.MultiSpec{
 			Seed:       1,
 			Keys:       64,
@@ -367,7 +392,7 @@ func failingOptions(workers int) Options {
 func TestDeterministicErrorAcrossWorkerCounts(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4, 16} {
-		res, err := Run(failingOptions(workers))
+		res, err := failingOptions(workers).run()
 		if err == nil {
 			t.Fatalf("workers=%d: Run succeeded, want failure", workers)
 		}
@@ -408,7 +433,7 @@ func TestLiveBackendStoreRun(t *testing.T) {
 	o := acceptanceOptions(4)
 	o.Backend = BackendLive
 	o.Workload.Ops = 64
-	res, err := Run(o)
+	res, err := o.run()
 	if err != nil {
 		t.Fatalf("live backend run: %v", err)
 	}
@@ -427,7 +452,7 @@ func TestLiveBackendStoreRun(t *testing.T) {
 func TestBackendValidation(t *testing.T) {
 	o := acceptanceOptions(1)
 	o.Backend = "quantum"
-	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), `unknown backend "quantum"`) {
+	if _, err := o.run(); err == nil || !strings.Contains(err.Error(), `unknown backend "quantum"`) {
 		t.Errorf("unknown backend: err = %v", err)
 	}
 	for _, name := range append(Backends(), "") {
@@ -436,11 +461,11 @@ func TestBackendValidation(t *testing.T) {
 		}
 	}
 	// The random crash budget must still fail eagerly on the live backend —
-	// from Options validation, before any shard runs — with the typed error.
+	// from workload validation, before any shard runs — with the typed error.
 	crashes := acceptanceOptions(1)
 	crashes.Backend = BackendLive
 	crashes.Workload.Crashes = 1
-	if _, err := Run(crashes); !errors.Is(err, faults.ErrUnsupported) {
+	if _, err := crashes.run(); !errors.Is(err, faults.ErrUnsupported) {
 		t.Errorf("live backend with crash budget: err = %v, want faults.ErrUnsupported", err)
 	}
 	// Step-indexed fault scenarios, by contrast, now pass validation: the
@@ -448,8 +473,8 @@ func TestBackendValidation(t *testing.T) {
 	stepFaults := acceptanceOptions(1)
 	stepFaults.Backend = BackendLive
 	stepFaults.Workload.Faults = []string{"crash-f@30"}
-	if err := stepFaults.validate(); err != nil {
-		t.Errorf("live backend with step-indexed faults: validate = %v, want acceptance", err)
+	if err := validateWorkload(stepFaults.Config, stepFaults.Workload); err != nil {
+		t.Errorf("live backend with step-indexed faults: validateWorkload = %v, want acceptance", err)
 	}
 }
 
@@ -462,9 +487,10 @@ func TestCheckedHighConcurrency(t *testing.T) {
 	spec := workload.MultiSpec{
 		Seed: 7, Keys: 8, Ops: 4000, ReadFraction: 0.5, TargetNu: nu, ValueBytes: 64,
 	}
-	res, err := Run(Options{
-		Shards: 2, Algorithms: []string{AlgABDMW, AlgCASGC}, Servers: 5, F: 1, Workload: spec,
-	})
+	res, err := scenario{
+		Config:   Config{Shards: 2, Algorithms: []string{AlgABDMW, AlgCASGC}, Servers: 5, F: 1},
+		Workload: spec,
+	}.run()
 	if err != nil {
 		t.Fatalf("checked run at nu=%d: %v", nu, err)
 	}

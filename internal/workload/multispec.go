@@ -47,7 +47,7 @@ type MultiSpec struct {
 	// MaxSteps bounds deliveries per shard (default as in Spec).
 	MaxSteps int
 	// Faults assigns a fault scenario per shard, cycling when shorter than
-	// the shard count exactly as store.Options.Algorithms does (shard i runs
+	// the shard count exactly as store.Config.Algorithms does (shard i runs
 	// Faults[i mod len]); "" or "none" leaves a shard fault-free. Specs
 	// follow the grammar of internal/faults.Parse (e.g. "crash-f",
 	// "partition@40:4000", "lossy=0.02+delay=1:20"), so one store run can

@@ -30,13 +30,11 @@
 //     the injectivity counting arguments run against live algorithm code.
 //
 // See the examples directory for runnable walkthroughs, MIGRATION.md for
-// the mapping from the pre-Open free functions, and EXPERIMENTS.md for the
+// the replacement of every removed name, and EXPERIMENTS.md for the
 // paper-versus-measured record.
 package shmem
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/abd"
@@ -58,15 +56,18 @@ import (
 
 // --- the store handle ---
 
-// Config names everything a Store needs: the algorithm mix, the per-shard
-// cluster shape (n, f), the shard count, the execution backend, the fault
-// scenarios, and the interactive tuning. The zero value opens a one-shard
-// CAS store of 5 servers tolerating 1 crash on the simulator; functional
-// options (WithBackend, WithShards, ...) adjust it from there.
-type Config = session.Config
+// Config names everything a Store needs — the one description of a run: the
+// algorithm mix, the per-shard cluster shape (n, f), the shard count, the
+// execution backend, the fault scenarios, and the interactive and batch
+// tuning. The zero value opens a one-shard CAS store of 5 servers tolerating
+// 1 crash on the simulator; functional options (WithBackend, WithShards, ...)
+// adjust it from there. Open resolves it once and Store.Config returns the
+// resolved value.
+type Config = store.Config
 
-// Option adjusts a Config passed to Open.
-type Option = session.Option
+// Option adjusts a Config passed to Open — the functional-options face of the
+// same fields, for call sites that start from the zero Config.
+type Option func(*Config)
 
 // Store is a handle over a sharded register store: interactive Put/Get
 // routed to per-shard deployments, batch experiments, a unified metrics
@@ -81,68 +82,81 @@ type Metrics = session.Metrics
 // StoreShardMetrics is one shard's slice of a Metrics snapshot.
 type StoreShardMetrics = session.ShardMetrics
 
-// Open deploys the configured shards on the configured backend and returns
-// the store handle. Configuration errors (unknown algorithm or backend,
-// malformed or backend-unsupported fault specs, invalid client counts)
-// surface here, not mid-operation.
-func Open(cfg Config, opts ...Option) (*Store, error) { return session.Open(cfg, opts...) }
+// Open applies the options, resolves the configuration (defaults and
+// validation, once), deploys its shards on its backend and returns the store
+// handle. Configuration errors (unknown algorithm or backend, a non-positive
+// cluster shape, malformed or backend-unsupported fault specs, invalid client
+// counts) surface here, not mid-operation.
+func Open(cfg Config, opts ...Option) (*Store, error) {
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return session.Open(cfg)
+}
 
 // WithBackend selects the execution backend: "sim" (the deterministic
 // simulator, the default), "live" (the concurrent goroutine-per-node
 // runtime) or "net" (the live runtime's real-network sibling: every node
 // owns a TCP socket and messages cross the loopback network). Unknown names
 // fail Open with ErrUnknownBackend.
-func WithBackend(name string) Option { return session.WithBackend(name) }
+func WithBackend(name string) Option { return func(c *Config) { c.Backend = name } }
 
 // WithTransport selects the net backend with every node endpoint listening
 // on addrSpec — an address whose port part should stay 0 so each node gets
 // its own ephemeral port (e.g. "127.0.0.1:0"; "" keeps that default). It
 // implies WithBackend("net").
-func WithTransport(addrSpec string) Option { return session.WithTransport(addrSpec) }
+func WithTransport(addrSpec string) Option {
+	return func(c *Config) {
+		c.Backend = store.BackendNet
+		c.Net.ListenAddr = addrSpec
+	}
+}
 
 // WithNetConfig tunes the net runtime (listen address, step duration for
 // fault delays and partitions, per-operation timeout, transport dial and
 // queue bounds).
-func WithNetConfig(nc NetConfig) Option { return session.WithNetConfig(nc) }
+func WithNetConfig(nc NetConfig) Option { return func(c *Config) { c.Net = nc } }
 
 // WithShards sets the number of independent register shards keys are
 // routed across.
-func WithShards(n int) Option { return session.WithShards(n) }
+func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // WithFaults assigns fault scenario specs (internal/faults grammar),
 // cycled per shard.
-func WithFaults(specs ...string) Option { return session.WithFaults(specs...) }
+func WithFaults(specs ...string) Option { return func(c *Config) { c.Faults = specs } }
 
 // WithLiveConfig tunes the live runtime (step duration, op timeout,
 // mailbox capacity).
-func WithLiveConfig(lc LiveConfig) Option { return session.WithLiveConfig(lc) }
+func WithLiveConfig(lc LiveConfig) Option { return func(c *Config) { c.Live = lc } }
 
 // WithStepBudget bounds the deliveries each interactive simulator
 // operation may consume (default DefaultStepBudget); exhausting it returns
 // ErrStepBudget.
-func WithStepBudget(n int) Option { return session.WithStepBudget(n) }
+func WithStepBudget(n int) Option { return func(c *Config) { c.StepBudget = n } }
 
 // WithClients sets the per-shard writer and reader client counts.
-func WithClients(writers, readers int) Option { return session.WithClients(writers, readers) }
+func WithClients(writers, readers int) Option {
+	return func(c *Config) { c.Writers, c.Readers = writers, readers }
+}
 
 // WithSeed sets the fault and batch-workload seed.
-func WithSeed(seed int64) Option { return session.WithSeed(seed) }
+func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 
 // WithWorkers bounds the worker pool batch runs (Store.RunMulti) use.
-func WithWorkers(n int) Option { return session.WithWorkers(n) }
+func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithPipeline sets the per-client operation pipeline depth the live and net
 // batch drivers use: each driver keeps up to depth operations in flight at
 // one client, with the node starting each only after its predecessor
 // responds, so per-client program order is preserved. Ignored on the
 // simulator and for interactive Put/Get.
-func WithPipeline(depth int) Option { return session.WithPipeline(depth) }
+func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
 
 // WithSkipCheck disables batch runs' per-shard consistency checking, to
 // measure unchecked throughput. The atomicity check is O(n log n) at any
 // write concurrency; only the regularity checks are still quadratic scans.
 // Interactive CheckConsistency is unaffected.
-func WithSkipCheck() Option { return session.WithSkipCheck() }
+func WithSkipCheck() Option { return func(c *Config) { c.SkipCheck = true } }
 
 // WithOnlineCheck streams every settled operation into a windowed online
 // atomicity checker as the store runs, instead of accumulating the full
@@ -153,17 +167,17 @@ func WithSkipCheck() Option { return session.WithSkipCheck() }
 // and, through Store.RunMulti, to batch runs on the live and net backends
 // (the simulator holds complete histories and checks them offline either
 // way). Regular-condition shards keep the offline checker.
-func WithOnlineCheck() Option { return session.WithOnlineCheck() }
+func WithOnlineCheck() Option { return func(c *Config) { c.OnlineCheck = true } }
 
 // WithOnlineWindow sets the online checker's retirement window in
 // operations (0 keeps the DefaultOnlineWindow).
-func WithOnlineWindow(n int) Option { return session.WithOnlineWindow(n) }
+func WithOnlineWindow(n int) Option { return func(c *Config) { c.OnlineWindow = n } }
 
 // WithHistoryCap bounds the interactive history a batch-history shard
 // retains (0 keeps DefaultHistoryCap); at the cap further operations fail
 // with ErrHistoryFull. Online-checked shards reclaim retired prefixes, so
 // the cap binds only their unretired residue.
-func WithHistoryCap(n int) Option { return session.WithHistoryCap(n) }
+func WithHistoryCap(n int) Option { return func(c *Config) { c.HistoryCap = n } }
 
 // Telemetry is a metrics registry: lock-free counters, gauges and latency
 // histograms the store's runtimes publish into when the registry is wired
@@ -181,7 +195,7 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 // and net backends (the simulator is not instrumented). Nil disables
 // instrumentation at zero cost — uninstrumented runs stay on the exact
 // pre-telemetry code paths.
-func WithTelemetry(reg *Telemetry) Option { return session.WithTelemetry(reg) }
+func WithTelemetry(reg *Telemetry) Option { return func(c *Config) { c.Telemetry = reg } }
 
 // TelemetryServer is a running telemetry HTTP endpoint; Close releases it.
 type TelemetryServer = telemetry.Server
@@ -201,7 +215,7 @@ const DefaultOnlineWindow = consistency.DefaultWindowOps
 
 // DefaultHistoryCap is the retained interactive history bound a
 // batch-history shard gets when WithHistoryCap is not used.
-const DefaultHistoryCap = session.DefaultHistoryCap
+const DefaultHistoryCap = store.DefaultHistoryCap
 
 // ErrHistoryFull reports an interactive operation refused because its
 // shard's retained history reached the cap (WithHistoryCap); the operation
@@ -218,8 +232,8 @@ const DefaultStepBudget = workload.DefaultStepBudget
 var ErrStepBudget = store.ErrStepBudget
 
 // ErrUnknownBackend reports a backend selector naming no registered backend.
-// Every selection surface — Open, WithBackend, StoreOptions.Backend, the CLI
-// -backend flags — wraps it, so callers branch with errors.Is; the message
+// Every selection surface — Open, WithBackend, Config.Backend, the CLI
+// -backend flag — wraps it, so callers branch with errors.Is; the message
 // lists the valid names (StoreBackends).
 var ErrUnknownBackend = store.ErrUnknownBackend
 
@@ -239,8 +253,6 @@ type (
 	// MultiWorkloadSpec describes a seeded multi-key workload (keyspace
 	// size, Zipf/uniform key skew, per-key read/write mix, per-shard ν).
 	MultiWorkloadSpec = workload.MultiSpec
-	// StoreOptions configures a sharded multi-register store run.
-	StoreOptions = store.Options
 	// StoreResult aggregates the per-shard storage reports and consistency
 	// verdicts of a sharded store run.
 	StoreResult = store.Result
@@ -276,102 +288,10 @@ const (
 	OpWrite = ioa.OpWrite
 )
 
-// DeployABD builds an ABD replication register: n servers tolerating f
-// crashes, with the given writer and reader clients. multiWriter selects the
-// two-phase MWMR write protocol.
-//
-// Deprecated: use Open with Config.Algorithms "abd" / "abd-mwmr" for store
-// handles; the builder helpers (ABDBuilder) remain for the executable
-// proofs.
-func DeployABD(n, f, writers, readers int, multiWriter bool) (*Cluster, error) {
-	return abd.Deploy(abd.Options{Servers: n, F: f, Writers: writers, Readers: readers, MultiWriter: multiWriter})
-}
-
-// DeployCAS builds a Coded Atomic Storage register with code dimension
-// k = n-2f. gcDepth < 0 disables garbage collection (plain CAS); gcDepth = δ
-// keeps the δ+1 newest finalized versions (CASGC).
-//
-// Deprecated: use Open with Config.Algorithms "cas" / "casgc" for store
-// handles; the builder helpers (CASBuilder) remain for the executable
-// proofs.
-func DeployCAS(n, f, gcDepth, writers, readers int) (*Cluster, error) {
-	return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: gcDepth, Writers: writers, Readers: readers})
-}
-
-// DeployTwoVersion builds the bounded-storage erasure-coded SWSR regular
-// register (two coded versions per server, k = n-2f) — the algorithm class
-// of Theorems 4.1/5.1.
-func DeployTwoVersion(n, f, readers int) (*Cluster, error) {
-	return coded.Deploy(coded.Options{Servers: n, F: f, Readers: readers})
-}
-
-// DeployTwoVersionGossip builds the gossiping variant of the two-version
-// register: servers spread finalization notes to their peers, placing the
-// algorithm in the universal (gossip-allowed) class of Theorem 5.1.
-func DeployTwoVersionGossip(n, f, readers int) (*Cluster, error) {
-	return coded.DeployGossip(coded.Options{Servers: n, F: f, Readers: readers})
-}
-
-// DeploySolo builds the single-version k = n-f register that meets the
-// Theorem B.1 (Singleton) bound with equality but only tolerates failures
-// that precede the written value (see package coded for the discussion).
-func DeploySolo(n, f, readers int) (*Cluster, error) {
-	return coded.DeploySolo(coded.SoloOptions{Servers: n, F: f, Readers: readers})
-}
-
-// RunWorkload drives the cluster through the seeded workload, metering
-// storage.
-//
-// Deprecated: use Store.RunWorkload on an Open handle, which deploys the
-// cluster itself and runs on any backend (see MIGRATION.md).
-//
-// This is a pure forwarder to the internal workload engine, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunWorkload(cl *Cluster, spec WorkloadSpec) (*WorkloadResult, error) {
-	return workload.Run(cl, spec)
-}
-
-// RunStore partitions a multi-key workload across many independent register
-// deployments (one per shard, any mix of algorithms), runs them in parallel
-// on a worker pool with deterministic per-shard seeds, and aggregates the
-// per-shard storage reports and consistency verdicts. Results are
-// byte-identical across runs regardless of the worker count.
-//
-// Deprecated: use Store.RunMulti on an Open handle, which carries the
-// algorithm mix, backend and fault scenarios in its Config (see
-// MIGRATION.md).
-//
-// This is a pure forwarder to the internal store engine, kept only for
-// compatibility — in the style of a //go:fix inline forwarder, calls should
-// be replaced by their handle-based equivalent rather than new ones written.
-func RunStore(opts StoreOptions) (*StoreResult, error) {
-	return store.Run(opts)
-}
-
-// DeployAlgorithm builds a fresh cluster for the named algorithm ("abd",
-// "abd-mwmr", "cas", "casgc", "twoversion", "twoversion-gossip" or "solo")
-// sized for write concurrency nu, and returns the consistency condition the
-// algorithm guarantees ("atomic" or "regular").
-//
-// Deprecated: Open deploys the named algorithms itself (Config.Algorithms).
-func DeployAlgorithm(alg string, n, f, nu int) (*Cluster, string, error) {
-	return store.DeployAlgorithm(alg, n, f, nu)
-}
-
-// DeployAlgorithmSized builds a cluster for the named algorithm with
-// explicit writer and reader counts — how the live load generator scales
-// client concurrency. Single-writer algorithms reject writers != 1.
-//
-// Deprecated: Open deploys sized clusters itself (WithClients).
-func DeployAlgorithmSized(alg string, n, f, writers, readers int) (*Cluster, string, error) {
-	return store.DeployAlgorithmSized(alg, n, f, writers, readers)
-}
-
-// StoreAlgorithms lists the algorithm names DeployAlgorithm accepts.
+// StoreAlgorithms lists the algorithm names Config.Algorithms accepts.
 func StoreAlgorithms() []string { return store.Algorithms() }
 
-// StoreBackends lists the execution backends StoreOptions.Backend accepts:
+// StoreBackends lists the execution backends Config.Backend accepts:
 // "sim" (the deterministic simulator, the default), "live" (the concurrent
 // goroutine-per-node runtime) and "net" (one real TCP socket per node over
 // the loopback network).
@@ -419,50 +339,6 @@ func FaultScenarioLibrary() []FaultScenario { return faults.Library() }
 
 // FaultScenarioUsage describes the scenario spec grammar, for CLI help.
 func FaultScenarioUsage() string { return faults.Usage() }
-
-// Write performs one write operation to completion under a fair schedule,
-// with a DefaultStepBudget delivery budget (ErrStepBudget when exhausted).
-//
-// Deprecated: open a handle with Open and use Store.Put, which works on
-// every backend and takes a context; WithStepBudget replaces the fixed
-// budget (see MIGRATION.md). This forwarder is simulator-only and kept for
-// compatibility; replace calls rather than writing new ones.
-func Write(cl *Cluster, writer int, value []byte) error {
-	if writer < 0 || writer >= len(cl.Writers) {
-		return fmt.Errorf("shmem: writer index %d out of range [0,%d)", writer, len(cl.Writers))
-	}
-	_, err := runClusterOp(cl, cl.Writers[writer], ioa.Invocation{Kind: ioa.OpWrite, Value: value}, DefaultStepBudget)
-	return err
-}
-
-// Read performs one read operation to completion under a fair schedule and
-// returns the value, with a DefaultStepBudget delivery budget
-// (ErrStepBudget when exhausted).
-//
-// Deprecated: open a handle with Open and use Store.Get, which works on
-// every backend and takes a context; WithStepBudget replaces the fixed
-// budget (see MIGRATION.md). This forwarder is simulator-only and kept for
-// compatibility; replace calls rather than writing new ones.
-func Read(cl *Cluster, reader int) ([]byte, error) {
-	if reader < 0 || reader >= len(cl.Readers) {
-		return nil, fmt.Errorf("shmem: reader index %d out of range [0,%d)", reader, len(cl.Readers))
-	}
-	return runClusterOp(cl, cl.Readers[reader], ioa.Invocation{Kind: ioa.OpRead}, DefaultStepBudget)
-}
-
-// runClusterOp executes one operation under a fair schedule with the given
-// delivery budget, mapping the kernel's bare step-limit sentinel to the
-// typed ErrStepBudget.
-func runClusterOp(cl *Cluster, client ioa.NodeID, inv ioa.Invocation, budget int) ([]byte, error) {
-	op, err := cl.Sys.RunOp(client, inv, budget)
-	if errors.Is(err, ioa.ErrStepLimit) {
-		return nil, fmt.Errorf("shmem: %v at client %d: %w (budget %d deliveries)", inv.Kind, client, ErrStepBudget, budget)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return op.Output, nil
-}
 
 // MakeValue returns a deterministic pseudo-random value of the given size,
 // unique per seed — writes in checked histories must have distinct values.
@@ -547,14 +423,14 @@ type Theorem65Result = adversary.Theorem65Result
 // register, for use with ProofConfig.
 func TwoVersionBuilder(n, f int) cluster.Builder {
 	return func() (*Cluster, error) {
-		return DeployTwoVersion(n, f, 1)
+		return coded.Deploy(coded.Options{Servers: n, F: f, Readers: 1})
 	}
 }
 
 // ABDBuilder returns a cluster.Builder for the SWMR ABD register.
 func ABDBuilder(n, f int) cluster.Builder {
 	return func() (*Cluster, error) {
-		return DeployABD(n, f, 1, 1, false)
+		return abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 1})
 	}
 }
 
@@ -562,6 +438,6 @@ func ABDBuilder(n, f int) cluster.Builder {
 // given number of writers.
 func CASBuilder(n, f, writers int) cluster.Builder {
 	return func() (*Cluster, error) {
-		return DeployCAS(n, f, -1, writers, 1)
+		return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: -1, Writers: writers, Readers: 1})
 	}
 }

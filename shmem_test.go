@@ -5,63 +5,49 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
+	st, err := Open(Config{Algorithms: []string{"abd"}, Servers: 5, F: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
+	ctx := context.Background()
 	v := MakeValue(64, 1)
-	if err := Write(cl, 0, v); err != nil {
+	if err := st.Put(ctx, 0, v); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(cl, 0)
+	got, err := st.Get(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v) {
 		t.Fatalf("read %q, want %q", got, v)
 	}
-	if err := CheckAtomic(cl.Sys.History(), nil); err != nil {
+	if err := st.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAccessorValidation(t *testing.T) {
-	cl, err := DeployABD(3, 1, 1, 1, false)
+// TestStepBudgetTyped drives an interactive operation into budget
+// exhaustion: one delivery cannot complete a quorum write, and the kernel's
+// bare step-limit sentinel must surface as the typed ErrStepBudget naming
+// the budget. At its default size the budget is effectively unreachable for
+// a live quorum, so the mapping is pinned at a tiny one here.
+func TestStepBudgetTyped(t *testing.T) {
+	st, err := Open(Config{Algorithms: []string{"abd"}, Servers: 5, F: 2}, WithStepBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Write(cl, 5, []byte("x"))
-	if err == nil {
-		t.Error("out-of-range writer must fail")
-	} else if !strings.Contains(err.Error(), "writer index 5 out of range [0,1)") {
-		t.Errorf("writer error %q does not name the valid range", err)
-	}
-	_, err = Read(cl, 5)
-	if err == nil {
-		t.Error("out-of-range reader must fail")
-	} else if !strings.Contains(err.Error(), "reader index 5 out of range [0,1)") {
-		t.Errorf("reader error %q does not name the valid range", err)
-	}
-}
-
-// TestWriteStepBudgetTyped drives the single-op path into budget
-// exhaustion: one delivery cannot complete a quorum write, and the bare
-// kernel step-limit sentinel must surface as the typed ErrStepBudget.
-// Write/Read share the same helper with the same DefaultStepBudget, which
-// at full size is effectively unreachable for a live quorum — so the
-// mapping is pinned at a tiny budget here.
-func TestWriteStepBudgetTyped(t *testing.T) {
-	cl, err := DeployABD(5, 2, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runClusterOp(cl, cl.Writers[0], Invocation{Kind: OpWrite, Value: MakeValue(64, 1)}, 1)
+	defer st.Close()
+	err = st.Put(context.Background(), 0, MakeValue(64, 1))
 	if !errors.Is(err, ErrStepBudget) {
 		t.Fatalf("budget-1 write error = %v, want ErrStepBudget", err)
 	}
@@ -70,6 +56,78 @@ func TestWriteStepBudgetTyped(t *testing.T) {
 	}
 	if DefaultStepBudget != 2000000 {
 		t.Fatalf("DefaultStepBudget = %d, want the documented 2,000,000", DefaultStepBudget)
+	}
+}
+
+// TestOptionsSetTheirField: every functional option is the same as setting
+// its Config field — the two spellings open stores that resolve to identical
+// configurations.
+func TestOptionsSetTheirField(t *testing.T) {
+	reg := NewTelemetry()
+	tuned := NetConfig{StepDur: time.Millisecond, OpTimeout: 2 * time.Second}
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		cfg  Config
+	}{
+		{"WithBackend", WithBackend("live"), Config{Backend: "live"}},
+		{"WithTransport", WithTransport("127.0.0.1:0"), Config{Backend: "net", Net: NetConfig{ListenAddr: "127.0.0.1:0"}}},
+		{"WithNetConfig", WithNetConfig(tuned), Config{Net: tuned}},
+		{"WithLiveConfig", WithLiveConfig(tuned), Config{Live: tuned}},
+		{"WithShards", WithShards(3), Config{Shards: 3}},
+		{"WithFaults", WithFaults("lossy=0.01", "none"), Config{Faults: []string{"lossy=0.01", "none"}}},
+		{"WithStepBudget", WithStepBudget(5000), Config{StepBudget: 5000}},
+		{"WithClients", WithClients(3, 2), Config{Writers: 3, Readers: 2}},
+		{"WithSeed", WithSeed(42), Config{Seed: 42}},
+		{"WithWorkers", WithWorkers(2), Config{Workers: 2}},
+		{"WithPipeline", WithPipeline(8), Config{Pipeline: 8}},
+		{"WithSkipCheck", WithSkipCheck(), Config{SkipCheck: true}},
+		{"WithOnlineCheck", WithOnlineCheck(), Config{OnlineCheck: true}},
+		{"WithOnlineWindow", WithOnlineWindow(64), Config{OnlineWindow: 64}},
+		{"WithHistoryCap", WithHistoryCap(1000), Config{HistoryCap: 1000}},
+		{"WithTelemetry", WithTelemetry(reg), Config{Telemetry: reg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resolved := func(cfg Config, opts ...Option) Config {
+				st, err := Open(cfg, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				return st.Config()
+			}
+			byOption, byField := resolved(Config{}, tc.opt), resolved(tc.cfg)
+			if !reflect.DeepEqual(byOption, byField) {
+				t.Errorf("option resolves to %+v\nfield resolves to %+v", byOption, byField)
+			}
+			if reflect.DeepEqual(byOption, resolved(Config{})) {
+				t.Errorf("option left the zero Config's resolution unchanged: %+v", byOption)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsBadShape is the front-door regression: a negative server
+// count used to panic inside cluster construction for every algorithm; Open
+// must return an error naming the field, as it documents.
+func TestOpenRejectsBadShape(t *testing.T) {
+	for _, alg := range StoreAlgorithms() {
+		for _, tc := range []struct {
+			cfg  Config
+			want string
+		}{
+			{Config{Servers: -1}, "Servers"},
+			{Config{Servers: 5, F: -1}, "F must"},
+		} {
+			tc.cfg.Algorithms = []string{alg}
+			st, err := Open(tc.cfg)
+			if err == nil {
+				st.Close()
+				t.Errorf("%s: Open(%+v) succeeded", alg, tc.cfg)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %q does not name %s", alg, err, tc.want)
+			}
+		}
 	}
 }
 
@@ -224,31 +282,33 @@ func TestMeasuredStorageRespectsAllApplicableBounds(t *testing.T) {
 	log2V := float64(8 * valueBytes)
 
 	cases := []struct {
-		name    string
-		deploy  func() (*Cluster, error)
-		nu      int
-		regular bool // SWSR regular algorithms: Theorems 4.1/5.1 apply
+		alg              string
+		n, f             int
+		writers, readers int
+		regular          bool // SWSR regular algorithms: Theorems 4.1/5.1 apply
 	}{
-		{"abd-swmr", func() (*Cluster, error) { return DeployABD(5, 2, 1, 1, false) }, 1, true},
-		{"abd-mwmr", func() (*Cluster, error) { return DeployABD(5, 2, 2, 1, true) }, 2, false},
-		{"cas", func() (*Cluster, error) { return DeployCAS(7, 2, -1, 2, 1) }, 2, false},
-		{"casgc", func() (*Cluster, error) { return DeployCAS(7, 2, 0, 2, 1) }, 2, false},
-		{"two-version", func() (*Cluster, error) { return DeployTwoVersion(5, 2, 1) }, 1, true},
-		{"two-version-gossip", func() (*Cluster, error) { return DeployTwoVersionGossip(5, 2, 1) }, 1, true},
+		{"abd", 5, 2, 1, 1, true},
+		{"abd-mwmr", 5, 2, 2, 1, false},
+		{"cas", 7, 2, 2, 1, false},
+		{"casgc", 7, 2, 2, 1, false},
+		{"twoversion", 5, 2, 1, 1, true},
+		{"twoversion-gossip", 5, 2, 1, 1, true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cl, err := tc.deploy()
+		t.Run(tc.alg, func(t *testing.T) {
+			st, err := Open(Config{Algorithms: []string{tc.alg}, Servers: tc.n, F: tc.f}, WithClients(tc.writers, tc.readers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunWorkload(cl, WorkloadSpec{
-				Seed: 3, Writes: 4 * tc.nu, Reads: 2, TargetNu: tc.nu, ValueBytes: valueBytes,
+			defer st.Close()
+			nu := tc.writers
+			res, err := st.RunWorkload(WorkloadSpec{
+				Seed: 3, Writes: 4 * nu, Reads: 2, TargetNu: nu, ValueBytes: valueBytes,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := Params{N: len(cl.Servers), F: cl.F}
+			p := Params{N: tc.n, F: tc.f}
 			measured := float64(res.Storage.MaxTotalBits)
 			bounds := map[string]float64{
 				"B.1": SingletonTotalBits(p, log2V),
@@ -256,6 +316,12 @@ func TestMeasuredStorageRespectsAllApplicableBounds(t *testing.T) {
 			if tc.regular {
 				bounds["4.1"] = Theorem41TotalBits(p, log2V)
 				bounds["5.1"] = Theorem51TotalBits(p, log2V)
+			}
+			// The handle does not expose the write profile Theorem 6.5's
+			// applicability is read from; an identical deployment does.
+			cl, _, err := store.DeployAlgorithmSized(tc.alg, tc.n, tc.f, tc.writers, tc.readers)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := cl.Profile.Theorem65Applies(); err == nil {
 				bounds["6.5"] = Theorem65TotalBits(p, res.PeakActiveWrites, log2V)

@@ -98,8 +98,9 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
 
-# Build every example and smoke-run each one (all finish in well under a
-# second), so example rot is caught on push.
+# Build every example and smoke-run each one (the five API walkthroughs all
+# finish in well under a second), so example rot is caught on push; the
+# command-line walkthroughs are `shmem` subcommands, covered by its tests.
 examples:
 	$(GO) build ./examples/...
 	@set -e; for d in examples/*/; do \

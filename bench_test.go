@@ -11,7 +11,7 @@ package shmem
 //	E5 BenchmarkE5Theorem41Proof     — executable Theorem 4.1 proof
 //	E6 BenchmarkE6BoundSweep         — bound evaluation across parameters
 //	E7 BenchmarkE7RestrictedClass    — executable Theorem 6.5 experiment
-//	E8 (cmd/lowerbounds -summary)    — Section 7 summary (not timed)
+//	E8 (shmem bounds -summary)       — Section 7 summary (not timed)
 //
 // These are the paper-reproduction experiments. Performance is measured by
 // the repository benchmark instead (BENCHMARK.json, bench/) and by the

@@ -2,18 +2,24 @@ package main
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	shmem "repro"
-	"repro/internal/cmdtest"
 )
 
 // shmemCmd runs the command with the given subcommand line and returns its
 // stdout; the test fails if the command does.
 func shmemCmd(t *testing.T, args ...string) string {
 	t.Helper()
-	return cmdtest.RunWith(t, run, append([]string{"shmem"}, args...)...)
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatalf("shmem %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String()
 }
 
 func fingerprintOf(t *testing.T, out string) string {
@@ -33,7 +39,7 @@ var small = []string{"-keys", "16", "-ops", "32", "-valuebytes", "64"}
 
 // TestSubcommands drives every subcommand through its headline uses and
 // checks what each prints. The two pinned fingerprints are what the replaced
-// shardsim and faultsim binaries printed for the same runs at the parent
+// shardsim and faultsim binaries printed for the same runs at PR 20's parent
 // commit (shardsim defaulted -reads 0.25 -valuebytes 256, spelled out here).
 func TestSubcommands(t *testing.T) {
 	for _, tc := range []struct {
@@ -76,6 +82,14 @@ func TestSubcommands(t *testing.T) {
 			want: []string{"quiescent", "1/1 shards quiescent"},
 		},
 		{
+			// -n 0 and -shards 0 resolve to the defaults; the report shows
+			// what ran, not what was typed.
+			name:    "run/prints the resolved configuration",
+			args:    append([]string{"run", "-n", "0", "-shards", "0"}, small...),
+			want:    []string{"1 shards x (N=5 f=1)", "0/1 shards quiescent", "Theorem B.1 1.2500, Theorem 5.1 1."},
+			wantNot: []string{"N=0", "NaN", "0 shards"},
+		},
+		{
 			name: "run/sim backend under crash+recovery and a partition",
 			args: backendRun("sim"), want: backendWant("sim"),
 		},
@@ -98,14 +112,14 @@ func TestSubcommands(t *testing.T) {
 			want: []string{"crash-f", "crash-majority", "partition@", "lossy=", "delay=", "none", "quiescent"},
 		},
 		{
-			name:    "load/live sweep under delay faults",
-			args:    []string{"load", "-clients", "1,2", "-ops", "32", "-shards", "2", "-keys", "8", "-faults", "delay=1:8"},
-			want:    []string{"live load", "delay=1:8"},
-			wantNot: []string{"quiescent", "TCP"},
+			name: "load/live sweep under delay faults",
+			args: []string{"load", "-clients", "1,2", "-ops", "32", "-shards", "2", "-keys", "8", "-faults", "delay=1:8"},
+			want: []string{"live load", "delay=1:8"}, wantNot: []string{"quiescent", "TCP"},
 		},
 		{
-			// At the default 100µs step the 20ms window heals far inside the
-			// op timeout, so every op completes.
+			// The net backend rides out a partition: at the default 100µs
+			// step the 20ms window heals far inside the op timeout, so every
+			// op completes.
 			name:    "load/net sweep under a healing partition",
 			args:    []string{"load", "-backend", "net", "-clients", "1", "-ops", "16", "-shards", "1", "-keys", "4", "-faults", "partition@0:200"},
 			want:    []string{"net load", "TCP", "partition@0:200"},
@@ -115,6 +129,17 @@ func TestSubcommands(t *testing.T) {
 			name: "load/pipelined online-checked point",
 			args: []string{"load", "-clients", "4", "-ops", "64", "-shards", "1", "-keys", "8", "-pipeline", "4", "-check-online"},
 			want: []string{"pipeline 4", "online, 256-op retirement window"},
+		},
+		{
+			name: "load/prints the resolved configuration",
+			args: []string{"load", "-clients", "1", "-ops", "8", "-shards", "0", "-keys", "4"},
+			want: []string{"1 shards x (N=5 f=1)"}, wantNot: []string{"0 shards"},
+		},
+		{
+			// storagesim -alg abd -writes 3 -reads 2: round(5 x 0.4) = 2 reads.
+			name: "profile/abd",
+			args: []string{"profile", "-algo", "abd", "-n", "4", "-f", "1", "-nu", "1", "-ops", "5", "-reads", "0.4", "-valuebytes", "64"},
+			want: []string{"algorithm        : abd ", "operations       : 5 ", "consistency      : atomic OK", "Theorem B.1"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +158,37 @@ func TestSubcommands(t *testing.T) {
 				if got := fingerprintOf(t, out); got != tc.fingerprint {
 					t.Errorf("fingerprint %s, want the parent's %s", got, tc.fingerprint)
 				}
+			}
+		})
+	}
+}
+
+// TestParentOutput pins the paper subcommands byte for byte to what the
+// binaries they replaced printed for the same flags (testdata/<name>.txt was
+// captured from figure1, lowerbounds, proofcheck and storagesim at PR 21's
+// parent commit). The one permitted difference is in the two profile files:
+// their first line names the algorithm asked for (casgc) where storagesim
+// printed its cluster's name (cas). storagesim's count-valued -writes 15
+// -reads 4 is -ops 19 -reads 0.21 here.
+func TestParentOutput(t *testing.T) {
+	for name, args := range map[string][]string{
+		"figure1":        {"figure1"},
+		"figure1-csv":    {"figure1", "-n", "5", "-f", "2", "-maxnu", "3", "-csv"},
+		"bounds":         {"bounds"},
+		"bounds-summary": {"bounds", "-nu", "8", "-summary", "4.0"},
+		"proof":          {"proof"},
+		"proof-b1":       {"proof", "-thm", "b1"},
+		"proof-6.5":      {"proof", "-thm", "6.5"},
+		"profile":        {"profile"},
+		"profile-casgc":  {"profile", "-algo", "casgc", "-n", "9", "-f", "2", "-nu", "3", "-ops", "19", "-reads", "0.21", "-valuebytes", "1024"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shmemCmd(t, args...); got != string(want) {
+				t.Errorf("shmem %s printed\n%s\nwant\n%s", strings.Join(args, " "), got, want)
 			}
 		})
 	}
@@ -199,8 +255,28 @@ func TestLoadSweepRows(t *testing.T) {
 	}
 }
 
+// TestHelpSucceeds: -h on any subcommand prints its flags and is not an
+// error, and a command line without a known subcommand lists all seven.
+func TestHelpSucceeds(t *testing.T) {
+	subcommands := []string{"figure1", "bounds", "proof", "profile", "run", "grid", "load"}
+	for _, sub := range subcommands {
+		if err := run([]string{sub, "-h"}, io.Discard); err != nil {
+			t.Errorf("shmem %s -h: %v, want success", sub, err)
+		}
+	}
+	for _, args := range [][]string{nil, {"simulate"}} {
+		err := run(args, io.Discard)
+		for _, sub := range subcommands {
+			if err == nil || !strings.Contains(err.Error(), sub) {
+				t.Errorf("args %v: error %v does not list %q", args, err, sub)
+			}
+		}
+	}
+}
+
 // TestRejects pins eager validation: a bad command line is an error from
-// run(), typed where callers branch on it — never a panic or a partial run.
+// run(), typed where callers branch on it — never a panic or a partial run,
+// so nothing is printed before it.
 func TestRejects(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -212,20 +288,44 @@ func TestRejects(t *testing.T) {
 		{args: []string{"run", "-backend", "quantum"}, is: shmem.ErrUnknownBackend},
 		{args: []string{"load", "-backend", "quantum"}, is: shmem.ErrUnknownBackend},
 		{args: []string{"grid", "-backend", "sim,quantum", "-ops", "8"}, is: shmem.ErrUnknownBackend},
+		{args: []string{"grid", "-backend", "bogus"}, is: shmem.ErrUnknownBackend},
+		{args: []string{"load", "-backend", "sim"}, want: "want -backend live|net"},
 		{args: []string{"run", "-n", "-1"}, want: "Servers must be >= 1"},
 		{args: []string{"load", "-n", "-2"}, want: "Servers must be >= 1"},
 		{args: []string{"run", "-f", "-1"}, want: "F must be >= 0"},
 		{args: []string{"run", "-algo", "paxos"}, want: "unknown algorithm"},
 		{args: []string{"run", "-no-such-flag"}, want: "flag provided but not defined"},
 		{args: []string{"run", "-alg", "cas"}, want: "flag provided but not defined"},
+		{args: []string{"profile", "-alg", "cas"}, want: "flag provided but not defined"},
+		{args: []string{"profile", "-writes", "10"}, want: "flag provided but not defined"},
+		{args: []string{"figure1", "-nu", "2"}, want: "flag provided but not defined"},
 		{args: []string{"load", "-clients", "0"}, want: "bad client count"},
 		{args: []string{"load", "-clients", "two"}, want: "bad client count"},
 		{args: []string{"load", "-faults", "partition@40:10"}, want: "Faults[0]"}, // impossible window
 		{args: []string{"load", "-faults", "crash-f@40:10"}, want: "Faults[0]"},   // recovery before crash
 		{args: []string{"run", "-backend", "live", "-crashes", "1"}, want: "crash budget"},
+		{args: []string{"figure1", "-f", "21"}, want: "need 0 <= f < N"},
+		{args: []string{"figure1", "-maxnu", "-1"}, want: "negative maxNu"},
+		{args: []string{"bounds", "-log2v", "0"}, want: "-log2v"},
+		{args: []string{"bounds", "-log2v", "-5"}, want: "-log2v"},
+		{args: []string{"bounds", "-nu", "-3"}, want: "-nu must be >= 0"},
+		{args: []string{"bounds", "-n", "0"}, want: "need at least one server"},
+		{args: []string{"proof", "-f", "-1"}, want: "need 0 <= f < N"},
+		{args: []string{"proof", "-thm", "6.5", "-nu", "-1"}, want: "-nu must be >= 0"},
+		{args: []string{"proof", "-thm", "6.5", "-nu", "0"}, want: "-nu must be >= 1 for -thm 6.5"},
+		{args: []string{"proof", "-values", "-1"}, want: "-values must be >= 2"},
+		{args: []string{"proof", "-thm", "7"}, want: "unknown theorem"},
+		{args: []string{"proof", "-algo", "cas"}, want: "want twoversion or abd"},
+		{args: []string{"profile", "-n", "3", "-f", "3"}, want: "need 0 <= f < N"},
+		{args: []string{"profile", "-nu", "-1"}, want: "-nu must be >= 0"},
+		{args: []string{"profile", "-algo", "paxos"}, want: "unknown algorithm"},
+		{args: []string{"profile", "-reads", "1.5"}, want: "negative op counts"},
 	} {
-		err := cmdtest.RunErr(t, run, append([]string{"shmem"}, tc.args...)...)
+		var out strings.Builder
+		err := run(tc.args, &out)
 		switch {
+		case out.Len() > 0:
+			t.Errorf("args %v: printed before failing (%v):\n%s", tc.args, err, out.String())
 		case err == nil:
 			t.Errorf("args %v: run succeeded, want error", tc.args)
 		case tc.is != nil && !errors.Is(err, tc.is):
@@ -233,5 +333,18 @@ func TestRejects(t *testing.T) {
 		case !strings.Contains(err.Error(), tc.want):
 			t.Errorf("args %v: error %q does not mention %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestProfileRejectsBadShape: a negative server count is a named error from
+// profile, not a panic inside cluster construction.
+func TestProfileRejectsBadShape(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"profile", "-n", "-1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "need at least one server") || !strings.Contains(err.Error(), "N=-1") {
+		t.Errorf("profile -n -1: err = %v, want an error naming the server count", err)
+	}
+	if out.Len() > 0 {
+		t.Errorf("profile -n -1: printed before failing:\n%s", out.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"net/http"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -23,19 +22,13 @@ var sampleLineRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0
 // gauges, latency histograms) must appear. This is the in-process version of
 // `make telemetry-smoke`.
 func TestTelemetrySmoke(t *testing.T) {
-	os.Args = []string{"shmem", "load", "-backend", "net",
+	args := []string{"load", "-backend", "net",
 		"-clients", "2", "-ops", "600", "-shards", "1", "-keys", "8",
 		"-telemetry", "127.0.0.1:0", "-stat-interval", "100ms"}
 
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-
-	// Stream stdout as it is produced: the telemetry line carries the
+	// Stream the report as it is produced: the telemetry line carries the
 	// ephemeral endpoint address the test must scrape mid-run.
+	r, w := io.Pipe()
 	urlCh := make(chan string, 1)
 	outCh := make(chan string, 1)
 	go func() {
@@ -53,14 +46,16 @@ func TestTelemetrySmoke(t *testing.T) {
 	}()
 
 	runErr := make(chan error, 1)
-	go func() { runErr <- run() }()
+	go func() {
+		err := run(args, w)
+		w.Close()
+		runErr <- err
+	}()
 
 	var base string
 	select {
 	case base = <-urlCh:
 	case err := <-runErr:
-		w.Close()
-		os.Stdout = old
 		t.Fatalf("run() finished before printing the telemetry endpoint (err=%v):\n%s", err, <-outCh)
 	case <-time.After(30 * time.Second):
 		t.Fatal("no telemetry endpoint line within 30s")
@@ -81,8 +76,6 @@ func TestTelemetrySmoke(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	w.Close()
-	os.Stdout = old
 	out := <-outCh
 	if errRun != nil {
 		t.Fatalf("run() failed: %v\n%s", errRun, out)

@@ -304,7 +304,7 @@ func (s *Store) runOp(ctx context.Context, sh *shard, client ioa.NodeID, inv ioa
 	}
 	if hcap := s.cfg.HistoryCap; sh.retainedLocked() >= hcap {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("session: shard %d: %w (cap %d; check and reopen, raise WithHistoryCap, or switch to WithOnlineCheck)", sh.index, ErrHistoryFull, hcap)
+		return nil, fmt.Errorf("session: shard %d: %w (cap %d; check and reopen, raise Config.HistoryCap, or switch to Config.OnlineCheck)", sh.index, ErrHistoryFull, hcap)
 	}
 	tk := sh.feed.Begin(client, inv.Kind, inv.Value)
 	sh.recorded++

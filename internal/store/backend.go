@@ -82,7 +82,7 @@ type ShardSession interface {
 
 // ErrStepBudget reports that an interactive simulator operation exhausted
 // its delivery budget before completing. Callers can widen the budget with
-// a larger Config.StepBudget (shmem.WithStepBudget).
+// a larger Config.StepBudget.
 var ErrStepBudget = errors.New("store: step budget exhausted before the operation completed")
 
 // Backend selector names accepted by Config.Backend.

@@ -22,7 +22,7 @@ import (
 // DefaultStepBudget is the delivery budget a run or interactive operation
 // gets when no explicit budget is configured: Spec.MaxSteps defaults to it,
 // and so does the per-operation budget of interactive simulator sessions
-// (store.ShardSession, shmem.Open's WithStepBudget option).
+// (store.ShardSession, Config.StepBudget).
 const DefaultStepBudget = 2000000
 
 // Spec describes a workload.

@@ -29,20 +29,23 @@
 //   - the executable-proof experiments: critical-point/valency analysis and
 //     the injectivity counting arguments run against live algorithm code.
 //
+// Every setting is a Config field; the With* options are shorthand for the
+// handful that callers set most. A name survives here only while something
+// outside this package calls it: the shmem command (cmd/shmem), the
+// examples or the benchmark module. The checkers, histories, fault plans and
+// cluster types behind it live in the internal packages.
+//
 // See the examples directory for runnable walkthroughs, MIGRATION.md for
 // the replacement of every removed name, and EXPERIMENTS.md for the
 // paper-versus-measured record.
 package shmem
 
 import (
-	"time"
-
 	"repro/internal/abd"
 	"repro/internal/adversary"
 	"repro/internal/cas"
 	"repro/internal/cluster"
 	"repro/internal/coded"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ioa"
@@ -79,9 +82,6 @@ type Store = session.Store
 // stats, op counts and latency percentiles.
 type Metrics = session.Metrics
 
-// StoreShardMetrics is one shard's slice of a Metrics snapshot.
-type StoreShardMetrics = session.ShardMetrics
-
 // Open applies the options, resolves the configuration (defaults and
 // validation, once), deploys its shards on its backend and returns the store
 // handle. Configuration errors (unknown algorithm or backend, a non-positive
@@ -101,22 +101,6 @@ func Open(cfg Config, opts ...Option) (*Store, error) {
 // fail Open with ErrUnknownBackend.
 func WithBackend(name string) Option { return func(c *Config) { c.Backend = name } }
 
-// WithTransport selects the net backend with every node endpoint listening
-// on addrSpec — an address whose port part should stay 0 so each node gets
-// its own ephemeral port (e.g. "127.0.0.1:0"; "" keeps that default). It
-// implies WithBackend("net").
-func WithTransport(addrSpec string) Option {
-	return func(c *Config) {
-		c.Backend = store.BackendNet
-		c.Net.ListenAddr = addrSpec
-	}
-}
-
-// WithNetConfig tunes the net runtime (listen address, step duration for
-// fault delays and partitions, per-operation timeout, transport dial and
-// queue bounds).
-func WithNetConfig(nc NetConfig) Option { return func(c *Config) { c.Net = nc } }
-
 // WithShards sets the number of independent register shards keys are
 // routed across.
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
@@ -125,25 +109,10 @@ func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 // cycled per shard.
 func WithFaults(specs ...string) Option { return func(c *Config) { c.Faults = specs } }
 
-// WithLiveConfig tunes the live runtime (step duration, op timeout,
-// mailbox capacity).
-func WithLiveConfig(lc LiveConfig) Option { return func(c *Config) { c.Live = lc } }
-
-// WithStepBudget bounds the deliveries each interactive simulator
-// operation may consume (default DefaultStepBudget); exhausting it returns
-// ErrStepBudget.
-func WithStepBudget(n int) Option { return func(c *Config) { c.StepBudget = n } }
-
 // WithClients sets the per-shard writer and reader client counts.
 func WithClients(writers, readers int) Option {
 	return func(c *Config) { c.Writers, c.Readers = writers, readers }
 }
-
-// WithSeed sets the fault and batch-workload seed.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithWorkers bounds the worker pool batch runs (Store.RunMulti) use.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithPipeline sets the per-client operation pipeline depth the live and net
 // batch drivers use: each driver keeps up to depth operations in flight at
@@ -151,12 +120,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // responds, so per-client program order is preserved. Ignored on the
 // simulator and for interactive Put/Get.
 func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
-
-// WithSkipCheck disables batch runs' per-shard consistency checking, to
-// measure unchecked throughput. The atomicity check is O(n log n) at any
-// write concurrency; only the regularity checks are still quadratic scans.
-// Interactive CheckConsistency is unaffected.
-func WithSkipCheck() Option { return func(c *Config) { c.SkipCheck = true } }
 
 // WithOnlineCheck streams every settled operation into a windowed online
 // atomicity checker as the store runs, instead of accumulating the full
@@ -166,18 +129,9 @@ func WithSkipCheck() Option { return func(c *Config) { c.SkipCheck = true } }
 // (OpsVerified, WindowLag). Applies to interactive atomic-condition shards
 // and, through Store.RunMulti, to batch runs on the live and net backends
 // (the simulator holds complete histories and checks them offline either
-// way). Regular-condition shards keep the offline checker.
+// way). Regular-condition shards keep the offline checker. Config.OnlineWindow
+// sizes the window.
 func WithOnlineCheck() Option { return func(c *Config) { c.OnlineCheck = true } }
-
-// WithOnlineWindow sets the online checker's retirement window in
-// operations (0 keeps the DefaultOnlineWindow).
-func WithOnlineWindow(n int) Option { return func(c *Config) { c.OnlineWindow = n } }
-
-// WithHistoryCap bounds the interactive history a batch-history shard
-// retains (0 keeps DefaultHistoryCap); at the cap further operations fail
-// with ErrHistoryFull. Online-checked shards reclaim retired prefixes, so
-// the cap binds only their unretired residue.
-func WithHistoryCap(n int) Option { return func(c *Config) { c.HistoryCap = n } }
 
 // Telemetry is a metrics registry: lock-free counters, gauges and latency
 // histograms the store's runtimes publish into when the registry is wired
@@ -209,26 +163,14 @@ func ServeTelemetry(addr string, reg *Telemetry) (*TelemetryServer, error) {
 	return telemetry.Serve(addr, reg)
 }
 
-// DefaultOnlineWindow is the online checker's retirement window when none
-// is configured.
-const DefaultOnlineWindow = consistency.DefaultWindowOps
-
-// DefaultHistoryCap is the retained interactive history bound a
-// batch-history shard gets when WithHistoryCap is not used.
-const DefaultHistoryCap = store.DefaultHistoryCap
-
 // ErrHistoryFull reports an interactive operation refused because its
-// shard's retained history reached the cap (WithHistoryCap); the operation
-// never started. Branch with errors.Is.
+// shard's retained history reached Config.HistoryCap (2^20 operations when
+// zero); the operation never started. Branch with errors.Is.
 var ErrHistoryFull = session.ErrHistoryFull
 
-// DefaultStepBudget is the delivery budget an interactive simulator
-// operation (or a workload run without MaxSteps) gets when no explicit
-// budget is configured.
-const DefaultStepBudget = workload.DefaultStepBudget
-
 // ErrStepBudget reports that an interactive simulator operation exhausted
-// its delivery budget before completing; widen it with WithStepBudget.
+// its delivery budget before completing; widen it with Config.StepBudget
+// (2,000,000 deliveries when zero).
 var ErrStepBudget = store.ErrStepBudget
 
 // ErrUnknownBackend reports a backend selector naming no registered backend.
@@ -239,9 +181,6 @@ var ErrUnknownBackend = store.ErrUnknownBackend
 
 // Re-exported foundation types.
 type (
-	// Cluster is a deployed register emulation: a simulated system plus
-	// node roles.
-	Cluster = cluster.Cluster
 	// Params is a system configuration (N servers, f tolerated failures).
 	Params = core.Params
 	// WorkloadSpec describes a seeded workload (writes, reads, target
@@ -256,36 +195,13 @@ type (
 	// StoreResult aggregates the per-shard storage reports and consistency
 	// verdicts of a sharded store run.
 	StoreResult = store.Result
-	// ShardResult is one shard's slice of a StoreResult.
-	ShardResult = store.ShardResult
 	// Figure1Row is one ν-position of the Figure 1 series.
 	Figure1Row = core.Figure1Row
-	// FaultPlan is a deterministic, seeded fault schedule: message drops,
-	// bounded delays (which reorder links), link outages/partitions and
-	// scheduled server crashes/recoveries. Install one via
-	// WorkloadSpec.FaultPlan or per shard via MultiWorkloadSpec.Faults.
-	FaultPlan = faults.Plan
 	// FaultScenario is a named, parameterized recipe that expands into a
-	// FaultPlan for an (n, f) deployment.
+	// fault plan for an (n, f) deployment.
 	FaultScenario = faults.Scenario
 	// FaultStats aggregates an execution's injected fault events.
 	FaultStats = ioa.FaultStats
-	// FaultRecord is one injected fault event as recorded in a History.
-	FaultRecord = ioa.FaultRecord
-	// StorageReport is the kernel's running-maximum storage accounting.
-	StorageReport = ioa.StorageReport
-	// History is an execution's operation history.
-	History = ioa.History
-	// Invocation starts an operation at a client.
-	Invocation = ioa.Invocation
-	// NodeID identifies a node.
-	NodeID = ioa.NodeID
-)
-
-// Operation kinds for Invocation.
-const (
-	OpRead  = ioa.OpRead
-	OpWrite = ioa.OpWrite
 )
 
 // StoreAlgorithms lists the algorithm names Config.Algorithms accepts.
@@ -297,79 +213,27 @@ func StoreAlgorithms() []string { return store.Algorithms() }
 // the loopback network).
 func StoreBackends() []string { return store.Backends() }
 
-// LiveConfig tunes the node runtime on the "live" backend (step duration for
-// fault delays, per-operation timeout, mailbox capacity). The zero value
-// selects the defaults. It is the same type as NetConfig: one runtime drives
-// both backends, and the transport fields are simply unread on live.
-type LiveConfig = runtime.Config
-
-// NetConfig tunes the node runtime on the "net" backend: the listen address
-// spec (ephemeral loopback ports by default), the step duration mapping
-// fault delays and partition windows to wall time, the per-operation
-// timeout, and the transport's dial timeout and per-connection send queue
-// capacity. The zero value selects the defaults.
+// NetConfig tunes the node runtime behind the "live" and "net" backends —
+// Config.Live and Config.Net, of which only the selected backend's is read:
+// the listen address spec (ephemeral loopback ports by default; net only),
+// the step duration mapping fault delays and partition windows to wall time,
+// the per-operation timeout, and the transport's dial timeout and
+// per-connection send queue capacity (net only). The zero value selects the
+// defaults.
 type NetConfig = runtime.Config
-
-// LatencyPercentile returns the p-th percentile (0 < p <= 1) of the given
-// latencies, nearest-rank.
-func LatencyPercentile(ds []time.Duration, p float64) time.Duration {
-	return workload.Percentile(ds, p)
-}
-
-// ParseFaultScenario parses a fault scenario spec — "crash-f[@STEP[:RECOVER]]",
-// "crash-majority[@STEP[:RECOVER]]", "partition@START:HEAL[:ISOLATE]",
-// "lossy=PROB", "delay=MIN:MAX", combinable with "+" — into a FaultScenario.
-// "" and "none" parse to nil (no faults).
-func ParseFaultScenario(spec string) (FaultScenario, error) { return faults.Parse(spec) }
-
-// BuildFaultPlan parses a scenario spec and expands it into a concrete plan
-// for an (n, f) deployment. It returns nil for "" and "none".
-func BuildFaultPlan(spec string, n, f int, seed int64) (*FaultPlan, error) {
-	sc, err := faults.Parse(spec)
-	if err != nil || sc == nil {
-		return nil, err
-	}
-	return sc.Build(n, f, seed)
-}
 
 // FaultScenarioLibrary returns the standard scenario grid: quorum-preserving
 // crash of f, quorum-killing crash of f+1, healing partition, lossy links
 // and delay/reorder.
 func FaultScenarioLibrary() []FaultScenario { return faults.Library() }
 
-// FaultScenarioUsage describes the scenario spec grammar, for CLI help.
+// FaultScenarioUsage describes the scenario spec grammar — the strings
+// Config.Faults and MultiWorkloadSpec.Faults take — for CLI help.
 func FaultScenarioUsage() string { return faults.Usage() }
 
 // MakeValue returns a deterministic pseudo-random value of the given size,
 // unique per seed — writes in checked histories must have distinct values.
 func MakeValue(size int, seed uint64) []byte { return register.MakeValue(size, seed) }
-
-// CheckAtomic verifies linearizability of a history (unique write values)
-// in O(n log n), whatever its concurrency.
-func CheckAtomic(h *History, initial []byte) error { return consistency.CheckAtomic(h, initial) }
-
-// OnlineChecker is the streaming linearizability checker behind
-// WithOnlineCheck: feed it operations in invocation order with Observe and
-// it retires provably-linearized prefixes as they form, keeping memory
-// bounded by the window. NewOnlineChecker builds one for direct use over
-// histories produced outside a Store.
-type OnlineChecker = consistency.OnlineChecker
-
-// NewOnlineChecker returns a streaming linearizability checker for a
-// register with the given initial value (nil for a fresh register).
-// windowOps <= 0 selects DefaultOnlineWindow.
-func NewOnlineChecker(initial []byte, windowOps int) *OnlineChecker {
-	return consistency.NewOnlineChecker(initial, consistency.WithWindowOps(windowOps))
-}
-
-// CheckRegular verifies single-writer regularity of a history.
-func CheckRegular(h *History, initial []byte) error { return consistency.CheckRegular(h, initial) }
-
-// CheckWeaklyRegular verifies the multi-writer weak regularity of Section
-// 6.2.
-func CheckWeaklyRegular(h *History, initial []byte) error {
-	return consistency.CheckWeaklyRegular(h, initial)
-}
 
 // --- bounds ---
 
@@ -422,14 +286,14 @@ type Theorem65Result = adversary.Theorem65Result
 // TwoVersionBuilder returns a cluster.Builder for the two-version coded
 // register, for use with ProofConfig.
 func TwoVersionBuilder(n, f int) cluster.Builder {
-	return func() (*Cluster, error) {
+	return func() (*cluster.Cluster, error) {
 		return coded.Deploy(coded.Options{Servers: n, F: f, Readers: 1})
 	}
 }
 
 // ABDBuilder returns a cluster.Builder for the SWMR ABD register.
 func ABDBuilder(n, f int) cluster.Builder {
-	return func() (*Cluster, error) {
+	return func() (*cluster.Cluster, error) {
 		return abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 1})
 	}
 }
@@ -437,7 +301,7 @@ func ABDBuilder(n, f int) cluster.Builder {
 // CASBuilder returns a cluster.Builder for a plain CAS register with the
 // given number of writers.
 func CASBuilder(n, f, writers int) cluster.Builder {
-	return func() (*Cluster, error) {
+	return func() (*cluster.Cluster, error) {
 		return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: -1, Writers: writers, Readers: 1})
 	}
 }

@@ -42,7 +42,7 @@ func TestQuickstartFlow(t *testing.T) {
 // the budget. At its default size the budget is effectively unreachable for
 // a live quorum, so the mapping is pinned at a tiny one here.
 func TestStepBudgetTyped(t *testing.T) {
-	st, err := Open(Config{Algorithms: []string{"abd"}, Servers: 5, F: 2}, WithStepBudget(1))
+	st, err := Open(Config{Algorithms: []string{"abd"}, Servers: 5, F: 2, StepBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,13 @@ func TestStepBudgetTyped(t *testing.T) {
 	if !strings.Contains(err.Error(), "budget 1 deliveries") {
 		t.Errorf("error %q does not name the exhausted budget", err)
 	}
-	if DefaultStepBudget != 2000000 {
-		t.Fatalf("DefaultStepBudget = %d, want the documented 2,000,000", DefaultStepBudget)
+	zero, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zero.Close()
+	if got := zero.Config().StepBudget; got != 2000000 {
+		t.Fatalf("default step budget = %d, want the documented 2,000,000", got)
 	}
 }
 
@@ -64,27 +69,17 @@ func TestStepBudgetTyped(t *testing.T) {
 // configurations.
 func TestOptionsSetTheirField(t *testing.T) {
 	reg := NewTelemetry()
-	tuned := NetConfig{StepDur: time.Millisecond, OpTimeout: 2 * time.Second}
 	for _, tc := range []struct {
 		name string
 		opt  Option
 		cfg  Config
 	}{
 		{"WithBackend", WithBackend("live"), Config{Backend: "live"}},
-		{"WithTransport", WithTransport("127.0.0.1:0"), Config{Backend: "net", Net: NetConfig{ListenAddr: "127.0.0.1:0"}}},
-		{"WithNetConfig", WithNetConfig(tuned), Config{Net: tuned}},
-		{"WithLiveConfig", WithLiveConfig(tuned), Config{Live: tuned}},
 		{"WithShards", WithShards(3), Config{Shards: 3}},
 		{"WithFaults", WithFaults("lossy=0.01", "none"), Config{Faults: []string{"lossy=0.01", "none"}}},
-		{"WithStepBudget", WithStepBudget(5000), Config{StepBudget: 5000}},
 		{"WithClients", WithClients(3, 2), Config{Writers: 3, Readers: 2}},
-		{"WithSeed", WithSeed(42), Config{Seed: 42}},
-		{"WithWorkers", WithWorkers(2), Config{Workers: 2}},
 		{"WithPipeline", WithPipeline(8), Config{Pipeline: 8}},
-		{"WithSkipCheck", WithSkipCheck(), Config{SkipCheck: true}},
 		{"WithOnlineCheck", WithOnlineCheck(), Config{OnlineCheck: true}},
-		{"WithOnlineWindow", WithOnlineWindow(64), Config{OnlineWindow: 64}},
-		{"WithHistoryCap", WithHistoryCap(1000), Config{HistoryCap: 1000}},
 		{"WithTelemetry", WithTelemetry(reg), Config{Telemetry: reg}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +97,39 @@ func TestOptionsSetTheirField(t *testing.T) {
 			}
 			if reflect.DeepEqual(byOption, resolved(Config{})) {
 				t.Errorf("option left the zero Config's resolution unchanged: %+v", byOption)
+			}
+		})
+	}
+}
+
+// TestConfigFieldsSurviveOpen: the settings without a With* shorthand are
+// Config fields, and Open keeps each one a caller sets instead of replacing
+// it with its default.
+func TestConfigFieldsSurviveOpen(t *testing.T) {
+	tuned := NetConfig{StepDur: time.Millisecond, OpTimeout: 2 * time.Second}
+	for _, tc := range []struct {
+		name, field string
+		cfg         Config
+	}{
+		{"Live", "Live", Config{Live: tuned}},
+		{"Net", "Net", Config{Net: tuned}},
+		{"NetListenAddr", "Net", Config{Backend: "net", Net: NetConfig{ListenAddr: "127.0.0.1:0"}}},
+		{"StepBudget", "StepBudget", Config{StepBudget: 5000}},
+		{"Seed", "Seed", Config{Seed: 42}},
+		{"Workers", "Workers", Config{Workers: 2}},
+		{"SkipCheck", "SkipCheck", Config{SkipCheck: true}},
+		{"OnlineWindow", "OnlineWindow", Config{OnlineWindow: 64}},
+		{"HistoryCap", "HistoryCap", Config{HistoryCap: 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			got := reflect.ValueOf(st.Config()).FieldByName(tc.field).Interface()
+			if want := reflect.ValueOf(tc.cfg).FieldByName(tc.field).Interface(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Open resolved %s to %+v, want the given %+v", tc.field, got, want)
 			}
 		})
 	}
@@ -146,17 +174,17 @@ func TestUnknownBackendIsTyped(t *testing.T) {
 	}
 }
 
-// TestWithTransportSelectsNetBackend pins the WithTransport option: it
-// implies the net backend, and a Put/Get pair round-trips over real loopback
-// sockets.
-func TestWithTransportSelectsNetBackend(t *testing.T) {
-	st, err := Open(Config{}, WithTransport("127.0.0.1:0"))
+// TestNetBackendPutGet: a store opened on the net backend with an explicit
+// listen address reports that backend, and a Put/Get pair round-trips over
+// real loopback sockets.
+func TestNetBackendPutGet(t *testing.T) {
+	st, err := Open(Config{Backend: "net", Net: NetConfig{ListenAddr: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	if got := st.Backend(); got != "net" {
-		t.Fatalf("WithTransport backend = %q, want \"net\"", got)
+		t.Fatalf("backend = %q, want \"net\"", got)
 	}
 	ctx := context.Background()
 	v := MakeValue(48, 7)
@@ -240,7 +268,7 @@ func TestCrashRecoveryVisibleInMetrics(t *testing.T) {
 		F:          1,
 		Shards:     1,
 		Faults:     []string{"crash-f@50:150"},
-		Live:       LiveConfig{StepDur: time.Millisecond},
+		Live:       NetConfig{StepDur: time.Millisecond},
 	}, WithBackend("live"))
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +496,7 @@ func Example_openLiveBackend() {
 // the handle and compares the metered storage against the paper's
 // Theorem B.1 (Singleton) lower bound.
 func Example_runExperiment() {
-	st, err := Open(Config{Algorithms: []string{"casgc"}}, WithShards(4), WithSeed(42))
+	st, err := Open(Config{Algorithms: []string{"casgc"}, Seed: 42}, WithShards(4))
 	if err != nil {
 		panic(err)
 	}

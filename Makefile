@@ -1,10 +1,11 @@
 GO ?= go
 
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
-# GF(2^8)/erasure coding, linearizability checker, the CAS server's collector
-# and the node runtime's interactive 64 KiB path).
-MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K'
+# GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
+# the node runtime's interactive 64 KiB path and the TCP transport's 64 B
+# round trip and five-peer fan-out).
+MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/transport
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut'
 
 .PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
@@ -90,13 +91,17 @@ bench-micro-smoke:
 bench-check:
 	$(GO) -C bench test .
 
-# Short native-fuzzing passes over the coding-theory kernels and the
-# atomicity checker against its search oracle (one -fuzz pattern per package
-# run, as the fuzz engine requires).
+# Short native-fuzzing passes over the coding-theory kernels, the atomicity
+# checker against its search oracle, and every decoder a peer's bytes reach:
+# the message codec, the compound envelope and the buffered inbound stream
+# (one -fuzz target per run, as the fuzz engine requires).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
+	$(GO) test -run NONE -fuzz FuzzWireDecodeRobust -fuzztime 10s ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzCompoundSplit -fuzztime 10s ./internal/wire
+	$(GO) test -run NONE -fuzz FuzzReadFrames -fuzztime 10s ./internal/transport
 
 # Build every example and smoke-run each one (the five API walkthroughs all
 # finish in well under a second), so example rot is caught on push; the

@@ -235,10 +235,11 @@ type FaultStats struct {
 	// because every queued message was delayed, blocked or addressed to a
 	// crashed node.
 	FastForwards int
-	// TransportDropped counts messages lost below the fault plan: mailbox
-	// or connection outboxes that stayed full past the send deadline, and
-	// frames stranded in a dead connection's outbox. Zero on the simulator,
-	// whose channels are unbounded.
+	// TransportDropped counts messages lost below the fault plan: mailboxes
+	// or connections' pending batches that stayed full past the send
+	// deadline, socket writes that timed out before writing a byte, and
+	// frames in flight or pending on a connection a failed write retired.
+	// Zero on the simulator, whose channels are unbounded.
 	TransportDropped int
 	// TransportRequeued counts frames moved to a freshly dialed connection
 	// after their original connection died between lookup and enqueue.

@@ -133,7 +133,7 @@ func TestHistoryAtomicThroughCrashRecover(t *testing.T) {
 }
 
 // TestCrashReapsGoroutines pins the leak contract: crashed nodes' loops,
-// timers and (on tcp) endpoint accept/reader/writer goroutines are fully
+// timers and (on tcp) endpoint accept/reader goroutines are fully
 // reaped — after a run whose plan crashes servers without recovery, Close
 // returns the process to its goroutine baseline.
 func TestCrashReapsGoroutines(t *testing.T) {

@@ -40,10 +40,11 @@
 //     unsupported combination, rejected with faults.ErrUnsupported. Every
 //     gate runs before the link sees the message, so a dropped message is
 //     never encoded and never touches a socket.
-//   - Flow control: mailboxes (and the TCP link's per-connection outboxes)
-//     are bounded and a sender facing a full queue blocks up to
-//     Config.SendTimeout before the message is dropped and counted in
-//     FaultStats.TransportDropped. The paper's channels are unordered and
+//   - Flow control: mailboxes (and, on the TCP link, the frames pending on
+//     each connection) are bounded and a sender facing a full queue blocks
+//     up to Config.SendTimeout before the message is dropped and counted in
+//     FaultStats.TransportDropped; on the TCP link the sender that flushes a
+//     connection writes to the socket itself, under the same deadline. The paper's channels are unordered and
 //     lossy under faults, so the per-link FIFO the bounded path preserves is
 //     sound and the drop-after-deadline is loss the model already admits.
 //   - Liveness is a verdict, not a hang: every operation carries a timeout,
@@ -87,10 +88,10 @@ type Config struct {
 	// Mailbox is the per-node buffered event queue capacity (default 128).
 	Mailbox int
 	// SendTimeout bounds how long a sender blocks on a full mailbox (or, on
-	// the TCP link, a full connection outbox) before the message is dropped
-	// and counted (default 1s). This is the backpressure window: under
-	// sustained overload, senders slow to the receiver's drain rate instead
-	// of growing unbounded queues.
+	// the TCP link, on a connection's full pending batch or in its socket
+	// write) before the message is dropped and counted (default 1s). This is
+	// the backpressure window: under sustained overload, senders slow to the
+	// receiver's drain rate instead of growing unbounded queues.
 	SendTimeout time.Duration
 	// Pipeline is the number of operations each batch driver keeps in
 	// flight per client (default 1: one at a time). The node queues
@@ -144,8 +145,9 @@ type Config struct {
 	// DialTimeout bounds each outbound connection attempt (default: the
 	// transport's own 2s).
 	DialTimeout time.Duration
-	// Outbox is the transport's per-connection send queue capacity
-	// (default: the transport's own 256).
+	// Outbox bounds the frames pending on one transport connection while
+	// another sender's write is in progress (default: the transport's own
+	// 256).
 	Outbox int
 }
 

@@ -35,9 +35,10 @@ func TestPipelinedManyClients(t *testing.T) {
 		cfg     runtime.Config
 		// budget is the goroutine allowance above the baseline: one loop per
 		// node and one driver per client, plus — on tcp — an accept loop per
-		// endpoint and, per directed link, a writer at its source and a
-		// reader at its target (every client dials 5 servers and every
-		// server dials back 2*clients peers: 2 * 2*clients*5 directed links).
+		// endpoint and, per directed link, a reader at its target; senders
+		// write their own frames, so no link has a writer goroutine (every
+		// client dials 5 servers and every server dials back 2*clients
+		// peers: 2 * 2*clients*5 directed links).
 		budget func(nodes, clients int) int
 		noLoss bool
 	}{
@@ -49,7 +50,7 @@ func TestPipelinedManyClients(t *testing.T) {
 		runtime.BackendNet: {
 			clients: 64,
 			cfg:     runtime.Config{Mailbox: 8, Outbox: 8, Pipeline: 4, OpTimeout: 60 * time.Second},
-			budget:  func(nodes, clients int) int { return 2*nodes + 2*clients + 2*(2*2*clients*5) },
+			budget:  func(nodes, clients int) int { return 2*nodes + 2*clients + 2*2*clients*5 },
 			noLoss:  true,
 		},
 	}

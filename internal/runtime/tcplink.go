@@ -23,8 +23,9 @@ import (
 // TCP's own flow control; node loops never block on a peer's mailbox here
 // (their sends go to sockets, whose kernel buffers break sender/receiver
 // cycles long before the drop deadline does), so nothing is ever siphoned.
-// The transport writer coalesces queued frames into compound envelopes, so a
-// burst costs one syscall instead of one per message.
+// A node loop's send writes the frame to the socket itself, one write per
+// envelope, unless another sender on the same connection is already
+// writing: then the frame joins that sender's next compound envelope.
 type tcpLink struct {
 	rt   *runtime
 	tcfg transport.Config
@@ -193,7 +194,7 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "compound envelope flushes (frames/batches = coalescing factor)", sl, nl),
 			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "envelope bytes written to peer sockets", sl, nl),
 			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "envelope bytes received", sl, nl),
-			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full outbox past SendTimeout", sl, nl),
+			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full pending batch or an unwritten socket write past SendTimeout", sl, nl),
 			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
 			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
 			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound envelopes that failed to split", sl, nl),

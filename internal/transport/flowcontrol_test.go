@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -9,10 +10,22 @@ import (
 	"time"
 )
 
+// pipePeer pools one end of an in-memory pipe as e's connection to addr and
+// returns the other end: the test plays the peer and decides exactly how
+// many bytes of each write it accepts.
+func pipePeer(e *Endpoint, addr string) (*outConn, net.Conn) {
+	local, remote := net.Pipe()
+	oc := &outConn{c: local}
+	e.mu.Lock()
+	e.conns[addr] = oc
+	e.mu.Unlock()
+	return oc, remote
+}
+
 // TestBatchedDeliveryPreservesOrder floods one link with numbered frames
-// through a tiny outbox. The writer coalesces them into compound envelopes;
-// the reader must hand every frame to the handler exactly once, in enqueue
-// order — the per-link FIFO that the old spawn-on-overflow fallback broke.
+// through a tiny outbox. The reader must hand every frame to the handler
+// exactly once, in send order — the per-link FIFO that the old
+// spawn-on-overflow fallback broke.
 func TestBatchedDeliveryPreservesOrder(t *testing.T) {
 	a, err := Listen("127.0.0.1:0", Config{Outbox: 8})
 	if err != nil {
@@ -56,55 +69,227 @@ func TestBatchedDeliveryPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSendBackpressureDropsAreCounted wedges the socket (a peer that
-// accepts and never reads) so the outbox cannot drain: once the TCP buffer
-// and the outbox are full, each Send must block only for SendTimeout and
-// the abandoned frames must show up in Stats — not vanish, not accumulate
-// goroutines.
-func TestSendBackpressureDropsAreCounted(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			<-stop // hold the connection open, never read
-		}
-	}()
-
-	a, err := Listen("127.0.0.1:0", Config{Outbox: 1, SendTimeout: 20 * time.Millisecond})
+// TestConcurrentSendersCoalesce has eight goroutines share one connection.
+// While one of them writes, the others append behind it, and the next write
+// carries their frames together: every frame arrives exactly once, each
+// sender's frames arrive in its send order, some envelopes carry more than
+// one frame, and the batch histogram accounts for every flush. The peer is
+// a pipe, whose writes block until read, and it reads nothing until frames
+// have queued behind the first write, so coalescing is not left to the
+// scheduler: on one CPU the flusher and the reader would otherwise hand the
+// processor back and forth and never let another sender in.
+func TestConcurrentSendersCoalesce(t *testing.T) {
+	const senders, each = 8, 500
+	a, err := Listen("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	oc, peer := pipePeer(a, "peer")
+	defer peer.Close()
 
-	before := runtime.NumGoroutine()
-	frame := make([]byte, 1<<20) // large frames fill the kernel buffer fast
-	for i := 0; i < 64 && a.Stats().DroppedFull < 3; i++ {
-		if err := a.Send(ln.Addr().String(), frame); err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	got := make([][]uint64, senders)
+	total := 0
+	b := &Endpoint{done: make(chan struct{})}
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			oc.mu.Lock()
+			queued := len(oc.pending)
+			oc.mu.Unlock()
+			if queued > 1 {
+				break
+			}
+		}
+		b.readFrames(peer, func(frame []byte) {
+			seq, _ := binary.Uvarint(frame[1:])
+			mu.Lock()
+			got[frame[0]] = append(got[frame[0]], seq)
+			total++
+			mu.Unlock()
+		})
+	}()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s byte) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := a.Send("peer", binary.AppendUvarint([]byte{s}, uint64(i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(byte(s))
+	}
+	wg.Wait()
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return total == senders*each
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for s, seqs := range got {
+		if len(seqs) != each {
+			t.Fatalf("sender %d: %d frames arrived, want %d", s, len(seqs), each)
+		}
+		for i, v := range seqs {
+			if v != uint64(i) {
+				t.Fatalf("sender %d: frame %d arrived with sequence %d; per-sender FIFO broken", s, i, v)
+			}
 		}
 	}
-	if s := a.Stats(); s.DroppedFull < 3 {
-		t.Fatalf("expected counted backpressure drops on a wedged socket, got %+v", s)
+	st := a.Stats()
+	if st.FramesSent != senders*each || st.DroppedFull+st.DroppedDead > 0 {
+		t.Fatalf("healthy link: %+v, want %d frames sent and none dropped", st, senders*each)
 	}
-	// The old overflow path parked one goroutine per dropped frame.
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Fatalf("goroutines grew %d -> %d under overflow; drops must not spawn", before, after)
+	if st.BatchesSent >= st.FramesSent {
+		t.Fatalf("%d frames left in %d envelopes; concurrent senders never coalesced", st.FramesSent, st.BatchesSent)
+	}
+	var flushes uint64
+	for _, c := range st.BatchFrames {
+		flushes += c
+	}
+	if flushes != st.BatchesSent {
+		t.Fatalf("batch histogram holds %d flushes, BatchesSent is %d", flushes, st.BatchesSent)
+	}
+}
+
+// TestSendBackpressureDropsAreCounted wedges the socket: each Send to a
+// peer that never reads must return within about SendTimeout, every
+// abandoned frame must show up in Stats, and no goroutine may be left
+// behind. Over a pipe the two ways a flush can time out are told apart: a
+// write that wrote nothing drops its batch as full and keeps the
+// connection; a write that wrote part of an envelope retires the connection
+// and drops its batch as dead.
+func TestSendBackpressureDropsAreCounted(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	// A send blocks once, as the flusher in a write or as a waiter for room:
+	// the bound leaves room for a scheduler hiccup, not for a second wait.
+	timedSend := func(e *Endpoint, addr string, frame []byte) {
+		t.Helper()
+		start := time.Now()
+		if err := e.Send(addr, frame); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > 4*timeout {
+			t.Fatalf("Send to a wedged peer took %v, SendTimeout is %v", took, timeout)
+		}
+	}
+
+	t.Run("socket", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				<-stop // hold the connection open, never read
+			}
+		}()
+		a, err := Listen("127.0.0.1:0", Config{Outbox: 1, SendTimeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+
+		before := runtime.NumGoroutine()
+		frame := make([]byte, 1<<20) // large frames fill the kernel buffer fast
+		dropped := func() uint64 { s := a.Stats(); return s.DroppedFull + s.DroppedDead }
+		for i := 0; i < 64 && dropped() < 3; i++ {
+			timedSend(a, ln.Addr().String(), frame)
+		}
+		if dropped() < 3 {
+			t.Fatalf("expected counted drops on a wedged socket, got %+v", a.Stats())
+		}
+		// No writer goroutine exists to park, and drops spawn nothing.
+		if after := runtime.NumGoroutine(); after > before+1 {
+			t.Fatalf("goroutines grew %d -> %d under a wedged peer; sending must not spawn", before, after)
+		}
+	})
+
+	t.Run("pipe", func(t *testing.T) {
+		a, err := Listen("127.0.0.1:0", Config{SendTimeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		oc, peer := pipePeer(a, "peer")
+		defer peer.Close()
+
+		timedSend(a, "peer", []byte("unread"))
+		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 0 || oc.dead.Load() {
+			t.Fatalf("zero-byte timeout: %+v, dead=%v; want one full drop and the connection kept", s, oc.dead.Load())
+		}
+
+		read := make(chan error, 1)
+		go func() {
+			_, err := io.ReadFull(peer, make([]byte, 3)) // then stop reading mid-envelope
+			read <- err
+		}()
+		timedSend(a, "peer", []byte("torn"))
+		if err := <-read; err != nil {
+			t.Fatal(err)
+		}
+		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 1 || !oc.dead.Load() {
+			t.Fatalf("partial write: %+v, dead=%v; want one dead drop and the connection retired", s, oc.dead.Load())
+		}
+	})
+}
+
+// TestCloseDuringFlushIsNotLoss closes an endpoint while a flusher is
+// blocked writing to a peer that never reads, with another frame pending
+// behind it: the flusher returns, neither frame is counted as lost (Close's
+// discards are deliberate), and a later Send reports ErrClosed.
+func TestCloseDuringFlushIsNotLoss(t *testing.T) {
+	a, err := Listen("127.0.0.1:0", Config{SendTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, peer := pipePeer(a, "peer")
+	defer peer.Close()
+
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send("peer", []byte("in flight")) }()
+	waitFor(t, 5*time.Second, func() bool {
+		oc.mu.Lock()
+		defer oc.mu.Unlock()
+		return oc.flushing && len(oc.pending) == 0
+	})
+	if err := a.Send("peer", []byte("pending")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatalf("flushing Send = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flushing Send still blocked after Close")
+	}
+	if s := a.Stats(); s.DroppedFull+s.DroppedDead != 0 {
+		t.Fatalf("Close's discards counted as loss: %+v", s)
+	}
+	if err := a.Send("peer", []byte("late")); err != ErrClosed {
+		t.Fatalf("send after close = %v, want ErrClosed", err)
 	}
 }
 
 // TestDeadConnDropsAreCounted sends into connections the peer kills
-// immediately: frames stranded when the writer hits the error must be
-// counted as dead-connection drops instead of vanishing.
+// immediately: frames lost when a write hits the error must be counted as
+// dead-connection drops instead of vanishing.
 func TestDeadConnDropsAreCounted(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -5,37 +5,38 @@
 // transport design (a listener feeding a handler, connections cached per
 // peer address), scaled down to what the register emulations need:
 //
-//   - Frames, not streams: one envelope per socket write, 4-byte big-endian
-//     length prefix, MaxFrame cap enforced on both sides so a corrupt or
-//     hostile length cannot force an unbounded allocation.
-//   - Compound batching: the per-connection writer drains everything queued
-//     in its outbox and coalesces it into one compound envelope per write
-//     (wire.AppendCompound — memberlist's MakeCompoundMessage idiom), so a
-//     burst of small protocol messages costs one syscall, not one each. The
-//     reader splits the envelope and hands members to the handler in order.
-//   - Dialed-connection reuse: the first Send to a peer dials it (bounded
-//     by DialTimeout) and installs a writer goroutine fed by a bounded
-//     outbox; later Sends enqueue onto the same connection. A failed dial
-//     or write tears the pooled entry down, so the next Send redials —
-//     message loss on a broken connection is surfaced to the layer above
+//   - Frames, not streams: one envelope per socket write, its 4-byte
+//     big-endian length prefix included, MaxFrame enforced on both sides so a
+//     corrupt or hostile length cannot force an unbounded allocation.
+//   - Sender-side flush: Send appends the frame to its connection's pending
+//     batch; a sender that finds no write in progress becomes the flusher and
+//     writes until nothing is pending, so frames appended meanwhile leave
+//     together in one compound envelope (wire.AppendCompound — memberlist's
+//     MakeCompoundMessage idiom). There is no writer goroutine.
+//   - Buffered reads: each inbound connection reads through a 4 KiB
+//     bufio.Reader — one read syscall per wakeup, not one per header and one
+//     per payload — and hands each envelope's members to the handler in order.
+//   - Dialed-connection reuse: the first Send to a peer dials it (bounded by
+//     DialTimeout); later Sends reuse it. A failed write retires it and the
+//     next Send redials — loss on a broken connection reaches the layer above
 //     as what it is on a real network: silence, bounded by op timeouts.
-//   - Bounded sends: a full outbox blocks the sender up to SendTimeout —
-//     real backpressure — and then drops the frame, counted in Stats. The
-//     old behavior (hand overflow to a spawned goroutine) kept node loops
-//     unblocked at the cost of unbounded goroutine growth, broken per-link
-//     FIFO and uncounted loss; per-link order is now preserved from enqueue
-//     to handler for every frame that survives.
-//   - Graceful shutdown: Close stops the accept loop, closes every inbound
-//     and outbound connection, and joins every goroutine the endpoint
-//     started — no frame handler runs after Close returns.
+//   - Bounded sends: Outbox bounds a connection's pending frames; a sender
+//     facing a full batch blocks up to SendTimeout, then drops the frame,
+//     counted in Stats, and the flusher's write carries the same deadline.
+//     Per-link order holds from Send to handler for every surviving frame.
+//   - Graceful shutdown: Close stops the accept loop, closes every
+//     connection, and joins every goroutine the endpoint started — no frame
+//     handler runs after Close returns.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,10 +53,11 @@ const MaxFrame = 16 << 20
 // envelope (1 tag byte) stays under MaxFrame.
 const maxSendFrame = MaxFrame - 1
 
-// Batching caps: a writer coalesces at most maxBatchFrames queued frames or
-// maxBatchBytes of payload into one compound envelope. The byte cap keeps
-// latency bounded (a huge batch is one long socket write) and, together
-// with envelopeSlack, keeps every envelope under MaxFrame.
+// Batching caps: one flush coalesces at most maxBatchFrames pending frames
+// or maxBatchBytes of payload into one compound envelope and leaves the rest
+// pending for the next. The byte cap keeps latency bounded (a huge batch is
+// one long socket write) and, together with envelopeSlack, keeps every
+// envelope under MaxFrame.
 const (
 	maxBatchFrames = 64
 	maxBatchBytes  = 64 << 10
@@ -67,16 +69,24 @@ const (
 // ErrClosed reports a Send on an endpoint that has been closed.
 var ErrClosed = errors.New("transport: endpoint closed")
 
+// Outcomes of one enqueue attempt that Send turns into counted loss.
+var (
+	errFull = errors.New("transport: pending batch full past SendTimeout")
+	errDead = errors.New("transport: connection retired")
+)
+
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
 	// DialTimeout bounds an outbound connection attempt (default 2s).
 	DialTimeout time.Duration
-	// Outbox is the per-connection send queue capacity (default 256).
+	// Outbox bounds the frames pending on one connection, waiting for the
+	// flush in progress to finish (default 256).
 	Outbox int
-	// SendTimeout bounds how long Send may block on a full outbox before
-	// the frame is dropped and counted (default 1s). This is the
-	// backpressure window: under sustained overload senders slow to the
-	// socket's drain rate instead of growing unbounded queues.
+	// SendTimeout bounds how long Send may block — on a full pending batch,
+	// or as the flusher in a socket write — before the frames are dropped
+	// and counted (default 1s). This is the backpressure window: under
+	// sustained overload senders slow to the socket's drain rate instead of
+	// growing unbounded queues.
 	SendTimeout time.Duration
 }
 
@@ -95,15 +105,14 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of an endpoint's frame-loss accounting.
 // Every frame an endpoint accepted for delivery and then lost is counted in
-// exactly one bucket; frames still queued at Close are deliberate shutdown
-// discards and are not counted.
+// exactly one bucket; frames still pending or in flight when Close runs are
+// deliberate shutdown discards and are not counted.
 type Stats struct {
-	// DroppedFull counts frames dropped because a connection's outbox
-	// stayed full past SendTimeout.
+	// DroppedFull counts frames dropped on a pending batch that stayed full
+	// past SendTimeout, or in or behind a write that timed out unwritten.
 	DroppedFull uint64
-	// DroppedDead counts frames lost to a dead connection: the batch in
-	// flight when a write failed, plus frames stranded in the dead
-	// writer's outbox.
+	// DroppedDead counts frames in or behind a write that failed otherwise,
+	// retiring its connection.
 	DroppedDead uint64
 	// Requeued counts frames re-enqueued onto a freshly dialed connection
 	// after their original connection died between lookup and enqueue.
@@ -160,13 +169,19 @@ type Endpoint struct {
 	wg   sync.WaitGroup
 }
 
-// outConn is one pooled outbound connection: a writer goroutine drains the
-// outbox so senders only ever block on channel capacity, never on the
-// socket itself.
+// outConn is one pooled outbound connection. Senders append to pending
+// under mu; one of them at a time is the flusher, which alone touches buf
+// and deadline and writes to c outside the lock.
 type outConn struct {
-	c      net.Conn
-	outbox chan []byte
-	closed chan struct{} // closed when the writer goroutine exits
+	c    net.Conn
+	dead atomic.Bool // c was retired by a failed write or by Close
+
+	mu       sync.Mutex
+	pending  [][]byte      // frames waiting for the next write, oldest first
+	flushing bool          // a sender is writing, and flushes pending before it returns
+	space    chan struct{} // closed when a write frees room; nil while no sender waits
+	buf      []byte        // length prefix + envelope of the write in progress
+	deadline time.Time     // the write deadline set on c
 }
 
 // Listen opens an endpoint on addr ("127.0.0.1:0" for an ephemeral
@@ -211,8 +226,9 @@ func (e *Endpoint) Stats() Stats {
 // Serve starts the accept loop: every inbound connection gets a reader
 // goroutine that decodes length-prefixed envelopes, splits compound
 // envelopes, and calls handler with each member frame in order. The handler
-// runs on the reader goroutine; a handler that blocks exerts backpressure
-// on that peer's TCP stream only. Serve returns immediately.
+// runs on the reader goroutine and may keep the frame; a handler that blocks
+// exerts backpressure on that peer's TCP stream only. Serve returns
+// immediately.
 func (e *Endpoint) Serve(handler func(frame []byte)) {
 	e.wg.Add(1)
 	go func() {
@@ -233,124 +249,211 @@ func (e *Endpoint) Serve(handler func(frame []byte)) {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
-				defer func() {
-					e.mu.Lock()
-					delete(e.inbound, c)
-					e.mu.Unlock()
-					c.Close()
-				}()
-				for {
-					payload, err := ReadFrame(c)
-					if err != nil {
-						return
-					}
-					select {
-					case <-e.done:
-						return
-					default:
-					}
-					frames, err := wire.SplitFrames(payload)
-					if err != nil {
-						e.malformed.Add(1)
-						continue
-					}
-					e.framesRecv.Add(uint64(len(frames)))
-					e.bytesRecv.Add(uint64(len(payload)))
-					for _, frame := range frames {
-						// Members alias payload, which is freshly
-						// allocated per ReadFrame and never reused here,
-						// so handing them out without a copy is safe.
-						handler(frame)
-					}
-				}
+				e.readFrames(c, handler)
+				e.mu.Lock()
+				delete(e.inbound, c)
+				e.mu.Unlock()
+				c.Close()
 			}()
 		}
 	}()
 }
 
-// Send enqueues one frame to the peer at addr, dialing (or redialing) it if
-// no healthy pooled connection exists. A full outbox blocks the caller up
-// to SendTimeout and then drops the frame (counted in Stats) — the frame is
-// "lost in the network", exactly like a frame on a connection that breaks
-// mid-flight; protocol-level timeouts own recovery. Send returns an error
-// only when no connection could be established or the endpoint is closed.
+// readFrames decodes envelopes off r until it fails or the endpoint closes,
+// handing every member of a well-formed envelope to handler in order.
+func (e *Endpoint) readFrames(r io.Reader, handler func(frame []byte)) {
+	br := bufio.NewReader(r)
+	for {
+		payload, err := ReadFrame(br)
+		if err != nil {
+			return
+		}
+		select {
+		case <-e.done:
+			return
+		default:
+		}
+		frames, err := wire.SplitFrames(payload)
+		if err != nil {
+			e.malformed.Add(1)
+			continue
+		}
+		e.framesRecv.Add(uint64(len(frames)))
+		e.bytesRecv.Add(uint64(len(payload)))
+		for _, frame := range frames {
+			// Members alias payload, which is freshly allocated per
+			// ReadFrame and never reused here, so the handler may keep them.
+			handler(frame)
+		}
+	}
+}
+
+// Send hands one frame to the peer at addr, dialing (or redialing) it if no
+// healthy pooled connection exists, and writes it with whatever else is
+// pending — unless another sender is writing and will carry it. A full
+// pending batch blocks the caller up to SendTimeout and then drops the frame
+// (counted in Stats) — the frame is "lost in the network", exactly like a
+// frame on a connection that breaks mid-flight; protocol-level timeouts own
+// recovery. Send returns an error only when no connection could be
+// established or the endpoint is closed.
 func (e *Endpoint) Send(addr string, frame []byte) error {
 	if len(frame) > maxSendFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(frame), maxSendFrame)
 	}
-	oc, err := e.conn(addr)
-	if err != nil {
-		return err
+	err := e.enqueue(addr, frame)
+	if err == errDead {
+		// The connection died between lookup and enqueue: one retry on a
+		// fresh connection. A second death means the peer is gone and the
+		// frame is lost like any other frame on a broken connection.
+		if err = e.enqueue(addr, frame); err == nil {
+			e.requeued.Add(1)
+		}
 	}
-	select {
-	case oc.outbox <- frame:
-		return nil
-	case <-oc.closed:
-		return e.resend(addr, frame)
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
-	t := time.NewTimer(e.cfg.SendTimeout)
-	defer t.Stop()
-	select {
-	case oc.outbox <- frame:
-		return nil
-	case <-oc.closed:
-		return e.resend(addr, frame)
-	case <-t.C:
+	switch err {
+	case errFull:
 		e.droppedFull.Add(1)
-		return nil
-	case <-e.done:
-		return ErrClosed
-	}
-}
-
-// resend retries one frame on a fresh connection after its original
-// connection died between lookup and enqueue. One retry only: a second
-// death means the peer is gone and the frame is lost like any other frame
-// on a broken connection.
-func (e *Endpoint) resend(addr string, frame []byte) error {
-	oc, err := e.conn(addr)
-	if err != nil {
-		return err
-	}
-	t := time.NewTimer(e.cfg.SendTimeout)
-	defer t.Stop()
-	select {
-	case oc.outbox <- frame:
-		e.requeued.Add(1)
-		return nil
-	case <-oc.closed:
+	case errDead:
 		e.droppedDead.Add(1)
+	default:
+		return err
+	}
+	return nil
+}
+
+// enqueue appends frame to the pooled connection's pending batch, waiting
+// up to SendTimeout for room, and flushes it if no flush is in progress.
+func (e *Endpoint) enqueue(addr string, frame []byte) error {
+	oc, err := e.conn(addr)
+	if err != nil {
+		return err
+	}
+	oc.mu.Lock()
+	var timeout <-chan time.Time
+	for len(oc.pending) >= e.cfg.Outbox && !oc.dead.Load() {
+		if oc.space == nil {
+			oc.space = make(chan struct{})
+		}
+		space := oc.space
+		oc.mu.Unlock()
+		if timeout == nil {
+			t := time.NewTimer(e.cfg.SendTimeout)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-space:
+		case <-timeout:
+			return errFull
+		case <-e.done:
+			return ErrClosed
+		}
+		oc.mu.Lock()
+	}
+	if oc.dead.Load() {
+		oc.mu.Unlock()
+		return errDead
+	}
+	oc.pending = append(oc.pending, frame)
+	if oc.flushing {
+		oc.mu.Unlock()
 		return nil
-	case <-t.C:
-		e.droppedFull.Add(1)
-		return nil
-	case <-e.done:
-		return ErrClosed
+	}
+	oc.flushing = true
+	e.flush(oc)
+	return nil
+}
+
+// flush writes oc's pending frames, at most maxBatchFrames and
+// maxBatchBytes per envelope, until none is left. It is called with oc.mu
+// held and oc.flushing set, and returns with both released. A write that
+// timed out unwritten drops its frames and all pending as full and keeps the
+// connection; any other failure retires it and drops them as dead — unless
+// Close retired it, whose discards are not loss.
+func (e *Endpoint) flush(oc *outConn) {
+	for len(oc.pending) > 0 {
+		n, size := 1, len(oc.pending[0])
+		for n < len(oc.pending) && n < maxBatchFrames && size < maxBatchBytes &&
+			size+len(oc.pending[n])+envelopeSlack <= MaxFrame {
+			size += len(oc.pending[n])
+			n++
+		}
+		oc.buf = append(oc.buf[:0], 0, 0, 0, 0)
+		if n == 1 {
+			oc.buf = wire.AppendRaw(oc.buf, oc.pending[0])
+		} else {
+			oc.buf = wire.AppendCompound(oc.buf, oc.pending[:n])
+		}
+		binary.BigEndian.PutUint32(oc.buf, uint32(len(oc.buf)-4))
+		rest := copy(oc.pending, oc.pending[n:])
+		clear(oc.pending[rest:])
+		oc.pending = oc.pending[:rest]
+		oc.wake()
+		oc.mu.Unlock()
+		wrote, err := e.write(oc)
+		oc.mu.Lock()
+		if err == nil {
+			e.framesSent.Add(uint64(n))
+			e.batchesSent.Add(1)
+			e.bytesSent.Add(uint64(len(oc.buf) - 4))
+			for i, ub := range BatchBucketBounds {
+				if n <= ub {
+					e.batchFrames[i].Add(1)
+					break
+				}
+			}
+			continue
+		}
+		lost := uint64(n + len(oc.pending))
+		clear(oc.pending)
+		oc.pending = oc.pending[:0]
+		switch {
+		case oc.dead.Load(): // Close retired c mid-write; its discards are not loss
+		case wrote == 0 && errors.Is(err, os.ErrDeadlineExceeded):
+			e.droppedFull.Add(lost)
+		default:
+			oc.dead.Store(true)
+			oc.c.Close()
+			e.droppedDead.Add(lost)
+		}
+		oc.wake()
+	}
+	oc.flushing = false
+	oc.mu.Unlock()
+}
+
+// write writes oc.buf in one call. The deadline is pushed out to SendTimeout
+// only once less than half of it remains, keeping the deadline's timer reset
+// off most writes.
+func (e *Endpoint) write(oc *outConn) (int, error) {
+	if now := time.Now(); oc.deadline.Sub(now) < e.cfg.SendTimeout/2 {
+		oc.deadline = now.Add(e.cfg.SendTimeout)
+		if err := oc.c.SetWriteDeadline(oc.deadline); err != nil {
+			return 0, err
+		}
+	}
+	return oc.c.Write(oc.buf)
+}
+
+// wake releases every sender waiting for room in oc's pending batch. It is
+// called with oc.mu held.
+func (oc *outConn) wake() {
+	if oc.space != nil {
+		close(oc.space)
+		oc.space = nil
 	}
 }
 
-// conn returns the pooled connection to addr, dialing one if needed. A
-// pooled entry whose writer has exited is replaced, and any frames a racing
-// sender managed to enqueue after the dead writer's final drain are counted
-// as dead-connection drops here.
+// conn returns the pooled connection to addr, dialing one if there is none
+// or the pooled one was retired.
 func (e *Endpoint) conn(addr string) (*outConn, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if oc, ok := e.conns[addr]; ok {
-		select {
-		case <-oc.closed:
-			delete(e.conns, addr) // writer dead; fall through to redial
-			e.drainDead(oc)
-		default:
-			e.mu.Unlock()
-			return oc, nil
-		}
+	if oc, ok := e.conns[addr]; ok && !oc.dead.Load() {
+		e.mu.Unlock()
+		return oc, nil
 	}
 	e.mu.Unlock()
 
@@ -359,127 +462,25 @@ func (e *Endpoint) conn(addr string) (*outConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-
-	oc := &outConn{c: c, outbox: make(chan []byte, e.cfg.Outbox), closed: make(chan struct{})}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		c.Close()
 		return nil, ErrClosed
 	}
-	if racing, ok := e.conns[addr]; ok {
-		// Another sender dialed concurrently; keep theirs.
-		select {
-		case <-racing.closed:
-			e.conns[addr] = oc
-			e.drainDead(racing)
-		default:
-			e.mu.Unlock()
-			c.Close()
-			return racing, nil
-		}
-	} else {
-		e.conns[addr] = oc
+	if racing, ok := e.conns[addr]; ok && !racing.dead.Load() {
+		c.Close() // another sender dialed concurrently; keep theirs
+		return racing, nil
 	}
-	e.mu.Unlock()
-
-	e.wg.Add(1)
-	go e.writeLoop(oc)
+	oc := &outConn{c: c}
+	e.conns[addr] = oc
 	return oc, nil
 }
 
-// drainDead empties a dead connection's outbox, counting every stranded
-// frame as a dead-connection drop.
-func (e *Endpoint) drainDead(oc *outConn) {
-	for {
-		select {
-		case <-oc.outbox:
-			e.droppedDead.Add(1)
-		default:
-			return
-		}
-	}
-}
-
-// writeLoop drains one pooled connection's outbox onto the socket, batching
-// everything queued at each wakeup into one compound envelope per write. A
-// write error retires the connection: the failed batch and every frame
-// still queued are counted as dead-connection drops, and the pool redials
-// on the next Send.
-func (e *Endpoint) writeLoop(oc *outConn) {
-	defer e.wg.Done()
-	defer oc.c.Close()
-	var (
-		buf   []byte   // reusable envelope scratch
-		batch [][]byte // frames gathered for the current write
-		carry []byte   // frame received but deferred to the next batch
-	)
-	for {
-		batch = batch[:0]
-		if carry != nil {
-			batch = append(batch, carry)
-			carry = nil
-		} else {
-			select {
-			case f := <-oc.outbox:
-				batch = append(batch, f)
-			case <-e.done:
-				close(oc.closed)
-				return
-			}
-		}
-		size := len(batch[0])
-	gather:
-		for len(batch) < maxBatchFrames && size < maxBatchBytes {
-			select {
-			case f := <-oc.outbox:
-				if size+len(f)+envelopeSlack > MaxFrame {
-					carry = f // would overflow the envelope; next batch
-					break gather
-				}
-				batch = append(batch, f)
-				size += len(f)
-			default:
-				break gather
-			}
-		}
-		if len(batch) == 1 {
-			buf = wire.AppendRaw(buf[:0], batch[0])
-		} else {
-			buf = wire.AppendCompound(buf[:0], batch)
-		}
-		if err := WriteFrame(oc.c, buf); err == nil {
-			e.framesSent.Add(uint64(len(batch)))
-			e.batchesSent.Add(1)
-			e.bytesSent.Add(uint64(len(buf)))
-			for i, ub := range BatchBucketBounds {
-				if len(batch) <= ub {
-					e.batchFrames[i].Add(1)
-					break
-				}
-			}
-		} else {
-			lost := uint64(len(batch))
-			if carry != nil {
-				lost++
-			}
-			close(oc.closed)
-			for {
-				select {
-				case <-oc.outbox:
-					lost++
-				default:
-					e.droppedDead.Add(lost)
-					return
-				}
-			}
-		}
-	}
-}
-
 // Close shuts the endpoint down: no new accepts or dials, every connection
-// closed, every reader and writer goroutine joined. Frames already handed
-// to handlers have completed when Close returns. Idempotent.
+// closed, every reader goroutine joined. Frames already handed to handlers
+// have completed when Close returns; frames still pending are discarded.
+// Idempotent.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -490,6 +491,7 @@ func (e *Endpoint) Close() error {
 	close(e.done)
 	err := e.listener.Close()
 	for _, oc := range e.conns {
+		oc.dead.Store(true) // before the Close that fails a write in progress
 		oc.c.Close()
 	}
 	for c := range e.inbound {
@@ -500,33 +502,28 @@ func (e *Endpoint) Close() error {
 	return err
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in a single Write.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	// One Write per frame section; TCP coalesces, and interleaving is
-	// impossible because each connection has a single writer goroutine.
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame, rejecting lengths over
-// MaxFrame before allocating.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// MaxFrame before allocating. The payload is freshly allocated.
+func ReadFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
+	r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"sync"
@@ -53,8 +54,8 @@ func TestSendDeliversFrames(t *testing.T) {
 		defer mu.Unlock()
 		return len(got) == 100
 	})
-	// One writer goroutine per pooled connection preserves order on the
-	// non-overflow path.
+	// Sends from one goroutine leave in call order: each is appended to the
+	// connection's pending batch, and the flusher writes it oldest first.
 	mu.Lock()
 	defer mu.Unlock()
 	for i, f := range got {
@@ -136,13 +137,29 @@ func TestCloseIsGracefulAndIdempotent(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls that reach its buffer.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 func TestFrameCodec(t *testing.T) {
-	var buf bytes.Buffer
+	var buf writeCounter
 	payload := []byte("hello frames")
 	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	// Prefix and payload leave in one Write: under TCP_NODELAY two writes
+	// are two segments.
+	if buf.writes != 1 {
+		t.Fatalf("WriteFrame made %d writes, want 1", buf.writes)
+	}
+	got, err := ReadFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +167,8 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatalf("round trip got %q", got)
 	}
 	// Oversized length prefixes are rejected before allocation.
-	var evil bytes.Buffer
-	evil.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&evil); err == nil {
+	evil := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
+	if _, err := ReadFrame(bufio.NewReader(evil)); err == nil {
 		t.Fatal("oversized frame length must be rejected")
 	}
 	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
@@ -161,10 +177,9 @@ func TestFrameCodec(t *testing.T) {
 }
 
 // TestOutboxOverflowDoesNotBlock floods one link far past the outbox
-// capacity from the sending goroutine; Send may block for backpressure but
-// only up to SendTimeout per frame, and with a consumer this slow the
-// compound batching keeps the queue draining fast enough that every frame
-// still arrives.
+// capacity from the sending goroutine to a slow consumer; each Send writes
+// its frame into the kernel's socket buffer, which absorbs the burst, so the
+// sender never waits on the consumer and every frame still arrives.
 func TestOutboxOverflowDoesNotBlock(t *testing.T) {
 	a, _ := Listen("127.0.0.1:0", Config{Outbox: 4})
 	defer a.Close()
@@ -186,4 +201,54 @@ func TestOutboxOverflowDoesNotBlock(t *testing.T) {
 		t.Fatalf("%d sends took %v; Send must not block on a slow peer", n, took)
 	}
 	waitFor(t, 10*time.Second, func() bool { return handled.Load() == n })
+}
+
+// BenchmarkEndpointRoundTrip is one 64 B frame to a peer and back: two
+// envelopes, each one write and one buffered read.
+func BenchmarkEndpointRoundTrip(b *testing.B) {
+	benchmarkFanOut(b, 1)
+}
+
+// BenchmarkEndpointFanOut is one sender and five peers, each replying: the
+// shape of one ABD quorum phase on five servers.
+func BenchmarkEndpointFanOut(b *testing.B) {
+	benchmarkFanOut(b, 5)
+}
+
+func benchmarkFanOut(b *testing.B, n int) {
+	a, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	replies := make(chan struct{}, n) // one reply per peer per iteration
+	a.Serve(func([]byte) { replies <- struct{}{} })
+	home := a.Addr()
+	peers := make([]string, n)
+	for i := range peers {
+		p, err := Listen("127.0.0.1:0", Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		p.Serve(func(frame []byte) {
+			if err := p.Send(home, frame); err != nil {
+				b.Error(err)
+			}
+		})
+		peers[i] = p.Addr()
+	}
+	frame := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range peers {
+			if err := a.Send(p, frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for range peers {
+			<-replies
+		}
+	}
 }

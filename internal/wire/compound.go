@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// Compound-frame envelope. The transport's per-connection writer coalesces
-// every frame queued in its outbox into one length-prefixed compound frame
-// per socket write — memberlist's MakeCompoundMessage idiom — so a burst of
-// small protocol messages costs one syscall instead of one per message. The
-// first byte of every transport payload is an envelope tag:
+// Compound-frame envelope. A transport connection's flusher coalesces every
+// frame pending when it writes (up to the transport's batch caps) into one
+// length-prefixed compound frame per socket write — memberlist's
+// MakeCompoundMessage idiom — so frames queued behind a write cost one
+// syscall together instead of one each. The first byte of every transport
+// payload is an envelope tag:
 //
 //	raw:      0x00 | payload
 //	compound: 0x01 | uvarint count | count x uvarint length | payloads

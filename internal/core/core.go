@@ -109,35 +109,20 @@ func Log2BinomPow2(b float64, m int) float64 {
 
 // --- Theorem B.1 (Appendix B): the Singleton-style bound ---
 
-// SingletonSubsetBits returns the Theorem B.1 bound on the summed storage of
-// any N-f servers: log2|V| bits.
-func SingletonSubsetBits(log2V float64) float64 { return log2V }
-
 // SingletonTotalBits returns the Corollary B.2 bound on TotalStorage:
-// N·log2|V|/(N-f) bits.
+// N·log2|V|/(N-f) bits, from the Theorem B.1 bound of log2|V| bits on the
+// summed storage of any N-f servers.
 func SingletonTotalBits(p Params, log2V float64) float64 {
 	return float64(p.N) * log2V / float64(p.N-p.F)
 }
 
-// SingletonMaxBits returns the Corollary B.2 bound on MaxStorage:
-// log2|V|/(N-f) bits.
-func SingletonMaxBits(p Params, log2V float64) float64 {
-	return log2V / float64(p.N-p.F)
-}
-
 // --- Theorem 4.1: algorithms without server gossip ---
 
-// theorem41RHS is the right-hand side of the Theorem 4.1 subset constraint:
-// log2|V| + log2(|V|-1) - log2(N-f).
+// theorem41RHS is the right-hand side of the Theorem 4.1 subset constraint —
+// for every set of N-f servers, (sum of their storage) + (their max storage)
+// is at least log2|V| + log2(|V|-1) - log2(N-f) bits.
 func theorem41RHS(p Params, log2V float64) float64 {
 	return log2V + Log2Pow2Minus1(log2V) - math.Log2(float64(p.N-p.F))
-}
-
-// Theorem41SubsetBits returns the Theorem 4.1 constraint: for every set of
-// N-f servers, (sum of their storage) + (their max storage) must be at least
-// the returned number of bits.
-func Theorem41SubsetBits(p Params, log2V float64) float64 {
-	return theorem41RHS(p, log2V)
 }
 
 // Theorem41TotalBits returns the Corollary 4.2 TotalStorage bound:
@@ -153,16 +138,11 @@ func Theorem41MaxBits(p Params, log2V float64) float64 {
 
 // --- Theorem 5.1: universal bound (gossip allowed) ---
 
-// theorem51RHS is log2|V| + log2(|V|-1) - 2·log2(N-f).
+// theorem51RHS is the right-hand side of the Theorem 5.1 subset constraint —
+// for every set of N-f servers, (sum of their storage) + 2·(their max
+// storage) is at least log2|V| + log2(|V|-1) - 2·log2(N-f) bits.
 func theorem51RHS(p Params, log2V float64) float64 {
 	return log2V + Log2Pow2Minus1(log2V) - 2*math.Log2(float64(p.N-p.F))
-}
-
-// Theorem51SubsetBits returns the Theorem 5.1 constraint: for every set of
-// N-f servers, (sum of their storage) + 2·(their max storage) must be at
-// least the returned number of bits.
-func Theorem51SubsetBits(p Params, log2V float64) float64 {
-	return theorem51RHS(p, log2V)
 }
 
 // Theorem51TotalBits returns the Corollary 5.2 TotalStorage bound:
@@ -225,15 +205,6 @@ func Theorem65TotalBits(p Params, nu int, log2V float64) float64 {
 		return 0
 	}
 	return float64(p.N) * Theorem65SubsetBits(p, nu, log2V) / float64(m)
-}
-
-// Theorem65MaxBits returns the Corollary 6.6 MaxStorage bound.
-func Theorem65MaxBits(p Params, nu int, log2V float64) float64 {
-	m := Theorem65SubsetSize(p, nu)
-	if m < 1 {
-		return 0
-	}
-	return Theorem65SubsetBits(p, nu, log2V) / float64(m)
 }
 
 // --- normalized (|V| -> infinity) forms, as plotted in Figure 1 ---

@@ -1,4 +1,4 @@
-// Package quorum provides quorum-system arithmetic and the write-protocol
+// Package quorum provides the threshold quorum systems and the write-protocol
 // classification of Section 6.1: phases, value-dependent send actions, and
 // the three assumptions under which Theorem 6.5 applies.
 package quorum
@@ -11,31 +11,6 @@ type System struct {
 	N    int
 	Size int
 }
-
-// Majority returns the majority quorum system over n servers.
-func Majority(n int) System { return System{N: n, Size: n/2 + 1} }
-
-// Threshold returns the quorum system whose quorums are the subsets of the
-// given size.
-func Threshold(n, size int) (System, error) {
-	if size < 1 || size > n {
-		return System{}, fmt.Errorf("quorum: size %d out of range [1,%d]", size, n)
-	}
-	return System{N: n, Size: size}, nil
-}
-
-// Intersection returns the guaranteed size of the intersection of a quorum
-// of q with a quorum of other (can be negative when they may be disjoint).
-func (q System) Intersection(other System) int {
-	return q.Size + other.Size - q.N
-}
-
-// Intersects reports whether every quorum of q intersects every quorum of
-// other.
-func (q System) Intersects(other System) bool { return q.Intersection(other) > 0 }
-
-// LiveWith reports whether some quorum survives f crashed servers.
-func (q System) LiveWith(f int) bool { return q.Size <= q.N-f }
 
 // PhaseSpec describes one phase of a write protocol in the sense of
 // Definition 6.1: send to a set of servers, await a quorum of responses,

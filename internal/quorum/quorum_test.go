@@ -3,67 +3,7 @@ package quorum
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMajority(t *testing.T) {
-	tests := []struct{ n, want int }{
-		{1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3}, {21, 11},
-	}
-	for _, tt := range tests {
-		if got := Majority(tt.n).Size; got != tt.want {
-			t.Errorf("Majority(%d).Size = %d, want %d", tt.n, got, tt.want)
-		}
-	}
-}
-
-func TestThreshold(t *testing.T) {
-	if _, err := Threshold(5, 3); err != nil {
-		t.Errorf("valid threshold rejected: %v", err)
-	}
-	if _, err := Threshold(5, 0); err == nil {
-		t.Error("size 0 should fail")
-	}
-	if _, err := Threshold(5, 6); err == nil {
-		t.Error("size > n should fail")
-	}
-}
-
-func TestIntersection(t *testing.T) {
-	q := System{N: 5, Size: 3}
-	if got := q.Intersection(q); got != 1 {
-		t.Errorf("3+3-5 = %d, want 1", got)
-	}
-	if !q.Intersects(q) {
-		t.Error("majorities of 5 must intersect")
-	}
-	small := System{N: 5, Size: 2}
-	if small.Intersects(small) {
-		t.Error("two 2-of-5 quorums may be disjoint")
-	}
-}
-
-// TestMajorityAlwaysIntersects is the classic quorum property.
-func TestMajorityAlwaysIntersects(t *testing.T) {
-	prop := func(nRaw uint8) bool {
-		n := int(nRaw%40) + 1
-		m := Majority(n)
-		return m.Intersects(m)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLiveWith(t *testing.T) {
-	q := System{N: 5, Size: 3}
-	if !q.LiveWith(2) {
-		t.Error("3-of-5 should survive 2 crashes")
-	}
-	if q.LiveWith(3) {
-		t.Error("3-of-5 cannot survive 3 crashes")
-	}
-}
 
 func profile(phases []PhaseSpec, metaSep, blackBox bool) WriteProfile {
 	return WriteProfile{Algorithm: "test", Phases: phases, MetadataSeparated: metaSep, BlackBox: blackBox}

@@ -33,7 +33,7 @@ func (l *chanLink) sampler(*telemetry.Registry, telemetry.Label) func() { return
 // responses) cannot wedge: every blocked node keeps consuming, some send
 // always completes, and the system self-regulates to the slowest consumer
 // instead of spawning a goroutine per overflowing message. Only when
-// SendTimeout expires with the peer still full is the message dropped and
+// sendTimeout expires with the peer still full is the message dropped and
 // counted — loss the unordered lossy channel model already admits. Per-link
 // FIFO is preserved: siphoned events are handled before anything still in
 // the mailbox, in arrival order. A timer goroutine has no mailbox to siphon;
@@ -46,7 +46,7 @@ func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoo
 	}
 	ev := event{from: from.id, msg: msg}
 	if !inLoop {
-		rt.post(to, ev, rt.cfg.SendTimeout)
+		rt.post(to, ev, sendTimeout)
 		return
 	}
 	select {
@@ -56,7 +56,7 @@ func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoo
 		return
 	default:
 	}
-	t := time.NewTimer(rt.cfg.SendTimeout)
+	t := time.NewTimer(sendTimeout)
 	defer t.Stop()
 	for {
 		select {

@@ -36,7 +36,7 @@ func TestPartitionGateTiming(t *testing.T) {
 		defer in.Close()
 
 		val := make([]byte, 32)
-		if _, pending, err := in.Invoke(context.Background(), cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
+		if _, pending, err := in.RunOp(context.Background(), cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
 			t.Fatalf("write through the partition: pending=%t err=%v", pending, err)
 		}
 		elapsed := time.Since(t0)
@@ -77,7 +77,7 @@ func TestRecoveryServesSnapshotState(t *testing.T) {
 
 		val := []byte("durable-through-total-crash-0123")
 		ctx := context.Background()
-		if _, pending, err := in.Invoke(ctx, cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
+		if _, pending, err := in.RunOp(ctx, cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
 			t.Fatalf("write: pending=%t err=%v", pending, err)
 		}
 		if since := time.Since(t0); since > 450*stepDur {
@@ -86,7 +86,7 @@ func TestRecoveryServesSnapshotState(t *testing.T) {
 		// Sleep past the recovery step plus margin, then read: the only copies
 		// of the value live in the servers' restored checkpoints.
 		time.Sleep(time.Until(t0.Add(800 * stepDur)))
-		out, pending, err := in.Invoke(ctx, cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead})
+		out, pending, err := in.RunOp(ctx, cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead})
 		if err != nil || pending {
 			t.Fatalf("read after total crash+recovery: pending=%t err=%v", pending, err)
 		}
@@ -148,7 +148,7 @@ func TestCrashReapsGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
-		if _, pending, err := in.Invoke(context.Background(), cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)}); err != nil || pending {
+		if _, pending, err := in.RunOp(context.Background(), cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)}); err != nil || pending {
 			t.Fatalf("write before crash: pending=%t err=%v", pending, err)
 		}
 		deadline := time.Now().Add(5 * time.Second)

@@ -19,7 +19,7 @@ func bothLinks(t *testing.T, f func(t *testing.T, mkLink func(*runtime) link)) {
 // from one node loop's position through the chan link into a mailbox
 // (capacity 4) that is overflowing the whole time, with a consumer slower
 // than the producer. Every message must survive (the sender blocks for
-// backpressure, never drops within SendTimeout) and arrive in order — the
+// backpressure, never drops within sendTimeout) and arrive in order — the
 // per-link FIFO a spawn-on-overflow fallback silently breaks.
 //
 // chan only: on tcp a node loop never blocks on a peer's mailbox — its sends
@@ -27,7 +27,7 @@ func bothLinks(t *testing.T, f func(t *testing.T, mkLink func(*runtime) link)) {
 // (internal/transport) cover that path.
 func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	rt := &runtime{
-		cfg:  Config{Mailbox: 4, SendTimeout: 10 * time.Second}.withDefaults(),
+		cfg:  Config{Mailbox: 4}.withDefaults(),
 		done: make(chan struct{}),
 	}
 	defer close(rt.done)

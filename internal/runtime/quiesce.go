@@ -1,13 +1,13 @@
-package workload
+package runtime
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// Quiescer coordinates periodic global drains across the concurrent batch
-// drivers of the wall-clock backends (live, net). Every SyncOps issued
-// operations, each active driver drains its in-flight window and parks here
+// quiescer coordinates periodic global drains across the concurrent batch
+// drivers of runFlights. Every Config.SyncOps issued operations, each
+// active driver drains its in-flight window and parks here
 // until every other active driver has done the same; only then does anyone
 // issue again. At the instant the barrier releases, nothing is in flight, so
 // every operation issued before the sync responds before any operation
@@ -22,11 +22,11 @@ import (
 // roughly SyncOps plus the in-flight population, independent of the run
 // length.
 //
-// Usage: each driver calls Tick for every operation it issues, checks Due
+// Usage: each driver calls tick for every operation it issues, checks due
 // against the last round it synced at before issuing the next, drains and
-// calls Await when a new round is due, and calls Leave exactly once when it
+// calls await when a new round is due, and calls leave exactly once when it
 // finishes (so stragglers don't wait for a driver that will never arrive).
-type Quiescer struct {
+type quiescer struct {
 	syncOps int64
 	issued  atomic.Int64
 
@@ -38,41 +38,41 @@ type Quiescer struct {
 	round   int64 // latest released round
 }
 
-// NewQuiescer creates a Quiescer for `members` drivers syncing every
+// newQuiescer creates a quiescer for `members` drivers syncing every
 // syncOps issued operations. It returns nil when syncOps or members is not
-// positive (no coordination; callers treat a nil Quiescer as disabled).
-func NewQuiescer(syncOps int64, members int) *Quiescer {
+// positive (no coordination; callers treat a nil quiescer as disabled).
+func newQuiescer(syncOps int64, members int) *quiescer {
 	if syncOps <= 0 || members <= 0 {
 		return nil
 	}
-	q := &Quiescer{syncOps: syncOps, members: members}
+	q := &quiescer{syncOps: syncOps, members: members}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// Tick counts one issued operation. Nil-safe.
-func (q *Quiescer) Tick() {
+// tick counts one issued operation. Nil-safe.
+func (q *quiescer) tick() {
 	if q != nil {
 		q.issued.Add(1)
 	}
 }
 
-// Due reports the sync round the global issue counter has reached. A driver
-// whose last synced round is behind Due must drain and Await. Nil-safe
+// due reports the sync round the global issue counter has reached. A driver
+// whose last synced round is behind due must drain and await. Nil-safe
 // (always round 0, which is never due: drivers start at round 0).
-func (q *Quiescer) Due() int64 {
+func (q *quiescer) due() int64 {
 	if q == nil {
 		return 0
 	}
 	return q.issued.Load() / q.syncOps
 }
 
-// Await parks the calling driver — whose in-flight window must already be
+// await parks the calling driver — whose in-flight window must already be
 // drained — until every active driver has arrived for round r. The last
 // arrival releases everyone. Drivers may request different rounds when the
 // counter advanced between their checks; the release covers the highest
 // requested round, which satisfies every earlier one too.
-func (q *Quiescer) Await(r int64) {
+func (q *quiescer) await(r int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.round >= r {
@@ -91,10 +91,10 @@ func (q *Quiescer) Await(r int64) {
 	}
 }
 
-// Leave removes a finished driver from the barrier. If the remaining
+// leave removes a finished driver from the barrier. If the remaining
 // arrivals were only waiting on it, the pending round releases. Nil-safe;
 // call exactly once per driver, on every exit path.
-func (q *Quiescer) Leave() {
+func (q *quiescer) leave() {
 	if q == nil {
 		return
 	}
@@ -108,7 +108,7 @@ func (q *Quiescer) Leave() {
 
 // release opens the highest requested round and wakes the waiters. Callers
 // hold q.mu.
-func (q *Quiescer) release() {
+func (q *quiescer) release() {
 	q.round = q.maxReq
 	q.arrived = 0
 	q.cond.Broadcast()

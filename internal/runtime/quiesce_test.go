@@ -1,4 +1,4 @@
-package workload
+package runtime
 
 import (
 	"testing"
@@ -6,37 +6,37 @@ import (
 )
 
 func TestQuiescerDisabled(t *testing.T) {
-	if q := NewQuiescer(0, 3); q != nil {
+	if q := newQuiescer(0, 3); q != nil {
 		t.Fatal("syncOps=0 should disable the quiescer")
 	}
-	if q := NewQuiescer(16, 0); q != nil {
+	if q := newQuiescer(16, 0); q != nil {
 		t.Fatal("members=0 should disable the quiescer")
 	}
-	var q *Quiescer
-	q.Tick() // nil-safe
-	q.Leave()
-	if r := q.Due(); r != 0 {
-		t.Fatalf("nil quiescer Due() = %d, want 0 (never due)", r)
+	var q *quiescer
+	q.tick() // nil-safe
+	q.leave()
+	if r := q.due(); r != 0 {
+		t.Fatalf("nil quiescer due() = %d, want 0 (never due)", r)
 	}
 }
 
 func TestQuiescerDue(t *testing.T) {
-	q := NewQuiescer(4, 1)
+	q := newQuiescer(4, 1)
 	for i := 0; i < 3; i++ {
-		q.Tick()
+		q.tick()
 	}
-	if r := q.Due(); r != 0 {
-		t.Fatalf("Due() = %d after 3 of 4 ticks, want 0", r)
+	if r := q.due(); r != 0 {
+		t.Fatalf("due() = %d after 3 of 4 ticks, want 0", r)
 	}
-	q.Tick()
-	if r := q.Due(); r != 1 {
-		t.Fatalf("Due() = %d after 4 ticks, want 1", r)
+	q.tick()
+	if r := q.due(); r != 1 {
+		t.Fatalf("due() = %d after 4 ticks, want 1", r)
 	}
 	for i := 0; i < 8; i++ {
-		q.Tick()
+		q.tick()
 	}
-	if r := q.Due(); r != 3 {
-		t.Fatalf("Due() = %d after 12 ticks, want 3", r)
+	if r := q.due(); r != 3 {
+		t.Fatalf("due() = %d after 12 ticks, want 3", r)
 	}
 }
 
@@ -44,10 +44,10 @@ func TestQuiescerDue(t *testing.T) {
 // covers the highest requested round (members may observe different rounds
 // when the counter advanced between their checks).
 func TestQuiescerBarrier(t *testing.T) {
-	q := NewQuiescer(1, 2)
+	q := newQuiescer(1, 2)
 	released := make(chan struct{})
 	go func() {
-		q.Await(1)
+		q.await(1)
 		close(released)
 	}()
 	select {
@@ -55,7 +55,7 @@ func TestQuiescerBarrier(t *testing.T) {
 		t.Fatal("barrier released with one of two members arrived")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.Await(2) // second arrival, higher round: releases both
+	q.await(2) // second arrival, higher round: releases both
 	select {
 	case <-released:
 	case <-time.After(time.Second):
@@ -64,8 +64,8 @@ func TestQuiescerBarrier(t *testing.T) {
 	// Round 2 covered round 1 and itself; both now return immediately.
 	done := make(chan struct{})
 	go func() {
-		q.Await(1)
-		q.Await(2)
+		q.await(1)
+		q.await(2)
 		close(done)
 	}()
 	select {
@@ -79,10 +79,10 @@ func TestQuiescerBarrier(t *testing.T) {
 // only waiting on it — otherwise they would wait forever on a driver that
 // will never arrive.
 func TestQuiescerLeaveReleases(t *testing.T) {
-	q := NewQuiescer(1, 2)
+	q := newQuiescer(1, 2)
 	released := make(chan struct{})
 	go func() {
-		q.Await(1)
+		q.await(1)
 		close(released)
 	}()
 	select {
@@ -90,10 +90,10 @@ func TestQuiescerLeaveReleases(t *testing.T) {
 		t.Fatal("barrier released before the other member left")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.Leave()
+	q.leave()
 	select {
 	case <-released:
 	case <-time.After(time.Second):
-		t.Fatal("Leave did not release the waiting member")
+		t.Fatal("leave did not release the waiting member")
 	}
 }

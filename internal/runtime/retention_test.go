@@ -26,9 +26,9 @@ func writeRead64K(tb testing.TB, in *runtime.Interactive, cl *cluster.Cluster, f
 	for i := first; i < first+ops; i++ {
 		var err error
 		if i%2 == 0 {
-			_, _, err = in.Invoke(ctx, cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(64<<10, uint64(i))})
+			_, _, err = in.RunOp(ctx, cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(64<<10, uint64(i))})
 		} else {
-			_, _, err = in.Invoke(ctx, cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead})
+			_, _, err = in.RunOp(ctx, cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead})
 		}
 		if err != nil {
 			tb.Fatalf("op %d: %v", i, err)

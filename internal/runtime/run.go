@@ -54,20 +54,7 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 	}
 	stopTelemetry := rt.startTelemetry(cl, spec)
 	rt.start()
-
-	// The windowed flight driver lives in workload.RunFlights; the runtime
-	// contributes the async invoke and the telemetry hooks.
-	onSubmit, observe := cfg.Telemetry.OpObserver()
-	fres := workload.RunFlights(cl, spec, workload.FlightConfig{
-		Pipeline:  cfg.Pipeline,
-		SyncOps:   cfg.SyncOps,
-		OpTimeout: cfg.OpTimeout,
-		Invoke: func(client ioa.NodeID, inv ioa.Invocation) workload.Flight {
-			return rt.invokeAsync(client, inv)
-		},
-		OnSubmit: onSubmit,
-		Observe:  observe,
-	})
+	lats, peakWrites := rt.runFlights(cl, spec)
 	// Snapshot before tearing down: stop closes the link under whatever
 	// residual traffic is still in flight (late acks past a quorum), and
 	// messages that teardown strands are not faults of the run.
@@ -76,10 +63,10 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 	stopTelemetry()
 
 	res := &workload.Result{
-		PeakActiveWrites: fres.PeakActiveWrites,
+		PeakActiveWrites: peakWrites,
 		Log2V:            float64(8 * spec.ValueBytes),
 		Faults:           stats,
-		Latencies:        fres.Latencies,
+		Latencies:        lats,
 	}
 
 	// The sink has already absorbed every settled op in invocation order;
@@ -104,7 +91,7 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 		}
 		res.Quiescent = true
 	}
-	res.Storage = rt.storageReport(cl)
+	res.Storage = rt.storageReport()
 	res.NormalizedTotal = float64(res.Storage.MaxTotalBits) / res.Log2V
 	return res, nil
 }
@@ -113,9 +100,9 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 // It keys on the construction-time metered flag, not ns.meter: the meter is
 // rewritten by crash recovery on the scheduler goroutine, while the bit
 // counts live in atomics that any goroutine may read mid-run.
-func (rt *runtime) storageReport(cl *cluster.Cluster) ioa.StorageReport {
-	rep := ioa.StorageReport{PerServerMaxBits: make(map[ioa.NodeID]int, len(cl.Servers))}
-	for _, id := range cl.Servers {
+func (rt *runtime) storageReport() ioa.StorageReport {
+	rep := ioa.StorageReport{PerServerMaxBits: make(map[ioa.NodeID]int, len(rt.servers))}
+	for _, id := range rt.servers {
 		ns := rt.nodes[id]
 		if ns == nil || !ns.metered {
 			continue

@@ -42,11 +42,12 @@
 //     never encoded and never touches a socket.
 //   - Flow control: mailboxes (and, on the TCP link, the frames pending on
 //     each connection) are bounded and a sender facing a full queue blocks
-//     up to Config.SendTimeout before the message is dropped and counted in
+//     up to sendTimeout (1s) before the message is dropped and counted in
 //     FaultStats.TransportDropped; on the TCP link the sender that flushes a
-//     connection writes to the socket itself, under the same deadline. The paper's channels are unordered and
-//     lossy under faults, so the per-link FIFO the bounded path preserves is
-//     sound and the drop-after-deadline is loss the model already admits.
+//     connection writes to the socket itself, under the transport's own
+//     deadline. The paper's channels are unordered and lossy under faults,
+//     so the per-link FIFO the bounded path preserves is sound and the
+//     drop-after-deadline is loss the model already admits.
 //   - Liveness is a verdict, not a hang: every operation carries a timeout,
 //     and a run whose operations time out under a fault plan reports
 //     Quiescent with the timed-out operations pending in the history (their
@@ -87,12 +88,6 @@ type Config struct {
 	OpTimeout time.Duration
 	// Mailbox is the per-node buffered event queue capacity (default 128).
 	Mailbox int
-	// SendTimeout bounds how long a sender blocks on a full mailbox (or, on
-	// the TCP link, on a connection's full pending batch or in its socket
-	// write) before the message is dropped and counted (default 1s). This is
-	// the backpressure window: under sustained overload, senders slow to the
-	// receiver's drain rate instead of growing unbounded queues.
-	SendTimeout time.Duration
 	// Pipeline is the number of operations each batch driver keeps in
 	// flight per client (default 1: one at a time). The node queues
 	// invocations and starts each only when its predecessor responds, so
@@ -100,11 +95,6 @@ type Config struct {
 	// per-client program order is preserved; recorded operation intervals
 	// never overlap within a client.
 	Pipeline int
-	// Checkpoint is the durable-state snapshot interval for nodes the fault
-	// plan schedules a recovery for (default 5ms). A recovering node
-	// restarts from its last checkpoint; state mutated after it is lost,
-	// exactly the crash-recovery model the paper's storage bounds assume.
-	Checkpoint time.Duration
 	// Sink, when non-nil, receives a batch run's history as it happens:
 	// RunConfig registers every operation with an ioa.OpFeed at invocation
 	// and the feed releases it into the sink, in invocation order, once it
@@ -135,20 +125,11 @@ type Config struct {
 	// spans. nil (the default) records nothing and costs nothing on the hot
 	// path.
 	Telemetry *telemetry.RunTelemetry
-
-	// The remaining fields are read by the TCP link only.
-
 	// ListenAddr is the address every node endpoint listens on (default
 	// "127.0.0.1:0": one ephemeral loopback port per node). A fixed port in
 	// the spec would collide across nodes, so the port part should stay 0.
+	// Read by the TCP link only.
 	ListenAddr string
-	// DialTimeout bounds each outbound connection attempt (default: the
-	// transport's own 2s).
-	DialTimeout time.Duration
-	// Outbox bounds the frames pending on one transport connection while
-	// another sender's write is in progress (default: the transport's own
-	// 256).
-	Outbox int
 }
 
 func (c Config) withDefaults() Config {
@@ -161,20 +142,27 @@ func (c Config) withDefaults() Config {
 	if c.Mailbox <= 0 {
 		c.Mailbox = 128
 	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = time.Second
-	}
 	if c.Pipeline <= 0 {
 		c.Pipeline = 1
-	}
-	if c.Checkpoint <= 0 {
-		c.Checkpoint = 5 * time.Millisecond
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
 	return c
 }
+
+const (
+	// sendTimeout bounds how long a sender blocks on a full mailbox before
+	// the message is dropped and counted. This is the backpressure window:
+	// under sustained overload, senders slow to the receiver's drain rate
+	// instead of growing unbounded queues.
+	sendTimeout = time.Second
+	// checkpointInterval is the durable-state snapshot interval for nodes
+	// the fault plan schedules a recovery for. A recovering node restarts
+	// from its last checkpoint; state mutated after it is lost, exactly the
+	// crash-recovery model the paper's storage bounds assume.
+	checkpointInterval = 5 * time.Millisecond
+)
 
 // drainBatch bounds how many extra mailbox events a node loop handles per
 // wakeup: coalescing amortizes the scheduler round trip under load, the
@@ -270,6 +258,7 @@ type nodeState struct {
 
 	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
 	metered          bool             // set once at construction: the automaton type reports storage
+	client           bool             // set once at construction: a writer or reader of the deployment
 	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
 	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
 
@@ -290,11 +279,12 @@ type nodeState struct {
 
 // runtime drives one cluster's automata concurrently.
 type runtime struct {
-	cfg   Config
-	plan  *faults.Plan
-	wc    *faults.WallClock // step clock + crash/recovery event schedule
-	nodes map[ioa.NodeID]*nodeState
-	link  link
+	cfg     Config
+	plan    *faults.Plan
+	wc      *faults.WallClock // step clock + crash/recovery event schedule
+	nodes   map[ioa.NodeID]*nodeState
+	servers []ioa.NodeID // the deployment's servers, whose storage maxima storageReport sums
+	link    link
 
 	feed *ioa.OpFeed   // stamps and orders a batch run's ops into its sink; nil in interactive sessions
 	seq  atomic.Uint64 // global send sequence number for MessageFate
@@ -327,7 +317,8 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 	}
 	// Clients must actually be client automata; the cluster helper checks
 	// the registered originals, which the runtime clones.
-	for _, id := range append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...) {
+	clients := append(append([]ioa.NodeID(nil), cl.Writers...), cl.Readers...)
+	for _, id := range clients {
 		if _, err := cl.ClientAutomaton(id); err != nil {
 			return nil, err
 		}
@@ -338,11 +329,12 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 		}
 	}
 	rt := &runtime{
-		cfg:    cfg,
-		plan:   plan,
-		nodes:  make(map[ioa.NodeID]*nodeState),
-		timers: make(map[*time.Timer]struct{}),
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		plan:    plan,
+		nodes:   make(map[ioa.NodeID]*nodeState),
+		servers: cl.Servers,
+		timers:  make(map[*time.Timer]struct{}),
+		done:    make(chan struct{}),
 	}
 	if cfg.Telemetry.Active() {
 		rt.tracer = cfg.Telemetry.Registry.Tracer()
@@ -362,6 +354,9 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 		ns.meter, _ = ns.node.(ioa.StorageMeter)
 		ns.metered = ns.meter != nil
 		rt.nodes[id] = ns
+	}
+	for _, id := range clients {
+		rt.nodes[id].client = true
 	}
 	if plan != nil {
 		for _, id := range plan.RecoveredNodes() {
@@ -460,7 +455,7 @@ func (rt *runtime) loop(ns *nodeState) {
 	var tick <-chan time.Time
 	if ns.ckpt {
 		rt.checkpoint(ns)
-		t := time.NewTicker(rt.cfg.Checkpoint)
+		t := time.NewTicker(checkpointInterval)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -741,7 +736,7 @@ func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp
 		ie.span = rt.tracer.Begin(inv.Kind.String())
 	}
 	p := &pendingOp{ie: ie}
-	// Invocations get the full op timeout to enqueue, not just SendTimeout:
+	// Invocations get the full op timeout to enqueue, not just sendTimeout:
 	// a client mailbox saturated by protocol traffic clears as the node
 	// drains, and dropping the invocation early would under-run fault-free
 	// workloads that are merely overloaded.
@@ -788,22 +783,6 @@ func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte
 		p.ie.span.End()
 		return nil, true, false
 	}
-}
-
-// Wait and Abandon adapt pendingOp to the shared driver's workload.Flight.
-func (p *pendingOp) Wait(timeout time.Duration) bool {
-	_, _, ok := p.wait(context.Background(), timeout)
-	return ok
-}
-
-// Abandon cancels an invocation that has not started and reports whether it
-// did; a started invocation is left to run.
-func (p *pendingOp) Abandon() bool {
-	if p.failed || p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-		p.ie.span.End()
-		return true
-	}
-	return false
 }
 
 // faultStats snapshots the fault counters in kernel form. Outage holds fold

@@ -264,8 +264,9 @@ func TestLossyTimeoutIsVerdict(t *testing.T) {
 
 // TestInteractive exercises the single-op path: a write and a read at
 // distinct clients, with the read returning the written value, storage
-// metered mid-session, no retirement without a timeout, and the
-// closed/non-client error paths.
+// metered mid-session, and the closed/non-client error paths. Retirement
+// after a timed-out operation is the session's (session's
+// TestWallClockRetirement).
 func TestInteractive(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {
 		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
@@ -278,23 +279,20 @@ func TestInteractive(t *testing.T) {
 		writer, reader := cl.Writers[0], cl.Readers[0]
 		val := register.MakeValue(32, 42)
 		ctx := context.Background()
-		if _, pending, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
+		if _, pending, err := in.RunOp(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: val}); err != nil || pending {
 			t.Fatalf("write: pending=%t err=%v", pending, err)
 		}
-		out, pending, err := in.Invoke(ctx, reader, ioa.Invocation{Kind: ioa.OpRead})
+		out, pending, err := in.RunOp(ctx, reader, ioa.Invocation{Kind: ioa.OpRead})
 		if err != nil || pending {
 			t.Fatalf("read: pending=%t err=%v", pending, err)
 		}
 		if string(out) != string(val) {
 			t.Fatalf("read %d bytes, want the %d-byte written value", len(out), len(val))
 		}
-		if rep := in.Storage(cl); rep.MaxTotalBits <= 0 {
+		if rep := in.Storage(); rep.MaxTotalBits <= 0 {
 			t.Errorf("mid-session storage not metered: %+v", rep)
 		}
-		if in.Retired(writer) || in.Retired(reader) {
-			t.Error("no operation timed out, but a client is retired")
-		}
-		if _, _, err := in.Invoke(ctx, ioa.NodeID(9999), ioa.Invocation{Kind: ioa.OpRead}); err == nil {
+		if _, _, err := in.RunOp(ctx, ioa.NodeID(9999), ioa.Invocation{Kind: ioa.OpRead}); err == nil {
 			t.Error("invoking a non-client node must fail")
 		}
 		if err := in.Close(); err != nil {
@@ -303,45 +301,8 @@ func TestInteractive(t *testing.T) {
 		if err := in.Close(); err != nil {
 			t.Fatal(err) // idempotent
 		}
-		if _, _, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpRead}); err == nil {
+		if _, _, err := in.RunOp(ctx, writer, ioa.Invocation{Kind: ioa.OpRead}); err == nil {
 			t.Error("invoke after close must fail")
-		}
-	})
-}
-
-// TestInteractiveRetiresOnTimeout pins the retirement contract: under total
-// loss an invoked write times out as a genuinely pending operation, its
-// client is retired, and the next Invoke there fails fast with
-// ErrClientRetired instead of corrupting the mid-protocol automaton; other
-// clients are untouched.
-func TestInteractiveRetiresOnTimeout(t *testing.T) {
-	overLinks(t, func(t *testing.T, backend string) {
-		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
-		plan := &faults.Plan{Seed: 3, Rules: []faults.Rule{{DropProb: 1}}}
-		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{OpTimeout: 50 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("OpenInteractive: %v", err)
-		}
-		defer in.Close()
-
-		writer, ctx := cl.Writers[0], context.Background()
-		_, pending, err := in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)})
-		if err == nil || !pending {
-			t.Fatalf("write under total loss: pending=%t err=%v, want a pending timeout", pending, err)
-		}
-		if !in.Retired(writer) {
-			t.Error("timed-out client not retired")
-		}
-		start := time.Now()
-		_, pending, err = in.Invoke(ctx, writer, ioa.Invocation{Kind: ioa.OpWrite, Value: make([]byte, 16)})
-		if !errors.Is(err, runtime.ErrClientRetired) || pending {
-			t.Errorf("second invoke at a retired client: pending=%t err=%v, want ErrClientRetired", pending, err)
-		}
-		if took := time.Since(start); took > 40*time.Millisecond {
-			t.Errorf("retired client took %v to refuse; must fail fast, not wait out OpTimeout", took)
-		}
-		if in.Retired(cl.Readers[0]) {
-			t.Error("an untouched client was retired")
 		}
 	})
 }

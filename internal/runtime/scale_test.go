@@ -20,9 +20,9 @@ import (
 // and connections.
 //
 // chan runs 2000 clients on mailboxes of 16. tcp is capped at 128 clients
-// with small mailboxes AND transport outboxes: every node there owns a real
-// TCP endpoint and each link a socket pair, so file descriptors — not
-// goroutines — bound the deployment; it must additionally lose no frame.
+// with mailboxes of 8: every node there owns a real TCP endpoint and each
+// link a socket pair, so file descriptors — not goroutines — bound the
+// deployment; it must additionally lose no frame.
 //
 // No CheckAtomic here: this test pins scale and ordering, and atomicity of
 // the same algorithm is covered by TestRunChecksConsistency.
@@ -49,7 +49,7 @@ func TestPipelinedManyClients(t *testing.T) {
 		},
 		runtime.BackendNet: {
 			clients: 64,
-			cfg:     runtime.Config{Mailbox: 8, Outbox: 8, Pipeline: 4, OpTimeout: 60 * time.Second},
+			cfg:     runtime.Config{Mailbox: 8, Pipeline: 4, OpTimeout: 60 * time.Second},
 			budget:  func(nodes, clients int) int { return 2*nodes + 2*clients + 2*2*clients*5 },
 			noLoss:  true,
 		},

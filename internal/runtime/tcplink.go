@@ -27,8 +27,7 @@ import (
 // envelope, unless another sender on the same connection is already
 // writing: then the frame joins that sender's next compound envelope.
 type tcpLink struct {
-	rt   *runtime
-	tcfg transport.Config
+	rt *runtime
 
 	// mu guards everything below it: recovery replaces a node's endpoint and
 	// address. A node is in eps exactly while attached, so an endpoint's
@@ -48,7 +47,6 @@ type tcpLink struct {
 func newTCPLink(rt *runtime) *tcpLink {
 	return &tcpLink{
 		rt:    rt,
-		tcfg:  transport.Config{DialTimeout: rt.cfg.DialTimeout, Outbox: rt.cfg.Outbox, SendTimeout: rt.cfg.SendTimeout},
 		eps:   make(map[ioa.NodeID]*transport.Endpoint),
 		addrs: make(map[ioa.NodeID]string),
 	}
@@ -56,9 +54,10 @@ func newTCPLink(rt *runtime) *tcpLink {
 
 // up opens a listening endpoint for the node and re-points its address, so
 // peers redial the new address on their next send while anything aimed at a
-// dead socket is counted loss.
+// dead socket is counted loss. The endpoint runs on the transport's defaults
+// (2s dial timeout, 256 pending frames per connection, 1s send timeout).
 func (l *tcpLink) up(ns *nodeState) error {
-	ep, err := transport.Listen(l.rt.cfg.ListenAddr, l.tcfg)
+	ep, err := transport.Listen(l.rt.cfg.ListenAddr, transport.Config{})
 	if err != nil {
 		return err
 	}
@@ -105,7 +104,8 @@ func (l *tcpLink) close() {
 // pool redials on the next send and protocol timeouts own recovery — but it
 // is counted, so lossy-run reports do not understate loss. The endpoint and
 // address are snapshotted under mu (recovery replaces both); the Send itself
-// runs outside the lock, since it can block for a full SendTimeout.
+// runs outside the lock, since it can block for the transport's full send
+// timeout.
 func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, _ bool) {
 	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
 	frame, err := wire.Append(frame, msg)
@@ -137,7 +137,7 @@ func (l *tcpLink) inbound(ns *nodeState, frame []byte) {
 		l.badFrames.Add(1)
 		return
 	}
-	l.rt.post(ns, event{from: ioa.NodeID(from), msg: msg}, l.rt.cfg.SendTimeout)
+	l.rt.post(ns, event{from: ioa.NodeID(from), msg: msg}, sendTimeout)
 }
 
 func (l *tcpLink) loss() (dropped, requeued int) {

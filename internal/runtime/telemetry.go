@@ -118,7 +118,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		tick := time.NewTicker(tel.SampleInterval())
+		tick := time.NewTicker(telemetry.DefaultInterval)
 		defer tick.Stop()
 		for {
 			select {

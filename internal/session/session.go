@@ -90,8 +90,10 @@ type shard struct {
 	// must stay the client's last recorded one — on the simulator a later
 	// op's FairRun can quietly complete it inside the kernel, and invoking
 	// the client again would append after a pending op, malforming the
-	// history — so retired clients refuse further session operations, on
-	// both backends (the live runtime additionally retires internally).
+	// history; on live and net its automaton is stuck mid-protocol and a
+	// later op would only queue behind it for another OpTimeout — so retired
+	// clients refuse further session operations, on every backend. This is
+	// the only retirement gate: the backends run whatever they are handed.
 	retired map[ioa.NodeID]bool
 }
 

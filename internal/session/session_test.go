@@ -215,6 +215,50 @@ func TestSimRetirementAfterAbandonedOp(t *testing.T) {
 	}
 }
 
+// TestWallClockRetirement pins the retirement contract on the live and net
+// backends, where the session is the one layer that retires clients: under
+// total loss a write times out as a genuinely pending operation, the next
+// write at that (sole) writer is refused at once instead of queuing behind
+// the stuck automaton for another OpTimeout, and the untouched reader is
+// still attempted.
+func TestWallClockRetirement(t *testing.T) {
+	const opTimeout = 50 * time.Millisecond
+	for _, backend := range []string{store.BackendLive, store.BackendNet} {
+		t.Run(backend, func(t *testing.T) {
+			rc := runtime.Config{OpTimeout: opTimeout}
+			st := openSim(t, store.Config{Backend: backend, Faults: []string{"lossy=1"}, Live: rc, Net: rc})
+			ctx := context.Background()
+
+			err := st.Put(ctx, 0, register.MakeValue(64, 1))
+			if err == nil || !strings.Contains(err.Error(), "timed out") {
+				t.Fatalf("Put under total loss = %v, want a timeout", err)
+			}
+			if m := st.Metrics(); m.PendingOps != 1 || m.TotalWrites != 1 {
+				t.Errorf("after the timed-out Put: PendingOps = %d, TotalWrites = %d; want the abandoned write counted pending", m.PendingOps, m.TotalWrites)
+			}
+
+			start := time.Now()
+			err = st.Put(ctx, 0, register.MakeValue(64, 2))
+			if err == nil || !strings.Contains(err.Error(), "retired") {
+				t.Errorf("Put at the retired writer = %v, want a retirement refusal", err)
+			}
+			if took := time.Since(start); took >= opTimeout/2 {
+				t.Errorf("retired writer took %v to refuse; must fail fast, not wait out OpTimeout %v", took, opTimeout)
+			}
+
+			if _, err := st.Get(ctx, 0); err == nil || strings.Contains(err.Error(), "retired") {
+				t.Errorf("Get at the untouched reader = %v, want an attempted (timed-out) read, not a refusal", err)
+			}
+			if m := st.Metrics(); m.TotalReads != 1 || m.PendingOps != 2 {
+				t.Errorf("after the Get: TotalReads = %d, PendingOps = %d; want 1, 2", m.TotalReads, m.PendingOps)
+			}
+			if err := st.CheckConsistency(); err != nil {
+				t.Errorf("CheckConsistency with pending ops: %v", err)
+			}
+		})
+	}
+}
+
 // TestContextCancelled pins context awareness: an already-cancelled context
 // fails fast without invoking anything.
 func TestContextCancelled(t *testing.T) {

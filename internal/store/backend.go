@@ -56,8 +56,8 @@ type ShardOptions struct {
 	// by wall-clock timeout instead.
 	StepBudget int
 	// Runtime tunes the live and net backends' node runtime (step duration,
-	// op timeout, mailboxes; listen address and transport dial/queue bounds
-	// on net). Ignored on the simulator.
+	// op timeout, mailboxes; listen address on net). Ignored on the
+	// simulator.
 	Runtime runtime.Config
 }
 
@@ -233,21 +233,7 @@ func (b runtimeBackend) RunShard(cl *cluster.Cluster, spec workload.Spec, opts S
 func (b runtimeBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error) {
 	in, err := runtime.OpenInteractive(b.name, cl, opts.Plan, opts.Runtime)
 	if err != nil {
-		return nil, err
+		return nil, err // not a typed-nil *Interactive in the interface
 	}
-	return &runtimeSession{cl: cl, in: in}, nil
+	return in, nil
 }
-
-// runtimeSession adapts runtime.Interactive to the ShardSession surface.
-type runtimeSession struct {
-	cl *cluster.Cluster
-	in *runtime.Interactive
-}
-
-func (s *runtimeSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invocation) ([]byte, bool, error) {
-	return s.in.Invoke(ctx, client, inv)
-}
-
-func (s *runtimeSession) Storage() ioa.StorageReport { return s.in.Storage(s.cl) }
-func (s *runtimeSession) FaultStats() ioa.FaultStats { return s.in.FaultStats() }
-func (s *runtimeSession) Close() error               { return s.in.Close() }

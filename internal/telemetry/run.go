@@ -44,10 +44,6 @@ const (
 	MetricTransportBatchFrames = "shmem_transport_batch_frames"
 )
 
-// BatchBuckets returns the bucket bounds for compound-batch sizes (frames
-// per flush), matching the transport's max batch of 64.
-func BatchBuckets() []float64 { return []float64{1, 2, 4, 8, 16, 32, 64} }
-
 // RunTelemetry configures telemetry for one runtime instance. Runtimes
 // treat a nil *RunTelemetry (or nil Registry) as "off" and pay nothing.
 type RunTelemetry struct {
@@ -60,8 +56,6 @@ type RunTelemetry struct {
 	// interactive shards and its batch runs (which reuse the same shard
 	// indices on fresh clusters) never write to the same series.
 	Interactive bool
-	// Interval is the storage-sampler tick; 0 means DefaultInterval.
-	Interval time.Duration
 }
 
 // ShardLabel returns the shard-label value this run's series carry.
@@ -72,22 +66,14 @@ func (t *RunTelemetry) ShardLabel() string {
 	return strconv.Itoa(t.Shard)
 }
 
-// DefaultInterval is the storage-sampler tick when RunTelemetry.Interval is
-// zero: fast enough to catch watermark spikes within a client round-trip,
-// slow enough that a 32-node shard costs well under 0.1% of a core (the
-// overhead budget in DESIGN.md section 14).
+// DefaultInterval is the storage-sampler tick: fast enough to catch
+// watermark spikes within a client round-trip, slow enough that a 32-node
+// shard costs well under 0.1% of a core (the overhead budget in DESIGN.md
+// section 14).
 const DefaultInterval = 5 * time.Millisecond
 
 // Active reports whether this config actually records anything.
 func (t *RunTelemetry) Active() bool { return t != nil && t.Registry != nil }
-
-// SampleInterval returns the configured tick, defaulted.
-func (t *RunTelemetry) SampleInterval() time.Duration {
-	if t == nil || t.Interval <= 0 {
-		return DefaultInterval
-	}
-	return t.Interval
-}
 
 // OpObserver builds the flight-driver hooks for this run: a submit hook
 // feeding started-op counters and a settle hook feeding completed/failed

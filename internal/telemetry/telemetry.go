@@ -91,20 +91,13 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	cmu        sync.Mutex
-	collectors map[int]func()
-	nextColl   int
-
 	tracerOnce sync.Once
 	tracer     *Tracer
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families:   make(map[string]*family),
-		collectors: make(map[int]func()),
-	}
+	return &Registry{families: make(map[string]*family)}
 }
 
 // Tracer returns the registry's op-lifecycle tracer, creating the default
@@ -117,34 +110,6 @@ func (r *Registry) Tracer() *Tracer {
 		}
 	})
 	return r.tracer
-}
-
-// OnScrape registers f to run before every Gather/WritePrometheus — the hook
-// for collect-on-scrape sources (e.g. lifting transport endpoint stats).
-// The returned func deregisters it.
-func (r *Registry) OnScrape(f func()) (remove func()) {
-	r.cmu.Lock()
-	id := r.nextColl
-	r.nextColl++
-	r.collectors[id] = f
-	r.cmu.Unlock()
-	return func() {
-		r.cmu.Lock()
-		delete(r.collectors, id)
-		r.cmu.Unlock()
-	}
-}
-
-func (r *Registry) runCollectors() {
-	r.cmu.Lock()
-	fs := make([]func(), 0, len(r.collectors))
-	for _, f := range r.collectors {
-		fs = append(fs, f)
-	}
-	r.cmu.Unlock()
-	for _, f := range fs {
-		f()
-	}
 }
 
 // labelKey renders sorted labels into the family's series key.
@@ -299,10 +264,9 @@ func (s Sample) Label(key string) string {
 	return ""
 }
 
-// Gather runs the scrape collectors and snapshots every series, sorted by
-// family name then label key — a stable order for goldens and diffing.
+// Gather snapshots every series, sorted by family name then label key — a
+// stable order for goldens and diffing.
 func (r *Registry) Gather() []Sample {
-	r.runCollectors()
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -340,7 +304,6 @@ func (r *Registry) Gather() []Sample {
 // format (version 0.0.4): one # HELP / # TYPE header per family, histograms
 // expanded into _bucket{le=...}/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.runCollectors()
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {

@@ -219,23 +219,6 @@ shmem_storage_bits{node="1"} 96
 	}
 }
 
-func TestOnScrapeCollector(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("pull", "")
-	n := 0.0
-	remove := reg.OnScrape(func() { n++; g.Set(n) })
-	reg.Gather()
-	reg.Gather()
-	if got := g.Value(); got != 2 {
-		t.Fatalf("collector ran %g times, want 2", got)
-	}
-	remove()
-	reg.Gather()
-	if got := g.Value(); got != 2 {
-		t.Fatalf("collector ran after remove: %g", got)
-	}
-}
-
 func TestTracerSamplingAndStages(t *testing.T) {
 	tr := NewTracer(1, 8) // sample everything
 	sp := tr.Begin("write")

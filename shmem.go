@@ -217,9 +217,8 @@ func StoreBackends() []string { return store.Backends() }
 // Config.Live and Config.Net, of which only the selected backend's is read:
 // the listen address spec (ephemeral loopback ports by default; net only),
 // the step duration mapping fault delays and partition windows to wall time,
-// the per-operation timeout, and the transport's dial timeout and
-// per-connection send queue capacity (net only). The zero value selects the
-// defaults.
+// the per-operation timeout and the per-node mailbox depth. The zero value
+// selects the defaults.
 type NetConfig = runtime.Config
 
 // FaultScenarioLibrary returns the standard scenario grid: quorum-preserving

@@ -93,14 +93,13 @@ bench-check:
 
 # Short native-fuzzing passes over the coding-theory kernels, the atomicity
 # checker against its search oracle, and every decoder a peer's bytes reach:
-# the message codec, the compound envelope and the buffered inbound stream
-# (one -fuzz target per run, as the fuzz engine requires).
+# the message codec and the length-prefixed inbound stream (one -fuzz target
+# per run, as the fuzz engine requires).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
 	$(GO) test -run NONE -fuzz FuzzWireDecodeRobust -fuzztime 10s ./internal/wire
-	$(GO) test -run NONE -fuzz FuzzCompoundSplit -fuzztime 10s ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzReadFrames -fuzztime 10s ./internal/transport
 
 # Build every example and smoke-run each one (the five API walkthroughs all

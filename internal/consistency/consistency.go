@@ -29,6 +29,21 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("consistency: %s violated by %s: %s", v.Condition, v.Op, v.Detail)
 }
 
+// Check verifies h, from the zero initial value, against the named
+// condition: "atomic", "regular" or "weakly-regular".
+func Check(cond string, h *ioa.History) error {
+	switch cond {
+	case "atomic":
+		return CheckAtomic(h, nil)
+	case "regular":
+		return CheckRegular(h, nil)
+	case "weakly-regular":
+		return CheckWeaklyRegular(h, nil)
+	default:
+		return fmt.Errorf("consistency: unknown condition %q", cond)
+	}
+}
+
 // valueTable interns register values: every distinct value gets a small
 // dense ID and equal values get equal IDs, so the checkers index and compare
 // values as integers. A value is hashed once, when it is interned (long

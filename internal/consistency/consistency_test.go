@@ -300,6 +300,26 @@ func TestWeaklyRegular(t *testing.T) {
 	}
 }
 
+// TestCheckDispatch pins the one condition-name dispatch: each name reaches
+// its own checker (a new-old inversion is regular and weakly regular but not
+// atomic) and an unknown name is an error.
+func TestCheckDispatch(t *testing.T) {
+	h := hist(
+		w(1, "a", 0, 10),
+		w(1, "b", 20, 100),
+		r(2, "b", 30, 40),
+		r(2, "a", 50, 60),
+	)
+	for cond, holds := range map[string]bool{"atomic": false, "regular": true, "weakly-regular": true} {
+		if err := Check(cond, h); (err == nil) != holds {
+			t.Errorf("Check(%q) = %v, want holds=%v", cond, err, holds)
+		}
+	}
+	if err := Check("linearizable", h); err == nil {
+		t.Error("an unknown condition must be an error")
+	}
+}
+
 func TestAtomicIsStrongerThanRegular(t *testing.T) {
 	// Property: histories accepted by CheckAtomic (single writer) are also
 	// accepted by CheckRegular and CheckWeaklyRegular.

@@ -250,7 +250,7 @@ func TestTCPLinkWire(t *testing.T) {
 		{0x01, 0xee}, // sender 1, unregistered type id
 		{0x01, 0x11}, // sender 1, queryAck with a truncated body
 	} {
-		if err := transport.WriteFrame(conn, wire.AppendRaw(nil, frame)); err != nil {
+		if _, err := conn.Write(transport.AppendFrame(nil, frame)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,9 +262,9 @@ func TestTCPLinkWire(t *testing.T) {
 
 // TestTCPLinkLossCountedOnce pins the loss accounting across a detach: an
 // endpoint's counters are in the live sum while the node is attached and in
-// the retired totals afterwards — never both. One malformed envelope reaches
-// node 1's endpoint; down(1) must leave loss() where it was (nothing is in
-// flight, so Close strands no frame).
+// the retired totals afterwards — never both. One stream with a length over
+// MaxFrame reaches node 1's endpoint; down(1) must leave loss() where it was
+// (nothing is in flight, so Close strands no frame).
 func TestTCPLinkLossCountedOnce(t *testing.T) {
 	rt, l := idleTCP(t)
 
@@ -273,10 +273,10 @@ func TestTCPLinkLossCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := transport.WriteFrame(conn, []byte{0x7f, 'x'}); err != nil { // unknown envelope tag
+	if _, err := conn.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil { // length over MaxFrame
 		t.Fatal(err)
 	}
-	eventually(t, "the malformed envelope counted", func() bool { d, _ := l.loss(); return d == 1 })
+	eventually(t, "the malformed stream counted", func() bool { d, _ := l.loss(); return d == 1 })
 
 	rt.nodes[1].down.Store(true)
 	l.down(rt.nodes[1])
@@ -285,5 +285,46 @@ func TestTCPLinkLossCountedOnce(t *testing.T) {
 	}
 	if got := rt.faultStats().TransportDropped; got != 1 {
 		t.Fatalf("TransportDropped = %d after down, want 1", got)
+	}
+}
+
+// TestTCPLinkTelemetryAcrossRecovery pins the transport series across a
+// crash: node 1 sends n frames, crashes, recovers on a fresh endpoint whose
+// own counters restart at zero, and sends m < n more. Its frames-sent series
+// must read n+m — the retired endpoint's total plus the live one's — not
+// stall at n until the new endpoint passes it.
+func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
+	const n, m = 5, 3
+	rt, l := idleTCP(t)
+	reg := telemetry.NewRegistry()
+	shard, node := telemetry.L("shard", "0"), telemetry.L("node", "1")
+	sample := l.sampler(reg, shard)
+	sent := reg.Counter(telemetry.MetricTransportFramesSent, "", shard, node)
+
+	codec, ok := wire.CodecFor(0x11) // abd.queryAck
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	sendN := func(k int) {
+		for i := 0; i < k; i++ {
+			l.send(rt.nodes[1], 2, codec.Sample(uint64(i)), true)
+		}
+	}
+	sendN(n)
+	sample()
+	if got := sent.Value(); got != n {
+		t.Fatalf("frames sent before the crash = %d, want %d", got, n)
+	}
+	rt.nodes[1].down.Store(true)
+	l.down(rt.nodes[1])
+	sample()
+	if err := l.up(rt.nodes[1]); err != nil {
+		t.Fatal(err)
+	}
+	rt.nodes[1].down.Store(false)
+	sendN(m)
+	sample()
+	if got := sent.Value(); got != n+m {
+		t.Fatalf("frames sent after recovery = %d, want %d", got, n+m)
 	}
 }

@@ -44,16 +44,7 @@ func deploy(t *testing.T, alg string, n, f, writers, readers int) (*cluster.Clus
 
 func check(t *testing.T, alg, cond string, h *ioa.History) {
 	t.Helper()
-	var err error
-	switch cond {
-	case "atomic":
-		err = consistency.CheckAtomic(h, nil)
-	case "regular":
-		err = consistency.CheckRegular(h, nil)
-	default:
-		t.Fatalf("unknown condition %q", cond)
-	}
-	if err != nil {
+	if err := consistency.Check(cond, h); err != nil {
 		t.Errorf("%s history not %s: %v", alg, cond, err)
 	}
 }

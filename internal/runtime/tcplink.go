@@ -24,21 +24,20 @@ import (
 // (their sends go to sockets, whose kernel buffers break sender/receiver
 // cycles long before the drop deadline does), so nothing is ever siphoned.
 // A node loop's send writes the frame to the socket itself, one write per
-// envelope, unless another sender on the same connection is already
-// writing: then the frame joins that sender's next compound envelope.
+// frame, unless another sender on the same connection is already writing:
+// then the frame leaves in that sender's next write, back to back with
+// whatever else queued behind it.
 type tcpLink struct {
 	rt *runtime
 
 	// mu guards everything below it: recovery replaces a node's endpoint and
 	// address. A node is in eps exactly while attached, so an endpoint's
-	// counters are read from one place at a time — the live sum while
-	// attached, the retired totals once down has folded them.
-	mu              sync.RWMutex
-	eps             map[ioa.NodeID]*transport.Endpoint
-	addrs           map[ioa.NodeID]string         // dialable address per node; a down node keeps its dead one
-	nt              map[ioa.NodeID]*nodeTransport // telemetry series per node; nil when telemetry is off
-	retiredDropped  uint64                        // transport loss folded off endpoints a crash retired
-	retiredRequeued uint64
+	// counters are read from one place at a time — live while attached, in
+	// retired once down has folded them.
+	mu      sync.RWMutex
+	eps     map[ioa.NodeID]*transport.Endpoint
+	addrs   map[ioa.NodeID]string          // dialable address per node; a down node keeps its dead one
+	retired map[ioa.NodeID]transport.Stats // final counters of the node's endpoints a crash closed, summed
 
 	badFrames atomic.Int64 // undecodable inbound frames, dropped
 	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints
@@ -46,9 +45,10 @@ type tcpLink struct {
 
 func newTCPLink(rt *runtime) *tcpLink {
 	return &tcpLink{
-		rt:    rt,
-		eps:   make(map[ioa.NodeID]*transport.Endpoint),
-		addrs: make(map[ioa.NodeID]string),
+		rt:      rt,
+		eps:     make(map[ioa.NodeID]*transport.Endpoint),
+		addrs:   make(map[ioa.NodeID]string),
+		retired: make(map[ioa.NodeID]transport.Stats),
 	}
 }
 
@@ -70,24 +70,44 @@ func (l *tcpLink) up(ns *nodeState) error {
 }
 
 // down closes the node's endpoint and detaches it, folding the endpoint's
-// loss accounting into the retired totals so loss never understates — and,
-// the endpoint being gone from eps, never counts it twice.
+// final counters into the node's retired totals, so neither loss nor the
+// telemetry series ever lose them — and, the endpoint being gone from eps,
+// never count them twice.
 func (l *tcpLink) down(ns *nodeState) {
 	l.mu.RLock()
 	ep := l.eps[ns.id]
 	l.mu.RUnlock()
 	ep.Close()
-	// Detach and fold in one critical section, so a concurrent loss() sees
-	// the endpoint's counters in the live sum or in the retired totals,
-	// never both and never neither.
+	// Detach and fold in one critical section, so a concurrent reader sees
+	// the endpoint's counters live or retired, never both and never neither.
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.eps, ns.id)
-	s := ep.Stats()
-	l.retiredDropped += s.DroppedFull + s.DroppedDead + s.Malformed
-	l.retiredRequeued += s.Requeued
-	if t := l.nt[ns.id]; t != nil {
-		t.lift(s) // the sampler no longer sees this endpoint: publish its final totals
+	l.retired[ns.id] = sumStats(l.retired[ns.id], ep.Stats())
+}
+
+// totals returns the node's transport counters over every endpoint it has
+// owned: the retired ones' final totals plus the live one's. Called with mu
+// held.
+func (l *tcpLink) totals(id ioa.NodeID) transport.Stats {
+	s := l.retired[id]
+	if ep := l.eps[id]; ep != nil {
+		s = sumStats(s, ep.Stats())
+	}
+	return s
+}
+
+func sumStats(a, b transport.Stats) transport.Stats {
+	return transport.Stats{
+		DroppedFull:    a.DroppedFull + b.DroppedFull,
+		DroppedDead:    a.DroppedDead + b.DroppedDead,
+		Requeued:       a.Requeued + b.Requeued,
+		Malformed:      a.Malformed + b.Malformed,
+		FramesSent:     a.FramesSent + b.FramesSent,
+		BatchesSent:    a.BatchesSent + b.BatchesSent,
+		BytesSent:      a.BytesSent + b.BytesSent,
+		FramesReceived: a.FramesReceived + b.FramesReceived,
+		BytesReceived:  a.BytesReceived + b.BytesReceived,
 	}
 }
 
@@ -143,28 +163,24 @@ func (l *tcpLink) inbound(ns *nodeState, frame []byte) {
 func (l *tcpLink) loss() (dropped, requeued int) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	dropped = int(l.sendErrs.Load()+l.badFrames.Load()) + int(l.retiredDropped)
-	requeued = int(l.retiredRequeued)
-	for _, ep := range l.eps {
-		s := ep.Stats()
+	dropped = int(l.sendErrs.Load() + l.badFrames.Load())
+	for id := range l.rt.nodes {
+		s := l.totals(id)
 		dropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
 		requeued += int(s.Requeued)
 	}
 	return dropped, requeued
 }
 
-// nodeTransport is the per-node counter set the sampler lifts endpoint
-// stats into. Endpoint counters are absolute totals that reset when a crash
-// retires the endpoint, so the lift mirrors them with monotone Raise — the
-// registry series never move backward, at the price of undercounting while
-// a recovered endpoint's fresh totals catch up to the retired ones.
+// nodeTransport is the per-node counter set the sampler lifts a node's
+// transport totals into. The totals span every endpoint the node has owned,
+// so they never move backward across a crash; Raise mirrors them.
 type nodeTransport struct {
 	framesSent, framesRecv   telemetry.Counter
 	batchesSent              telemetry.Counter
 	bytesSent, bytesRecv     telemetry.Counter
 	droppedFull, droppedDead telemetry.Counter
 	requeued, malformed      telemetry.Counter
-	batchFrames              [len(transport.BatchBucketBounds)]telemetry.Counter
 }
 
 func (t *nodeTransport) lift(s transport.Stats) {
@@ -177,9 +193,6 @@ func (t *nodeTransport) lift(s transport.Stats) {
 	t.droppedDead.Raise(s.DroppedDead)
 	t.requeued.Raise(s.Requeued)
 	t.malformed.Raise(s.Malformed)
-	for i := range s.BatchFrames {
-		t.batchFrames[i].Raise(s.BatchFrames[i])
-	}
 }
 
 // sampler registers one transport counter set per node (servers and clients
@@ -191,28 +204,21 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 		t := &nodeTransport{
 			framesSent:  reg.Counter(telemetry.MetricTransportFramesSent, "frames written to peer sockets", sl, nl),
 			framesRecv:  reg.Counter(telemetry.MetricTransportFramesRecv, "frames received and handed to the node", sl, nl),
-			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "compound envelope flushes (frames/batches = coalescing factor)", sl, nl),
-			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "envelope bytes written to peer sockets", sl, nl),
-			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "envelope bytes received", sl, nl),
+			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "socket writes carrying frames (frames/batches = coalescing factor)", sl, nl),
+			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "frame payload bytes written to peer sockets", sl, nl),
+			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "frame payload bytes received", sl, nl),
 			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full pending batch or an unwritten socket write past SendTimeout", sl, nl),
 			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
 			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
-			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound envelopes that failed to split", sl, nl),
-		}
-		for i, ub := range transport.BatchBucketBounds {
-			t.batchFrames[i] = reg.Counter(telemetry.MetricTransportBatchFrames,
-				"flushes by frames-per-batch bucket", sl, nl, telemetry.L("le", strconv.Itoa(ub)))
+			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound streams refused at a length over MaxFrame", sl, nl),
 		}
 		nt[id] = t
 	}
-	l.mu.Lock()
-	l.nt = nt
-	l.mu.Unlock()
 	return func() {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		for id, ep := range l.eps {
-			nt[id].lift(ep.Stats())
+		for id, t := range nt {
+			t.lift(l.totals(id))
 		}
 	}
 }

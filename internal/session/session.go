@@ -410,15 +410,7 @@ func (s *Store) CheckConsistency() error {
 		if err != nil {
 			return fmt.Errorf("session: shard %d history: %w", sh.index, err)
 		}
-		switch cond {
-		case "atomic":
-			err = consistency.CheckAtomic(h, nil)
-		case "regular":
-			err = consistency.CheckRegular(h, nil)
-		default:
-			err = fmt.Errorf("unknown condition %q", cond)
-		}
-		if err != nil {
+		if err = consistency.Check(cond, h); err != nil {
 			return fmt.Errorf("session: shard %d (%s, %s): %w", sh.index, sh.algorithm, cond, err)
 		}
 	}

@@ -41,7 +41,6 @@ const (
 	MetricTransportDroppedDead = "shmem_transport_dropped_dead_total"
 	MetricTransportRequeued    = "shmem_transport_requeued_total"
 	MetricTransportMalformed   = "shmem_transport_malformed_total"
-	MetricTransportBatchFrames = "shmem_transport_batch_frames"
 )
 
 // RunTelemetry configures telemetry for one runtime instance. Runtimes

@@ -5,28 +5,23 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // FuzzReadFrames drives arbitrary byte streams through the buffered inbound
 // path: it must never panic, never allocate past one MaxFrame payload plus a
-// bounded multiple of the input, hand the handler exactly the members of the
-// well-formed envelopes, and count every envelope that fails to split in
-// Stats.Malformed.
+// bounded multiple of the input, hand the handler exactly the whole frames
+// before the first bad length or truncation, and count a stream refused at a
+// length over MaxFrame in Stats.Malformed.
 func FuzzReadFrames(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
-	}
-	raw := frame(wire.AppendRaw(nil, []byte("one")))
-	compound := frame(wire.AppendCompound(nil, [][]byte{[]byte("a"), {}, []byte("bcd")}))
+	one := AppendFrame(nil, []byte("one"))
+	tooLong := []byte{0xff, 0xff, 0xff, 0xff}
 	f.Add([]byte{})
-	f.Add(raw)
-	f.Add(append(append([]byte{}, raw...), compound...))
-	f.Add(append(frame([]byte{0x7f, 'x'}), raw...))     // unknown tag, then a good envelope
-	f.Add(append(frame([]byte{wire.FrameCompound}), 0)) // truncated count, then a stray byte
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})         // length over MaxFrame
-	f.Add([]byte{0x00, 0xff, 0x00, 0x00, 0x00})         // length under MaxFrame, payload missing
+	f.Add(one)
+	f.Add(AppendFrame(AppendFrame(AppendFrame(nil, []byte("a")), nil), []byte("bcd"))) // back to back, one empty
+	f.Add(append(append(append([]byte{}, one...), tooLong...), one...))                // the frame after a bad length is never read
+	f.Add(append(AppendFrame(nil, []byte("x")), 0))                                    // a stray byte: truncated length
+	f.Add(append(tooLong, 0x00))                                                       // length over MaxFrame
+	f.Add([]byte{0x00, 0xff, 0x00, 0x00, 0x00})                                        // length under MaxFrame, payload missing
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := &Endpoint{done: make(chan struct{})}
 		var handed uint64
@@ -38,19 +33,20 @@ func FuzzReadFrames(f *testing.F) {
 			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
 		}
 
-		// The stream walked by hand: whole envelopes up to the first bad
-		// length or truncation.
+		// The stream walked by hand: whole frames up to the first length
+		// over MaxFrame, which is malformed, or the first truncation, which
+		// is not.
 		var frames, malformed uint64
 		for rest := data; len(rest) >= 4; {
 			n := binary.BigEndian.Uint32(rest)
-			if n > MaxFrame || uint64(n) > uint64(len(rest)-4) {
+			if n > MaxFrame {
+				malformed = 1
 				break
 			}
-			if members, err := wire.SplitFrames(rest[4 : 4+n]); err != nil {
-				malformed++
-			} else {
-				frames += uint64(len(members))
+			if uint64(n) > uint64(len(rest)-4) {
+				break
 			}
+			frames++
 			rest = rest[4+n:]
 		}
 		s := e.Stats()

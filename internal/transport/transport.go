@@ -5,17 +5,17 @@
 // transport design (a listener feeding a handler, connections cached per
 // peer address), scaled down to what the register emulations need:
 //
-//   - Frames, not streams: one envelope per socket write, its 4-byte
-//     big-endian length prefix included, MaxFrame enforced on both sides so a
-//     corrupt or hostile length cannot force an unbounded allocation.
+//   - Frames, not streams: on the wire a frame is a 4-byte big-endian length
+//     followed by its payload, and nothing else. MaxFrame is enforced on both
+//     sides so a corrupt or hostile length cannot force an unbounded
+//     allocation.
 //   - Sender-side flush: Send appends the frame to its connection's pending
 //     batch; a sender that finds no write in progress becomes the flusher and
 //     writes until nothing is pending, so frames appended meanwhile leave
-//     together in one compound envelope (wire.AppendCompound — memberlist's
-//     MakeCompoundMessage idiom). There is no writer goroutine.
+//     back to back in one socket write. There is no writer goroutine.
 //   - Buffered reads: each inbound connection reads through a 4 KiB
 //     bufio.Reader — one read syscall per wakeup, not one per header and one
-//     per payload — and hands each envelope's members to the handler in order.
+//     per payload — and hands each frame to the handler in order.
 //   - Dialed-connection reuse: the first Send to a peer dials it (bounded by
 //     DialTimeout); later Sends reuse it. A failed write retires it and the
 //     next Send redials — loss on a broken connection reaches the layer above
@@ -40,34 +40,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// MaxFrame bounds an envelope's payload length (16 MiB). Values in this
+// MaxFrame bounds a frame's payload length (16 MiB). Values in this
 // repository's workloads are a few KiB; the cap only exists to keep a
 // corrupt length prefix from looking like a multi-gigabyte allocation.
 const MaxFrame = 16 << 20
 
-// maxSendFrame bounds one Send's frame so that even a single-frame raw
-// envelope (1 tag byte) stays under MaxFrame.
-const maxSendFrame = MaxFrame - 1
-
-// Batching caps: one flush coalesces at most maxBatchFrames pending frames
-// or maxBatchBytes of payload into one compound envelope and leaves the rest
-// pending for the next. The byte cap keeps latency bounded (a huge batch is
-// one long socket write) and, together with envelopeSlack, keeps every
-// envelope under MaxFrame.
+// Batching caps: one flush writes at most maxFlushFrames pending frames, and
+// stops adding frames once maxFlushBytes are buffered, leaving the rest
+// pending for the next. The byte cap keeps latency bounded: a huge batch is
+// one long socket write.
 const (
-	maxBatchFrames = 64
-	maxBatchBytes  = 64 << 10
-	// envelopeSlack over-estimates the compound header: tag + count +
-	// per-member uvarint lengths (≤ 5 bytes each at these sizes).
-	envelopeSlack = 8 * (maxBatchFrames + 1)
+	maxFlushFrames = 64
+	maxFlushBytes  = 64 << 10
 )
 
 // ErrClosed reports a Send on an endpoint that has been closed.
 var ErrClosed = errors.New("transport: endpoint closed")
+
+// errTooLarge reports a length prefix over MaxFrame.
+var errTooLarge = errors.New("transport: frame length exceeds MaxFrame")
 
 // Outcomes of one enqueue attempt that Send turns into counted loss.
 var (
@@ -117,29 +110,23 @@ type Stats struct {
 	// Requeued counts frames re-enqueued onto a freshly dialed connection
 	// after their original connection died between lookup and enqueue.
 	Requeued uint64
-	// Malformed counts inbound envelopes the reader could not split;
-	// their member frames never reach the handler.
+	// Malformed counts inbound streams refused at a length prefix over
+	// MaxFrame; the reader closes such a stream, so nothing after the bad
+	// prefix reaches the handler.
 	Malformed uint64
 	// FramesSent / BatchesSent / BytesSent count the write side: frames
-	// successfully written to a socket, the compound envelopes (flushes)
-	// carrying them, and the envelope bytes on the wire. BatchesSent <=
-	// FramesSent; their ratio is the achieved coalescing factor.
+	// successfully written to a socket, the socket writes (flushes)
+	// carrying them, and the frames' payload bytes (length prefixes
+	// excluded). BatchesSent <= FramesSent; their ratio is the achieved
+	// coalescing factor.
 	FramesSent  uint64
 	BatchesSent uint64
 	BytesSent   uint64
-	// FramesReceived / BytesReceived count the read side: member frames
-	// handed to the Serve handler and the envelope bytes they arrived in.
+	// FramesReceived / BytesReceived count the read side: frames handed to
+	// the Serve handler and their payload bytes.
 	FramesReceived uint64
 	BytesReceived  uint64
-	// BatchFrames histograms the frames-per-flush distribution:
-	// BatchFrames[i] counts flushes with at most BatchBucketBounds[i]
-	// frames. The last bound equals the transport's max batch, so every
-	// flush lands in a bucket.
-	BatchFrames [len(BatchBucketBounds)]uint64
 }
-
-// BatchBucketBounds are the upper bounds of the Stats.BatchFrames buckets.
-var BatchBucketBounds = [7]int{1, 2, 4, 8, 16, 32, 64}
 
 // Endpoint is one node's network identity: a TCP listener whose inbound
 // frames are delivered to the handler passed to Serve, and a pool of
@@ -163,7 +150,6 @@ type Endpoint struct {
 	bytesSent   atomic.Uint64
 	framesRecv  atomic.Uint64
 	bytesRecv   atomic.Uint64
-	batchFrames [len(BatchBucketBounds)]atomic.Uint64
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -180,7 +166,7 @@ type outConn struct {
 	pending  [][]byte      // frames waiting for the next write, oldest first
 	flushing bool          // a sender is writing, and flushes pending before it returns
 	space    chan struct{} // closed when a write frees room; nil while no sender waits
-	buf      []byte        // length prefix + envelope of the write in progress
+	buf      []byte        // the length-prefixed frames of the write in progress
 	deadline time.Time     // the write deadline set on c
 }
 
@@ -206,7 +192,7 @@ func (e *Endpoint) Addr() string { return e.listener.Addr().String() }
 
 // Stats snapshots the endpoint's frame-loss and throughput counters.
 func (e *Endpoint) Stats() Stats {
-	s := Stats{
+	return Stats{
 		DroppedFull:    e.droppedFull.Load(),
 		DroppedDead:    e.droppedDead.Load(),
 		Requeued:       e.requeued.Load(),
@@ -217,18 +203,13 @@ func (e *Endpoint) Stats() Stats {
 		FramesReceived: e.framesRecv.Load(),
 		BytesReceived:  e.bytesRecv.Load(),
 	}
-	for i := range e.batchFrames {
-		s.BatchFrames[i] = e.batchFrames[i].Load()
-	}
-	return s
 }
 
 // Serve starts the accept loop: every inbound connection gets a reader
-// goroutine that decodes length-prefixed envelopes, splits compound
-// envelopes, and calls handler with each member frame in order. The handler
-// runs on the reader goroutine and may keep the frame; a handler that blocks
-// exerts backpressure on that peer's TCP stream only. Serve returns
-// immediately.
+// goroutine that decodes length-prefixed frames and calls handler with each
+// in order. The handler runs on the reader goroutine and may keep the frame;
+// a handler that blocks exerts backpressure on that peer's TCP stream only.
+// Serve returns immediately.
 func (e *Endpoint) Serve(handler func(frame []byte)) {
 	e.wg.Add(1)
 	go func() {
@@ -259,13 +240,17 @@ func (e *Endpoint) Serve(handler func(frame []byte)) {
 	}()
 }
 
-// readFrames decodes envelopes off r until it fails or the endpoint closes,
-// handing every member of a well-formed envelope to handler in order.
+// readFrames decodes frames off r until it fails or the endpoint closes,
+// handing each to handler in order. A length over MaxFrame ends the stream
+// and is counted as Malformed.
 func (e *Endpoint) readFrames(r io.Reader, handler func(frame []byte)) {
 	br := bufio.NewReader(r)
 	for {
-		payload, err := ReadFrame(br)
+		frame, err := ReadFrame(br)
 		if err != nil {
+			if errors.Is(err, errTooLarge) {
+				e.malformed.Add(1)
+			}
 			return
 		}
 		select {
@@ -273,18 +258,9 @@ func (e *Endpoint) readFrames(r io.Reader, handler func(frame []byte)) {
 			return
 		default:
 		}
-		frames, err := wire.SplitFrames(payload)
-		if err != nil {
-			e.malformed.Add(1)
-			continue
-		}
-		e.framesRecv.Add(uint64(len(frames)))
-		e.bytesRecv.Add(uint64(len(payload)))
-		for _, frame := range frames {
-			// Members alias payload, which is freshly allocated per
-			// ReadFrame and never reused here, so the handler may keep them.
-			handler(frame)
-		}
+		e.framesRecv.Add(1)
+		e.bytesRecv.Add(uint64(len(frame)))
+		handler(frame) // freshly allocated by ReadFrame: the handler may keep it
 	}
 }
 
@@ -297,8 +273,8 @@ func (e *Endpoint) readFrames(r io.Reader, handler func(frame []byte)) {
 // recovery. Send returns an error only when no connection could be
 // established or the endpoint is closed.
 func (e *Endpoint) Send(addr string, frame []byte) error {
-	if len(frame) > maxSendFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(frame), maxSendFrame)
+	if len(frame) > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(frame), MaxFrame)
 	}
 	err := e.enqueue(addr, frame)
 	if err == errDead {
@@ -363,27 +339,20 @@ func (e *Endpoint) enqueue(addr string, frame []byte) error {
 	return nil
 }
 
-// flush writes oc's pending frames, at most maxBatchFrames and
-// maxBatchBytes per envelope, until none is left. It is called with oc.mu
+// flush writes oc's pending frames back to back, at most maxFlushFrames and
+// about maxFlushBytes per write, until none is left. It is called with oc.mu
 // held and oc.flushing set, and returns with both released. A write that
 // timed out unwritten drops its frames and all pending as full and keeps the
 // connection; any other failure retires it and drops them as dead — unless
 // Close retired it, whose discards are not loss.
 func (e *Endpoint) flush(oc *outConn) {
 	for len(oc.pending) > 0 {
-		n, size := 1, len(oc.pending[0])
-		for n < len(oc.pending) && n < maxBatchFrames && size < maxBatchBytes &&
-			size+len(oc.pending[n])+envelopeSlack <= MaxFrame {
-			size += len(oc.pending[n])
+		oc.buf = oc.buf[:0]
+		n := 0
+		for n < len(oc.pending) && n < maxFlushFrames && len(oc.buf) < maxFlushBytes {
+			oc.buf = AppendFrame(oc.buf, oc.pending[n])
 			n++
 		}
-		oc.buf = append(oc.buf[:0], 0, 0, 0, 0)
-		if n == 1 {
-			oc.buf = wire.AppendRaw(oc.buf, oc.pending[0])
-		} else {
-			oc.buf = wire.AppendCompound(oc.buf, oc.pending[:n])
-		}
-		binary.BigEndian.PutUint32(oc.buf, uint32(len(oc.buf)-4))
 		rest := copy(oc.pending, oc.pending[n:])
 		clear(oc.pending[rest:])
 		oc.pending = oc.pending[:rest]
@@ -394,13 +363,7 @@ func (e *Endpoint) flush(oc *outConn) {
 		if err == nil {
 			e.framesSent.Add(uint64(n))
 			e.batchesSent.Add(1)
-			e.bytesSent.Add(uint64(len(oc.buf) - 4))
-			for i, ub := range BatchBucketBounds {
-				if n <= ub {
-					e.batchFrames[i].Add(1)
-					break
-				}
-			}
+			e.bytesSent.Add(uint64(len(oc.buf) - 4*n))
 			continue
 		}
 		lost := uint64(n + len(oc.pending))
@@ -502,14 +465,11 @@ func (e *Endpoint) Close() error {
 	return err
 }
 
-// WriteFrame writes one length-prefixed frame in a single Write.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
-	}
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
-	_, err := w.Write(append(buf, payload...))
-	return err
+// AppendFrame appends the frame for payload to dst: its 4-byte big-endian
+// length, then the payload. The caller keeps payload within MaxFrame.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
 
 // ReadFrame reads one length-prefixed frame, rejecting lengths over
@@ -521,7 +481,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame length %d exceeds MaxFrame %d", n, MaxFrame)
+		return nil, fmt.Errorf("%w: %d > %d", errTooLarge, n, MaxFrame)
 	}
 	r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	payload := make([]byte, n)

@@ -3,7 +3,10 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,42 +140,63 @@ func TestCloseIsGracefulAndIdempotent(t *testing.T) {
 	}
 }
 
-// writeCounter counts the Write calls that reach its buffer.
-type writeCounter struct {
-	bytes.Buffer
-	writes int
-}
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.Buffer.Write(p)
-}
-
+// TestFrameCodec pins the one framing layer: a frame is its 4-byte
+// big-endian length and its payload, nothing else, whether AppendFrame
+// builds it or Send writes it; frames back to back read back in order; and a
+// length over MaxFrame is refused on both sides.
 func TestFrameCodec(t *testing.T) {
-	var buf writeCounter
-	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
+	payloads := [][]byte{[]byte("hello frames"), {}, bytes.Repeat([]byte{0xab}, 4096), {0}}
+	var stream []byte
+	for _, p := range payloads {
+		n := len(stream)
+		stream = AppendFrame(stream, p)
+		if got := stream[n:]; binary.BigEndian.Uint32(got) != uint32(len(p)) || !bytes.Equal(got[4:], p) {
+			t.Fatalf("AppendFrame(%d bytes) = % x…", len(p), got[:4])
+		}
 	}
-	// Prefix and payload leave in one Write: under TCP_NODELAY two writes
-	// are two segments.
-	if buf.writes != 1 {
-		t.Fatalf("WriteFrame made %d writes, want 1", buf.writes)
+	r := bufio.NewReader(bytes.NewReader(stream))
+	for i, p := range payloads {
+		got, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("frame %d read back as %q, want %q", i, got, p)
+		}
 	}
-	got, err := ReadFrame(bufio.NewReader(&buf))
+	if _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("read past the last frame = %v, want EOF", err)
+	}
+
+	// What Send puts on the socket is exactly AppendFrame's bytes.
+	a, err := Listen("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round trip got %q", got)
+	defer a.Close()
+	_, peer := pipePeer(a, "peer")
+	defer peer.Close()
+	want := AppendFrame(nil, payloads[0])
+	written := make(chan []byte, 1)
+	go func() {
+		got := make([]byte, len(want))
+		io.ReadFull(peer, got)
+		written <- got
+	}()
+	if err := a.Send("peer", payloads[0]); err != nil {
+		t.Fatal(err)
 	}
+	if got := <-written; !bytes.Equal(got, want) {
+		t.Fatalf("Send wrote % x, want % x", got, want)
+	}
+
 	// Oversized length prefixes are rejected before allocation.
 	evil := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(bufio.NewReader(evil)); err == nil {
-		t.Fatal("oversized frame length must be rejected")
+	if _, err := ReadFrame(bufio.NewReader(evil)); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversized frame length read as %v, want errTooLarge", err)
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("oversized write must be rejected")
+	if err := a.Send("peer", make([]byte, MaxFrame+1)); err == nil {
+		t.Fatal("oversized send must be rejected")
 	}
 }
 
@@ -204,7 +228,7 @@ func TestOutboxOverflowDoesNotBlock(t *testing.T) {
 }
 
 // BenchmarkEndpointRoundTrip is one 64 B frame to a peer and back: two
-// envelopes, each one write and one buffered read.
+// frames, each one write and one buffered read.
 func BenchmarkEndpointRoundTrip(b *testing.B) {
 	benchmarkFanOut(b, 1)
 }

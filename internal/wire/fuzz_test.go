@@ -1,7 +1,6 @@
 package wire_test
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -68,43 +67,6 @@ func FuzzWireDecodeRobust(f *testing.F) {
 		}
 		if !reflect.DeepEqual(msg, back) {
 			t.Fatalf("second round trip changed %T:\n first  %#v\n second %#v", msg, msg, back)
-		}
-	})
-}
-
-// FuzzCompoundSplit drives the compound-frame envelope decoder with
-// arbitrary bytes (it must reject or split, never panic or over-read) and,
-// when the input survives, re-encodes the members and requires a stable
-// round trip.
-func FuzzCompoundSplit(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x01, 0x00})
-	f.Add(wire.AppendCompound(nil, [][]byte{[]byte("a"), []byte("bb")}))
-	f.Add(wire.AppendRaw(nil, []byte("payload")))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := wire.SplitFrames(data)
-		if err != nil {
-			return
-		}
-		var total int
-		for _, fr := range frames {
-			total += len(fr)
-		}
-		if total > len(data) {
-			t.Fatalf("decoded %d member bytes from a %d-byte payload", total, len(data))
-		}
-		again, err := wire.SplitFrames(wire.AppendCompound(nil, frames))
-		if err != nil {
-			t.Fatalf("re-encode of split output failed: %v", err)
-		}
-		if len(again) != len(frames) {
-			t.Fatalf("round trip changed member count %d -> %d", len(frames), len(again))
-		}
-		for i := range frames {
-			if !bytes.Equal(again[i], frames[i]) {
-				t.Fatalf("member %d changed across round trip", i)
-			}
 		}
 	})
 }

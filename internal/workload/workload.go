@@ -274,14 +274,5 @@ func anyIdle(ids []ioa.NodeID, idle func(ioa.NodeID) bool) bool {
 // CheckConsistency verifies the result's history against the named
 // condition: "atomic", "regular" or "weakly-regular".
 func (r *Result) CheckConsistency(condition string) error {
-	switch condition {
-	case "atomic":
-		return consistency.CheckAtomic(r.History, nil)
-	case "regular":
-		return consistency.CheckRegular(r.History, nil)
-	case "weakly-regular":
-		return consistency.CheckWeaklyRegular(r.History, nil)
-	default:
-		return fmt.Errorf("workload: unknown condition %q", condition)
-	}
+	return consistency.Check(condition, r.History)
 }

@@ -19,12 +19,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The node runtime is the one package whose correctness depends on goroutine
-# interleavings, so it gets a dedicated double-pass race smoke — every test
-# over both links, chan and tcp: two counted runs catch schedules a single
-# pass misses.
+# The node runtime and the transport under it are the packages whose
+# correctness depends on goroutine interleavings — every runtime test runs
+# over both links, chan and tcp, and every transport connection has a reader
+# goroutine at both ends beside its senders — so they get a dedicated
+# double-pass race smoke: two counted runs catch schedules a single pass
+# misses.
 runtime-race:
-	$(GO) test -race -count=2 ./internal/runtime
+	$(GO) test -race -count=2 ./internal/runtime ./internal/transport
 
 # Chaos smoke: the wall-clock fault scheduler's crash+partition behavior on
 # the live and net backends under the race detector — the chaos tests first

@@ -1,8 +1,12 @@
 package runtime
 
 import (
+	"context"
 	"net"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
+	"repro/internal/register"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -218,6 +223,22 @@ func idleTCP(t *testing.T) (*runtime, *tcpLink) {
 	return rt, rt.link.(*tcpLink)
 }
 
+// dialRaw opens a bare TCP connection to a node's endpoint and writes the
+// hello every dialed stream opens with, so what the test writes next is read
+// as frames.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(transport.AppendFrame(nil, []byte(conn.LocalAddr().String()))); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 // TestTCPLinkWire is the wire regression: real frames through tcpLink. A
 // message sent at one node arrives at the peer's mailbox decoded and
 // attributed to its sender (the frame's sender-id prefix), and frames that
@@ -240,11 +261,7 @@ func TestTCPLinkWire(t *testing.T) {
 		t.Fatal("frame never arrived")
 	}
 
-	conn, err := net.Dial("tcp", l.addrs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, l.addrs[2])
 	for _, frame := range [][]byte{
 		{},           // no sender id
 		{0x01, 0xee}, // sender 1, unregistered type id
@@ -268,11 +285,7 @@ func TestTCPLinkWire(t *testing.T) {
 func TestTCPLinkLossCountedOnce(t *testing.T) {
 	rt, l := idleTCP(t)
 
-	conn, err := net.Dial("tcp", l.addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, l.addrs[1])
 	if _, err := conn.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil { // length over MaxFrame
 		t.Fatal(err)
 	}
@@ -327,4 +340,89 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	if got := sent.Value(); got != n+m {
 		t.Fatalf("frames sent after recovery = %d, want %d", got, n+m)
 	}
+}
+
+// TestServersNeverDialClients pins the one-connection-per-pair shape of a
+// fault-free net run: clients dial servers and every reply rides back on the
+// client's own connection, so no client's listener ever accepts one. It is
+// read off the kernel's socket table, where a socket other than the
+// listener whose local port is a node's listen port is a connection that
+// node accepted.
+func TestServersNeverDialClients(t *testing.T) {
+	cl := abdCluster(t)
+	in, err := OpenInteractive(BackendNet, cl, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		if _, pending, err := in.RunOp(ctx, cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(16, uint64(i))}); err != nil || pending {
+			t.Fatalf("write %d: pending=%t err=%v", i, pending, err)
+		}
+		if _, pending, err := in.RunOp(ctx, cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead}); err != nil || pending {
+			t.Fatalf("read %d: pending=%t err=%v", i, pending, err)
+		}
+	}
+
+	accepted := socketsByLocalPort(t)
+	l := in.rt.link.(*tcpLink)
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	port := func(id ioa.NodeID) uint64 {
+		_, p, err := net.SplitHostPort(l.addrs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.ParseUint(p, 10, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, id := range cl.Servers {
+		if accepted[port(id)] == 0 {
+			t.Fatalf("server %d shows no accepted connection: the socket table was misread", id)
+		}
+	}
+	for _, id := range []ioa.NodeID{cl.Writers[0], cl.Readers[0]} {
+		if n := accepted[port(id)]; n != 0 {
+			t.Fatalf("client %d accepted %d connections: a server dialed it", id, n)
+		}
+	}
+}
+
+// socketsByLocalPort counts the kernel's established TCP sockets by local
+// port, from /proc/net/tcp and /proc/net/tcp6; it skips the test where
+// neither is readable. Only established ones count: a closed connection of
+// an earlier test lingering in TIME_WAIT may share a port with a listener
+// opened since.
+func socketsByLocalPort(t *testing.T) map[uint64]int {
+	t.Helper()
+	counts := map[uint64]int{}
+	tables := 0
+	for _, path := range []string{"/proc/net/tcp", "/proc/net/tcp6"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		tables++
+		lines := strings.Split(string(data), "\n")
+		for _, line := range lines[1:] { // after the header
+			// sl local_address rem_address st ...: addresses are hex
+			// ip:port, state 01 is ESTABLISHED.
+			f := strings.Fields(line)
+			if len(f) < 4 || f[3] != "01" {
+				continue
+			}
+			_, hexPort, _ := strings.Cut(f[1], ":")
+			if p, err := strconv.ParseUint(hexPort, 16, 16); err == nil {
+				counts[p]++
+			}
+		}
+	}
+	if tables == 0 {
+		t.Skip("the kernel's TCP socket table (/proc/net/tcp) is not readable here")
+	}
+	return counts
 }

@@ -35,10 +35,10 @@ func TestPipelinedManyClients(t *testing.T) {
 		cfg     runtime.Config
 		// budget is the goroutine allowance above the baseline: one loop per
 		// node and one driver per client, plus — on tcp — an accept loop per
-		// endpoint and, per directed link, a reader at its target; senders
-		// write their own frames, so no link has a writer goroutine (every
-		// client dials 5 servers and every server dials back 2*clients
-		// peers: 2 * 2*clients*5 directed links).
+		// endpoint and, per connection, a reader at each end; senders write
+		// their own frames, so no connection has a writer goroutine (every
+		// client dials 5 servers, whose replies ride back on the same
+		// connection: 2*clients*5 connections, two readers each).
 		budget func(nodes, clients int) int
 		noLoss bool
 	}{

@@ -18,11 +18,15 @@ import (
 // (sender id + internal/wire encoding), and faults become physical events —
 // a crashed node's endpoint closes, so peers' in-flight frames die as real
 // network loss, and a recovered node listens on a FRESH endpoint peers
-// redial on their next send. A transport reader blocked on a full mailbox
+// redial on their next send. Two nodes share one connection both ways,
+// opened by whichever sent first — in a fault-free run a client, since
+// servers only answer — so a server's replies ride the client's own socket
+// and no server dials a client. A transport reader blocked on a full mailbox
 // stops reading its socket, so backpressure propagates peer-to-peer through
-// TCP's own flow control; node loops never block on a peer's mailbox here
-// (their sends go to sockets, whose kernel buffers break sender/receiver
-// cycles long before the drop deadline does), so nothing is ever siphoned.
+// TCP's own flow control, in that connection's one direction; node loops
+// never block on a peer's mailbox here (their sends go to sockets, whose
+// kernel buffers break sender/receiver cycles long before the drop deadline
+// does), so nothing is ever siphoned.
 // A node loop's send writes the frame to the socket itself, one write per
 // frame, unless another sender on the same connection is already writing:
 // then the frame leaves in that sender's next write, back to back with
@@ -119,9 +123,10 @@ func (l *tcpLink) close() {
 	}
 }
 
-// send frames the message and writes it to the sender's own socket pool. A
-// Send error (failed dial, closed endpoint) is real-network silence — the
-// pool redials on the next send and protocol timeouts own recovery — but it
+// send frames the message and hands it to the sender's endpoint, which
+// writes it on its one connection to the target. A Send error (failed dial,
+// closed endpoint) is real-network silence — the endpoint redials on the
+// next send and protocol timeouts own recovery — but it
 // is counted, so lossy-run reports do not understate loss. The endpoint and
 // address are snapshotted under mu (recovery replaces both); the Send itself
 // runs outside the lock, since it can block for the transport's full send

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
@@ -10,16 +11,18 @@ import (
 	"time"
 )
 
-// pipePeer pools one end of an in-memory pipe as e's connection to addr and
-// returns the other end: the test plays the peer and decides exactly how
-// many bytes of each write it accepts.
-func pipePeer(e *Endpoint, addr string) (*outConn, net.Conn) {
+// pipePeer pools one end of an in-memory pipe as e's connection to addr,
+// tracked like a dialed one (Close closes it; once Serve has run, a reader
+// reads it), and returns the other end: the test plays the peer and decides
+// exactly how many bytes of each write it accepts.
+func pipePeer(e *Endpoint, addr string) (*peerConn, net.Conn) {
 	local, remote := net.Pipe()
-	oc := &outConn{c: local}
+	pc := &peerConn{c: local}
 	e.mu.Lock()
-	e.conns[addr] = oc
+	e.track(pc, false)
+	e.conns[addr] = pc
 	e.mu.Unlock()
-	return oc, remote
+	return pc, remote
 }
 
 // TestBatchedDeliveryPreservesOrder floods one link with numbered frames
@@ -85,7 +88,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	oc, peer := pipePeer(a, "peer")
+	pc, peer := pipePeer(a, "peer")
 	defer peer.Close()
 
 	var mu sync.Mutex
@@ -94,14 +97,14 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 	b := &Endpoint{done: make(chan struct{})}
 	go func() {
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-			oc.mu.Lock()
-			queued := len(oc.pending)
-			oc.mu.Unlock()
+			pc.mu.Lock()
+			queued := len(pc.pending)
+			pc.mu.Unlock()
 			if queued > 1 {
 				break
 			}
 		}
-		b.readFrames(peer, func(frame []byte) {
+		b.readFrames(bufio.NewReader(peer), func(frame []byte) {
 			seq, _ := binary.Uvarint(frame[1:])
 			mu.Lock()
 			got[frame[0]] = append(got[frame[0]], seq)
@@ -216,12 +219,12 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		oc, peer := pipePeer(a, "peer")
+		pc, peer := pipePeer(a, "peer")
 		defer peer.Close()
 
 		timedSend(a, "peer", []byte("unread"))
-		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 0 || oc.dead.Load() {
-			t.Fatalf("zero-byte timeout: %+v, dead=%v; want one full drop and the connection kept", s, oc.dead.Load())
+		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 0 || pc.dead.Load() {
+			t.Fatalf("zero-byte timeout: %+v, dead=%v; want one full drop and the connection kept", s, pc.dead.Load())
 		}
 
 		read := make(chan error, 1)
@@ -233,8 +236,8 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 		if err := <-read; err != nil {
 			t.Fatal(err)
 		}
-		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 1 || !oc.dead.Load() {
-			t.Fatalf("partial write: %+v, dead=%v; want one dead drop and the connection retired", s, oc.dead.Load())
+		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 1 || !pc.dead.Load() {
+			t.Fatalf("partial write: %+v, dead=%v; want one dead drop and the connection retired", s, pc.dead.Load())
 		}
 	})
 }
@@ -248,15 +251,15 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, peer := pipePeer(a, "peer")
+	pc, peer := pipePeer(a, "peer")
 	defer peer.Close()
 
 	sent := make(chan error, 1)
 	go func() { sent <- a.Send("peer", []byte("in flight")) }()
 	waitFor(t, 5*time.Second, func() bool {
-		oc.mu.Lock()
-		defer oc.mu.Unlock()
-		return oc.flushing && len(oc.pending) == 0
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return pc.flushing && len(pc.pending) == 0
 	})
 	if err := a.Send("peer", []byte("pending")); err != nil {
 		t.Fatal(err)
@@ -277,6 +280,87 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 	}
 	if err := a.Send("peer", []byte("late")); err != ErrClosed {
 		t.Fatalf("send after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestPeerCloseMidFlushIsLoss is the converse: the peer, not Close, ends the
+// stream while a flusher is blocked writing to it (a frame too large for the
+// socket buffers, unread) with another frame pending behind. The peer
+// half-closes, so it is the connection's reader — seeing the stream end and
+// retiring the connection — that fails the write, not the socket. Both
+// frames are real loss and land in DroppedDead, not among Close's uncounted
+// discards, and the next Send redials and is delivered on a fresh
+// connection.
+func TestPeerCloseMidFlushIsLoss(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := Listen("127.0.0.1:0", Config{SendTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Serve(func([]byte) {})
+	addr := ln.Addr().String()
+
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(addr, make([]byte, MaxFrame)) }()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	var pc *peerConn
+	waitFor(t, 5*time.Second, func() bool {
+		a.mu.Lock()
+		pc = a.conns[addr]
+		a.mu.Unlock()
+		if pc == nil {
+			return false
+		}
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return pc.flushing && len(pc.pending) == 0
+	})
+	if err := a.Send(addr, []byte("pending")); err != nil {
+		t.Fatal(err)
+	}
+	pc.mu.Lock()
+	stuck := pc.flushing && len(pc.pending) == 1
+	pc.mu.Unlock()
+	if !stuck {
+		t.Skip("this host's socket buffers absorbed a MaxFrame write to an unread peer")
+	}
+	if err := peer.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatalf("flushing Send = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flushing Send still blocked after the peer ended its stream")
+	}
+	if s := a.Stats(); s.DroppedDead != 2 || s.DroppedFull+s.Requeued+s.FramesSent != 0 || !pc.dead.Load() {
+		t.Fatalf("peer ended its stream mid-flush: %+v, dead=%t; want both frames dropped dead", s, pc.dead.Load())
+	}
+
+	if err := a.Send(addr, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	redialed, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer redialed.Close()
+	br := bufio.NewReader(redialed)
+	for _, want := range []string{a.Addr(), "after"} { // the hello, then the frame
+		if got, err := ReadFrame(br, MaxFrame); err != nil || string(got) != want {
+			t.Fatalf("redialed stream: read %q, %v; want %q", got, err, want)
+		}
 	}
 }
 

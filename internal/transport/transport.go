@@ -1,25 +1,35 @@
 // Package transport is the connection layer of the real-network execution
 // backend: every node automaton owns one Endpoint — a TCP listener plus a
-// pool of dialed, reused outbound connections — and exchanges opaque
-// length-prefixed frames with its peers. The split mirrors memberlist's
-// transport design (a listener feeding a handler, connections cached per
-// peer address), scaled down to what the register emulations need:
+// pool of connections, one per peer, each carrying frames both ways — and
+// exchanges opaque length-prefixed frames with its peers. The split mirrors
+// memberlist's transport design (a listener feeding a handler, connections
+// cached per peer address), scaled down to what the register emulations
+// need:
 //
 //   - Frames, not streams: on the wire a frame is a 4-byte big-endian length
 //     followed by its payload, and nothing else. MaxFrame is enforced on both
 //     sides so a corrupt or hostile length cannot force an unbounded
 //     allocation.
+//   - One connection per peer pair: the first Send to a peer dials it
+//     (bounded by DialTimeout) and opens the stream with one hello frame
+//     naming the dialer's own listen address; the accepting side adopts the
+//     connection as its way back to that address, so replies ride the
+//     request's socket (the kernel piggybacks its ACKs on them) and the
+//     peer never dials back. A pooled connection is never replaced while
+//     healthy, so frames to one peer keep one FIFO stream; if both sides
+//     dial at once, each sends on its own and reads both.
 //   - Sender-side flush: Send appends the frame to its connection's pending
 //     batch; a sender that finds no write in progress becomes the flusher and
 //     writes until nothing is pending, so frames appended meanwhile leave
 //     back to back in one socket write. There is no writer goroutine.
-//   - Buffered reads: each inbound connection reads through a 4 KiB
-//     bufio.Reader — one read syscall per wakeup, not one per header and one
-//     per payload — and hands each frame to the handler in order.
-//   - Dialed-connection reuse: the first Send to a peer dials it (bounded by
-//     DialTimeout); later Sends reuse it. A failed write retires it and the
-//     next Send redials — loss on a broken connection reaches the layer above
-//     as what it is on a real network: silence, bounded by op timeouts.
+//   - Buffered reads: once Serve has installed the handler, every
+//     connection, dialed or accepted, has a reader goroutine reading through
+//     a 4 KiB bufio.Reader — one read syscall per wakeup, not one per header
+//     and one per payload — that hands each frame to the handler in order.
+//   - Retirement and redial: a failed write, or the stream ending under its
+//     reader, retires the connection and the next Send redials — loss on a
+//     broken connection reaches the layer above as what it is on a real
+//     network: silence, bounded by op timeouts.
 //   - Bounded sends: Outbox bounds a connection's pending frames; a sender
 //     facing a full batch blocks up to SendTimeout, then drops the frame,
 //     counted in Stats, and the flusher's write carries the same deadline.
@@ -27,6 +37,11 @@
 //   - Graceful shutdown: Close stops the accept loop, closes every
 //     connection, and joins every goroutine the endpoint started — no frame
 //     handler runs after Close returns.
+//
+// Nothing on a stream is authenticated. The hello's address is trusted
+// exactly as much as the sender id every frame of the layer above carries,
+// and adopting it never replaces a healthy connection, so a stray or
+// spoofed hello cannot divert frames already flowing to a peer.
 package transport
 
 import (
@@ -47,6 +62,10 @@ import (
 // corrupt length prefix from looking like a multi-gigabyte allocation.
 const MaxFrame = 16 << 20
 
+// maxHello bounds the listen address a hello frame may carry; a dialable
+// host:port is far shorter.
+const maxHello = 256
+
 // Batching caps: one flush writes at most maxFlushFrames pending frames, and
 // stops adding frames once maxFlushBytes are buffered, leaving the rest
 // pending for the next. The byte cap keeps latency bounded: a huge batch is
@@ -59,8 +78,8 @@ const (
 // ErrClosed reports a Send on an endpoint that has been closed.
 var ErrClosed = errors.New("transport: endpoint closed")
 
-// errTooLarge reports a length prefix over MaxFrame.
-var errTooLarge = errors.New("transport: frame length exceeds MaxFrame")
+// errTooLarge reports a length prefix over the reader's cap.
+var errTooLarge = errors.New("transport: frame length over its cap")
 
 // Outcomes of one enqueue attempt that Send turns into counted loss.
 var (
@@ -105,20 +124,22 @@ type Stats struct {
 	// past SendTimeout, or in or behind a write that timed out unwritten.
 	DroppedFull uint64
 	// DroppedDead counts frames in or behind a write that failed otherwise,
-	// retiring its connection.
+	// on a connection a failed write or the peer's end of the stream
+	// retired.
 	DroppedDead uint64
 	// Requeued counts frames re-enqueued onto a freshly dialed connection
 	// after their original connection died between lookup and enqueue.
 	Requeued uint64
 	// Malformed counts inbound streams refused at a length prefix over
-	// MaxFrame; the reader closes such a stream, so nothing after the bad
-	// prefix reaches the handler.
+	// MaxFrame, or at a hello naming an address over 256 bytes; the reader
+	// closes such a stream, so nothing after the bad prefix reaches the
+	// handler.
 	Malformed uint64
 	// FramesSent / BatchesSent / BytesSent count the write side: frames
 	// successfully written to a socket, the socket writes (flushes)
 	// carrying them, and the frames' payload bytes (length prefixes
 	// excluded). BatchesSent <= FramesSent; their ratio is the achieved
-	// coalescing factor.
+	// coalescing factor. A connection's hello is not a frame.
 	FramesSent  uint64
 	BatchesSent uint64
 	BytesSent   uint64
@@ -128,16 +149,18 @@ type Stats struct {
 	BytesReceived  uint64
 }
 
-// Endpoint is one node's network identity: a TCP listener whose inbound
-// frames are delivered to the handler passed to Serve, and a pool of
-// outbound connections reused across Sends. Safe for concurrent use.
+// Endpoint is one node's network identity: a TCP listener, and a pool of
+// connections — one per peer, dialed by whichever side sent first — whose
+// inbound frames are delivered to the handler passed to Serve. Safe for
+// concurrent use.
 type Endpoint struct {
 	cfg      Config
 	listener net.Listener
 
 	mu      sync.Mutex
-	conns   map[string]*outConn // keyed by peer address
-	inbound map[net.Conn]struct{}
+	conns   map[string]*peerConn   // the connection frames to a peer leave on, keyed by its listen address
+	open    map[*peerConn]struct{} // every connection not yet retired by its reader, pooled or not
+	handler func(frame []byte)     // installed by Serve; no reader runs before
 	closed  bool
 
 	droppedFull atomic.Uint64
@@ -155,12 +178,13 @@ type Endpoint struct {
 	wg   sync.WaitGroup
 }
 
-// outConn is one pooled outbound connection. Senders append to pending
-// under mu; one of them at a time is the flusher, which alone touches buf
-// and deadline and writes to c outside the lock.
-type outConn struct {
+// peerConn is one connection to a peer, carrying frames both ways. Senders
+// append to pending under mu; one of them at a time is the flusher, which
+// alone touches buf and deadline and writes to c outside the lock. Once
+// Serve has run, a reader goroutine owns the read side of c.
+type peerConn struct {
 	c    net.Conn
-	dead atomic.Bool // c was retired by a failed write or by Close
+	dead atomic.Bool // c was retired: by a failed write, or by its reader when the stream ended
 
 	mu       sync.Mutex
 	pending  [][]byte      // frames waiting for the next write, oldest first
@@ -181,8 +205,8 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 	return &Endpoint{
 		cfg:      cfg.withDefaults(),
 		listener: ln,
-		conns:    make(map[string]*outConn),
-		inbound:  make(map[net.Conn]struct{}),
+		conns:    make(map[string]*peerConn),
+		open:     make(map[*peerConn]struct{}),
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -205,62 +229,125 @@ func (e *Endpoint) Stats() Stats {
 	}
 }
 
-// Serve starts the accept loop: every inbound connection gets a reader
-// goroutine that decodes length-prefixed frames and calls handler with each
-// in order. The handler runs on the reader goroutine and may keep the frame;
-// a handler that blocks exerts backpressure on that peer's TCP stream only.
-// Serve returns immediately.
+// Serve installs handler and starts reading: a reader goroutine on every
+// connection dialed so far, and an accept loop giving each inbound
+// connection one. A reader decodes length-prefixed frames and calls handler
+// with each in order. The handler runs on the reader goroutine and may keep
+// the frame; a handler that blocks exerts backpressure on that peer's
+// inbound direction only. Serve is called once and returns immediately.
 func (e *Endpoint) Serve(handler func(frame []byte)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return
+	}
+	e.handler = handler
+	for pc := range e.open {
+		e.wg.Add(1)
+		go e.serveConn(pc, false)
+	}
 	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			c, err := e.listener.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			e.mu.Lock()
-			if e.closed {
-				e.mu.Unlock()
-				c.Close()
-				return
-			}
-			e.inbound[c] = struct{}{}
-			e.mu.Unlock()
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				e.readFrames(c, handler)
-				e.mu.Lock()
-				delete(e.inbound, c)
-				e.mu.Unlock()
-				c.Close()
-			}()
+	go e.accept()
+}
+
+func (e *Endpoint) accept() {
+	defer e.wg.Done()
+	for {
+		c, err := e.listener.Accept()
+		if err != nil {
+			return // listener closed
 		}
-	}()
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			c.Close()
+			return
+		}
+		e.track(&peerConn{c: c}, true)
+		e.mu.Unlock()
+	}
+}
+
+// track records pc as open, so Close closes it, and starts its reader once
+// Serve has installed the handler. Called with e.mu held.
+func (e *Endpoint) track(pc *peerConn, accepted bool) {
+	e.open[pc] = struct{}{}
+	if e.handler != nil {
+		e.wg.Add(1)
+		go e.serveConn(pc, accepted)
+	}
+}
+
+// serveConn is pc's reader goroutine. On an accepted connection it first
+// adopts pc by its hello; then it hands every frame to the handler until the
+// stream ends or the endpoint closes, and retires pc, so the next Send to
+// the peer redials instead of writing into a connection the peer has
+// closed.
+func (e *Endpoint) serveConn(pc *peerConn, accepted bool) {
+	defer e.wg.Done()
+	br := bufio.NewReader(pc.c)
+	if !accepted || e.adopt(pc, br) {
+		e.readFrames(br, e.handler)
+	}
+	pc.dead.Store(true)
+	pc.c.Close()
+	e.mu.Lock()
+	delete(e.open, pc)
+	e.mu.Unlock()
+}
+
+// adopt reads the hello that opens an accepted stream and pools pc as the
+// connection to the address it names, unless a healthy one is pooled
+// already: a pooled connection is never replaced, so frames to one peer
+// keep one FIFO stream, and pc then only carries the peer's frames in. It
+// reports false, refusing the stream, on a hello that does not arrive whole
+// or names an address over maxHello bytes (counted Malformed).
+func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
+	hello, err := ReadFrame(br, maxHello)
+	if err != nil {
+		if errors.Is(err, errTooLarge) {
+			e.malformed.Add(1)
+		}
+		return false
+	}
+	addr := string(hello)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if pooled, ok := e.conns[addr]; !ok || pooled.dead.Load() {
+		e.conns[addr] = pc
+	}
+	return true
 }
 
 // readFrames decodes frames off r until it fails or the endpoint closes,
 // handing each to handler in order. A length over MaxFrame ends the stream
 // and is counted as Malformed.
-func (e *Endpoint) readFrames(r io.Reader, handler func(frame []byte)) {
-	br := bufio.NewReader(r)
+func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte)) {
 	for {
-		frame, err := ReadFrame(br)
+		frame, err := ReadFrame(r, MaxFrame)
 		if err != nil {
 			if errors.Is(err, errTooLarge) {
 				e.malformed.Add(1)
 			}
 			return
 		}
-		select {
-		case <-e.done:
+		if e.closing() {
 			return
-		default:
 		}
 		e.framesRecv.Add(1)
 		e.bytesRecv.Add(uint64(len(frame)))
 		handler(frame) // freshly allocated by ReadFrame: the handler may keep it
+	}
+}
+
+// closing reports whether Close has begun: what it strands is a deliberate
+// discard, not loss.
+func (e *Endpoint) closing() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -299,18 +386,18 @@ func (e *Endpoint) Send(addr string, frame []byte) error {
 // enqueue appends frame to the pooled connection's pending batch, waiting
 // up to SendTimeout for room, and flushes it if no flush is in progress.
 func (e *Endpoint) enqueue(addr string, frame []byte) error {
-	oc, err := e.conn(addr)
+	pc, err := e.conn(addr)
 	if err != nil {
 		return err
 	}
-	oc.mu.Lock()
+	pc.mu.Lock()
 	var timeout <-chan time.Time
-	for len(oc.pending) >= e.cfg.Outbox && !oc.dead.Load() {
-		if oc.space == nil {
-			oc.space = make(chan struct{})
+	for len(pc.pending) >= e.cfg.Outbox && !pc.dead.Load() {
+		if pc.space == nil {
+			pc.space = make(chan struct{})
 		}
-		space := oc.space
-		oc.mu.Unlock()
+		space := pc.space
+		pc.mu.Unlock()
 		if timeout == nil {
 			t := time.NewTimer(e.cfg.SendTimeout)
 			defer t.Stop()
@@ -323,107 +410,115 @@ func (e *Endpoint) enqueue(addr string, frame []byte) error {
 		case <-e.done:
 			return ErrClosed
 		}
-		oc.mu.Lock()
+		pc.mu.Lock()
 	}
-	if oc.dead.Load() {
-		oc.mu.Unlock()
+	if pc.dead.Load() {
+		pc.mu.Unlock()
 		return errDead
 	}
-	oc.pending = append(oc.pending, frame)
-	if oc.flushing {
-		oc.mu.Unlock()
+	pc.pending = append(pc.pending, frame)
+	if pc.flushing {
+		pc.mu.Unlock()
 		return nil
 	}
-	oc.flushing = true
-	e.flush(oc)
+	pc.flushing = true
+	e.flush(pc)
 	return nil
 }
 
-// flush writes oc's pending frames back to back, at most maxFlushFrames and
-// about maxFlushBytes per write, until none is left. It is called with oc.mu
-// held and oc.flushing set, and returns with both released. A write that
+// flush writes pc's pending frames back to back, at most maxFlushFrames and
+// about maxFlushBytes per write, until none is left. It is called with pc.mu
+// held and pc.flushing set, and returns with both released. A write that
 // timed out unwritten drops its frames and all pending as full and keeps the
-// connection; any other failure retires it and drops them as dead — unless
-// Close retired it, whose discards are not loss.
-func (e *Endpoint) flush(oc *outConn) {
-	for len(oc.pending) > 0 {
-		oc.buf = oc.buf[:0]
+// connection; any other failure retires it and drops them as dead — whether
+// the write itself failed or the reader retired the connection under it
+// because the peer went away — unless Close is under way, whose discards
+// are not loss.
+func (e *Endpoint) flush(pc *peerConn) {
+	for len(pc.pending) > 0 {
+		pc.buf = pc.buf[:0]
 		n := 0
-		for n < len(oc.pending) && n < maxFlushFrames && len(oc.buf) < maxFlushBytes {
-			oc.buf = AppendFrame(oc.buf, oc.pending[n])
+		for n < len(pc.pending) && n < maxFlushFrames && len(pc.buf) < maxFlushBytes {
+			pc.buf = AppendFrame(pc.buf, pc.pending[n])
 			n++
 		}
-		rest := copy(oc.pending, oc.pending[n:])
-		clear(oc.pending[rest:])
-		oc.pending = oc.pending[:rest]
-		oc.wake()
-		oc.mu.Unlock()
-		wrote, err := e.write(oc)
-		oc.mu.Lock()
+		rest := copy(pc.pending, pc.pending[n:])
+		clear(pc.pending[rest:])
+		pc.pending = pc.pending[:rest]
+		pc.wake()
+		pc.mu.Unlock()
+		wrote, err := e.write(pc)
+		pc.mu.Lock()
 		if err == nil {
 			e.framesSent.Add(uint64(n))
 			e.batchesSent.Add(1)
-			e.bytesSent.Add(uint64(len(oc.buf) - 4*n))
+			e.bytesSent.Add(uint64(len(pc.buf) - 4*n))
 			continue
 		}
-		lost := uint64(n + len(oc.pending))
-		clear(oc.pending)
-		oc.pending = oc.pending[:0]
+		lost := uint64(n + len(pc.pending))
+		clear(pc.pending)
+		pc.pending = pc.pending[:0]
 		switch {
-		case oc.dead.Load(): // Close retired c mid-write; its discards are not loss
+		case e.closing(): // Close failed the write: a discard, not loss
 		case wrote == 0 && errors.Is(err, os.ErrDeadlineExceeded):
 			e.droppedFull.Add(lost)
 		default:
-			oc.dead.Store(true)
-			oc.c.Close()
+			pc.dead.Store(true)
+			pc.c.Close()
 			e.droppedDead.Add(lost)
 		}
-		oc.wake()
+		pc.wake()
 	}
-	oc.flushing = false
-	oc.mu.Unlock()
+	pc.flushing = false
+	pc.mu.Unlock()
 }
 
-// write writes oc.buf in one call. The deadline is pushed out to SendTimeout
+// write writes pc.buf in one call. The deadline is pushed out to SendTimeout
 // only once less than half of it remains, keeping the deadline's timer reset
 // off most writes.
-func (e *Endpoint) write(oc *outConn) (int, error) {
-	if now := time.Now(); oc.deadline.Sub(now) < e.cfg.SendTimeout/2 {
-		oc.deadline = now.Add(e.cfg.SendTimeout)
-		if err := oc.c.SetWriteDeadline(oc.deadline); err != nil {
+func (e *Endpoint) write(pc *peerConn) (int, error) {
+	if now := time.Now(); pc.deadline.Sub(now) < e.cfg.SendTimeout/2 {
+		pc.deadline = now.Add(e.cfg.SendTimeout)
+		if err := pc.c.SetWriteDeadline(pc.deadline); err != nil {
 			return 0, err
 		}
 	}
-	return oc.c.Write(oc.buf)
+	return pc.c.Write(pc.buf)
 }
 
-// wake releases every sender waiting for room in oc's pending batch. It is
-// called with oc.mu held.
-func (oc *outConn) wake() {
-	if oc.space != nil {
-		close(oc.space)
-		oc.space = nil
+// wake releases every sender waiting for room in pc's pending batch. It is
+// called with pc.mu held.
+func (pc *peerConn) wake() {
+	if pc.space != nil {
+		close(pc.space)
+		pc.space = nil
 	}
 }
 
-// conn returns the pooled connection to addr, dialing one if there is none
-// or the pooled one was retired.
-func (e *Endpoint) conn(addr string) (*outConn, error) {
+// conn returns the pooled connection to addr — dialed by this endpoint or
+// adopted from the peer's dial — dialing one if there is none or the pooled
+// one was retired.
+func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if oc, ok := e.conns[addr]; ok && !oc.dead.Load() {
+	if pc, ok := e.conns[addr]; ok && !pc.dead.Load() {
 		e.mu.Unlock()
-		return oc, nil
+		return pc, nil
 	}
 	e.mu.Unlock()
 
-	// Dial outside the lock: a slow peer must not serialize every sender.
+	// Dial and say hello outside the lock: a slow peer must not serialize
+	// every sender. The hello goes first on the stream, before any frame.
 	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	if _, err := c.Write(AppendFrame(nil, []byte(e.Addr()))); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("transport: hello to %s: %w", addr, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -431,13 +526,16 @@ func (e *Endpoint) conn(addr string) (*outConn, error) {
 		c.Close()
 		return nil, ErrClosed
 	}
+	pc := &peerConn{c: c}
+	e.track(pc, false)
 	if racing, ok := e.conns[addr]; ok && !racing.dead.Load() {
-		c.Close() // another sender dialed concurrently; keep theirs
+		// Another sender dialed, or the peer's own dial was adopted,
+		// meanwhile: send on that one. Ours stays open and read, since the
+		// peer may have adopted it as its way back.
 		return racing, nil
 	}
-	oc := &outConn{c: c}
-	e.conns[addr] = oc
-	return oc, nil
+	e.conns[addr] = pc
+	return pc, nil
 }
 
 // Close shuts the endpoint down: no new accepts or dials, every connection
@@ -451,14 +549,10 @@ func (e *Endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	close(e.done)
+	close(e.done) // before the Close that fails a write in progress, which then counts no loss
 	err := e.listener.Close()
-	for _, oc := range e.conns {
-		oc.dead.Store(true) // before the Close that fails a write in progress
-		oc.c.Close()
-	}
-	for c := range e.inbound {
-		c.Close()
+	for pc := range e.open {
+		pc.c.Close()
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
@@ -472,16 +566,16 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// ReadFrame reads one length-prefixed frame, rejecting lengths over
-// MaxFrame before allocating. The payload is freshly allocated.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
+// ReadFrame reads one length-prefixed frame, rejecting a length over limit
+// before allocating. The payload is freshly allocated.
+func ReadFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d > %d", errTooLarge, n, MaxFrame)
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d > %d", errTooLarge, n, limit)
 	}
 	r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	payload := make([]byte, n)

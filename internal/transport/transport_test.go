@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,28 +70,111 @@ func TestSendDeliversFrames(t *testing.T) {
 }
 
 // TestConnectionReuse pins the pooling behavior: many sends to one peer
-// share a single dialed connection.
+// share a single dialed connection, and the peer's sends back ride the same
+// connection — after a→b and then b→a, a has accepted no connection, and
+// each side has exactly one open, pooled under the other's address.
 func TestConnectionReuse(t *testing.T) {
-	var frames atomic.Int64
+	var atA, atB atomic.Int64
 	a, _ := Listen("127.0.0.1:0", Config{})
 	defer a.Close()
 	b, _ := Listen("127.0.0.1:0", Config{})
 	defer b.Close()
-	b.Serve(func([]byte) { frames.Add(1) })
-	// Count distinct inbound connections by wrapping Accept is invasive;
-	// instead check the sender's pool holds exactly one entry after many
-	// sends.
+	a.Serve(func([]byte) { atA.Add(1) })
+	b.Serve(func([]byte) { atB.Add(1) })
 	for i := 0; i < 50; i++ {
 		if err := a.Send(b.Addr(), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return frames.Load() == 50 })
-	a.mu.Lock()
-	pool := len(a.conns)
-	a.mu.Unlock()
-	if pool != 1 {
-		t.Fatalf("pool holds %d connections to one peer, want 1", pool)
+	waitFor(t, 5*time.Second, func() bool { return atB.Load() == 50 })
+	for i := 0; i < 50; i++ {
+		if err := b.Send(a.Addr(), []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return atA.Load() == 50 })
+	// Nothing retires a connection here, so every connection an endpoint
+	// dialed or accepted is still in its open set.
+	for _, side := range []struct {
+		name string
+		e    *Endpoint
+		peer string
+	}{{"a", a, b.Addr()}, {"b", b, a.Addr()}} {
+		side.e.mu.Lock()
+		pool, open := len(side.e.conns), len(side.e.open)
+		_, pooledIsOpen := side.e.open[side.e.conns[side.peer]]
+		side.e.mu.Unlock()
+		if pool != 1 || open != 1 || !pooledIsOpen {
+			t.Fatalf("%s: %d pooled and %d open connections (pooled one open: %t), want the one connection both ways",
+				side.name, pool, open, pooledIsOpen)
+		}
+	}
+}
+
+// TestSimultaneousDial has two endpoints send numbered frames to each other
+// from cold at once, so each may dial before it adopts the other's
+// connection, in either order. Whichever connection each side ends up
+// sending on, every frame arrives exactly once and in its sender's order.
+func TestSimultaneousDial(t *testing.T) {
+	const rounds, n = 10, 500
+	for round := 0; round < rounds; round++ {
+		var eps [2]*Endpoint
+		var mu sync.Mutex
+		var got [2][]uint64
+		for i := range eps {
+			e, err := Listen("127.0.0.1:0", Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			i := i
+			e.Serve(func(frame []byte) {
+				v, _ := binary.Uvarint(frame)
+				mu.Lock()
+				got[i] = append(got[i], v)
+				mu.Unlock()
+			})
+			eps[i] = e
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range eps {
+			wg.Add(1)
+			go func(from, to *Endpoint) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < n; k++ {
+					if err := from.Send(to.Addr(), binary.AppendUvarint(nil, uint64(k))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(eps[i], eps[1-i])
+		}
+		close(start)
+		wg.Wait()
+		waitFor(t, 10*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got[0]) >= n && len(got[1]) >= n
+		})
+		mu.Lock()
+		for i, seqs := range got {
+			if len(seqs) != n {
+				t.Fatalf("round %d: endpoint %d received %d frames, want %d", round, i, len(seqs), n)
+			}
+			for k, v := range seqs {
+				if v != uint64(k) {
+					t.Fatalf("round %d: endpoint %d's frame %d carried sequence %d; per-sender FIFO broken", round, i, k, v)
+				}
+			}
+		}
+		mu.Unlock()
+		for i, e := range eps {
+			if s := e.Stats(); s.DroppedFull+s.DroppedDead+s.Requeued+s.Malformed != 0 || s.FramesSent != n {
+				t.Fatalf("round %d: endpoint %d: %+v, want %d frames sent and nothing lost", round, i, s, n)
+			}
+		}
 	}
 }
 
@@ -142,8 +226,9 @@ func TestCloseIsGracefulAndIdempotent(t *testing.T) {
 
 // TestFrameCodec pins the one framing layer: a frame is its 4-byte
 // big-endian length and its payload, nothing else, whether AppendFrame
-// builds it or Send writes it; frames back to back read back in order; and a
-// length over MaxFrame is refused on both sides.
+// builds it or Send writes it; frames back to back read back in order; a
+// stream Send dials opens with a hello frame naming the dialer; and a length
+// over MaxFrame is refused on both sides.
 func TestFrameCodec(t *testing.T) {
 	payloads := [][]byte{[]byte("hello frames"), {}, bytes.Repeat([]byte{0xab}, 4096), {0}}
 	var stream []byte
@@ -156,7 +241,7 @@ func TestFrameCodec(t *testing.T) {
 	}
 	r := bufio.NewReader(bytes.NewReader(stream))
 	for i, p := range payloads {
-		got, err := ReadFrame(r)
+		got, err := ReadFrame(r, MaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +249,7 @@ func TestFrameCodec(t *testing.T) {
 			t.Fatalf("frame %d read back as %q, want %q", i, got, p)
 		}
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, err := ReadFrame(r, MaxFrame); err != io.EOF {
 		t.Fatalf("read past the last frame = %v, want EOF", err)
 	}
 
@@ -190,9 +275,33 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatalf("Send wrote % x, want % x", got, want)
 	}
 
+	// A dialed stream opens with the hello: one frame whose payload is the
+	// dialer's listen address, before the first frame sent.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := a.Send(ln.Addr().String(), payloads[0]); err != nil {
+		t.Fatal(err)
+	}
+	dialed, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	want = AppendFrame(AppendFrame(nil, []byte(a.Addr())), payloads[0])
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(dialed, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("dialed stream opened with % x, want the hello then the frame: % x", got, want)
+	}
+
 	// Oversized length prefixes are rejected before allocation.
 	evil := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(bufio.NewReader(evil)); !errors.Is(err, errTooLarge) {
+	if _, err := ReadFrame(bufio.NewReader(evil), MaxFrame); !errors.Is(err, errTooLarge) {
 		t.Fatalf("oversized frame length read as %v, want errTooLarge", err)
 	}
 	if err := a.Send("peer", make([]byte, MaxFrame+1)); err == nil {

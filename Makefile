@@ -2,10 +2,11 @@ GO ?= go
 
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
-# the node runtime's interactive 64 KiB path and the TCP transport's 64 B
-# round trip and five-peer fan-out).
-MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/transport
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut'
+# the node runtime's interactive 64 KiB path, the standing simulator store's
+# interactive 1 KiB path and the TCP transport's 64 B round trip and
+# five-peer fan-out).
+MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/transport
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut'
 
 .PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 

@@ -38,9 +38,11 @@ func fingerprintOf(t *testing.T, out string) string {
 var small = []string{"-keys", "16", "-ops", "32", "-valuebytes", "64"}
 
 // TestSubcommands drives every subcommand through its headline uses and
-// checks what each prints. The two pinned fingerprints are what the replaced
-// shardsim and faultsim binaries printed for the same runs at PR 20's parent
-// commit (shardsim defaulted -reads 0.25 -valuebytes 256, spelled out here).
+// checks what each prints. The shardsim and faultsim fingerprints are what
+// the replaced binaries printed for the same runs before this command took
+// their place (shardsim defaulted -reads 0.25 -valuebytes 256, spelled out
+// here); the fault grid's was taken before the kernel's ready bitset and
+// slot tables replaced its flag scan and maps.
 func TestSubcommands(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -65,6 +67,16 @@ func TestSubcommands(t *testing.T) {
 			args:        []string{"run", "-shards", "6", "-algo", "cas", "-faults", "crash-f,lossy=0.02,none"},
 			want:        []string{"0/6 shards quiescent"},
 			fingerprint: "330f0ea4f9dbdd8ff75a6be16d787d8f80af9e741399eac779f0c67fd71746dc",
+		},
+		{
+			// The benchmark's simulator grid at test size: the only pinned
+			// run with delay and partition scenarios, i.e. with wakes, link
+			// outages and fault-forwarding in the schedule.
+			name: "run/pinned fault grid fingerprint",
+			args: []string{"run", "-shards", "4", "-algo", "casgc,abd-mwmr", "-faults", "none,crash-f@10,partition@40:4000,delay=1:16",
+				"-nu", "2", "-valuebytes", "1024", "-keys", "64", "-skew", "zipf", "-reads", "0.3", "-ops", "400"},
+			want:        []string{"0/4 shards quiescent", "1 crashes"},
+			fingerprint: "cb62b66328d83657b1314513e1ebf24b0d2cf1a851db17ef6f8c23afa509ae42",
 		},
 		{
 			name: "run/mixed algorithms",

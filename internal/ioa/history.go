@@ -1,6 +1,9 @@
 package ioa
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Op records one operation in an execution's history: its invocation step,
 // its response step (or -1 while pending), and its input/output values.
@@ -42,13 +45,16 @@ type History struct {
 	// crashes and recoveries) in the order they occurred. It is empty for
 	// fault-free runs.
 	Faults []FaultRecord
-	open   map[NodeID]int // client -> index in Ops of its outstanding op
+	open   map[NodeID]int // client -> ID of its outstanding op
 	// doneWrites counts completed writes so drivers tracking write
 	// concurrency need not rescan Ops after every delivery.
 	doneWrites int
 	// lastEnd tracks each client's latest response step for AppendOp's
 	// incremental well-formedness check. Built lazily on first AppendOp.
 	lastEnd map[NodeID]int
+	// taken counts the settled operations Take has dropped. While it is
+	// zero an operation's ID is its index in Ops.
+	taken int
 }
 
 // NewHistory returns an empty history.
@@ -94,8 +100,8 @@ func (h *History) AppendOp(op Op) error {
 			}
 		}
 	}
-	i := len(h.Ops)
-	if i > 0 && op.InvokeStep < h.Ops[i-1].InvokeStep {
+	i := h.nextID()
+	if n := len(h.Ops); n > 0 && op.InvokeStep < h.Ops[n-1].InvokeStep {
 		return fmt.Errorf("ioa: ops out of invocation order at index %d", i)
 	}
 	// Well-formedness: a client's operations are sequential — nothing
@@ -131,6 +137,7 @@ func (h *History) clone() *History {
 		Faults:     append([]FaultRecord(nil), h.Faults...),
 		open:       make(map[NodeID]int, len(h.open)),
 		doneWrites: h.doneWrites,
+		taken:      h.taken,
 	}
 	copy(out.Ops, h.Ops)
 	for k, v := range h.open {
@@ -153,7 +160,7 @@ func (h *History) beginOp(client NodeID, inv Invocation, step int) (int, error) 
 	if _, busy := h.open[client]; busy {
 		return 0, fmt.Errorf("ioa: client %d already has an outstanding operation", client)
 	}
-	id := len(h.Ops)
+	id := h.nextID()
 	h.Ops = append(h.Ops, Op{
 		ID:          id,
 		Client:      client,
@@ -168,10 +175,11 @@ func (h *History) beginOp(client NodeID, inv Invocation, step int) (int, error) 
 
 // endOp completes the outstanding operation of client.
 func (h *History) endOp(client NodeID, resp Response, step int) error {
-	idx, ok := h.open[client]
+	id, ok := h.open[client]
 	if !ok {
 		return fmt.Errorf("ioa: client %d responded with no outstanding operation", client)
 	}
+	idx, _ := h.index(id) // Take keeps pending operations
 	op := &h.Ops[idx]
 	if op.Kind != resp.Kind {
 		return fmt.Errorf("ioa: client %d response kind %v does not match invocation kind %v", client, resp.Kind, op.Kind)
@@ -191,23 +199,51 @@ func (h *History) endOp(client NodeID, resp Response, step int) error {
 // CompletedWrites returns the number of completed write operations.
 func (h *History) CompletedWrites() int { return h.doneWrites }
 
-// OpByID returns the operation with the given ID.
-func (h *History) OpByID(id int) (Op, error) {
-	if id < 0 || id >= len(h.Ops) {
-		return Op{}, fmt.Errorf("ioa: no operation with id %d", id)
+// nextID is the ID the next operation gets.
+func (h *History) nextID() int { return len(h.Ops) + h.taken }
+
+// index returns the position in Ops of the operation with the given ID.
+func (h *History) index(id int) (int, bool) {
+	if h.taken == 0 {
+		return id, id >= 0 && id < len(h.Ops)
 	}
-	return h.Ops[id], nil
+	i := sort.Search(len(h.Ops), func(i int) bool { return h.Ops[i].ID >= id })
+	return i, i < len(h.Ops) && h.Ops[i].ID == id
 }
 
-// Complete returns the completed operations.
-func (h *History) Complete() []Op {
-	out := make([]Op, 0, len(h.Ops))
-	for _, op := range h.Ops {
-		if !op.Pending() {
-			out = append(out, op)
+// OpByID returns the operation with the given ID.
+func (h *History) OpByID(id int) (Op, error) {
+	i, ok := h.index(id)
+	if !ok {
+		return Op{}, fmt.Errorf("ioa: no operation with id %d", id)
+	}
+	return h.Ops[i], nil
+}
+
+// Take returns the operation with the given ID, as OpByID does, for a caller
+// that consumes each operation's output as it completes and keeps its own
+// record (an interactive session). Once the operation has responded, the
+// history drops it, every other settled operation and every fault record so
+// far: only pending operations stay, so the response of one the caller gave
+// up on still lands. IDs are never reused, and the fault counters
+// (System.FaultStats) are kept apart. Nothing that reads a whole history —
+// a consistency check, a fingerprint — can use one that is taken from.
+func (h *History) Take(id int) (Op, error) {
+	op, err := h.OpByID(id)
+	if err != nil || op.Pending() {
+		return op, err
+	}
+	kept := h.Ops[:0]
+	for _, o := range h.Ops {
+		if o.Pending() {
+			kept = append(kept, o)
 		}
 	}
-	return out
+	clear(h.Ops[len(kept):]) // release the values
+	h.taken += len(h.Ops) - len(kept)
+	h.Ops = kept
+	h.Faults = h.Faults[:0]
+	return op, nil
 }
 
 // PendingOps returns the operations still outstanding.

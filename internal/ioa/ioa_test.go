@@ -112,8 +112,8 @@ func TestQuorumOpCompletes(t *testing.T) {
 	if op.Pending() {
 		t.Fatal("operation should have completed")
 	}
-	if got := len(sys.History().Complete()); got != 1 {
-		t.Fatalf("history has %d complete ops, want 1", got)
+	if h := sys.History(); len(h.Ops) != 1 || len(h.PendingOps()) != 0 {
+		t.Fatalf("history has %d ops, %d pending; want 1 complete", len(h.Ops), len(h.PendingOps()))
 	}
 }
 

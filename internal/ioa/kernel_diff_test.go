@@ -13,14 +13,25 @@ import (
 // incremental kernel and this reference through identical schedules and
 // assert identical decisions.
 
+// naiveChan finds a channel by scanning the index for its key, bypassing the
+// slot tables the kernel looks channels up through.
+func naiveChan(s *System, from, to NodeID) *channel {
+	for _, ch := range s.chans {
+		if ch.key == (ChanKey{from, to}) {
+			return ch
+		}
+	}
+	return nil
+}
+
 // naiveCanDeliver mirrors the original CanDeliver: full queue scan for a
 // ready message plus failure/silence/freeze/outage guards.
 func naiveCanDeliver(s *System, from, to NodeID) bool {
-	ch := s.chanIdx[ChanKey{from, to}]
+	ch := naiveChan(s, from, to)
 	if ch == nil || len(ch.q) == 0 || ch.frozen {
 		return false
 	}
-	if s.crashed[to] || s.silenced[to] || s.silenced[from] {
+	if s.Crashed(to) || s.Silenced(to) || s.Silenced(from) {
 		return false
 	}
 	if s.linkBlocked(ch.key) {
@@ -140,8 +151,8 @@ func (p *diffPlan) NodeEvents() []NodeFaultEvent { return p.events }
 // --- differential drivers -------------------------------------------------
 
 // diffCheck asserts the incremental state matches the naive recomputation:
-// the ready-set invariants, the deliverable list and the fault-forward
-// target.
+// the ready-set invariants, the deliverable list, the channel a random pick
+// of each position selects, and the fault-forward target.
 func diffCheck(t *testing.T, s *System, ctx string) {
 	t.Helper()
 	if err := s.CheckReadySetInvariants(); err != nil {
@@ -151,6 +162,14 @@ func diffCheck(t *testing.T, s *System, ctx string) {
 	fast := s.DeliverableChannels()
 	if fmt.Sprint(naive) != fmt.Sprint(fast) {
 		t.Fatalf("%s: deliverables mismatch\n naive: %v\n index: %v", ctx, naive, fast)
+	}
+	for n, k := range naive {
+		if got := s.nthDeliverable(n); got == nil || got.key != k {
+			t.Fatalf("%s: random pick %d selects %v, DeliverableChannels()[%d] = %v", ctx, n, got, n, k)
+		}
+	}
+	if s.nthDeliverable(len(naive)) != nil {
+		t.Fatalf("%s: random pick past the %d deliverable channels selects a channel", ctx, len(naive))
 	}
 	if len(fast) == 0 {
 		// FaultForward is only invoked on idle systems; compare targets by
@@ -210,6 +229,10 @@ func TestKernelDifferentialRandomSchedules(t *testing.T) {
 			diffCheck(t, sys, "after SetFaultPlan")
 
 			rng := rand.New(rand.NewSource(int64(41 + pi)))
+			// DeliverRandom draws from pick; shadow replays the same draws
+			// against the naive deliverable list.
+			pick := rand.New(rand.NewSource(int64(7 + pi)))
+			shadow := rand.New(rand.NewSource(int64(7 + pi)))
 			var order []ChanKey // delivery order actually taken
 			for it := 0; it < 1500; it++ {
 				ctx := fmt.Sprintf("iter %d", it)
@@ -262,9 +285,15 @@ func TestKernelDifferentialRandomSchedules(t *testing.T) {
 						diffCheck(t, sys, ctx+" (idle)")
 						continue
 					}
-					k := keys[rng.Intn(len(keys))]
-					if err := sys.Deliver(k.From, k.To); err != nil {
-						t.Fatalf("%s: %v", ctx, err)
+					// A delivery sends nothing back on its own channel, so
+					// the picked channel is the one whose queue shrinks.
+					k := naiveDeliverables(sys)[shadow.Intn(len(keys))]
+					before := sys.QueueLen(k.From, k.To)
+					if ok, err := sys.DeliverRandom(pick); err != nil || !ok {
+						t.Fatalf("%s: DeliverRandom = %t, %v", ctx, ok, err)
+					}
+					if after := sys.QueueLen(k.From, k.To); after != before-1 {
+						t.Fatalf("%s: DeliverRandom left %v at %d messages (was %d), want the naive pick delivered", ctx, k, after, before)
 					}
 					order = append(order, k)
 				}
@@ -372,5 +401,203 @@ func TestKernelDifferentialFairRunOrder(t *testing.T) {
 	}
 	if len(fastOrder) == 0 {
 		t.Fatal("differential fair run delivered nothing")
+	}
+}
+
+// deliveryLog is the order in which a system's nodes received messages; the
+// logged toy nodes append to it, so a test reads the exact schedule a
+// scheduler chose.
+type deliveryLog []ChanKey
+
+type loggedServer struct {
+	*echoServer
+	log *deliveryLog
+}
+
+func (s loggedServer) Deliver(from NodeID, msg Message) Effects {
+	*s.log = append(*s.log, ChanKey{from, s.id})
+	return s.echoServer.Deliver(from, msg)
+}
+
+func (s loggedServer) Clone() Node { return loggedServer{s.echoServer.Clone().(*echoServer), s.log} }
+
+type loggedClient struct {
+	*quorumClient
+	log *deliveryLog
+}
+
+func (c loggedClient) Deliver(from NodeID, msg Message) Effects {
+	*c.log = append(*c.log, ChanKey{from, c.id})
+	return c.quorumClient.Deliver(from, msg)
+}
+
+func (c loggedClient) Clone() Node {
+	return loggedClient{c.quorumClient.Clone().(*quorumClient), c.log}
+}
+
+// TestKernelSweepOrder runs FairRun, Stepper and DrainMatching and, on a
+// twin system, the same schedule recomputed from naive rescans, and requires
+// the identical delivery sequence: the ready bitset must sweep in (From, To)
+// order exactly as the flag scan did.
+func TestKernelSweepOrder(t *testing.T) {
+	build := func(log *deliveryLog) *System {
+		sys := NewSystem()
+		var servers []NodeID
+		for i := 1; i <= 5; i++ {
+			id := NodeID(i)
+			servers = append(servers, id)
+			if err := sys.AddServer(loggedServer{&echoServer{id: id}, log}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			id := NodeID(100 + i)
+			if err := sys.AddClient(loggedClient{&quorumClient{id: id, servers: servers, quorum: 3}, log}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.SetFaultPlan(&diffPlan{
+			seed: 5, delayMod: 3, outageTo: 2, outageFrom: 8, outagePerio: 30,
+			events: []NodeFaultEvent{{Step: 15, Node: 4}, {Step: 70, Node: 4, Recover: true}},
+		})
+		return sys
+	}
+	// invokeIdle starts a write at every idle client, so the runs keep going.
+	invokeIdle := func(sys *System) {
+		for i := 0; i < 3; i++ {
+			id := NodeID(100 + i)
+			if n, _ := sys.Node(id); !n.(Client).Busy() {
+				if _, err := sys.Invoke(id, Invocation{Kind: OpWrite}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	toServers := func(from, to NodeID) bool { return to < 100 }
+	const rounds, budget = 6, 40
+	schedulers := []struct {
+		name      string
+		fast, ref func(sys *System, st *Stepper) error
+	}{
+		{
+			name: "FairRun",
+			fast: func(sys *System, _ *Stepper) error {
+				if err := sys.FairRun(budget, nil); err != ErrStepLimit && err != ErrQuiescent {
+					return err
+				}
+				return nil
+			},
+			ref: func(sys *System, _ *Stepper) error {
+				for delivered := 0; delivered < budget; {
+					keys := naiveDeliverables(sys)
+					if len(keys) == 0 {
+						if !sys.FaultForward() {
+							return nil
+						}
+						continue
+					}
+					for _, k := range keys {
+						if !naiveCanDeliver(sys, k.From, k.To) {
+							continue
+						}
+						if err := sys.Deliver(k.From, k.To); err != nil {
+							return err
+						}
+						if delivered++; delivered >= budget {
+							break
+						}
+					}
+				}
+				return nil
+			},
+		},
+		{
+			name: "Stepper",
+			fast: func(_ *System, st *Stepper) error {
+				for i := 0; i < budget; i++ {
+					if ok, err := st.Step(); !ok || err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			ref: func(sys *System, st *Stepper) error {
+				for i := 0; i < budget; i++ {
+					keys := naiveDeliverables(sys)
+					for len(keys) == 0 {
+						if !sys.FaultForward() {
+							return nil
+						}
+						keys = naiveDeliverables(sys)
+					}
+					pick := keys[0]
+					if st.init {
+						for _, k := range keys {
+							if k.From > st.last.From || (k.From == st.last.From && k.To > st.last.To) {
+								pick = k
+								break
+							}
+						}
+					}
+					st.init, st.last = true, pick
+					if err := sys.Deliver(pick.From, pick.To); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+		},
+		{
+			name: "DrainMatching",
+			fast: func(sys *System, _ *Stepper) error {
+				if _, err := sys.DrainMatching(budget, toServers); err != nil && err != ErrStepLimit {
+					return err
+				}
+				return nil
+			},
+			ref: func(sys *System, _ *Stepper) error {
+				for delivered := 0; ; {
+					progressed := false
+					for _, k := range naiveDeliverables(sys) {
+						if !toServers(k.From, k.To) || !naiveCanDeliver(sys, k.From, k.To) {
+							continue
+						}
+						if err := sys.Deliver(k.From, k.To); err != nil {
+							return err
+						}
+						progressed = true
+						if delivered++; delivered >= budget {
+							return nil
+						}
+					}
+					if !progressed && !sys.FaultForward() {
+						return nil
+					}
+				}
+			},
+		},
+	}
+	for _, sc := range schedulers {
+		t.Run(sc.name, func(t *testing.T) {
+			var fastLog, refLog deliveryLog
+			fast, ref := build(&fastLog), build(&refLog)
+			fastSt, refSt := NewStepper(fast), NewStepper(ref)
+			for r := 0; r < rounds; r++ {
+				invokeIdle(fast)
+				invokeIdle(ref)
+				if err := sc.fast(fast, fastSt); err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				if err := sc.ref(ref, refSt); err != nil {
+					t.Fatalf("round %d, reference: %v", r, err)
+				}
+				if err := fast.CheckReadySetInvariants(); err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+			}
+			if len(fastLog) == 0 || fmt.Sprint(fastLog) != fmt.Sprint(refLog) {
+				t.Fatalf("delivery order differs (%d vs %d deliveries):\n fast %v\n  ref %v", len(fastLog), len(refLog), fastLog, refLog)
+			}
+		})
 	}
 }

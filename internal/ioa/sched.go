@@ -44,8 +44,8 @@ func (s *System) FairRun(maxSteps int, stop StopFunc) error {
 	}
 	delivered := 0
 	for {
-		keys := s.deliverables()
-		if len(keys) == 0 {
+		sweep := s.deliverables()
+		if len(sweep) == 0 {
 			// Under a fault plan the system may be only temporarily idle:
 			// every queued message delayed, link-blocked or addressed to a
 			// crashed node with a recovery ahead. Advance logical time to
@@ -55,11 +55,11 @@ func (s *System) FairRun(maxSteps int, stop StopFunc) error {
 			}
 			return ErrQuiescent
 		}
-		for _, k := range keys {
-			if !s.CanDeliver(k.From, k.To) {
+		for _, ch := range sweep {
+			if !ch.deliverable {
 				continue // earlier delivery in this sweep changed the state
 			}
-			if err := s.Deliver(k.From, k.To); err != nil {
+			if err := s.deliver(ch); err != nil {
 				return fmt.Errorf("fair run: %w", err)
 			}
 			delivered++
@@ -82,16 +82,15 @@ func (s *System) RandomRun(rng *rand.Rand, maxSteps int, stop StopFunc) error {
 		return nil
 	}
 	for delivered := 0; delivered < maxSteps; {
-		keys := s.deliverables()
-		if len(keys) == 0 {
+		ok, err := s.DeliverRandom(rng)
+		if err != nil {
+			return fmt.Errorf("random run: %w", err)
+		}
+		if !ok {
 			if s.FaultForward() {
 				continue // fast-forwards do not consume the delivery budget
 			}
 			return ErrQuiescent
-		}
-		k := keys[rng.Intn(len(keys))]
-		if err := s.Deliver(k.From, k.To); err != nil {
-			return fmt.Errorf("random run: %w", err)
 		}
 		delivered++
 		if stop != nil && stop(s) {
@@ -119,25 +118,25 @@ func NewStepper(sys *System) *Stepper { return &Stepper{sys: sys} }
 // Step delivers the next message in rotation. It returns false when no
 // message is deliverable.
 func (st *Stepper) Step() (bool, error) {
-	keys := st.sys.deliverables()
-	for len(keys) == 0 {
+	sweep := st.sys.deliverables()
+	for len(sweep) == 0 {
 		if !st.sys.FaultForward() {
 			return false, nil
 		}
-		keys = st.sys.deliverables()
+		sweep = st.sys.deliverables()
 	}
-	pick := keys[0]
+	pick := sweep[0]
 	if st.init {
-		for _, k := range keys {
-			if k.From > st.last.From || (k.From == st.last.From && k.To > st.last.To) {
-				pick = k
+		for _, ch := range sweep {
+			if k := ch.key; k.From > st.last.From || (k.From == st.last.From && k.To > st.last.To) {
+				pick = ch
 				break
 			}
 		}
 	}
 	st.init = true
-	st.last = pick
-	if err := st.sys.Deliver(pick.From, pick.To); err != nil {
+	st.last = pick.key
+	if err := st.sys.deliver(pick); err != nil {
 		return false, fmt.Errorf("stepper: %w", err)
 	}
 	return true, nil
@@ -151,14 +150,11 @@ func (s *System) DrainMatching(maxSteps int, match func(from, to NodeID) bool) (
 	delivered := 0
 	for {
 		progressed := false
-		for _, k := range s.deliverables() {
-			if !match(k.From, k.To) {
+		for _, ch := range s.deliverables() {
+			if !match(ch.key.From, ch.key.To) || !ch.deliverable {
 				continue
 			}
-			if !s.CanDeliver(k.From, k.To) {
-				continue
-			}
-			if err := s.Deliver(k.From, k.To); err != nil {
+			if err := s.deliver(ch); err != nil {
 				return delivered, fmt.Errorf("drain: %w", err)
 			}
 			delivered++
@@ -182,7 +178,7 @@ func (s *System) DrainMatching(maxSteps int, match func(from, to NodeID) bool) (
 // (gossip), as in the Theorem 5.1 valency definition.
 func (s *System) DrainServerToServer(maxSteps int) (int, error) {
 	return s.DrainMatching(maxSteps, func(from, to NodeID) bool {
-		return s.servers[from] && s.servers[to]
+		return s.isServer(from) && s.isServer(to)
 	})
 }
 

@@ -2,6 +2,9 @@ package ioa
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +38,10 @@ type queued struct {
 //     is recomputed (refresh) after every event that can change any of its
 //     inputs: send, delivery, crash/recover, silence, freeze, fault-plan
 //     installation and link outage boundaries (via link wakes).
+//   - idx is the channel's position in System.chans, and bit idx of
+//     System.readySet is set exactly when deliverable is.
+//   - from and to are the endpoints' slots, key holds their ids, and the
+//     channel is the slot table's entry System.links[from*stride+to].
 //   - linkWake is the step of this channel's scheduled link-change wake (0 if
 //     none). At most one link wake per channel is outstanding, and while the
 //     channel stays non-empty it equals the plan's NextLinkChange.
@@ -44,6 +51,8 @@ type queued struct {
 // allocates nothing.
 type channel struct {
 	key         ChanKey
+	from, to    int // endpoint slots
+	idx         int // position in System.chans
 	q           []queued
 	ready       int  // queued messages with readyAt <= steps
 	frozen      bool // Freeze/Unfreeze state
@@ -61,32 +70,48 @@ type wake struct {
 	link bool
 }
 
+// maxNodeID bounds node ids: an id indexes the system's slot lookup
+// (slotOf) directly, so ids are small non-negative integers (the cluster
+// package numbers servers from 1 and clients from 101).
+const maxNodeID = 1 << 20
+
 // System is the composed automaton: nodes plus channels plus failure state,
 // advanced one discrete step at a time. The zero value is not usable; create
 // systems with NewSystem.
 type System struct {
-	nodes    map[NodeID]Node
-	ids      []NodeID // sorted, for deterministic iteration
-	servers  map[NodeID]bool
-	crashed  map[NodeID]bool
-	silenced map[NodeID]bool
-	steps    int
-	hist     *History
+	// Node tables. A node's slot is its position in registration order, and
+	// every per-node table is indexed by slot; slotOf[id] is id's slot plus
+	// one (0 = no such node). sorted holds the ids in ascending order.
+	slotOf   []int32
+	ids      []NodeID
+	sorted   []NodeID
+	nodes    []Node
+	server   []bool
+	crashed  []bool
+	silenced []bool
+	meters   []StorageMeter // metered servers; nil elsewhere
+	curBits  []int
+	maxBits  []int
+
+	steps int
+	hist  *History
 
 	// Channel index: chans is sorted by (From, To) and is the deterministic
-	// iteration order of DeliverableChannels; chanIdx is the point lookup;
-	// byFrom/byTo group channels by endpoint so crash/silence events refresh
-	// only the affected links. nReady counts deliverable channels.
-	chans   []*channel
-	chanIdx map[ChanKey]*channel
-	byFrom  map[NodeID][]*channel
-	byTo    map[NodeID][]*channel
-	nReady  int
+	// iteration order of every sweep; links is the slot table
+	// (links[from*stride+to]) behind point lookups and the per-node
+	// refreshes of crash and silence events, its side stride doubling as
+	// nodes register. readySet has bit i set exactly when chans[i] is
+	// deliverable; nReady is its popcount.
+	chans    []*channel
+	links    []*channel
+	stride   int
+	readySet []uint64
+	nReady   int
 
 	// wakes is the min-heap (by t) of future readiness boundaries; sweep is
 	// the schedulers' reusable deliverable-channel buffer.
 	wakes []wake
-	sweep []ChanKey
+	sweep []*channel
 
 	// Fault injection (nil plan means a fault-free run).
 	faults      FaultPlan
@@ -95,27 +120,14 @@ type System struct {
 	faultStats  FaultStats
 	nextSeq     uint64 // global send sequence number
 
-	// Storage accounting (servers implementing StorageMeter only).
-	curBits      map[NodeID]int
-	maxBits      map[NodeID]int
+	// Storage accounting totals (per-server figures are in the node tables).
 	curTotalBits int
 	maxTotalBits int
 }
 
 // NewSystem returns an empty system.
 func NewSystem() *System {
-	return &System{
-		nodes:    make(map[NodeID]Node),
-		servers:  make(map[NodeID]bool),
-		chanIdx:  make(map[ChanKey]*channel),
-		byFrom:   make(map[NodeID][]*channel),
-		byTo:     make(map[NodeID][]*channel),
-		crashed:  make(map[NodeID]bool),
-		silenced: make(map[NodeID]bool),
-		hist:     NewHistory(),
-		curBits:  make(map[NodeID]int),
-		maxBits:  make(map[NodeID]int),
-	}
+	return &System{hist: NewHistory()}
 }
 
 // AddServer registers a server node. Server storage is metered when the node
@@ -127,47 +139,90 @@ func (s *System) AddClient(c Client) error { return s.add(c, false) }
 
 func (s *System) add(n Node, server bool) error {
 	id := n.ID()
-	if _, dup := s.nodes[id]; dup {
+	if id < 0 || id >= maxNodeID {
+		return fmt.Errorf("ioa: node id %d outside [0, %d)", id, maxNodeID)
+	}
+	if _, dup := s.slot(id); dup {
 		return fmt.Errorf("ioa: duplicate node id %d", id)
 	}
-	s.nodes[id] = n
-	s.servers[id] = server
-	// Insert at the sorted position instead of re-sorting the whole slice.
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] > id })
-	s.ids = append(s.ids, 0)
-	copy(s.ids[i+1:], s.ids[i:])
-	s.ids[i] = id
+	if int(id) >= len(s.slotOf) {
+		s.slotOf = append(s.slotOf, make([]int32, int(id)+1-len(s.slotOf))...)
+	}
+	slot := len(s.nodes)
+	s.slotOf[id] = int32(slot + 1)
+	s.ids = append(s.ids, id)
+	s.nodes = append(s.nodes, n)
+	s.server = append(s.server, server)
+	s.crashed = append(s.crashed, false)
+	s.silenced = append(s.silenced, false)
+	var m StorageMeter
 	if server {
-		s.meter(id)
+		m, _ = n.(StorageMeter)
+	}
+	s.meters = append(s.meters, m)
+	s.curBits = append(s.curBits, 0)
+	s.maxBits = append(s.maxBits, 0)
+	// Insert at the sorted position instead of re-sorting the whole slice.
+	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] > id })
+	s.sorted = slices.Insert(s.sorted, i, id)
+	if len(s.nodes) > s.stride {
+		s.stride = max(2*s.stride, 8)
+		s.links = make([]*channel, s.stride*s.stride)
+		for _, ch := range s.chans {
+			s.links[ch.from*s.stride+ch.to] = ch
+		}
+	}
+	if m != nil {
+		s.meter(slot)
 	}
 	return nil
 }
 
+// slot returns the node's slot, and false when no node has the id.
+func (s *System) slot(id NodeID) (int, bool) {
+	if id < 0 || int(id) >= len(s.slotOf) {
+		return 0, false
+	}
+	v := s.slotOf[id]
+	return int(v) - 1, v != 0
+}
+
+// link returns the from->to channel, or nil when it has never been used.
+func (s *System) link(from, to NodeID) *channel {
+	f, ok := s.slot(from)
+	t, ok2 := s.slot(to)
+	if !ok || !ok2 {
+		return nil
+	}
+	return s.links[f*s.stride+t]
+}
+
 // Node returns the node with the given id.
 func (s *System) Node(id NodeID) (Node, error) {
-	n, ok := s.nodes[id]
+	i, ok := s.slot(id)
 	if !ok {
 		return nil, fmt.Errorf("ioa: no node with id %d", id)
 	}
-	return n, nil
+	return s.nodes[i], nil
 }
 
 // NodeIDs returns all node ids in ascending order.
-func (s *System) NodeIDs() []NodeID {
-	out := make([]NodeID, len(s.ids))
-	copy(out, s.ids)
-	return out
-}
+func (s *System) NodeIDs() []NodeID { return slices.Clone(s.sorted) }
 
 // ServerIDs returns the ids of server nodes in ascending order.
 func (s *System) ServerIDs() []NodeID {
-	out := make([]NodeID, 0, len(s.ids))
-	for _, id := range s.ids {
-		if s.servers[id] {
+	out := make([]NodeID, 0, len(s.sorted))
+	for _, id := range s.sorted {
+		if s.isServer(id) {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+func (s *System) isServer(id NodeID) bool {
+	i, ok := s.slot(id)
+	return ok && s.server[i]
 }
 
 // Steps returns the number of steps taken so far; it identifies the current
@@ -177,13 +232,14 @@ func (s *System) Steps() int { return s.steps }
 // History returns the execution's operation history (live view).
 func (s *System) History() *History { return s.hist }
 
-// ensureChan returns the channel entry for k, creating it (at its sorted
-// index position) on first use.
-func (s *System) ensureChan(k ChanKey) *channel {
-	if ch := s.chanIdx[k]; ch != nil {
+// ensureChan returns the from->to channel of two slots, creating it (at its
+// sorted index position) on first use.
+func (s *System) ensureChan(from, to int) *channel {
+	if ch := s.links[from*s.stride+to]; ch != nil {
 		return ch
 	}
-	ch := &channel{key: k}
+	k := ChanKey{s.ids[from], s.ids[to]}
+	ch := &channel{key: k, from: from, to: to}
 	i := sort.Search(len(s.chans), func(i int) bool {
 		c := s.chans[i].key
 		if c.From != k.From {
@@ -191,13 +247,25 @@ func (s *System) ensureChan(k ChanKey) *channel {
 		}
 		return c.To > k.To
 	})
-	s.chans = append(s.chans, nil)
-	copy(s.chans[i+1:], s.chans[i:])
-	s.chans[i] = ch
-	s.chanIdx[k] = ch
-	s.byFrom[k.From] = append(s.byFrom[k.From], ch)
-	s.byTo[k.To] = append(s.byTo[k.To], ch)
+	s.chans = slices.Insert(s.chans, i, ch)
+	s.links[from*s.stride+to] = ch
+	// Every channel from i on moved up one place: re-index it and the ready
+	// set. Channels are created once per link, so this is off the hot path.
+	for j := i; j < len(s.chans); j++ {
+		s.chans[j].idx = j
+	}
+	s.reindexReady()
 	return ch
+}
+
+// reindexReady rebuilds the ready bitset from the channels' flags.
+func (s *System) reindexReady() {
+	s.readySet = make([]uint64, (len(s.chans)+63)/64)
+	for i, ch := range s.chans {
+		if ch.deliverable {
+			s.readySet[i>>6] |= 1 << (i & 63)
+		}
+	}
 }
 
 // refresh recomputes a channel's deliverable flag from the current failure,
@@ -207,7 +275,7 @@ func (s *System) ensureChan(k ChanKey) *channel {
 // link's blocked status may change.
 func (s *System) refresh(ch *channel) {
 	d := ch.ready > 0 && !ch.frozen &&
-		!s.crashed[ch.key.To] && !s.silenced[ch.key.To] && !s.silenced[ch.key.From]
+		!s.crashed[ch.to] && !s.silenced[ch.to] && !s.silenced[ch.from]
 	if s.faults != nil && len(ch.q) > 0 {
 		if d && s.faults.LinkBlocked(ch.key.From, ch.key.To, s.steps) {
 			d = false
@@ -223,23 +291,36 @@ func (s *System) refresh(ch *channel) {
 	}
 	if d != ch.deliverable {
 		ch.deliverable = d
+		bit := uint64(1) << (ch.idx & 63)
 		if d {
 			s.nReady++
+			s.readySet[ch.idx>>6] |= bit
 		} else {
 			s.nReady--
+			s.readySet[ch.idx>>6] &^= bit
 		}
 	}
 }
 
-// refreshNode refreshes every channel touching the node (used by silence
-// changes, which affect both directions).
-func (s *System) refreshNode(id NodeID) {
-	for _, ch := range s.byFrom[id] {
-		s.refresh(ch)
+// refreshTo refreshes every channel into the node in the given slot (crash
+// and recovery change only those).
+func (s *System) refreshTo(slot int) {
+	for from := range s.nodes {
+		if ch := s.links[from*s.stride+slot]; ch != nil {
+			s.refresh(ch)
+		}
 	}
-	for _, ch := range s.byTo[id] {
-		s.refresh(ch)
+}
+
+// refreshNode refreshes every channel touching the node in the given slot
+// (silence changes affect both directions).
+func (s *System) refreshNode(slot int) {
+	for _, ch := range s.links[slot*s.stride : slot*s.stride+len(s.nodes)] {
+		if ch != nil {
+			s.refresh(ch)
+		}
 	}
+	s.refreshTo(slot)
 }
 
 // pushWake inserts a wake into the min-heap.
@@ -318,18 +399,59 @@ func (s *System) rebuildWakes() {
 
 // CheckReadySetInvariants recomputes every channel's readiness from the raw
 // queues — the way the pre-index kernel did on every sweep — and compares it
-// against the incrementally maintained state. It returns an error describing
-// the first mismatch. The differential kernel tests call it after every
-// mutation; it is exported so engine-level tests outside this package can
-// assert the invariants mid-workload too.
+// against the incrementally maintained state: the flags, the ready bitset
+// and its count, each channel's position, and the slot tables the channels
+// are looked up through. It returns an error describing the first mismatch.
+// The differential kernel tests call it after every mutation; it is exported
+// so engine-level tests outside this package can assert the invariants
+// mid-workload too.
 func (s *System) CheckReadySetInvariants() error {
-	nReady := 0
+	n := len(s.nodes)
+	for slot, id := range s.ids {
+		if got, ok := s.slot(id); !ok || got != slot {
+			return fmt.Errorf("ioa: node %d in slot %d, slot table says %d (%t)", id, slot, got, ok)
+		}
+	}
+	for _, tab := range []int{len(s.server), len(s.crashed), len(s.silenced), len(s.meters), len(s.curBits), len(s.maxBits), len(s.sorted)} {
+		if tab != n {
+			return fmt.Errorf("ioa: node table of length %d for %d nodes", tab, n)
+		}
+	}
+	if s.stride < n || len(s.links) != s.stride*s.stride {
+		return fmt.Errorf("ioa: channel slot table of %d entries, side %d, for %d nodes", len(s.links), s.stride, n)
+	}
+	linked := 0
+	for i, ch := range s.links {
+		if ch == nil {
+			continue
+		}
+		linked++
+		if ch.from*s.stride+ch.to != i || ch.key != (ChanKey{s.ids[ch.from], s.ids[ch.to]}) {
+			return fmt.Errorf("ioa: channel %v (slots %d->%d) at slot-table entry %d", ch.key, ch.from, ch.to, i)
+		}
+	}
+	if linked != len(s.chans) {
+		return fmt.Errorf("ioa: %d channels in the slot table, %d in the index", linked, len(s.chans))
+	}
+	if len(s.readySet) != (len(s.chans)+63)/64 {
+		return fmt.Errorf("ioa: ready bitset of %d words for %d channels", len(s.readySet), len(s.chans))
+	}
+	nReady, bitCount := 0, 0
+	for _, w := range s.readySet {
+		bitCount += bits.OnesCount64(w)
+	}
 	for i, ch := range s.chans {
 		if i > 0 {
 			prev := s.chans[i-1].key
 			if prev.From > ch.key.From || (prev.From == ch.key.From && prev.To >= ch.key.To) {
 				return fmt.Errorf("ioa: channel index out of order at %d: %v then %v", i, prev, ch.key)
 			}
+		}
+		if ch.idx != i {
+			return fmt.Errorf("ioa: channel %v at index %d records index %d", ch.key, i, ch.idx)
+		}
+		if s.link(ch.key.From, ch.key.To) != ch {
+			return fmt.Errorf("ioa: channel %v is not its slot-table entry", ch.key)
 		}
 		ready := 0
 		for _, e := range ch.q {
@@ -341,18 +463,21 @@ func (s *System) CheckReadySetInvariants() error {
 			return fmt.Errorf("ioa: channel %v ready count %d, recomputed %d (step %d)", ch.key, ch.ready, ready, s.steps)
 		}
 		want := ready > 0 && !ch.frozen &&
-			!s.crashed[ch.key.To] && !s.silenced[ch.key.To] && !s.silenced[ch.key.From] &&
+			!s.Crashed(ch.key.To) && !s.Silenced(ch.key.To) && !s.Silenced(ch.key.From) &&
 			!s.linkBlocked(ch.key)
 		if want != ch.deliverable {
 			return fmt.Errorf("ioa: channel %v deliverable flag %t, recomputed %t (step %d, q=%d ready=%d frozen=%t)",
 				ch.key, ch.deliverable, want, s.steps, len(ch.q), ready, ch.frozen)
 		}
+		if bit := s.readySet[i>>6]>>(i&63)&1 == 1; bit != ch.deliverable {
+			return fmt.Errorf("ioa: channel %v ready bit %t, deliverable flag %t", ch.key, bit, ch.deliverable)
+		}
 		if ch.deliverable {
 			nReady++
 		}
 	}
-	if nReady != s.nReady {
-		return fmt.Errorf("ioa: nReady %d, recomputed %d", s.nReady, nReady)
+	if nReady != s.nReady || bitCount != s.nReady {
+		return fmt.Errorf("ioa: nReady %d, recomputed %d, ready bits %d", s.nReady, nReady, bitCount)
 	}
 	return nil
 }
@@ -360,23 +485,26 @@ func (s *System) CheckReadySetInvariants() error {
 // Crash fails a node: it takes no further steps. In-flight messages it sent
 // earlier remain deliverable, matching the crash model of Section 3.
 func (s *System) Crash(id NodeID) {
-	s.crashed[id] = true
-	for _, ch := range s.byTo[id] {
-		s.refresh(ch)
+	if i, ok := s.slot(id); ok {
+		s.crashed[i] = true
+		s.refreshTo(i)
 	}
 }
 
 // Crashed reports whether the node has crashed.
-func (s *System) Crashed(id NodeID) bool { return s.crashed[id] }
+func (s *System) Crashed(id NodeID) bool {
+	i, ok := s.slot(id)
+	return ok && s.crashed[i]
+}
 
 // Recover lifts a Crash: the node resumes taking steps with its state intact,
 // modeling a crash-recovery (long unresponsive pause) failure rather than the
 // paper's permanent crash. Messages addressed to the node while it was down
 // were held in the channels and become deliverable again.
 func (s *System) Recover(id NodeID) {
-	delete(s.crashed, id)
-	for _, ch := range s.byTo[id] {
-		s.refresh(ch)
+	if i, ok := s.slot(id); ok {
+		s.crashed[i] = false
+		s.refreshTo(i)
 	}
 }
 
@@ -404,7 +532,8 @@ func (s *System) FaultStats() FaultStats { return s.faultStats }
 
 // applyNodeFaultEvents applies every scheduled crash/recovery whose step has
 // been reached. Events that would not change the node's state (crashing an
-// already-crashed node) are consumed silently.
+// already-crashed node), and events naming no node of the system, are
+// consumed silently.
 func (s *System) applyNodeFaultEvents() {
 	for s.faultEvIdx < len(s.faultEvents) {
 		ev := s.faultEvents[s.faultEvIdx]
@@ -412,13 +541,17 @@ func (s *System) applyNodeFaultEvents() {
 			return
 		}
 		s.faultEvIdx++
+		i, ok := s.slot(ev.Node)
+		if !ok {
+			continue
+		}
 		if ev.Recover {
-			if s.crashed[ev.Node] {
+			if s.crashed[i] {
 				s.Recover(ev.Node)
 				s.faultStats.Recoveries++
 				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultRecover, From: ev.Node})
 			}
-		} else if !s.crashed[ev.Node] {
+		} else if !s.crashed[i] {
 			s.Crash(ev.Node)
 			s.faultStats.Crashes++
 			s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultCrash, From: ev.Node})
@@ -537,31 +670,43 @@ func (s *System) earliestWake(i, bound int) int {
 // paper's proofs ("after point P all the messages from and to the writer are
 // delayed indefinitely").
 func (s *System) Silence(id NodeID) {
-	s.silenced[id] = true
-	s.refreshNode(id)
+	if i, ok := s.slot(id); ok {
+		s.silenced[i] = true
+		s.refreshNode(i)
+	}
 }
 
 // Unsilence lifts a Silence.
 func (s *System) Unsilence(id NodeID) {
-	delete(s.silenced, id)
-	s.refreshNode(id)
+	if i, ok := s.slot(id); ok {
+		s.silenced[i] = false
+		s.refreshNode(i)
+	}
 }
 
 // Silenced reports whether the node is silenced.
-func (s *System) Silenced(id NodeID) bool { return s.silenced[id] }
+func (s *System) Silenced(id NodeID) bool {
+	i, ok := s.slot(id)
+	return ok && s.silenced[i]
+}
 
 // Freeze stops deliveries on the directed channel from->to while leaving its
 // queue intact. Used by the Theorem 6.5 construction to withhold
 // value-dependent messages.
 func (s *System) Freeze(from, to NodeID) {
-	ch := s.ensureChan(ChanKey{from, to})
+	f, ok := s.slot(from)
+	t, ok2 := s.slot(to)
+	if !ok || !ok2 {
+		return
+	}
+	ch := s.ensureChan(f, t)
 	ch.frozen = true
 	s.refresh(ch)
 }
 
 // Unfreeze lifts a Freeze.
 func (s *System) Unfreeze(from, to NodeID) {
-	if ch := s.chanIdx[ChanKey{from, to}]; ch != nil {
+	if ch := s.link(from, to); ch != nil {
 		ch.frozen = false
 		s.refresh(ch)
 	}
@@ -569,7 +714,7 @@ func (s *System) Unfreeze(from, to NodeID) {
 
 // QueueLen returns the number of undelivered messages on from->to.
 func (s *System) QueueLen(from, to NodeID) int {
-	if ch := s.chanIdx[ChanKey{from, to}]; ch != nil {
+	if ch := s.link(from, to); ch != nil {
 		return len(ch.q)
 	}
 	return 0
@@ -580,59 +725,82 @@ func (s *System) QueueLen(from, to NodeID) int {
 // message whose fault delay has elapsed, and the link must not be inside an
 // outage window.
 func (s *System) CanDeliver(from, to NodeID) bool {
-	ch := s.chanIdx[ChanKey{from, to}]
-	if ch == nil || ch.ready == 0 || ch.frozen {
-		return false
-	}
-	if s.crashed[to] || s.silenced[to] || s.silenced[from] {
-		return false
-	}
-	return !s.linkBlocked(ch.key)
+	ch := s.link(from, to)
+	return ch != nil && ch.deliverable
 }
 
 // DeliverableChannels returns all channels with some currently deliverable
 // message (see CanDeliver), in deterministic (From, To) order.
 func (s *System) DeliverableChannels() []ChanKey {
-	return s.AppendDeliverableChannels(make([]ChanKey, 0, s.nReady))
-}
-
-// AppendDeliverableChannels appends the deliverable channels, in
-// deterministic (From, To) order, to dst and returns the extended slice —
-// the allocation-free form of DeliverableChannels for callers that sweep
-// repeatedly with a reusable buffer.
-func (s *System) AppendDeliverableChannels(dst []ChanKey) []ChanKey {
-	if s.nReady == 0 {
-		return dst
-	}
-	for _, ch := range s.chans {
-		if ch.deliverable {
-			dst = append(dst, ch.key)
+	out := make([]ChanKey, 0, s.nReady)
+	for w, word := range s.readySet {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, s.chans[w<<6|bits.TrailingZeros64(word)].key)
 		}
 	}
-	return dst
+	return out
 }
 
-// deliverables refills the schedulers' shared sweep buffer. The buffer is
-// only valid until the next deliverables call; single-threaded scheduler
-// loops refill it at most once per sweep.
-func (s *System) deliverables() []ChanKey {
-	s.sweep = s.AppendDeliverableChannels(s.sweep[:0])
+// deliverables refills the schedulers' shared sweep buffer with the
+// deliverable channels in (From, To) order. The buffer is only valid until
+// the next deliverables call; single-threaded scheduler loops refill it at
+// most once per sweep.
+func (s *System) deliverables() []*channel {
+	s.sweep = s.sweep[:0]
+	for w, word := range s.readySet {
+		for ; word != 0; word &= word - 1 {
+			s.sweep = append(s.sweep, s.chans[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
 	return s.sweep
+}
+
+// nthDeliverable returns DeliverableChannels()[n] without building the list:
+// whole words of the ready set are skipped by popcount, then the n-th set
+// bit of the word it falls in is selected.
+func (s *System) nthDeliverable(n int) *channel {
+	for w, word := range s.readySet {
+		if c := bits.OnesCount64(word); n >= c {
+			n -= c
+			continue
+		}
+		for ; n > 0; n-- {
+			word &= word - 1
+		}
+		return s.chans[w<<6|bits.TrailingZeros64(word)]
+	}
+	return nil
+}
+
+// DeliverRandom delivers on a uniformly random deliverable channel: it draws
+// rng.Intn(n) over the n deliverable channels and delivers on the one at that
+// position in (From, To) order, DeliverableChannels()[i], in time independent
+// of the number of channels. It returns false, drawing nothing from rng, when
+// no channel is deliverable.
+func (s *System) DeliverRandom(rng *rand.Rand) (bool, error) {
+	if s.nReady == 0 {
+		return false, nil
+	}
+	return true, s.deliver(s.nthDeliverable(rng.Intn(s.nReady)))
 }
 
 // Deliver pops the first ready message of the from->to channel and delivers
 // it, advancing the execution by one step. Without a fault plan every message
 // is immediately ready, so this is plain FIFO delivery.
 func (s *System) Deliver(from, to NodeID) error {
-	if !s.CanDeliver(from, to) {
+	ch := s.link(from, to)
+	if ch == nil || !ch.deliverable {
 		return fmt.Errorf("ioa: channel %d->%d has no deliverable message", from, to)
 	}
-	ch := s.chanIdx[ChanKey{from, to}]
+	return s.deliver(ch)
+}
+
+// deliver is Deliver on a channel known to be deliverable.
+func (s *System) deliver(ch *channel) error {
 	msg := ch.removeAt(ch.firstReady(s.steps))
 	s.refresh(ch)
-	node := s.nodes[to]
-	eff := node.Deliver(from, msg)
-	return s.applyEffects(to, eff)
+	eff := s.nodes[ch.to].Deliver(ch.key.From, msg)
+	return s.applyEffects(ch.to, eff)
 }
 
 // DeliverSelect delivers the first message on from->to accepted by match,
@@ -642,11 +810,11 @@ func (s *System) Deliver(from, to NodeID) error {
 // the channel, which FIFO delivery cannot express. It returns false when no
 // queued message matches; failure/silence/freeze guards apply as in Deliver.
 func (s *System) DeliverSelect(from, to NodeID, match func(Message) bool) (bool, error) {
-	ch := s.chanIdx[ChanKey{from, to}]
+	ch := s.link(from, to)
 	if ch == nil || len(ch.q) == 0 {
 		return false, nil
 	}
-	if ch.frozen || s.crashed[to] || s.silenced[to] || s.silenced[from] || s.linkBlocked(ch.key) {
+	if ch.frozen || s.crashed[ch.to] || s.silenced[ch.to] || s.silenced[ch.from] || s.linkBlocked(ch.key) {
 		return false, nil
 	}
 	for i := range ch.q {
@@ -655,9 +823,8 @@ func (s *System) DeliverSelect(from, to NodeID, match func(Message) bool) (bool,
 		}
 		msg := ch.removeAt(i)
 		s.refresh(ch)
-		node := s.nodes[to]
-		eff := node.Deliver(from, msg)
-		if err := s.applyEffects(to, eff); err != nil {
+		eff := s.nodes[ch.to].Deliver(from, msg)
+		if err := s.applyEffects(ch.to, eff); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -668,15 +835,15 @@ func (s *System) DeliverSelect(from, to NodeID, match func(Message) bool) (bool,
 // Invoke starts an operation at a client, advancing the execution by one
 // step. It returns the history ID of the new operation.
 func (s *System) Invoke(client NodeID, inv Invocation) (int, error) {
-	n, ok := s.nodes[client]
+	slot, ok := s.slot(client)
 	if !ok {
 		return 0, fmt.Errorf("ioa: no node with id %d", client)
 	}
-	c, ok := n.(Client)
+	c, ok := s.nodes[slot].(Client)
 	if !ok {
 		return 0, fmt.Errorf("ioa: node %d is not a client", client)
 	}
-	if s.crashed[client] {
+	if s.crashed[slot] {
 		return 0, fmt.Errorf("ioa: cannot invoke on crashed client %d", client)
 	}
 	if c.Busy() {
@@ -687,40 +854,43 @@ func (s *System) Invoke(client NodeID, inv Invocation) (int, error) {
 		return 0, err
 	}
 	eff := c.Invoke(inv)
-	if err := s.applyEffects(client, eff); err != nil {
+	if err := s.applyEffects(slot, eff); err != nil {
 		return 0, err
 	}
 	return id, nil
 }
 
-// applyEffects enqueues sends (subjecting each to the fault plan's drop and
-// delay decisions), records responses, bumps the step counter, applies due
-// scheduled node faults and refreshes storage accounting for the acting node.
-func (s *System) applyEffects(actor NodeID, eff Effects) error {
+// applyEffects enqueues sends of the node in slot actor (subjecting each to
+// the fault plan's drop and delay decisions), records responses, bumps the
+// step counter, applies due scheduled node faults and refreshes storage
+// accounting for the acting node.
+func (s *System) applyEffects(actor int, eff Effects) error {
 	s.steps++
 	s.advance()
+	from := s.ids[actor]
 	for _, send := range eff.Sends {
-		if _, ok := s.nodes[send.To]; !ok {
-			return fmt.Errorf("ioa: node %d sent to unknown node %d", actor, send.To)
+		to, ok := s.slot(send.To)
+		if !ok {
+			return fmt.Errorf("ioa: node %d sent to unknown node %d", from, send.To)
 		}
 		seq := s.nextSeq
 		s.nextSeq++
 		readyAt := s.steps
 		if s.faults != nil {
-			drop, delay := s.faults.MessageFate(actor, send.To, seq, s.steps)
+			drop, delay := s.faults.MessageFate(from, send.To, seq, s.steps)
 			if drop {
 				s.faultStats.Drops++
-				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDrop, From: actor, To: send.To})
+				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDrop, From: from, To: send.To})
 				continue
 			}
 			if delay > 0 {
 				readyAt += delay
 				s.faultStats.DelayedMessages++
 				s.faultStats.DelayStepsTotal += delay
-				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDelay, From: actor, To: send.To, Delay: delay})
+				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDelay, From: from, To: send.To, Delay: delay})
 			}
 		}
-		ch := s.ensureChan(ChanKey{From: actor, To: send.To})
+		ch := s.ensureChan(actor, to)
 		ch.q = append(ch.q, queued{msg: send.Msg, seq: seq, readyAt: readyAt})
 		if readyAt <= s.steps {
 			ch.ready++
@@ -733,27 +903,23 @@ func (s *System) applyEffects(actor NodeID, eff Effects) error {
 		s.applyNodeFaultEvents()
 	}
 	if eff.Response != nil {
-		if err := s.hist.endOp(actor, *eff.Response, s.steps); err != nil {
+		if err := s.hist.endOp(from, *eff.Response, s.steps); err != nil {
 			return err
 		}
 	}
-	if s.servers[actor] {
+	if s.meters[actor] != nil {
 		s.meter(actor)
 	}
 	return nil
 }
 
-// meter refreshes the storage accounting for one server node.
-func (s *System) meter(id NodeID) {
-	m, ok := s.nodes[id].(StorageMeter)
-	if !ok {
-		return
-	}
-	bits := m.StorageBits()
-	s.curTotalBits += bits - s.curBits[id]
-	s.curBits[id] = bits
-	if bits > s.maxBits[id] {
-		s.maxBits[id] = bits
+// meter refreshes the storage accounting for the metered server in a slot.
+func (s *System) meter(slot int) {
+	held := s.meters[slot].StorageBits()
+	s.curTotalBits += held - s.curBits[slot]
+	s.curBits[slot] = held
+	if held > s.maxBits[slot] {
+		s.maxBits[slot] = held
 	}
 	if s.curTotalBits > s.maxTotalBits {
 		s.maxTotalBits = s.curTotalBits
@@ -774,17 +940,18 @@ type StorageReport struct {
 	CurrentTotalBits int
 }
 
-// Storage returns the storage report for the execution so far.
+// Storage returns the storage report for the execution so far. A metered
+// server appears in PerServerMaxBits once it has held a bit.
 func (s *System) Storage() StorageReport {
 	rep := StorageReport{
-		PerServerMaxBits: make(map[NodeID]int, len(s.maxBits)),
+		PerServerMaxBits: make(map[NodeID]int),
 		MaxTotalBits:     s.maxTotalBits,
 		CurrentTotalBits: s.curTotalBits,
 	}
-	for id, b := range s.maxBits {
-		rep.PerServerMaxBits[id] = b
-		if b > rep.MaxServerBits {
-			rep.MaxServerBits = b
+	for slot, b := range s.maxBits {
+		if b > 0 {
+			rep.PerServerMaxBits[s.ids[slot]] = b
+			rep.MaxServerBits = max(rep.MaxServerBits, b)
 		}
 	}
 	return rep
@@ -811,55 +978,43 @@ func (sn *Snapshot) Restore() *System {
 
 func (s *System) cloneState() *System {
 	out := &System{
-		nodes:        make(map[NodeID]Node, len(s.nodes)),
-		ids:          append([]NodeID(nil), s.ids...),
-		servers:      make(map[NodeID]bool, len(s.servers)),
-		chanIdx:      make(map[ChanKey]*channel, len(s.chans)),
-		byFrom:       make(map[NodeID][]*channel, len(s.byFrom)),
-		byTo:         make(map[NodeID][]*channel, len(s.byTo)),
-		crashed:      make(map[NodeID]bool, len(s.crashed)),
-		silenced:     make(map[NodeID]bool, len(s.silenced)),
+		slotOf:       slices.Clone(s.slotOf),
+		ids:          slices.Clone(s.ids),
+		sorted:       slices.Clone(s.sorted),
+		nodes:        make([]Node, len(s.nodes)),
+		server:       slices.Clone(s.server),
+		crashed:      slices.Clone(s.crashed),
+		silenced:     slices.Clone(s.silenced),
+		meters:       make([]StorageMeter, len(s.meters)),
+		curBits:      slices.Clone(s.curBits),
+		maxBits:      slices.Clone(s.maxBits),
 		steps:        s.steps,
 		hist:         s.hist.clone(),
+		chans:        make([]*channel, len(s.chans)),
+		links:        make([]*channel, len(s.links)),
+		stride:       s.stride,
+		readySet:     make([]uint64, len(s.readySet)),
 		faults:       s.faults, // plans are immutable, safe to share
 		faultEvents:  s.faultEvents,
 		faultEvIdx:   s.faultEvIdx,
 		faultStats:   s.faultStats,
 		nextSeq:      s.nextSeq,
-		curBits:      make(map[NodeID]int, len(s.curBits)),
-		maxBits:      make(map[NodeID]int, len(s.maxBits)),
 		curTotalBits: s.curTotalBits,
 		maxTotalBits: s.maxTotalBits,
 	}
-	for id, n := range s.nodes {
-		out.nodes[id] = n.Clone()
+	for i, n := range s.nodes {
+		out.nodes[i] = n.Clone()
+		if s.meters[i] != nil {
+			out.meters[i], _ = out.nodes[i].(StorageMeter)
+		}
 	}
-	for id, v := range s.servers {
-		out.servers[id] = v
-	}
-	// chans is iterated in index order, so the clone's index is sorted too.
-	out.chans = make([]*channel, 0, len(s.chans))
-	for _, ch := range s.chans {
-		nc := &channel{key: ch.key, frozen: ch.frozen}
+	for i, ch := range s.chans {
+		nc := &channel{key: ch.key, from: ch.from, to: ch.to, idx: i, frozen: ch.frozen}
 		if len(ch.q) > 0 {
 			nc.q = append([]queued(nil), ch.q...)
 		}
-		out.chans = append(out.chans, nc)
-		out.chanIdx[nc.key] = nc
-		out.byFrom[nc.key.From] = append(out.byFrom[nc.key.From], nc)
-		out.byTo[nc.key.To] = append(out.byTo[nc.key.To], nc)
-	}
-	for id := range s.crashed {
-		out.crashed[id] = true
-	}
-	for id := range s.silenced {
-		out.silenced[id] = true
-	}
-	for id, b := range s.curBits {
-		out.curBits[id] = b
-	}
-	for id, b := range s.maxBits {
-		out.maxBits[id] = b
+		out.chans[i] = nc
+		out.links[ch.from*s.stride+ch.to] = nc
 	}
 	out.rebuildWakes()
 	return out

@@ -65,13 +65,56 @@ func MakeValue(size int, seed uint64) []byte {
 	v := make([]byte, size)
 	binary.BigEndian.PutUint64(v, seed)
 	// Fill the remainder with a cheap xorshift stream so the value is not
-	// trivially compressible.
+	// trivially compressible: byte i is the low byte of the (i+1)-th state.
+	// One chain is a serial dependency of six operations per byte, so four
+	// chunks of the stream are filled at once, each chain started a chunk
+	// further along by the jump table.
 	x := seed*2862933555777941757 + 3037000493
-	for i := 8; i < size; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		v[i] = byte(x)
+	p := v[8:]
+	for len(p) >= 4*chunk {
+		a, b, c, d := x, leap(x), leap(leap(x)), leap(leap(leap(x)))
+		pa, pb := (*[chunk]byte)(p), (*[chunk]byte)(p[chunk:])
+		pc, pd := (*[chunk]byte)(p[2*chunk:]), (*[chunk]byte)(p[3*chunk:])
+		for i := range pa {
+			a, b, c, d = xorshift(a), xorshift(b), xorshift(c), xorshift(d)
+			pa[i], pb[i], pc[i], pd[i] = byte(a), byte(b), byte(c), byte(d)
+		}
+		x, p = d, p[4*chunk:]
+	}
+	for i := range p {
+		x = xorshift(x)
+		p[i] = byte(x)
 	}
 	return v
+}
+
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
+
+// chunk is how far leap advances the xorshift stream.
+const chunk = 32
+
+// jump[j][b] is the state chunk xorshift steps after b<<8j. A step is linear
+// over GF(2), so leap, the chunk-step advance of any state, is the XOR of the
+// advances of its eight bytes.
+var jump = func() (t [8][256]uint64) {
+	for j := range t {
+		for b := range t[j] {
+			x := uint64(b) << (8 * j)
+			for i := 0; i < chunk; i++ {
+				x = xorshift(x)
+			}
+			t[j][b] = x
+		}
+	}
+	return t
+}()
+
+func leap(x uint64) uint64 {
+	return jump[0][byte(x)] ^ jump[1][byte(x>>8)] ^ jump[2][byte(x>>16)] ^ jump[3][byte(x>>24)] ^
+		jump[4][byte(x>>32)] ^ jump[5][byte(x>>40)] ^ jump[6][byte(x>>48)] ^ jump[7][byte(x>>56)]
 }

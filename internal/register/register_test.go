@@ -2,6 +2,8 @@ package register
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +117,23 @@ func TestMakeValueUniqueAndDeterministic(t *testing.T) {
 	// Tiny sizes are bumped to hold the uniqueness header.
 	if got := len(MakeValue(2, 1)); got != 8 {
 		t.Errorf("minimum size = %d, want 8", got)
+	}
+}
+
+// TestMakeValueGolden pins MakeValue's bytes: the injectivity experiments and
+// every pinned fingerprint are built on them, so a faster fill must produce
+// exactly the byte-at-a-time xorshift stream. The digest was taken from the
+// byte-at-a-time implementation.
+func TestMakeValueGolden(t *testing.T) {
+	const golden = "3207814f6c3a8dc105a1d7961b10c720ecd2a8478060afa2893ee6b86d28b13a"
+	h := sha256.New()
+	for _, size := range []int{0, 8, 9, 63, 1024, 65536} {
+		for _, seed := range []uint64{0, 1, 1 << 40} {
+			h.Write(MakeValue(size, seed))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("MakeValue digest %s, want %s", got, golden)
 	}
 }
 

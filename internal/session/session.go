@@ -16,13 +16,16 @@
 // is observed, so the recorded intervals express exactly the real-time
 // precedence the caller observed — the relation the consistency checkers
 // test. Settled operations stream from the feed into the shard's history
-// sink: a batch ioa.History by default (bounded by Config.HistoryCap, see
-// ErrHistoryFull), or a consistency.OnlineChecker when Config.OnlineCheck is
-// set — then provably-linearized prefixes are retired as the store runs and
-// CheckConsistency reads off the standing verdict instead of replaying the
-// full history. Operations abandoned by a timeout or a cancelled context
-// stay pending (their effects may still land), which is the standard
-// completion semantics the atomicity checker already covers.
+// sink, chosen by the shard's consistency condition: an atomic shard feeds a
+// consistency.OnlineChecker, which retires provably-linearized prefixes as
+// the store runs, so CheckConsistency reads off the standing verdict and the
+// shard's memory is bounded by the checker's window, not by the operations
+// it has served; a regular-condition shard keeps a batch ioa.History
+// (bounded by Config.HistoryCap, see ErrHistoryFull) that CheckConsistency
+// replays. The record is the only one: the simulator's kernel keeps just the
+// pending operations. Operations abandoned by a timeout or a cancelled
+// context stay pending (their effects may still land), which is the
+// standard completion semantics the atomicity checker already covers.
 package session
 
 import (
@@ -62,14 +65,14 @@ type shard struct {
 	// feed stamps and orders the shard's interactive operations; settled ones
 	// stream into exactly one of the two sinks below.
 	feed *ioa.OpFeed
-	// hist is the batch sink: the retained history CheckConsistency replays
-	// (nil on online-checked shards).
+	// hist is the batch sink of a regular-condition shard: the retained
+	// history CheckConsistency replays (nil on atomic shards).
 	hist *ioa.History
-	// checker is the streaming sink: it retires provably-linearized prefixes
-	// as ops settle (nil on batch shards).
+	// checker is the streaming sink of an atomic shard: it retires
+	// provably-linearized prefixes as ops settle (nil on regular shards).
 	checker *consistency.OnlineChecker
-	// recorded counts operations accepted into the feed and not voided — the
-	// batch shard's retained-history size for the HistoryCap bound.
+	// recorded counts operations accepted into the feed and not voided — a
+	// regular shard's retained-history size for the HistoryCap bound.
 	recorded int
 	// latencies is a ring of the last latencyWindow completed operations'
 	// durations, grown on demand; latNext is the slot the next one takes.
@@ -165,10 +168,11 @@ func Open(cfg store.Config) (*Store, error) {
 			clientLocks: locks,
 			retired:     make(map[ioa.NodeID]bool),
 		}
-		// The windowed decomposition is proved for atomicity, so only
-		// atomic-condition shards stream into the online checker; the rest
-		// retain the batch history CheckConsistency replays.
-		if cfg.OnlineCheck && cond == "atomic" {
+		// The windowed decomposition is proved for atomicity, so
+		// atomic-condition shards always stream into the online checker and
+		// hold only its window; the rest retain the batch history
+		// CheckConsistency replays.
+		if cond == "atomic" {
 			sh.checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(cfg.OnlineWindow))
 			sh.feed = ioa.NewOpFeed(sh.checker)
 		} else {
@@ -276,8 +280,8 @@ func (sh *shard) pickClient(ids []ioa.NodeID, next *int, role string) (ioa.NodeI
 }
 
 // retainedLocked is the shard's retained-history size for the HistoryCap
-// bound: everything recorded on a batch shard (the history keeps it all),
-// minus the retired prefix on an online shard (the checker reclaimed it).
+// bound: everything recorded on a regular shard (the history keeps it all),
+// minus the retired prefix on an atomic shard (the checker reclaimed it).
 // Callers hold sh.mu.
 func (sh *shard) retainedLocked() int {
 	if sh.checker != nil {
@@ -306,7 +310,7 @@ func (s *Store) runOp(ctx context.Context, sh *shard, client ioa.NodeID, inv ioa
 	}
 	if hcap := s.cfg.HistoryCap; sh.retainedLocked() >= hcap {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("session: shard %d: %w (cap %d; check and reopen, raise Config.HistoryCap, or switch to Config.OnlineCheck)", sh.index, ErrHistoryFull, hcap)
+		return nil, fmt.Errorf("session: shard %d: %w (cap %d; check and reopen, or raise Config.HistoryCap)", sh.index, ErrHistoryFull, hcap)
 	}
 	tk := sh.feed.Begin(client, inv.Kind, inv.Value)
 	sh.recorded++
@@ -359,7 +363,7 @@ func (sh *shard) recordLatency(lat time.Duration) {
 	sh.latNext = (sh.latNext + 1) % latencyWindow
 }
 
-// history rebuilds a batch shard's checkable history: the sink's settled
+// history rebuilds a regular shard's checkable history: the sink's settled
 // prefix plus the feed's held tail (operations behind an open ticket, the
 // open ones appearing pending). Both parts are in invocation order, the tail
 // strictly after the prefix, so concatenation preserves the feed's ordering
@@ -373,8 +377,8 @@ func (sh *shard) history() (*ioa.History, error) {
 
 // CheckConsistency verifies every shard's accumulated interactive history
 // against its algorithm's consistency condition ("atomic" or "regular").
-// Batch shards replay their retained history through the offline checker;
-// online-checked shards already verified their retired prefix as operations
+// Regular shards replay their retained history through the offline checker;
+// atomic shards already verified their retired prefix online as operations
 // settled, so only the residual window plus the feed's held tail is checked
 // here — the call stays cheap no matter how many operations have run.
 // Operations abandoned by timeouts stay pending and are checked under the
@@ -432,8 +436,9 @@ type ShardMetrics struct {
 	PendingOps int
 	// OpsVerified counts operations the online checker has retired as
 	// provably linearized, and WindowLag is how many settled operations
-	// still await retirement (both zero on batch-history shards). RetainedOps
-	// is what the shard currently holds against Config.HistoryCap.
+	// still await retirement (both zero on regular-condition shards, which
+	// keep a batch history). RetainedOps is what the shard currently holds
+	// against Config.HistoryCap.
 	OpsVerified int64
 	WindowLag   int
 	RetainedOps int
@@ -456,8 +461,8 @@ type Metrics struct {
 	TotalReads  int
 	PendingOps  int
 	// OpsVerified sums the shards' online-checker retirement counts and
-	// MaxWindowLag is the largest residual window across shards (zero
-	// without WithOnlineCheck).
+	// MaxWindowLag is the largest residual window across shards (both zero
+	// when every shard is regular-condition).
 	OpsVerified  int64
 	MaxWindowLag int
 	// AggregateMaxTotalBits sums the per-shard storage high-water marks and

@@ -393,3 +393,102 @@ func TestLatencyWindowIsBounded(t *testing.T) {
 		t.Fatalf("after a window of 1ms ops: p50 %v p99 %v", m.LatencyP50, m.LatencyP99)
 	}
 }
+
+// TestStandingSimShardRetention: a standing simulator store opened without
+// WithOnlineCheck keeps memory independent of the operations it has served
+// on its atomic shards — the kernel's history holds no settled operation and
+// no fault record, its channels hold no backlog (not even into the server
+// crashed for good), and what the shard retains against HistoryCap stays
+// within the online window plus what is pending, the same bounds after 2,000
+// and after 10,000 operations — while its regular shard still retains and
+// replays its whole batch history.
+func TestStandingSimShardRetention(t *testing.T) {
+	st := openSim(t, store.Config{
+		Algorithms: []string{store.AlgCASGC, store.AlgABDMW, store.AlgTwoVersion},
+		Faults:     []string{"delay=1:16", "crash-f@10", "none"},
+		Shards:     3,
+		Seed:       3,
+	})
+	// One key per shard.
+	keys := []int{-1, -1, -1}
+	for key, found := 0, 0; found < len(keys); key++ {
+		if s := st.KeyShard(key); keys[s] < 0 {
+			keys[s] = key
+			found++
+		}
+	}
+	ctx := context.Background()
+	seq := uint64(0)
+	served := make([]int, len(keys))
+	run := func(ops int) {
+		t.Helper()
+		for i := 0; i < ops; i++ {
+			key := keys[i%len(keys)]
+			served[i%len(keys)]++
+			if (i/len(keys))%2 == 0 {
+				seq++
+				if err := st.Put(ctx, key, register.MakeValue(64, seq)); err != nil {
+					t.Fatalf("Put %d: %v", seq, err)
+				}
+			} else if _, err := st.Get(ctx, key); err != nil {
+				t.Fatalf("Get key %d: %v", key, err)
+			}
+		}
+	}
+	window := st.Config().OnlineWindow
+	total := 0
+	for _, ops := range []int{2000, 8000} {
+		run(ops)
+		total += ops
+		if err := st.CheckConsistency(); err != nil {
+			t.Fatalf("after %d ops: CheckConsistency: %v", total, err)
+		}
+		m := st.Metrics()
+		for i, sh := range st.shards {
+			sm := m.PerShard[i]
+			n := served[i]
+			if sm.Writes+sm.Reads != n {
+				t.Fatalf("after %d ops: shard %d counts %d ops, want %d", total, i, sm.Writes+sm.Reads, n)
+			}
+			if sh.condition != "atomic" {
+				if sh.checker != nil || sm.RetainedOps != n || len(sh.hist.Ops) != n {
+					t.Errorf("after %d ops: regular shard %d retains %d ops (history %d), want all %d in its batch history",
+						total, i, sm.RetainedOps, len(sh.hist.Ops), n)
+				}
+				continue
+			}
+			if sh.checker == nil {
+				t.Fatalf("atomic shard %d has no online checker", i)
+			}
+			if h := sh.cl.Sys.History(); len(h.Ops) != 0 || len(h.Faults) != 0 {
+				t.Errorf("after %d ops: shard %d kernel history holds %d ops and %d fault records, want none",
+					total, i, len(h.Ops), len(h.Faults))
+			}
+			ids := sh.cl.Sys.NodeIDs()
+			queued := 0
+			for _, from := range ids {
+				for _, to := range ids {
+					queued += sh.cl.Sys.QueueLen(from, to)
+				}
+			}
+			if queued > len(ids)*len(ids) {
+				t.Errorf("after %d ops: shard %d channels hold %d messages", total, i, queued)
+			}
+			if sm.RetainedOps > window+sm.PendingOps {
+				t.Errorf("after %d ops: shard %d retains %d ops, over the %d-op window plus %d pending",
+					total, i, sm.RetainedOps, window, sm.PendingOps)
+			}
+			if sm.OpsVerified < int64(n-window) {
+				t.Errorf("after %d ops: shard %d verified only %d of %d ops online", total, i, sm.OpsVerified, n)
+			}
+		}
+		// The fault counters survive the dropped records.
+		if f := m.PerShard[0].Faults; f.DelayedMessages == 0 {
+			t.Errorf("after %d ops: delay shard reports no delayed messages: %+v", total, f)
+		}
+		if f := m.PerShard[1].Faults; f.Crashes != 1 || f.Drops == 0 {
+			t.Errorf("after %d ops: crash shard reports %d crashes and %d drops, want 1 and the messages to the crashed server",
+				total, f.Crashes, f.Drops)
+		}
+	}
+}

@@ -132,14 +132,50 @@ func (simBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSessio
 		if err := opts.Plan.Validate(); err != nil {
 			return nil, err
 		}
-		cl.Sys.SetFaultPlan(opts.Plan)
+		cl.Sys.SetFaultPlan(newLostToDown(opts.Plan))
 	}
 	return &simSession{cl: cl, budget: opts.StepBudget}, nil
 }
 
+// lostToDown is a standing shard's fault plan: the shard's own, except that
+// a message sent to a node the plan crashes with no recovery after is
+// dropped at send time (and counted in FaultStats.Drops) instead of queued.
+// The node never takes another step, so the message can never be received,
+// and on a shard that serves operations indefinitely the queue into it would
+// hold a copy of every operation's messages. Batch runs keep the plain plan:
+// their channels end with the run, and their schedules are fingerprinted.
+type lostToDown struct {
+	*faults.Plan
+	down map[ioa.NodeID]int // node -> step from which it stays crashed
+}
+
+func newLostToDown(p *faults.Plan) lostToDown {
+	d := lostToDown{Plan: p, down: make(map[ioa.NodeID]int)}
+	for _, ev := range p.NodeEvents() { // ascending by step
+		if ev.Recover {
+			delete(d.down, ev.Node)
+		} else {
+			d.down[ev.Node] = ev.Step
+		}
+	}
+	return d
+}
+
+func (d lostToDown) MessageFate(from, to ioa.NodeID, seq uint64, step int) (bool, int) {
+	// A crash due at this step is applied once the step's sends are queued,
+	// so a message sent now would never be delivered either.
+	if t, ok := d.down[to]; ok && step >= t {
+		return true, 0
+	}
+	return d.Plan.MessageFate(from, to, seq, step)
+}
+
 // simSession drives interactive operations on a shard's simulated system.
 // One mutex serializes operations: the simulator is a single discrete
-// schedule, so concurrency within a shard is meaningless there.
+// schedule, so concurrency within a shard is meaningless there. The session
+// layer records every operation itself, so the kernel's history keeps only
+// what is still pending (History.Take): a standing shard's memory does not
+// grow with the operations it serves.
 type simSession struct {
 	mu     sync.Mutex
 	cl     *cluster.Cluster
@@ -169,7 +205,7 @@ func (s *simSession) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invoc
 		}
 		switch err := s.cl.Sys.FairRun(step, ioa.OpDone(id)); {
 		case err == nil:
-			op, err := s.cl.Sys.History().OpByID(id)
+			op, err := s.cl.Sys.History().Take(id)
 			if err != nil {
 				return nil, true, err
 			}

@@ -84,28 +84,30 @@ type Config struct {
 	// enforced — it is built into history construction on every backend —
 	// and interactive CheckConsistency is unaffected.
 	SkipCheck bool
-	// OnlineCheck streams every settled operation into a windowed online
-	// atomicity checker instead of accumulating a batch history. Interactive
-	// atomic-condition shards then retire provably-linearized prefixes as the
-	// store runs — CheckConsistency reads off the standing verdict plus the
-	// residual window, memory stays bounded by the window rather than the op
-	// count, and Metrics reports the verified frontier (OpsVerified,
-	// WindowLag). Batch runs on the live and net backends feed the checker
-	// from the runtime the same way; the simulator holds the complete
-	// history and checks it offline either way. Regular-condition shards keep
-	// the offline checker — the windowed decomposition is proved for
-	// atomicity. Ignored by batch runs when SkipCheck is set.
+	// OnlineCheck streams the settled operations of batch runs (Run, i.e.
+	// RunMulti) on the live and net backends into a windowed online
+	// atomicity checker fed from the runtime, instead of checking their
+	// history offline afterwards: provably-linearized prefixes retire as the
+	// run goes, and the result reports the verified frontier (OpsVerified,
+	// WindowLag). The simulator holds the complete history of a batch run and
+	// checks it offline either way; regular-condition shards keep the offline
+	// checker — the windowed decomposition is proved for atomicity. Ignored
+	// when SkipCheck is set. Interactive shards do not read it: atomic ones
+	// always stream into an online checker, regular ones always keep a batch
+	// history (see HistoryCap).
 	OnlineCheck bool
-	// OnlineWindow is the online checker's retirement window in operations
-	// (0 = consistency.DefaultWindowOps).
+	// OnlineWindow is the online checkers' retirement window in operations
+	// (0 = consistency.DefaultWindowOps), for batch runs under OnlineCheck and
+	// for interactive atomic shards.
 	OnlineWindow int
-	// HistoryCap bounds the interactive operations a batch-history shard
-	// retains (0 = DefaultHistoryCap). Once a shard's retained history
-	// reaches the cap, further operations on it fail with
-	// session.ErrHistoryFull rather than growing without bound.
-	// Online-checked shards reclaim retired prefixes instead, so the cap
-	// binds only their unretired residue (pending ops plus the open window),
-	// not the total op count.
+	// HistoryCap bounds the interactive operations a shard retains
+	// (0 = DefaultHistoryCap). Once a shard's retained history reaches the
+	// cap, further operations on it fail with session.ErrHistoryFull rather
+	// than growing without bound. It binds regular-condition shards, which
+	// keep a batch history of every operation; atomic shards stream into an
+	// online checker that reclaims retired prefixes, so the cap binds only
+	// their unretired residue (pending ops plus the open window), not the
+	// total op count.
 	HistoryCap int
 	// Telemetry, when set, wires the store into the metrics registry: the
 	// live and net runtimes publish per-node storage-bit gauges against the
@@ -118,10 +120,11 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultHistoryCap is the retained-history bound a batch shard gets when
-// Config.HistoryCap is zero. A million 16-byte operations is roughly 100 MB
-// of retained history — past that, callers should either check and reopen,
-// or switch to OnlineCheck, whose retirement keeps residue small.
+// DefaultHistoryCap is the retained-history bound an interactive shard gets
+// when Config.HistoryCap is zero. Only a regular-condition shard, which keeps
+// every operation for the offline checker, ever comes near it: a million
+// 16-byte operations is roughly 100 MB of retained history, and past that
+// callers should check and reopen.
 const DefaultHistoryCap = 1 << 20
 
 // Resolve fills every default and validates the result: the one place a

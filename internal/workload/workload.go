@@ -160,7 +160,6 @@ func Run(cl *cluster.Cluster, spec Spec) (*Result, error) {
 		maxNu = len(cl.Writers)
 	}
 
-	var keyBuf []ioa.ChanKey
 	for step := 0; step < spec.maxSteps(); step++ {
 		// Keep writes saturated at the target concurrency.
 		if writesLeft > 0 && activeWrites < maxNu {
@@ -207,9 +206,11 @@ func Run(cl *cluster.Cluster, spec Spec) (*Result, error) {
 			}
 		}
 		// Deliver a random message.
-		keys := sys.AppendDeliverableChannels(keyBuf[:0])
-		keyBuf = keys
-		if len(keys) == 0 {
+		delivered, err := sys.DeliverRandom(rng)
+		if err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+		if !delivered {
 			// Faults may have made the system only temporarily idle; let
 			// logical time jump to the next delay expiry, outage boundary
 			// or scheduled recovery before concluding anything.
@@ -229,10 +230,6 @@ func Run(cl *cluster.Cluster, spec Spec) (*Result, error) {
 				break
 			}
 			continue
-		}
-		k := keys[rng.Intn(len(keys))]
-		if err := sys.Deliver(k.From, k.To); err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
 		}
 		// Track write completions.
 		activeWrites = (spec.Writes - writesLeft) - sys.History().CompletedWrites()

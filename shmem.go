@@ -121,16 +121,15 @@ func WithClients(writers, readers int) Option {
 // simulator and for interactive Put/Get.
 func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
 
-// WithOnlineCheck streams every settled operation into a windowed online
-// atomicity checker as the store runs, instead of accumulating the full
-// history for one offline check: provably-linearized prefixes are retired
-// on the fly, memory stays bounded by the window, CheckConsistency reads
-// off the standing verdict, and Metrics reports the verified frontier
-// (OpsVerified, WindowLag). Applies to interactive atomic-condition shards
-// and, through Store.RunMulti, to batch runs on the live and net backends
-// (the simulator holds complete histories and checks them offline either
-// way). Regular-condition shards keep the offline checker. Config.OnlineWindow
-// sizes the window.
+// WithOnlineCheck streams the settled operations of Store.RunMulti batch
+// runs on the live and net backends into a windowed online atomicity checker
+// as they run, instead of checking the full history
+// offline afterwards: provably-linearized prefixes are retired on the fly,
+// memory stays bounded by the window, and the result reports the verified
+// frontier (OpsVerified, MaxWindowLag). The simulator holds complete batch
+// histories and checks them offline either way, and regular-condition shards
+// keep the offline checker. Interactive atomic-condition shards stream into
+// an online checker with or without it. Config.OnlineWindow sizes the window.
 func WithOnlineCheck() Option { return func(c *Config) { c.OnlineCheck = true } }
 
 // Telemetry is a metrics registry: lock-free counters, gauges and latency
@@ -165,7 +164,10 @@ func ServeTelemetry(addr string, reg *Telemetry) (*TelemetryServer, error) {
 
 // ErrHistoryFull reports an interactive operation refused because its
 // shard's retained history reached Config.HistoryCap (2^20 operations when
-// zero); the operation never started. Branch with errors.Is.
+// zero); the operation never started. Branch with errors.Is. Only a
+// regular-condition shard, which keeps every operation for the offline
+// checker, retains that many; an atomic shard retains its online checker's
+// window and its pending operations.
 var ErrHistoryFull = session.ErrHistoryFull
 
 // ErrStepBudget reports that an interactive simulator operation exhausted

@@ -3,10 +3,10 @@ GO ?= go
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
 # the node runtime's interactive 64 KiB path, the standing simulator store's
-# interactive 1 KiB path and the TCP transport's 64 B round trip and
-# five-peer fan-out).
+# interactive 1 KiB path and the TCP transport's 64 B round trip, five-peer
+# fan-out and four-sender fan-in over one shared endpoint).
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/transport
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut'
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkEndpointFanIn'
 
 .PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
@@ -33,10 +33,11 @@ runtime-race:
 # the live and net backends under the race detector — the chaos tests first
 # (snapshot-restore durability, partition gate timing and healing, goroutine
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
-# over both links), then a small `shmem grid` scenario matrix driving the whole
+# over both links; a client crash and recovery on the clients' shared tcp
+# endpoint), then a small `shmem grid` scenario matrix driving the whole
 # grid over real goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

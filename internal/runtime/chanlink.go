@@ -19,6 +19,7 @@ type chanLink struct {
 
 func (l *chanLink) up(*nodeState) error { return nil }
 func (l *chanLink) down(*nodeState)     {}
+func (l *chanLink) flush(*nodeState)    {} // every send is already in its target's mailbox
 func (l *chanLink) close()              {}
 
 func (l *chanLink) loss() (dropped, requeued int) { return int(l.dead.Load()), 0 }

@@ -73,6 +73,7 @@ func (l *recLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 	l.sent <- sentMsg{from.id, to, msg, inLoop, time.Now()}
 }
 
+func (l *recLink) flush(*nodeState)                                    {}
 func (l *recLink) loss() (int, int)                                    { return 0, 0 }
 func (l *recLink) sampler(*telemetry.Registry, telemetry.Label) func() { return func() {} }
 func (l *recLink) close()                                              {}
@@ -240,40 +241,79 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 }
 
 // TestTCPLinkWire is the wire regression: real frames through tcpLink. A
-// message sent at one node arrives at the peer's mailbox decoded and
-// attributed to its sender (the frame's sender-id prefix), and frames that
-// do not decode are counted and dropped without reaching the mailbox.
+// node loop's send is held until the loop flushes; it then arrives at the
+// peer's mailbox decoded and attributed to its sender (the frame's sender-id
+// prefix). A server's replies to two clients leave as one write to the
+// clients' shared endpoint, and each reaches the mailbox its destination id
+// names. Frames that do not decode, or name a node the endpoint they arrive
+// on does not serve, are counted and dropped without reaching a mailbox.
 func TestTCPLinkWire(t *testing.T) {
 	rt, l := idleTCP(t)
+	writer, reader := ioa.NodeID(cluster.WriterBase), ioa.NodeID(cluster.ReaderBase)
 
 	codec, ok := wire.CodecFor(0x11) // abd.queryAck: varint, tag and value bytes
 	if !ok {
 		t.Fatal("abd wire types not registered")
 	}
 	msg := codec.Sample(7)
-	l.send(rt.nodes[1], 2, msg, true)
-	select {
-	case ev := <-rt.nodes[2].mb:
-		if ev.from != 1 || !reflect.DeepEqual(ev.msg, msg) {
-			t.Fatalf("node 2 received %#v from %d; node 1 sent %#v", ev.msg, ev.from, msg)
+	sent := func() transport.Stats {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return l.eps[1].Stats()
+	}
+	arrives := func(to ioa.NodeID) {
+		t.Helper()
+		select {
+		case ev := <-rt.nodes[to].mb:
+			if ev.from != 1 || !reflect.DeepEqual(ev.msg, msg) {
+				t.Fatalf("node %d received %#v from %d; node 1 sent %#v", to, ev.msg, ev.from, msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame to node %d never arrived", to)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("frame never arrived")
 	}
 
-	conn := dialRaw(t, l.addrs[2])
-	for _, frame := range [][]byte{
-		{},           // no sender id
-		{0x01, 0xee}, // sender 1, unregistered type id
-		{0x01, 0x11}, // sender 1, queryAck with a truncated body
-	} {
-		if _, err := conn.Write(transport.AppendFrame(nil, frame)); err != nil {
-			t.Fatal(err)
+	l.send(rt.nodes[1], 2, msg, true)
+	if s := sent(); s.FramesSent != 0 {
+		t.Fatalf("a loop's send left before the loop flushed: %+v", s)
+	}
+	l.flush(rt.nodes[1])
+	if s := sent(); s.FramesSent != 1 || s.BatchesSent != 1 {
+		t.Fatalf("after flush: %+v, want the one frame written", s)
+	}
+	arrives(2)
+
+	l.send(rt.nodes[1], writer, msg, true)
+	l.send(rt.nodes[1], reader, msg, true)
+	l.flush(rt.nodes[1])
+	if s := sent(); s.FramesSent != 3 || s.BatchesSent != 2 {
+		t.Fatalf("replies to two clients: %+v, want both frames in one more write", s)
+	}
+	arrives(writer)
+	arrives(reader)
+
+	raw := func(addr string, frames ...[]byte) {
+		conn := dialRaw(t, addr)
+		for _, frame := range frames {
+			if _, err := conn.Write(transport.AppendFrame(nil, frame)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	eventually(t, "three undecodable frames counted", func() bool { d, _ := l.loss(); return d == 3 })
-	if n := len(rt.nodes[2].mb); n != 0 {
-		t.Fatalf("%d undecodable frames reached the mailbox", n)
+	raw(l.addrs[2],
+		[]byte{},                 // no sender id
+		[]byte{0x01},             // sender 1, no destination id
+		[]byte{0x01, 0x03, 0x11}, // to server 3, on server 2's endpoint
+		[]byte{0x01, 0x09, 0x11}, // to node 9, which does not exist
+		[]byte{0x01, 0x02, 0xee}, // to server 2, unregistered type id
+		[]byte{0x01, 0x02, 0x11}, // to server 2, queryAck with a truncated body
+	)
+	raw(l.addrs[writer], []byte{0x01, 0x02, 0x11}) // to a server, on the clients' endpoint
+	eventually(t, "seven bad frames counted", func() bool { d, _ := l.loss(); return d == 7 })
+	for id, ns := range rt.nodes {
+		if n := len(ns.mb); n != 0 {
+			t.Fatalf("%d bad frames reached node %d's mailbox", n, id)
+		}
 	}
 }
 
@@ -301,11 +341,77 @@ func TestTCPLinkLossCountedOnce(t *testing.T) {
 	}
 }
 
+// TestClientCrashOnSharedEndpoint crashes one client of a running net
+// deployment and recovers it. The clients share one endpoint, so the crash
+// only detaches the client: a frame addressed to it while it is down still
+// arrives and counts in TransportDropped, its sibling clients keep
+// completing operations over the same endpoint, and once recovered it
+// receives again. The victim is a reader with no checkpoint, which recovers
+// as a pristine automaton.
+func TestClientCrashOnSharedEndpoint(t *testing.T) {
+	cl, err := abd.Deploy(abd.Options{Servers: 3, F: 1, Writers: 1, Readers: 2, MultiWriter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := newRuntime(cl, nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, victim, sibling := cl.Writers[0], cl.Readers[0], cl.Readers[1]
+	rt.nodes[victim].init = rt.nodes[victim].node.Clone()
+	rt.start()
+	t.Cleanup(rt.stop)
+	l := rt.link.(*tcpLink)
+
+	ops := 0
+	run := func(client ioa.NodeID, kind ioa.OpKind) {
+		t.Helper()
+		ops++
+		inv := ioa.Invocation{Kind: kind}
+		if kind == ioa.OpWrite {
+			inv.Value = register.MakeValue(16, uint64(ops))
+		}
+		if _, started, ok := rt.invokeAsync(client, inv).wait(context.Background(), 5*time.Second); !ok {
+			t.Fatalf("op %d at client %d did not complete (started=%t)", ops, client, started)
+		}
+	}
+	run(writer, ioa.OpWrite)
+	run(victim, ioa.OpRead)
+
+	rt.crashNode(victim)
+	l.mu.RLock()
+	shared := l.clients
+	l.mu.RUnlock()
+	lost := rt.faultStats().TransportDropped
+	codec, ok := wire.CodecFor(0x11) // abd.queryAck
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	l.send(rt.nodes[cl.Servers[0]], victim, codec.Sample(1), false)
+	eventually(t, "the frame for the crashed client counted lost", func() bool {
+		return rt.faultStats().TransportDropped > lost && l.detached.Load() > 0
+	})
+	for i := 0; i < 4; i++ {
+		run(writer, ioa.OpWrite)
+		run(sibling, ioa.OpRead)
+	}
+
+	rt.recoverNode(victim)
+	run(victim, ioa.OpRead)
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if l.clients != shared || l.eps[victim] != shared || l.eps[sibling] != shared {
+		t.Fatal("the client crash replaced or left the shared endpoint")
+	}
+}
+
 // TestTCPLinkTelemetryAcrossRecovery pins the transport series across a
-// crash: node 1 sends n frames, crashes, recovers on a fresh endpoint whose
-// own counters restart at zero, and sends m < n more. Its frames-sent series
-// must read n+m — the retired endpoint's total plus the live one's — not
-// stall at n until the new endpoint passes it.
+// crash: server 1's loop sends n frames in one drain batch, crashes,
+// recovers on a fresh endpoint whose own counters restart at zero, and sends
+// m < n more in the next. Its series must read n+m frames in 2 writes — the
+// retired endpoint's totals plus the live one's — not stall at n until the
+// new endpoint passes it. The clients' shared endpoint has one series of its
+// own, so no client reports the writes of another.
 func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	const n, m = 5, 3
 	rt, l := idleTCP(t)
@@ -313,20 +419,23 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	shard, node := telemetry.L("shard", "0"), telemetry.L("node", "1")
 	sample := l.sampler(reg, shard)
 	sent := reg.Counter(telemetry.MetricTransportFramesSent, "", shard, node)
+	writes := reg.Counter(telemetry.MetricTransportBatchesSent, "", shard, node)
+	clientsRecv := reg.Counter(telemetry.MetricTransportFramesRecv, "", shard, telemetry.L("node", clientsOwner))
 
 	codec, ok := wire.CodecFor(0x11) // abd.queryAck
 	if !ok {
 		t.Fatal("abd wire types not registered")
 	}
-	sendN := func(k int) {
+	batch := func(k int) {
 		for i := 0; i < k; i++ {
 			l.send(rt.nodes[1], 2, codec.Sample(uint64(i)), true)
 		}
+		l.flush(rt.nodes[1])
 	}
-	sendN(n)
+	batch(n)
 	sample()
-	if got := sent.Value(); got != n {
-		t.Fatalf("frames sent before the crash = %d, want %d", got, n)
+	if got, w := sent.Value(), writes.Value(); got != n || w != 1 {
+		t.Fatalf("before the crash: %d frames in %d writes, want %d in 1", got, w, n)
 	}
 	rt.nodes[1].down.Store(true)
 	l.down(rt.nodes[1])
@@ -335,16 +444,22 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.nodes[1].down.Store(false)
-	sendN(m)
+	batch(m)
 	sample()
-	if got := sent.Value(); got != n+m {
-		t.Fatalf("frames sent after recovery = %d, want %d", got, n+m)
+	if got, w := sent.Value(), writes.Value(); got != n+m || w != 2 {
+		t.Fatalf("after recovery: %d frames in %d writes, want %d in 2", got, w, n+m)
 	}
+
+	l.send(rt.nodes[1], ioa.NodeID(cluster.WriterBase), codec.Sample(0), true)
+	l.send(rt.nodes[1], ioa.NodeID(cluster.ReaderBase), codec.Sample(1), true)
+	l.flush(rt.nodes[1])
+	eventually(t, "both client frames counted once", func() bool { sample(); return clientsRecv.Value() == 2 })
 }
 
 // TestServersNeverDialClients pins the one-connection-per-pair shape of a
-// fault-free net run: clients dial servers and every reply rides back on the
-// client's own connection, so no client's listener ever accepts one. It is
+// fault-free net run: the clients' shared endpoint dials servers and every
+// reply rides back on that connection, so the clients' listener never
+// accepts one. It is
 // read off the kernel's socket table, where a socket other than the
 // listener whose local port is a node's listen port is a connection that
 // node accepted.
@@ -366,20 +481,7 @@ func TestServersNeverDialClients(t *testing.T) {
 	}
 
 	accepted := socketsByLocalPort(t)
-	l := in.rt.link.(*tcpLink)
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	port := func(id ioa.NodeID) uint64 {
-		_, p, err := net.SplitHostPort(l.addrs[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := strconv.ParseUint(p, 10, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
+	port := listenPorts(t, in.rt.link.(*tcpLink))
 	for _, id := range cl.Servers {
 		if accepted[port(id)] == 0 {
 			t.Fatalf("server %d shows no accepted connection: the socket table was misread", id)
@@ -389,6 +491,66 @@ func TestServersNeverDialClients(t *testing.T) {
 		if n := accepted[port(id)]; n != 0 {
 			t.Fatalf("client %d accepted %d connections: a server dialed it", id, n)
 		}
+	}
+}
+
+// TestNetConnectionsDoNotGrowWithClients pins the endpoint layout: the
+// clients of a net deployment share one endpoint, so a fault-free run of 5
+// servers and 4 clients holds exactly 5 connections — one per server, each
+// dialed by the shared endpoint and accepted by the server — however many
+// clients talk over them.
+func TestNetConnectionsDoNotGrowWithClients(t *testing.T) {
+	cl, err := abd.Deploy(abd.Options{Servers: 5, F: 1, Writers: 2, Readers: 2, MultiWriter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := OpenInteractive(BackendNet, cl, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	ctx := context.Background()
+	for i, w := range cl.Writers {
+		if _, pending, err := in.RunOp(ctx, w, ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(16, uint64(i))}); err != nil || pending {
+			t.Fatalf("write at %d: pending=%t err=%v", w, pending, err)
+		}
+	}
+	for _, r := range cl.Readers {
+		if _, pending, err := in.RunOp(ctx, r, ioa.Invocation{Kind: ioa.OpRead}); err != nil || pending {
+			t.Fatalf("read at %d: pending=%t err=%v", r, pending, err)
+		}
+	}
+
+	accepted := socketsByLocalPort(t)
+	port := listenPorts(t, in.rt.link.(*tcpLink))
+	conns := 0
+	for id := range in.rt.nodes {
+		if !in.rt.nodes[id].client || id == cl.Writers[0] { // the clients' port once
+			conns += accepted[port(id)]
+		}
+	}
+	if conns != len(cl.Servers) {
+		t.Fatalf("%d connections for %d servers and %d clients, want one per server", conns, len(cl.Servers), len(cl.Writers)+len(cl.Readers))
+	}
+}
+
+// listenPorts returns a node's listen port, read off the link's address
+// table.
+func listenPorts(t *testing.T, l *tcpLink) func(ioa.NodeID) uint64 {
+	return func(id ioa.NodeID) uint64 {
+		t.Helper()
+		l.mu.RLock()
+		addr := l.addrs[id]
+		l.mu.RUnlock()
+		_, p, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.ParseUint(p, 10, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
 }
 

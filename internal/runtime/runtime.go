@@ -2,13 +2,14 @@
 // runtime: every node automaton runs on its own goroutine with a bounded
 // mailbox, wall-clock time replaces the simulator's discrete steps, and the
 // messages travel over one of two links chosen by backend name — in-process
-// channels ("live") or one TCP endpoint per node ("net"). The node automata
-// are exactly the ones `internal/abd`, `internal/cas` and `internal/coded`
-// deploy — the cluster is only the registry; this package clones the
-// automata out of it and drives them itself, so the same deployment runs
-// unchanged on every backend. Which channel carries a message is a parameter
-// of the system, not of the algorithm (the paper's Section 2 model), so
-// everything but the link is one code path.
+// channels ("live") or loopback TCP ("net": one endpoint per server, one
+// shared by all clients). The node automata are exactly the ones
+// `internal/abd`, `internal/cas` and `internal/coded` deploy — the cluster
+// is only the registry; this package clones the automata out of it and
+// drives them itself, so the same deployment runs unchanged on every
+// backend. Which channel carries a message is a parameter of the system, not
+// of the algorithm (the paper's Section 2 model), so everything but the link
+// is one code path.
 //
 // The contract with the simulator backend (DESIGN.md section 8):
 //
@@ -71,7 +72,7 @@ import (
 // Backend names: each selects the link a runtime sends through.
 const (
 	BackendLive = "live" // in-process channels (chanLink)
-	BackendNet  = "net"  // one loopback TCP endpoint per node (tcpLink)
+	BackendNet  = "net"  // loopback TCP, one endpoint per server and one for all clients (tcpLink)
 )
 
 // Config tunes the runtime. The zero value selects the defaults.
@@ -119,15 +120,16 @@ type Config struct {
 	SyncOps int
 	// Telemetry, when it carries a registry, streams run metrics into it:
 	// per-node storage-bit gauges sampled on a ticker next to the paper's
-	// Theorem 4.1/5.1 bounds, the link's own counters (per-node transport
+	// Theorem 4.1/5.1 bounds, the link's own counters (per-endpoint transport
 	// counters on the TCP link), op counters/latency histograms from the
 	// batch drivers, online-checker lag gauges, and sampled op-lifecycle
 	// spans. nil (the default) records nothing and costs nothing on the hot
 	// path.
 	Telemetry *telemetry.RunTelemetry
-	// ListenAddr is the address every node endpoint listens on (default
-	// "127.0.0.1:0": one ephemeral loopback port per node). A fixed port in
-	// the spec would collide across nodes, so the port part should stay 0.
+	// ListenAddr is the address every endpoint listens on (default
+	// "127.0.0.1:0": one ephemeral loopback port per server, and one for the
+	// clients). A fixed port in the spec would collide across endpoints, so
+	// the port part should stay 0.
 	// Read by the TCP link only.
 	ListenAddr string
 }
@@ -189,9 +191,12 @@ type link interface {
 	down(ns *nodeState)
 	// send carries one gated message. inLoop reports that the caller is
 	// from's own loop goroutine (so the link may consume from's mailbox
-	// while it waits); a delayed or held message arrives on a timer
-	// goroutine with inLoop false.
+	// while it waits, or hold the message until flush); a delayed or held
+	// message arrives on a timer goroutine with inLoop false.
 	send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool)
+	// flush ends one drain batch of ns's loop, on that loop: whatever the
+	// link held of the batch's sends leaves now.
+	flush(ns *nodeState)
 	// loss reports the messages the link accepted and then lost, and the
 	// ones it had to re-enqueue onto a fresh connection.
 	loss() (dropped, requeued int)
@@ -255,6 +260,7 @@ type nodeState struct {
 	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil in interactive sessions
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
 	deferred    []event        // events the chan link siphoned off mb while blocked on a peer's full mailbox
+	held        []heldGroup    // frames the tcp link holds until the loop's drain batch ends
 
 	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
 	metered          bool             // set once at construction: the automaton type reports storage
@@ -442,12 +448,15 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // loop is one node goroutine — one incarnation of the node: it handles its
 // first event, then drains up to drainBatch more without going back to the
 // scheduler — under load a node wakes once per burst instead of once per
-// message. Events the chan link siphoned off the node's own mailbox while it
-// was blocked sending are handled first: they arrived before anything still
-// queued, so per-link FIFO holds. A checkpointing node additionally
-// snapshots its durable state on a ticker — on its own goroutine, so
-// Snapshot never races Deliver/Invoke — with one initial checkpoint before
-// any event, so a crash at any point has an image to recover from.
+// message — and then flushes the link, so the batch's sends leave together
+// (on the tcp link, one socket write per destination endpoint); no send is
+// held past drainBatch+1 events. Events the chan link siphoned off the
+// node's own mailbox while it was blocked sending are handled first, one per
+// flush: they arrived before anything still queued, so per-link FIFO holds.
+// A checkpointing node additionally snapshots its durable state on a ticker
+// — on its own goroutine, so Snapshot never races Deliver/Invoke — with one
+// initial checkpoint before any event, so a crash at any point has an image
+// to recover from.
 func (rt *runtime) loop(ns *nodeState) {
 	crashed, exited := ns.crashCh, ns.loopDone
 	defer close(exited)
@@ -472,6 +481,7 @@ func (rt *runtime) loop(ns *nodeState) {
 			ns.deferred[0] = event{} // the backing array must not pin the handled message
 			ns.deferred = ns.deferred[1:]
 			rt.handle(ns, ev)
+			rt.link.flush(ns)
 			continue
 		}
 		select {
@@ -491,6 +501,7 @@ func (rt *runtime) loop(ns *nodeState) {
 					i = drainBatch
 				}
 			}
+			rt.link.flush(ns)
 		}
 	}
 }
@@ -511,13 +522,15 @@ func (rt *runtime) checkpoint(ns *nodeState) {
 
 // crashNode stops a node mid-run: runs on the WallClock's event goroutine.
 // The incarnation's loop is signalled and joined, the node is detached from
-// the link (on TCP its endpoint closes and peers' in-flight frames die as
-// real network loss, counted by their senders), then its volatile state —
-// everything but the checkpoint — is discarded: queued mailbox events,
-// siphoned events, not-yet-started invocations (abandoned, so their drivers
-// see "never happened"). An operation the automaton held mid-protocol stays
-// pending in the history forever, which is exactly what the consistency
-// checkers' completion semantics expect of an op lost to a crash.
+// the link (on TCP a server's endpoint closes and peers' in-flight frames
+// die as real network loss, counted by their senders; a client leaves the
+// shared endpoint up, and frames arriving for it are counted lost), then its
+// volatile state — everything but the checkpoint — is discarded: queued
+// mailbox events, siphoned events, not-yet-started invocations (abandoned,
+// so their drivers see "never happened"). An operation the automaton held
+// mid-protocol stays pending in the history forever, which is exactly what
+// the consistency checkers' completion semantics expect of an op lost to a
+// crash.
 func (rt *runtime) crashNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || ns.down.Load() {
@@ -563,7 +576,8 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 // incarnation is a pristine clone of the deployed automaton with the
 // checkpoint restored onto it — volatile state since the checkpoint is lost,
 // the durable state provably survives — re-attached to the link (on TCP a
-// fresh endpoint peers redial on their next send).
+// server gets a fresh endpoint peers redial on their next send, a client
+// rejoins the shared one).
 func (rt *runtime) recoverNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || !ns.down.Load() || ns.init == nil {

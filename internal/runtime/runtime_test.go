@@ -18,7 +18,7 @@ import (
 
 // links is the table every behavioural test in this package runs over: one
 // suite, two links. "chan" is the in-process channel link behind the live
-// backend, "tcp" the one-endpoint-per-node link behind the net backend.
+// backend, "tcp" the loopback-socket link behind the net backend.
 var links = []struct{ name, backend string }{
 	{"chan", runtime.BackendLive},
 	{"tcp", runtime.BackendNet},

@@ -19,10 +19,12 @@ import (
 // goroutine count sampled during the run must stay linear in nodes, drivers
 // and connections.
 //
-// chan runs 2000 clients on mailboxes of 16. tcp is capped at 128 clients
-// with mailboxes of 8: every node there owns a real TCP endpoint and each
-// link a socket pair, so file descriptors — not goroutines — bound the
-// deployment; it must additionally lose no frame.
+// chan runs 2000 clients on mailboxes of 16. tcp runs 128 clients with
+// mailboxes of 8: the clients share one TCP endpoint, so the deployment holds
+// one connection per server and file descriptors no longer grow with
+// clients. It must additionally lose no frame — the guard against a
+// transport reader blocked on one client's full mailbox stalling its
+// siblings' replies on the shared connection past the drop deadline.
 //
 // No CheckAtomic here: this test pins scale and ordering, and atomicity of
 // the same algorithm is covered by TestRunChecksConsistency.
@@ -36,9 +38,9 @@ func TestPipelinedManyClients(t *testing.T) {
 		// budget is the goroutine allowance above the baseline: one loop per
 		// node and one driver per client, plus — on tcp — an accept loop per
 		// endpoint and, per connection, a reader at each end; senders write
-		// their own frames, so no connection has a writer goroutine (every
-		// client dials 5 servers, whose replies ride back on the same
-		// connection: 2*clients*5 connections, two readers each).
+		// their own frames, so no connection has a writer goroutine (the
+		// clients' shared endpoint dials the 5 servers, whose replies ride
+		// back on the same connection: 6 endpoints, 5 connections).
 		budget func(nodes, clients int) int
 		noLoss bool
 	}{
@@ -50,7 +52,7 @@ func TestPipelinedManyClients(t *testing.T) {
 		runtime.BackendNet: {
 			clients: 64,
 			cfg:     runtime.Config{Mailbox: 8, Pipeline: 4, OpTimeout: 60 * time.Second},
-			budget:  func(nodes, clients int) int { return 2*nodes + 2*clients + 2*2*clients*5 },
+			budget:  func(nodes, clients int) int { return nodes + 2*clients + 6 + 2*5 },
 			noLoss:  true,
 		},
 	}

@@ -13,39 +13,51 @@ import (
 	"repro/internal/wire"
 )
 
-// tcpLink carries messages over real sockets: every attached node owns a TCP
-// endpoint (internal/transport), messages cross as compact binary frames
-// (sender id + internal/wire encoding), and faults become physical events —
-// a crashed node's endpoint closes, so peers' in-flight frames die as real
-// network loss, and a recovered node listens on a FRESH endpoint peers
-// redial on their next send. Two nodes share one connection both ways,
-// opened by whichever sent first — in a fault-free run a client, since
-// servers only answer — so a server's replies ride the client's own socket
+// tcpLink carries messages over real sockets: every server owns a TCP
+// endpoint (internal/transport) and all client nodes share one, messages
+// cross as compact binary frames (sender id, destination id, then the
+// internal/wire encoding), and faults become physical events — a crashed
+// server's endpoint closes, so peers' in-flight frames die as real network
+// loss, and a recovered server listens on a FRESH endpoint peers redial on
+// their next send. A crashed client only detaches: its siblings keep the
+// shared endpoint, and frames that arrive for it while it is down are
+// counted loss. Two endpoints share one connection both ways, opened by
+// whichever sent first — in a fault-free run the clients' endpoint, since
+// servers only answer — so a server's replies ride the clients' own socket
 // and no server dials a client. A transport reader blocked on a full mailbox
 // stops reading its socket, so backpressure propagates peer-to-peer through
-// TCP's own flow control, in that connection's one direction; node loops
-// never block on a peer's mailbox here (their sends go to sockets, whose
-// kernel buffers break sender/receiver cycles long before the drop deadline
-// does), so nothing is ever siphoned.
-// A node loop's send writes the frame to the socket itself, one write per
-// frame, unless another sender on the same connection is already writing:
-// then the frame leaves in that sender's next write, back to back with
-// whatever else queued behind it.
+// TCP's own flow control, in that connection's one direction (on the shared
+// connection it holds back the replies to every client behind the full
+// one); node loops never block on a peer's mailbox here (their sends go to
+// sockets, whose kernel buffers break sender/receiver cycles long before the
+// drop deadline does), so nothing is ever siphoned.
+//
+// A node loop's sends are held, grouped by destination endpoint, until its
+// drain batch ends; flush then hands each group to the transport as one
+// Send, which appends it whole and writes it in one socket write (with
+// whatever else is pending on that connection). So a server that answered
+// four clients in one batch answers them in one write. Sends from timer
+// goroutines (delay and outage holds) go out at once.
 type tcpLink struct {
 	rt *runtime
 
-	// mu guards everything below it: recovery replaces a node's endpoint and
-	// address. A node is in eps exactly while attached, so an endpoint's
-	// counters are read from one place at a time — live while attached, in
-	// retired once down has folded them.
+	// mu guards everything below it: recovery replaces a server's endpoint
+	// and address. A node is in eps exactly while attached, so a server
+	// endpoint's counters are read from one place at a time — live while
+	// attached, in retired once down has folded them.
 	mu      sync.RWMutex
-	eps     map[ioa.NodeID]*transport.Endpoint
-	addrs   map[ioa.NodeID]string          // dialable address per node; a down node keeps its dead one
-	retired map[ioa.NodeID]transport.Stats // final counters of the node's endpoints a crash closed, summed
+	eps     map[ioa.NodeID]*transport.Endpoint // the endpoint an attached node sends from: a server's own, or clients
+	addrs   map[ioa.NodeID]string              // dialable address per node; a down server keeps its dead one
+	retired map[ioa.NodeID]transport.Stats     // final counters of the server's endpoints a crash closed, summed
+	clients *transport.Endpoint                // shared by every client node, opened at the first one's up; only close closes it
 
-	badFrames atomic.Int64 // undecodable inbound frames, dropped
+	badFrames atomic.Int64 // undecodable or misrouted inbound frames, dropped
+	detached  atomic.Int64 // inbound frames for a node that was down when they arrived
 	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints
 }
+
+// clientsOwner labels the shared client endpoint's telemetry series.
+const clientsOwner = "clients"
 
 func newTCPLink(rt *runtime) *tcpLink {
 	return &tcpLink{
@@ -56,28 +68,44 @@ func newTCPLink(rt *runtime) *tcpLink {
 	}
 }
 
-// up opens a listening endpoint for the node and re-points its address, so
-// peers redial the new address on their next send while anything aimed at a
-// dead socket is counted loss. The endpoint runs on the transport's defaults
-// (2s dial timeout, 256 pending frames per connection, 1s send timeout).
+// up attaches a node. A server gets a fresh listening endpoint and its
+// address is re-pointed, so peers redial the new address on their next send
+// while anything aimed at a dead socket is counted loss; a client attaches
+// to the shared endpoint, opened by the first client up. Endpoints run on
+// the transport's defaults (2s dial timeout, 256 pending frames per
+// connection, 1s send timeout).
 func (l *tcpLink) up(ns *nodeState) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if ns.client && l.clients != nil {
+		l.eps[ns.id], l.addrs[ns.id] = l.clients, l.clients.Addr()
+		return nil
+	}
 	ep, err := transport.Listen(l.rt.cfg.ListenAddr, transport.Config{})
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	l.eps[ns.id] = ep
-	l.addrs[ns.id] = ep.Addr()
-	l.mu.Unlock()
-	ep.Serve(func(frame []byte) { l.inbound(ns, frame) })
+	owner := ns // a server's endpoint serves that server alone
+	if ns.client {
+		l.clients, owner = ep, nil
+	}
+	l.eps[ns.id], l.addrs[ns.id] = ep, ep.Addr()
+	ep.Serve(func(frame []byte) { l.inbound(owner, frame) })
 	return nil
 }
 
-// down closes the node's endpoint and detaches it, folding the endpoint's
-// final counters into the node's retired totals, so neither loss nor the
-// telemetry series ever lose them — and, the endpoint being gone from eps,
-// never count them twice.
+// down detaches a crashed node. A client's shared endpoint stays up for its
+// siblings; inbound counts frames for the client as loss until it is back. A
+// server's endpoint closes, and its final counters fold into the server's
+// retired totals, so neither loss nor the telemetry series ever lose them —
+// and, the endpoint being gone from eps, never count them twice.
 func (l *tcpLink) down(ns *nodeState) {
+	if ns.client {
+		l.mu.Lock()
+		delete(l.eps, ns.id)
+		l.mu.Unlock()
+		return
+	}
 	l.mu.RLock()
 	ep := l.eps[ns.id]
 	l.mu.RUnlock()
@@ -90,15 +118,23 @@ func (l *tcpLink) down(ns *nodeState) {
 	l.retired[ns.id] = sumStats(l.retired[ns.id], ep.Stats())
 }
 
-// totals returns the node's transport counters over every endpoint it has
-// owned: the retired ones' final totals plus the live one's. Called with mu
-// held.
-func (l *tcpLink) totals(id ioa.NodeID) transport.Stats {
-	s := l.retired[id]
-	if ep := l.eps[id]; ep != nil {
-		s = sumStats(s, ep.Stats())
+// endpoints calls f once per endpoint the link has owned, with its counters:
+// each server under its id, summed over the endpoints its crashes retired,
+// and the clients' shared one under clientsOwner. Called with mu held.
+func (l *tcpLink) endpoints(f func(owner string, s transport.Stats)) {
+	for id, ns := range l.rt.nodes {
+		if ns.client {
+			continue
+		}
+		s := l.retired[id]
+		if ep := l.eps[id]; ep != nil {
+			s = sumStats(s, ep.Stats())
+		}
+		f(strconv.Itoa(int(id)), s)
 	}
-	return s
+	if l.clients != nil {
+		f(clientsOwner, l.clients.Stats())
+	}
 }
 
 func sumStats(a, b transport.Stats) transport.Stats {
@@ -119,20 +155,29 @@ func (l *tcpLink) close() {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	for _, ep := range l.eps {
-		ep.Close()
+		ep.Close() // idempotent: the clients' endpoint is in eps once per attached client
+	}
+	if l.clients != nil {
+		l.clients.Close()
 	}
 }
 
-// send frames the message and hands it to the sender's endpoint, which
-// writes it on its one connection to the target. A Send error (failed dial,
-// closed endpoint) is real-network silence — the endpoint redials on the
-// next send and protocol timeouts own recovery — but it
-// is counted, so lossy-run reports do not understate loss. The endpoint and
-// address are snapshotted under mu (recovery replaces both); the Send itself
-// runs outside the lock, since it can block for the transport's full send
-// timeout.
-func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, _ bool) {
+// heldGroup is the frames a node loop sent to one destination address in the
+// current drain batch, in send order. A loop's groups (nodeState.held) are
+// in first-send order, and their backing arrays are reused batch after
+// batch.
+type heldGroup struct {
+	addr   string
+	frames [][]byte
+}
+
+// send frames the message — sender id, destination id, wire encoding — and
+// hands it to the sender's endpoint. A loop's send (inLoop) is held until
+// the loop calls flush; a timer goroutine's goes out at once. The address is
+// snapshotted under mu (recovery replaces it).
+func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
 	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
+	frame = binary.AppendUvarint(frame, uint64(to))
 	frame, err := wire.Append(frame, msg)
 	if err != nil {
 		// An unregistered message type cannot cross the network; surfacing
@@ -143,21 +188,81 @@ func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, _ bool) 
 	l.mu.RLock()
 	ep, addr := l.eps[from.id], l.addrs[to]
 	l.mu.RUnlock()
-	if ep == nil || ep.Send(addr, frame) != nil {
-		l.sendErrs.Add(1)
+	if !inLoop {
+		l.sendGroup(ep, addr, frame)
+		return
+	}
+	for i := range from.held {
+		if g := &from.held[i]; g.addr == addr {
+			g.frames = append(g.frames, frame)
+			return
+		}
+	}
+	if n := len(from.held); n < cap(from.held) {
+		from.held = from.held[:n+1] // reuse the slot and its frames array
+	} else {
+		from.held = append(from.held, heldGroup{})
+	}
+	g := &from.held[len(from.held)-1]
+	g.addr, g.frames = addr, append(g.frames, frame)
+}
+
+// flush ends the node loop's drain batch: each destination's held frames go
+// to the transport as one group, in the order they were sent.
+func (l *tcpLink) flush(ns *nodeState) {
+	if len(ns.held) == 0 {
+		return
+	}
+	l.mu.RLock()
+	ep := l.eps[ns.id]
+	l.mu.RUnlock()
+	for i := range ns.held {
+		g := &ns.held[i]
+		l.sendGroup(ep, g.addr, g.frames...)
+		clear(g.frames) // the reused slot must not pin sent frames
+		g.frames = g.frames[:0]
+	}
+	ns.held = ns.held[:0]
+}
+
+// sendGroup hands frames to ep for addr. A Send error (failed dial, closed
+// endpoint) is real-network silence — the endpoint redials on the next send
+// and protocol timeouts own recovery — but it is counted, so lossy-run
+// reports do not understate loss. The Send runs outside mu, since it can
+// block for the transport's full send timeout.
+func (l *tcpLink) sendGroup(ep *transport.Endpoint, addr string, frames ...[]byte) {
+	if ep == nil || ep.Send(addr, frames...) != nil {
+		l.sendErrs.Add(int64(len(frames)))
 	}
 }
 
-// inbound decodes one frame off a node's socket and posts it to the node's
-// mailbox. Undecodable frames are counted and dropped — on a real network a
-// corrupt datagram is silence, and protocol timeouts own recovery.
-func (l *tcpLink) inbound(ns *nodeState, frame []byte) {
+// inbound decodes one frame off an endpoint and posts it to the mailbox of
+// the node it names. owner is the server that owns the endpoint, or nil on
+// the clients' shared one; a frame naming a node that endpoint does not
+// serve is misrouted. Undecodable and misrouted frames are counted and
+// dropped — on a real network a corrupt datagram is silence, and protocol
+// timeouts own recovery — and so is a frame for a node that is down.
+func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 	from, n := binary.Uvarint(frame)
 	if n <= 0 {
 		l.badFrames.Add(1)
 		return
 	}
-	msg, err := wire.Decode(frame[n:])
+	to, m := binary.Uvarint(frame[n:])
+	if m <= 0 {
+		l.badFrames.Add(1)
+		return
+	}
+	ns := l.rt.nodes[ioa.NodeID(to)]
+	if ns == nil || (owner != nil && ns != owner) || (owner == nil && !ns.client) {
+		l.badFrames.Add(1)
+		return
+	}
+	if ns.down.Load() {
+		l.detached.Add(1)
+		return
+	}
+	msg, err := wire.Decode(frame[n+m:])
 	if err != nil {
 		l.badFrames.Add(1)
 		return
@@ -168,19 +273,18 @@ func (l *tcpLink) inbound(ns *nodeState, frame []byte) {
 func (l *tcpLink) loss() (dropped, requeued int) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	dropped = int(l.sendErrs.Load() + l.badFrames.Load())
-	for id := range l.rt.nodes {
-		s := l.totals(id)
+	dropped = int(l.sendErrs.Load() + l.badFrames.Load() + l.detached.Load())
+	l.endpoints(func(_ string, s transport.Stats) {
 		dropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
 		requeued += int(s.Requeued)
-	}
+	})
 	return dropped, requeued
 }
 
-// nodeTransport is the per-node counter set the sampler lifts a node's
-// transport totals into. The totals span every endpoint the node has owned,
+// endpointTransport is the counter set the sampler lifts one endpoint's
+// transport totals into. A server's totals span every endpoint it has owned,
 // so they never move backward across a crash; Raise mirrors them.
-type nodeTransport struct {
+type endpointTransport struct {
 	framesSent, framesRecv   telemetry.Counter
 	batchesSent              telemetry.Counter
 	bytesSent, bytesRecv     telemetry.Counter
@@ -188,7 +292,7 @@ type nodeTransport struct {
 	requeued, malformed      telemetry.Counter
 }
 
-func (t *nodeTransport) lift(s transport.Stats) {
+func (t *endpointTransport) lift(s transport.Stats) {
 	t.framesSent.Raise(s.FramesSent)
 	t.framesRecv.Raise(s.FramesReceived)
 	t.batchesSent.Raise(s.BatchesSent)
@@ -200,13 +304,16 @@ func (t *nodeTransport) lift(s transport.Stats) {
 	t.malformed.Raise(s.Malformed)
 }
 
-// sampler registers one transport counter set per node (servers and clients
-// both own an endpoint) and returns the lift from transport.Endpoint.Stats.
+// sampler registers one transport counter set per endpoint — each server's
+// under node=<id>, the clients' shared one under node="clients", so no
+// endpoint is counted twice — and returns the lift from
+// transport.Endpoint.Stats.
 func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
-	nt := make(map[ioa.NodeID]*nodeTransport, len(l.rt.nodes))
-	for id := range l.rt.nodes {
-		nl := telemetry.L("node", strconv.Itoa(int(id)))
-		t := &nodeTransport{
+	sets := make(map[string]*endpointTransport)
+	l.mu.RLock()
+	l.endpoints(func(owner string, _ transport.Stats) {
+		nl := telemetry.L("node", owner)
+		sets[owner] = &endpointTransport{
 			framesSent:  reg.Counter(telemetry.MetricTransportFramesSent, "frames written to peer sockets", sl, nl),
 			framesRecv:  reg.Counter(telemetry.MetricTransportFramesRecv, "frames received and handed to the node", sl, nl),
 			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "socket writes carrying frames (frames/batches = coalescing factor)", sl, nl),
@@ -217,13 +324,11 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
 			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound streams refused at a length over MaxFrame", sl, nl),
 		}
-		nt[id] = t
-	}
+	})
+	l.mu.RUnlock()
 	return func() {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		for id, t := range nt {
-			t.lift(l.totals(id))
-		}
+		l.endpoints(func(owner string, s transport.Stats) { sets[owner].lift(s) })
 	}
 }

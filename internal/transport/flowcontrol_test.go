@@ -72,6 +72,86 @@ func TestBatchedDeliveryPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestSendGroup pins a Send of several frames: the group arrives whole and
+// in its order; a group of up to 64 frames (the flush cap) leaves in one
+// socket write; and a group larger than Outbox, to a peer that never reads,
+// blocks at least SendTimeout and then counts each of its frames dropped
+// exactly once.
+func TestSendGroup(t *testing.T) {
+	numbered := func(from, n int) [][]byte {
+		frames := make([][]byte, n)
+		for i := range frames {
+			frames[i] = binary.AppendUvarint(nil, uint64(from+i))
+		}
+		return frames
+	}
+
+	t.Run("order and one write", func(t *testing.T) {
+		a, err := Listen("127.0.0.1:0", Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := Listen("127.0.0.1:0", Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		var mu sync.Mutex
+		var got []uint64
+		b.Serve(func(frame []byte) {
+			v, _ := binary.Uvarint(frame)
+			mu.Lock()
+			got = append(got, v)
+			mu.Unlock()
+		})
+
+		if err := a.Send(b.Addr(), numbered(0, maxFlushFrames)...); err != nil {
+			t.Fatal(err)
+		}
+		if s := a.Stats(); s.FramesSent != maxFlushFrames || s.BatchesSent != 1 {
+			t.Fatalf("a group of %d: %d frames in %d writes, want one write", maxFlushFrames, s.FramesSent, s.BatchesSent)
+		}
+		const more = 200
+		if err := a.Send(b.Addr(), numbered(maxFlushFrames, more)...); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) == maxFlushFrames+more
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		for i, v := range got {
+			if v != uint64(i) {
+				t.Fatalf("frame %d arrived with sequence %d; the group's order broke", i, v)
+			}
+		}
+	})
+
+	t.Run("larger than Outbox", func(t *testing.T) {
+		const outbox, timeout, n = 4, 20 * time.Millisecond, 10
+		a, err := Listen("127.0.0.1:0", Config{Outbox: outbox, SendTimeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		_, peer := pipePeer(a, "peer")
+		defer peer.Close()
+		start := time.Now()
+		if err := a.Send("peer", numbered(0, n)...); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took < timeout {
+			t.Fatalf("a group past Outbox to a peer that never reads returned after %v, before SendTimeout %v", took, timeout)
+		}
+		if s := a.Stats(); s.DroppedFull+s.DroppedDead != n || s.FramesSent+s.Requeued != 0 {
+			t.Fatalf("%+v: want each of the %d frames dropped exactly once", s, n)
+		}
+	})
+}
+
 // TestConcurrentSendersCoalesce has eight goroutines share one connection.
 // While one of them writes, the others append behind it, and the next write
 // carries their frames together: every frame arrives exactly once, each
@@ -245,7 +325,7 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 // TestCloseDuringFlushIsNotLoss closes an endpoint while a flusher is
 // blocked writing to a peer that never reads, with another frame pending
 // behind it: the flusher returns, neither frame is counted as lost (Close's
-// discards are deliberate), and a later Send reports ErrClosed.
+// discards are deliberate), and a later Send reports errClosed.
 func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 	a, err := Listen("127.0.0.1:0", Config{SendTimeout: 10 * time.Second})
 	if err != nil {
@@ -278,8 +358,8 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 	if s := a.Stats(); s.DroppedFull+s.DroppedDead != 0 {
 		t.Fatalf("Close's discards counted as loss: %+v", s)
 	}
-	if err := a.Send("peer", []byte("late")); err != ErrClosed {
-		t.Fatalf("send after close = %v, want ErrClosed", err)
+	if err := a.Send("peer", []byte("late")); err != errClosed {
+		t.Fatalf("send after close = %v, want errClosed", err)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package transport is the connection layer of the real-network execution
-// backend: every node automaton owns one Endpoint — a TCP listener plus a
-// pool of connections, one per peer, each carrying frames both ways — and
-// exchanges opaque length-prefixed frames with its peers. The split mirrors
-// memberlist's transport design (a listener feeding a handler, connections
-// cached per peer address), scaled down to what the register emulations
-// need:
+// backend: an Endpoint — a TCP listener plus a pool of connections, one per
+// peer, each carrying frames both ways — exchanges opaque length-prefixed
+// frames with its peers. The runtime gives every server an endpoint of its
+// own and all of a deployment's clients one endpoint they share. The split
+// mirrors memberlist's transport design (a listener feeding a handler,
+// connections cached per peer address), scaled down to what the register
+// emulations need:
 //
 //   - Frames, not streams: on the wire a frame is a 4-byte big-endian length
 //     followed by its payload, and nothing else. MaxFrame is enforced on both
@@ -18,10 +19,11 @@
 //     peer never dials back. A pooled connection is never replaced while
 //     healthy, so frames to one peer keep one FIFO stream; if both sides
 //     dial at once, each sends on its own and reads both.
-//   - Sender-side flush: Send appends the frame to its connection's pending
-//     batch; a sender that finds no write in progress becomes the flusher and
-//     writes until nothing is pending, so frames appended meanwhile leave
-//     back to back in one socket write. There is no writer goroutine.
+//   - Sender-side flush: Send appends its frames — one, or a group in order —
+//     to its connection's pending batch; a sender that finds no write in
+//     progress becomes the flusher and writes until nothing is pending, so a
+//     group, and frames appended meanwhile, leave back to back in one socket
+//     write. There is no writer goroutine.
 //   - Buffered reads: once Serve has installed the handler, every
 //     connection, dialed or accepted, has a reader goroutine reading through
 //     a 4 KiB bufio.Reader — one read syscall per wakeup, not one per header
@@ -31,8 +33,9 @@
 //     broken connection reaches the layer above as what it is on a real
 //     network: silence, bounded by op timeouts.
 //   - Bounded sends: Outbox bounds a connection's pending frames; a sender
-//     facing a full batch blocks up to SendTimeout, then drops the frame,
-//     counted in Stats, and the flusher's write carries the same deadline.
+//     facing a full batch blocks up to SendTimeout, then drops the frames it
+//     could not append, each counted once in Stats, and the flusher's write
+//     carries the same deadline.
 //     Per-link order holds from Send to handler for every surviving frame.
 //   - Graceful shutdown: Close stops the accept loop, closes every
 //     connection, and joins every goroutine the endpoint started — no frame
@@ -75,8 +78,8 @@ const (
 	maxFlushBytes  = 64 << 10
 )
 
-// ErrClosed reports a Send on an endpoint that has been closed.
-var ErrClosed = errors.New("transport: endpoint closed")
+// errClosed reports a Send on an endpoint that has been closed.
+var errClosed = errors.New("transport: endpoint closed")
 
 // errTooLarge reports a length prefix over the reader's cap.
 var errTooLarge = errors.New("transport: frame length over its cap")
@@ -149,7 +152,7 @@ type Stats struct {
 	BytesReceived  uint64
 }
 
-// Endpoint is one node's network identity: a TCP listener, and a pool of
+// Endpoint is a network identity: a TCP listener, and a pool of
 // connections — one per peer, dialed by whichever side sent first — whose
 // inbound frames are delivered to the handler passed to Serve. Safe for
 // concurrent use.
@@ -160,6 +163,7 @@ type Endpoint struct {
 	mu      sync.Mutex
 	conns   map[string]*peerConn   // the connection frames to a peer leave on, keyed by its listen address
 	open    map[*peerConn]struct{} // every connection not yet retired by its reader, pooled or not
+	dialing map[string]*dial       // dials in progress, by address: other senders to that peer wait on it
 	handler func(frame []byte)     // installed by Serve; no reader runs before
 	closed  bool
 
@@ -194,6 +198,13 @@ type peerConn struct {
 	deadline time.Time     // the write deadline set on c
 }
 
+// dial is one connection attempt, shared by every sender to its address
+// while it runs.
+type dial struct {
+	done chan struct{} // closed when the attempt has ended
+	err  error         // why it failed; set before done closes
+}
+
 // Listen opens an endpoint on addr ("127.0.0.1:0" for an ephemeral
 // loopback port). The listener is live immediately; inbound frames are
 // buffered by the kernel until Serve installs the handler.
@@ -207,6 +218,7 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 		listener: ln,
 		conns:    make(map[string]*peerConn),
 		open:     make(map[*peerConn]struct{}),
+		dialing:  make(map[string]*dial),
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -351,79 +363,93 @@ func (e *Endpoint) closing() bool {
 	}
 }
 
-// Send hands one frame to the peer at addr, dialing (or redialing) it if no
-// healthy pooled connection exists, and writes it with whatever else is
-// pending — unless another sender is writing and will carry it. A full
-// pending batch blocks the caller up to SendTimeout and then drops the frame
-// (counted in Stats) — the frame is "lost in the network", exactly like a
-// frame on a connection that breaks mid-flight; protocol-level timeouts own
-// recovery. Send returns an error only when no connection could be
-// established or the endpoint is closed.
-func (e *Endpoint) Send(addr string, frame []byte) error {
-	if len(frame) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(frame), MaxFrame)
-	}
-	err := e.enqueue(addr, frame)
-	if err == errDead {
-		// The connection died between lookup and enqueue: one retry on a
-		// fresh connection. A second death means the peer is gone and the
-		// frame is lost like any other frame on a broken connection.
-		if err = e.enqueue(addr, frame); err == nil {
-			e.requeued.Add(1)
+// Send hands frames to the peer at addr, in order, dialing (or redialing) it
+// if no healthy pooled connection exists, and writes them with whatever else
+// is pending — unless another sender is writing and will carry them. A group
+// is appended whole and flushed once, so up to 64 frames leave in one write.
+// A full pending batch blocks the caller up to SendTimeout and then drops
+// the frames not yet appended (each counted once in Stats) — they are "lost
+// in the network", exactly like frames on a connection that breaks
+// mid-flight; protocol-level timeouts own recovery. Send returns an error
+// only when no connection could be established or the endpoint is closed.
+func (e *Endpoint) Send(addr string, frames ...[]byte) error {
+	for _, frame := range frames {
+		if len(frame) > MaxFrame {
+			return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(frame), MaxFrame)
 		}
 	}
+	n, err := e.enqueue(addr, frames)
+	if err == errDead && n == 0 {
+		// The connection died between lookup and enqueue: one retry on a
+		// fresh connection. A second death means the peer is gone and the
+		// frames are lost like any other frames on a broken connection.
+		n, err = e.enqueue(addr, frames)
+		e.requeued.Add(uint64(n))
+	}
+	lost := uint64(len(frames) - n)
 	switch err {
 	case errFull:
-		e.droppedFull.Add(1)
+		e.droppedFull.Add(lost)
 	case errDead:
-		e.droppedDead.Add(1)
+		e.droppedDead.Add(lost)
 	default:
 		return err
 	}
 	return nil
 }
 
-// enqueue appends frame to the pooled connection's pending batch, waiting
-// up to SendTimeout for room, and flushes it if no flush is in progress.
-func (e *Endpoint) enqueue(addr string, frame []byte) error {
+// enqueue appends frames to the pooled connection's pending batch in order,
+// waiting up to SendTimeout in all for room, and flushes it if no flush is in
+// progress. A group too large for the room left goes in parts: finding the
+// batch full of its own frames with nobody writing, the sender flushes them
+// itself first. It returns how many frames it appended.
+func (e *Endpoint) enqueue(addr string, frames [][]byte) (int, error) {
 	pc, err := e.conn(addr)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	pc.mu.Lock()
 	var timeout <-chan time.Time
-	for len(pc.pending) >= e.cfg.Outbox && !pc.dead.Load() {
-		if pc.space == nil {
-			pc.space = make(chan struct{})
+	for i, frame := range frames {
+		for len(pc.pending) >= e.cfg.Outbox && !pc.dead.Load() {
+			if !pc.flushing {
+				pc.flushing = true
+				e.flush(pc)
+				pc.mu.Lock()
+				continue
+			}
+			if pc.space == nil {
+				pc.space = make(chan struct{})
+			}
+			space := pc.space
+			pc.mu.Unlock()
+			if timeout == nil {
+				t := time.NewTimer(e.cfg.SendTimeout)
+				defer t.Stop()
+				timeout = t.C
+			}
+			select {
+			case <-space:
+			case <-timeout:
+				return i, errFull
+			case <-e.done:
+				return i, errClosed
+			}
+			pc.mu.Lock()
 		}
-		space := pc.space
-		pc.mu.Unlock()
-		if timeout == nil {
-			t := time.NewTimer(e.cfg.SendTimeout)
-			defer t.Stop()
-			timeout = t.C
+		if pc.dead.Load() {
+			pc.mu.Unlock()
+			return i, errDead
 		}
-		select {
-		case <-space:
-		case <-timeout:
-			return errFull
-		case <-e.done:
-			return ErrClosed
-		}
-		pc.mu.Lock()
+		pc.pending = append(pc.pending, frame)
 	}
-	if pc.dead.Load() {
-		pc.mu.Unlock()
-		return errDead
-	}
-	pc.pending = append(pc.pending, frame)
 	if pc.flushing {
 		pc.mu.Unlock()
-		return nil
+		return len(frames), nil
 	}
 	pc.flushing = true
 	e.flush(pc)
-	return nil
+	return len(frames), nil
 }
 
 // flush writes pc's pending frames back to back, at most maxFlushFrames and
@@ -497,41 +523,61 @@ func (pc *peerConn) wake() {
 
 // conn returns the pooled connection to addr — dialed by this endpoint or
 // adopted from the peer's dial — dialing one if there is none or the pooled
-// one was retired.
+// one was retired. Senders that find a dial to addr under way wait for it
+// and share its outcome, so an endpoint many senders share opens one
+// connection per peer, not one per sender.
 func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	e.mu.Lock()
-	if e.closed {
+	for {
+		if e.closed {
+			e.mu.Unlock()
+			return nil, errClosed
+		}
+		if pc, ok := e.conns[addr]; ok && !pc.dead.Load() {
+			e.mu.Unlock()
+			return pc, nil
+		}
+		d := e.dialing[addr]
+		if d == nil {
+			break
+		}
 		e.mu.Unlock()
-		return nil, ErrClosed
+		<-d.done // bounded by DialTimeout
+		if d.err != nil {
+			return nil, d.err
+		}
+		e.mu.Lock()
 	}
-	if pc, ok := e.conns[addr]; ok && !pc.dead.Load() {
-		e.mu.Unlock()
-		return pc, nil
-	}
+	d := &dial{done: make(chan struct{})}
+	e.dialing[addr] = d
 	e.mu.Unlock()
 
 	// Dial and say hello outside the lock: a slow peer must not serialize
 	// every sender. The hello goes first on the stream, before any frame.
 	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	if _, err := c.Write(AppendFrame(nil, []byte(e.Addr()))); err != nil {
+		err = fmt.Errorf("transport: dial %s: %w", addr, err)
+	} else if _, werr := c.Write(AppendFrame(nil, []byte(e.Addr()))); werr != nil {
 		c.Close()
-		return nil, fmt.Errorf("transport: hello to %s: %w", addr, err)
+		err = fmt.Errorf("transport: hello to %s: %w", addr, werr)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	delete(e.dialing, addr)
+	defer close(d.done)
+	if err == nil && e.closed {
 		c.Close()
-		return nil, ErrClosed
+		err = errClosed
+	}
+	if d.err = err; err != nil {
+		return nil, err
 	}
 	pc := &peerConn{c: c}
 	e.track(pc, false)
 	if racing, ok := e.conns[addr]; ok && !racing.dead.Load() {
-		// Another sender dialed, or the peer's own dial was adopted,
-		// meanwhile: send on that one. Ours stays open and read, since the
-		// peer may have adopted it as its way back.
+		// The peer's own dial was adopted meanwhile: send on that one. Ours
+		// stays open and read, since the peer may have adopted it as its way
+		// back.
 		return racing, nil
 	}
 	e.conns[addr] = pc

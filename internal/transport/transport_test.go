@@ -111,6 +111,45 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
+// TestColdSendersShareOneDial has many goroutines of one endpoint send to a
+// peer it has no connection to yet, all at once: they wait on one dial
+// instead of each opening a connection, so the peer accepts exactly one.
+func TestColdSendersShareOneDial(t *testing.T) {
+	const senders = 32
+	a, _ := Listen("127.0.0.1:0", Config{})
+	defer a.Close()
+	b, _ := Listen("127.0.0.1:0", Config{})
+	defer b.Close()
+	var got atomic.Int64
+	b.Serve(func([]byte) { got.Add(1) })
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := a.Send(b.Addr(), []byte("cold")); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == senders })
+	for _, side := range []struct {
+		name string
+		e    *Endpoint
+	}{{"sender", a}, {"peer", b}} {
+		side.e.mu.Lock()
+		open := len(side.e.open)
+		side.e.mu.Unlock()
+		if open != 1 {
+			t.Fatalf("%s: %d connections open after %d concurrent cold sends, want 1", side.name, open, senders)
+		}
+	}
+}
+
 // TestSimultaneousDial has two endpoints send numbered frames to each other
 // from cold at once, so each may dial before it adopts the other's
 // connection, in either order. Whichever connection each side ends up
@@ -216,8 +255,8 @@ func TestCloseIsGracefulAndIdempotent(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(b.Addr(), []byte("late")); err != ErrClosed {
-		t.Fatalf("send after close = %v, want ErrClosed", err)
+	if err := a.Send(b.Addr(), []byte("late")); err != errClosed {
+		t.Fatalf("send after close = %v, want errClosed", err)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -346,6 +385,86 @@ func BenchmarkEndpointRoundTrip(b *testing.B) {
 // shape of one ABD quorum phase on five servers.
 func BenchmarkEndpointFanOut(b *testing.B) {
 	benchmarkFanOut(b, 5)
+}
+
+// BenchmarkEndpointFanIn is four senders sharing one endpoint, each keeping
+// one 64 B frame in flight to a peer that echoes the way a node loop
+// answers: it takes every frame that has arrived and sends the replies as
+// one group. An iteration is one round trip of one sender; frames/write is
+// the coalescing the one connection achieves, both directions together.
+func BenchmarkEndpointFanIn(b *testing.B) {
+	const senders = 4
+	a, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	replies := make([]chan struct{}, senders)
+	for i := range replies {
+		replies[i] = make(chan struct{}, 1) // one frame in flight per sender
+	}
+	a.Serve(func(frame []byte) { replies[frame[0]] <- struct{}{} })
+	peer, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer peer.Close()
+	inbox := make(chan []byte, senders)
+	peer.Serve(func(frame []byte) { inbox <- frame })
+	home, stop, echoed := a.Addr(), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(echoed)
+		var batch [][]byte
+		for {
+			select {
+			case f := <-inbox:
+				batch = append(batch[:0], f)
+			case <-stop:
+				return
+			}
+			for more := true; more; {
+				select {
+				case f := <-inbox:
+					batch = append(batch, f)
+				default:
+					more = false
+				}
+			}
+			if err := peer.Send(home, batch...); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		n := b.N / senders
+		if s < b.N%senders {
+			n++
+		}
+		wg.Add(1)
+		go func(s byte, n int) {
+			defer wg.Done()
+			frame := make([]byte, 64)
+			frame[0] = s
+			for i := 0; i < n; i++ {
+				if err := a.Send(peer.Addr(), frame); err != nil {
+					b.Error(err)
+					return
+				}
+				<-replies[s]
+			}
+		}(byte(s), n)
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(stop)
+	<-echoed
+	sa, sp := a.Stats(), peer.Stats()
+	b.ReportMetric(float64(sa.FramesSent+sp.FramesSent)/float64(sa.BatchesSent+sp.BatchesSent), "frames/write")
 }
 
 func benchmarkFanOut(b *testing.B, n int) {

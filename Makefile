@@ -3,10 +3,11 @@ GO ?= go
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
 # the node runtime's interactive 64 KiB path, the standing simulator store's
-# interactive 1 KiB path and the TCP transport's 64 B round trip, five-peer
-# fan-out and four-sender fan-in over one shared endpoint).
+# interactive 1 KiB path, the TCP transport's 64 B round trip, five-peer
+# fan-out and four-sender fan-in over one shared endpoint, and one client's
+# five-server query round through the runtime's tcp link).
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/transport
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkEndpointFanIn'
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkEndpointFanIn|BenchmarkTCPLinkQuorum'
 
 .PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
@@ -34,10 +35,11 @@ runtime-race:
 # (snapshot-restore durability, partition gate timing and healing, goroutine
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
 # over both links; a client crash and recovery on the clients' shared tcp
-# endpoint), then a small `shmem grid` scenario matrix driving the whole
-# grid over real goroutines and real sockets.
+# endpoint; a server crash while its reader delivers to it inline), then a
+# small `shmem grid` scenario matrix driving the whole grid over real
+# goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

@@ -2,12 +2,16 @@ package runtime
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"os"
 	"reflect"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,58 +244,190 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// TestTCPLinkWire is the wire regression: real frames through tcpLink. A
-// node loop's send is held until the loop flushes; it then arrives at the
-// peer's mailbox decoded and attributed to its sender (the frame's sender-id
-// prefix). A server's replies to two clients leave as one write to the
-// clients' shared endpoint, and each reaches the mailbox its destination id
-// names. Frames that do not decode, or name a node the endpoint they arrive
-// on does not serve, are counted and dropped without reaching a mailbox.
+// delivery is one Deliver a recNode saw.
+type delivery struct {
+	to, from ioa.NodeID
+	msg      ioa.Message
+	by       *recNode // the incarnation that ran it
+	inline   bool     // on a transport reader, not on the node's loop
+}
+
+// recLog is what every recNode of a runtime saw, in order.
+type recLog struct {
+	mu   sync.Mutex
+	seen []delivery
+	late atomic.Int64 // deliveries to an incarnation after its crash
+}
+
+// count returns how many deliveries match.
+func (g *recLog) count(match func(delivery) bool) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, d := range g.seen {
+		if match(d) {
+			n++
+		}
+	}
+	return n
+}
+
+// recNode is a recording automaton: it logs every delivery, takes pause
+// over it, and answers it with reply's sends (none when reply is nil). A
+// delivery still running, or begun, once the test has marked the incarnation
+// dead counts late. It is recoverable, with no state to keep.
+type recNode struct {
+	id    ioa.NodeID
+	log   *recLog
+	pause time.Duration
+	reply func(from ioa.NodeID) []ioa.Send
+	dead  atomic.Bool // the test crashed this incarnation
+}
+
+func (n *recNode) ID() ioa.NodeID { return n.id }
+
+func (n *recNode) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
+	n.log.mu.Lock()
+	n.log.seen = append(n.log.seen, delivery{to: n.id, from: from, msg: msg, by: n, inline: !onLoop()})
+	n.log.mu.Unlock()
+	time.Sleep(n.pause)
+	if n.dead.Load() {
+		n.log.late.Add(1)
+	}
+	if n.reply == nil {
+		return ioa.Effects{}
+	}
+	return ioa.Effects{Sends: n.reply(from)}
+}
+
+func (n *recNode) Clone() ioa.Node {
+	return &recNode{id: n.id, log: n.log, pause: n.pause, reply: n.reply}
+}
+func (n *recNode) Snapshot() ioa.NodeSnapshot          { return nil }
+func (n *recNode) Restore(snap ioa.NodeSnapshot) error { return nil }
+
+// onLoop reports whether its caller runs on a node loop.
+func onLoop() bool {
+	pc := make([]uintptr, 64)
+	frames := goruntime.CallersFrames(pc[:goruntime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*runtime).loop") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// recordAll replaces every automaton of a runtime whose loops have not
+// started by a recNode; a client's answers every delivery with reply.
+func recordAll(rt *runtime, reply func(from ioa.NodeID) []ioa.Send) *recLog {
+	log := &recLog{}
+	for id, ns := range rt.nodes {
+		n := &recNode{id: id, log: log}
+		if ns.client {
+			n.reply = reply
+		}
+		ns.node, ns.meter = n, nil
+	}
+	return log
+}
+
+// netFrame is the frame tcpLink.send builds for msg.
+func netFrame(t testing.TB, from, to ioa.NodeID, msg ioa.Message) []byte {
+	t.Helper()
+	frame := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(from)), uint64(to))
+	frame, err := wire.Append(frame, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestTCPLinkWire is the wire regression: real frames through tcpLink to
+// recording automata whose loops never run, so every frame is delivered
+// inline by the reader that reads it. An owner's send is held until its
+// batch ends (the loop's flush), a timer goroutine's leaves at once, and
+// either arrives decoded and attributed to its sender. A server's replies to
+// two clients leave as one write to the clients' shared endpoint and reach
+// the clients their destination ids name; delivered in that one reader run,
+// the two clients send a request to every server, and those leave as one
+// write per server. Frames that do not decode, or name a node the endpoint
+// they arrive on does not serve, are counted and dropped without reaching an
+// automaton.
 func TestTCPLinkWire(t *testing.T) {
 	rt, l := idleTCP(t)
 	writer, reader := ioa.NodeID(cluster.WriterBase), ioa.NodeID(cluster.ReaderBase)
+	servers := []ioa.NodeID{1, 2, 3}
 
 	codec, ok := wire.CodecFor(0x11) // abd.queryAck: varint, tag and value bytes
 	if !ok {
 		t.Fatal("abd wire types not registered")
 	}
 	msg := codec.Sample(7)
-	sent := func() transport.Stats {
+	log := recordAll(rt, func(ioa.NodeID) []ioa.Send {
+		sends := make([]ioa.Send, len(servers))
+		for i, s := range servers {
+			sends[i] = ioa.Send{To: s, Msg: msg}
+		}
+		return sends
+	})
+	stats := func(id ioa.NodeID) transport.Stats {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		return l.eps[1].Stats()
+		return l.eps[id].Stats()
 	}
-	arrives := func(to ioa.NodeID) {
+	arrives := func(to, from ioa.NodeID, times int) {
 		t.Helper()
-		select {
-		case ev := <-rt.nodes[to].mb:
-			if ev.from != 1 || !reflect.DeepEqual(ev.msg, msg) {
-				t.Fatalf("node %d received %#v from %d; node 1 sent %#v", to, ev.msg, ev.from, msg)
+		eventually(t, fmt.Sprintf("%d frames from %d at %d", times, from, to), func() bool {
+			return log.count(func(d delivery) bool { return d.to == to && d.from == from }) == times
+		})
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		for _, d := range log.seen {
+			if d.to == to && d.from == from && (!reflect.DeepEqual(d.msg, msg) || !d.inline) {
+				t.Fatalf("node %d received %#v from %d (inline %t); node %d sent %#v", to, d.msg, from, d.inline, from, msg)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("frame to node %d never arrived", to)
 		}
 	}
 
 	l.send(rt.nodes[1], 2, msg, true)
-	if s := sent(); s.FramesSent != 0 {
-		t.Fatalf("a loop's send left before the loop flushed: %+v", s)
+	if s := stats(1); s.FramesSent != 0 {
+		t.Fatalf("an owner's send left before its batch ended: %+v", s)
 	}
 	l.flush(rt.nodes[1])
-	if s := sent(); s.FramesSent != 1 || s.BatchesSent != 1 {
+	if s := stats(1); s.FramesSent != 1 || s.BatchesSent != 1 {
 		t.Fatalf("after flush: %+v, want the one frame written", s)
 	}
-	arrives(2)
+	arrives(2, 1, 1)
 
+	l.send(rt.nodes[1], 3, msg, false) // a timer goroutine's send
+	if s := stats(1); s.FramesSent != 2 || s.BatchesSent != 2 {
+		t.Fatalf("a timer goroutine's send: %+v, want it written at once", s)
+	}
+	arrives(3, 1, 1)
+
+	before := stats(writer)
 	l.send(rt.nodes[1], writer, msg, true)
 	l.send(rt.nodes[1], reader, msg, true)
 	l.flush(rt.nodes[1])
-	if s := sent(); s.FramesSent != 3 || s.BatchesSent != 2 {
+	if s := stats(1); s.FramesSent != 4 || s.BatchesSent != 3 {
 		t.Fatalf("replies to two clients: %+v, want both frames in one more write", s)
 	}
-	arrives(writer)
-	arrives(reader)
+	arrives(writer, 1, 1)
+	arrives(reader, 1, 1)
+	for _, s := range servers {
+		arrives(s, writer, 1)
+		arrives(s, reader, 1)
+	}
+	if s := stats(writer); s.FramesSent-before.FramesSent != 6 || s.BatchesSent-before.BatchesSent != 3 {
+		t.Fatalf("two clients' requests from one reader run: %d frames in %d writes, want 6 in 3 (one per server)",
+			s.FramesSent-before.FramesSent, s.BatchesSent-before.BatchesSent)
+	}
 
+	delivered := log.count(func(delivery) bool { return true })
 	raw := func(addr string, frames ...[]byte) {
 		conn := dialRaw(t, addr)
 		for _, frame := range frames {
@@ -310,10 +446,156 @@ func TestTCPLinkWire(t *testing.T) {
 	)
 	raw(l.addrs[writer], []byte{0x01, 0x02, 0x11}) // to a server, on the clients' endpoint
 	eventually(t, "seven bad frames counted", func() bool { d, _ := l.loss(); return d == 7 })
-	for id, ns := range rt.nodes {
-		if n := len(ns.mb); n != 0 {
-			t.Fatalf("%d bad frames reached node %d's mailbox", n, id)
+	if n := log.count(func(delivery) bool { return true }) - delivered; n != 0 {
+		t.Fatalf("%d bad frames reached an automaton", n)
+	}
+}
+
+// TestInlineDeliveryKeepsLinkFIFO streams sequence-numbered messages from
+// server 2 to a running server 1 while the test, now and then, holds server
+// 1's lock and injects a message from server 3 through inbound — posted,
+// since the lock is taken. The reader delivers inline whenever server 1 is
+// idle and posts while it is not, and the loop handles what was posted:
+// both paths run, and every message arrives once, in send order.
+func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
+	const n = 3000
+	// The test posts while it holds server 1's lock, which no owner does: a
+	// mailbox deeper than the whole stream keeps that post from waiting for
+	// room the loop cannot make.
+	rt, err := newRuntime(abdCluster(t), nil, Config{Mailbox: 2 * n}, func(rt *runtime) link { return newTCPLink(rt) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.stop)
+	l := rt.link.(*tcpLink)
+	log := recordAll(rt, nil)
+	rt.start()
+	target := rt.nodes[1]
+	codec, ok := wire.CodecFor(0x10) // abd.queryMsg{RID}
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	from := func(id ioa.NodeID) func(delivery) bool {
+		return func(d delivery) bool { return d.to == 1 && d.from == id }
+	}
+
+	target.own.Lock() // the first frames are posted
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 0; i < n; i++ {
+			l.send(rt.nodes[2], 1, codec.Sample(uint64(i)), false)
+			if i%20 == 0 {
+				time.Sleep(50 * time.Microsecond) // pace the stream across many lock cycles
+			}
 		}
+	}()
+	injected := 0
+	for deadline := time.Now().Add(5 * time.Second); log.count(from(2)) < n && time.Now().Before(deadline); {
+		if injected > 0 {
+			target.own.Lock()
+		}
+		l.inbound(target, netFrame(t, 3, 1, codec.Sample(uint64(injected))))
+		injected++
+		for wait := time.Now().Add(time.Millisecond); target.queued.Load() < 2 && time.Now().Before(wait); {
+			goruntime.Gosched() // let the reader post behind the injected message
+		}
+		target.own.Unlock()
+		time.Sleep(200 * time.Microsecond) // let the loop drain and the reader deliver inline
+	}
+	eventually(t, "every message delivered", func() bool {
+		return log.count(from(2)) == n && log.count(from(3)) == injected
+	})
+	<-streamed
+
+	next := map[ioa.NodeID]int{}
+	inline, posted := 0, 0
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, d := range log.seen {
+		if want := codec.Sample(uint64(next[d.from])); !reflect.DeepEqual(d.msg, want) {
+			t.Fatalf("from node %d: got %#v, want %#v next: per-link FIFO broken", d.from, d.msg, want)
+		}
+		next[d.from]++
+		if d.from == 2 && d.inline {
+			inline++
+		} else if d.from == 2 {
+			posted++
+		}
+	}
+	if inline == 0 || posted == 0 {
+		t.Fatalf("%d inline and %d posted deliveries of the stream; the test must exercise both", inline, posted)
+	}
+	t.Logf("%d inline, %d posted, %d injected", inline, posted, injected)
+}
+
+// TestCrashDuringInlineDelivery crashes a node while a reader delivers a
+// stream to it inline, each delivery taking a while: no Deliver runs on the
+// crashed incarnation once crashNode returns, the recovered one receives the
+// stream again, and after stop every goroutine is reaped. The victims are
+// server 1, whose endpoint closes under its reader, and the writer, whose
+// shared endpoint stays up, so only the crash path's own exclusion keeps the
+// reader out.
+func TestCrashDuringInlineDelivery(t *testing.T) {
+	for _, victimID := range []ioa.NodeID{1, ioa.NodeID(cluster.WriterBase)} {
+		t.Run(fmt.Sprint("node ", victimID), func(t *testing.T) {
+			base := goruntime.NumGoroutine()
+			rt, err := newRuntime(abdCluster(t), nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := sync.OnceFunc(rt.stop)
+			t.Cleanup(stop)
+			l := rt.link.(*tcpLink)
+			log := recordAll(rt, nil)
+			victim := rt.nodes[victimID]
+			victim.node.(*recNode).pause = 20 * time.Microsecond
+			victim.init, victim.ckpt = victim.node.Clone(), true
+			rt.start()
+
+			codec, ok := wire.CodecFor(0x10) // abd.queryMsg
+			if !ok {
+				t.Fatal("abd wire types not registered")
+			}
+			quit, streamed := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(streamed)
+				for i := uint64(0); ; i++ {
+					select {
+					case <-quit:
+						return
+					default:
+					}
+					l.send(rt.nodes[2], victimID, codec.Sample(i), false)
+				}
+			}()
+			by := func(n *recNode) func(delivery) bool { return func(d delivery) bool { return d.by == n } }
+
+			first := victim.node.(*recNode)
+			eventually(t, "the stream delivered", func() bool { return log.count(by(first)) >= 200 })
+			rt.crashNode(victimID)
+			first.dead.Store(true)
+			time.Sleep(20 * time.Millisecond) // the stream keeps coming
+			if late := log.late.Load(); late != 0 {
+				t.Fatalf("%d deliveries still ran after crashNode returned", late)
+			}
+			rt.recoverNode(victimID)
+			second := victim.node.(*recNode)
+			if second == first {
+				t.Fatal("recovery kept the crashed incarnation")
+			}
+			eventually(t, "the stream delivered after recovery", func() bool { return log.count(by(second)) >= 200 })
+			if inline := log.count(func(d delivery) bool { return d.by == second && d.inline }); inline == 0 {
+				t.Error("the recovered node got nothing inline")
+			}
+			close(quit)
+			<-streamed
+			stop()
+			if late := log.late.Load(); late != 0 {
+				t.Fatalf("%d deliveries still ran after crashNode returned", late)
+			}
+			eventually(t, "goroutines reaped", func() bool { return goruntime.NumGoroutine() <= base })
+		})
 	}
 }
 
@@ -587,4 +869,72 @@ func socketsByLocalPort(t *testing.T) map[uint64]int {
 		t.Skip("the kernel's TCP socket table (/proc/net/tcp) is not readable here")
 	}
 	return counts
+}
+
+// acker is a client automaton that only reports each delivery.
+type acker struct {
+	id   ioa.NodeID
+	acks chan struct{}
+}
+
+func (a *acker) ID() ioa.NodeID { return a.id }
+func (a *acker) Deliver(ioa.NodeID, ioa.Message) ioa.Effects {
+	a.acks <- struct{}{}
+	return ioa.Effects{}
+}
+func (a *acker) Clone() ioa.Node { return &acker{id: a.id, acks: a.acks} }
+
+// BenchmarkTCPLinkQuorum is one client's query round on five ABD servers
+// through tcpLink, the way a client loop sends it: five queries added to the
+// clients' hold under the client's lock, one flush, then the five replies.
+// Each server's reader delivers its query inline and its reply leaves when
+// that reader's run ends; the clients' readers deliver the replies inline.
+// frames/write is over every endpoint, both directions together.
+func BenchmarkTCPLinkQuorum(b *testing.B) {
+	cl, err := abd.Deploy(abd.Options{Servers: 5, F: 2, Writers: 1, Readers: 1, MultiWriter: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := newRuntime(cl, nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := rt.link.(*tcpLink)
+	client := rt.nodes[cl.Writers[0]]
+	acks := make(chan struct{}, len(cl.Servers))
+	client.node = &acker{id: client.id, acks: acks}
+	rt.start()
+	defer rt.stop()
+	codec, ok := wire.CodecFor(0x10) // abd.queryMsg
+	if !ok {
+		b.Fatal("abd wire types not registered")
+	}
+	round := func(i int) {
+		query := codec.Sample(uint64(i))
+		client.own.Lock()
+		for _, s := range cl.Servers {
+			l.send(client, s, query, true)
+		}
+		client.own.Unlock()
+		l.flush(client)
+		for range cl.Servers {
+			<-acks
+		}
+	}
+	round(0) // connections dialed
+	sent := func() (frames, writes uint64) {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		l.endpoints(func(_ string, s transport.Stats) { frames, writes = frames+s.FramesSent, writes+s.BatchesSent })
+		return frames, writes
+	}
+	f0, w0 := sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i + 1)
+	}
+	b.StopTimer()
+	f, w := sent()
+	b.ReportMetric(float64(f-f0)/float64(w-w0), "frames/write")
 }

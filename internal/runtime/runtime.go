@@ -1,15 +1,16 @@
 // Package runtime executes register-emulation clusters on a real concurrent
-// runtime: every node automaton runs on its own goroutine with a bounded
-// mailbox, wall-clock time replaces the simulator's discrete steps, and the
-// messages travel over one of two links chosen by backend name — in-process
-// channels ("live") or loopback TCP ("net": one endpoint per server, one
-// shared by all clients). The node automata are exactly the ones
-// `internal/abd`, `internal/cas` and `internal/coded` deploy — the cluster
-// is only the registry; this package clones the automata out of it and
-// drives them itself, so the same deployment runs unchanged on every
-// backend. Which channel carries a message is a parameter of the system, not
-// of the algorithm (the paper's Section 2 model), so everything but the link
-// is one code path.
+// runtime: every node automaton has a loop goroutine of its own with a
+// bounded mailbox and one owner at a time (that loop, or on the TCP link a
+// transport reader delivering to an idle node itself), wall-clock time
+// replaces the simulator's discrete steps, and the messages travel over one
+// of two links chosen by backend name — in-process channels ("live") or
+// loopback TCP ("net": one endpoint per server, one shared by all clients).
+// The node automata are exactly the ones `internal/abd`, `internal/cas` and
+// `internal/coded` deploy — the cluster is only the registry; this package
+// clones the automata out of it and drives them itself, so the same
+// deployment runs unchanged on every backend. Which channel carries a
+// message is a parameter of the system, not of the algorithm (the paper's
+// Section 2 model), so everything but the link is one code path.
 //
 // The contract with the simulator backend (DESIGN.md section 8):
 //
@@ -189,10 +190,11 @@ type link interface {
 	// runtime before the next incarnation starts. down must leave the
 	// node's loss counters readable from exactly one place.
 	down(ns *nodeState)
-	// send carries one gated message. inLoop reports that the caller is
-	// from's own loop goroutine (so the link may consume from's mailbox
-	// while it waits, or hold the message until flush); a delayed or held
-	// message arrives on a timer goroutine with inLoop false.
+	// send carries one gated message. inLoop reports that the caller owns
+	// from: its loop (so the chan link may consume from's mailbox while it
+	// waits), or a tcp reader delivering to it inline; the tcp link holds
+	// the message until the batch or run ends. A delayed or held message
+	// arrives on a timer goroutine with inLoop false, and leaves at once.
 	send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool)
 	// flush ends one drain batch of ns's loop, on that loop: whatever the
 	// link held of the batch's sends leaves now.
@@ -220,13 +222,13 @@ func newLink(backend string) (func(*runtime) link, error) {
 }
 
 // event is one mailbox entry: a message delivery, or (inv != nil) an
-// operation invocation injected by the driver. Both are handled on the
-// node's own goroutine, so automaton state is goroutine-confined even when
-// the event arrived on a transport reader goroutine.
+// operation invocation injected by the driver. Only the node's loop takes
+// events off the mailbox, and handles them holding the ownership lock.
 type event struct {
-	from ioa.NodeID
-	msg  ioa.Message
-	inv  *invokeEvent
+	from    ioa.NodeID
+	msg     ioa.Message
+	inv     *invokeEvent
+	counted bool // posted by a tcp reader, so counted in the target's queued until handled
 }
 
 // Invocation lifecycle states. The single atomic state arbitrates the race
@@ -246,11 +248,13 @@ type invokeEvent struct {
 	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
 }
 
-// nodeState is everything a node goroutine owns: the automaton clone, its
-// mailbox, the outstanding operation and the server storage maxima. Only the
-// node's own goroutine touches these fields between start and join — across
-// a scheduled crash, ownership passes to the WallClock's event goroutine
-// (which joins the loop first) and back to the next incarnation's loop.
+// nodeState is everything a node's owner owns: the automaton clone, its
+// mailbox, the outstanding operation and the server storage maxima. One
+// owner at a time — the loop or a reader: the node's loop, which holds own
+// for each drain batch and each checkpoint, or a tcp reader that took own
+// to deliver a frame inline (tcpLink.inbound). Across a scheduled crash,
+// ownership passes to the WallClock's event goroutine (which joins the loop
+// and excludes inline deliveries first) and back to the next incarnation.
 type nodeState struct {
 	id   ioa.NodeID
 	node ioa.Node
@@ -260,7 +264,11 @@ type nodeState struct {
 	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil in interactive sessions
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
 	deferred    []event        // events the chan link siphoned off mb while blocked on a peer's full mailbox
-	held        []heldGroup    // frames the tcp link holds until the loop's drain batch ends
+
+	// Not beside mb, which every sender to the node reads: the loop writes
+	// own twice per drain batch, and must not take that cache line from them.
+	own    sync.Mutex   // the ownership lock; only the loop and the crash path block on it, readers only TryLock
+	queued atomic.Int32 // events tcp readers posted to mb that are not handled yet; inline delivery waits for zero
 
 	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
 	metered          bool             // set once at construction: the automaton type reports storage
@@ -445,18 +453,18 @@ func (rt *runtime) after(d time.Duration, f func()) {
 	rt.timers[t] = struct{}{}
 }
 
-// loop is one node goroutine — one incarnation of the node: it handles its
-// first event, then drains up to drainBatch more without going back to the
-// scheduler — under load a node wakes once per burst instead of once per
-// message — and then flushes the link, so the batch's sends leave together
-// (on the tcp link, one socket write per destination endpoint); no send is
-// held past drainBatch+1 events. Events the chan link siphoned off the
-// node's own mailbox while it was blocked sending are handled first, one per
-// flush: they arrived before anything still queued, so per-link FIFO holds.
-// A checkpointing node additionally snapshots its durable state on a ticker
-// — on its own goroutine, so Snapshot never races Deliver/Invoke — with one
-// initial checkpoint before any event, so a crash at any point has an image
-// to recover from.
+// loop is one node goroutine — one incarnation of the node: it takes the
+// ownership lock, handles its first event, then drains up to drainBatch more
+// without going back to the scheduler — under load a node wakes once per
+// burst instead of once per message — releases the lock and flushes the
+// link, so the batch's sends leave together (on the tcp link, one socket
+// write per destination endpoint); no send is held past drainBatch+1 events.
+// Events the chan link siphoned off the node's own mailbox while it was
+// blocked sending are handled first, one per flush: they arrived before
+// anything still queued, so per-link FIFO holds. A checkpointing node
+// additionally snapshots its durable state on a ticker — under the lock, so
+// Snapshot never races Deliver/Invoke — with one initial checkpoint before
+// any event, so a crash at any point has an image to recover from.
 func (rt *runtime) loop(ns *nodeState) {
 	crashed, exited := ns.crashCh, ns.loopDone
 	defer close(exited)
@@ -480,7 +488,9 @@ func (rt *runtime) loop(ns *nodeState) {
 			ev := ns.deferred[0]
 			ns.deferred[0] = event{} // the backing array must not pin the handled message
 			ns.deferred = ns.deferred[1:]
+			ns.own.Lock()
 			rt.handle(ns, ev)
+			ns.own.Unlock()
 			rt.link.flush(ns)
 			continue
 		}
@@ -492,28 +502,41 @@ func (rt *runtime) loop(ns *nodeState) {
 		case <-tick:
 			rt.checkpoint(ns)
 		case ev := <-ns.mb:
-			rt.handle(ns, ev)
+			ns.own.Lock()
+			rt.handlePosted(ns, ev)
 			for i := 0; i < drainBatch && len(ns.deferred) == 0; i++ {
 				select {
 				case ev := <-ns.mb:
-					rt.handle(ns, ev)
+					rt.handlePosted(ns, ev)
 				default:
 					i = drainBatch
 				}
 			}
+			ns.own.Unlock()
 			rt.link.flush(ns)
 		}
 	}
 }
 
-// checkpoint images the node's durable state under the snapshot mutex, where
-// a later recovery reads it.
+// handlePosted handles an event the loop took off the mailbox; once a frame
+// a tcp reader posted is handled, it no longer holds back inline delivery.
+func (rt *runtime) handlePosted(ns *nodeState, ev event) {
+	rt.handle(ns, ev)
+	if ev.counted {
+		ns.queued.Add(-1)
+	}
+}
+
+// checkpoint images the node's durable state, owning the node, and stores
+// the image under the snapshot mutex, where a later recovery reads it.
 func (rt *runtime) checkpoint(ns *nodeState) {
 	r, ok := ns.node.(ioa.Recoverable)
 	if !ok {
 		return
 	}
+	ns.own.Lock()
 	snap := r.Snapshot()
+	ns.own.Unlock()
 	ns.snapMu.Lock()
 	ns.snap, ns.hasSnap = snap, true
 	ns.snapMu.Unlock()
@@ -539,19 +562,27 @@ func (rt *runtime) crashNode(id ioa.NodeID) {
 	ns.down.Store(true)
 	close(ns.crashCh)
 	<-ns.loopDone
+	// Exclude inline deliveries before the link lets go: one in flight ends
+	// before the lock is ours, and every later one re-checks down under it,
+	// so no Deliver runs on this incarnation once crashNode returns.
+	ns.own.Lock()
+	ns.own.Unlock()
 	rt.link.down(ns)
 	rt.discardVolatile(ns)
 }
 
 // discardVolatile empties the node's mailbox and queues between incarnations.
-// Only called with no loop goroutine running, so the loop-owned fields are
-// safe to touch.
+// Only called while the node is down with no loop goroutine running and
+// inline deliveries excluded, so the loop-owned fields are safe to touch.
 func (rt *runtime) discardVolatile(ns *nodeState) {
 	for {
 		select {
 		case ev := <-ns.mb:
 			if ev.inv != nil {
 				ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
+			}
+			if ev.counted {
+				ns.queued.Add(-1)
 			}
 		default:
 			ns.deferred = nil
@@ -606,7 +637,7 @@ func (rt *runtime) recoverNode(id ioa.NodeID) {
 	go rt.loop(ns)
 }
 
-// handle processes one mailbox event on the node's goroutine. Invocations
+// handle processes one event for the node's owner. Invocations
 // are queued and started only while no operation is pending, so a pipelining
 // driver may submit several ops while the automaton still holds one at a
 // time; deliveries go straight to the automaton.
@@ -663,8 +694,8 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 	}
 }
 
-// send applies the fault plan's drop and delay rules to one automaton send
-// on the sender's loop. Sequence numbers are global, as in the kernel, so
+// send applies the fault plan's drop and delay rules to one automaton send,
+// on the sender's owner. Sequence numbers are global, as in the kernel, so
 // the same plan seed draws from the same decision stream.
 func (rt *runtime) send(from *nodeState, s ioa.Send) {
 	if rt.nodes[s.To] == nil {

@@ -24,22 +24,34 @@ import (
 // counted loss. Two endpoints share one connection both ways, opened by
 // whichever sent first — in a fault-free run the clients' endpoint, since
 // servers only answer — so a server's replies ride the clients' own socket
-// and no server dials a client. A transport reader blocked on a full mailbox
-// stops reading its socket, so backpressure propagates peer-to-peer through
-// TCP's own flow control, in that connection's one direction (on the shared
-// connection it holds back the replies to every client behind the full
-// one); node loops never block on a peer's mailbox here (their sends go to
-// sockets, whose kernel buffers break sender/receiver cycles long before the
-// drop deadline does), so nothing is ever siphoned.
+// and no server dials a client.
 //
-// A node loop's sends are held, grouped by destination endpoint, until its
-// drain batch ends; flush then hands each group to the transport as one
-// Send, which appends it whole and writes it in one socket write (with
-// whatever else is pending on that connection). So a server that answered
-// four clients in one batch answers them in one write. Sends from timer
+// A transport reader delivers a frame to an idle node itself: if it wins the
+// node's ownership lock and nothing posted to the node is still waiting, it
+// runs the automaton on its own goroutine, saving the mailbox hop and the
+// loop's wakeup; otherwise it posts to the mailbox. A reader blocked on a
+// full mailbox stops reading its socket, so backpressure propagates
+// peer-to-peer through TCP's own flow control, in that connection's one
+// direction (on the shared connection it holds back the replies to every
+// client behind the full one); owners never block on a peer's mailbox here
+// (their sends go to sockets, whose kernel buffers break sender/receiver
+// cycles long before the drop deadline does), so nothing is ever siphoned.
+//
+// An owner's sends are held per sending endpoint — one hold per server, one
+// all clients share — until the loop's drain batch or the reader's run (the
+// frames one socket read delivered) ends; then each destination's group
+// goes to the transport as one Send, which appends it whole and writes it
+// in one socket write (with whatever else is pending on that connection).
+// So a server that answered four clients in one batch answers them in one
+// write, and two clients whose replies arrived in that one write send their
+// next requests to each server in one write. Sends from timer
 // goroutines (delay and outage holds) go out at once.
 type tcpLink struct {
 	rt *runtime
+
+	// holds maps every node to the hold of the endpoint it sends from. Built
+	// with the link and never changed, so it is read without a lock.
+	holds map[ioa.NodeID]*hold
 
 	// mu guards everything below it: recovery replaces a server's endpoint
 	// and address. A node is in eps exactly while attached, so a server
@@ -60,12 +72,22 @@ type tcpLink struct {
 const clientsOwner = "clients"
 
 func newTCPLink(rt *runtime) *tcpLink {
-	return &tcpLink{
+	l := &tcpLink{
 		rt:      rt,
+		holds:   make(map[ioa.NodeID]*hold, len(rt.nodes)),
 		eps:     make(map[ioa.NodeID]*transport.Endpoint),
 		addrs:   make(map[ioa.NodeID]string),
 		retired: make(map[ioa.NodeID]transport.Stats),
 	}
+	clients := &hold{}
+	for id, ns := range rt.nodes {
+		if ns.client {
+			l.holds[id] = clients
+		} else {
+			l.holds[id] = &hold{owner: ns}
+		}
+	}
+	return l
 }
 
 // up attaches a node. A server gets a fresh listening endpoint and its
@@ -90,7 +112,13 @@ func (l *tcpLink) up(ns *nodeState) error {
 		l.clients, owner = ep, nil
 	}
 	l.eps[ns.id], l.addrs[ns.id] = ep, ep.Addr()
-	ep.Serve(func(frame []byte) { l.inbound(owner, frame) })
+	h := l.holds[ns.id]
+	ep.ServeRuns(func(frame []byte, more bool) {
+		l.inbound(owner, frame)
+		if !more {
+			l.release(h) // the run ends: what its inline deliveries sent leaves
+		}
+	})
 	return nil
 }
 
@@ -151,30 +179,66 @@ func sumStats(a, b transport.Stats) transport.Stats {
 	}
 }
 
+// close closes every endpoint. Endpoint.Close joins the endpoint's readers,
+// and a reader ending its run releases a hold, which takes mu to find its
+// endpoint, so the endpoints are closed outside mu.
 func (l *tcpLink) close() {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
+	eps := make([]*transport.Endpoint, 0, len(l.eps)+1)
 	for _, ep := range l.eps {
-		ep.Close() // idempotent: the clients' endpoint is in eps once per attached client
+		eps = append(eps, ep)
 	}
 	if l.clients != nil {
-		l.clients.Close()
+		eps = append(eps, l.clients)
+	}
+	l.mu.RUnlock()
+	for _, ep := range eps {
+		ep.Close() // idempotent: the clients' endpoint is listed once per attached client
 	}
 }
 
-// heldGroup is the frames a node loop sent to one destination address in the
-// current drain batch, in send order. A loop's groups (nodeState.held) are
-// in first-send order, and their backing arrays are reused batch after
-// batch.
+// hold is the frames one endpoint's nodes sent while owned — by their loops
+// or by readers delivering inline — waiting for the drain batch or reader
+// run that sent them to end. Groups are per destination address, in
+// first-send order; their backing arrays are reused. One release at a time
+// sends them, so every (sender, destination) pair keeps its send order.
+type hold struct {
+	owner *nodeState // the server whose endpoint sends the frames; nil for the clients' shared one
+
+	mu        sync.Mutex
+	groups    []heldGroup // waiting to be sent
+	spare     []heldGroup // the array the last release sent from, emptied for reuse
+	releasing bool        // a release is sending, and sends whatever is added meanwhile before it returns
+}
+
+// heldGroup is the frames held for one destination address, in send order.
 type heldGroup struct {
 	addr   string
 	frames [][]byte
 }
 
-// send frames the message — sender id, destination id, wire encoding — and
-// hands it to the sender's endpoint. A loop's send (inLoop) is held until
-// the loop calls flush; a timer goroutine's goes out at once. The address is
-// snapshotted under mu (recovery replaces it).
+func (h *hold) add(addr string, frame []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.groups {
+		if g := &h.groups[i]; g.addr == addr {
+			g.frames = append(g.frames, frame)
+			return
+		}
+	}
+	if n := len(h.groups); n < cap(h.groups) {
+		h.groups = h.groups[:n+1] // reuse the slot and its frames array
+	} else {
+		h.groups = append(h.groups, heldGroup{})
+	}
+	g := &h.groups[len(h.groups)-1]
+	g.addr, g.frames = addr, append(g.frames, frame)
+}
+
+// send frames the message — sender id, destination id, wire encoding. An
+// owner's send (inLoop) is added to the sending endpoint's hold, to leave
+// when the owner's batch or run ends; a timer goroutine's goes out at once.
+// The address is snapshotted under mu (recovery replaces it).
 func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
 	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
 	frame = binary.AppendUvarint(frame, uint64(to))
@@ -192,37 +256,44 @@ func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 		l.sendGroup(ep, addr, frame)
 		return
 	}
-	for i := range from.held {
-		if g := &from.held[i]; g.addr == addr {
-			g.frames = append(g.frames, frame)
-			return
-		}
-	}
-	if n := len(from.held); n < cap(from.held) {
-		from.held = from.held[:n+1] // reuse the slot and its frames array
-	} else {
-		from.held = append(from.held, heldGroup{})
-	}
-	g := &from.held[len(from.held)-1]
-	g.addr, g.frames = addr, append(g.frames, frame)
+	l.holds[from.id].add(addr, frame)
 }
 
-// flush ends the node loop's drain batch: each destination's held frames go
-// to the transport as one group, in the order they were sent.
-func (l *tcpLink) flush(ns *nodeState) {
-	if len(ns.held) == 0 {
+// flush ends the node loop's drain batch by releasing its endpoint's hold.
+func (l *tcpLink) flush(ns *nodeState) { l.release(l.holds[ns.id]) }
+
+// release sends what h holds: each destination's frames go to the
+// transport as one group, in the order they were sent. A caller that finds
+// a release under way leaves its frames to it and returns; the one
+// releasing sends until nothing is held.
+func (l *tcpLink) release(h *hold) {
+	h.mu.Lock()
+	if h.releasing {
+		h.mu.Unlock()
 		return
 	}
-	l.mu.RLock()
-	ep := l.eps[ns.id]
-	l.mu.RUnlock()
-	for i := range ns.held {
-		g := &ns.held[i]
-		l.sendGroup(ep, g.addr, g.frames...)
-		clear(g.frames) // the reused slot must not pin sent frames
-		g.frames = g.frames[:0]
+	h.releasing = true
+	for len(h.groups) > 0 {
+		out := h.groups
+		h.groups, h.spare = h.spare[:0], nil
+		h.mu.Unlock()
+		l.mu.RLock()
+		ep := l.clients
+		if h.owner != nil {
+			ep = l.eps[h.owner.id] // nil while the server is down: its frames count as lost
+		}
+		l.mu.RUnlock()
+		for i := range out {
+			g := &out[i]
+			l.sendGroup(ep, g.addr, g.frames...)
+			clear(g.frames) // the reused slot must not pin sent frames
+			g.frames = g.frames[:0]
+		}
+		h.mu.Lock()
+		h.spare = out[:0]
 	}
-	ns.held = ns.held[:0]
+	h.releasing = false
+	h.mu.Unlock()
 }
 
 // sendGroup hands frames to ep for addr. A Send error (failed dial, closed
@@ -236,12 +307,14 @@ func (l *tcpLink) sendGroup(ep *transport.Endpoint, addr string, frames ...[]byt
 	}
 }
 
-// inbound decodes one frame off an endpoint and posts it to the mailbox of
-// the node it names. owner is the server that owns the endpoint, or nil on
-// the clients' shared one; a frame naming a node that endpoint does not
-// serve is misrouted. Undecodable and misrouted frames are counted and
-// dropped — on a real network a corrupt datagram is silence, and protocol
-// timeouts own recovery — and so is a frame for a node that is down.
+// inbound decodes one frame off an endpoint and delivers it to the node it
+// names: inline, on the reader's goroutine, when the node is idle, and
+// otherwise through its mailbox. owner is the server that owns the endpoint,
+// or nil on the clients' shared one; a frame naming a node that endpoint
+// does not serve is misrouted. Undecodable and misrouted frames are counted
+// and dropped — on a real network a corrupt datagram is silence, and
+// protocol timeouts own recovery — and so is a frame for a node that is
+// down.
 func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 	from, n := binary.Uvarint(frame)
 	if n <= 0 {
@@ -267,7 +340,30 @@ func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 		l.badFrames.Add(1)
 		return
 	}
-	l.rt.post(ns, event{from: ioa.NodeID(from), msg: msg}, sendTimeout)
+	ev := event{from: ioa.NodeID(from), msg: msg}
+	// Inline only while nothing a reader posted to ns waits: such a frame may
+	// be an earlier one of this link, and must be handled first. A reader
+	// that loses the TryLock posts and moves on — it never blocks on a
+	// node's lock, so a busy node costs it the mailbox hop and no more.
+	if ns.own.TryLock() {
+		if ns.queued.Load() == 0 {
+			// down is re-checked under the lock: crashNode sets it before it
+			// takes the lock to exclude inline deliveries.
+			if ns.down.Load() {
+				l.detached.Add(1)
+			} else {
+				l.rt.handle(ns, ev)
+			}
+			ns.own.Unlock()
+			return
+		}
+		ns.own.Unlock()
+	}
+	ev.counted = true
+	ns.queued.Add(1) // before the post: the loop may handle the event at once
+	if !l.rt.post(ns, ev, sendTimeout) {
+		ns.queued.Add(-1)
+	}
 }
 
 func (l *tcpLink) loss() (dropped, requeued int) {

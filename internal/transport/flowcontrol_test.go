@@ -184,7 +184,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 				break
 			}
 		}
-		b.readFrames(bufio.NewReader(peer), func(frame []byte) {
+		b.readFrames(bufio.NewReader(peer), func(frame []byte, _ bool) {
 			seq, _ := binary.Uvarint(frame[1:])
 			mu.Lock()
 			got[frame[0]] = append(got[frame[0]], seq)
@@ -438,7 +438,7 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 	defer redialed.Close()
 	br := bufio.NewReader(redialed)
 	for _, want := range []string{a.Addr(), "after"} { // the hello, then the frame
-		if got, err := ReadFrame(br, MaxFrame); err != nil || string(got) != want {
+		if got, err := readFrame(br, MaxFrame); err != nil || string(got) != want {
 			t.Fatalf("redialed stream: read %q, %v; want %q", got, err, want)
 		}
 	}

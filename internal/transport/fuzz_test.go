@@ -32,7 +32,7 @@ func FuzzReadFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := &Endpoint{conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{}), done: make(chan struct{})}
 		var handed uint64
-		e.handler = func([]byte) { handed++ }
+		e.handler = func([]byte, bool) { handed++ }
 		local, remote := net.Pipe()
 		pc := &peerConn{c: local}
 		e.open[pc] = struct{}{}

@@ -27,7 +27,9 @@
 //   - Buffered reads: once Serve has installed the handler, every
 //     connection, dialed or accepted, has a reader goroutine reading through
 //     a 4 KiB bufio.Reader — one read syscall per wakeup, not one per header
-//     and one per payload — that hands each frame to the handler in order.
+//     and one per payload — that hands each frame to the handler in order,
+//     telling it whether another whole frame is already buffered: the frames
+//     one read delivered are a run, and the handler learns where it ends.
 //   - Retirement and redial: a failed write, or the stream ending under its
 //     reader, retires the connection and the next Send redials — loss on a
 //     broken connection reaches the layer above as what it is on a real
@@ -161,10 +163,10 @@ type Endpoint struct {
 	listener net.Listener
 
 	mu      sync.Mutex
-	conns   map[string]*peerConn   // the connection frames to a peer leave on, keyed by its listen address
-	open    map[*peerConn]struct{} // every connection not yet retired by its reader, pooled or not
-	dialing map[string]*dial       // dials in progress, by address: other senders to that peer wait on it
-	handler func(frame []byte)     // installed by Serve; no reader runs before
+	conns   map[string]*peerConn          // the connection frames to a peer leave on, keyed by its listen address
+	open    map[*peerConn]struct{}        // every connection not yet retired by its reader, pooled or not
+	dialing map[string]*dial              // dials in progress, by address: other senders to that peer wait on it
+	handler func(frame []byte, more bool) // installed by ServeRuns; no reader runs before
 	closed  bool
 
 	droppedFull atomic.Uint64
@@ -241,13 +243,21 @@ func (e *Endpoint) Stats() Stats {
 	}
 }
 
-// Serve installs handler and starts reading: a reader goroutine on every
+// Serve is ServeRuns for a handler that has no use for run ends.
+func (e *Endpoint) Serve(handler func(frame []byte)) {
+	e.ServeRuns(func(frame []byte, _ bool) { handler(frame) })
+}
+
+// ServeRuns installs handler and starts reading: a reader goroutine on every
 // connection dialed so far, and an accept loop giving each inbound
 // connection one. A reader decodes length-prefixed frames and calls handler
-// with each in order. The handler runs on the reader goroutine and may keep
-// the frame; a handler that blocks exerts backpressure on that peer's
-// inbound direction only. Serve is called once and returns immediately.
-func (e *Endpoint) Serve(handler func(frame []byte)) {
+// with each in order; more reports that the reader has the next frame whole
+// in its buffer already, so more == false ends a run — the frames one socket
+// read delivered — and the reader's next step may be a blocking read. The
+// handler runs on the reader goroutine and may keep the frame; a handler
+// that blocks exerts backpressure on that peer's inbound direction only.
+// ServeRuns is called once (Serve counts) and returns immediately.
+func (e *Endpoint) ServeRuns(handler func(frame []byte, more bool)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -315,7 +325,7 @@ func (e *Endpoint) serveConn(pc *peerConn, accepted bool) {
 // reports false, refusing the stream, on a hello that does not arrive whole
 // or names an address over maxHello bytes (counted Malformed).
 func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
-	hello, err := ReadFrame(br, maxHello)
+	hello, err := readFrame(br, maxHello)
 	if err != nil {
 		if errors.Is(err, errTooLarge) {
 			e.malformed.Add(1)
@@ -332,11 +342,11 @@ func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
 }
 
 // readFrames decodes frames off r until it fails or the endpoint closes,
-// handing each to handler in order. A length over MaxFrame ends the stream
-// and is counted as Malformed.
-func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte)) {
+// handing each to handler in order, with whether the next is buffered whole.
+// A length over MaxFrame ends the stream and is counted as Malformed.
+func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte, more bool)) {
 	for {
-		frame, err := ReadFrame(r, MaxFrame)
+		frame, err := readFrame(r, MaxFrame)
 		if err != nil {
 			if errors.Is(err, errTooLarge) {
 				e.malformed.Add(1)
@@ -348,8 +358,18 @@ func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte)) {
 		}
 		e.framesRecv.Add(1)
 		e.bytesRecv.Add(uint64(len(frame)))
-		handler(frame) // freshly allocated by ReadFrame: the handler may keep it
+		handler(frame, buffered(r)) // freshly allocated by readFrame: the handler may keep it
 	}
+}
+
+// buffered reports whether r holds a whole frame already, so reading it
+// makes no syscall.
+func buffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4) // cannot fail: 4 bytes are buffered
+	return uint64(r.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // closing reports whether Close has begun: what it strands is a deliberate
@@ -612,9 +632,9 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// ReadFrame reads one length-prefixed frame, rejecting a length over limit
+// readFrame reads one length-prefixed frame, rejecting a length over limit
 // before allocating. The payload is freshly allocated.
-func ReadFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
+func readFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
 		return nil, err

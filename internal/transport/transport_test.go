@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,7 +281,7 @@ func TestFrameCodec(t *testing.T) {
 	}
 	r := bufio.NewReader(bytes.NewReader(stream))
 	for i, p := range payloads {
-		got, err := ReadFrame(r, MaxFrame)
+		got, err := readFrame(r, MaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestFrameCodec(t *testing.T) {
 			t.Fatalf("frame %d read back as %q, want %q", i, got, p)
 		}
 	}
-	if _, err := ReadFrame(r, MaxFrame); err != io.EOF {
+	if _, err := readFrame(r, MaxFrame); err != io.EOF {
 		t.Fatalf("read past the last frame = %v, want EOF", err)
 	}
 
@@ -340,11 +341,32 @@ func TestFrameCodec(t *testing.T) {
 
 	// Oversized length prefixes are rejected before allocation.
 	evil := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(bufio.NewReader(evil), MaxFrame); !errors.Is(err, errTooLarge) {
+	if _, err := readFrame(bufio.NewReader(evil), MaxFrame); !errors.Is(err, errTooLarge) {
 		t.Fatalf("oversized frame length read as %v, want errTooLarge", err)
 	}
 	if err := a.Send("peer", make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized send must be rejected")
+	}
+}
+
+// TestReadFramesMarksRunEnds pins the run boundary ServeRuns reports: a
+// frame is followed by more == true exactly when the next frame is already
+// whole in the reader's buffer. The first fill of the 4 KiB buffer holds
+// three small frames and the head of a large one, so the third ends a run;
+// the large frame's tail is read past the buffer, leaving it empty; the last
+// fill holds the two frames after it.
+func TestReadFramesMarksRunEnds(t *testing.T) {
+	var stream []byte
+	for _, p := range []string{"a", "bc", "def"} {
+		stream = AppendFrame(stream, []byte(p))
+	}
+	stream = AppendFrame(stream, bytes.Repeat([]byte{'x'}, 8<<10))
+	stream = AppendFrame(AppendFrame(stream, []byte("tail1")), []byte("tail2"))
+	var got []bool
+	e := &Endpoint{done: make(chan struct{})}
+	e.readFrames(bufio.NewReader(bytes.NewReader(stream)), func(_ []byte, more bool) { got = append(got, more) })
+	if want := []bool{true, true, false, false, true, false}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("run marks %v, want %v", got, want)
 	}
 }
 

@@ -236,13 +236,14 @@ type FaultStats struct {
 	// crashed node.
 	FastForwards int
 	// TransportDropped counts messages lost below the fault plan: mailboxes
-	// or connections' pending batches that stayed full past the send
-	// deadline, socket writes that timed out before writing a byte, and
-	// frames in flight or pending on a connection a failed write retired.
+	// that stayed full past the send deadline, frames that got no turn on
+	// their connection in time or whose socket write timed out before
+	// writing a byte, and frames in, or waiting behind, a write that failed
+	// and retired the connection.
 	// Zero on the simulator, whose channels are unbounded.
 	TransportDropped int
-	// TransportRequeued counts frames moved to a freshly dialed connection
-	// after their original connection died between lookup and enqueue.
+	// TransportRequeued counts frames resent on a freshly dialed connection
+	// after their original connection died before their turn to write.
 	TransportRequeued int
 }
 

@@ -451,6 +451,68 @@ func TestTCPLinkWire(t *testing.T) {
 	}
 }
 
+// TestTimerSendRidesReleaseUnderWay pins the hold as the one place a frame
+// waits: while a release of server 1's hold is wedged writing a frame too
+// large for the socket buffers to a peer that never reads, a timer
+// goroutine's send from server 1 joins the hold and returns — the timer
+// goroutine does not write a connection itself — and the release carries
+// it once its wedged write has timed out, so it arrives exactly once.
+func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
+	rt, l := idleTCP(t)
+	log := recordAll(rt, nil)
+	codec, ok := wire.CodecFor(0x11) // abd.queryAck
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	wedged, err := net.Listen("tcp", "127.0.0.1:0") // accepts in the kernel, never reads
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wedged.Close()
+	stats := func() transport.Stats {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return l.eps[1].Stats()
+	}
+
+	h := l.holds[1]
+	h.add(wedged.Addr().String(), make([]byte, transport.MaxFrame))
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		l.release(h)
+	}()
+	eventually(t, "the release under way", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.releasing && len(h.groups) == 0
+	})
+	l.send(rt.nodes[1], 2, codec.Sample(3), false) // a timer goroutine's send
+	h.mu.Lock()
+	held := len(h.groups) == 1 && len(h.groups[0].frames) == 1
+	h.mu.Unlock()
+	sent := stats().FramesSent
+	select {
+	case <-released:
+		t.Skip("this host's socket buffers absorbed a MaxFrame write to an unread peer")
+	default:
+	}
+	if !held || sent != 0 {
+		t.Fatalf("a timer send during a wedged release: held in the hold %t, %d frames written; want it held, none written", held, sent)
+	}
+
+	<-released // the wedged write times out after the transport's 1s
+	eventually(t, "the timer send delivered", func() bool {
+		return log.count(func(d delivery) bool { return d.to == 2 && d.from == 1 }) == 1
+	})
+	if s := stats(); s.FramesSent != 1 || s.BatchesSent != 1 || s.DroppedFull+s.DroppedDead != 1 {
+		t.Fatalf("after the release: %+v, want the timer's frame written once and the wedged frame dropped", s)
+	}
+	if n := log.count(func(d delivery) bool { return true }); n != 1 {
+		t.Fatalf("%d deliveries, want the timer's frame exactly once", n)
+	}
+}
+
 // TestInlineDeliveryKeepsLinkFIFO streams sequence-numbered messages from
 // server 2 to a running server 1 while the test, now and then, holds server
 // 1's lock and injects a message from server 3 through inbound — posted,

@@ -42,14 +42,14 @@
 //     unsupported combination, rejected with faults.ErrUnsupported. Every
 //     gate runs before the link sees the message, so a dropped message is
 //     never encoded and never touches a socket.
-//   - Flow control: mailboxes (and, on the TCP link, the frames pending on
-//     each connection) are bounded and a sender facing a full queue blocks
-//     up to sendTimeout (1s) before the message is dropped and counted in
-//     FaultStats.TransportDropped; on the TCP link the sender that flushes a
-//     connection writes to the socket itself, under the transport's own
-//     deadline. The paper's channels are unordered and lossy under faults,
-//     so the per-link FIFO the bounded path preserves is sound and the
-//     drop-after-deadline is loss the model already admits.
+//   - Flow control: mailboxes are bounded and a sender facing a full one
+//     blocks up to sendTimeout (1s) before the message is dropped and
+//     counted in FaultStats.TransportDropped; on the TCP link the goroutine
+//     releasing an endpoint's held frames writes each connection itself,
+//     waiting up to the transport's own 1s for the connection's turn and
+//     for the write. The paper's channels are unordered and lossy under
+//     faults, so the per-link FIFO the bounded path preserves is sound and
+//     the drop-after-deadline is loss the model already admits.
 //   - Liveness is a verdict, not a hang: every operation carries a timeout,
 //     and a run whose operations time out under a fault plan reports
 //     Quiescent with the timed-out operations pending in the history (their
@@ -194,13 +194,15 @@ type link interface {
 	// from: its loop (so the chan link may consume from's mailbox while it
 	// waits), or a tcp reader delivering to it inline; the tcp link holds
 	// the message until the batch or run ends. A delayed or held message
-	// arrives on a timer goroutine with inLoop false, and leaves at once.
+	// arrives on a timer goroutine with inLoop false, and leaves at once
+	// (on the tcp link, with the release of the endpoint's held frames
+	// that it starts or finds under way).
 	send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool)
 	// flush ends one drain batch of ns's loop, on that loop: whatever the
 	// link held of the batch's sends leaves now.
 	flush(ns *nodeState)
 	// loss reports the messages the link accepted and then lost, and the
-	// ones it had to re-enqueue onto a fresh connection.
+	// ones it had to resend on a fresh connection.
 	loss() (dropped, requeued int)
 	// sampler registers the link's own telemetry series and returns the
 	// function the sampling goroutine calls each tick.

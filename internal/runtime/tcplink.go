@@ -37,15 +37,16 @@ import (
 // (their sends go to sockets, whose kernel buffers break sender/receiver
 // cycles long before the drop deadline does), so nothing is ever siphoned.
 //
-// An owner's sends are held per sending endpoint — one hold per server, one
-// all clients share — until the loop's drain batch or the reader's run (the
+// Every send is held per sending endpoint — one hold per server, one all
+// clients share — and the hold is the only place a frame waits. An owner's
+// sends stay there until the loop's drain batch or the reader's run (the
 // frames one socket read delivered) ends; then each destination's group
-// goes to the transport as one Send, which appends it whole and writes it
-// in one socket write (with whatever else is pending on that connection).
-// So a server that answered four clients in one batch answers them in one
-// write, and two clients whose replies arrived in that one write send their
-// next requests to each server in one write. Sends from timer
-// goroutines (delay and outage holds) go out at once.
+// goes to the transport as one Send, written in one socket write. So a
+// server that answered four clients in one batch answers them in one write,
+// and two clients whose replies arrived in that one write send their next
+// requests to each server in one write. Sends from timer goroutines (delay
+// and outage holds) release the hold at once, or ride the release under
+// way; one release at a time writes an endpoint's frames.
 type tcpLink struct {
 	rt *runtime
 
@@ -94,8 +95,7 @@ func newTCPLink(rt *runtime) *tcpLink {
 // address is re-pointed, so peers redial the new address on their next send
 // while anything aimed at a dead socket is counted loss; a client attaches
 // to the shared endpoint, opened by the first client up. Endpoints run on
-// the transport's defaults (2s dial timeout, 256 pending frames per
-// connection, 1s send timeout).
+// the transport's defaults (2s dial timeout, 1s send timeout).
 func (l *tcpLink) up(ns *nodeState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -197,11 +197,13 @@ func (l *tcpLink) close() {
 	}
 }
 
-// hold is the frames one endpoint's nodes sent while owned — by their loops
-// or by readers delivering inline — waiting for the drain batch or reader
-// run that sent them to end. Groups are per destination address, in
+// hold is the frames one endpoint's nodes sent, waiting to be released: an
+// owner's (its loop, or a reader delivering inline) until the drain batch or
+// reader run that sent them ends, a timer goroutine's until the release it
+// starts or finds under way. Groups are per destination address, in
 // first-send order; their backing arrays are reused. One release at a time
-// sends them, so every (sender, destination) pair keeps its send order.
+// sends them, so every (sender, destination) pair keeps its send order and
+// one goroutine at a time writes each of the endpoint's connections.
 type hold struct {
 	owner *nodeState // the server whose endpoint sends the frames; nil for the clients' shared one
 
@@ -235,10 +237,10 @@ func (h *hold) add(addr string, frame []byte) {
 	g.addr, g.frames = addr, append(g.frames, frame)
 }
 
-// send frames the message — sender id, destination id, wire encoding. An
-// owner's send (inLoop) is added to the sending endpoint's hold, to leave
-// when the owner's batch or run ends; a timer goroutine's goes out at once.
-// The address is snapshotted under mu (recovery replaces it).
+// send frames the message — sender id, destination id, wire encoding — and
+// adds it to the sending endpoint's hold. An owner's send (inLoop) leaves
+// when the owner's batch or run ends; a timer goroutine's releases the hold
+// at once. The address is snapshotted under mu (recovery replaces it).
 func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
 	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
 	frame = binary.AppendUvarint(frame, uint64(to))
@@ -250,13 +252,13 @@ func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 		panic(fmt.Sprintf("runtime: node %d sent unencodable message: %v", from.id, err))
 	}
 	l.mu.RLock()
-	ep, addr := l.eps[from.id], l.addrs[to]
+	addr := l.addrs[to]
 	l.mu.RUnlock()
+	h := l.holds[from.id]
+	h.add(addr, frame)
 	if !inLoop {
-		l.sendGroup(ep, addr, frame)
-		return
+		l.release(h)
 	}
-	l.holds[from.id].add(addr, frame)
 }
 
 // flush ends the node loop's drain batch by releasing its endpoint's hold.
@@ -265,7 +267,11 @@ func (l *tcpLink) flush(ns *nodeState) { l.release(l.holds[ns.id]) }
 // release sends what h holds: each destination's frames go to the
 // transport as one group, in the order they were sent. A caller that finds
 // a release under way leaves its frames to it and returns; the one
-// releasing sends until nothing is held.
+// releasing sends until nothing is held. A Send error (failed dial, closed
+// endpoint) is real-network silence — the endpoint redials on the next send
+// and protocol timeouts own recovery — but it is counted, so lossy-run
+// reports do not understate loss. Sends run outside mu, since one can block
+// for the transport's full send timeout.
 func (l *tcpLink) release(h *hold) {
 	h.mu.Lock()
 	if h.releasing {
@@ -285,7 +291,9 @@ func (l *tcpLink) release(h *hold) {
 		l.mu.RUnlock()
 		for i := range out {
 			g := &out[i]
-			l.sendGroup(ep, g.addr, g.frames...)
+			if ep == nil || ep.Send(g.addr, g.frames...) != nil {
+				l.sendErrs.Add(int64(len(g.frames)))
+			}
 			clear(g.frames) // the reused slot must not pin sent frames
 			g.frames = g.frames[:0]
 		}
@@ -294,17 +302,6 @@ func (l *tcpLink) release(h *hold) {
 	}
 	h.releasing = false
 	h.mu.Unlock()
-}
-
-// sendGroup hands frames to ep for addr. A Send error (failed dial, closed
-// endpoint) is real-network silence — the endpoint redials on the next send
-// and protocol timeouts own recovery — but it is counted, so lossy-run
-// reports do not understate loss. The Send runs outside mu, since it can
-// block for the transport's full send timeout.
-func (l *tcpLink) sendGroup(ep *transport.Endpoint, addr string, frames ...[]byte) {
-	if ep == nil || ep.Send(addr, frames...) != nil {
-		l.sendErrs.Add(int64(len(frames)))
-	}
 }
 
 // inbound decodes one frame off an endpoint and delivers it to the node it
@@ -415,9 +412,9 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "socket writes carrying frames (frames/batches = coalescing factor)", sl, nl),
 			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "frame payload bytes written to peer sockets", sl, nl),
 			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "frame payload bytes received", sl, nl),
-			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped on a full pending batch or an unwritten socket write past SendTimeout", sl, nl),
+			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped with no turn to write, or an unwritten socket write, past SendTimeout", sl, nl),
 			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
-			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames re-enqueued onto a redialed connection", sl, nl),
+			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames resent on a redialed connection", sl, nl),
 			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound streams refused at a length over MaxFrame", sl, nl),
 		}
 	})

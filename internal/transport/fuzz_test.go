@@ -30,7 +30,7 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(cat(AppendFrame(nil, make([]byte, maxHello+1)), one))                                              // hello over its cap
 	f.Add(one)                                                                                               // a hello and nothing after it
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := &Endpoint{conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{}), done: make(chan struct{})}
+		e := &Endpoint{conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{})}
 		var handed uint64
 		e.handler = func([]byte, bool) { handed++ }
 		local, remote := net.Pipe()

@@ -19,11 +19,11 @@
 //     peer never dials back. A pooled connection is never replaced while
 //     healthy, so frames to one peer keep one FIFO stream; if both sides
 //     dial at once, each sends on its own and reads both.
-//   - Sender-side flush: Send appends its frames — one, or a group in order —
-//     to its connection's pending batch; a sender that finds no write in
-//     progress becomes the flusher and writes until nothing is pending, so a
-//     group, and frames appended meanwhile, leave back to back in one socket
-//     write. There is no writer goroutine.
+//   - One writer per connection: Send takes its connection's turn — one
+//     sender at a time, the others waiting up to SendTimeout for it — and
+//     writes its frames, one or a group in order, back to back in one socket
+//     write. No frame waits in the transport apart from its own sender:
+//     there is no pending queue and no writer goroutine.
 //   - Buffered reads: once Serve has installed the handler, every
 //     connection, dialed or accepted, has a reader goroutine reading through
 //     a 4 KiB bufio.Reader — one read syscall per wakeup, not one per header
@@ -34,10 +34,9 @@
 //     reader, retires the connection and the next Send redials — loss on a
 //     broken connection reaches the layer above as what it is on a real
 //     network: silence, bounded by op timeouts.
-//   - Bounded sends: Outbox bounds a connection's pending frames; a sender
-//     facing a full batch blocks up to SendTimeout, then drops the frames it
-//     could not append, each counted once in Stats, and the flusher's write
-//     carries the same deadline.
+//   - Bounded sends: a sender that gets no turn within SendTimeout drops
+//     its frames, and the write carries the same deadline; each dropped
+//     frame is counted once in Stats.
 //     Per-link order holds from Send to handler for every surviving frame.
 //   - Graceful shutdown: Close stops the accept loop, closes every
 //     connection, and joins every goroutine the endpoint started — no frame
@@ -71,48 +70,34 @@ const MaxFrame = 16 << 20
 // host:port is far shorter.
 const maxHello = 256
 
-// Batching caps: one flush writes at most maxFlushFrames pending frames, and
-// stops adding frames once maxFlushBytes are buffered, leaving the rest
-// pending for the next. The byte cap keeps latency bounded: a huge batch is
-// one long socket write.
-const (
-	maxFlushFrames = 64
-	maxFlushBytes  = 64 << 10
-)
-
 // errClosed reports a Send on an endpoint that has been closed.
 var errClosed = errors.New("transport: endpoint closed")
 
 // errTooLarge reports a length prefix over the reader's cap.
 var errTooLarge = errors.New("transport: frame length over its cap")
 
-// Outcomes of one enqueue attempt that Send turns into counted loss.
+// Outcomes of one write attempt that Send turns into a retry or counted loss.
 var (
-	errFull = errors.New("transport: pending batch full past SendTimeout")
-	errDead = errors.New("transport: connection retired")
+	errFull  = errors.New("transport: no turn, or nothing written, within SendTimeout")
+	errDead  = errors.New("transport: connection retired")
+	errStale = errors.New("transport: pooled connection retired before the turn")
 )
 
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
 	// DialTimeout bounds an outbound connection attempt (default 2s).
 	DialTimeout time.Duration
-	// Outbox bounds the frames pending on one connection, waiting for the
-	// flush in progress to finish (default 256).
-	Outbox int
-	// SendTimeout bounds how long Send may block — on a full pending batch,
-	// or as the flusher in a socket write — before the frames are dropped
-	// and counted (default 1s). This is the backpressure window: under
-	// sustained overload senders slow to the socket's drain rate instead of
-	// growing unbounded queues.
+	// SendTimeout bounds how long Send may wait for its connection's turn,
+	// and how long its socket write may block, before the frames are
+	// dropped and counted (default 1s). This is the backpressure window:
+	// under sustained overload senders slow to the socket's drain rate
+	// instead of growing queues.
 	SendTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.Outbox <= 0 {
-		c.Outbox = 256
 	}
 	if c.SendTimeout <= 0 {
 		c.SendTimeout = time.Second
@@ -122,18 +107,18 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of an endpoint's frame-loss accounting.
 // Every frame an endpoint accepted for delivery and then lost is counted in
-// exactly one bucket; frames still pending or in flight when Close runs are
-// deliberate shutdown discards and are not counted.
+// exactly one bucket; frames waiting for their turn or in flight when Close
+// runs are deliberate shutdown discards and are not counted.
 type Stats struct {
-	// DroppedFull counts frames dropped on a pending batch that stayed full
-	// past SendTimeout, or in or behind a write that timed out unwritten.
+	// DroppedFull counts frames whose Send got no turn on its connection
+	// within SendTimeout, or whose write timed out having written nothing.
 	DroppedFull uint64
-	// DroppedDead counts frames in or behind a write that failed otherwise,
-	// on a connection a failed write or the peer's end of the stream
-	// retired.
+	// DroppedDead counts frames in a write that failed otherwise, or whose
+	// Send waited for its turn behind the failure that retired the
+	// connection (a failed write, or the peer's end of the stream).
 	DroppedDead uint64
-	// Requeued counts frames re-enqueued onto a freshly dialed connection
-	// after their original connection died between lookup and enqueue.
+	// Requeued counts frames Send wrote on a freshly dialed connection by
+	// its one retry, after the pooled connection died before the turn.
 	Requeued uint64
 	// Malformed counts inbound streams refused at a length prefix over
 	// MaxFrame, or at a hello naming an address over 256 bytes; the reader
@@ -141,7 +126,7 @@ type Stats struct {
 	// handler.
 	Malformed uint64
 	// FramesSent / BatchesSent / BytesSent count the write side: frames
-	// successfully written to a socket, the socket writes (flushes)
+	// successfully written to a socket, the socket writes (one per Send)
 	// carrying them, and the frames' payload bytes (length prefixes
 	// excluded). BatchesSent <= FramesSent; their ratio is the achieved
 	// coalescing factor. A connection's hello is not a frame.
@@ -167,7 +152,7 @@ type Endpoint struct {
 	open    map[*peerConn]struct{}        // every connection not yet retired by its reader, pooled or not
 	dialing map[string]*dial              // dials in progress, by address: other senders to that peer wait on it
 	handler func(frame []byte, more bool) // installed by ServeRuns; no reader runs before
-	closed  bool
+	closed  atomic.Bool                   // Close has begun (set under mu): what it strands is a deliberate discard, not loss
 
 	droppedFull atomic.Uint64
 	droppedDead atomic.Uint64
@@ -180,24 +165,23 @@ type Endpoint struct {
 	framesRecv  atomic.Uint64
 	bytesRecv   atomic.Uint64
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
-// peerConn is one connection to a peer, carrying frames both ways. Senders
-// append to pending under mu; one of them at a time is the flusher, which
-// alone touches buf and deadline and writes to c outside the lock. Once
+// peerConn is one connection to a peer, carrying frames both ways. The
+// sender holding turn alone touches buf and deadline and writes to c. Once
 // Serve has run, a reader goroutine owns the read side of c.
 type peerConn struct {
 	c    net.Conn
-	dead atomic.Bool // c was retired: by a failed write, or by its reader when the stream ended
+	dead atomic.Bool   // c was retired: by a failed write, or by its reader when the stream ended
+	turn chan struct{} // holds a token while a sender writes: one writer at a time
 
-	mu       sync.Mutex
-	pending  [][]byte      // frames waiting for the next write, oldest first
-	flushing bool          // a sender is writing, and flushes pending before it returns
-	space    chan struct{} // closed when a write frees room; nil while no sender waits
-	buf      []byte        // the length-prefixed frames of the write in progress
-	deadline time.Time     // the write deadline set on c
+	buf      []byte    // the length-prefixed frames of the write in progress
+	deadline time.Time // the write deadline set on c
+}
+
+func newPeerConn(c net.Conn) *peerConn {
+	return &peerConn{c: c, turn: make(chan struct{}, 1)}
 }
 
 // dial is one connection attempt, shared by every sender to its address
@@ -221,7 +205,6 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 		conns:    make(map[string]*peerConn),
 		open:     make(map[*peerConn]struct{}),
 		dialing:  make(map[string]*dial),
-		done:     make(chan struct{}),
 	}, nil
 }
 
@@ -260,7 +243,7 @@ func (e *Endpoint) Serve(handler func(frame []byte)) {
 func (e *Endpoint) ServeRuns(handler func(frame []byte, more bool)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return
 	}
 	e.handler = handler
@@ -280,12 +263,12 @@ func (e *Endpoint) accept() {
 			return // listener closed
 		}
 		e.mu.Lock()
-		if e.closed {
+		if e.closed.Load() {
 			e.mu.Unlock()
 			c.Close()
 			return
 		}
-		e.track(&peerConn{c: c}, true)
+		e.track(newPeerConn(c), true)
 		e.mu.Unlock()
 	}
 }
@@ -353,7 +336,7 @@ func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte, more b
 			}
 			return
 		}
-		if e.closing() {
+		if e.closed.Load() {
 			return
 		}
 		e.framesRecv.Add(1)
@@ -372,172 +355,112 @@ func buffered(r *bufio.Reader) bool {
 	return uint64(r.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// closing reports whether Close has begun: what it strands is a deliberate
-// discard, not loss.
-func (e *Endpoint) closing() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Send hands frames to the peer at addr, in order, dialing (or redialing) it
-// if no healthy pooled connection exists, and writes them with whatever else
-// is pending — unless another sender is writing and will carry them. A group
-// is appended whole and flushed once, so up to 64 frames leave in one write.
-// A full pending batch blocks the caller up to SendTimeout and then drops
-// the frames not yet appended (each counted once in Stats) — they are "lost
-// in the network", exactly like frames on a connection that breaks
-// mid-flight; protocol-level timeouts own recovery. Send returns an error
-// only when no connection could be established or the endpoint is closed.
+// Send writes frames to the peer at addr, in order and back to back in one
+// socket write, dialing (or redialing) it if no healthy pooled connection
+// exists. The write waits for the connection's turn — one sender writes a
+// connection at a time — up to SendTimeout, and carries the same deadline;
+// frames that got no turn, or whose write timed out unwritten or failed,
+// are dropped and counted once in Stats — they are "lost in the network",
+// exactly like frames on a connection that breaks mid-flight; protocol-level
+// timeouts own recovery. Send returns an error only when no connection
+// could be established or the endpoint is closed.
 func (e *Endpoint) Send(addr string, frames ...[]byte) error {
 	for _, frame := range frames {
 		if len(frame) > MaxFrame {
 			return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(frame), MaxFrame)
 		}
 	}
-	n, err := e.enqueue(addr, frames)
-	if err == errDead && n == 0 {
-		// The connection died between lookup and enqueue: one retry on a
-		// fresh connection. A second death means the peer is gone and the
-		// frames are lost like any other frames on a broken connection.
-		n, err = e.enqueue(addr, frames)
-		e.requeued.Add(uint64(n))
+	err := e.send(addr, frames)
+	if err == errStale {
+		// The connection died between lookup and turn: one retry on a fresh
+		// connection. A second death means the peer is gone and the frames
+		// are lost like any other frames on a broken connection.
+		if err = e.send(addr, frames); err == nil {
+			e.requeued.Add(uint64(len(frames)))
+		}
 	}
-	lost := uint64(len(frames) - n)
 	switch err {
 	case errFull:
-		e.droppedFull.Add(lost)
-	case errDead:
-		e.droppedDead.Add(lost)
+		e.droppedFull.Add(uint64(len(frames)))
+	case errDead, errStale:
+		e.droppedDead.Add(uint64(len(frames)))
 	default:
 		return err
 	}
 	return nil
 }
 
-// enqueue appends frames to the pooled connection's pending batch in order,
-// waiting up to SendTimeout in all for room, and flushes it if no flush is in
-// progress. A group too large for the room left goes in parts: finding the
-// batch full of its own frames with nobody writing, the sender flushes them
-// itself first. It returns how many frames it appended.
-func (e *Endpoint) enqueue(addr string, frames [][]byte) (int, error) {
+// send writes frames to the pooled connection in its turn. It reports
+// errStale when the connection was found retired on a turn taken at once,
+// and errDead when it was retired while send waited — behind the write
+// whose failure retired it, or the peer ending the stream. A write that
+// timed out unwritten keeps the connection (errFull); any other failure
+// retires it (errDead) — unless Close is under way, whose discards are not
+// loss.
+func (e *Endpoint) send(addr string, frames [][]byte) error {
 	pc, err := e.conn(addr)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	pc.mu.Lock()
-	var timeout <-chan time.Time
-	for i, frame := range frames {
-		for len(pc.pending) >= e.cfg.Outbox && !pc.dead.Load() {
-			if !pc.flushing {
-				pc.flushing = true
-				e.flush(pc)
-				pc.mu.Lock()
-				continue
-			}
-			if pc.space == nil {
-				pc.space = make(chan struct{})
-			}
-			space := pc.space
-			pc.mu.Unlock()
-			if timeout == nil {
-				t := time.NewTimer(e.cfg.SendTimeout)
-				defer t.Stop()
-				timeout = t.C
-			}
-			select {
-			case <-space:
-			case <-timeout:
-				return i, errFull
-			case <-e.done:
-				return i, errClosed
-			}
-			pc.mu.Lock()
-		}
-		if pc.dead.Load() {
-			pc.mu.Unlock()
-			return i, errDead
-		}
-		pc.pending = append(pc.pending, frame)
+	got, waited := e.takeTurn(pc)
+	if got {
+		defer func() { <-pc.turn }()
 	}
-	if pc.flushing {
-		pc.mu.Unlock()
-		return len(frames), nil
+	switch {
+	case e.closed.Load(): // Close's discard, not loss
+		return nil
+	case !got:
+		return errFull
+	case pc.dead.Load() && waited:
+		return errDead
+	case pc.dead.Load():
+		return errStale
 	}
-	pc.flushing = true
-	e.flush(pc)
-	return len(frames), nil
-}
-
-// flush writes pc's pending frames back to back, at most maxFlushFrames and
-// about maxFlushBytes per write, until none is left. It is called with pc.mu
-// held and pc.flushing set, and returns with both released. A write that
-// timed out unwritten drops its frames and all pending as full and keeps the
-// connection; any other failure retires it and drops them as dead — whether
-// the write itself failed or the reader retired the connection under it
-// because the peer went away — unless Close is under way, whose discards
-// are not loss.
-func (e *Endpoint) flush(pc *peerConn) {
-	for len(pc.pending) > 0 {
-		pc.buf = pc.buf[:0]
-		n := 0
-		for n < len(pc.pending) && n < maxFlushFrames && len(pc.buf) < maxFlushBytes {
-			pc.buf = AppendFrame(pc.buf, pc.pending[n])
-			n++
-		}
-		rest := copy(pc.pending, pc.pending[n:])
-		clear(pc.pending[rest:])
-		pc.pending = pc.pending[:rest]
-		pc.wake()
-		pc.mu.Unlock()
-		wrote, err := e.write(pc)
-		pc.mu.Lock()
-		if err == nil {
-			e.framesSent.Add(uint64(n))
-			e.batchesSent.Add(1)
-			e.bytesSent.Add(uint64(len(pc.buf) - 4*n))
-			continue
-		}
-		lost := uint64(n + len(pc.pending))
-		clear(pc.pending)
-		pc.pending = pc.pending[:0]
-		switch {
-		case e.closing(): // Close failed the write: a discard, not loss
-		case wrote == 0 && errors.Is(err, os.ErrDeadlineExceeded):
-			e.droppedFull.Add(lost)
-		default:
-			pc.dead.Store(true)
-			pc.c.Close()
-			e.droppedDead.Add(lost)
-		}
-		pc.wake()
+	pc.buf = pc.buf[:0]
+	for _, frame := range frames {
+		pc.buf = AppendFrame(pc.buf, frame)
 	}
-	pc.flushing = false
-	pc.mu.Unlock()
-}
-
-// write writes pc.buf in one call. The deadline is pushed out to SendTimeout
-// only once less than half of it remains, keeping the deadline's timer reset
-// off most writes.
-func (e *Endpoint) write(pc *peerConn) (int, error) {
+	// The deadline is pushed out to SendTimeout only once less than half of
+	// it remains, keeping the deadline's timer reset off most writes.
 	if now := time.Now(); pc.deadline.Sub(now) < e.cfg.SendTimeout/2 {
 		pc.deadline = now.Add(e.cfg.SendTimeout)
-		if err := pc.c.SetWriteDeadline(pc.deadline); err != nil {
-			return 0, err
-		}
+		pc.c.SetWriteDeadline(pc.deadline) // fails only on a closed connection, whose Write fails too
 	}
-	return pc.c.Write(pc.buf)
+	wrote, err := pc.c.Write(pc.buf)
+	switch {
+	case err == nil:
+		e.framesSent.Add(uint64(len(frames)))
+		e.batchesSent.Add(1)
+		e.bytesSent.Add(uint64(len(pc.buf) - 4*len(frames)))
+		return nil
+	case e.closed.Load(): // Close failed the write: a discard, not loss
+		return nil
+	case wrote == 0 && errors.Is(err, os.ErrDeadlineExceeded):
+		return errFull
+	}
+	pc.dead.Store(true)
+	pc.c.Close()
+	return errDead
 }
 
-// wake releases every sender waiting for room in pc's pending batch. It is
-// called with pc.mu held.
-func (pc *peerConn) wake() {
-	if pc.space != nil {
-		close(pc.space)
-		pc.space = nil
+// takeTurn takes pc's turn to write, waiting up to SendTimeout for the
+// sender holding it; it reports whether it got the turn, and whether it had
+// to wait. Waiters get the turn in arrival order: releasing it hands the
+// channel's slot to the longest waiter. Close needs no case here: it closes
+// the connection, which fails the write holding the turn.
+func (e *Endpoint) takeTurn(pc *peerConn) (got, waited bool) {
+	select {
+	case pc.turn <- struct{}{}:
+		return true, false
+	default:
+	}
+	t := time.NewTimer(e.cfg.SendTimeout)
+	defer t.Stop()
+	select {
+	case pc.turn <- struct{}{}:
+		return true, true
+	case <-t.C:
+		return false, true
 	}
 }
 
@@ -549,7 +472,7 @@ func (pc *peerConn) wake() {
 func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	e.mu.Lock()
 	for {
-		if e.closed {
+		if e.closed.Load() {
 			e.mu.Unlock()
 			return nil, errClosed
 		}
@@ -585,14 +508,14 @@ func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	defer e.mu.Unlock()
 	delete(e.dialing, addr)
 	defer close(d.done)
-	if err == nil && e.closed {
+	if err == nil && e.closed.Load() {
 		c.Close()
 		err = errClosed
 	}
 	if d.err = err; err != nil {
 		return nil, err
 	}
-	pc := &peerConn{c: c}
+	pc := newPeerConn(c)
 	e.track(pc, false)
 	if racing, ok := e.conns[addr]; ok && !racing.dead.Load() {
 		// The peer's own dial was adopted meanwhile: send on that one. Ours
@@ -606,16 +529,16 @@ func (e *Endpoint) conn(addr string) (*peerConn, error) {
 
 // Close shuts the endpoint down: no new accepts or dials, every connection
 // closed, every reader goroutine joined. Frames already handed to handlers
-// have completed when Close returns; frames still pending are discarded.
+// have completed when Close returns; frames waiting for their turn or in a
+// write are discarded.
 // Idempotent.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	close(e.done) // before the Close that fails a write in progress, which then counts no loss
+	e.closed.Store(true) // before the Close that fails a write in progress, which then counts no loss
 	err := e.listener.Close()
 	for pc := range e.open {
 		pc.c.Close()

@@ -59,8 +59,8 @@ func TestSendDeliversFrames(t *testing.T) {
 		defer mu.Unlock()
 		return len(got) == 100
 	})
-	// Sends from one goroutine leave in call order: each is appended to the
-	// connection's pending batch, and the flusher writes it oldest first.
+	// Sends from one goroutine leave in call order: each writes its frame
+	// before it returns.
 	mu.Lock()
 	defer mu.Unlock()
 	for i, f := range got {
@@ -363,19 +363,19 @@ func TestReadFramesMarksRunEnds(t *testing.T) {
 	stream = AppendFrame(stream, bytes.Repeat([]byte{'x'}, 8<<10))
 	stream = AppendFrame(AppendFrame(stream, []byte("tail1")), []byte("tail2"))
 	var got []bool
-	e := &Endpoint{done: make(chan struct{})}
+	e := &Endpoint{}
 	e.readFrames(bufio.NewReader(bytes.NewReader(stream)), func(_ []byte, more bool) { got = append(got, more) })
 	if want := []bool{true, true, false, false, true, false}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("run marks %v, want %v", got, want)
 	}
 }
 
-// TestOutboxOverflowDoesNotBlock floods one link far past the outbox
-// capacity from the sending goroutine to a slow consumer; each Send writes
-// its frame into the kernel's socket buffer, which absorbs the burst, so the
-// sender never waits on the consumer and every frame still arrives.
-func TestOutboxOverflowDoesNotBlock(t *testing.T) {
-	a, _ := Listen("127.0.0.1:0", Config{Outbox: 4})
+// TestSlowConsumerDoesNotBlockSender floods one link from the sending
+// goroutine to a slow consumer; each Send writes its frame into the
+// kernel's socket buffer, which absorbs the burst, so the sender never
+// waits on the consumer and every frame still arrives.
+func TestSlowConsumerDoesNotBlockSender(t *testing.T) {
+	a, _ := Listen("127.0.0.1:0", Config{})
 	defer a.Close()
 	b, _ := Listen("127.0.0.1:0", Config{})
 	defer b.Close()
@@ -407,86 +407,6 @@ func BenchmarkEndpointRoundTrip(b *testing.B) {
 // shape of one ABD quorum phase on five servers.
 func BenchmarkEndpointFanOut(b *testing.B) {
 	benchmarkFanOut(b, 5)
-}
-
-// BenchmarkEndpointFanIn is four senders sharing one endpoint, each keeping
-// one 64 B frame in flight to a peer that echoes the way a node loop
-// answers: it takes every frame that has arrived and sends the replies as
-// one group. An iteration is one round trip of one sender; frames/write is
-// the coalescing the one connection achieves, both directions together.
-func BenchmarkEndpointFanIn(b *testing.B) {
-	const senders = 4
-	a, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	replies := make([]chan struct{}, senders)
-	for i := range replies {
-		replies[i] = make(chan struct{}, 1) // one frame in flight per sender
-	}
-	a.Serve(func(frame []byte) { replies[frame[0]] <- struct{}{} })
-	peer, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer peer.Close()
-	inbox := make(chan []byte, senders)
-	peer.Serve(func(frame []byte) { inbox <- frame })
-	home, stop, echoed := a.Addr(), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(echoed)
-		var batch [][]byte
-		for {
-			select {
-			case f := <-inbox:
-				batch = append(batch[:0], f)
-			case <-stop:
-				return
-			}
-			for more := true; more; {
-				select {
-				case f := <-inbox:
-					batch = append(batch, f)
-				default:
-					more = false
-				}
-			}
-			if err := peer.Send(home, batch...); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	}()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		n := b.N / senders
-		if s < b.N%senders {
-			n++
-		}
-		wg.Add(1)
-		go func(s byte, n int) {
-			defer wg.Done()
-			frame := make([]byte, 64)
-			frame[0] = s
-			for i := 0; i < n; i++ {
-				if err := a.Send(peer.Addr(), frame); err != nil {
-					b.Error(err)
-					return
-				}
-				<-replies[s]
-			}
-		}(byte(s), n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(stop)
-	<-echoed
-	sa, sp := a.Stats(), peer.Stats()
-	b.ReportMetric(float64(sa.FramesSent+sp.FramesSent)/float64(sa.BatchesSent+sp.BatchesSent), "frames/write")
 }
 
 func benchmarkFanOut(b *testing.B, n int) {

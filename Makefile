@@ -69,10 +69,13 @@ load-smoke:
 # live /metrics, scraped repeatedly while it runs — every scrape must be a well-formed
 # Prometheus exposition with monotone counters (TestTelemetrySmoke), and the
 # storage gauges a live run publishes must never exceed the final ioa
-# watermark (TestTelemetryScrapeDuringLiveRun).
+# watermark (TestTelemetryScrapeDuringLiveRun), and a run's final sample is
+# taken before its link closes, so teardown never reads as loss
+# (TestFinalSampleBeforeTeardown).
 telemetry-smoke:
 	$(GO) test -race -count=1 -run TestTelemetrySmoke ./cmd/shmem
 	$(GO) test -race -count=1 -run TestTelemetryScrapeDuringLiveRun .
+	$(GO) test -race -count=1 -run TestFinalSampleBeforeTeardown ./internal/runtime
 	@echo telemetry-smoke ok
 
 bench:

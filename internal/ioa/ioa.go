@@ -236,9 +236,8 @@ type FaultStats struct {
 	// crashed node.
 	FastForwards int
 	// TransportDropped counts messages lost below the fault plan: mailboxes
-	// that stayed full past the send deadline, frames that got no turn on
-	// their connection in time or whose socket write timed out before
-	// writing a byte, and frames in, or waiting behind, a write that failed
+	// that stayed full past the send deadline, frames whose socket write
+	// timed out before writing a byte, and frames in a write that failed
 	// and retired the connection.
 	// Zero on the simulator, whose channels are unbounded.
 	TransportDropped int

@@ -24,9 +24,8 @@ import (
 // waiting on lost messages). An operation invoked at such a client anyway
 // queues behind the stuck one at the node and times out unstarted.
 type Interactive struct {
-	rt            *runtime
-	stopTelemetry func()
-	closed        atomic.Bool
+	rt     *runtime
+	closed atomic.Bool
 }
 
 // OpenInteractive clones the cluster's automata, attaches them to the named
@@ -46,9 +45,9 @@ func OpenInteractive(backend string, cl *cluster.Cluster, plan *faults.Plan, cfg
 	}
 	// Interactive sessions have no fixed value size, so the sampler skips
 	// the paper-bound gauges and publishes the raw storage watermarks.
-	s := &Interactive{rt: rt, stopTelemetry: rt.startTelemetry(cl, workload.Spec{})}
+	rt.startTelemetry(cl, workload.Spec{})
 	rt.start()
-	return s, nil
+	return &Interactive{rt: rt}, nil
 }
 
 // RunOp runs one operation at the client to completion and returns its
@@ -101,6 +100,5 @@ func (s *Interactive) Close() error {
 		return nil
 	}
 	s.rt.stop()
-	s.stopTelemetry()
 	return nil
 }

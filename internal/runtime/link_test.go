@@ -23,6 +23,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 func abdCluster(t *testing.T) *cluster.Cluster {
@@ -50,6 +51,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 type recLink struct {
 	mu         sync.Mutex
 	ups, downs []ioa.NodeID
+	ends       []string     // "sample" per telemetry sample of the link, "close" for its close, in order
 	sent       chan sentMsg // buffered: a test sends a handful of messages
 }
 
@@ -77,10 +79,18 @@ func (l *recLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 	l.sent <- sentMsg{from.id, to, msg, inLoop, time.Now()}
 }
 
-func (l *recLink) flush(*nodeState)                                    {}
-func (l *recLink) loss() (int, int)                                    { return 0, 0 }
-func (l *recLink) sampler(*telemetry.Registry, telemetry.Label) func() { return func() {} }
-func (l *recLink) close()                                              {}
+func (l *recLink) flush(*nodeState) {}
+func (l *recLink) loss() (int, int) { return 0, 0 }
+func (l *recLink) sampler(*telemetry.Registry, telemetry.Label) func() {
+	return func() { l.end("sample") }
+}
+func (l *recLink) close() { l.end("close") }
+
+func (l *recLink) end(what string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ends = append(l.ends, what)
+}
 
 // gated starts a runtime over a recording link under the plan (StepDur 1ms)
 // and returns it with the link and the clock's epoch as the test sees it.
@@ -117,6 +127,39 @@ func (l *recLink) silent(t *testing.T) {
 	case m := <-l.sent:
 		t.Fatalf("message %v reached the link", m)
 	default:
+	}
+}
+
+// TestFinalSampleBeforeTeardown pins the order a run ends in, for RunConfig's
+// stop and Interactive.Close alike: the telemetry sampler's final sample of
+// the link comes before the link closes, so what teardown strands (a
+// server's last write into a peer endpoint that closed first) never reads as
+// loss in the run's series.
+func TestFinalSampleBeforeTeardown(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*runtime)
+	}{
+		{"stop", (*runtime).stop},
+		{"Interactive.Close", func(rt *runtime) { (&Interactive{rt: rt}).Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recLink{sent: make(chan sentMsg, 16)}
+			cl := abdCluster(t)
+			cfg := Config{Telemetry: &telemetry.RunTelemetry{Registry: telemetry.NewRegistry()}}
+			rt, err := newRuntime(cl, nil, cfg, func(*runtime) link { return rec })
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.startTelemetry(cl, workload.Spec{})
+			rt.start()
+			tc.end(rt)
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if n := len(rec.ends); n < 2 || rec.ends[n-2] != "sample" || rec.ends[n-1] != "close" {
+				t.Fatalf("the run ended with %v; want the final sample, then the link's close", rec.ends)
+			}
+		})
 	}
 }
 

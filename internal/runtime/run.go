@@ -52,7 +52,7 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 		own = ioa.NewHistory()
 		rt.feed = ioa.NewOpFeed(own)
 	}
-	stopTelemetry := rt.startTelemetry(cl, spec)
+	rt.startTelemetry(cl, spec)
 	rt.start()
 	lats, peakWrites := rt.runFlights(cl, spec)
 	// Snapshot before tearing down: stop closes the link under whatever
@@ -60,7 +60,6 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 	// messages that teardown strands are not faults of the run.
 	stats := rt.faultStats()
 	rt.stop()
-	stopTelemetry()
 
 	res := &workload.Result{
 		PeakActiveWrites: peakWrites,

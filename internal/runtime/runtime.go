@@ -46,8 +46,8 @@
 //     blocks up to sendTimeout (1s) before the message is dropped and
 //     counted in FaultStats.TransportDropped; on the TCP link the goroutine
 //     releasing an endpoint's held frames writes each connection itself,
-//     waiting up to the transport's own 1s for the connection's turn and
-//     for the write. The paper's channels are unordered and lossy under
+//     under the endpoint's send lock, its write bounded by the transport's
+//     own 1s deadline. The paper's channels are unordered and lossy under
 //     faults, so the per-link FIFO the bounded path preserves is sound and
 //     the drop-after-deadline is loss the model already admits.
 //   - Liveness is a verdict, not a hang: every operation carries a timeout,
@@ -305,7 +305,8 @@ type runtime struct {
 	feed *ioa.OpFeed   // stamps and orders a batch run's ops into its sink; nil in interactive sessions
 	seq  atomic.Uint64 // global send sequence number for MessageFate
 
-	tracer *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
+	tracer        *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
+	stopTelemetry func()            // takes the final sample and joins the sampler; set by startTelemetry
 
 	drops, delayed, delaySteps atomic.Int64
 	overflow                   atomic.Int64 // events dropped after their deadline on a full mailbox
@@ -410,13 +411,19 @@ func (rt *runtime) start() {
 	rt.wc.Start(faults.NodeHooks{Crash: rt.crashNode, Recover: rt.recoverNode})
 }
 
-// stop shuts everything down: every pending delay/outage timer is stopped,
-// the link closes (no more events are handed to mailboxes), every goroutine
-// joins. The wall clock stops first: after wc.Stop returns no crash/recovery
-// hook is in flight, so no new loop goroutine can race wg.Wait. After stop
-// returns, the storage maxima are final and no timer from this run remains
+// stop shuts everything down: the telemetry sampler takes its final sample,
+// every pending delay/outage timer is stopped, the link closes (no more
+// events are handed to mailboxes), every goroutine joins. The sample comes
+// first so it reads the run, not its teardown: frames stop strands (a
+// server's last write into a peer endpoint that closed first) are not loss.
+// The wall clock stops next: after wc.Stop returns no crash/recovery hook is
+// in flight, so no new loop goroutine can race wg.Wait. After stop returns,
+// the storage maxima are final and no timer from this run remains
 // scheduled.
 func (rt *runtime) stop() {
+	if rt.stopTelemetry != nil {
+		rt.stopTelemetry()
+	}
 	rt.wc.Stop()
 	close(rt.done)
 	rt.timerMu.Lock()

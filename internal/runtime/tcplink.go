@@ -412,7 +412,7 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "socket writes carrying frames (frames/batches = coalescing factor)", sl, nl),
 			bytesSent:   reg.Counter(telemetry.MetricTransportBytesSent, "frame payload bytes written to peer sockets", sl, nl),
 			bytesRecv:   reg.Counter(telemetry.MetricTransportBytesRecv, "frame payload bytes received", sl, nl),
-			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped with no turn to write, or an unwritten socket write, past SendTimeout", sl, nl),
+			droppedFull: reg.Counter(telemetry.MetricTransportDroppedFull, "frames dropped by a socket write that timed out with nothing written, past SendTimeout", sl, nl),
 			droppedDead: reg.Counter(telemetry.MetricTransportDroppedDead, "frames lost to dead connections", sl, nl),
 			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames resent on a redialed connection", sl, nl),
 			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound streams refused at a length over MaxFrame", sl, nl),

@@ -23,13 +23,13 @@ type checkerStats interface {
 // the sampling goroutine: every tick it reads each server node's storage
 // meter (the same curBits/maxBits watermark path storageReport folds at
 // shutdown — gauges can never exceed that watermark), the measured-vs-bound
-// slack, the link's own counters and the online checker's lag. The returned
-// stop joins the sampler after one final sample, so the end-of-run watermark
-// is always published. A no-op when telemetry is off.
-func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop func()) {
+// slack, the link's own counters and the online checker's lag. rt.stop
+// joins the sampler after one final sample, so the end-of-run watermark is
+// always published. A no-op when telemetry is off.
+func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) {
 	tel := rt.cfg.Telemetry
 	if !tel.Active() {
-		return func() {}
+		return
 	}
 	reg := tel.Registry
 	sl := telemetry.L("shard", tel.ShardLabel())
@@ -130,7 +130,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) (stop
 			}
 		}
 	}()
-	return func() {
+	rt.stopTelemetry = func() {
 		close(done)
 		<-finished
 	}

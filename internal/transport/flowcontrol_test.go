@@ -18,7 +18,7 @@ import (
 // exactly how many bytes of each write it accepts.
 func pipePeer(e *Endpoint, addr string) (*peerConn, net.Conn) {
 	local, remote := net.Pipe()
-	pc := newPeerConn(local)
+	pc := &peerConn{c: local}
 	e.mu.Lock()
 	e.track(pc, false)
 	e.conns[addr] = pc
@@ -26,23 +26,30 @@ func pipePeer(e *Endpoint, addr string) (*peerConn, net.Conn) {
 	return pc, remote
 }
 
-// waitingForTurn counts the goroutines parked in takeTurn, waiting for a
-// connection's turn to write.
-func waitingForTurn() int {
+// waitingToSend counts the goroutines parked in Send on an endpoint's send
+// lock, waiting for the sender holding it. A goroutine blocked on the pool's
+// mutex further in, under send, is not one of them.
+func waitingToSend() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte(").takeTurn(")) {
+		if bytes.Contains(g, []byte(" [sync.Mutex.Lock")) && bytes.Contains(g, []byte(").Send(")) && !bytes.Contains(g, []byte(").send(")) {
 			n++
 		}
 	}
 	return n
 }
 
-// turnHeld reports whether a sender holds pc's turn: it is in its write, or
-// about to be.
-func turnHeld(pc *peerConn) bool { return len(pc.turn) == 1 }
+// sendHeld reports whether a sender holds e's send lock: it is dialing or in
+// its write, or about to be.
+func sendHeld(e *Endpoint) bool {
+	if e.sendMu.TryLock() {
+		e.sendMu.Unlock()
+		return false
+	}
+	return true
+}
 
 // TestBatchedDeliveryPreservesOrder floods one link with numbered frames,
 // one Send each. The reader must hand every frame to the handler exactly
@@ -171,11 +178,11 @@ func TestSendGroup(t *testing.T) {
 
 // TestConcurrentSendersCoalesce has eight goroutines share one connection,
 // each sending groups of four numbered frames. One writes at a time while
-// the others wait for the turn, so their groups coalesce into the one
+// the others wait for the send lock, so their groups coalesce into the one
 // stream whole: every frame arrives exactly once, each group's frames back
 // to back, each sender's frames in its send order, and every Send is one
 // write. The peer is a pipe, whose writes block until read, and it reads
-// nothing until senders wait behind the first write, so the turn is
+// nothing until senders wait behind the first write, so the lock is
 // contended whatever the scheduler does.
 func TestConcurrentSendersCoalesce(t *testing.T) {
 	const senders, sends, group = 8, 100, 4
@@ -195,7 +202,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 	var got []arrival
 	b := &Endpoint{}
 	go func() {
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && waitingForTurn() < 2; {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && waitingToSend() < 2; {
 			time.Sleep(time.Millisecond)
 		}
 		b.readFrames(bufio.NewReader(peer), func(frame []byte, _ bool) {
@@ -251,11 +258,12 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 // abandoned frame must show up in Stats, and no goroutine may be left
 // behind. Over a pipe the ways a send can time out are told apart: a write
 // that wrote nothing drops its frames as full and keeps the connection, and
-// so does a sender that got no turn behind it; a write that wrote part of a
-// frame retires the connection and drops its frames as dead.
+// so does the sender waiting for the send lock behind it, whose own write
+// times out in turn; a write that wrote part of a frame retires the
+// connection and drops its frames as dead.
 func TestSendBackpressureDropsAreCounted(t *testing.T) {
 	const timeout = 50 * time.Millisecond
-	// A send waits at most twice, for the turn and in its write: the bound
+	// A send waits at most twice, for the send lock and in its write: the bound
 	// leaves room for a scheduler hiccup, not for a third wait.
 	timedSend := func(e *Endpoint, addr string, frame []byte) {
 		t.Helper()
@@ -321,8 +329,9 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 			t.Fatalf("zero-byte timeout: %+v, dead=%v; want one full drop and the connection kept", s, pc.dead.Load())
 		}
 
-		// Two at once: one times out in its write, the other waiting for the
-		// turn or, given it late, in its own write — full drops either way.
+		// Two at once: one times out in its write, the other waits for the
+		// send lock and then times out in its own write — full drops either
+		// way.
 		var wg sync.WaitGroup
 		for i := 0; i < 2; i++ {
 			wg.Add(1)
@@ -353,21 +362,22 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 
 // TestCloseDuringFlushIsNotLoss closes an endpoint while a sender is
 // blocked writing to a peer that never reads, with another sender waiting
-// for the turn behind it: both return, neither frame is counted as lost
-// (Close's discards are deliberate), and a later Send reports errClosed.
+// for the send lock behind it: both return, neither frame is counted as
+// lost (Close's discards are deliberate), and a later Send reports
+// errClosed.
 func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 	a, err := Listen("127.0.0.1:0", Config{SendTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, peer := pipePeer(a, "peer")
+	_, peer := pipePeer(a, "peer")
 	defer peer.Close()
 
 	sent := make(chan error, 2)
 	go func() { sent <- a.Send("peer", []byte("in flight")) }()
-	waitFor(t, 5*time.Second, func() bool { return turnHeld(pc) })
+	waitFor(t, 5*time.Second, func() bool { return sendHeld(a) })
 	go func() { sent <- a.Send("peer", []byte("waiting")) }()
-	waitFor(t, 5*time.Second, func() bool { return waitingForTurn() == 1 })
+	waitFor(t, 5*time.Second, func() bool { return waitingToSend() == 1 })
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,13 +401,13 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 
 // TestPeerCloseMidFlushIsLoss is the converse: the peer, not Close, ends the
 // stream while a sender is blocked writing to it (a frame too large for the
-// socket buffers, unread) with another sender waiting for the turn behind
-// it. The peer half-closes, so it is the connection's reader — seeing the
-// stream end and retiring the connection — that fails the write, not the
-// socket. Both frames are real loss and land in DroppedDead, not among
-// Close's uncounted discards — the waiting sender's too, since its
-// connection died while it waited, not before — and the next Send redials
-// and is delivered on a fresh connection.
+// socket buffers, unread) with another sender waiting for the send lock
+// behind it. The peer half-closes, so it is the connection's reader —
+// seeing the stream end and retiring the connection — that fails the write,
+// not the socket. The writer's frame is real loss and lands in DroppedDead,
+// not among Close's uncounted discards; the waiting sender finds the
+// connection retired when it gets the lock, redials, and is delivered on the
+// fresh connection.
 func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -424,10 +434,10 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 		a.mu.Lock()
 		pc = a.conns[addr]
 		a.mu.Unlock()
-		return pc != nil && turnHeld(pc)
+		return pc != nil && sendHeld(a)
 	})
 	go func() { sent <- a.Send(addr, []byte("waiting")) }()
-	waitFor(t, 5*time.Second, func() bool { return waitingForTurn() == 1 || len(sent) > 0 })
+	waitFor(t, 5*time.Second, func() bool { return waitingToSend() == 1 || len(sent) > 0 })
 	if len(sent) > 0 {
 		t.Skip("this host's socket buffers absorbed a MaxFrame write to an unread peer")
 	}
@@ -444,20 +454,17 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 			t.Fatal("a Send still blocked after the peer ended its stream")
 		}
 	}
-	if s := a.Stats(); s.DroppedDead != 2 || s.DroppedFull+s.Requeued+s.FramesSent != 0 || !pc.dead.Load() {
-		t.Fatalf("peer ended its stream mid-write: %+v, dead=%t; want both frames dropped dead", s, pc.dead.Load())
+	if s := a.Stats(); s.DroppedDead != 1 || s.DroppedFull+s.Requeued != 0 || s.FramesSent != 1 || !pc.dead.Load() {
+		t.Fatalf("peer ended its stream mid-write: %+v, dead=%t; want the writer's frame dropped dead and the waiter's sent", s, pc.dead.Load())
 	}
 
-	if err := a.Send(addr, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
 	redialed, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer redialed.Close()
 	br := bufio.NewReader(redialed)
-	for _, want := range []string{a.Addr(), "after"} { // the hello, then the frame
+	for _, want := range []string{a.Addr(), "waiting"} { // the hello, then the waiter's frame
 		if got, err := readFrame(br, MaxFrame); err != nil || string(got) != want {
 			t.Fatalf("redialed stream: read %q, %v; want %q", got, err, want)
 		}

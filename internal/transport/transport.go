@@ -19,11 +19,13 @@
 //     peer never dials back. A pooled connection is never replaced while
 //     healthy, so frames to one peer keep one FIFO stream; if both sides
 //     dial at once, each sends on its own and reads both.
-//   - One writer per connection: Send takes its connection's turn — one
-//     sender at a time, the others waiting up to SendTimeout for it — and
-//     writes its frames, one or a group in order, back to back in one socket
-//     write. No frame waits in the transport apart from its own sender:
-//     there is no pending queue and no writer goroutine.
+//   - One sender per endpoint: Send holds the endpoint's send lock from the
+//     connection lookup, and any dial, through its write, and writes its
+//     frames, one or a group in order, back to back in one socket write.
+//     The layer above already sends from one goroutine per endpoint at a
+//     time, so the lock arbitrates nothing on the hot path. No frame waits
+//     in the transport apart from its own sender: there is no pending queue
+//     and no writer goroutine.
 //   - Buffered reads: once Serve has installed the handler, every
 //     connection, dialed or accepted, has a reader goroutine reading through
 //     a 4 KiB bufio.Reader — one read syscall per wakeup, not one per header
@@ -34,9 +36,10 @@
 //     reader, retires the connection and the next Send redials — loss on a
 //     broken connection reaches the layer above as what it is on a real
 //     network: silence, bounded by op timeouts.
-//   - Bounded sends: a sender that gets no turn within SendTimeout drops
-//     its frames, and the write carries the same deadline; each dropped
-//     frame is counted once in Stats.
+//   - Bounded sends: the write carries a SendTimeout deadline and the dial
+//     a DialTimeout one, so a sender waiting on the lock waits only for
+//     bounded dials and writes ahead of it; each frame a failed write drops
+//     is counted once in Stats.
 //     Per-link order holds from Send to handler for every surviving frame.
 //   - Graceful shutdown: Close stops the accept loop, closes every
 //     connection, and joins every goroutine the endpoint started — no frame
@@ -78,20 +81,19 @@ var errTooLarge = errors.New("transport: frame length over its cap")
 
 // Outcomes of one write attempt that Send turns into a retry or counted loss.
 var (
-	errFull  = errors.New("transport: no turn, or nothing written, within SendTimeout")
-	errDead  = errors.New("transport: connection retired")
-	errStale = errors.New("transport: pooled connection retired before the turn")
+	errFull  = errors.New("transport: nothing written within SendTimeout")
+	errDead  = errors.New("transport: write failed; connection retired")
+	errStale = errors.New("transport: connection retired before the write")
 )
 
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
 	// DialTimeout bounds an outbound connection attempt (default 2s).
 	DialTimeout time.Duration
-	// SendTimeout bounds how long Send may wait for its connection's turn,
-	// and how long its socket write may block, before the frames are
-	// dropped and counted (default 1s). This is the backpressure window:
-	// under sustained overload senders slow to the socket's drain rate
-	// instead of growing queues.
+	// SendTimeout bounds how long a socket write may block before its
+	// frames are dropped and counted (default 1s). This is the
+	// backpressure window: under sustained overload senders slow to the
+	// socket's drain rate instead of growing queues.
 	SendTimeout time.Duration
 }
 
@@ -107,18 +109,19 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of an endpoint's frame-loss accounting.
 // Every frame an endpoint accepted for delivery and then lost is counted in
-// exactly one bucket; frames waiting for their turn or in flight when Close
-// runs are deliberate shutdown discards and are not counted.
+// exactly one bucket; frames waiting for the send lock or in flight when
+// Close runs are deliberate shutdown discards and are not counted.
 type Stats struct {
-	// DroppedFull counts frames whose Send got no turn on its connection
-	// within SendTimeout, or whose write timed out having written nothing.
+	// DroppedFull counts frames whose write timed out having written
+	// nothing; the connection is kept.
 	DroppedFull uint64
-	// DroppedDead counts frames in a write that failed otherwise, or whose
-	// Send waited for its turn behind the failure that retired the
-	// connection (a failed write, or the peer's end of the stream).
+	// DroppedDead counts frames in a write that failed otherwise, which
+	// retires the connection, or whose retry found its fresh connection
+	// retired too.
 	DroppedDead uint64
-	// Requeued counts frames Send wrote on a freshly dialed connection by
-	// its one retry, after the pooled connection died before the turn.
+	// Requeued counts frames Send wrote on a fresh connection by its one
+	// retry, after the pooled connection was found retired before the
+	// write.
 	Requeued uint64
 	// Malformed counts inbound streams refused at a length prefix over
 	// MaxFrame, or at a hello naming an address over 256 bytes; the reader
@@ -147,10 +150,12 @@ type Endpoint struct {
 	cfg      Config
 	listener net.Listener
 
+	sendMu sync.Mutex // held by Send from the connection lookup through the write: one sender at a time
+	buf    []byte     // the length-prefixed frames of the write in progress; sendMu's
+
 	mu      sync.Mutex
 	conns   map[string]*peerConn          // the connection frames to a peer leave on, keyed by its listen address
 	open    map[*peerConn]struct{}        // every connection not yet retired by its reader, pooled or not
-	dialing map[string]*dial              // dials in progress, by address: other senders to that peer wait on it
 	handler func(frame []byte, more bool) // installed by ServeRuns; no reader runs before
 	closed  atomic.Bool                   // Close has begun (set under mu): what it strands is a deliberate discard, not loss
 
@@ -169,26 +174,12 @@ type Endpoint struct {
 }
 
 // peerConn is one connection to a peer, carrying frames both ways. The
-// sender holding turn alone touches buf and deadline and writes to c. Once
-// Serve has run, a reader goroutine owns the read side of c.
+// sender holding the endpoint's sendMu alone touches deadline and writes to
+// c. Once Serve has run, a reader goroutine owns the read side of c.
 type peerConn struct {
-	c    net.Conn
-	dead atomic.Bool   // c was retired: by a failed write, or by its reader when the stream ended
-	turn chan struct{} // holds a token while a sender writes: one writer at a time
-
-	buf      []byte    // the length-prefixed frames of the write in progress
-	deadline time.Time // the write deadline set on c
-}
-
-func newPeerConn(c net.Conn) *peerConn {
-	return &peerConn{c: c, turn: make(chan struct{}, 1)}
-}
-
-// dial is one connection attempt, shared by every sender to its address
-// while it runs.
-type dial struct {
-	done chan struct{} // closed when the attempt has ended
-	err  error         // why it failed; set before done closes
+	c        net.Conn
+	dead     atomic.Bool // c was retired: by a failed write, or by its reader when the stream ended
+	deadline time.Time   // the write deadline set on c
 }
 
 // Listen opens an endpoint on addr ("127.0.0.1:0" for an ephemeral
@@ -204,7 +195,6 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 		listener: ln,
 		conns:    make(map[string]*peerConn),
 		open:     make(map[*peerConn]struct{}),
-		dialing:  make(map[string]*dial),
 	}, nil
 }
 
@@ -268,7 +258,7 @@ func (e *Endpoint) accept() {
 			c.Close()
 			return
 		}
-		e.track(newPeerConn(c), true)
+		e.track(&peerConn{c: c}, true)
 		e.mu.Unlock()
 	}
 }
@@ -357,22 +347,31 @@ func buffered(r *bufio.Reader) bool {
 
 // Send writes frames to the peer at addr, in order and back to back in one
 // socket write, dialing (or redialing) it if no healthy pooled connection
-// exists. The write waits for the connection's turn — one sender writes a
-// connection at a time — up to SendTimeout, and carries the same deadline;
-// frames that got no turn, or whose write timed out unwritten or failed,
-// are dropped and counted once in Stats — they are "lost in the network",
-// exactly like frames on a connection that breaks mid-flight; protocol-level
-// timeouts own recovery. Send returns an error only when no connection
-// could be established or the endpoint is closed.
+// exists. Send holds the endpoint's send lock throughout, so one sender
+// dials and writes at a time and the others wait for its bounded dial and
+// write. Frames whose write timed out unwritten or failed are dropped and
+// counted once in Stats — they are "lost in the network", exactly like
+// frames on a connection that breaks mid-flight; protocol-level timeouts own
+// recovery. Send returns an error only when no connection could be
+// established or the endpoint was closed before Send began; a Send that
+// Close cuts short returns nil, its frames discarded.
 func (e *Endpoint) Send(addr string, frames ...[]byte) error {
 	for _, frame := range frames {
 		if len(frame) > MaxFrame {
 			return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", len(frame), MaxFrame)
 		}
 	}
+	if e.closed.Load() {
+		return errClosed
+	}
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	if e.closed.Load() { // Close began while this Send waited: a discard, not loss
+		return nil
+	}
 	err := e.send(addr, frames)
 	if err == errStale {
-		// The connection died between lookup and turn: one retry on a fresh
+		// The connection died between lookup and write: one retry on a fresh
 		// connection. A second death means the peer is gone and the frames
 		// are lost like any other frames on a broken connection.
 		if err = e.send(addr, frames); err == nil {
@@ -390,35 +389,23 @@ func (e *Endpoint) Send(addr string, frames ...[]byte) error {
 	return nil
 }
 
-// send writes frames to the pooled connection in its turn. It reports
-// errStale when the connection was found retired on a turn taken at once,
-// and errDead when it was retired while send waited — behind the write
-// whose failure retired it, or the peer ending the stream. A write that
-// timed out unwritten keeps the connection (errFull); any other failure
-// retires it (errDead) — unless Close is under way, whose discards are not
-// loss.
+// send writes frames to addr's pooled connection, with sendMu held. It
+// reports errStale when the connection was found retired before the write
+// — by the peer ending the stream, or a failed write of an earlier Send. A
+// write that timed out unwritten keeps the connection (errFull); any other
+// failure retires it (errDead) — unless Close is under way, whose discards
+// are not loss.
 func (e *Endpoint) send(addr string, frames [][]byte) error {
 	pc, err := e.conn(addr)
 	if err != nil {
 		return err
 	}
-	got, waited := e.takeTurn(pc)
-	if got {
-		defer func() { <-pc.turn }()
-	}
-	switch {
-	case e.closed.Load(): // Close's discard, not loss
-		return nil
-	case !got:
-		return errFull
-	case pc.dead.Load() && waited:
-		return errDead
-	case pc.dead.Load():
-		return errStale
-	}
-	pc.buf = pc.buf[:0]
+	e.buf = e.buf[:0]
 	for _, frame := range frames {
-		pc.buf = AppendFrame(pc.buf, frame)
+		e.buf = AppendFrame(e.buf, frame)
+	}
+	if pc.dead.Load() {
+		return errStale
 	}
 	// The deadline is pushed out to SendTimeout only once less than half of
 	// it remains, keeping the deadline's timer reset off most writes.
@@ -426,12 +413,12 @@ func (e *Endpoint) send(addr string, frames [][]byte) error {
 		pc.deadline = now.Add(e.cfg.SendTimeout)
 		pc.c.SetWriteDeadline(pc.deadline) // fails only on a closed connection, whose Write fails too
 	}
-	wrote, err := pc.c.Write(pc.buf)
+	wrote, err := pc.c.Write(e.buf)
 	switch {
 	case err == nil:
 		e.framesSent.Add(uint64(len(frames)))
 		e.batchesSent.Add(1)
-		e.bytesSent.Add(uint64(len(pc.buf) - 4*len(frames)))
+		e.bytesSent.Add(uint64(len(e.buf) - 4*len(frames)))
 		return nil
 	case e.closed.Load(): // Close failed the write: a discard, not loss
 		return nil
@@ -443,79 +430,35 @@ func (e *Endpoint) send(addr string, frames [][]byte) error {
 	return errDead
 }
 
-// takeTurn takes pc's turn to write, waiting up to SendTimeout for the
-// sender holding it; it reports whether it got the turn, and whether it had
-// to wait. Waiters get the turn in arrival order: releasing it hands the
-// channel's slot to the longest waiter. Close needs no case here: it closes
-// the connection, which fails the write holding the turn.
-func (e *Endpoint) takeTurn(pc *peerConn) (got, waited bool) {
-	select {
-	case pc.turn <- struct{}{}:
-		return true, false
-	default:
-	}
-	t := time.NewTimer(e.cfg.SendTimeout)
-	defer t.Stop()
-	select {
-	case pc.turn <- struct{}{}:
-		return true, true
-	case <-t.C:
-		return false, true
-	}
-}
-
 // conn returns the pooled connection to addr — dialed by this endpoint or
 // adopted from the peer's dial — dialing one if there is none or the pooled
-// one was retired. Senders that find a dial to addr under way wait for it
-// and share its outcome, so an endpoint many senders share opens one
-// connection per peer, not one per sender.
+// one was retired. Called with sendMu held, so an endpoint opens one
+// connection per peer however many goroutines send to it.
 func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	e.mu.Lock()
-	for {
-		if e.closed.Load() {
-			e.mu.Unlock()
-			return nil, errClosed
-		}
-		if pc, ok := e.conns[addr]; ok && !pc.dead.Load() {
-			e.mu.Unlock()
-			return pc, nil
-		}
-		d := e.dialing[addr]
-		if d == nil {
-			break
-		}
-		e.mu.Unlock()
-		<-d.done // bounded by DialTimeout
-		if d.err != nil {
-			return nil, d.err
-		}
-		e.mu.Lock()
-	}
-	d := &dial{done: make(chan struct{})}
-	e.dialing[addr] = d
+	pc, ok := e.conns[addr]
 	e.mu.Unlock()
+	if ok && !pc.dead.Load() {
+		return pc, nil
+	}
 
-	// Dial and say hello outside the lock: a slow peer must not serialize
-	// every sender. The hello goes first on the stream, before any frame.
+	// Dial and say hello outside mu: a slow peer must not stall accepts and
+	// readers. The hello goes first on the stream, before any frame.
 	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 	if err != nil {
-		err = fmt.Errorf("transport: dial %s: %w", addr, err)
-	} else if _, werr := c.Write(AppendFrame(nil, []byte(e.Addr()))); werr != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	if _, err := c.Write(AppendFrame(nil, []byte(e.Addr()))); err != nil {
 		c.Close()
-		err = fmt.Errorf("transport: hello to %s: %w", addr, werr)
+		return nil, fmt.Errorf("transport: hello to %s: %w", addr, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.dialing, addr)
-	defer close(d.done)
-	if err == nil && e.closed.Load() {
+	if e.closed.Load() {
 		c.Close()
-		err = errClosed
+		return nil, errClosed
 	}
-	if d.err = err; err != nil {
-		return nil, err
-	}
-	pc := newPeerConn(c)
+	pc = &peerConn{c: c}
 	e.track(pc, false)
 	if racing, ok := e.conns[addr]; ok && !racing.dead.Load() {
 		// The peer's own dial was adopted meanwhile: send on that one. Ours
@@ -529,8 +472,8 @@ func (e *Endpoint) conn(addr string) (*peerConn, error) {
 
 // Close shuts the endpoint down: no new accepts or dials, every connection
 // closed, every reader goroutine joined. Frames already handed to handlers
-// have completed when Close returns; frames waiting for their turn or in a
-// write are discarded.
+// have completed when Close returns; frames waiting for the send lock or in
+// a write are discarded.
 // Idempotent.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()

@@ -113,8 +113,9 @@ func TestConnectionReuse(t *testing.T) {
 }
 
 // TestColdSendersShareOneDial has many goroutines of one endpoint send to a
-// peer it has no connection to yet, all at once: they wait on one dial
-// instead of each opening a connection, so the peer accepts exactly one.
+// peer it has no connection to yet, all at once: the first to take the send
+// lock dials, and the others, waiting on the lock, find its connection
+// pooled instead of each opening one, so the peer accepts exactly one.
 func TestColdSendersShareOneDial(t *testing.T) {
 	const senders = 32
 	a, _ := Listen("127.0.0.1:0", Config{})

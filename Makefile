@@ -26,7 +26,8 @@ race:
 # over both links, chan and tcp, and every transport connection has a reader
 # goroutine at both ends beside its senders — so they get a dedicated
 # double-pass race smoke: two counted runs catch schedules a single pass
-# misses.
+# misses (every test in both packages, so the pooled coded elements' guard,
+# TestPooledSharesSurviveFaults, among them).
 runtime-race:
 	$(GO) test -race -count=2 ./internal/runtime ./internal/transport
 
@@ -35,11 +36,12 @@ runtime-race:
 # (snapshot-restore durability, partition gate timing and healing, goroutine
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
 # over both links; a client crash and recovery on the clients' shared tcp
-# endpoint; a server crash while its reader delivers to it inline), then a
+# endpoint; a server crash while its reader delivers to it inline; casgc's
+# pooled coded elements under a crash, delays and loss), then a
 # small `shmem grid` scenario matrix driving the whole grid over real
 # goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

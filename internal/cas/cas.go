@@ -24,6 +24,7 @@ package cas
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/erasure"
@@ -51,6 +52,11 @@ type preWriteMsg struct {
 // elements of the value.
 func (preWriteMsg) BearsValue() bool { return true }
 
+// Retain and Release implement ioa.Pooled: the message holds its coded
+// element until the receiving server takes the count over.
+func (m preWriteMsg) Retain()  { m.Shard.Retain() }
+func (m preWriteMsg) Release() { m.Shard.Release() }
+
 type preWriteAck struct{ RID int64 }
 
 type finalizeMsg struct {
@@ -73,20 +79,43 @@ type readFinAck struct {
 	Shard    erasure.Shard
 }
 
+// Retain and Release implement ioa.Pooled: the ack holds the count the
+// server retained for it until the reader takes it over.
+func (m readFinAck) Retain()  { m.Shard.Retain() }
+func (m readFinAck) Release() { m.Shard.Release() }
+
 // --- server ---
 
-// recordState is a stored version: an optional coded element plus a
+// record is one stored version: its tag, an optional coded element and a
 // finalized flag.
-type recordState struct {
+type record struct {
+	Tag      register.Tag
 	HasShard bool
 	Shard    erasure.Shard
 	Fin      bool
 }
 
-// Server is a CAS replica.
+// bits is the record's storage cost: a tag, a fin bit and the shard payload.
+func (r *record) bits() int {
+	b := r.Tag.Bits() + 1
+	if r.HasShard {
+		b += 8 * len(r.Shard.Data)
+	}
+	return b
+}
+
+// Server is a CAS replica. Its versions sit in a slice ascending by tag, so
+// collection is a prefix cut; bits and fins are running totals over it.
+//
+// The server is the holder of every coded element in recs: it owns the
+// count a pre-write handed it, retains one for each readFinAck it sends and
+// for each record a Clone or Snapshot copies, and releases the records that
+// collection or a Restore drops.
 type Server struct {
 	id      ioa.NodeID
-	recs    map[register.Tag]recordState
+	recs    []record
+	bits    int // sum of recs' bits()
+	fins    int // finalized records in recs
 	maxFin  register.Tag
 	gcDepth int // -1 = never collect
 }
@@ -99,17 +128,19 @@ var (
 )
 
 // serverImage is the durable state a CAS replica persists across a crash:
-// its version log (tag -> record) and the highest finalized tag. gcDepth is
-// configuration, not state, and stays with the node.
+// its version log with its running totals and the highest finalized tag.
+// gcDepth is configuration, not state, and stays with the node. An image
+// holds its records' elements for good: it never releases them.
 type serverImage struct {
-	recs   map[register.Tag]recordState
-	maxFin register.Tag
+	recs       []record
+	bits, fins int
+	maxFin     register.Tag
 }
 
 // NewServer returns a CAS server. gcDepth < 0 disables garbage collection
 // (plain CAS); gcDepth = δ keeps the δ+1 highest finalized versions (CASGC).
 func NewServer(id ioa.NodeID, gcDepth int) *Server {
-	return &Server{id: id, recs: make(map[register.Tag]recordState), gcDepth: gcDepth}
+	return &Server{id: id, gcDepth: gcDepth}
 }
 
 // ID implements ioa.Node.
@@ -121,11 +152,12 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	case queryFinMsg:
 		return reply(from, queryFinAck{RID: m.RID, Tag: s.maxFin})
 	case preWriteMsg:
-		rec := s.recs[m.Tag]
-		if !rec.HasShard {
-			rec.HasShard = true
-			rec.Shard = m.Shard
-			s.recs[m.Tag] = rec
+		r := s.entry(m.Tag)
+		if r.HasShard {
+			m.Shard.Release() // a duplicate: the server already holds this tag's element
+		} else {
+			r.HasShard, r.Shard = true, m.Shard
+			s.bits += 8 * len(m.Shard.Data)
 			s.gc()
 		}
 		return reply(from, preWriteAck{RID: m.RID})
@@ -134,11 +166,10 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		return reply(from, finalizeAck{RID: m.RID})
 	case readFinMsg:
 		s.finalize(m.Tag)
-		rec, ok := s.recs[m.Tag]
 		ack := readFinAck{RID: m.RID}
-		if ok && rec.HasShard {
-			ack.HasShard = true
-			ack.Shard = rec.Shard
+		if i, ok := s.find(m.Tag); ok && s.recs[i].HasShard {
+			ack.HasShard, ack.Shard = true, s.recs[i].Shard
+			ack.Shard.Retain() // the ack holds its own count: collection may drop the record first
 		}
 		return reply(from, ack)
 	default:
@@ -150,118 +181,119 @@ func reply(to ioa.NodeID, msg ioa.Message) ioa.Effects {
 	return ioa.Effects{Sends: []ioa.Send{{To: to, Msg: msg}}}
 }
 
+// find returns the position of t's record, or where it would go. A new tag
+// is almost always the highest, so the top is checked first.
+func (s *Server) find(t register.Tag) (int, bool) {
+	n := len(s.recs)
+	if n == 0 || s.recs[n-1].Tag.Less(t) {
+		return n, false
+	}
+	i := sort.Search(n, func(i int) bool { return !s.recs[i].Tag.Less(t) })
+	return i, s.recs[i].Tag.Equal(t)
+}
+
+// entry returns t's record, inserting an empty one if there is none. The
+// pointer is valid until the next insertion or collection.
+func (s *Server) entry(t register.Tag) *record {
+	i, ok := s.find(t)
+	if !ok {
+		s.recs = slices.Insert(s.recs, i, record{Tag: t})
+		s.bits += s.recs[i].bits()
+	}
+	return &s.recs[i]
+}
+
 func (s *Server) finalize(t register.Tag) {
-	rec := s.recs[t]
-	rec.Fin = true
-	s.recs[t] = rec
+	if r := s.entry(t); !r.Fin {
+		r.Fin = true
+		s.fins++
+	}
 	if s.maxFin.Less(t) {
 		s.maxFin = t
 	}
 	s.gc()
 }
 
-// gc drops records below the (δ+1)-highest finalized tag. It runs on every
-// pre-write and finalize, so it finds that tag without allocating or
-// sorting: with fins finalized records it is the (fins-δ)-th lowest, and
-// since every finalization is followed by a gc that leaves δ+1 of them,
-// fins-δ is at most 2 — a pass over O(δ+ν) records for the lowest and at
-// most one more for the next.
+// gc drops the records below the (δ+1)-highest finalized tag. It runs on
+// every pre-write and finalize; with fewer than δ+1 finalized records it
+// returns at once, and otherwise it finds the threshold walking down from
+// the top, over the O(δ+ν) records at or above it, and cuts the prefix below
+// it, releasing the dropped elements. It allocates nothing: the kept records
+// move down in place.
 func (s *Server) gc() {
-	if s.gcDepth < 0 {
+	if s.gcDepth < 0 || s.fins <= s.gcDepth {
 		return
 	}
-	var threshold register.Tag // the lowest finalized tag, then the next, ...
-	fins := 0
-	for t, rec := range s.recs {
-		if rec.Fin {
-			if fins == 0 || t.Less(threshold) {
-				threshold = t
-			}
-			fins++
+	cut := len(s.recs)
+	for seen := 0; seen <= s.gcDepth; {
+		cut--
+		if s.recs[cut].Fin {
+			seen++
 		}
 	}
-	if fins <= s.gcDepth {
+	if cut == 0 {
 		return
 	}
-	for nth := 2; nth <= fins-s.gcDepth; nth++ {
-		var next register.Tag
-		found := false
-		for t, rec := range s.recs {
-			if rec.Fin && threshold.Less(t) && (!found || t.Less(next)) {
-				next, found = t, true
-			}
+	for i := range s.recs[:cut] {
+		r := &s.recs[i]
+		s.bits -= r.bits()
+		if r.Fin {
+			s.fins--
 		}
-		threshold = next
+		r.Shard.Release()
 	}
-	for t := range s.recs {
-		if t.Less(threshold) {
-			delete(s.recs, t)
-		}
-	}
+	n := copy(s.recs, s.recs[cut:])
+	clear(s.recs[n:]) // the tail must not pin dropped elements
+	s.recs = s.recs[:n]
 }
 
 // StorageBits implements ioa.StorageMeter: per record, a tag, a fin bit and
 // the shard payload; plus the maxFin tag.
-func (s *Server) StorageBits() int {
-	bits := s.maxFin.Bits()
-	for t, rec := range s.recs {
-		bits += t.Bits() + 1
-		if rec.HasShard {
-			bits += 8 * len(rec.Shard.Data)
-		}
-	}
-	return bits
-}
-
-// VersionsStored returns the number of records currently held; experiments
-// use it to relate storage to write concurrency.
-func (s *Server) VersionsStored() int { return len(s.recs) }
+func (s *Server) StorageBits() int { return s.maxFin.Bits() + s.bits }
 
 // StateDigest implements ioa.Digester.
 func (s *Server) StateDigest() string {
-	tags := make([]register.Tag, 0, len(s.recs))
-	for t := range s.recs {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].Less(tags[j]) })
 	out := fmt.Sprintf("cas|fin=%s", s.maxFin)
-	for _, t := range tags {
-		rec := s.recs[t]
-		out += fmt.Sprintf("|%s:f=%v:h=%v:%x", t, rec.Fin, rec.HasShard, rec.Shard.Data)
+	for _, rec := range s.recs {
+		out += fmt.Sprintf("|%s:f=%v:h=%v:%x", rec.Tag, rec.Fin, rec.HasShard, rec.Shard.Data)
 	}
 	return out
 }
 
-// Clone implements ioa.Node.
-func (s *Server) Clone() ioa.Node {
-	cp := &Server{id: s.id, recs: make(map[register.Tag]recordState, len(s.recs)), maxFin: s.maxFin, gcDepth: s.gcDepth}
-	for t, rec := range s.recs {
-		cp.recs[t] = rec // shard data immutable, shared
+// retained copies records, retaining every element for the copy.
+func retained(recs []record) []record {
+	out := slices.Clone(recs)
+	for _, r := range out {
+		r.Shard.Retain()
 	}
-	return cp
+	return out
+}
+
+// Clone implements ioa.Node. The copy holds its own count of every element:
+// the two servers collect, and release, independently.
+func (s *Server) Clone() ioa.Node {
+	cp := *s
+	cp.recs = retained(s.recs)
+	return &cp
 }
 
 // Snapshot implements ioa.Recoverable: a copy of the version log plus the
-// finalization high-water mark. Shard payloads are immutable and shared.
+// finalization high-water mark, holding its own count of every element.
 func (s *Server) Snapshot() ioa.NodeSnapshot {
-	img := serverImage{recs: make(map[register.Tag]recordState, len(s.recs)), maxFin: s.maxFin}
-	for t, rec := range s.recs {
-		img.recs[t] = rec
-	}
-	return img
+	return serverImage{recs: retained(s.recs), bits: s.bits, fins: s.fins, maxFin: s.maxFin}
 }
 
-// Restore implements ioa.Recoverable.
+// Restore implements ioa.Recoverable. The records it replaces are released;
+// the image keeps its own.
 func (s *Server) Restore(snap ioa.NodeSnapshot) error {
 	img, ok := snap.(serverImage)
 	if !ok {
 		return fmt.Errorf("cas: server %d: foreign snapshot %T", s.id, snap)
 	}
-	s.recs = make(map[register.Tag]recordState, len(img.recs))
-	for t, rec := range img.recs {
-		s.recs[t] = rec
+	for _, r := range s.recs {
+		r.Shard.Release()
 	}
-	s.maxFin = img.maxFin
+	s.recs, s.bits, s.fins, s.maxFin = retained(img.recs), img.bits, img.fins, img.maxFin
 	return nil
 }
 
@@ -362,6 +394,8 @@ type Client struct {
 var (
 	_ ioa.Client          = (*Client)(nil)
 	_ quorum.PhasedWriter = (*Client)(nil)
+	_ ioa.Pooled          = preWriteMsg{}
+	_ ioa.Pooled          = readFinAck{}
 )
 
 // NewClient returns a CAS client.
@@ -409,7 +443,7 @@ func (c *Client) startQuery() ioa.Effects {
 	c.rid++
 	c.acks = 0
 	c.maxFin = register.Tag{}
-	c.shards = nil
+	c.dropShards()
 	sends := make([]ioa.Send, 0, len(c.servers))
 	for _, s := range c.servers {
 		sends = append(sends, ioa.Send{To: s, Msg: queryFinMsg{RID: c.rid}})
@@ -420,6 +454,9 @@ func (c *Client) startQuery() ioa.Effects {
 // Deliver implements ioa.Node.
 func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !c.busy {
+		if m, ok := msg.(readFinAck); ok {
+			m.Shard.Release() // a late element of a finished read: held, and let go
+		}
 		return ioa.Effects{}
 	}
 	switch m := msg.(type) {
@@ -463,6 +500,7 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpWrite}}
 	case readFinAck:
 		if c.role != RoleReader || c.phase != phaseReadFin || m.RID != c.rid {
+			m.Shard.Release() // stale: the reader holds the element, and lets go
 			return ioa.Effects{}
 		}
 		c.acks++
@@ -475,7 +513,7 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		if len(c.shards) >= c.code.K() {
 			val, err := c.code.Decode(c.shards)
 			if err == nil {
-				c.shards = nil // decoded: an idle reader pins no coded elements
+				c.dropShards() // decoded into val, which the reader owns: an idle reader pins no coded elements
 				return c.respondRead(val)
 			}
 		}
@@ -494,6 +532,8 @@ func (c *Client) startPreWrite() ioa.Effects {
 	c.tag = c.maxFin.Next(c.id)
 	sends := make([]ioa.Send, 0, len(c.servers))
 	for i, s := range c.servers {
+		// Each element goes to its message with the one count EncodeOne
+		// gave it; the server it reaches takes the count over.
 		shard, err := c.code.EncodeOne(c.writeVal, i)
 		if err != nil {
 			// Cannot happen: i < n by construction. Skip defensively.
@@ -521,7 +561,7 @@ func (c *Client) startReadFin() ioa.Effects {
 	c.rid++
 	c.acks = 0
 	c.tag = c.maxFin
-	c.shards = nil
+	c.dropShards()
 	sends := make([]ioa.Send, 0, len(c.servers))
 	for _, s := range c.servers {
 		sends = append(sends, ioa.Send{To: s, Msg: readFinMsg{RID: c.rid, Tag: c.tag}})
@@ -535,10 +575,22 @@ func (c *Client) respondRead(val []byte) ioa.Effects {
 	return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: val}}
 }
 
-// Clone implements ioa.Node.
+// dropShards releases the coded elements collected so far.
+func (c *Client) dropShards() {
+	for _, s := range c.shards {
+		s.Release()
+	}
+	c.shards = nil
+}
+
+// Clone implements ioa.Node. A mid-read copy holds its own count of every
+// element collected so far.
 func (c *Client) Clone() ioa.Node {
 	cp := *c
 	cp.servers = append([]ioa.NodeID(nil), c.servers...)
 	cp.shards = append([]erasure.Shard(nil), c.shards...)
+	for _, s := range cp.shards {
+		s.Retain()
+	}
 	return &cp
 }

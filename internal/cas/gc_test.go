@@ -1,8 +1,10 @@
 package cas
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,13 +13,47 @@ import (
 	"repro/internal/register"
 )
 
-// gcSorted is the collector gc() replaced, kept as the oracle: copy the
-// finalized tags out, sort them descending, delete below the (δ+1)-th.
-func gcSorted(s *Server, depth int) {
-	fins := make([]register.Tag, 0, len(s.recs))
-	for t, rec := range s.recs {
-		if rec.Fin {
-			fins = append(fins, t)
+// recount recomputes a server's running totals from scratch over its
+// records, and checks the records are strictly ascending by tag.
+func recount(t *testing.T, s *Server) (bits, fins int) {
+	t.Helper()
+	for i := range s.recs {
+		r := &s.recs[i]
+		if i > 0 && !s.recs[i-1].Tag.Less(r.Tag) {
+			t.Fatalf("records out of order at %d: %s then %s", i, s.recs[i-1].Tag, r.Tag)
+		}
+		bits += r.Tag.Bits() + 1
+		if r.HasShard {
+			bits += 8 * len(r.Shard.Data)
+		}
+		if r.Fin {
+			fins++
+		}
+	}
+	return bits, fins
+}
+
+// setRecords replaces a server's records with recs, sorted, and sets its
+// totals by recount.
+func setRecords(t *testing.T, s *Server, recs map[register.Tag]record) {
+	t.Helper()
+	s.recs = s.recs[:0]
+	for _, r := range recs {
+		s.recs = append(s.recs, r)
+	}
+	sort.Slice(s.recs, func(i, j int) bool { return s.recs[i].Tag.Less(s.recs[j].Tag) })
+	s.bits, s.fins = recount(t, s)
+}
+
+// gcSorted is the reference collector, kept as the oracle: copy the
+// finalized tags out, sort them descending, keep the records at or above the
+// (δ+1)-th and recount.
+func gcSorted(t *testing.T, s *Server, depth int) {
+	t.Helper()
+	var fins []register.Tag
+	for _, r := range s.recs {
+		if r.Fin {
+			fins = append(fins, r.Tag)
 		}
 	}
 	if len(fins) <= depth {
@@ -25,11 +61,8 @@ func gcSorted(s *Server, depth int) {
 	}
 	sort.Slice(fins, func(i, j int) bool { return fins[j].Less(fins[i]) })
 	threshold := fins[depth]
-	for t := range s.recs {
-		if t.Less(threshold) {
-			delete(s.recs, t)
-		}
-	}
+	s.recs = slices.DeleteFunc(s.recs, func(r record) bool { return r.Tag.Less(threshold) })
+	s.bits, s.fins = recount(t, s)
 }
 
 // TestGCMatchesSortOracle drives a CASGC server and a never-collecting twin
@@ -59,9 +92,9 @@ func TestGCMatchesSortOracle(t *testing.T) {
 				}
 				got.Deliver(9, msg)
 				want.Deliver(9, msg)
-				before := want.VersionsStored()
-				gcSorted(want, depth)
-				collected += before - want.VersionsStored()
+				before := len(want.recs)
+				gcSorted(t, want, depth)
+				collected += before - len(want.recs)
 				// gcDepth is configuration, not state: the digests are comparable.
 				if g, w := got.StateDigest(), want.StateDigest(); g != w {
 					t.Fatalf("δ=%d seed %d step %d after %T%+v:\n got %s\nwant %s", depth, seed, step, msg, msg, g, w)
@@ -77,24 +110,73 @@ func TestGCMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// TestGCFromArbitraryState: gc's two-round bound rests on every finalization
-// being followed by a collection; its result must not. A state with any
-// number of finalized records (a restored image from elsewhere, say) is
-// collected exactly as the oracle collects it.
+// TestGCFromArbitraryState: a state with any number of finalized records (a
+// restored image from elsewhere, say) is collected exactly as the oracle
+// collects it.
 func TestGCFromArbitraryState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		depth := rng.Intn(6)
-		got, want := NewServer(1, depth), NewServer(1, -1)
+		recs := make(map[register.Tag]record)
 		for n := rng.Intn(20); n > 0; n-- {
 			tag := register.Tag{Seq: int64(rng.Intn(10)), Writer: ioa.NodeID(rng.Intn(3))}
-			rec := recordState{HasShard: rng.Intn(2) == 0, Fin: rng.Intn(3) > 0}
-			got.recs[tag], want.recs[tag] = rec, rec
+			recs[tag] = record{Tag: tag, HasShard: rng.Intn(2) == 0, Fin: rng.Intn(3) > 0}
 		}
+		got, want := NewServer(1, depth), NewServer(1, -1)
+		setRecords(t, got, recs)
+		setRecords(t, want, recs)
 		got.gc()
-		gcSorted(want, depth)
+		gcSorted(t, want, depth)
 		if g, w := got.StateDigest(), want.StateDigest(); g != w {
 			t.Fatalf("case %d δ=%d:\n got %s\nwant %s", i, depth, g, w)
+		}
+		if got.bits != want.bits || got.fins != want.fins {
+			t.Fatalf("case %d δ=%d: totals bits=%d fins=%d, recount bits=%d fins=%d", i, depth, got.bits, got.fins, want.bits, want.fins)
+		}
+	}
+}
+
+// TestRunningCountersMatchRecount is the property behind the O(1)
+// StorageBits: after every delivery of a random sequence — pre-writes of
+// pooled elements of varied sizes, duplicates among them, finalizes and
+// read-fins, at every collection depth — and across Clone, Snapshot and
+// Restore, the running bit and finalized counts equal a recount from
+// scratch.
+func TestRunningCountersMatchRecount(t *testing.T) {
+	for _, depth := range []int{-1, 0, 1, 3} {
+		for seed := int64(1); seed <= 100; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s := NewServer(1, depth)
+			var img ioa.NodeSnapshot
+			for step := 0; step < 150; step++ {
+				tag := register.Tag{Seq: int64(1 + step/10 + rng.Intn(5)), Writer: ioa.NodeID(1 + rng.Intn(2))}
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					shard := erasure.NewShard(rng.Intn(5), 1+rng.Intn(300))
+					s.Deliver(9, preWriteMsg{Tag: tag, Shard: shard})
+				case 3, 4:
+					s.Deliver(9, finalizeMsg{Tag: tag})
+				case 5:
+					ack := s.Deliver(9, readFinMsg{Tag: tag}).Sends[0].Msg.(readFinAck)
+					ack.Release()
+				case 6:
+					img = s.Snapshot()
+					s = s.Clone().(*Server)
+				default:
+					if img != nil {
+						if err := s.Restore(img); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				bits, fins := recount(t, s)
+				if s.bits != bits || s.fins != fins {
+					t.Fatalf("δ=%d seed %d step %d: running bits=%d fins=%d, recount bits=%d fins=%d", depth, seed, step, s.bits, s.fins, bits, fins)
+				}
+				if got, want := s.StorageBits(), s.maxFin.Bits()+bits; got != want {
+					t.Fatalf("δ=%d seed %d step %d: StorageBits %d, recount %d", depth, seed, step, got, want)
+				}
+			}
 		}
 	}
 }
@@ -117,7 +199,7 @@ func steadyServer(depth int) *Server {
 func TestGCDoesNotAllocate(t *testing.T) {
 	for _, depth := range []int{0, 1, 2, 4} {
 		s := steadyServer(depth)
-		if got := s.VersionsStored(); got != depth+2 {
+		if got := len(s.recs); got != depth+2 {
 			t.Fatalf("δ=%d: steady state holds %d versions, want %d", depth, got, depth+2)
 		}
 		if allocs := testing.AllocsPerRun(100, s.gc); allocs != 0 {
@@ -192,4 +274,63 @@ func TestClientReleasesValueAndShards(t *testing.T) {
 	if len(mid.shards) != r.q-1 {
 		t.Fatalf("mid-read clone carries %d coded elements, want %d", len(mid.shards), r.q-1)
 	}
+}
+
+// TestMidReadCloneIndependence is the clone guard for a reader holding
+// pooled elements: a copy taken mid-read finishes its read, lets its
+// elements go and reads again, and the original still decodes the value it
+// was collecting.
+func TestMidReadCloneIndependence(t *testing.T) {
+	cl, err := Deploy(Options{Servers: 5, F: 1, GCDepth: 0, Writers: 1, Readers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := cl.Sys.Node(cl.Readers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := n.Clone().(*Client)
+	// start takes a reader through the query phase of a read of the write
+	// with sequence number seq.
+	start := func(c *Client, seq int64) {
+		c.Invoke(ioa.Invocation{Kind: ioa.OpRead})
+		for i := 0; i < c.q; i++ {
+			c.Deliver(cl.Servers[i], queryFinAck{RID: c.rid, Tag: register.Tag{Seq: seq, Writer: cl.Writers[0]}})
+		}
+	}
+	v, w := register.MakeValue(2048, 1), register.MakeValue(2048, 2)
+	start(orig, 1)
+	finish(t, orig, v, 0, orig.q-1)
+	cp := orig.Clone().(*Client)
+	if resp := finish(t, cp, v, cp.q-1, cp.q); resp == nil || !bytes.Equal(resp.Value, v) {
+		t.Fatal("the copy did not decode the value")
+	}
+	cp.Deliver(cl.Servers[4], readFinAck{RID: cp.rid, HasShard: true, Shard: encode(t, cp, v, 4)}) // late
+	start(cp, 2)
+	if resp := finish(t, cp, w, 0, cp.q); resp == nil || !bytes.Equal(resp.Value, w) {
+		t.Fatal("the copy's second read did not decode")
+	}
+	if resp := finish(t, orig, v, orig.q-1, orig.q); resp == nil || !bytes.Equal(resp.Value, v) {
+		t.Fatal("the original's read changed under its copy")
+	}
+}
+
+func encode(t *testing.T, c *Client, v []byte, i int) erasure.Shard {
+	t.Helper()
+	s, err := c.code.EncodeOne(v, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// finish delivers elements from..to-1 of v to a reader in its read-fin
+// phase and returns the last delivery's response.
+func finish(t *testing.T, c *Client, v []byte, from, to int) *ioa.Response {
+	t.Helper()
+	var resp *ioa.Response
+	for i := from; i < to; i++ {
+		resp = c.Deliver(c.servers[i], readFinAck{RID: c.rid, HasShard: true, Shard: encode(t, c, v, i)}).Response
+	}
+	return resp
 }

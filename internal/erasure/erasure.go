@@ -38,9 +38,14 @@ type Code struct {
 }
 
 // Shard is one coded symbol of a value, tagged with its index in [0, n).
+// A shard drawn from the pool (EncodeOne, NewShard) also carries its
+// buffer's holder count; see Retain and Release.
 type Shard struct {
 	Index int
 	Data  []byte
+
+	buf *buffer // nil: built by hand, not pooled
+	gen uint32  // buf's generation when this shard was drawn
 }
 
 // New constructs an (n, k) code. It requires 1 <= k <= n < 256.
@@ -105,9 +110,8 @@ func (c *Code) ShardSize(valueLen int) int {
 	return (valueLen + 4 + c.k - 1) / c.k
 }
 
-// layDown copies bytes [off, off+len(dst)) of the coded stream — a 4-byte
-// big-endian length header, the value, zero padding — into dst, which must
-// be zeroed.
+// layDown writes bytes [off, off+len(dst)) of the coded stream — a 4-byte
+// big-endian length header, the value, zero padding — into dst.
 func layDown(dst, value []byte, off int) {
 	n := 0
 	if off < 4 {
@@ -116,12 +120,13 @@ func layDown(dst, value []byte, off int) {
 		n = copy(dst, hdr[off:])
 	}
 	if v := off + n - 4; v >= 0 && v < len(value) {
-		copy(dst[n:], value[v:])
+		n += copy(dst[n:], value[v:])
 	}
+	clear(dst[n:])
 }
 
 // Encode splits value into k data shards and produces all n shards, each
-// allocated on its own and none aliasing value.
+// drawn from the pool on its own and none aliasing value.
 func (c *Code) Encode(value []byte) ([]Shard, error) {
 	shards := make([]Shard, c.n)
 	for i := range shards {
@@ -134,39 +139,41 @@ func (c *Code) Encode(value []byte) ([]Shard, error) {
 }
 
 // EncodeOne produces only the shard with the given index. It is used by
-// writers that stream one shard per server without materializing all n.
+// writers that stream one shard per server without materializing all n. The
+// shard is drawn from the pool, held once by the caller (see Release).
 func (c *Code) EncodeOne(value []byte, index int) (Shard, error) {
 	if index < 0 || index >= c.n {
 		return Shard{}, fmt.Errorf("erasure: shard index %d out of range [0,%d)", index, c.n)
 	}
 	shardLen := c.ShardSize(len(value))
-	data := make([]byte, shardLen)
+	shard := NewShard(index, shardLen)
+	data := shard.Data
 	if index < c.k {
 		layDown(data, value, index*shardLen)
-		return Shard{Index: index, Data: data}, nil
+		return shard, nil
 	}
-	// Parity is sum_j row[j] * split_j. At positions [lo, hi) every split is
-	// value bytes — no header, no padding — and is read in place out of
-	// value, once: split 0, whose coefficient is 1, overwrites and the rest
-	// accumulate. The at most 4 positions before and fewer than k after are
-	// accumulated into the zeroed shard through layDown.
+	// Parity is sum_j row[j] * split_j. Column 0 of the parity block is all
+	// ones, so split 0 is laid down as it is, overwriting whatever a reused
+	// buffer held, and the other splits accumulate onto it. At positions
+	// [lo, hi) every split is value bytes — no header, no padding — and is
+	// read in place out of value, once; the at most 4 positions before and
+	// fewer than k after go through layDown into a small buffer.
+	layDown(data, value, 0)
 	lo := min(4, shardLen)
 	hi := max(lo, shardLen-(c.k*shardLen-4-len(value)))
 	var edge [gf.Order]byte
-	for j, coef := range c.matrix.Data[index*c.k : (index+1)*c.k] {
-		if hi > lo && j == 0 {
-			copy(data[lo:hi], value)
-		} else if hi > lo {
-			c.field.MulSlice(coef, value[j*shardLen:j*shardLen+hi-lo], data[lo:hi])
+	for j, coef := range c.matrix.Data[index*c.k+1 : (index+1)*c.k] {
+		off := (j + 1) * shardLen
+		if hi > lo {
+			c.field.MulSlice(coef, value[off:off+hi-lo], data[lo:hi])
 		}
 		for _, at := range [2][2]int{{0, lo}, {hi, shardLen}} {
 			split := edge[:at[1]-at[0]]
-			clear(split)
-			layDown(split, value, j*shardLen+at[0])
+			layDown(split, value, off+at[0])
 			c.field.MulSlice(coef, split, data[at[0]:at[1]])
 		}
 	}
-	return Shard{Index: index, Data: data}, nil
+	return shard, nil
 }
 
 // Decode reconstructs the original value from any k (or more) distinct

@@ -21,7 +21,8 @@
 //
 // Messages are treated as immutable values: nodes must never mutate a
 // message (or a byte slice reachable from one) after sending it, which lets
-// snapshots share message payloads safely.
+// snapshots share message payloads safely. A payload drawn from a pool
+// (Pooled) is shared only with its holder count raised.
 package ioa
 
 import "fmt"
@@ -86,7 +87,8 @@ type Node interface {
 	// Deliver handles a message from another node.
 	Deliver(from NodeID, msg Message) Effects
 	// Clone returns a deep copy of the node; used by snapshots. Immutable
-	// payloads (message byte slices) may be shared.
+	// payloads (message byte slices) may be shared; pooled payloads
+	// (erasure shards) are shared only once retained for the copy.
 	Clone() Node
 }
 
@@ -111,7 +113,8 @@ type StorageMeter interface {
 // NodeSnapshot is an opaque durable-state image produced by a Recoverable
 // node. Images are self-contained: they must stay valid after the node that
 // produced them keeps mutating (immutable payloads — message byte slices,
-// erasure shards — may be shared, exactly as Clone shares them).
+// erasure shards — may be shared, exactly as Clone shares them, pooled ones
+// retained).
 type NodeSnapshot any
 
 // Recoverable is implemented by automata that support crash-recovery
@@ -266,6 +269,18 @@ func (s *FaultStats) Add(o FaultStats) {
 // execution construction withholds exactly these messages.
 type ValueBearer interface {
 	BearsValue() bool
+}
+
+// Pooled is implemented by messages whose payload is drawn from a pool and
+// counts its holders (erasure shards). The message is one holder: whoever
+// keeps a copy of it beside the one it was handed calls Retain, and a holder
+// that is done with the payload without handing the message on calls
+// Release. A message nobody releases — dropped by a fault, addressed to a
+// crashed node, kept in a snapshot — leaves its payload to the garbage
+// collector, which is always safe.
+type Pooled interface {
+	Retain()
+	Release()
 }
 
 // BearsValue reports whether a message is value-dependent.

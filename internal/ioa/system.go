@@ -879,6 +879,9 @@ func (s *System) applyEffects(actor int, eff Effects) error {
 		if s.faults != nil {
 			drop, delay := s.faults.MessageFate(from, send.To, seq, s.steps)
 			if drop {
+				// A dropped message is left to the collector, never
+				// released: the count its Pooled payload carries just
+				// never comes back, which is always safe.
 				s.faultStats.Drops++
 				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDrop, From: from, To: send.To})
 				continue
@@ -1012,6 +1015,11 @@ func (s *System) cloneState() *System {
 		nc := &channel{key: ch.key, from: ch.from, to: ch.to, idx: i, frozen: ch.frozen}
 		if len(ch.q) > 0 {
 			nc.q = append([]queued(nil), ch.q...)
+			for _, m := range nc.q {
+				if p, ok := m.msg.(Pooled); ok {
+					p.Retain() // both systems' queues hold the message now
+				}
+			}
 		}
 		out.chans[i] = nc
 		out.links[ch.from*s.stride+ch.to] = nc

@@ -251,6 +251,9 @@ func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 		// make this unreachable for shipped algorithms.
 		panic(fmt.Sprintf("runtime: node %d sent unencodable message: %v", from.id, err))
 	}
+	if p, ok := msg.(ioa.Pooled); ok {
+		p.Release() // the frame holds a copy of the payload: the message lets go of its own
+	}
 	l.mu.RLock()
 	addr := l.addrs[to]
 	l.mu.RUnlock()

@@ -1,0 +1,120 @@
+package store
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/ioa"
+	"repro/internal/register"
+)
+
+// TestCloneIndependence is the clone guard at unit scale for every coded
+// server: cas.Server (CAS, CASGC), coded.Server (twoversion),
+// coded.GossipServer and coded.SoloServer. After a few writes, each server
+// is copied — by Clone, or by Snapshot onto a fresh server's Restore — and
+// the copies, with clones of the clients, are driven through more writes
+// (past CASGC's collection depth), reads and collection in a system of
+// their own. The originals' digests must not move, and the original system
+// must still read the value it held: a copy that shares a pooled element
+// without retaining it would release it back to the pool under the
+// original, and a test binary poisons what the pool takes back. A snapshot
+// holds its elements for good: restored after the original has collected
+// them away, it still reads the value it held.
+func TestCloneIndependence(t *testing.T) {
+	for _, alg := range []string{AlgCAS, AlgCASGC, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo} {
+		for _, mode := range []string{"clone", "snapshot"} {
+			t.Run(alg+"/"+mode, func(t *testing.T) {
+				deploy := func() *ioa.System {
+					cl, _, err := DeployAlgorithm(alg, 5, 1, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return cl.Sys
+				}
+				orig, _, err := DeployAlgorithm(alg, 5, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				node := func(sys *ioa.System, id ioa.NodeID) ioa.Node {
+					n, err := sys.Node(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return n
+				}
+				// assemble builds a system of its own from a copy of every
+				// server of orig and a clone of every client.
+				assemble := func(copyOf func(id ioa.NodeID, n ioa.Node) ioa.Node) *ioa.System {
+					sys := ioa.NewSystem()
+					for _, id := range orig.Servers {
+						if err := sys.AddServer(copyOf(id, node(orig.Sys, id))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, id := range append(append([]ioa.NodeID(nil), orig.Writers...), orig.Readers...) {
+						if err := sys.AddClient(node(orig.Sys, id).Clone().(ioa.Client)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return sys
+				}
+				write := func(sys *ioa.System, seed uint64) []byte {
+					v := register.MakeValue(1024, seed)
+					if _, err := sys.RunOp(orig.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: v}, 100000); err != nil {
+						t.Fatal(err)
+					}
+					return v
+				}
+				read := func(sys *ioa.System, want []byte, what string) {
+					op, err := sys.RunOp(orig.Readers[0], ioa.Invocation{Kind: ioa.OpRead}, 100000)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(op.Output, want) {
+						t.Fatalf("%s read a %d-byte value other than the %d bytes written", what, len(op.Output), len(want))
+					}
+				}
+				write(orig.Sys, 1)
+				held := write(orig.Sys, 2)
+				digests := map[ioa.NodeID]string{}
+				images := map[ioa.NodeID]ioa.NodeSnapshot{}
+				for _, id := range orig.Servers {
+					n := node(orig.Sys, id)
+					digests[id] = n.(ioa.Digester).StateDigest()
+					images[id] = n.(ioa.Recoverable).Snapshot()
+				}
+				restore := func(fresh *ioa.System) func(ioa.NodeID, ioa.Node) ioa.Node {
+					return func(id ioa.NodeID, _ ioa.Node) ioa.Node {
+						n := node(fresh, id)
+						if err := n.(ioa.Recoverable).Restore(images[id]); err != nil {
+							t.Fatal(err)
+						}
+						return n
+					}
+				}
+				copyOf := func(_ ioa.NodeID, n ioa.Node) ioa.Node { return n.Clone() }
+				if mode == "snapshot" {
+					copyOf = restore(deploy())
+				}
+				copies := assemble(copyOf)
+
+				read(copies, held, "the copy")
+				for seed := uint64(10); seed < 14; seed++ {
+					read(copies, write(copies, seed), "the copy")
+				}
+				for id, want := range digests {
+					if got := node(orig.Sys, id).(ioa.Digester).StateDigest(); got != want {
+						t.Fatalf("server %d's digest moved while its copy ran", id)
+					}
+				}
+				read(orig.Sys, held, "the original")
+				if mode == "snapshot" {
+					for seed := uint64(20); seed < 24; seed++ {
+						write(orig.Sys, seed)
+					}
+					read(assemble(restore(deploy())), held, "a late restore")
+				}
+			})
+		}
+	}
+}

@@ -16,7 +16,8 @@
 // Every Codec also carries a Sample generator, which is how the fuzz tests
 // round-trip *every* registered message type without this package knowing
 // any concrete type: Sample(seed) -> Encode -> Decode -> re-Encode must be
-// the identity on bytes and reflect.DeepEqual on values.
+// the identity on bytes and reflect.DeepEqual on values (a decoded shard's
+// pool handle set aside).
 package wire
 
 import (
@@ -234,11 +235,10 @@ func (r *Reader) Bool() bool {
 	return v == 1
 }
 
-// Bytes8 reads a length-prefixed byte string. The length is validated
-// against the remaining input before allocating, so a malicious prefix
-// cannot force a huge allocation. Zero length decodes to nil, preserving
-// Encode(Decode(x)) == x for messages built with nil slices.
-func (r *Reader) Bytes8() []byte {
+// span reads a length-prefixed byte string and returns it in place,
+// aliasing the input. The length is validated against the remaining input,
+// so a malicious prefix cannot force a huge allocation on the caller.
+func (r *Reader) span() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -247,13 +247,20 @@ func (r *Reader) Bytes8() []byte {
 		r.fail("byte string length %d exceeds %d remaining bytes", n, len(r.buf))
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
+	out := r.buf[:n:n]
 	r.buf = r.buf[n:]
 	return out
+}
+
+// Bytes8 reads a length-prefixed byte string into a slice of its own. Zero
+// length decodes to nil, preserving Encode(Decode(x)) == x for messages built
+// with nil slices.
+func (r *Reader) Bytes8() []byte {
+	b := r.span()
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 // Tag reads a register version tag.
@@ -266,12 +273,18 @@ func (r *Reader) Tag() register.Tag {
 	return register.Tag{Seq: seq, Writer: ioa.NodeID(w)}
 }
 
-// Shard reads an erasure-coded element.
+// Shard reads an erasure-coded element into a buffer drawn from the shard
+// pool, held once by the decoded message. Zero length decodes to no data.
 func (r *Reader) Shard() erasure.Shard {
 	idx := r.Varint()
-	data := r.Bytes8()
+	data := r.span()
 	if idx < 0 || idx > math.MaxInt32 {
 		r.fail("shard index %d outside [0, MaxInt32]", idx)
 	}
-	return erasure.Shard{Index: int(idx), Data: data}
+	if r.err != nil || len(data) == 0 {
+		return erasure.Shard{Index: int(idx)}
+	}
+	s := erasure.NewShard(int(idx), len(data))
+	copy(s.Data, data)
+	return s
 }

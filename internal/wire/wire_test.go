@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/erasure"
 	"repro/internal/wire"
 
 	// Register every algorithm's message codecs.
@@ -64,7 +65,7 @@ func TestRoundTripEveryType(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: decode: %v", seed, err)
 				}
-				if !reflect.DeepEqual(msg, back) {
+				if !reflect.DeepEqual(plain(msg), plain(back)) {
 					t.Fatalf("seed %d: round trip changed the message:\n sent %#v\n got  %#v", seed, msg, back)
 				}
 				again, err := wire.Encode(back)
@@ -106,4 +107,36 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := wire.Encode("not registered"); err == nil {
 		t.Error("unregistered message type must fail to encode")
 	}
+}
+
+// TestDecodedShardIsPooled: a decoded shard is drawn from the pool and held
+// once, by the message — its one Release returns the buffer, after which the
+// stale Shard value panics on use — and it copies the frame, so the frame's
+// bytes can be reused at once.
+func TestDecodedShardIsPooled(t *testing.T) {
+	c, ok := wire.CodecFor(0x22) // cas.preWriteMsg
+	if !ok {
+		t.Fatal("cas wire types not registered")
+	}
+	sent := c.Sample(5)
+	data, err := wire.Encode(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wire.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if !reflect.DeepEqual(plain(msg), plain(sent)) {
+		t.Fatalf("decoded %#v aliases the frame, want %#v", msg, sent)
+	}
+	shard := reflect.ValueOf(msg).FieldByName("Shard").Interface().(erasure.Shard)
+	shard.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Retain of a released decoded shard did not panic: the shard is not pooled")
+		}
+	}()
+	shard.Retain()
 }

@@ -37,11 +37,13 @@ runtime-race:
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
 # over both links; a client crash and recovery on the clients' shared tcp
 # endpoint; a server crash while its reader delivers to it inline; casgc's
-# pooled coded elements under a crash, delays and loss), then a
+# pooled coded elements under a crash, delays and loss; the durability
+# rule: no send from a recovering server ahead of its image, and an
+# acknowledged write surviving an immediate crash of every server), then a
 # small `shmem grid` scenario matrix driving the whole grid over real
 # goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

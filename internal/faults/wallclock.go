@@ -34,7 +34,7 @@ import (
 // run on the WallClock's single event goroutine, in schedule order; a
 // backend's Crash hook stops the node (joining its loop is allowed — the
 // event goroutine has no other duties) and its Recover hook restarts the
-// node from its last durable checkpoint.
+// node from its durable image, taken before its latest sends left it.
 type NodeHooks struct {
 	Crash   func(node ioa.NodeID)
 	Recover func(node ioa.NodeID)

@@ -119,13 +119,14 @@ type NodeSnapshot any
 
 // Recoverable is implemented by automata that support crash-recovery
 // durability: Snapshot captures the node's durable state, Restore replaces a
-// node's state from such an image. The wall-clock fault scheduler checkpoints
-// Recoverable servers at configurable intervals and, on a scheduled recovery,
-// restarts the node from its last checkpoint — state mutated after that
-// checkpoint is lost, which is precisely the crash-recovery model the paper's
-// storage bounds reason about (a server must persist enough to survive
-// failures). A node without this surface can still crash permanently; only
-// scheduled recovery requires it.
+// node's state from such an image. The wall-clock backends image a server the
+// fault plan recovers before each of its effects' sends leaves it and, on a
+// scheduled recovery, restart the node from that image — state changed since
+// its last send is lost, what any peer saw survives, which is precisely the
+// crash-recovery model the paper's storage bounds and the quorum arguments
+// reason about (a server must persist enough to survive failures). A node
+// without this surface can still crash permanently; only scheduled recovery
+// requires it.
 type Recoverable interface {
 	Node
 	// Snapshot returns a self-contained image of the node's durable state.
@@ -231,8 +232,9 @@ type FaultStats struct {
 	Crashes    int
 	Recoveries int
 	// Checkpoints counts durable-state snapshots taken by the wall-clock
-	// backends' crash-recovery machinery. Zero on the simulator, whose
-	// crash-recovery keeps state intact in-process.
+	// backends' crash-recovery machinery: one per send-bearing effect of a
+	// node the plan recovers. Zero on the simulator, whose crash-recovery
+	// keeps state intact in-process.
 	Checkpoints int
 	// FastForwards counts the times a scheduler advanced logical time
 	// because every queued message was delayed, blocked or addressed to a

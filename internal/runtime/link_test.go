@@ -655,7 +655,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 			log := recordAll(rt, nil)
 			victim := rt.nodes[victimID]
 			victim.node.(*recNode).pause = 20 * time.Microsecond
-			victim.init, victim.ckpt = victim.node.Clone(), true
+			victim.init = victim.node.Clone()
 			rt.start()
 
 			codec, ok := wire.CodecFor(0x10) // abd.queryMsg

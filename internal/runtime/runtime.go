@@ -37,7 +37,9 @@
 //     the window's wall-clock boundary, a crashed node's goroutine stops,
 //     its link attachment is severed and its volatile state (mailbox,
 //     queues, the automaton itself) is discarded, and a scheduled recovery
-//     restarts the node from its last durable checkpoint (ioa.Recoverable).
+//     restarts the node from its durable image (ioa.Recoverable). A node the
+//     plan recovers is imaged before each effect's first send leaves it, so
+//     nothing it acknowledged can be lost to a crash.
 //     Recovery for a node without the Snapshot/Restore surface is the one
 //     unsupported combination, rejected with faults.ErrUnsupported. Every
 //     gate runs before the link sees the message, so a dropped message is
@@ -160,11 +162,6 @@ const (
 	// under sustained overload, senders slow to the receiver's drain rate
 	// instead of growing unbounded queues.
 	sendTimeout = time.Second
-	// checkpointInterval is the durable-state snapshot interval for nodes
-	// the fault plan schedules a recovery for. A recovering node restarts
-	// from its last checkpoint; state mutated after it is lost, exactly the
-	// crash-recovery model the paper's storage bounds assume.
-	checkpointInterval = 5 * time.Millisecond
 )
 
 // drainBatch bounds how many extra mailbox events a node loop handles per
@@ -253,10 +250,10 @@ type invokeEvent struct {
 // nodeState is everything a node's owner owns: the automaton clone, its
 // mailbox, the outstanding operation and the server storage maxima. One
 // owner at a time — the loop or a reader: the node's loop, which holds own
-// for each drain batch and each checkpoint, or a tcp reader that took own
-// to deliver a frame inline (tcpLink.inbound). Across a scheduled crash,
-// ownership passes to the WallClock's event goroutine (which joins the loop
-// and excludes inline deliveries first) and back to the next incarnation.
+// for each drain batch, or a tcp reader that took own to deliver a frame
+// inline (tcpLink.inbound). Across a scheduled crash, ownership passes to
+// the WallClock's event goroutine (which joins the loop and excludes inline
+// deliveries first) and back to the next incarnation.
 type nodeState struct {
 	id   ioa.NodeID
 	node ioa.Node
@@ -282,15 +279,11 @@ type nodeState struct {
 	// incarnation of the node loop; the WallClock goroutine replaces them
 	// only between incarnations (after closing crashCh and joining
 	// loopDone), so the loop reads them race-free.
-	init     ioa.Node    // pristine automaton recovery restarts from; nil when no recovery is scheduled
-	ckpt     bool        // the plan schedules a recovery: checkpoint durable state
-	down     atomic.Bool // true between a crash and its recovery
+	init     ioa.Node         // pristine automaton recovery restarts from; nil when no recovery is scheduled
+	snap     ioa.NodeSnapshot // owner-written image taken before the node's latest sends; nil until it first sends
+	down     atomic.Bool      // true between a crash and its recovery
 	crashCh  chan struct{}
 	loopDone chan struct{}
-
-	snapMu  sync.Mutex
-	snap    ioa.NodeSnapshot // last durable checkpoint (written by the loop, read at recovery)
-	hasSnap bool
 }
 
 // runtime drives one cluster's automata concurrently.
@@ -311,7 +304,7 @@ type runtime struct {
 	drops, delayed, delaySteps atomic.Int64
 	overflow                   atomic.Int64 // events dropped after their deadline on a full mailbox
 	dead                       atomic.Int64 // gated messages whose sender had crashed by release time
-	checkpoints                atomic.Int64 // durable-state snapshots taken
+	checkpoints                atomic.Int64 // durable images taken ahead of a recovering node's sends
 
 	timerMu sync.Mutex
 	timers  map[*time.Timer]struct{} // pending delay/outage timers, stopped at shutdown
@@ -386,7 +379,6 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 					faults.ErrUnsupported, id, ns.node)
 			}
 			ns.init = ns.node.Clone()
-			ns.ckpt = true
 		}
 	}
 	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
@@ -470,21 +462,11 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // write per destination endpoint); no send is held past drainBatch+1 events.
 // Events the chan link siphoned off the node's own mailbox while it was
 // blocked sending are handled first, one per flush: they arrived before
-// anything still queued, so per-link FIFO holds. A checkpointing node
-// additionally snapshots its durable state on a ticker — under the lock, so
-// Snapshot never races Deliver/Invoke — with one initial checkpoint before
-// any event, so a crash at any point has an image to recover from.
+// anything still queued, so per-link FIFO holds.
 func (rt *runtime) loop(ns *nodeState) {
 	crashed, exited := ns.crashCh, ns.loopDone
 	defer close(exited)
 	defer rt.wg.Done()
-	var tick <-chan time.Time
-	if ns.ckpt {
-		rt.checkpoint(ns)
-		t := time.NewTicker(checkpointInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		if len(ns.deferred) > 0 {
 			select {
@@ -508,8 +490,6 @@ func (rt *runtime) loop(ns *nodeState) {
 			return
 		case <-crashed:
 			return
-		case <-tick:
-			rt.checkpoint(ns)
 		case ev := <-ns.mb:
 			ns.own.Lock()
 			rt.handlePosted(ns, ev)
@@ -536,28 +516,12 @@ func (rt *runtime) handlePosted(ns *nodeState, ev event) {
 	}
 }
 
-// checkpoint images the node's durable state, owning the node, and stores
-// the image under the snapshot mutex, where a later recovery reads it.
-func (rt *runtime) checkpoint(ns *nodeState) {
-	r, ok := ns.node.(ioa.Recoverable)
-	if !ok {
-		return
-	}
-	ns.own.Lock()
-	snap := r.Snapshot()
-	ns.own.Unlock()
-	ns.snapMu.Lock()
-	ns.snap, ns.hasSnap = snap, true
-	ns.snapMu.Unlock()
-	rt.checkpoints.Add(1)
-}
-
 // crashNode stops a node mid-run: runs on the WallClock's event goroutine.
 // The incarnation's loop is signalled and joined, the node is detached from
 // the link (on TCP a server's endpoint closes and peers' in-flight frames
 // die as real network loss, counted by their senders; a client leaves the
 // shared endpoint up, and frames arriving for it are counted lost), then its
-// volatile state — everything but the checkpoint — is discarded: queued
+// volatile state — everything but the durable image — is discarded: queued
 // mailbox events, siphoned events, not-yet-started invocations (abandoned,
 // so their drivers see "never happened"). An operation the automaton held
 // mid-protocol stays pending in the history forever, which is exactly what
@@ -610,26 +574,25 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 	}
 }
 
-// recoverNode restarts a crashed node from its last durable checkpoint: runs
-// on the WallClock's event goroutine, strictly after the node's crash (the
-// clock fires all node events in schedule order on one goroutine). The new
-// incarnation is a pristine clone of the deployed automaton with the
-// checkpoint restored onto it — volatile state since the checkpoint is lost,
-// the durable state provably survives — re-attached to the link (on TCP a
-// server gets a fresh endpoint peers redial on their next send, a client
-// rejoins the shared one).
+// recoverNode restarts a crashed node from its durable image: runs on the
+// WallClock's event goroutine, strictly after the node's crash (the clock
+// fires all node events in schedule order on one goroutine). The new
+// incarnation is a pristine clone of the deployed automaton with the image
+// restored onto it — state changed since the node's last send is lost,
+// everything it sent survives — re-attached to the link (on TCP a server
+// gets a fresh endpoint peers redial on their next send, a client rejoins
+// the shared one). A node that never sent restarts pristine. No lock guards
+// ns.snap here: crashNode joined the loop and took and released own, so its
+// last writer is done.
 func (rt *runtime) recoverNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
 	if ns == nil || !ns.down.Load() || ns.init == nil {
 		return
 	}
 	node := ns.init.Clone()
-	ns.snapMu.Lock()
-	snap, ok := ns.snap, ns.hasSnap
-	ns.snapMu.Unlock()
-	if ok {
+	if ns.snap != nil {
 		// Same automaton type by construction; Restore cannot reject it.
-		if err := node.(ioa.Recoverable).Restore(snap); err != nil {
+		if err := node.(ioa.Recoverable).Restore(ns.snap); err != nil {
 			return // leave the node down rather than rejoin with bogus state
 		}
 	}
@@ -681,6 +644,8 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 // operation interval to that point is sound for the checkers — the
 // linearization point of a quorum operation precedes response
 // determination), dispatches the sends, and refreshes the storage meters.
+// A node the plan recovers is imaged before the first send leaves it: the
+// one durability rule, so a recovery never rolls back anything a peer saw.
 func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 	if eff.Response != nil && ns.pendingDone != nil {
 		out := eff.Response.Value
@@ -692,6 +657,12 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 		ns.pendingSpan = nil
 		ns.pendingDone <- out // buffered, single outstanding op: never blocks
 		ns.pendingDone = nil
+	}
+	if ns.init != nil && len(eff.Sends) > 0 {
+		if r, ok := ns.node.(ioa.Recoverable); ok { // a node without the surface recovers pristine
+			ns.snap = r.Snapshot()
+			rt.checkpoints.Add(1)
+		}
 	}
 	for _, send := range eff.Sends {
 		rt.send(ns, send)

@@ -9,16 +9,19 @@ import (
 )
 
 // TestEveryAlgorithmOnWallClockBackends runs every deployable algorithm on
-// the live and net backends, fault-free, under random delays and under f
-// crashes: two shards, 48 operations, each shard judged by its own
-// algorithm's condition (atomic or regular). The coded registers draw their
-// elements from the shard pool and, on net, decode them into pooled
-// buffers; this is the grid that runs them there.
+// the live and net backends, fault-free, under random delays, under f
+// crashes and under f crashes that recover: two shards, 48 operations, each
+// shard judged by its own algorithm's condition (atomic or regular). The
+// coded registers draw their elements from the shard pool and, on net,
+// decode them into pooled buffers; this is the grid that runs them there.
+// The recovering column recovers at step 10, where the plain crash column
+// already counts on its crash firing: a later recovery can fall after the
+// end of a fast live run.
 func TestEveryAlgorithmOnWallClockBackends(t *testing.T) {
 	rc := runtime.Config{StepDur: 10 * time.Microsecond, OpTimeout: 2 * time.Second}
 	for _, alg := range Algorithms() {
 		for _, backend := range []string{BackendLive, BackendNet} {
-			for _, faults := range []string{"none", "delay=1:8", "crash-f@10"} {
+			for _, faults := range []string{"none", "delay=1:8", "crash-f@10", "crash-f@5:10"} {
 				alg, backend, faults := alg, backend, faults
 				t.Run(alg+"/"+backend+"/"+faults, func(t *testing.T) {
 					t.Parallel()
@@ -48,6 +51,9 @@ func TestEveryAlgorithmOnWallClockBackends(t *testing.T) {
 					// a whole does not.
 					if fired := res.Faults.Crashes + res.Faults.DelayedMessages; (faults == "none") != (fired == 0) {
 						t.Errorf("run under %q recorded %+v", faults, res.Faults)
+					}
+					if faults == "crash-f@5:10" && res.Faults.Recoveries == 0 {
+						t.Errorf("run under %q fired no recovery: %+v", faults, res.Faults)
 					}
 					if res.TotalOps != 48 {
 						t.Errorf("ran %d ops, want 48", res.TotalOps)

@@ -15,10 +15,11 @@ import (
 // properties the streaming pipeline exists for: the verdict is clean, the
 // linearization frontier keeps up with the run (all but a bounded residue
 // retired online), and peak checker memory is bounded by the window, not
-// the history. SyncOps matches the store engine's online-check wiring: the
-// drivers quiesce every window's worth of operations, so every window is
-// guaranteed a clean cut to retire at even with saturated pipelined
-// clients that never leave a natural global idle moment.
+// the history. The runtime derives its sync period from the checker it
+// feeds, as in the store engine's online-check wiring: the drivers quiesce
+// every window's worth of operations, so every window is guaranteed a clean
+// cut to retire at even with saturated pipelined clients that never leave a
+// natural global idle moment.
 func TestCheckSmokeOnline(t *testing.T) {
 	ops := 100_000
 	if testing.Short() {
@@ -39,7 +40,7 @@ func TestCheckSmokeOnline(t *testing.T) {
 		Reads:      ops / 2,
 		TargetNu:   1,
 		ValueBytes: 16,
-	}, runtime.Config{Sink: checker, Pipeline: 8, SyncOps: window})
+	}, runtime.Config{Pipeline: 8}, checker, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +58,11 @@ func TestCheckSmokeOnline(t *testing.T) {
 		t.Fatalf("only %d of %d ops retired online (residual lag %d)", v, ops, checker.WindowLag())
 	}
 	// Peak memory bounded by the window, not the history: between two sync
-	// cuts at most SyncOps ops issue plus the in-flight pipeline, so the
-	// largest window the checker ever held stays a small multiple of the
-	// retirement window however long the run is.
+	// cuts at most a window's worth of ops issue plus the in-flight pipeline,
+	// so the largest window the checker ever held stays a small multiple of
+	// the retirement window however long the run is. (The runtime's
+	// TestSyncPeriodFromChecker pins the sync period itself, with clients
+	// saturated enough that nothing else would cut the history.)
 	if mw := checker.MaxWindow(); mw > 4*window {
 		t.Fatalf("peak checker window held %d ops, want <= %d (bounded by the window, not the history)", mw, 4*window)
 	}

@@ -141,9 +141,8 @@ func (s *settings) params(fs *flag.FlagSet, args []string, names ...string) (shm
 // bind declares the flags run, grid and load share on fs — one spelling per
 // Config or MultiWorkloadSpec field — with backend as -backend's default,
 // beside the ones fs already has. It parses args into the bound fields and
-// completes the ones a flag cannot set directly: the comma-separated lists,
-// the inverted -check, and the runtime tuning, which both wall-clock backends
-// share.
+// completes the ones a flag cannot set directly: the comma-separated lists
+// and the inverted -check.
 func bind(fs *flag.FlagSet, backend string, args []string) (*settings, error) {
 	s := &settings{algo: "cas", cfg: shmem.Config{Servers: 5, F: 1, Seed: 1},
 		spec: shmem.MultiWorkloadSpec{TargetNu: 2, ValueBytes: 128, Ops: 96, ReadFraction: 0.3}}
@@ -152,7 +151,7 @@ func bind(fs *flag.FlagSet, backend string, args []string) (*settings, error) {
 	fs.IntVar(&s.cfg.Shards, "shards", 4, "number of independent register shards")
 	fs.StringVar(&s.faults, "faults", "", "comma-separated fault scenarios, cycled per shard; grammar: "+shmem.FaultScenarioUsage())
 	fs.IntVar(&s.cfg.Workers, "workers", 0, "parallel shard workers (0 = GOMAXPROCS)")
-	fs.IntVar(&s.cfg.Pipeline, "pipeline", 1, "live/net operations kept in flight per client (per-client order preserved)")
+	fs.IntVar(&s.cfg.Net.Pipeline, "pipeline", 1, "live/net operations kept in flight per client (per-client order preserved)")
 	fs.BoolVar(&s.check, "check", true, "consistency-check every shard history (disable to measure unchecked throughput)")
 	fs.BoolVar(&s.cfg.OnlineCheck, "check-online", false, "live/net: verify atomicity with the streaming windowed checker while the run executes (memory bounded by the window)")
 	fs.IntVar(&s.cfg.OnlineWindow, "check-window", 0, "online checker retirement window in operations (0 = default)")
@@ -170,7 +169,6 @@ func bind(fs *flag.FlagSet, backend string, args []string) (*settings, error) {
 		s.cfg.Faults = strings.Split(s.faults, ",")
 	}
 	s.cfg.SkipCheck = !s.check
-	s.cfg.Live = s.cfg.Net
 	s.spec.Seed = s.cfg.Seed
 	return s, nil
 }
@@ -317,7 +315,7 @@ func runLoad(fs *flag.FlagSet, args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "%-17s: %s, %d shards x (N=%d f=%d), %d keys, %d ops/setting, pipeline %d, seed %d\n",
-		cfg.Backend+" load", strings.Join(cfg.Algorithms, ","), cfg.Shards, cfg.Servers, cfg.F, s.spec.Keys, s.spec.Ops, cfg.Pipeline, cfg.Seed)
+		cfg.Backend+" load", strings.Join(cfg.Algorithms, ","), cfg.Shards, cfg.Servers, cfg.F, s.spec.Keys, s.spec.Ops, cfg.Net.Pipeline, cfg.Seed)
 	if cfg.Backend == "net" {
 		fmt.Fprintf(w, "transport        : TCP %s, one socket per node\n", cfg.Net.ListenAddr)
 	}
@@ -545,7 +543,7 @@ func runProfile(fs *flag.FlagSet, args []string, w io.Writer) error {
 	// Theorem 6.5 line below reads, so this subcommand deploys the cluster
 	// itself.
 	nu := s.spec.TargetNu
-	cl, cond, err := store.DeployAlgorithm(s.algo, p.N, p.F, nu)
+	cl, cond, err := store.DeployShard(s.algo, p.N, p.F, nu, 0, 0)
 	if err != nil {
 		return err
 	}

@@ -244,6 +244,11 @@ func (c *OnlineChecker) Result(extra ...ioa.Op) error {
 	return fmt.Errorf("consistency: residual window (after %d verified ops): %w", c.verified, firstViol)
 }
 
+// WindowOps returns the retirement window in operations (WithWindowOps):
+// a batch run feeding the checker syncs its drivers once per window, so every
+// window is guaranteed a clean cut to retire at.
+func (c *OnlineChecker) WindowOps() int { return c.windowOps }
+
 // OpsObserved returns the number of operations delivered via Observe.
 func (c *OnlineChecker) OpsObserved() int64 {
 	c.mu.Lock()

@@ -29,7 +29,7 @@ func TestPartitionGateTiming(t *testing.T) {
 		cl, _ := deploy(t, store.AlgCAS, 3, 1, 1, 1)
 		plan := &faults.Plan{Outages: []faults.Outage{{Start: 0, End: healStep, Symmetric: true}}}
 		t0 := time.Now()
-		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: stepDur, OpTimeout: 20 * time.Second})
+		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: stepDur, OpTimeout: 20 * time.Second}, nil)
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
@@ -71,7 +71,7 @@ func TestRecoveryServesSnapshotState(t *testing.T) {
 			{Node: 3, Step: 500, RecoverStep: 650},
 		}}
 		t0 := time.Now()
-		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: stepDur})
+		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: stepDur}, nil)
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
@@ -124,7 +124,7 @@ func TestHistoryAtomicThroughCrashRecover(t *testing.T) {
 			TargetNu:   2,
 			ValueBytes: 64,
 			FaultPlan:  plan,
-		}, runtime.Config{StepDur: time.Millisecond})
+		}, runtime.Config{StepDur: time.Millisecond}, nil, nil)
 		if err != nil {
 			t.Fatalf("RunConfig: %v", err)
 		}
@@ -150,7 +150,7 @@ func TestCrashReapsGoroutines(t *testing.T) {
 			{Node: 1, Step: 50},
 			{Node: 2, Step: 50},
 		}}
-		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: time.Millisecond})
+		in, err := runtime.OpenInteractive(backend, cl, plan, runtime.Config{StepDur: time.Millisecond}, nil)
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
@@ -195,7 +195,7 @@ func TestQuorumKillQuiesces(t *testing.T) {
 			TargetNu:   1,
 			ValueBytes: 16,
 			FaultPlan:  plan,
-		}, runtime.Config{StepDur: time.Millisecond, OpTimeout: 150 * time.Millisecond})
+		}, runtime.Config{StepDur: time.Millisecond, OpTimeout: 150 * time.Millisecond}, nil, nil)
 		if err != nil {
 			t.Fatalf("RunConfig: %v", err)
 		}

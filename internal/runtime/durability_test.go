@@ -73,7 +73,7 @@ func TestNoSendAheadOfItsImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			var l *imageLink
-			rt, err := newRuntime(cl, recoverLate(cl), Config{}, func(rt *runtime) link {
+			rt, err := newRuntime(cl, recoverLate(cl), Config{}, nil, func(rt *runtime) link {
 				l = &imageLink{chanLink: &chanLink{rt: rt}}
 				return l
 			})
@@ -113,7 +113,7 @@ func TestNoSendAheadOfItsImage(t *testing.T) {
 func TestAckedWriteSurvivesImmediateCrash(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
 		cl := abdCluster(t)
-		rt, err := newRuntime(cl, recoverLate(cl), Config{}, mkLink)
+		rt, err := newRuntime(cl, recoverLate(cl), Config{}, nil, mkLink)
 		if err != nil {
 			t.Fatal(err)
 		}

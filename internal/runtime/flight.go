@@ -24,10 +24,11 @@ import (
 // mutex-free, and merged after the joins; a pipelined latency includes the
 // queue wait at the node), and the peak of concurrently in-flight writes
 // (the execution's measured ν, counting submitted ops — an upper bound on
-// the protocol-level ν the history records).
-func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec) (lats []time.Duration, peakActiveWrites int) {
+// the protocol-level ν the history records). When the run feeds an online
+// checker (chk), the drivers sync every chk.WindowOps() issued operations.
+func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec, chk checker) (lats []time.Duration, peakActiveWrites int) {
 	cfg := rt.cfg
-	onSubmit, observe := cfg.Telemetry.OpObserver()
+	onSubmit, observe := rt.tel.OpObserver()
 	var writesLeft, readsLeft atomic.Int64
 	writesLeft.Store(int64(spec.Writes))
 	readsLeft.Store(int64(spec.Reads))
@@ -61,7 +62,7 @@ func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec) (lats []t
 		var synced int64
 		defer qc.leave()
 		for alive {
-			// Quiescence point (Config.SyncOps): the global issue counter
+			// Quiescence point (the checker's window): the global issue counter
 			// crossed a sync boundary, so drain the in-flight window and
 			// meet the other drivers at the barrier; the moment it releases,
 			// nothing is in flight anywhere — a clean cut in the history.
@@ -126,7 +127,11 @@ func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec) (lats []t
 
 	nWriters := min(spec.TargetNu, len(cl.Writers))
 	nDrivers := nWriters + len(cl.Readers)
-	qc = newQuiescer(int64(cfg.SyncOps), nDrivers)
+	var syncOps int64
+	if chk != nil {
+		syncOps = int64(chk.WindowOps())
+	}
+	qc = newQuiescer(syncOps, nDrivers)
 	latChunks := make([][]time.Duration, nDrivers)
 	var dwg sync.WaitGroup
 	for i := 0; i < nWriters; i++ {

@@ -106,7 +106,7 @@ func TestDelayTimersStoppedOnClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := newRuntime(cl, plan, Config{StepDur: time.Millisecond}, mkLink)
+		rt, err := newRuntime(cl, plan, Config{StepDur: time.Millisecond}, nil, mkLink)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -32,20 +33,21 @@ type Interactive struct {
 // backend's link, starts the node goroutines and returns a session ready for
 // RunOp. The fault plan applies in full, exactly as in RunConfig: drop/delay
 // rules and outage windows at every send, scheduled crash/recovery on the
-// runtime's wall-clock step mapping. Close stops the goroutines and closes
-// the link.
-func OpenInteractive(backend string, cl *cluster.Cluster, plan *faults.Plan, cfg Config) (*Interactive, error) {
+// runtime's wall-clock step mapping. tel, when it carries a registry,
+// receives the session's metrics. Close stops the goroutines and closes the
+// link.
+func OpenInteractive(backend string, cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemetry.RunTelemetry) (*Interactive, error) {
 	mkLink, err := newLink(backend)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := newRuntime(cl, plan, cfg, mkLink)
+	rt, err := newRuntime(cl, plan, cfg, tel, mkLink)
 	if err != nil {
 		return nil, err
 	}
 	// Interactive sessions have no fixed value size, so the sampler skips
 	// the paper-bound gauges and publishes the raw storage watermarks.
-	rt.startTelemetry(cl, workload.Spec{})
+	rt.startTelemetry(cl, workload.Spec{}, nil)
 	rt.start()
 	return &Interactive{rt: rt}, nil
 }

@@ -97,7 +97,7 @@ func (l *recLink) end(what string) {
 func gated(t *testing.T, plan *faults.Plan) (*runtime, *recLink, time.Time) {
 	t.Helper()
 	rec := &recLink{sent: make(chan sentMsg, 16)}
-	rt, err := newRuntime(abdCluster(t), plan, Config{StepDur: time.Millisecond}, func(*runtime) link { return rec })
+	rt, err := newRuntime(abdCluster(t), plan, Config{StepDur: time.Millisecond}, nil, func(*runtime) link { return rec })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestFinalSampleBeforeTeardown(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &recLink{sent: make(chan sentMsg, 16)}
 			cl := abdCluster(t)
-			cfg := Config{Telemetry: &telemetry.RunTelemetry{Registry: telemetry.NewRegistry()}}
-			rt, err := newRuntime(cl, nil, cfg, func(*runtime) link { return rec })
+			tel := &telemetry.RunTelemetry{Registry: telemetry.NewRegistry()}
+			rt, err := newRuntime(cl, nil, Config{}, tel, func(*runtime) link { return rec })
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.startTelemetry(cl, workload.Spec{})
+			rt.startTelemetry(cl, workload.Spec{}, nil)
 			rt.start()
 			tc.end(rt)
 			rec.mu.Lock()
@@ -263,7 +263,7 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 // loops: frames that arrive only fill mailboxes.
 func idleTCP(t *testing.T) (*runtime, *tcpLink) {
 	t.Helper()
-	rt, err := newRuntime(abdCluster(t), nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+	rt, err := newRuntime(abdCluster(t), nil, Config{}, nil, func(rt *runtime) link { return newTCPLink(rt) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 	// The test posts while it holds server 1's lock, which no owner does: a
 	// mailbox deeper than the whole stream keeps that post from waiting for
 	// room the loop cannot make.
-	rt, err := newRuntime(abdCluster(t), nil, Config{Mailbox: 2 * n}, func(rt *runtime) link { return newTCPLink(rt) })
+	rt, err := newRuntime(abdCluster(t), nil, Config{Mailbox: 2 * n}, nil, func(rt *runtime) link { return newTCPLink(rt) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 	for _, victimID := range []ioa.NodeID{1, ioa.NodeID(cluster.WriterBase)} {
 		t.Run(fmt.Sprint("node ", victimID), func(t *testing.T) {
 			base := goruntime.NumGoroutine()
-			rt, err := newRuntime(abdCluster(t), nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+			rt, err := newRuntime(abdCluster(t), nil, Config{}, nil, func(rt *runtime) link { return newTCPLink(rt) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -740,7 +740,7 @@ func TestClientCrashOnSharedEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(cl, nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+	rt, err := newRuntime(cl, nil, Config{}, nil, func(rt *runtime) link { return newTCPLink(rt) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,7 +852,7 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 // node accepted.
 func TestServersNeverDialClients(t *testing.T) {
 	cl := abdCluster(t)
-	in, err := OpenInteractive(BackendNet, cl, nil, Config{})
+	in, err := OpenInteractive(BackendNet, cl, nil, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +891,7 @@ func TestNetConnectionsDoNotGrowWithClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := OpenInteractive(BackendNet, cl, nil, Config{})
+	in, err := OpenInteractive(BackendNet, cl, nil, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,7 +1000,7 @@ func BenchmarkTCPLinkQuorum(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt, err := newRuntime(cl, nil, Config{}, func(rt *runtime) link { return newTCPLink(rt) })
+	rt, err := newRuntime(cl, nil, Config{}, nil, func(rt *runtime) link { return newTCPLink(rt) })
 	if err != nil {
 		b.Fatal(err)
 	}

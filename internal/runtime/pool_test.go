@@ -50,7 +50,7 @@ func TestPooledSharesSurviveFaults(t *testing.T) {
 			}
 			overLinks(t, func(t *testing.T, backend string) {
 				cl, _ := deploy(t, store.AlgCASGC, 5, 1, 2, 2)
-				res, err := runtime.RunConfig(backend, cl, wl, runtime.Config{StepDur: 100 * time.Microsecond, OpTimeout: time.Second})
+				res, err := runtime.RunConfig(backend, cl, wl, runtime.Config{StepDur: 100 * time.Microsecond, OpTimeout: time.Second}, nil, nil)
 				if err != nil {
 					t.Fatalf("RunConfig: %v", err)
 				}

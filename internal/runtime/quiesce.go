@@ -6,12 +6,13 @@ import (
 )
 
 // quiescer coordinates periodic global drains across the concurrent batch
-// drivers of runFlights. Every Config.SyncOps issued operations, each
-// active driver drains its in-flight window and parks here
-// until every other active driver has done the same; only then does anyone
-// issue again. At the instant the barrier releases, nothing is in flight, so
-// every operation issued before the sync responds before any operation
-// issued after it invokes — a clean cut in the recorded history.
+// drivers of runFlights. Every syncOps issued operations (the online
+// checker's retirement window, when the run feeds one), each active driver
+// drains its in-flight window and parks here until every other active driver
+// has done the same; only then does anyone issue again. At the instant the
+// barrier releases, nothing is in flight, so every operation issued before
+// the sync responds before any operation issued after it invokes — a clean
+// cut in the recorded history.
 //
 // This is what makes streaming verification's memory bound hold by
 // construction rather than by scheduling luck: an online windowed checker
@@ -19,7 +20,7 @@ import (
 // may never leave a natural global idle moment (their idle gaps must align
 // in real time). Sync points trade a bounded throughput cost — the drains —
 // for a guaranteed cut cadence, so the checker's peak window is bounded by
-// roughly SyncOps plus the in-flight population, independent of the run
+// roughly syncOps plus the in-flight population, independent of the run
 // length.
 //
 // Usage: each driver calls tick for every operation it issues, checks due

@@ -52,7 +52,7 @@ func heapAlloc() int64 {
 func TestInteractiveRetainsNothing(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {
 		cl, _ := deploy(t, store.AlgCASGC, 5, 1, 1, 1)
-		in, err := runtime.OpenInteractive(backend, cl, nil, runtime.Config{})
+		in, err := runtime.OpenInteractive(backend, cl, nil, runtime.Config{}, nil)
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkInteractive64K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in, err := runtime.OpenInteractive(runtime.BackendLive, cl, nil, runtime.Config{})
+	in, err := runtime.OpenInteractive(runtime.BackendLive, cl, nil, runtime.Config{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,9 +128,7 @@ func TestBatchHistoryParity(t *testing.T) {
 				spec := workload.Spec{Writes: 24, Reads: 24, TargetNu: 2, ValueBytes: 64, FaultPlan: p.plan}
 				run := func(sink ioa.HistorySink) *workload.Result {
 					cl, _ := deploy(t, store.AlgCAS, 5, 1, 2, 2)
-					cfg := p.cfg
-					cfg.Sink = sink
-					res, err := runtime.RunConfig(backend, cl, spec, cfg)
+					res, err := runtime.RunConfig(backend, cl, spec, p.cfg, sink, nil)
 					if err != nil {
 						t.Fatalf("RunConfig: %v", err)
 					}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/ioa"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -23,7 +24,19 @@ import (
 // Crashes budget remains genuinely unsupported (it draws crash points from
 // the simulator's schedule, which does not exist here) and is rejected with
 // faults.ErrUnsupported.
-func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Config) (*workload.Result, error) {
+//
+// sink, when non-nil, receives the run's history as it happens: every
+// operation is registered with an ioa.OpFeed at invocation and the feed
+// releases it into the sink, in invocation order, once it settles.
+// Result.History then carries only the pending tail (the sink has absorbed
+// everything else). With no sink the same feed fills an ioa.History of the
+// run's own and Result.History is all of it. A sink that is an online
+// checker (it reports its retirement window, as consistency.OnlineChecker
+// does) also sets the drivers' sync period: every window's worth of issued
+// operations they drain and meet at a barrier, so each window is guaranteed
+// a clean cut to retire at. tel, when it carries a registry, receives the
+// run's metrics (see startTelemetry).
+func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Config, sink ioa.HistorySink, tel *telemetry.RunTelemetry) (*workload.Result, error) {
 	mkLink, err := newLink(backend)
 	if err != nil {
 		return nil, err
@@ -38,23 +51,23 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 	if spec.Reads > 0 && len(cl.Readers) == 0 {
 		return nil, fmt.Errorf("runtime: %d reads requested but the cluster has no readers", spec.Reads)
 	}
-	rt, err := newRuntime(cl, spec.FaultPlan, cfg, mkLink)
+	rt, err := newRuntime(cl, spec.FaultPlan, cfg, tel, mkLink)
 	if err != nil {
 		return nil, err
 	}
-	cfg = rt.cfg // defaults applied
 	// One history path: the feed stamps and orders every op into the
 	// caller's sink, or into a history of the run's own when there is none.
 	var own *ioa.History
-	if cfg.Sink != nil {
-		rt.feed = ioa.NewOpFeed(cfg.Sink)
+	if sink != nil {
+		rt.feed = ioa.NewOpFeed(sink)
 	} else {
 		own = ioa.NewHistory()
 		rt.feed = ioa.NewOpFeed(own)
 	}
-	rt.startTelemetry(cl, spec)
+	chk, _ := sink.(checker)
+	rt.startTelemetry(cl, spec, chk)
 	rt.start()
-	lats, peakWrites := rt.runFlights(cl, spec)
+	lats, peakWrites := rt.runFlights(cl, spec, chk)
 	// Snapshot before tearing down: stop closes the link under whatever
 	// residual traffic is still in flight (late acks past a quorum), and
 	// messages that teardown strands are not faults of the run.

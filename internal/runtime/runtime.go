@@ -78,7 +78,10 @@ const (
 	BackendNet  = "net"  // loopback TCP, one endpoint per server and one for all clients (tcpLink)
 )
 
-// Config tunes the runtime. The zero value selects the defaults.
+// Config tunes the runtime: what an operator sets, for either link. The zero
+// value selects the defaults. What the store wires in per shard — the batch
+// run's history sink and the telemetry handle — are arguments of RunConfig
+// and OpenInteractive, not settings.
 type Config struct {
 	// StepDur converts a fault plan's steps into wall-clock time (default
 	// 100µs): delay steps scale to holds of delay*StepDur (delay=1:24 thus
@@ -97,38 +100,9 @@ type Config struct {
 	// invocations and starts each only when its predecessor responds, so
 	// the client automaton still holds one operation at a time and
 	// per-client program order is preserved; recorded operation intervals
-	// never overlap within a client.
+	// never overlap within a client. Interactive sessions do not read it:
+	// their caller holds one operation per client at a time.
 	Pipeline int
-	// Sink, when non-nil, receives a batch run's history as it happens:
-	// RunConfig registers every operation with an ioa.OpFeed at invocation
-	// and the feed releases it into the sink, in invocation order, once it
-	// settles. Result.History then carries only the pending tail (the sink
-	// has absorbed everything else). Feed an OnlineChecker here to verify
-	// the run while it executes. With no sink the same feed fills an
-	// ioa.History of the run's own and Result.History is all of it.
-	// Interactive sessions do not read it: their caller stamps and records
-	// the operations it invokes.
-	Sink ioa.HistorySink
-	// SyncOps, when positive, installs periodic quiescence points in the
-	// batch drivers: after every SyncOps issued operations (globally, across
-	// all drivers), every driver drains its in-flight operations and they
-	// meet at a barrier before any issues again. Each sync is a moment with
-	// nothing in flight — a clean cut in the recorded history — so an online
-	// checker fed through Sink is guaranteed a window-retirement opportunity
-	// at least once per sync, bounding its peak memory by construction
-	// rather than by the scheduler happening to align the clients' idle
-	// gaps. Zero disables syncing; the store engine's online-check mode
-	// (store.Config.OnlineCheck) defaults it to the retirement window, and
-	// a negative value forces it off even there.
-	SyncOps int
-	// Telemetry, when it carries a registry, streams run metrics into it:
-	// per-node storage-bit gauges sampled on a ticker next to the paper's
-	// Theorem 4.1/5.1 bounds, the link's own counters (per-endpoint transport
-	// counters on the TCP link), op counters/latency histograms from the
-	// batch drivers, online-checker lag gauges, and sampled op-lifecycle
-	// spans. nil (the default) records nothing and costs nothing on the hot
-	// path.
-	Telemetry *telemetry.RunTelemetry
 	// ListenAddr is the address every endpoint listens on (default
 	// "127.0.0.1:0": one ephemeral loopback port per server, and one for the
 	// clients). A fixed port in the spec would collide across endpoints, so
@@ -295,8 +269,9 @@ type runtime struct {
 	servers []ioa.NodeID // the deployment's servers, whose storage maxima storageReport sums
 	link    link
 
-	feed *ioa.OpFeed   // stamps and orders a batch run's ops into its sink; nil in interactive sessions
-	seq  atomic.Uint64 // global send sequence number for MessageFate
+	feed *ioa.OpFeed             // stamps and orders a batch run's ops into its sink; nil in interactive sessions
+	tel  *telemetry.RunTelemetry // where run metrics go; nil (or a nil Registry) records nothing
+	seq  atomic.Uint64           // global send sequence number for MessageFate
 
 	tracer        *telemetry.Tracer // sampled op-lifecycle spans; nil when telemetry is off
 	stopTelemetry func()            // takes the final sample and joins the sampler; set by startTelemetry
@@ -320,7 +295,7 @@ type runtime struct {
 // any frame is sent. The cluster itself is left untouched — its simulator
 // System remains pristine. cfg's zero fields take their defaults here. On
 // error the link is closed.
-func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(*runtime) link) (*runtime, error) {
+func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemetry.RunTelemetry, mkLink func(*runtime) link) (*runtime, error) {
 	cfg = cfg.withDefaults()
 	if err := cl.Validate(); err != nil {
 		return nil, err
@@ -341,13 +316,14 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, mkLink func(
 	rt := &runtime{
 		cfg:     cfg,
 		plan:    plan,
+		tel:     tel,
 		nodes:   make(map[ioa.NodeID]*nodeState),
 		servers: cl.Servers,
 		timers:  make(map[*time.Timer]struct{}),
 		done:    make(chan struct{}),
 	}
-	if cfg.Telemetry.Active() {
-		rt.tracer = cfg.Telemetry.Registry.Tracer()
+	if tel.Active() {
+		rt.tracer = tel.Registry.Tracer()
 	}
 	for _, id := range cl.Sys.NodeIDs() {
 		n, err := cl.Automaton(id)

@@ -65,7 +65,7 @@ func TestRunChecksConsistency(t *testing.T) {
 					Reads:      24,
 					TargetNu:   3,
 					ValueBytes: 64,
-				}, runtime.Config{})
+				}, runtime.Config{}, nil, nil)
 				if err != nil {
 					t.Fatalf("RunConfig: %v", err)
 				}
@@ -105,7 +105,7 @@ func TestDelayRulesApply(t *testing.T) {
 			TargetNu:   2,
 			ValueBytes: 64,
 			FaultPlan:  plan,
-		}, runtime.Config{})
+		}, runtime.Config{}, nil, nil)
 		if err != nil {
 			t.Fatalf("RunConfig: %v", err)
 		}
@@ -136,7 +136,7 @@ func TestPartitionHealsAndCompletes(t *testing.T) {
 			TargetNu:   1,
 			ValueBytes: 16,
 			FaultPlan:  plan,
-		}, runtime.Config{StepDur: time.Millisecond, OpTimeout: 10 * time.Second})
+		}, runtime.Config{StepDur: time.Millisecond, OpTimeout: 10 * time.Second}, nil, nil)
 		if err != nil {
 			t.Fatalf("RunConfig: %v", err)
 		}
@@ -199,25 +199,25 @@ func bareCluster(t *testing.T) *cluster.Cluster {
 func TestUnsupportedPlansAreTyped(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {
 		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
-		_, err := runtime.RunConfig(backend, cl, workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, Crashes: 1}, runtime.Config{})
+		_, err := runtime.RunConfig(backend, cl, workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, Crashes: 1}, runtime.Config{}, nil, nil)
 		if !errors.Is(err, faults.ErrUnsupported) {
 			t.Errorf("crash budget: err = %v, want faults.ErrUnsupported", err)
 		}
 
 		plan := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5, RecoverStep: 10}}}
-		_, err = runtime.RunConfig(backend, bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, FaultPlan: plan}, runtime.Config{})
+		_, err = runtime.RunConfig(backend, bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, FaultPlan: plan}, runtime.Config{}, nil, nil)
 		if !errors.Is(err, faults.ErrUnsupported) {
 			t.Errorf("recovery without snapshot surface: err = %v, want faults.ErrUnsupported", err)
 		}
 
 		noRecover := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5}}}
-		in, err := runtime.OpenInteractive(backend, bareCluster(t), noRecover, runtime.Config{})
+		in, err := runtime.OpenInteractive(backend, bareCluster(t), noRecover, runtime.Config{}, nil)
 		if err != nil {
 			t.Fatalf("crash-only plan on a node without a snapshot surface: %v", err)
 		}
 		in.Close()
 	})
-	if _, err := runtime.RunConfig("carrier-pigeon", bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8}, runtime.Config{}); err == nil {
+	if _, err := runtime.RunConfig("carrier-pigeon", bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8}, runtime.Config{}, nil, nil); err == nil {
 		t.Error("unknown backend name accepted")
 	}
 }
@@ -236,7 +236,7 @@ func TestLossyTimeoutIsVerdict(t *testing.T) {
 			TargetNu:   1,
 			ValueBytes: 8,
 			FaultPlan:  plan,
-		}, runtime.Config{OpTimeout: 50 * time.Millisecond})
+		}, runtime.Config{OpTimeout: 50 * time.Millisecond}, nil, nil)
 		if err != nil {
 			t.Fatalf("RunConfig: %v", err)
 		}
@@ -261,7 +261,7 @@ func TestLossyTimeoutIsVerdict(t *testing.T) {
 func TestInteractive(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {
 		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
-		in, err := runtime.OpenInteractive(backend, cl, nil, runtime.Config{})
+		in, err := runtime.OpenInteractive(backend, cl, nil, runtime.Config{}, nil)
 		if err != nil {
 			t.Fatalf("OpenInteractive: %v", err)
 		}
@@ -294,6 +294,33 @@ func TestInteractive(t *testing.T) {
 		}
 		if _, _, err := in.RunOp(ctx, writer, ioa.Invocation{Kind: ioa.OpRead}); err == nil {
 			t.Error("invoke after close must fail")
+		}
+	})
+}
+
+// TestSyncPeriodFromChecker: a batch run that feeds an online checker syncs
+// its drivers once per checker window, so the checker's peak window stays
+// near the window however saturated the clients are. Eight pipelined
+// clients rarely leave a natural global idle moment, so without the syncs
+// the window would grow far past the bound.
+func TestSyncPeriodFromChecker(t *testing.T) {
+	const window, drivers, pipeline = 8, 8, 8
+	overLinks(t, func(t *testing.T, backend string) {
+		checker := consistency.NewOnlineChecker(nil, consistency.WithWindowOps(window))
+		cl, _ := deploy(t, store.AlgABDMW, 5, 1, drivers/2, drivers/2)
+		if _, err := runtime.RunConfig(backend, cl, workload.Spec{
+			Writes: 2000, Reads: 2000, TargetNu: drivers / 2, ValueBytes: 16,
+		}, runtime.Config{Pipeline: pipeline}, checker, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := checker.Result(); err != nil {
+			t.Fatal(err)
+		}
+		// Between two sync cuts at most a window's worth of operations plus
+		// one per driver issue; the checker retires at the first cut once it
+		// holds a window, so it never holds more than two such stretches.
+		if mw, bound := checker.MaxWindow(), 2*(window+drivers); mw > bound {
+			t.Errorf("peak checker window %d ops, want <= %d", mw, bound)
 		}
 	})
 }

@@ -74,7 +74,7 @@ func TestPipelinedManyClients(t *testing.T) {
 		}
 		resCh := make(chan outcome, 1)
 		go func() {
-			res, err := runtime.RunConfig(backend, cl, spec, sc.cfg)
+			res, err := runtime.RunConfig(backend, cl, spec, sc.cfg, nil, nil)
 			resCh <- outcome{res, err}
 		}()
 

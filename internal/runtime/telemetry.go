@@ -10,10 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// checkerStats is the slice of an online checker the storage sampler reads;
-// consistency.OnlineChecker satisfies it. Structural, so the runtime keeps
-// not importing the checker.
-type checkerStats interface {
+// checker is the slice of an online checker the runtime reads from a batch
+// run's sink: its retirement window sets the drivers' sync period, and the
+// storage sampler publishes its progress. consistency.OnlineChecker
+// satisfies it. Structural, so the runtime keeps not importing the checker.
+type checker interface {
+	WindowOps() int
 	WindowLag() int
 	OpsObserved() int64
 	OpsVerified() int64
@@ -23,11 +25,12 @@ type checkerStats interface {
 // the sampling goroutine: every tick it reads each server node's storage
 // meter (the same curBits/maxBits watermark path storageReport folds at
 // shutdown — gauges can never exceed that watermark), the measured-vs-bound
-// slack, the link's own counters and the online checker's lag. rt.stop
-// joins the sampler after one final sample, so the end-of-run watermark is
-// always published. A no-op when telemetry is off.
-func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) {
-	tel := rt.cfg.Telemetry
+// slack, the link's own counters and the online checker's lag (chk; nil when
+// the run feeds none). rt.stop joins the sampler after one final sample, so
+// the end-of-run watermark is always published. A no-op when telemetry is
+// off.
+func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec, chk checker) {
+	tel := rt.tel
 	if !tel.Active() {
 		return
 	}
@@ -82,8 +85,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) {
 
 	var lagG, retainedG telemetry.Gauge
 	var observedC, verifiedC telemetry.Counter
-	chk, hasChk := rt.cfg.Sink.(checkerStats)
-	if hasChk {
+	if chk != nil {
 		lagG = reg.Gauge(telemetry.MetricCheckerLag, "online checker window lag (ops observed beyond the verified prefix)", sl)
 		retainedG = reg.Gauge(telemetry.MetricCheckerRetained, "ops the online checker currently retains", sl)
 		observedC = reg.Counter(telemetry.MetricCheckerObserved, "ops the online checker has observed", sl)
@@ -105,7 +107,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec) {
 			slack51.Set(float64(maxSeen) - b51)
 		}
 		sampleLink()
-		if hasChk {
+		if chk != nil {
 			obs, ver := chk.OpsObserved(), chk.OpsVerified()
 			lagG.Set(float64(chk.WindowLag()))
 			retainedG.Set(float64(obs - ver))

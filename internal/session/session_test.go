@@ -57,12 +57,26 @@ func TestOpenResolvesConfigOnce(t *testing.T) {
 	if got := st.Config(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Config changed across RunMulti calls: %+v\nwant %+v", got, want)
 	}
+}
 
-	// The store-level pipeline is the default of the selected backend's
-	// runtime config only, and an explicit runtime depth wins.
-	live := openSim(t, store.Config{Backend: store.BackendLive, Pipeline: 4, Net: runtime.Config{Pipeline: 2}}).Config()
-	if live.Live.Pipeline != 4 || live.Net.Pipeline != 2 {
-		t.Errorf("live store pipelines = (live %d, net %d), want (4, 2)", live.Live.Pipeline, live.Net.Pipeline)
+// TestOneRuntimeConfig: Config.Net is the one runtime configuration both
+// wall-clock backends read — the tuning it carries reaches every shard's
+// runtime options on live as on net.
+func TestOneRuntimeConfig(t *testing.T) {
+	const opTimeout = 3 * time.Second
+	for _, backend := range []string{store.BackendLive, store.BackendNet} {
+		t.Run(backend, func(t *testing.T) {
+			st := openSim(t, store.Config{Backend: backend, Shards: 2, Net: runtime.Config{OpTimeout: opTimeout, Pipeline: 3}})
+			for shard := 0; shard < 2; shard++ {
+				for _, interactive := range []bool{true, false} {
+					rc := st.Config().Shard(shard, interactive).Runtime
+					if rc.OpTimeout != opTimeout || rc.Pipeline != 3 {
+						t.Errorf("shard %d (interactive %v) runtime options carry OpTimeout %v, Pipeline %d; want %v, 3",
+							shard, interactive, rc.OpTimeout, rc.Pipeline, opTimeout)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -80,6 +94,7 @@ func TestOpenValidation(t *testing.T) {
 		{"negative shards", store.Config{Shards: -1}, "Shards must be >= 1"},
 		{"negative clients", store.Config{Writers: -1}, "negative client counts"},
 		{"negative budget", store.Config{StepBudget: -5}, "negative step budget"},
+		{"negative pipeline", store.Config{Net: runtime.Config{Pipeline: -1}}, "negative pipeline depth"},
 		{"single-writer with many writers", store.Config{Algorithms: []string{store.AlgABD}, Writers: 3, Readers: 1}, "single-writer"},
 		{"malformed fault window", store.Config{Backend: store.BackendLive, Faults: []string{"partition@40:20"}}, "Faults[0]"},
 	}
@@ -226,7 +241,7 @@ func TestWallClockRetirement(t *testing.T) {
 	for _, backend := range []string{store.BackendLive, store.BackendNet} {
 		t.Run(backend, func(t *testing.T) {
 			rc := runtime.Config{OpTimeout: opTimeout}
-			st := openSim(t, store.Config{Backend: backend, Faults: []string{"lossy=1"}, Live: rc, Net: rc})
+			st := openSim(t, store.Config{Backend: backend, Faults: []string{"lossy=1"}, Net: rc})
 			ctx := context.Background()
 
 			err := st.Put(ctx, 0, register.MakeValue(64, 1))

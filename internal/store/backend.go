@@ -11,11 +11,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ioa"
 	"repro/internal/runtime"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // Backend is the execution substrate a shard runs on. The node automata are
-// identical either way — DeployAlgorithm builds the same cluster — and each
+// identical either way — DeployShard builds the same cluster — and each
 // backend drives them through the same workload.Spec, returning the shared
 // result shape whose history feeds the same consistency checkers.
 //
@@ -45,8 +46,8 @@ type Backend interface {
 
 // ShardOptions carries the per-shard tuning a backend needs: the fault plan,
 // the simulator's per-operation step budget, and the wall-clock runtime's
-// configuration (telemetry label and history sink included). Config.Shard
-// derives it from the resolved store config.
+// configuration, history sink and telemetry handle. Config.Shard derives it
+// from the resolved store config.
 type ShardOptions struct {
 	// Plan is the shard's fault plan (nil = fault-free). RunShard callers
 	// install the plan on the spec instead; OpenShard reads it from here.
@@ -55,10 +56,15 @@ type ShardOptions struct {
 	// consume on the simulator. The live and net runtimes bound operations
 	// by wall-clock timeout instead.
 	StepBudget int
-	// Runtime tunes the live and net backends' node runtime (step duration,
-	// op timeout, mailboxes; listen address on net). Ignored on the
-	// simulator.
+	// Runtime tunes the live and net backends' node runtime (Config.Net).
+	// Ignored on the simulator, like the two fields below.
 	Runtime runtime.Config
+	// Sink receives a batch run's history as it happens (runtime.RunConfig's
+	// sink): the shard's online checker under Config.OnlineCheck, nil
+	// otherwise. OpenShard does not read it.
+	Sink ioa.HistorySink
+	// Telemetry is the shard's metrics handle (nil = off).
+	Telemetry *telemetry.RunTelemetry
 }
 
 // ShardSession executes interactive operations against one shard's running
@@ -263,11 +269,11 @@ type runtimeBackend struct{ name string }
 func (b runtimeBackend) Name() string { return b.name }
 
 func (b runtimeBackend) RunShard(cl *cluster.Cluster, spec workload.Spec, opts ShardOptions) (*workload.Result, error) {
-	return runtime.RunConfig(b.name, cl, spec, opts.Runtime)
+	return runtime.RunConfig(b.name, cl, spec, opts.Runtime, opts.Sink, opts.Telemetry)
 }
 
 func (b runtimeBackend) OpenShard(cl *cluster.Cluster, opts ShardOptions) (ShardSession, error) {
-	in, err := runtime.OpenInteractive(b.name, cl, opts.Plan, opts.Runtime)
+	in, err := runtime.OpenInteractive(b.name, cl, opts.Plan, opts.Runtime, opts.Telemetry)
 	if err != nil {
 		return nil, err // not a typed-nil *Interactive in the interface
 	}

@@ -128,7 +128,7 @@ func TestValidateWorkloadRejectsCrashBudget(t *testing.T) {
 // a one-delivery budget cannot complete a quorum write, and the error must
 // be ErrStepBudget with the operation left pending.
 func TestSimSessionStepBudget(t *testing.T) {
-	cl, _, err := DeployAlgorithm(AlgCAS, 5, 1, 1)
+	cl, _, err := DeployShard(AlgCAS, 5, 1, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSimSessionStepBudget(t *testing.T) {
 // TestSimSessionCompletesOps drives a write/read pair interactively on the
 // simulator session and checks the read returns the written value.
 func TestSimSessionCompletesOps(t *testing.T) {
-	cl, _, err := DeployAlgorithm(AlgABDMW, 3, 1, 2)
+	cl, _, err := DeployShard(AlgABDMW, 3, 1, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,13 @@ func TestCloneIndependence(t *testing.T) {
 		for _, mode := range []string{"clone", "snapshot"} {
 			t.Run(alg+"/"+mode, func(t *testing.T) {
 				deploy := func() *ioa.System {
-					cl, _, err := DeployAlgorithm(alg, 5, 1, 1)
+					cl, _, err := DeployShard(alg, 5, 1, 1, 0, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return cl.Sys
 				}
-				orig, _, err := DeployAlgorithm(alg, 5, 1, 1)
+				orig, _, err := DeployShard(alg, 5, 1, 1, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

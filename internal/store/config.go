@@ -47,8 +47,8 @@ type Config struct {
 	Faults []string
 	// Writers and Readers are the per-shard client counts. Zero means the
 	// defaults: one writer and one reader for interactive shards, and the
-	// per-algorithm DeployAlgorithm shapes for batch runs (RunMulti,
-	// RunWorkload). Single-writer algorithms reject Writers > 1.
+	// per-algorithm shapes DeployShard sizes for the target ν for batch runs
+	// (RunMulti, RunWorkload). Single-writer algorithms reject Writers > 1.
 	Writers int
 	Readers int
 	// StepBudget bounds the deliveries one interactive simulator operation
@@ -56,12 +56,12 @@ type Config struct {
 	// ErrStepBudget. Ignored on the live and net backends, which bound
 	// operations by their OpTimeout instead.
 	StepBudget int
-	// Live and Net tune the node runtime for the live and the net backend
-	// respectively — one type, and only the selected backend's value is
-	// read; the zero value selects the defaults (ephemeral loopback ports on
-	// net, 5s op timeout).
-	Live runtime.Config
-	Net  runtime.Config
+	// Net tunes the node runtime behind both wall-clock backends, live and
+	// net: step duration, op timeout, mailbox capacity, the batch drivers'
+	// per-client pipeline depth and, on net, the listen address. The zero
+	// value selects the defaults (5s op timeout, one operation in flight per
+	// client, ephemeral loopback ports). Ignored on the simulator.
+	Net runtime.Config
 	// Seed derives each shard's fault-plan decision stream (and seeds batch
 	// runs through RunWorkload). Same seed, same injected faults.
 	Seed int64
@@ -69,14 +69,6 @@ type Config struct {
 	// On the simulator, successful results are independent of it: every shard
 	// runs on its own ioa.System with a seed derived from (seed, shard index).
 	Workers int
-	// Pipeline sets the per-client operation pipeline depth the live and net
-	// batch drivers use (0 keeps the runtime's default of 1): each driver
-	// keeps up to this many operations in flight at one client, with the
-	// node starting each only after its predecessor responds, so per-client
-	// program order is preserved. It is the default for the selected
-	// runtime config's own Pipeline; ignored on the simulator and for
-	// interactive Put/Get, which stay one-op-per-client.
-	Pipeline int
 	// SkipCheck disables batch runs' per-shard consistency checking, to
 	// measure unchecked throughput. The atomicity check is O(n log n) at any
 	// write concurrency; only the regularity checks are still quadratic
@@ -160,21 +152,7 @@ func (c Config) withDefaults() Config {
 	if c.HistoryCap == 0 {
 		c.HistoryCap = DefaultHistoryCap
 	}
-	// The store-level pipeline is the default depth of the selected
-	// backend's runtime config.
-	if rc := c.selected(); rc.Pipeline == 0 {
-		rc.Pipeline = c.Pipeline
-	}
 	return c
-}
-
-// selected points at the node-runtime config of the configured backend — Net
-// on the net backend, Live otherwise.
-func (c *Config) selected() *runtime.Config {
-	if c.Backend == BackendNet {
-		return &c.Net
-	}
-	return &c.Live
 }
 
 func (c Config) validate() error {
@@ -196,8 +174,8 @@ func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("store: negative worker count %d", c.Workers)
 	}
-	if c.Pipeline < 0 {
-		return fmt.Errorf("store: negative pipeline depth %d", c.Pipeline)
+	if c.Net.Pipeline < 0 {
+		return fmt.Errorf("store: negative pipeline depth %d", c.Net.Pipeline)
 	}
 	if c.OnlineWindow < 0 {
 		return fmt.Errorf("store: negative online window %d", c.OnlineWindow)
@@ -240,17 +218,17 @@ func validateFaults(c Config, specs []string) error {
 }
 
 // Shard derives one shard's backend options from the resolved config: the
-// selected runtime config carrying the per-shard telemetry handle when a
-// registry is configured (interactive shards get "interactive-<shard>" series
-// labels so their standing samplers never collide with batch runs reusing the
-// same shard indices), and the simulator's step budget. Callers add the
-// shard's fault plan and history sink.
+// runtime config, the per-shard telemetry handle when a registry is
+// configured (interactive shards get "interactive-<shard>" series labels so
+// their standing samplers never collide with batch runs reusing the same
+// shard indices), and the simulator's step budget. Callers add the shard's
+// fault plan and history sink.
 func (c Config) Shard(shard int, interactive bool) ShardOptions {
-	o := ShardOptions{StepBudget: c.StepBudget, Runtime: *c.selected()}
+	o := ShardOptions{StepBudget: c.StepBudget, Runtime: c.Net}
 	if c.Telemetry != nil {
 		// Each shard gets its own RunTelemetry value into one shared
 		// registry; the shard label keeps the series apart.
-		o.Runtime.Telemetry = &telemetry.RunTelemetry{Registry: c.Telemetry, Shard: shard, Interactive: interactive}
+		o.Telemetry = &telemetry.RunTelemetry{Registry: c.Telemetry, Shard: shard, Interactive: interactive}
 	}
 	return o
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/coded"
 )
 
-// Algorithm names accepted by DeployAlgorithm and Config.Algorithms.
+// Algorithm names accepted by DeployShard and Config.Algorithms.
 const (
 	AlgABD              = "abd"
 	AlgABDMW            = "abd-mwmr"
@@ -31,33 +31,10 @@ func Algorithms() []string {
 	return []string{AlgABD, AlgABDMW, AlgCAS, AlgCASGC, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo}
 }
 
-// DeployAlgorithm builds a fresh cluster for the named algorithm with n
-// servers tolerating f crashes, sized for a target write concurrency nu,
-// and returns it with the consistency condition the algorithm guarantees
-// ("atomic" or "regular"). The multi-writer algorithms get max(nu, 1)
-// writer clients and two readers; the SWSR registers (twoversion,
-// twoversion-gossip, solo) get one writer and one reader.
-func DeployAlgorithm(alg string, n, f, nu int) (*cluster.Cluster, string, error) {
-	writers := nu
-	if writers < 1 {
-		writers = 1
-	}
-	switch alg {
-	case AlgABD, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo:
-		writers = 1
-	}
-	readers := 2
-	switch alg {
-	case AlgTwoVersion, AlgTwoVersionGossip, AlgSolo:
-		readers = 1
-	}
-	return DeployAlgorithmSized(alg, n, f, writers, readers)
-}
-
 // DeployAlgorithmSized builds a cluster for the named algorithm with
 // explicit writer and reader client counts — the live runtime's load
-// generator scales clients this way, where DeployAlgorithm's fixed shapes
-// would cap concurrency. Single-writer algorithms (abd, twoversion,
+// generator scales clients this way, where DeployShard's per-algorithm
+// shapes would cap concurrency. Single-writer algorithms (abd, twoversion,
 // twoversion-gossip, solo) reject writers != 1.
 func DeployAlgorithmSized(alg string, n, f, writers, readers int) (*cluster.Cluster, string, error) {
 	switch alg {

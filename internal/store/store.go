@@ -324,14 +324,10 @@ func runShard(c Config, m workload.MultiSpec, backend Backend, load workload.Sha
 	online := c.OnlineCheck && !c.SkipCheck && cond == "atomic"
 	if online && backend.Name() != BackendSim {
 		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(c.OnlineWindow))
-		opts.Runtime.Sink = checker
-		// The drivers sync (drain + barrier) every window's worth of issued
-		// operations unless the caller tuned SyncOps themselves: each sync is
-		// a clean cut, so the checker's peak window is bounded by roughly the
-		// retirement window plus the in-flight population, by construction.
-		if opts.Runtime.SyncOps == 0 {
-			opts.Runtime.SyncOps = c.OnlineWindow
-		}
+		// The runtime reads the checker's window as its sync period: the
+		// drivers drain and meet at a barrier every window's worth of issued
+		// operations, so each window gets a clean cut to retire at.
+		opts.Sink = checker
 	}
 	wres, err := backend.RunShard(cl, spec, opts)
 	if err != nil {
@@ -382,18 +378,28 @@ func runShard(c Config, m workload.MultiSpec, backend Backend, load workload.Sha
 	}, nil
 }
 
-// DeployShard builds one shard's cluster with the engine's client-count
-// defaulting: explicit counts when writers or readers is set (zero defaults
-// to one), DeployAlgorithm's per-algorithm shapes sized for nu when both
-// are zero. The batch engine and the session layer share this rule.
+// DeployShard builds one shard's cluster for the named algorithm with n
+// servers tolerating f crashes, and returns it with the consistency condition
+// the algorithm guarantees ("atomic" or "regular"). Explicit client counts
+// win when writers or readers is set (zero defaults to one). When both are
+// zero the shape is per algorithm, sized for the target write concurrency
+// nu: the multi-writer algorithms get max(nu, 1) writers and two readers,
+// abd one writer and two readers, and the SWSR registers (twoversion,
+// twoversion-gossip, solo) one of each. The batch engine and the session
+// layer share this rule.
 func DeployShard(alg string, n, f, nu, writers, readers int) (*cluster.Cluster, string, error) {
-	if writers == 0 && readers == 0 {
-		return DeployAlgorithm(alg, n, f, nu)
-	}
-	if writers == 0 {
+	switch {
+	case writers == 0 && readers == 0:
+		writers, readers = max(nu, 1), 2
+		switch alg {
+		case AlgABD:
+			writers = 1
+		case AlgTwoVersion, AlgTwoVersionGossip, AlgSolo:
+			writers, readers = 1, 1
+		}
+	case writers == 0:
 		writers = 1
-	}
-	if readers == 0 {
+	case readers == 0:
 		readers = 1
 	}
 	return DeployAlgorithmSized(alg, n, f, writers, readers)

@@ -133,7 +133,7 @@ func TestSingleShardMatchesDirectWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, _, err := DeployAlgorithm(AlgCAS, opts.Servers, opts.F, opts.Workload.TargetNu)
+	cl, _, err := DeployShard(AlgCAS, opts.Servers, opts.F, opts.Workload.TargetNu, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestUnknownAlgorithmError(t *testing.T) {
-	if _, _, err := DeployAlgorithm("raft", 5, 1, 1); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+	if _, _, err := DeployShard("raft", 5, 1, 1, 0, 0); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Errorf("got %v, want unknown-algorithm error", err)
 	}
 	for _, alg := range Algorithms() {
-		cl, cond, err := DeployAlgorithm(alg, 5, 1, 2)
+		cl, cond, err := DeployShard(alg, 5, 1, 2, 0, 0)
 		if err != nil {
 			t.Errorf("%s: %v", alg, err)
 			continue
@@ -501,7 +501,7 @@ func TestCheckedHighConcurrency(t *testing.T) {
 	}
 
 	for _, alg := range []string{AlgABDMW, AlgCASGC} {
-		cl, _, err := DeployAlgorithm(alg, 5, 1, nu)
+		cl, _, err := DeployShard(alg, 5, 1, nu, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

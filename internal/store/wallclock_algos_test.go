@@ -26,7 +26,7 @@ func TestEveryAlgorithmOnWallClockBackends(t *testing.T) {
 				t.Run(alg+"/"+backend+"/"+faults, func(t *testing.T) {
 					t.Parallel()
 					res, err := scenario{
-						Config: Config{Algorithms: []string{alg}, Shards: 2, Backend: backend, Faults: []string{faults}, Live: rc, Net: rc},
+						Config: Config{Algorithms: []string{alg}, Shards: 2, Backend: backend, Faults: []string{faults}, Net: rc},
 						Workload: workload.MultiSpec{
 							Seed: 5, Keys: 8, Ops: 48, ReadFraction: 0.5, TargetNu: 1, ValueBytes: 256,
 						},

@@ -118,8 +118,9 @@ func WithClients(writers, readers int) Option {
 // batch drivers use: each driver keeps up to depth operations in flight at
 // one client, with the node starting each only after its predecessor
 // responds, so per-client program order is preserved. Ignored on the
-// simulator and for interactive Put/Get.
-func WithPipeline(depth int) Option { return func(c *Config) { c.Pipeline = depth } }
+// simulator and for interactive Put/Get. It sets Config.Net.Pipeline; a
+// negative depth fails Open.
+func WithPipeline(depth int) Option { return func(c *Config) { c.Net.Pipeline = depth } }
 
 // WithOnlineCheck streams the settled operations of Store.RunMulti batch
 // runs on the live and net backends into a windowed online atomicity checker
@@ -215,11 +216,11 @@ func StoreAlgorithms() []string { return store.Algorithms() }
 // the loopback network).
 func StoreBackends() []string { return store.Backends() }
 
-// NetConfig tunes the node runtime behind the "live" and "net" backends —
-// Config.Live and Config.Net, of which only the selected backend's is read:
-// the listen address spec (ephemeral loopback ports by default; net only),
-// the step duration mapping fault delays and partition windows to wall time,
-// the per-operation timeout and the per-node mailbox depth. The zero value
+// NetConfig tunes the node runtime behind both the "live" and the "net"
+// backend (Config.Net): the step duration mapping fault delays and partition
+// windows to wall time, the per-operation timeout, the per-node mailbox
+// depth, the batch drivers' per-client pipeline depth and the listen address
+// spec (ephemeral loopback ports by default; net only). The zero value
 // selects the defaults.
 type NetConfig = runtime.Config
 

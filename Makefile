@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
+	$(GO) test -run NONE -fuzz FuzzOnlineChecker -fuzztime 10s ./internal/consistency
 	$(GO) test -run NONE -fuzz FuzzWireDecodeRobust -fuzztime 10s ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzReadFrames -fuzztime 10s ./internal/transport
 

@@ -145,7 +145,7 @@ func BenchmarkE4SingletonBound(b *testing.B) {
 // E5: the executable Theorem 4.1 proof (critical pairs + injectivity) on
 // the two-version coded register.
 func BenchmarkE5Theorem41Proof(b *testing.B) {
-	cfg := ProofConfig{Build: TwoVersionBuilder(5, 2), FailServers: []int{3, 4}}
+	cfg := ProofConfig{Build: Builder("twoversion", 5, 2, 1), FailServers: []int{3, 4}}
 	vals := [][]byte{MakeValue(16, 1), MakeValue(16, 2), MakeValue(16, 3)}
 	var res *Theorem41Result
 	for i := 0; i < b.N; i++ {
@@ -181,7 +181,7 @@ func BenchmarkE6BoundSweep(b *testing.B) {
 
 // E7: the executable Theorem 6.5 experiment on CAS.
 func BenchmarkE7RestrictedClass(b *testing.B) {
-	cfg := ProofConfig{Build: CASBuilder(5, 2, 2), FailServers: []int{4}}
+	cfg := ProofConfig{Build: Builder("cas", 5, 2, 2), FailServers: []int{4}}
 	vectors := [][][]byte{
 		{MakeValue(16, 1), MakeValue(16, 2)},
 		{MakeValue(16, 3), MakeValue(16, 4)},

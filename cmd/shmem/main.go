@@ -457,7 +457,7 @@ func runProof(fs *flag.FlagSet, args []string, w io.Writer) error {
 		if nu < 1 {
 			return fmt.Errorf("-nu must be >= 1 for -thm 6.5 (got %d)", nu)
 		}
-		cfg := shmem.ProofConfig{Build: shmem.CASBuilder(p.N, p.F, nu)}
+		cfg := shmem.ProofConfig{Build: shmem.Builder("cas", p.N, p.F, nu)}
 		for i := 0; i < p.F+1-nu && i < p.F; i++ {
 			cfg.FailServers = append(cfg.FailServers, p.N-1-i)
 		}
@@ -488,15 +488,10 @@ func runProof(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if *nValues < 2 {
 		return fmt.Errorf("-values must be >= 2 (got %d)", *nValues)
 	}
-	cfg := shmem.ProofConfig{Gossip: *gossip}
-	switch s.algo {
-	case "twoversion":
-		cfg.Build = shmem.TwoVersionBuilder(p.N, p.F)
-	case "abd":
-		cfg.Build = shmem.ABDBuilder(p.N, p.F)
-	default:
+	if s.algo != "twoversion" && s.algo != "abd" {
 		return fmt.Errorf("unknown algorithm %q (want twoversion or abd)", s.algo)
 	}
+	cfg := shmem.ProofConfig{Build: shmem.Builder(s.algo, p.N, p.F, 1), Gossip: *gossip}
 	for i := 0; i < p.F; i++ {
 		cfg.FailServers = append(cfg.FailServers, p.N-p.F+i) // the proofs fail the last f servers
 	}

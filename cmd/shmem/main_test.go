@@ -79,6 +79,16 @@ func TestSubcommands(t *testing.T) {
 			fingerprint: "cb62b66328d83657b1314513e1ebf24b0d2cf1a851db17ef6f8c23afa509ae42",
 		},
 		{
+			// The single-writer deploy paths (abd, twoversion,
+			// twoversion-gossip) under a fault-free, a delay and a crash
+			// scenario: their id layout and registration order.
+			name: "run/pinned single-writer fingerprint",
+			args: []string{"run", "-shards", "3", "-algo", "abd,twoversion,twoversion-gossip", "-keys", "32", "-ops", "96",
+				"-reads", "0.3", "-valuebytes", "256", "-faults", "none,delay=1:16,crash-f"},
+			want:        []string{"0/3 shards quiescent", "twoversion-gossip"},
+			fingerprint: "5329b9a5893e805c377f41cdb0ebc72d7524f572836ff0c57e0f13173ec423be",
+		},
+		{
 			name: "run/mixed algorithms",
 			args: append([]string{"run", "-shards", "4", "-algo", "abd-mwmr,casgc"}, small...),
 			want: []string{"abd-mwmr", "casgc"},

@@ -17,7 +17,7 @@ import (
 func main() {
 	const n, f = 5, 2
 	cfg := shmem.ProofConfig{
-		Build:       shmem.TwoVersionBuilder(n, f),
+		Build:       shmem.Builder("twoversion", n, f, 1),
 		FailServers: []int{3, 4}, // the proof fails f servers at the start
 	}
 

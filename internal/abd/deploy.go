@@ -19,50 +19,19 @@ type Options struct {
 // Deploy builds an ABD register cluster with the conventional node-id
 // layout.
 func Deploy(opts Options) (*cluster.Cluster, error) {
-	if err := cluster.ValidateRoleCounts("abd", opts.Writers, opts.Readers); err != nil {
-		return nil, err
-	}
 	if !opts.MultiWriter && opts.Writers > 1 {
 		return nil, fmt.Errorf("abd: SWMR mode admits exactly one writer, got %d", opts.Writers)
 	}
-	serverIDs := cluster.ServerIDs(opts.Servers)
-	cfg := Config{Servers: serverIDs, F: opts.F, MultiWriter: opts.MultiWriter}
+	cfg := Config{Servers: cluster.ServerIDs(opts.Servers), F: opts.F, MultiWriter: opts.MultiWriter}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys := ioa.NewSystem()
-	for _, id := range serverIDs {
-		if err := sys.AddServer(NewServer(id)); err != nil {
-			return nil, err
-		}
+	client := func(role Role) func(ioa.NodeID) (ioa.Client, error) {
+		return func(id ioa.NodeID) (ioa.Client, error) { return NewClient(id, role, cfg) }
 	}
-	writers := cluster.WriterIDs(opts.Writers)
-	for _, id := range writers {
-		c, err := NewClient(id, RoleWriter, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(c); err != nil {
-			return nil, err
-		}
-	}
-	readers := cluster.ReaderIDsAfter(opts.Writers, opts.Readers)
-	for _, id := range readers {
-		c, err := NewClient(id, RoleReader, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(c); err != nil {
-			return nil, err
-		}
-	}
-	return &cluster.Cluster{
-		Name:    Profile(cfg).Algorithm,
-		Sys:     sys,
-		Servers: serverIDs,
-		Writers: writers,
-		Readers: readers,
-		F:       opts.F,
-		Profile: Profile(cfg),
-	}, nil
+	return cluster.Deploy(Profile(cfg), opts.Servers, opts.F, opts.Writers, opts.Readers, cluster.Roles{
+		Server: func(id ioa.NodeID, _ []ioa.NodeID) ioa.Node { return NewServer(id) },
+		Writer: client(RoleWriter),
+		Reader: client(RoleReader),
+	})
 }

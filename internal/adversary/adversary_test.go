@@ -209,7 +209,7 @@ func TestAppendixBInjectivity(t *testing.T) {
 	}{
 		{"two-version", twoVersionBuilder(5, 2)},
 		{"solo", func() (*cluster.Cluster, error) {
-			return coded.DeploySolo(coded.SoloOptions{Servers: 5, F: 2, Readers: 1})
+			return coded.DeploySolo(coded.Options{Servers: 5, F: 2, Readers: 1})
 		}},
 		{"abd", abdBuilder(5, 2)},
 	} {

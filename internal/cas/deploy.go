@@ -5,11 +5,11 @@ import (
 	"repro/internal/ioa"
 )
 
-// Options configures a CAS deployment.
+// Options configures a CAS deployment with the maximum code dimension
+// k = N-2f.
 type Options struct {
 	Servers int
 	F       int
-	K       int // 0 = maximum (N-2f)
 	GCDepth int // -1 = plain CAS (no GC), δ >= 0 = CASGC
 	Writers int
 	Readers int
@@ -17,47 +17,16 @@ type Options struct {
 
 // Deploy builds a CAS register cluster with the conventional node-id layout.
 func Deploy(opts Options) (*cluster.Cluster, error) {
-	if err := cluster.ValidateRoleCounts("cas", opts.Writers, opts.Readers); err != nil {
-		return nil, err
-	}
-	serverIDs := cluster.ServerIDs(opts.Servers)
-	cfg := Config{Servers: serverIDs, F: opts.F, K: opts.K, GCDepth: opts.GCDepth}
+	cfg := Config{Servers: cluster.ServerIDs(opts.Servers), F: opts.F, GCDepth: opts.GCDepth}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys := ioa.NewSystem()
-	for _, id := range serverIDs {
-		if err := sys.AddServer(NewServer(id, opts.GCDepth)); err != nil {
-			return nil, err
-		}
+	client := func(role Role) func(ioa.NodeID) (ioa.Client, error) {
+		return func(id ioa.NodeID) (ioa.Client, error) { return NewClient(id, role, cfg) }
 	}
-	writers := cluster.WriterIDs(opts.Writers)
-	for _, id := range writers {
-		c, err := NewClient(id, RoleWriter, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(c); err != nil {
-			return nil, err
-		}
-	}
-	readers := cluster.ReaderIDsAfter(opts.Writers, opts.Readers)
-	for _, id := range readers {
-		c, err := NewClient(id, RoleReader, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(c); err != nil {
-			return nil, err
-		}
-	}
-	return &cluster.Cluster{
-		Name:    "cas",
-		Sys:     sys,
-		Servers: serverIDs,
-		Writers: writers,
-		Readers: readers,
-		F:       opts.F,
-		Profile: Profile(cfg),
-	}, nil
+	return cluster.Deploy(Profile(cfg), opts.Servers, opts.F, opts.Writers, opts.Readers, cluster.Roles{
+		Server: func(id ioa.NodeID, _ []ioa.NodeID) ioa.Node { return NewServer(id, opts.GCDepth) },
+		Writer: client(RoleWriter),
+		Reader: client(RoleReader),
+	})
 }

@@ -1,7 +1,7 @@
 // Package cluster defines the common shape of a deployed register emulation:
-// a simulated system plus the roles of its nodes. Algorithm packages (abd,
-// cas, coded) produce Clusters; the workload driver and the adversary
-// machinery consume them uniformly.
+// a simulated system plus the roles of its nodes. Deploy assembles one from an
+// algorithm's server and client constructors (abd, cas, coded supply them);
+// the workload driver and the adversary machinery consume Clusters uniformly.
 package cluster
 
 import (
@@ -21,8 +21,6 @@ const (
 
 // Cluster is a deployed register emulation.
 type Cluster struct {
-	// Name identifies the algorithm (e.g. "abd-mwmr", "cas").
-	Name string
 	// Sys is the simulated system containing all nodes.
 	Sys *ioa.System
 	// Servers, Writers, Readers list node ids by role, ascending.
@@ -58,11 +56,6 @@ func WriterIDs(n int) []ioa.NodeID {
 	return out
 }
 
-// ReaderIDs returns the conventional reader ids.
-func ReaderIDs(n int) []ioa.NodeID {
-	return ReaderIDsAfter(0, n)
-}
-
 // ReaderIDsAfter returns n reader ids placed after a deployment with the
 // given writer count. The fixed WriterBase..ReaderBase gap fits 100 writers;
 // a larger deployment shifts the reader range up past the writers instead of
@@ -80,15 +73,53 @@ func ReaderIDsAfter(writers, n int) []ioa.NodeID {
 	return out
 }
 
-// ValidateRoleCounts checks a deployment's requested client counts; every
-// algorithm deploy (abd, cas, coded) applies the same rule, so it lives
-// here. The algorithm name only decorates the error.
-func ValidateRoleCounts(algorithm string, writers, readers int) error {
+// Roles holds an algorithm's automaton constructors: Server builds the
+// server with the given id among all servers, Writer and Reader the client
+// of that role.
+type Roles struct {
+	Server func(id ioa.NodeID, servers []ioa.NodeID) ioa.Node
+	Writer func(id ioa.NodeID) (ioa.Client, error)
+	Reader func(id ioa.NodeID) (ioa.Client, error)
+}
+
+// Deploy assembles a deployment of n servers tolerating f crashes, with the
+// given writer and reader counts, from an algorithm's constructors: the
+// conventional id layout (ServerIDs, WriterIDs, ReaderIDsAfter), registered
+// servers first, then writers, then readers. Every simulator schedule and
+// fingerprint depends on that order.
+func Deploy(profile quorum.WriteProfile, n, f, writers, readers int, r Roles) (*Cluster, error) {
 	if writers < 1 || readers < 0 {
-		return fmt.Errorf("%s: need at least one writer and no negative reader count (writers=%d readers=%d)",
-			algorithm, writers, readers)
+		return nil, fmt.Errorf("%s: need at least one writer and no negative reader count (writers=%d readers=%d)",
+			profile.Algorithm, writers, readers)
 	}
-	return nil
+	c := &Cluster{
+		Sys:     ioa.NewSystem(),
+		Servers: ServerIDs(n),
+		Writers: WriterIDs(writers),
+		Readers: ReaderIDsAfter(writers, readers),
+		F:       f,
+		Profile: profile,
+	}
+	for _, id := range c.Servers {
+		if err := c.Sys.AddServer(r.Server(id, c.Servers)); err != nil {
+			return nil, err
+		}
+	}
+	for _, role := range []struct {
+		ids []ioa.NodeID
+		mk  func(ioa.NodeID) (ioa.Client, error)
+	}{{c.Writers, r.Writer}, {c.Readers, r.Reader}} {
+		for _, id := range role.ids {
+			cl, err := role.mk(id)
+			if err != nil {
+				return nil, err
+			}
+			if err := c.Sys.AddClient(cl); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return c, nil
 }
 
 // Automaton returns the node automaton registered under id. Execution

@@ -222,7 +222,7 @@ func TestSoloMeetsSingletonBound(t *testing.T) {
 	// In a failure-free solo execution the Solo register's steady-state
 	// storage is N/(N-f)·log2|V| + metadata: the Theorem B.1 bound is tight.
 	n, f := 8, 2
-	c, err := DeploySolo(SoloOptions{Servers: n, F: f, Readers: 1})
+	c, err := DeploySolo(Options{Servers: n, F: f, Readers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSoloSurvivesInitialFailures(t *testing.T) {
 	// then a write and a read happen. The Solo register handles exactly
 	// this.
 	n, f := 8, 2
-	c, err := DeploySolo(SoloOptions{Servers: n, F: f, Readers: 1})
+	c, err := DeploySolo(Options{Servers: n, F: f, Readers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSoloDiesOnLateFailure(t *testing.T) {
 	// is why the Singleton bound is unattainable by a fault-tolerant
 	// emulation and why the paper's stronger bounds exist.
 	n, f := 8, 2
-	c, err := DeploySolo(SoloOptions{Servers: n, F: f, Readers: 1})
+	c, err := DeploySolo(Options{Servers: n, F: f, Readers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +301,46 @@ func TestSoloDiesOnLateFailure(t *testing.T) {
 	err = c.Sys.FairRun(20000, ioa.OpDone(id))
 	if err == nil {
 		t.Fatal("read should not terminate: only k-1 shards are reachable")
+	}
+}
+
+func TestSoloReadReturnsHighestTag(t *testing.T) {
+	// N=5, f=1, k=4. Write v2 completes on servers 1-4 while its element to
+	// server 5 is still in flight. A read answered by servers 2-5 finds v2
+	// on three elements and v1 on four (three previous slots plus server
+	// 5's current one); returning v1 would be stale, since v2 completed
+	// before the read began. The read must wait for v2 instead.
+	c, err := DeploySolo(Options{Servers: 5, F: 1, Readers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := register.MakeValue(64, 1), register.MakeValue(64, 2)
+	if _, err := c.Sys.RunOp(c.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: v1}, 100000); err != nil {
+		t.Fatal(err)
+	}
+	c.Sys.Freeze(c.Writers[0], c.Servers[4])
+	if _, err := c.Sys.RunOp(c.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: v2}, 100000); err != nil {
+		t.Fatal(err)
+	}
+	c.Sys.Freeze(c.Readers[0], c.Servers[0])
+	id, err := c.Sys.Invoke(c.Readers[0], ioa.Invocation{Kind: ioa.OpRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rounds answered by servers 2-5 alone; then v2 reaches server 5.
+	if err := c.Sys.FairRun(200, ioa.OpDone(id)); err != nil && !errors.Is(err, ioa.ErrStepLimit) {
+		t.Fatal(err)
+	}
+	c.Sys.Unfreeze(c.Writers[0], c.Servers[4])
+	if err := c.Sys.FairRun(100000, ioa.OpDone(id)); err != nil {
+		t.Fatal(err)
+	}
+	op, err := c.Sys.History().OpByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(op.Output, v2) {
+		t.Fatalf("read did not return v2 (returned v1: %v)", bytes.Equal(op.Output, v1))
 	}
 }
 

@@ -85,53 +85,23 @@ func (g *GossipServer) Restore(snap ioa.NodeSnapshot) error { return g.inner.Res
 // protocols are identical to the plain two-version register; only the
 // servers differ.
 func DeployGossip(opts Options) (*cluster.Cluster, error) {
-	serverIDs := cluster.ServerIDs(opts.Servers)
-	cfg := Config{Servers: serverIDs, F: opts.F}
+	cfg := Config{Servers: cluster.ServerIDs(opts.Servers), F: opts.F}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cluster.ValidateRoleCounts("twoversion-gossip", 1, opts.Readers); err != nil {
-		return nil, err
-	}
-	sys := ioa.NewSystem()
-	for i, id := range serverIDs {
-		peers := make([]ioa.NodeID, 0, len(serverIDs)-1)
-		for j, p := range serverIDs {
-			if j != i {
-				peers = append(peers, p)
-			}
-		}
-		if err := sys.AddServer(NewGossipServer(id, peers)); err != nil {
-			return nil, err
-		}
-	}
-	writerID := cluster.WriterIDs(1)[0]
-	w, err := NewWriter(writerID, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.AddClient(w); err != nil {
-		return nil, err
-	}
-	readers := cluster.ReaderIDs(opts.Readers)
-	for _, id := range readers {
-		r, err := NewReader(id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(r); err != nil {
-			return nil, err
-		}
-	}
 	profile := Profile(cfg)
 	profile.Algorithm = "coded-two-version-gossip"
-	return &cluster.Cluster{
-		Name:    profile.Algorithm,
-		Sys:     sys,
-		Servers: serverIDs,
-		Writers: []ioa.NodeID{writerID},
-		Readers: readers,
-		F:       opts.F,
-		Profile: profile,
-	}, nil
+	return cluster.Deploy(profile, opts.Servers, opts.F, 1, opts.Readers, cluster.Roles{
+		Server: func(id ioa.NodeID, servers []ioa.NodeID) ioa.Node {
+			peers := make([]ioa.NodeID, 0, len(servers)-1)
+			for _, p := range servers {
+				if p != id {
+					peers = append(peers, p)
+				}
+			}
+			return NewGossipServer(id, peers)
+		},
+		Writer: func(id ioa.NodeID) (ioa.Client, error) { return NewWriter(id, cfg) },
+		Reader: func(id ioa.NodeID) (ioa.Client, error) { return NewReader(id, cfg) },
+	})
 }

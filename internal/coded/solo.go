@@ -2,7 +2,6 @@ package coded
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/erasure"
@@ -15,16 +14,21 @@ import (
 // minimum conceivable storage, N/(N-f)·log2|V| total, matching the Theorem
 // B.1 (Singleton) bound with equality up to tag metadata.
 //
+// A server answers a read with its current element only. A read returns
+// the highest tag among its N-f replies, decoded, and asks again while that
+// tag has fewer than k elements; any N-f replies meet the N-f acks of the
+// last completed write, so the register is regular whenever N > 2f.
+//
 // The catch — and the paper's point — is that k = N-f makes EVERY surviving
-// shard necessary: the register is regular and live only when the f failures
-// occur before the value being read was written (the exact execution family
-// of the Theorem B.1 proof). A failure after the write, or a read racing a
+// shard necessary: the register is live only when the f failures occur
+// before the value being read was written (the exact execution family of
+// the Theorem B.1 proof). A failure after the write, or a read racing a
 // write, can leave fewer than N-f matching shards reachable and the read
 // retries forever. The package tests demonstrate both sides.
 type SoloServer struct {
 	id   ioa.NodeID
 	cur  slot
-	prev slot // previous version, kept only until the next write lands
+	prev slot // previous version, metered and imaged but never read
 }
 
 var (
@@ -60,11 +64,6 @@ func (s *SoloServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			ack.HasFin = true
 			ack.FinTag = s.cur.Tag
 			ack.FinShard = s.cur.Shard
-		}
-		if s.prev.Used {
-			ack.HasPend = true
-			ack.PendTag = s.prev.Tag
-			ack.PendShard = s.prev.Shard
 		}
 		return ioa.Effects{Sends: []ioa.Send{{To: from, Msg: ack}}}
 	default:
@@ -234,8 +233,10 @@ func (w *SoloWriter) Clone() ioa.Node {
 	return &cp
 }
 
-// SoloReader reads by collecting one coded element from every reachable
-// server; it needs k = N-f matching elements to decode.
+// SoloReader reads by collecting the current coded element of N-f servers.
+// It returns only the highest tag among them, which needs k = N-f elements
+// to decode; with fewer, that write is still landing and the reader starts
+// a new round.
 type SoloReader struct {
 	id      ioa.NodeID
 	servers []ioa.NodeID
@@ -299,38 +300,29 @@ func (r *SoloReader) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if r.acks < r.q {
 		return ioa.Effects{}
 	}
-	// Group replies by tag (current and previous slots both count).
-	shardsByTag := make(map[register.Tag][]erasure.Shard)
-	sawAny := false
+	// Only the highest tag among the replies may be returned; with fewer
+	// than k elements of it, its write is still landing, so ask again.
+	var top register.Tag
+	var shards []erasure.Shard
 	for _, rep := range r.replies {
-		if rep.HasFin {
-			sawAny = true
-			shardsByTag[rep.FinTag] = append(shardsByTag[rep.FinTag], rep.FinShard)
-		}
-		if rep.HasPend {
-			sawAny = true
-			shardsByTag[rep.PendTag] = append(shardsByTag[rep.PendTag], rep.PendShard)
+		switch {
+		case !rep.HasFin:
+		case len(shards) == 0 || top.Less(rep.FinTag):
+			top, shards = rep.FinTag, append(shards[:0], rep.FinShard)
+		case rep.FinTag == top:
+			shards = append(shards, rep.FinShard)
 		}
 	}
-	if !sawAny {
+	if len(shards) == 0 {
 		r.busy = false
 		return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: nil}}
 	}
-	tags := make([]register.Tag, 0, len(shardsByTag))
-	for t := range shardsByTag {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[j].Less(tags[i]) })
-	for _, t := range tags {
-		if len(shardsByTag[t]) < r.code.K() {
-			continue
-		}
-		if value, err := r.code.Decode(shardsByTag[t]); err == nil {
+	if len(shards) >= r.code.K() {
+		if value, err := r.code.Decode(shards); err == nil {
 			r.busy = false
 			return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: value}}
 		}
 	}
-	// Not enough matching shards yet: retry.
 	return r.startRound()
 }
 
@@ -342,54 +334,15 @@ func (r *SoloReader) Clone() ioa.Node {
 	return &cp
 }
 
-// SoloOptions configures a Solo deployment.
-type SoloOptions struct {
-	Servers int
-	F       int
-	Readers int
-}
-
 // DeploySolo builds a Solo register cluster.
-func DeploySolo(opts SoloOptions) (*cluster.Cluster, error) {
-	serverIDs := cluster.ServerIDs(opts.Servers)
-	cfg := SoloConfig{Servers: serverIDs, F: opts.F}
+func DeploySolo(opts Options) (*cluster.Cluster, error) {
+	cfg := SoloConfig{Servers: cluster.ServerIDs(opts.Servers), F: opts.F}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cluster.ValidateRoleCounts("solo", 1, opts.Readers); err != nil {
-		return nil, err
-	}
-	sys := ioa.NewSystem()
-	for _, id := range serverIDs {
-		if err := sys.AddServer(NewSoloServer(id)); err != nil {
-			return nil, err
-		}
-	}
-	writerID := cluster.WriterIDs(1)[0]
-	w, err := NewSoloWriter(writerID, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.AddClient(w); err != nil {
-		return nil, err
-	}
-	readers := cluster.ReaderIDs(opts.Readers)
-	for _, id := range readers {
-		r, err := NewSoloReader(id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(r); err != nil {
-			return nil, err
-		}
-	}
-	return &cluster.Cluster{
-		Name:    "coded-solo",
-		Sys:     sys,
-		Servers: serverIDs,
-		Writers: []ioa.NodeID{writerID},
-		Readers: readers,
-		F:       opts.F,
-		Profile: SoloProfile(cfg),
-	}, nil
+	return cluster.Deploy(SoloProfile(cfg), opts.Servers, opts.F, 1, opts.Readers, cluster.Roles{
+		Server: func(id ioa.NodeID, _ []ioa.NodeID) ioa.Node { return NewSoloServer(id) },
+		Writer: func(id ioa.NodeID) (ioa.Client, error) { return NewSoloWriter(id, cfg) },
+		Reader: func(id ioa.NodeID) (ioa.Client, error) { return NewSoloReader(id, cfg) },
+	})
 }

@@ -480,45 +480,13 @@ type Options struct {
 
 // Deploy builds a TwoVersion SWSR cluster (one writer, the given readers).
 func Deploy(opts Options) (*cluster.Cluster, error) {
-	serverIDs := cluster.ServerIDs(opts.Servers)
-	cfg := Config{Servers: serverIDs, F: opts.F}
+	cfg := Config{Servers: cluster.ServerIDs(opts.Servers), F: opts.F}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cluster.ValidateRoleCounts("twoversion", 1, opts.Readers); err != nil {
-		return nil, err
-	}
-	sys := ioa.NewSystem()
-	for _, id := range serverIDs {
-		if err := sys.AddServer(NewServer(id)); err != nil {
-			return nil, err
-		}
-	}
-	writerID := cluster.WriterIDs(1)[0]
-	w, err := NewWriter(writerID, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.AddClient(w); err != nil {
-		return nil, err
-	}
-	readers := cluster.ReaderIDs(opts.Readers)
-	for _, id := range readers {
-		r, err := NewReader(id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddClient(r); err != nil {
-			return nil, err
-		}
-	}
-	return &cluster.Cluster{
-		Name:    "coded-two-version",
-		Sys:     sys,
-		Servers: serverIDs,
-		Writers: []ioa.NodeID{writerID},
-		Readers: readers,
-		F:       opts.F,
-		Profile: Profile(cfg),
-	}, nil
+	return cluster.Deploy(Profile(cfg), opts.Servers, opts.F, 1, opts.Readers, cluster.Roles{
+		Server: func(id ioa.NodeID, _ []ioa.NodeID) ioa.Node { return NewServer(id) },
+		Writer: func(id ioa.NodeID) (ioa.Client, error) { return NewWriter(id, cfg) },
+		Reader: func(id ioa.NodeID) (ioa.Client, error) { return NewReader(id, cfg) },
+	})
 }

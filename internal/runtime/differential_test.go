@@ -41,15 +41,21 @@ func lossyDelayGrid(t *testing.T) []string {
 
 // TestCrossBackendDifferential is the backend contract test: the same
 // workload.MultiSpec runs on the simulator and on the node runtime over both
-// links at every lossy/delay grid point, and each backend's histories must
-// pass the algorithm's consistency condition (store.Run errors otherwise).
-// The simulator side additionally re-asserts its determinism oracle role —
-// the same seed fingerprints byte-identically at two worker counts — while
-// the live and net sides are checked for safety, the only guarantee they
-// make.
+// links, and each backend's histories must pass the algorithm's consistency
+// condition (store.Run errors otherwise). Every deployable algorithm runs
+// fault-free and under pure delay; abd-mwmr and cas also run every lossy
+// grid point, where each quiescent shard waits out one OpTimeout. The
+// simulator side additionally re-asserts its determinism oracle role — the
+// same seed fingerprints byte-identically at two worker counts — while the
+// live and net sides are checked for safety, the only guarantee they make.
 func TestCrossBackendDifferential(t *testing.T) {
-	for _, alg := range []string{store.AlgABDMW, store.AlgCAS} {
-		for _, spec := range lossyDelayGrid(t) {
+	lossy := lossyDelayGrid(t)
+	for _, alg := range store.Algorithms() {
+		specs := []string{"none", "delay=1:24"}
+		if alg == store.AlgABDMW || alg == store.AlgCAS {
+			specs = lossy
+		}
+		for _, spec := range specs {
 			alg, spec := alg, spec
 			t.Run(fmt.Sprintf("%s/%s", alg, spec), func(t *testing.T) {
 				t.Parallel()

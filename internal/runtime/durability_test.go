@@ -64,7 +64,7 @@ func TestNoSendAheadOfItsImage(t *testing.T) {
 		{"twoversion", func() (*cluster.Cluster, error) { return coded.Deploy(copts) }},
 		{"twoversion-gossip", func() (*cluster.Cluster, error) { return coded.DeployGossip(copts) }},
 		{"solo", func() (*cluster.Cluster, error) {
-			return coded.DeploySolo(coded.SoloOptions{Servers: 5, F: 1, Readers: 1})
+			return coded.DeploySolo(coded.Options{Servers: 5, F: 1, Readers: 1})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

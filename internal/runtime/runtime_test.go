@@ -183,7 +183,6 @@ func bareCluster(t *testing.T) *cluster.Cluster {
 		t.Fatal(err)
 	}
 	return &cluster.Cluster{
-		Name:    "bare",
 		Sys:     sys,
 		Servers: []ioa.NodeID{1},
 		Writers: []ioa.NodeID{101},

@@ -63,7 +63,7 @@ func DeployAlgorithmSized(alg string, n, f, writers, readers int) (*cluster.Clus
 		cl, err := coded.DeployGossip(coded.Options{Servers: n, F: f, Readers: readers})
 		return cl, "regular", err
 	case AlgSolo:
-		cl, err := coded.DeploySolo(coded.SoloOptions{Servers: n, F: f, Readers: readers})
+		cl, err := coded.DeploySolo(coded.Options{Servers: n, F: f, Readers: readers})
 		return cl, "regular", err
 	default:
 		return nil, "", fmt.Errorf("store: unknown algorithm %q (known: %v)", alg, Algorithms())

@@ -41,11 +41,8 @@
 package shmem
 
 import (
-	"repro/internal/abd"
 	"repro/internal/adversary"
-	"repro/internal/cas"
 	"repro/internal/cluster"
-	"repro/internal/coded"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ioa"
@@ -285,25 +282,12 @@ type AppendixBResult = adversary.AppendixBResult
 // Theorem65Result reports the executable Theorem 6.5 experiment outcome.
 type Theorem65Result = adversary.Theorem65Result
 
-// TwoVersionBuilder returns a cluster.Builder for the two-version coded
-// register, for use with ProofConfig.
-func TwoVersionBuilder(n, f int) cluster.Builder {
+// Builder returns a cluster.Builder, for use with ProofConfig, that deploys
+// the named algorithm (a Config.Algorithms name) on n servers tolerating f
+// crashes, with the given writers and one reader.
+func Builder(alg string, n, f, writers int) cluster.Builder {
 	return func() (*cluster.Cluster, error) {
-		return coded.Deploy(coded.Options{Servers: n, F: f, Readers: 1})
-	}
-}
-
-// ABDBuilder returns a cluster.Builder for the SWMR ABD register.
-func ABDBuilder(n, f int) cluster.Builder {
-	return func() (*cluster.Cluster, error) {
-		return abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 1})
-	}
-}
-
-// CASBuilder returns a cluster.Builder for a plain CAS register with the
-// given number of writers.
-func CASBuilder(n, f, writers int) cluster.Builder {
-	return func() (*cluster.Cluster, error) {
-		return cas.Deploy(cas.Options{Servers: n, F: f, GCDepth: -1, Writers: writers, Readers: 1})
+		cl, _, err := store.DeployAlgorithmSized(alg, n, f, writers, 1)
+		return cl, err
 	}
 }

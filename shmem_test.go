@@ -406,7 +406,7 @@ func TestFigure1MatchesPaperShape(t *testing.T) {
 }
 
 func TestProofHarnessesViaFacade(t *testing.T) {
-	cfg := ProofConfig{Build: TwoVersionBuilder(5, 2), FailServers: []int{3, 4}}
+	cfg := ProofConfig{Build: Builder("twoversion", 5, 2, 1), FailServers: []int{3, 4}}
 	vals := [][]byte{MakeValue(16, 1), MakeValue(16, 2), MakeValue(16, 3)}
 	r41, err := cfg.RunTheorem41(vals)
 	if err != nil {
@@ -422,7 +422,7 @@ func TestProofHarnessesViaFacade(t *testing.T) {
 	if !rb.Injective {
 		t.Error("Appendix B injectivity should hold")
 	}
-	cas := ProofConfig{Build: CASBuilder(5, 2, 2), FailServers: []int{4}}
+	cas := ProofConfig{Build: Builder("cas", 5, 2, 2), FailServers: []int{4}}
 	r65, err := cas.RunTheorem65([][][]byte{
 		{MakeValue(16, 1), MakeValue(16, 2)},
 		{MakeValue(16, 3), MakeValue(16, 4)},

@@ -9,10 +9,17 @@ GO ?= go
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/transport
 MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
 
-.PHONY: build test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
+.PHONY: build cross test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
 build:
 	$(GO) build ./...
+
+# internal/gf has an amd64 assembly kernel beside its portable one: vet the
+# package set on arm64 and build it on 386, so the portable path keeps
+# compiling wherever the assembly does not apply.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # -shuffle=on randomizes test execution order to catch order-dependent tests.
 test:
@@ -111,6 +118,7 @@ bench-check:
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
 	$(GO) test -run NONE -fuzz FuzzMatrixInverse -fuzztime 10s ./internal/gf
+	$(GO) test -run NONE -fuzz FuzzMulSlice -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzCheckAtomic -fuzztime 10s ./internal/consistency
 	$(GO) test -run NONE -fuzz FuzzOnlineChecker -fuzztime 10s ./internal/consistency
 	$(GO) test -run NONE -fuzz FuzzWireDecodeRobust -fuzztime 10s ./internal/wire
@@ -162,4 +170,4 @@ deprecated-check:
 	@echo deprecated-check ok
 
 # Exactly what CI runs.
-ci: build vet fmt-check apicheck deprecated-check race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check
+ci: build cross vet fmt-check apicheck deprecated-check race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check

@@ -130,11 +130,21 @@ var (
 // serverImage is the durable state a CAS replica persists across a crash:
 // its version log with its running totals and the highest finalized tag.
 // gcDepth is configuration, not state, and stays with the node. An image
-// holds its records' elements for good: it never releases them.
+// holds its own count of its records' elements until its holder calls
+// Release.
 type serverImage struct {
 	recs       []record
 	bits, fins int
 	maxFin     register.Tag
+}
+
+// Release lets go of the image's count of every element it holds: its
+// holder calls it once, when a newer image replaces it. The image must not
+// be restored afterwards.
+func (img serverImage) Release() {
+	for _, r := range img.recs {
+		r.Shard.Release()
+	}
 }
 
 // NewServer returns a CAS server. gcDepth < 0 disables garbage collection

@@ -47,3 +47,31 @@ func FuzzMatrixInverse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMulSlice holds MulSlice, which runs the vector kernel where the CPU
+// has one, to the word kernel over a fuzzed coefficient, source bytes and
+// source and destination offsets; bytes of the destination buffer outside
+// dst must come out of both untouched.
+func FuzzMulSlice(f *testing.F) {
+	f.Add(uint8(0x57), uint8(0), uint8(0), make([]byte, 64))
+	f.Add(uint8(2), uint8(3), uint8(29), []byte("a source whose length is not a multiple of 32"))
+	f.Add(uint8(1), uint8(31), uint8(1), []byte{0xff, 0x00, 0x80})
+	field := NewField()
+	f.Fuzz(func(t *testing.T, c, srcOff, dstOff uint8, data []byte) {
+		src := data[min(int(srcOff%32), len(data)):]
+		do := int(dstOff % 32)
+		got := make([]byte, do+len(src)+32)
+		for i := range got {
+			got[i] = byte(i*29) ^ c
+		}
+		want := append([]byte(nil), got...)
+		field.MulSlice(Elem(c), src, got[do:do+len(src)])
+		mulWord(&field.mul[c], src, want[do:do+len(src)])
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("c=%#x len=%d src offset %d dst offset %d: buffer byte %d = %#x, word kernel %#x",
+					c, len(src), srcOff%32, do, i, got[i], want[i])
+			}
+		}
+	})
+}

@@ -3,9 +3,13 @@
 // The field is realized as polynomials over GF(2) modulo the primitive
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by
 // most Reed-Solomon deployments. Single-element products come from a full
-// 256x256 product table; division uses logarithm/antilogarithm tables; and
-// the slice kernel behind Reed-Solomon encoding walks a coefficient's product
-// row eight bytes per uint64 step.
+// 256x256 product table; division uses logarithm/antilogarithm tables. The
+// slice kernel behind Reed-Solomon encoding has two implementations: on amd64
+// CPUs with AVX2 it multiplies 32 bytes per step by looking up each nibble in
+// a 16-entry product table (split-nibble shuffles), and everywhere else, and
+// for the last bytes of a slice, it walks a coefficient's product row eight
+// bytes per uint64 step. The word kernel is the reference the vector kernel
+// is tested against.
 //
 // GF(2^8) is the substrate for the erasure codes in package erasure, which in
 // turn back the coded shared-memory registers that the storage-cost
@@ -39,6 +43,12 @@ type Field struct {
 	// mul is the full product table: mul[a][b] = a*b. It removes the
 	// zero-branches and log/exp indirection from the matrix kernels.
 	mul [Order][Order]byte
+
+	// nib holds, per coefficient c, c times each low nibble x (nib[c][x])
+	// and c times each high nibble (nib[c][16+x] = c*(x<<4)): a product is
+	// the XOR of its two nibbles' entries, the lookup the vector kernel
+	// does 32 bytes at a time.
+	nib [Order][32]byte
 }
 
 // NewField builds the GF(2^8) tables. The generator is g = 2, which is
@@ -62,6 +72,9 @@ func NewField() *Field {
 		la := f.log[a]
 		for b := 1; b < Order; b++ {
 			f.mul[a][b] = byte(f.exp[la+f.log[b]])
+		}
+		for x := 0; x < 16; x++ {
+			f.nib[a][x], f.nib[a][16+x] = f.mul[a][x], f.mul[a][x<<4]
 		}
 	}
 	return &f
@@ -130,10 +143,10 @@ func (f *Field) Exp(i int) Elem {
 // MulSlice computes dst[i] ^= c * src[i] for all i. It is the inner loop of
 // Reed-Solomon encoding. dst and src must have equal length.
 //
-// The kernel walks both slices in uint64 words: eight source bytes are
-// loaded at once, multiplied through the coefficient's 256-entry product row,
-// repacked, and folded into dst with a single 8-byte XOR store. c = 1, the
-// commonest coefficient of a normalised generator, is a plain vector XOR.
+// c = 1, the commonest coefficient of a normalised generator, is a plain
+// vector XOR. Any other coefficient goes to the vector kernel for the
+// 32-byte multiples of src where the CPU has one (see mulVector), and to the
+// word kernel for the rest.
 func (f *Field) MulSlice(c Elem, src, dst []byte) {
 	if c == 0 {
 		return
@@ -142,7 +155,16 @@ func (f *Field) MulSlice(c Elem, src, dst []byte) {
 		subtle.XORBytes(dst, dst, src)
 		return
 	}
-	mt := &f.mul[c]
+	dst = dst[:len(src)] // a short dst panics here, before any kernel writes
+	n := mulVector(&f.nib[c], src, dst)
+	mulWord(&f.mul[c], src[n:], dst[n:])
+}
+
+// mulWord is the portable kernel: dst[i] ^= mt[src[i]] for all i, with mt a
+// coefficient's product row and len(dst) >= len(src). It walks both slices in
+// uint64 words: eight source bytes are loaded at once, multiplied through
+// the row, repacked, and folded into dst with a single 8-byte XOR store.
+func mulWord(mt *[Order]byte, src, dst []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
 		s := binary.LittleEndian.Uint64(src[i:])

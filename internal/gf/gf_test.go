@@ -225,17 +225,3 @@ func BenchmarkMul(b *testing.B) {
 		_ = f.Mul(Elem(i), Elem(i>>8))
 	}
 }
-
-func BenchmarkMulSlice4K(b *testing.B) {
-	f := NewField()
-	src := make([]byte, 4096)
-	dst := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.MulSlice(17, src, dst)
-	}
-}

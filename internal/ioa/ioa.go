@@ -114,7 +114,9 @@ type StorageMeter interface {
 // node. Images are self-contained: they must stay valid after the node that
 // produced them keeps mutating (immutable payloads — message byte slices,
 // erasure shards — may be shared, exactly as Clone shares them, pooled ones
-// retained).
+// retained). An image that retains pooled payloads has a Release method, as
+// in Pooled, which its holder calls once when it drops the image; an image
+// nobody releases leaves them to the garbage collector.
 type NodeSnapshot any
 
 // Recoverable is implemented by automata that support crash-recovery

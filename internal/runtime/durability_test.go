@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -136,4 +139,73 @@ func TestAckedWriteSurvivesImmediateCrash(t *testing.T) {
 			t.Fatalf("read %q after every server crashed and recovered, want the acknowledged %q", out, val)
 		}
 	})
+}
+
+// firstElementLink is the chan link noting the first pooled message (a
+// casgc pre-write, carrying a coded element) sent to one server.
+type firstElementLink struct {
+	*chanLink
+	to    ioa.NodeID
+	mu    sync.Mutex
+	first ioa.Pooled
+}
+
+func (l *firstElementLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
+	if p, ok := msg.(ioa.Pooled); ok && to == l.to {
+		l.mu.Lock()
+		if l.first == nil {
+			l.first = p
+		}
+		l.mu.Unlock()
+	}
+	l.chanLink.send(from, to, msg, inLoop)
+}
+
+// recycled reports whether p's buffer went back to the pool since p was
+// handed out: a stale holder panics at Retain.
+func recycled(p ioa.Pooled) (yes bool) {
+	defer func() {
+		r := recover()
+		yes = r != nil && strings.Contains(fmt.Sprint(r), "recycled")
+	}()
+	p.Retain()
+	p.Release()
+	return false
+}
+
+// TestReplacedImageReleasesElements runs casgc at δ = 0 with recovering
+// servers, so each of a server's sends replaces its image: once later
+// writes have collected the first write's element on every server, and
+// images taken since have replaced the ones that held it, its buffer goes
+// back to the pool. Chan link only: on tcp the pre-write's frame holds a
+// copy, and the message lets go of its element as it is sent.
+func TestReplacedImageReleasesElements(t *testing.T) {
+	cl, err := cas.Deploy(cas.Options{Servers: 5, F: 1, GCDepth: 0, Writers: 1, Readers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *firstElementLink
+	rt, err := newRuntime(cl, recoverLate(cl), Config{}, nil, func(rt *runtime) link {
+		l = &firstElementLink{chanLink: &chanLink{rt: rt}, to: cl.Servers[0]}
+		return l
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.start()
+	t.Cleanup(rt.stop)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		inv := ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(1024, uint64(i))}
+		if _, _, ok := rt.invokeAsync(cl.Writers[0], inv).wait(ctx, rt.cfg.OpTimeout); !ok {
+			t.Fatalf("write %d did not complete", i)
+		}
+	}
+	l.mu.Lock()
+	first := l.first
+	l.mu.Unlock()
+	if first == nil {
+		t.Fatal("no coded element was sent to the first server")
+	}
+	eventually(t, "the first write's element to return to the pool", func() bool { return recycled(first) })
 }

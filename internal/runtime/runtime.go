@@ -636,6 +636,9 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 	}
 	if ns.init != nil && len(eff.Sends) > 0 {
 		if r, ok := ns.node.(ioa.Recoverable); ok { // a node without the surface recovers pristine
+			if old, ok := ns.snap.(interface{ Release() }); ok {
+				old.Release() // the new image replaces it, and a recovery restores only the newest
+			}
 			ns.snap = r.Snapshot()
 			rt.checkpoints.Add(1)
 		}

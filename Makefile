@@ -54,11 +54,12 @@ chaos-smoke:
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 
-# Streaming-checker smoke: one live-backend cluster streams a 10^5-op
-# history through the online windowed linearizability checker while it runs,
-# under the race detector — verdict clean, frontier caught up, peak checker
-# window bounded by the retirement window (not the history). This is the CI
-# step that keeps the whole streaming pipeline honest end to end.
+# Streaming-checker smoke: two live-backend clusters, atomic abd-mwmr and
+# regular twoversion, each stream a 10^5-op history through the online
+# windowed checker for their condition while they run, under the race
+# detector — verdict clean, frontier caught up, peak checker window bounded
+# by the retirement window (not the history). This is the CI step that keeps
+# the whole streaming pipeline honest end to end, on both conditions.
 check-smoke:
 	$(GO) test -race -count=1 -run TestCheckSmokeOnline -v .
 	@echo check-smoke ok

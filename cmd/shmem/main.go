@@ -153,7 +153,7 @@ func bind(fs *flag.FlagSet, backend string, args []string) (*settings, error) {
 	fs.IntVar(&s.cfg.Workers, "workers", 0, "parallel shard workers (0 = GOMAXPROCS)")
 	fs.IntVar(&s.cfg.Net.Pipeline, "pipeline", 1, "live/net operations kept in flight per client (per-client order preserved)")
 	fs.BoolVar(&s.check, "check", true, "consistency-check every shard history (disable to measure unchecked throughput)")
-	fs.BoolVar(&s.cfg.OnlineCheck, "check-online", false, "live/net: verify atomicity with the streaming windowed checker while the run executes (memory bounded by the window)")
+	fs.BoolVar(&s.cfg.OnlineCheck, "check-online", false, "live/net: verify the algorithm's condition with the streaming windowed checker while the run executes (memory bounded by the window)")
 	fs.IntVar(&s.cfg.OnlineWindow, "check-window", 0, "online checker retirement window in operations (0 = default)")
 	fs.DurationVar(&s.cfg.Net.StepDur, "stepdur", 0, "live/net wall-clock duration of one fault step, for delays and partition windows (0 = 100µs)")
 	fs.DurationVar(&s.cfg.Net.OpTimeout, "optimeout", 0, "live/net per-operation timeout (0 = 5s; a quiescent shard costs one timeout)")

@@ -1,7 +1,7 @@
 // Package consistency implements checkers for the consistency conditions the
-// paper's theorems assume: atomicity (linearizability), regularity for
-// single-writer registers [Lamport 86], and the weak regularity of
-// multi-writer registers used by Theorem 6.5 [Shao-Welch-Pierce-Lee].
+// deployed registers guarantee: atomicity (linearizability) and regularity
+// for single-writer registers [Lamport 86], offline over a whole history
+// (CheckAtomic, CheckRegular) and online over a stream (OnlineChecker).
 //
 // All checkers operate on ioa.History values recorded by the simulation
 // kernel and require distinct written values (the experiments' workload
@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
 
 	"repro/internal/ioa"
 )
@@ -30,15 +31,13 @@ func (v *Violation) Error() string {
 }
 
 // Check verifies h, from the zero initial value, against the named
-// condition: "atomic", "regular" or "weakly-regular".
+// condition: "atomic" or "regular".
 func Check(cond string, h *ioa.History) error {
 	switch cond {
 	case "atomic":
 		return CheckAtomic(h, nil)
 	case "regular":
 		return CheckRegular(h, nil)
-	case "weakly-regular":
-		return CheckWeaklyRegular(h, nil)
 	default:
 		return fmt.Errorf("consistency: unknown condition %q", cond)
 	}
@@ -187,11 +186,6 @@ func writesByValue(ops []ioa.Op, ids []int32, n int) ([]int, error) {
 // when no write completed or overlaps. Writes must come from a single client
 // and be sequential (guaranteed by the kernel's well-formedness).
 func CheckRegular(h *ioa.History, initial []byte) error {
-	var vals valueTable
-	ids := vals.idsOf(h.Ops)
-	if _, err := writesByValue(h.Ops, ids, len(vals.vals)); err != nil {
-		return err
-	}
 	var writer ioa.NodeID
 	for _, op := range h.Ops {
 		if op.Kind != ioa.OpWrite {
@@ -203,113 +197,55 @@ func CheckRegular(h *ioa.History, initial []byte) error {
 			return fmt.Errorf("consistency: CheckRegular requires a single writer, saw clients %d and %d", writer, op.Client)
 		}
 	}
-	for _, r := range h.Ops {
-		if r.Kind != ioa.OpRead || r.Pending() {
-			continue
-		}
-		if err := checkRegularRead(h, r, initial); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkRegularRead(h *ioa.History, r ioa.Op, initial []byte) error {
-	// Last write completed before the read's invocation.
-	last := ioa.Op{ID: -1}
-	haveLast := false
-	for _, w := range h.Ops {
-		if w.Kind != ioa.OpWrite || w.Pending() {
-			continue
-		}
-		if w.RespondStep < r.InvokeStep && (!haveLast || w.RespondStep > last.RespondStep) {
-			last, haveLast = w, true
-		}
-	}
-	allowed := make([][]byte, 0, 4)
-	if haveLast {
-		allowed = append(allowed, last.Input)
-	} else {
-		allowed = append(allowed, initial)
-	}
-	// Any write overlapping the read.
-	for _, w := range h.Ops {
-		if w.Kind != ioa.OpWrite {
-			continue
-		}
-		overlaps := w.InvokeStep < r.RespondStep && (w.Pending() || w.RespondStep >= r.InvokeStep)
-		if overlaps {
-			allowed = append(allowed, w.Input)
-		}
-	}
-	for _, v := range allowed {
-		if bytes.Equal(r.Output, v) {
-			return nil
-		}
-	}
-	return &Violation{
-		Condition: "regularity",
-		Op:        r,
-		Detail:    fmt.Sprintf("returned %s, allowed values: last-complete or overlapping writes only", preview(r.Output)),
-	}
-}
-
-// CheckWeaklyRegular verifies the multi-writer weak regularity of Section
-// 6.2: for every completed read there must exist a serialization of the
-// terminating writes, some subset of the non-terminating writes and that
-// read, consistent with real-time order, in which the read returns the
-// immediately preceding write's value. With unique values this reduces to a
-// per-read condition:
-//
-//   - the write w whose value the read returns must not begin after the read
-//     completed, and
-//   - no terminating write w' may fall strictly between w and the read in
-//     real time, and
-//   - a read of the initial value must not be preceded by any terminating
-//     write.
-func CheckWeaklyRegular(h *ioa.History, initial []byte) error {
 	var vals valueTable
-	ids := vals.idsOf(h.Ops)
-	writeOf, err := writesByValue(h.Ops, ids, len(vals.vals))
-	if err != nil {
+	ids, init := vals.idsOf(h.Ops), vals.id(initial)
+	return checkRegularOps(h.Ops, ids, len(vals.vals), init)
+}
+
+// checkRegularOps is the regularity rule behind CheckRegular and the online
+// checker: nil when every completed read in ops is regular with the register
+// holding value initial before ops, a *Violation naming the first read that
+// is not otherwise (or a plain error when written values are not unique).
+// Values are interned as for checkZones. The scan is quadratic in len(ops);
+// the online checker bounds it by its window.
+func checkRegularOps(ops []ioa.Op, ids []int32, n int, initial int32) error {
+	if _, err := writesByValue(ops, ids, n); err != nil {
 		return err
 	}
-	for i, r := range h.Ops {
-		if r.Kind != ioa.OpRead || r.Pending() {
+	var writes []int
+	for i, op := range ops {
+		if op.Kind == ioa.OpWrite {
+			writes = append(writes, i)
+		}
+	}
+	for i, r := range ops {
+		if r.Kind != ioa.OpRead || r.Pending() || regularRead(ops, ids, writes, i, initial) {
 			continue
 		}
-		if bytes.Equal(r.Output, initial) {
-			for _, w := range h.Ops {
-				if w.Kind == ioa.OpWrite && w.PrecedesOp(r) {
-					return &Violation{
-						Condition: "weak regularity",
-						Op:        r,
-						Detail:    fmt.Sprintf("returned initial value but write op %d completed before it", w.ID),
-					}
-				}
-			}
-			continue
-		}
-		wi := writeOf[ids[i]]
-		if wi < 0 {
-			return &Violation{Condition: "weak regularity", Op: r, Detail: "returned a value never written"}
-		}
-		w := h.Ops[wi]
-		if r.PrecedesOp(w) {
-			return &Violation{Condition: "weak regularity", Op: r, Detail: fmt.Sprintf("returned value of write op %d invoked after the read completed", w.ID)}
-		}
-		for _, w2 := range h.Ops {
-			if w2.Kind != ioa.OpWrite || w2.ID == w.ID {
-				continue
-			}
-			if w.PrecedesOp(w2) && w2.PrecedesOp(r) {
-				return &Violation{
-					Condition: "weak regularity",
-					Op:        r,
-					Detail:    fmt.Sprintf("write op %d intervenes between returned write op %d and the read", w2.ID, w.ID),
-				}
-			}
+		return &Violation{
+			Condition: "regularity",
+			Op:        r,
+			Detail:    fmt.Sprintf("returned %s, allowed values: last-complete or overlapping writes only", preview(r.Output)),
 		}
 	}
 	return nil
+}
+
+// regularRead reports whether the completed read ops[ri] returns the value
+// of the last write completed before its invocation (initial when none has),
+// or that of a write overlapping it. writes indexes the writes in ops.
+func regularRead(ops []ioa.Op, ids []int32, writes []int, ri int, initial int32) bool {
+	r := ops[ri]
+	last, lastResp := initial, math.MinInt
+	for _, wi := range writes {
+		w := ops[wi]
+		if !w.Pending() && w.RespondStep < r.InvokeStep {
+			if w.RespondStep > lastResp {
+				last, lastResp = ids[wi], w.RespondStep
+			}
+		} else if w.InvokeStep < r.RespondStep && ids[wi] == ids[ri] {
+			return true
+		}
+	}
+	return ids[ri] == last
 }

@@ -258,51 +258,9 @@ func TestRegularRequiresSingleWriter(t *testing.T) {
 	}
 }
 
-func TestWeaklyRegular(t *testing.T) {
-	// Read returning a pending write's value: allowed.
-	h := hist(
-		w(1, "a", 0, -1),
-		r(2, "a", 10, 20),
-	)
-	if err := CheckWeaklyRegular(h, v0); err != nil {
-		t.Errorf("pending write readable under weak regularity: %v", err)
-	}
-	// Read returning a value whose write started after the read completed:
-	// rejected.
-	h2 := hist(
-		w(1, "a", 50, 60),
-		r(2, "a", 10, 20),
-	)
-	if err := CheckWeaklyRegular(h2, v0); err == nil {
-		t.Error("future read must be rejected")
-	}
-	// Intervening terminated write: rejected.
-	h3 := hist(
-		w(1, "a", 0, 10),
-		w(3, "b", 20, 30),
-		r(2, "a", 40, 50),
-	)
-	if err := CheckWeaklyRegular(h3, v0); err == nil {
-		t.Error("intervening write must be rejected")
-	}
-	// Initial value after completed write: rejected.
-	h4 := hist(
-		w(1, "a", 0, 10),
-		r(2, "v0", 20, 30),
-	)
-	if err := CheckWeaklyRegular(h4, v0); err == nil {
-		t.Error("initial value after completed write must be rejected")
-	}
-	// Never-written value: rejected.
-	h5 := hist(r(2, "ghost", 0, 10))
-	if err := CheckWeaklyRegular(h5, v0); err == nil {
-		t.Error("unwritten value must be rejected")
-	}
-}
-
 // TestCheckDispatch pins the one condition-name dispatch: each name reaches
-// its own checker (a new-old inversion is regular and weakly regular but not
-// atomic) and an unknown name is an error.
+// its own checker (a new-old inversion is regular but not atomic) and an
+// unknown name is an error.
 func TestCheckDispatch(t *testing.T) {
 	h := hist(
 		w(1, "a", 0, 10),
@@ -310,7 +268,7 @@ func TestCheckDispatch(t *testing.T) {
 		r(2, "b", 30, 40),
 		r(2, "a", 50, 60),
 	)
-	for cond, holds := range map[string]bool{"atomic": false, "regular": true, "weakly-regular": true} {
+	for cond, holds := range map[string]bool{"atomic": false, "regular": true} {
 		if err := Check(cond, h); (err == nil) != holds {
 			t.Errorf("Check(%q) = %v, want holds=%v", cond, err, holds)
 		}
@@ -322,7 +280,7 @@ func TestCheckDispatch(t *testing.T) {
 
 func TestAtomicIsStrongerThanRegular(t *testing.T) {
 	// Property: histories accepted by CheckAtomic (single writer) are also
-	// accepted by CheckRegular and CheckWeaklyRegular.
+	// accepted by CheckRegular.
 	histories := []*ioa.History{
 		hist(w(1, "a", 0, 10), r(2, "a", 20, 30)),
 		hist(w(1, "a", 0, 10), w(1, "b", 20, 60), r(2, "b", 30, 50)),
@@ -334,9 +292,6 @@ func TestAtomicIsStrongerThanRegular(t *testing.T) {
 		}
 		if err := CheckRegular(h, v0); err != nil {
 			t.Errorf("history %d accepted by atomic but rejected by regular: %v", i, err)
-		}
-		if err := CheckWeaklyRegular(h, v0); err != nil {
-			t.Errorf("history %d accepted by atomic but rejected by weakly-regular: %v", i, err)
 		}
 	}
 }

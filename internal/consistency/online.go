@@ -30,6 +30,17 @@ package consistency
 // with u" reduces to the plain check by appending a synthetic probe read of
 // u that real-time-follows the whole segment, so the CheckAtomic zone test
 // is reused unchanged.
+//
+// Regularity (WithCondition("regular")) composes over the same cuts with
+// only the segment test swapped for CheckRegular's rule. A read's allowed
+// values are the last write completed before it and the writes overlapping
+// it; across a clean cut every write of P completed before any op of S was
+// invoked, so a read of S sees P only through P's last write, and H is
+// regular from v iff P is regular from v and S is regular from P's last
+// write (v when P wrote nothing). The writes are one client's and
+// sequential, so that last write is P's unique maximal write and the carried
+// set is a single value; the checker holds the single writer to the whole
+// stream, since a retired prefix cannot be re-examined.
 
 import (
 	"fmt"
@@ -45,21 +56,24 @@ import (
 // exists, the prefix up to the latest cut is checked and freed.
 const DefaultWindowOps = 256
 
-// OnlineChecker verifies atomicity incrementally. Feed it settled
+// OnlineChecker verifies atomicity, or single-writer regularity
+// (WithCondition), incrementally. Feed it settled
 // operations in invocation order with Observe (it implements
 // ioa.HistorySink, so an ioa.OpFeed can drive it directly); it buffers them
 // in a sliding window, retires the window's longest cleanly-cut prefix
 // whenever the window fills, and reports the overall verdict with Result.
 // Written values must be globally unique across the whole stream (the
 // MakeValue contract every driver in this repository already obeys); unlike
-// CheckAtomic, an online checker cannot re-verify uniqueness against
-// retired history it has freed.
+// CheckAtomic and CheckRegular, an online checker cannot re-verify
+// uniqueness against retired history it has freed.
 //
 // The zero value is not usable; construct with NewOnlineChecker. All
 // methods are safe for concurrent use.
 type OnlineChecker struct {
 	mu        sync.Mutex
 	windowOps int
+	regular   bool       // judge regularity rather than atomicity
+	writer    ioa.NodeID // the single writer under regularity, -1 before the first write
 
 	vals       valueTable // the values of window and carry, interned on arrival
 	window     []ioa.Op   // settled ops not yet retired, invocation order
@@ -90,12 +104,28 @@ func WithWindowOps(n int) OnlineOption {
 	}
 }
 
-// NewOnlineChecker returns an online atomicity checker for a register whose
-// initial value is initial (nil for the usual fresh register).
+// WithCondition sets the condition the checker judges: "atomic" (the
+// default) or "regular", the single-writer regularity of CheckRegular. Any
+// other name is a misuse every later call reports.
+func WithCondition(cond string) OnlineOption {
+	return func(c *OnlineChecker) {
+		switch cond {
+		case "atomic", "regular":
+			c.regular = cond == "regular"
+		default:
+			c.misuse = fmt.Errorf("consistency: online checker for unknown condition %q", cond)
+		}
+	}
+}
+
+// NewOnlineChecker returns an online checker for a register whose initial
+// value is initial (nil for the usual fresh register); it judges atomicity
+// unless WithCondition says otherwise.
 func NewOnlineChecker(initial []byte, opts ...OnlineOption) *OnlineChecker {
 	c := &OnlineChecker{
 		windowOps:  DefaultWindowOps,
 		runningMax: math.MinInt,
+		writer:     -1,
 	}
 	for _, o := range opts {
 		o(c)
@@ -124,6 +154,13 @@ func (c *OnlineChecker) Observe(op ioa.Op) error {
 	if !op.Pending() && op.RespondStep < op.InvokeStep {
 		c.misuse = fmt.Errorf("consistency: op %s responds before it invokes", op)
 		return c.misuse
+	}
+	if c.regular && op.Kind == ioa.OpWrite {
+		if c.writer >= 0 && op.Client != c.writer {
+			c.misuse = fmt.Errorf("consistency: regularity requires a single writer, saw clients %d and %d", c.writer, op.Client)
+			return c.misuse
+		}
+		c.writer = op.Client
 	}
 	c.lastInvoke = op.InvokeStep
 	c.observed++
@@ -169,7 +206,7 @@ func (c *OnlineChecker) retireLocked() {
 	if c.lastCut <= 0 {
 		return
 	}
-	newCarry, viol := checkSegment(c.window[:c.lastCut], c.ids[:c.lastCut], len(c.vals.vals), c.carry)
+	newCarry, viol := checkSegment(c.window[:c.lastCut], c.ids[:c.lastCut], c.carry, c.test)
 	if viol != nil {
 		c.windows++
 		c.violation = fmt.Errorf("consistency: online window %d (after %d verified ops): %w", c.windows, c.verified, viol)
@@ -233,7 +270,7 @@ func (c *OnlineChecker) Result(extra ...ioa.Op) error {
 	}
 	var firstViol error
 	for _, v := range c.carry {
-		viol := checkZones(ops, ids, len(c.vals.vals), v)
+		viol := c.test(ops, ids, v)
 		if viol == nil {
 			return nil
 		}
@@ -281,13 +318,22 @@ func (c *OnlineChecker) MaxWindow() int {
 	return c.maxWindow
 }
 
-// checkSegment decides which register values a linearization of the
-// cleanly-cut segment seg may end with, given that it must start from one
-// of the carry values; values are the IDs checkZones takes. It returns the
-// attainable final-value set, or the first violation encountered if the set
-// is empty. seg must contain no pending operations (guaranteed for retired
-// segments: a pending op suppresses every later cut).
-func checkSegment(seg []ioa.Op, ids []int32, n int, carry []int32) ([]int32, error) {
+// test checks ops, starting from register value v, against the checker's
+// condition: nil, or the violation. Callers hold c.mu.
+func (c *OnlineChecker) test(ops []ioa.Op, ids []int32, v int32) error {
+	if c.regular {
+		return checkRegularOps(ops, ids, len(c.vals.vals), v)
+	}
+	return checkZones(ops, ids, len(c.vals.vals), v)
+}
+
+// checkSegment decides which register values the cleanly-cut segment seg
+// may end with, given that it must start from one of the carry values and
+// pass test; values are the IDs checkZones takes. It returns the attainable
+// final-value set, or the first violation encountered if the set is empty.
+// seg must contain no pending operations (guaranteed for retired segments: a
+// pending op suppresses every later cut).
+func checkSegment(seg []ioa.Op, ids []int32, carry []int32, test func([]ioa.Op, []int32, int32) error) ([]int32, error) {
 	// The segment ends with the input of a maximal write, or, having no
 	// writes, with the value it inherited.
 	finals := maximalWriteValues(seg, ids)
@@ -296,7 +342,7 @@ func checkSegment(seg []ioa.Op, ids []int32, n int, carry []int32) ([]int32, err
 	for _, v := range carry {
 		// A read of a value foreign to seg and v fails this carry only: the
 		// value may be legal under another.
-		if viol := checkZones(seg, ids, n, v); viol != nil {
+		if viol := test(seg, ids, v); viol != nil {
 			if firstViol == nil {
 				firstViol = viol
 			}
@@ -309,7 +355,7 @@ func checkSegment(seg []ioa.Op, ids []int32, n int, carry []int32) ([]int32, err
 		for _, u := range ends {
 			// Every write must be linearized, so a unique maximal write is
 			// forced to be last; only a choice among several needs the probe.
-			if !slices.Contains(out, u) && (len(ends) == 1 || endsWith(seg, ids, n, v, u) == nil) {
+			if !slices.Contains(out, u) && (len(ends) == 1 || endsWith(seg, ids, v, u, test) == nil) {
 				out = append(out, u)
 			}
 		}
@@ -340,11 +386,11 @@ func maximalWriteValues(seg []ioa.Op, ids []int32) []int32 {
 	return finals
 }
 
-// endsWith reports whether seg has a linearization that starts from register
-// value v and ends with the register holding u: nil, or the violation. The
+// endsWith reports whether seg, starting from register value v, passes test
+// and ends with the register holding u: nil, or the violation. The
 // requirement is a synthetic completed read of u appended strictly after
-// every response in seg; the zone test does the rest.
-func endsWith(seg []ioa.Op, ids []int32, n int, v, u int32) error {
+// every response in seg; test does the rest.
+func endsWith(seg []ioa.Op, ids []int32, v, u int32, test func([]ioa.Op, []int32, int32) error) error {
 	maxResp := math.MinInt
 	for _, op := range seg {
 		maxResp = max(maxResp, respondOrInf(op))
@@ -355,5 +401,5 @@ func endsWith(seg []ioa.Op, ids []int32, n int, v, u int32) error {
 		InvokeStep:  maxResp + 1,
 		RespondStep: maxResp + 2,
 	}
-	return checkZones(append(slices.Clip(seg), probe), append(slices.Clip(ids), u), n, v)
+	return test(append(slices.Clip(seg), probe), append(slices.Clip(ids), u), v)
 }

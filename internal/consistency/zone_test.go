@@ -155,11 +155,12 @@ func TestForeignValue(t *testing.T) {
 	if err := checkZones(seg, ids, n, y); err == nil {
 		t.Error("the zone test must fail from a carry the read does not match")
 	}
-	finals, err := checkSegment(seg, ids, n, []int32{y, x})
+	zones := func(ops []ioa.Op, ids []int32, v int32) error { return checkZones(ops, ids, n, v) }
+	finals, err := checkSegment(seg, ids, []int32{y, x}, zones)
 	if err != nil || len(finals) != 1 || finals[0] != a {
 		t.Errorf("checkSegment = %v, %v; want the segment to pass under carry x and end with a (%d)", finals, err, a)
 	}
-	if _, err := checkSegment(seg, ids, n, []int32{y, z}); err == nil {
+	if _, err := checkSegment(seg, ids, []int32{y, z}, zones); err == nil {
 		t.Error("checkSegment must fail when no carry explains the read")
 	}
 }

@@ -15,17 +15,17 @@
 // the invocation when the ticket is issued and the response when the result
 // is observed, so the recorded intervals express exactly the real-time
 // precedence the caller observed — the relation the consistency checkers
-// test. Settled operations stream from the feed into the shard's history
-// sink, chosen by the shard's consistency condition: an atomic shard feeds a
-// consistency.OnlineChecker, which retires provably-linearized prefixes as
-// the store runs, so CheckConsistency reads off the standing verdict and the
+// test. Settled operations stream from the feed into the shard's
+// consistency.OnlineChecker, built for the condition the shard's algorithm
+// guarantees (atomic or regular), which retires provably-correct prefixes as
+// the store runs: CheckConsistency reads off the standing verdict, and the
 // shard's memory is bounded by the checker's window, not by the operations
-// it has served; a regular-condition shard keeps a batch ioa.History
-// (bounded by Config.HistoryCap, see ErrHistoryFull) that CheckConsistency
-// replays. The record is the only one: the simulator's kernel keeps just the
-// pending operations. Operations abandoned by a timeout or a cancelled
-// context stay pending (their effects may still land), which is the
-// standard completion semantics the atomicity checker already covers.
+// it has served (Config.HistoryCap bounds what a shard that never leaves a
+// clean cut holds, see ErrHistoryFull). The checker's window is the only
+// record: the simulator's kernel keeps just the pending operations.
+// Operations abandoned by a timeout or a cancelled context stay pending
+// (their effects may still land), which is the standard completion
+// semantics both conditions' checkers already cover.
 package session
 
 import (
@@ -48,7 +48,7 @@ import (
 const latencyWindow = 1 << 16
 
 // ErrHistoryFull reports an interactive operation refused because the
-// shard's retained history reached Config.HistoryCap. The operation never
+// shard's unretired operations reached Config.HistoryCap. The operation never
 // started (the register is untouched); branch with errors.Is.
 var ErrHistoryFull = errors.New("session: interactive history at capacity")
 
@@ -63,16 +63,10 @@ type shard struct {
 
 	mu sync.Mutex
 	// feed stamps and orders the shard's interactive operations; settled ones
-	// stream into exactly one of the two sinks below.
-	feed *ioa.OpFeed
-	// hist is the batch sink of a regular-condition shard: the retained
-	// history CheckConsistency replays (nil on atomic shards).
-	hist *ioa.History
-	// checker is the streaming sink of an atomic shard: it retires
-	// provably-linearized prefixes as ops settle (nil on regular shards).
+	// stream into checker, which retires provably-correct prefixes.
+	feed    *ioa.OpFeed
 	checker *consistency.OnlineChecker
-	// recorded counts operations accepted into the feed and not voided — a
-	// regular shard's retained-history size for the HistoryCap bound.
+	// recorded counts operations accepted into the feed and not voided.
 	recorded int
 	// latencies is a ring of the last latencyWindow completed operations'
 	// durations, grown on demand; latNext is the slot the next one takes.
@@ -158,28 +152,19 @@ func Open(cfg store.Config) (*Store, error) {
 				locks[id] = &sync.Mutex{}
 			}
 		}
-		sh := &shard{
+		checker := consistency.NewOnlineChecker(nil, consistency.WithWindowOps(cfg.OnlineWindow), consistency.WithCondition(cond))
+		st.shards = append(st.shards, &shard{
 			index:       i,
 			cl:          cl,
 			algorithm:   alg,
 			condition:   cond,
 			faultSpec:   planSpec.ShardFault(i),
 			sess:        sess,
+			feed:        ioa.NewOpFeed(checker),
+			checker:     checker,
 			clientLocks: locks,
 			retired:     make(map[ioa.NodeID]bool),
-		}
-		// The windowed decomposition is proved for atomicity, so
-		// atomic-condition shards always stream into the online checker and
-		// hold only its window; the rest retain the batch history
-		// CheckConsistency replays.
-		if cond == "atomic" {
-			sh.checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(cfg.OnlineWindow))
-			sh.feed = ioa.NewOpFeed(sh.checker)
-		} else {
-			sh.hist = ioa.NewHistory()
-			sh.feed = ioa.NewOpFeed(sh.hist)
-		}
-		st.shards = append(st.shards, sh)
+		})
 	}
 	return st, nil
 }
@@ -279,15 +264,11 @@ func (sh *shard) pickClient(ids []ioa.NodeID, next *int, role string) (ioa.NodeI
 	return 0, fmt.Errorf("session: shard %d: every %s client is retired after abandoned operations", sh.index, role)
 }
 
-// retainedLocked is the shard's retained-history size for the HistoryCap
-// bound: everything recorded on a regular shard (the history keeps it all),
-// minus the retired prefix on an atomic shard (the checker reclaimed it).
+// retainedLocked is what the shard holds against the HistoryCap bound:
+// everything recorded minus the prefix the checker retired and reclaimed.
 // Callers hold sh.mu.
 func (sh *shard) retainedLocked() int {
-	if sh.checker != nil {
-		return sh.recorded - int(sh.checker.OpsVerified())
-	}
-	return sh.recorded
+	return sh.recorded - int(sh.checker.OpsVerified())
 }
 
 // runOp opens a ticket for the operation on the shard's feed, executes it on
@@ -363,22 +344,9 @@ func (sh *shard) recordLatency(lat time.Duration) {
 	sh.latNext = (sh.latNext + 1) % latencyWindow
 }
 
-// history rebuilds a regular shard's checkable history: the sink's settled
-// prefix plus the feed's held tail (operations behind an open ticket, the
-// open ones appearing pending). Both parts are in invocation order, the tail
-// strictly after the prefix, so concatenation preserves the feed's ordering
-// contract. Callers hold sh.mu.
-func (sh *shard) history() (*ioa.History, error) {
-	ops := make([]ioa.Op, 0, len(sh.hist.Ops))
-	ops = append(ops, sh.hist.Ops...)
-	ops = append(ops, sh.feed.Snapshot()...)
-	return ioa.HistoryFromOps(ops)
-}
-
 // CheckConsistency verifies every shard's accumulated interactive history
 // against its algorithm's consistency condition ("atomic" or "regular").
-// Regular shards replay their retained history through the offline checker;
-// atomic shards already verified their retired prefix online as operations
+// Every shard already verified its retired prefix online as operations
 // settled, so only the residual window plus the feed's held tail is checked
 // here — the call stays cheap no matter how many operations have run.
 // Operations abandoned by timeouts stay pending and are checked under the
@@ -391,31 +359,15 @@ func (s *Store) CheckConsistency() error {
 		return ErrClosed
 	}
 	for _, sh := range s.shards {
+		// The feed's held tail (ops invoked after the last released one,
+		// open tickets appearing pending) joins the residual window, so a
+		// settled read of an in-flight write's value is not mistaken for a
+		// read of a never-written value.
 		sh.mu.Lock()
-		if sh.checker != nil {
-			// The feed's held tail (ops invoked after the last released one,
-			// open tickets appearing pending) joins the residual window, so
-			// a settled read of an in-flight write's value is not mistaken
-			// for a read of a never-written value.
-			extra := sh.feed.Snapshot()
-			sh.mu.Unlock()
-			if err := sh.checker.Result(extra...); err != nil {
-				return fmt.Errorf("session: shard %d (%s, %s): %w", sh.index, sh.algorithm, sh.condition, err)
-			}
-			continue
-		}
-		if err := sh.feed.Err(); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("session: shard %d history: %w", sh.index, err)
-		}
-		h, err := sh.history()
-		cond := sh.condition
+		extra := sh.feed.Snapshot()
 		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("session: shard %d history: %w", sh.index, err)
-		}
-		if err = consistency.Check(cond, h); err != nil {
-			return fmt.Errorf("session: shard %d (%s, %s): %w", sh.index, sh.algorithm, cond, err)
+		if err := sh.checker.Result(extra...); err != nil {
+			return fmt.Errorf("session: shard %d (%s, %s): %w", sh.index, sh.algorithm, sh.condition, err)
 		}
 	}
 	return nil
@@ -435,10 +387,9 @@ type ShardMetrics struct {
 	Reads      int
 	PendingOps int
 	// OpsVerified counts operations the online checker has retired as
-	// provably linearized, and WindowLag is how many settled operations
-	// still await retirement (both zero on regular-condition shards, which
-	// keep a batch history). RetainedOps is what the shard currently holds
-	// against Config.HistoryCap.
+	// provably correct under the shard's condition, and WindowLag is how
+	// many settled operations still await retirement. RetainedOps is what
+	// the shard currently holds against Config.HistoryCap.
 	OpsVerified int64
 	WindowLag   int
 	RetainedOps int
@@ -461,8 +412,7 @@ type Metrics struct {
 	TotalReads  int
 	PendingOps  int
 	// OpsVerified sums the shards' online-checker retirement counts and
-	// MaxWindowLag is the largest residual window across shards (both zero
-	// when every shard is regular-condition).
+	// MaxWindowLag is the largest residual window across shards.
 	OpsVerified  int64
 	MaxWindowLag int
 	// AggregateMaxTotalBits sums the per-shard storage high-water marks and
@@ -495,13 +445,11 @@ func (s *Store) Metrics() Metrics {
 			Writes:      sh.writes,
 			Reads:       sh.reads,
 			PendingOps:  sh.feed.Pending(),
+			OpsVerified: sh.checker.OpsVerified(),
+			WindowLag:   sh.checker.WindowLag(),
 			RetainedOps: sh.retainedLocked(),
 			Storage:     sh.sess.Storage(),
 			Faults:      sh.sess.FaultStats(),
-		}
-		if sh.checker != nil {
-			sm.OpsVerified = sh.checker.OpsVerified()
-			sm.WindowLag = sh.checker.WindowLag()
 		}
 		lats = append(lats, sh.latencies...)
 		sh.mu.Unlock()

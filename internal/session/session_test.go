@@ -411,12 +411,11 @@ func TestLatencyWindowIsBounded(t *testing.T) {
 
 // TestStandingSimShardRetention: a standing simulator store opened without
 // WithOnlineCheck keeps memory independent of the operations it has served
-// on its atomic shards — the kernel's history holds no settled operation and
-// no fault record, its channels hold no backlog (not even into the server
-// crashed for good), and what the shard retains against HistoryCap stays
-// within the online window plus what is pending, the same bounds after 2,000
-// and after 10,000 operations — while its regular shard still retains and
-// replays its whole batch history.
+// on every shard, atomic and regular alike — the kernel's history holds no
+// settled operation and no fault record, its channels hold no backlog (not
+// even into the server crashed for good), and what the shard retains against
+// HistoryCap stays within the online window plus what is pending, the same
+// bounds after 2,000 and after 10,000 operations.
 func TestStandingSimShardRetention(t *testing.T) {
 	st := openSim(t, store.Config{
 		Algorithms: []string{store.AlgCASGC, store.AlgABDMW, store.AlgTwoVersion},
@@ -464,16 +463,6 @@ func TestStandingSimShardRetention(t *testing.T) {
 			n := served[i]
 			if sm.Writes+sm.Reads != n {
 				t.Fatalf("after %d ops: shard %d counts %d ops, want %d", total, i, sm.Writes+sm.Reads, n)
-			}
-			if sh.condition != "atomic" {
-				if sh.checker != nil || sm.RetainedOps != n || len(sh.hist.Ops) != n {
-					t.Errorf("after %d ops: regular shard %d retains %d ops (history %d), want all %d in its batch history",
-						total, i, sm.RetainedOps, len(sh.hist.Ops), n)
-				}
-				continue
-			}
-			if sh.checker == nil {
-				t.Fatalf("atomic shard %d has no online checker", i)
 			}
 			if h := sh.cl.Sys.History(); len(h.Ops) != 0 || len(h.Faults) != 0 {
 				t.Errorf("after %d ops: shard %d kernel history holds %d ops and %d fault records, want none",

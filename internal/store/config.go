@@ -71,35 +71,35 @@ type Config struct {
 	Workers int
 	// SkipCheck disables batch runs' per-shard consistency checking, to
 	// measure unchecked throughput. The atomicity check is O(n log n) at any
-	// write concurrency; only the regularity checks are still quadratic
-	// scans. History well-formedness (per-client interval ordering) is still
-	// enforced — it is built into history construction on every backend —
-	// and interactive CheckConsistency is unaffected.
+	// write concurrency; the offline regularity check scans the writes once
+	// per read, and the online one only within its window. History
+	// well-formedness (per-client interval ordering) is still enforced — it
+	// is built into history construction on every backend — and interactive
+	// CheckConsistency is unaffected.
 	SkipCheck bool
 	// OnlineCheck streams the settled operations of batch runs (Run, i.e.
-	// RunMulti) on the live and net backends into a windowed online
-	// atomicity checker fed from the runtime, instead of checking their
-	// history offline afterwards: provably-linearized prefixes retire as the
-	// run goes, and the result reports the verified frontier (OpsVerified,
-	// WindowLag). The simulator holds the complete history of a batch run and
-	// checks it offline either way; regular-condition shards keep the offline
-	// checker — the windowed decomposition is proved for atomicity. Ignored
-	// when SkipCheck is set. Interactive shards do not read it: atomic ones
-	// always stream into an online checker, regular ones always keep a batch
-	// history (see HistoryCap).
+	// RunMulti) on the live and net backends into a windowed online checker
+	// for the shard's condition (atomic or regular), fed from the runtime,
+	// instead of checking their history offline afterwards: provably-correct
+	// prefixes retire as the run goes, and the result reports the verified
+	// frontier (OpsVerified, WindowLag). The simulator holds the complete
+	// history of a batch run and checks it offline either way. Ignored when
+	// SkipCheck is set. Interactive shards do not read it: they always stream
+	// into an online checker.
 	OnlineCheck bool
 	// OnlineWindow is the online checkers' retirement window in operations
 	// (0 = consistency.DefaultWindowOps), for batch runs under OnlineCheck and
-	// for interactive atomic shards.
+	// for interactive shards.
 	OnlineWindow int
 	// HistoryCap bounds the interactive operations a shard retains
-	// (0 = DefaultHistoryCap). Once a shard's retained history reaches the
+	// (0 = DefaultHistoryCap). Once a shard's retained operations reach the
 	// cap, further operations on it fail with session.ErrHistoryFull rather
-	// than growing without bound. It binds regular-condition shards, which
-	// keep a batch history of every operation; atomic shards stream into an
-	// online checker that reclaims retired prefixes, so the cap binds only
-	// their unretired residue (pending ops plus the open window), not the
-	// total op count.
+	// than growing without bound. Every shard streams into an online checker
+	// that reclaims retired prefixes, so the cap binds only the unretired
+	// residue (pending ops plus the open window). That residue grows only
+	// while no clean cut forms: behind an abandoned write, which stays
+	// pending for good, or under clients that never leave a moment with no
+	// operation in flight.
 	HistoryCap int
 	// Telemetry, when set, wires the store into the metrics registry: the
 	// live and net runtimes publish per-node storage-bit gauges against the
@@ -112,11 +112,11 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultHistoryCap is the retained-history bound an interactive shard gets
-// when Config.HistoryCap is zero. Only a regular-condition shard, which keeps
-// every operation for the offline checker, ever comes near it: a million
-// 16-byte operations is roughly 100 MB of retained history, and past that
-// callers should check and reopen.
+// DefaultHistoryCap is the retained-operation bound an interactive shard
+// gets when Config.HistoryCap is zero. Only a shard whose checker cannot
+// retire (an abandoned write, or clients that never leave a clean cut) ever
+// comes near it: a million 16-byte operations is roughly 100 MB of retained
+// history, and past that callers should check and reopen.
 const DefaultHistoryCap = 1 << 20
 
 // Resolve fills every default and validates the result: the one place a

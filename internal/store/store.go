@@ -59,7 +59,8 @@ type ShardResult struct {
 	// run and are excluded from Fingerprint.
 	Latencies []time.Duration
 	// OpsVerified counts operations the online checker retired as provably
-	// linearized (Config.OnlineCheck runs only; zero otherwise), and
+	// correct under the shard's condition (Config.OnlineCheck runs only;
+	// zero otherwise), and
 	// WindowLag is the residual window still unretired at shutdown. Both
 	// depend on real-time interleaving, so they are excluded from
 	// Fingerprint.
@@ -316,14 +317,13 @@ func runShard(c Config, m workload.MultiSpec, backend Backend, load workload.Sha
 		spec.FaultPlan = plan
 	}
 	opts := c.Shard(load.Shard, false)
-	// Online mode streams settled operations into the checker while the
-	// concurrent backends run; the verdict and the verified-frontier metrics
-	// are ready the moment the run stops. Only the atomic condition has the
-	// windowed decomposition; regular-condition shards keep the offline path.
+	// Online mode streams settled operations into a checker for the shard's
+	// condition while the concurrent backends run; the verdict and the
+	// verified-frontier metrics are ready the moment the run stops.
 	var checker *consistency.OnlineChecker
-	online := c.OnlineCheck && !c.SkipCheck && cond == "atomic"
+	online := c.OnlineCheck && !c.SkipCheck
 	if online && backend.Name() != BackendSim {
-		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(c.OnlineWindow))
+		checker = consistency.NewOnlineChecker(nil, consistency.WithWindowOps(c.OnlineWindow), consistency.WithCondition(cond))
 		// The runtime reads the checker's window as its sync period: the
 		// drivers drain and meet at a barrier every window's worth of issued
 		// operations, so each window gets a clean cut to retire at.

@@ -11,7 +11,10 @@ import (
 // TestEveryAlgorithmOnWallClockBackends runs every deployable algorithm on
 // the live and net backends, fault-free, under random delays, under f
 // crashes and under f crashes that recover: two shards, 48 operations, each
-// shard judged by its own algorithm's condition (atomic or regular). The
+// shard judged by its own algorithm's condition (atomic or regular) — in the
+// fault-free column by an online checker for that condition, whose
+// two-operation window makes the drivers cut often enough that even a shard
+// the keyspace gives a handful of operations retires some. The
 // coded registers draw their elements from the shard pool and, on net,
 // decode them into pooled buffers; this is the grid that runs them there.
 // The recovering column recovers at step 10, where the plain crash column
@@ -26,7 +29,10 @@ func TestEveryAlgorithmOnWallClockBackends(t *testing.T) {
 				t.Run(alg+"/"+backend+"/"+faults, func(t *testing.T) {
 					t.Parallel()
 					res, err := scenario{
-						Config: Config{Algorithms: []string{alg}, Shards: 2, Backend: backend, Faults: []string{faults}, Net: rc},
+						Config: Config{
+							Algorithms: []string{alg}, Shards: 2, Backend: backend, Faults: []string{faults}, Net: rc,
+							OnlineCheck: faults == "none", OnlineWindow: 2,
+						},
 						Workload: workload.MultiSpec{
 							Seed: 5, Keys: 8, Ops: 48, ReadFraction: 0.5, TargetNu: 1, ValueBytes: 256,
 						},
@@ -45,6 +51,9 @@ func TestEveryAlgorithmOnWallClockBackends(t *testing.T) {
 						}
 						if s.Quiescent {
 							t.Errorf("shard %d lost liveness: %d ops pending", s.Shard, s.PendingOps)
+						}
+						if ops := int64(s.Writes + s.Reads); faults == "none" && (s.OpsVerified == 0 || s.OpsVerified > ops) {
+							t.Errorf("shard %d verified %d of %d ops online", s.Shard, s.OpsVerified, ops)
 						}
 					}
 					// A shard may finish before its scheduled crash; the run as

@@ -268,8 +268,10 @@ func anyIdle(ids []ioa.NodeID, idle func(ioa.NodeID) bool) bool {
 	return false
 }
 
-// CheckConsistency verifies the result's history against the named
-// condition: "atomic", "regular" or "weakly-regular".
+// CheckConsistency verifies the result's history offline against the named
+// condition, "atomic" or "regular". The simulator's batch runs check this
+// way; the wall-clock backends stream into consistency.OnlineChecker instead
+// under Config.OnlineCheck.
 func (r *Result) CheckConsistency(condition string) error {
 	return consistency.Check(condition, r.History)
 }

@@ -25,7 +25,7 @@
 //     and their corollaries) in exact and normalized form, plus the
 //     Figure 1 series generator,
 //   - seeded workload execution with storage metering and consistency
-//     checking (atomicity, regularity, weak regularity), and
+//     checking (atomicity, regularity), and
 //   - the executable-proof experiments: critical-point/valency analysis and
 //     the injectivity counting arguments run against live algorithm code.
 //
@@ -120,14 +120,14 @@ func WithClients(writers, readers int) Option {
 func WithPipeline(depth int) Option { return func(c *Config) { c.Net.Pipeline = depth } }
 
 // WithOnlineCheck streams the settled operations of Store.RunMulti batch
-// runs on the live and net backends into a windowed online atomicity checker
-// as they run, instead of checking the full history
-// offline afterwards: provably-linearized prefixes are retired on the fly,
-// memory stays bounded by the window, and the result reports the verified
-// frontier (OpsVerified, MaxWindowLag). The simulator holds complete batch
-// histories and checks them offline either way, and regular-condition shards
-// keep the offline checker. Interactive atomic-condition shards stream into
-// an online checker with or without it. Config.OnlineWindow sizes the window.
+// runs on the live and net backends into a windowed online checker for each
+// shard's condition (atomic or regular) as they run, instead of checking the
+// full history offline afterwards: provably-correct prefixes are retired on
+// the fly, memory stays bounded by the window, and the result reports the
+// verified frontier (OpsVerified, MaxWindowLag). The simulator holds
+// complete batch histories and checks them offline either way. Interactive
+// shards stream into an online checker with or without it.
+// Config.OnlineWindow sizes the window.
 func WithOnlineCheck() Option { return func(c *Config) { c.OnlineCheck = true } }
 
 // Telemetry is a metrics registry: lock-free counters, gauges and latency
@@ -161,11 +161,11 @@ func ServeTelemetry(addr string, reg *Telemetry) (*TelemetryServer, error) {
 }
 
 // ErrHistoryFull reports an interactive operation refused because its
-// shard's retained history reached Config.HistoryCap (2^20 operations when
-// zero); the operation never started. Branch with errors.Is. Only a
-// regular-condition shard, which keeps every operation for the offline
-// checker, retains that many; an atomic shard retains its online checker's
-// window and its pending operations.
+// shard's retained operations reached Config.HistoryCap (2^20 when zero);
+// the operation never started. Branch with errors.Is. A shard retains its
+// online checker's window and its pending operations, so only one whose
+// checker cannot retire (behind an abandoned write, or under clients that
+// never leave a clean cut) comes near the cap.
 var ErrHistoryFull = session.ErrHistoryFull
 
 // ErrStepBudget reports that an interactive simulator operation exhausted

@@ -3,11 +3,11 @@ GO ?= go
 # The packages holding the hot-path micro-benchmarks (simulation kernel,
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
 # the node runtime's interactive 64 KiB path, the standing simulator store's
-# interactive 1 KiB path, the TCP transport's 64 B round trip and five-peer
-# fan-out, and one client's five-server query round through the runtime's
-# tcp link).
-MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/transport
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
+# interactive 1 KiB path, one batch of the benchmark's simulator grid, the TCP
+# transport's 64 B round trip and five-peer fan-out, and one client's
+# five-server query round through the runtime's tcp link).
+MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/store ./internal/transport
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkSimBatch|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
 
 .PHONY: build cross test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 

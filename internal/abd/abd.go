@@ -56,6 +56,7 @@ type Server struct {
 	id    ioa.NodeID
 	tag   register.Tag
 	value []byte
+	out   ioa.Outbox
 }
 
 var (
@@ -82,20 +83,24 @@ func (s *Server) ID() ioa.NodeID { return s.id }
 func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	switch m := msg.(type) {
 	case queryMsg:
-		return ioa.Effects{Sends: []ioa.Send{{To: from, Msg: queryAck{RID: m.RID, Tag: s.tag, Value: s.value}}}}
+		return s.out.Reply(from, queryAck{RID: m.RID, Tag: s.tag, Value: s.value})
 	case putMsg:
 		if s.tag.Less(m.Tag) {
 			s.tag = m.Tag
 			s.value = m.Value
 		}
-		return ioa.Effects{Sends: []ioa.Send{{To: from, Msg: putAck{RID: m.RID}}}}
+		return s.out.Reply(from, putAck{RID: m.RID})
 	default:
 		return ioa.Effects{}
 	}
 }
 
 // Clone implements ioa.Node. The stored value is immutable and shared.
-func (s *Server) Clone() ioa.Node { cp := *s; return &cp }
+func (s *Server) Clone() ioa.Node {
+	cp := *s
+	cp.out = ioa.Outbox{}
+	return &cp
+}
 
 // Snapshot implements ioa.Recoverable: the replica's durable state is its
 // (tag, value) pair. The value is immutable and shared with the image.
@@ -159,6 +164,7 @@ type Client struct {
 	bestTag  register.Tag
 	bestVal  []byte
 	localSeq int64 // SWMR writer's own sequence counter
+	out      ioa.Outbox
 }
 
 var (
@@ -267,11 +273,7 @@ func (c *Client) startQuery() ioa.Effects {
 	c.phase = phaseQuery
 	c.rid++
 	c.acks = 0
-	sends := make([]ioa.Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: queryMsg{RID: c.rid}})
-	}
-	return ioa.Effects{Sends: sends}
+	return c.out.All(c.servers, queryMsg{RID: c.rid})
 }
 
 func (c *Client) startPut(tag register.Tag, value []byte) ioa.Effects {
@@ -280,11 +282,7 @@ func (c *Client) startPut(tag register.Tag, value []byte) ioa.Effects {
 	c.acks = 0
 	c.bestTag = tag
 	c.bestVal = value
-	sends := make([]ioa.Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: putMsg{RID: c.rid, Tag: tag, Value: value}})
-	}
-	return ioa.Effects{Sends: sends}
+	return c.out.All(c.servers, putMsg{RID: c.rid, Tag: tag, Value: value})
 }
 
 // Deliver implements ioa.Node.
@@ -334,5 +332,6 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 func (c *Client) Clone() ioa.Node {
 	cp := *c
 	cp.servers = append([]ioa.NodeID(nil), c.servers...)
+	cp.out = ioa.Outbox{}
 	return &cp
 }

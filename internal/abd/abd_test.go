@@ -315,3 +315,63 @@ func TestStaleAcksIgnored(t *testing.T) {
 		t.Error("wrong-phase ack must be ignored")
 	}
 }
+
+// TestStepAllocs bounds what a steady-state step allocates: every node
+// reuses one outbox, so a server's Deliver allocates at most its one boxed
+// reply, and a client's phase start at most its one broadcast message, boxed
+// once for all five servers.
+func TestStepAllocs(t *testing.T) {
+	s := NewServer(1)
+	v := register.MakeValue(64, 1)
+	for _, m := range []ioa.Message{
+		queryMsg{RID: 1000},
+		putMsg{RID: 1001, Tag: register.Tag{Seq: 1, Writer: 300}, Value: v},
+	} {
+		deliver(s, 300, m) // the outbox grows once
+		if got := testing.AllocsPerRun(100, func() { deliver(s, 300, m) }); got > 1 {
+			t.Errorf("server Deliver(%T) allocates %.0f times, want at most its reply", m, got)
+		}
+	}
+
+	// An MWMR write starts its query phase at Invoke and its put phase at
+	// the quorum's last ack: two phase starts per call. Each call's acks are
+	// boxed beforehand, so the measurement holds only the client's own
+	// allocations.
+	cfg := Config{Servers: cluster5(), F: 2, MultiWriter: true}
+	c, err := NewClient(300, RoleWriter, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	acks := make([][]ioa.Message, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range acks {
+		rid := int64(2*i + 1) // Invoke's query id; the put phase takes the next
+		for j := 0; j < cfg.Quorum(); j++ {
+			acks[i] = append(acks[i], queryAck{RID: rid, Tag: register.Tag{Seq: int64(i), Writer: 1}, Value: v})
+		}
+	}
+	call := 0
+	got := testing.AllocsPerRun(runs, func() {
+		invoke(c, ioa.Invocation{Kind: ioa.OpWrite, Value: v})
+		for j, a := range acks[call] {
+			deliver(c, cfg.Servers[j], a)
+		}
+		call++
+	})
+	if c.phase != phasePut {
+		t.Fatalf("the quorum's acks left the client in phase %d, want the put phase", c.phase)
+	}
+	if got > 2 {
+		t.Errorf("two phase starts allocate %.0f times, want at most one message each", got)
+	}
+}
+
+// deliver and invoke step a node through its interface, as the kernel does:
+// out of line, so the compiler cannot keep a step's sends on the test's
+// stack.
+//
+//go:noinline
+func deliver(n ioa.Node, from ioa.NodeID, m ioa.Message) ioa.Effects { return n.Deliver(from, m) }
+
+//go:noinline
+func invoke(c ioa.Client, inv ioa.Invocation) ioa.Effects { return c.Invoke(inv) }

@@ -118,6 +118,7 @@ type Server struct {
 	fins    int // finalized records in recs
 	maxFin  register.Tag
 	gcDepth int // -1 = never collect
+	out     ioa.Outbox
 }
 
 var (
@@ -160,7 +161,7 @@ func (s *Server) ID() ioa.NodeID { return s.id }
 func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	switch m := msg.(type) {
 	case queryFinMsg:
-		return reply(from, queryFinAck{RID: m.RID, Tag: s.maxFin})
+		return s.out.Reply(from, queryFinAck{RID: m.RID, Tag: s.maxFin})
 	case preWriteMsg:
 		r := s.entry(m.Tag)
 		if r.HasShard {
@@ -170,10 +171,10 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			s.bits += 8 * len(m.Shard.Data)
 			s.gc()
 		}
-		return reply(from, preWriteAck{RID: m.RID})
+		return s.out.Reply(from, preWriteAck{RID: m.RID})
 	case finalizeMsg:
 		s.finalize(m.Tag)
-		return reply(from, finalizeAck{RID: m.RID})
+		return s.out.Reply(from, finalizeAck{RID: m.RID})
 	case readFinMsg:
 		s.finalize(m.Tag)
 		ack := readFinAck{RID: m.RID}
@@ -181,14 +182,10 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			ack.HasShard, ack.Shard = true, s.recs[i].Shard
 			ack.Shard.Retain() // the ack holds its own count: collection may drop the record first
 		}
-		return reply(from, ack)
+		return s.out.Reply(from, ack)
 	default:
 		return ioa.Effects{}
 	}
-}
-
-func reply(to ioa.NodeID, msg ioa.Message) ioa.Effects {
-	return ioa.Effects{Sends: []ioa.Send{{To: to, Msg: msg}}}
 }
 
 // find returns the position of t's record, or where it would go. A new tag
@@ -284,6 +281,7 @@ func retained(recs []record) []record {
 func (s *Server) Clone() ioa.Node {
 	cp := *s
 	cp.recs = retained(s.recs)
+	cp.out = ioa.Outbox{}
 	return &cp
 }
 
@@ -399,6 +397,7 @@ type Client struct {
 	acks     int
 	maxFin   register.Tag
 	shards   []erasure.Shard
+	out      ioa.Outbox
 }
 
 var (
@@ -454,11 +453,7 @@ func (c *Client) startQuery() ioa.Effects {
 	c.acks = 0
 	c.maxFin = register.Tag{}
 	c.dropShards()
-	sends := make([]ioa.Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: queryFinMsg{RID: c.rid}})
-	}
-	return ioa.Effects{Sends: sends}
+	return c.out.All(c.servers, queryFinMsg{RID: c.rid})
 }
 
 // Deliver implements ioa.Node.
@@ -540,7 +535,6 @@ func (c *Client) startPreWrite() ioa.Effects {
 	c.rid++
 	c.acks = 0
 	c.tag = c.maxFin.Next(c.id)
-	sends := make([]ioa.Send, 0, len(c.servers))
 	for i, s := range c.servers {
 		// Each element goes to its message with the one count EncodeOne
 		// gave it; the server it reaches takes the count over.
@@ -549,21 +543,17 @@ func (c *Client) startPreWrite() ioa.Effects {
 			// Cannot happen: i < n by construction. Skip defensively.
 			continue
 		}
-		sends = append(sends, ioa.Send{To: s, Msg: preWriteMsg{RID: c.rid, Tag: c.tag, Shard: shard}})
+		c.out.Add(s, preWriteMsg{RID: c.rid, Tag: c.tag, Shard: shard})
 	}
 	c.writeVal = nil // encoded: the value is the servers' to hold now, not the writer's
-	return ioa.Effects{Sends: sends}
+	return c.out.Effects()
 }
 
 func (c *Client) startFinalize() ioa.Effects {
 	c.phase = phaseFinalize
 	c.rid++
 	c.acks = 0
-	sends := make([]ioa.Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: finalizeMsg{RID: c.rid, Tag: c.tag}})
-	}
-	return ioa.Effects{Sends: sends}
+	return c.out.All(c.servers, finalizeMsg{RID: c.rid, Tag: c.tag})
 }
 
 func (c *Client) startReadFin() ioa.Effects {
@@ -572,11 +562,7 @@ func (c *Client) startReadFin() ioa.Effects {
 	c.acks = 0
 	c.tag = c.maxFin
 	c.dropShards()
-	sends := make([]ioa.Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: readFinMsg{RID: c.rid, Tag: c.tag}})
-	}
-	return ioa.Effects{Sends: sends}
+	return c.out.All(c.servers, readFinMsg{RID: c.rid, Tag: c.tag})
 }
 
 func (c *Client) respondRead(val []byte) ioa.Effects {
@@ -602,5 +588,6 @@ func (c *Client) Clone() ioa.Node {
 	for _, s := range cp.shards {
 		s.Retain()
 	}
+	cp.out = ioa.Outbox{}
 	return &cp
 }

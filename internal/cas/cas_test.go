@@ -305,3 +305,83 @@ func TestWritePhaseIntrospection(t *testing.T) {
 		t.Fatalf("pre-write: got (%d,%v), want (2,true)", ph, vd)
 	}
 }
+
+// TestStepAllocs bounds what a steady-state step allocates: every node
+// reuses one outbox, so a server's Deliver allocates at most its one boxed
+// reply, and a client's phase start at most one message plus its per-server
+// payloads (a pre-write's coded elements and their messages).
+func TestStepAllocs(t *testing.T) {
+	cfg := Config{Servers: []ioa.NodeID{1, 2, 3, 4, 5}, F: 1, GCDepth: 0}
+	c, err := NewClient(300, RoleWriter, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := register.MakeValue(1024, 1)
+	tag := register.Tag{Seq: 1, Writer: 300}
+	shard, err := c.code.EncodeOne(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(1, 0)
+	deliver(s, 300, preWriteMsg{RID: 1, Tag: tag, Shard: shard})
+	deliver(s, 300, finalizeMsg{RID: 2, Tag: tag})
+	for _, m := range []ioa.Message{
+		queryFinMsg{RID: 1000},
+		finalizeMsg{RID: 1001, Tag: tag},
+		readFinMsg{RID: 1002, Tag: tag}, // the ack holds a retained element
+	} {
+		if got := testing.AllocsPerRun(100, func() { deliver(s, 300, m) }); got > 1 {
+			t.Errorf("server Deliver(%T) allocates %.0f times, want at most its reply", m, got)
+		}
+	}
+
+	// What the pre-write's n coded elements cost on their own: none is
+	// released here, so each is a fresh draw.
+	n := len(cfg.Servers)
+	encode := testing.AllocsPerRun(100, func() {
+		for i := 0; i < n; i++ {
+			c.code.EncodeOne(v, i)
+		}
+	})
+
+	// A write starts three phases: the query at Invoke, the pre-write and
+	// the finalize at their quorums' last acks. Each call's acks are boxed
+	// beforehand, so the measurement holds only the client's own
+	// allocations.
+	const runs = 100
+	acks := make([][]ioa.Message, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range acks {
+		rid := int64(3*i + 1) // Invoke's query id; the next two phases take the next two
+		for j := 0; j < c.q; j++ {
+			acks[i] = append(acks[i], queryFinAck{RID: rid, Tag: register.Tag{Seq: int64(i), Writer: 1}})
+		}
+		for j := 0; j < c.q; j++ {
+			acks[i] = append(acks[i], preWriteAck{RID: rid + 1})
+		}
+	}
+	call := 0
+	got := testing.AllocsPerRun(runs, func() {
+		invoke(c, ioa.Invocation{Kind: ioa.OpWrite, Value: v})
+		for j, a := range acks[call] {
+			deliver(c, cfg.Servers[j%c.q], a)
+		}
+		call++
+	})
+	if c.phase != phaseFinalize {
+		t.Fatalf("the quorums' acks left the writer in phase %d, want the finalize phase", c.phase)
+	}
+	if want := 3 + float64(n) + encode; got > want {
+		t.Errorf("three phase starts allocate %.0f times, want at most %.0f: one message each plus %d pre-write messages and their elements (%.0f allocations)",
+			got, want, n, encode)
+	}
+}
+
+// deliver and invoke step a node through its interface, as the kernel does:
+// out of line, so the compiler cannot keep a step's sends on the test's
+// stack.
+//
+//go:noinline
+func deliver(n ioa.Node, from ioa.NodeID, m ioa.Message) ioa.Effects { return n.Deliver(from, m) }
+
+//go:noinline
+func invoke(c ioa.Client, inv ioa.Invocation) ioa.Effects { return c.Invoke(inv) }

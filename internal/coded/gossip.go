@@ -44,17 +44,17 @@ func (g *GossipServer) ID() ioa.NodeID { return g.inner.id }
 func (g *GossipServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	switch m := msg.(type) {
 	case w2Msg:
-		eff := g.inner.Deliver(from, msg)
-		// Spread the finalization to peers.
+		// Ack the writer, then spread the finalization to peers.
+		g.inner.promote(m.Tag)
+		out := &g.inner.out
+		out.Add(from, w2Ack{RID: m.RID})
+		note := ioa.Message(finNote{Tag: m.Tag}) // boxed once for every peer
 		for _, p := range g.peers {
-			eff.Sends = append(eff.Sends, ioa.Send{To: p, Msg: finNote{Tag: m.Tag}})
+			out.Add(p, note)
 		}
-		return eff
+		return out.Effects()
 	case finNote:
-		if g.inner.pend.Used && g.inner.pend.Tag.Equal(m.Tag) {
-			g.inner.fin = g.inner.pend
-			g.inner.pend = slot{}
-		}
+		g.inner.promote(m.Tag)
 		return ioa.Effects{}
 	default:
 		return g.inner.Deliver(from, msg)

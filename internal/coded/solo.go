@@ -29,6 +29,7 @@ type SoloServer struct {
 	id   ioa.NodeID
 	cur  slot
 	prev slot // previous version, metered and imaged but never read
+	out  ioa.Outbox
 }
 
 var (
@@ -57,7 +58,7 @@ func (s *SoloServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			s.prev = s.cur
 			s.cur = slot{Used: true, Tag: m.Tag, Shard: m.Shard}
 		}
-		return reply(from, w1Ack{RID: m.RID})
+		return s.out.Reply(from, w1Ack{RID: m.RID})
 	case readMsg:
 		ack := readAck{RID: m.RID}
 		if s.cur.Used {
@@ -65,7 +66,7 @@ func (s *SoloServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			ack.FinTag = s.cur.Tag
 			ack.FinShard = s.cur.Shard
 		}
-		return ioa.Effects{Sends: []ioa.Send{{To: from, Msg: ack}}}
+		return s.out.Reply(from, ack)
 	default:
 		return ioa.Effects{}
 	}
@@ -93,7 +94,11 @@ func (s *SoloServer) StateDigest() string {
 }
 
 // Clone implements ioa.Node.
-func (s *SoloServer) Clone() ioa.Node { cp := *s; return &cp }
+func (s *SoloServer) Clone() ioa.Node {
+	cp := *s
+	cp.out = ioa.Outbox{}
+	return &cp
+}
 
 // Snapshot implements ioa.Recoverable.
 func (s *SoloServer) Snapshot() ioa.NodeSnapshot {
@@ -157,6 +162,7 @@ type SoloWriter struct {
 	seq   int64
 	acks  int
 	value []byte
+	out   ioa.Outbox
 }
 
 var (
@@ -198,15 +204,14 @@ func (w *SoloWriter) Invoke(inv ioa.Invocation) ioa.Effects {
 	w.seq++
 	w.value = inv.Value
 	tag := register.Tag{Seq: w.seq, Writer: w.id}
-	sends := make([]ioa.Send, 0, len(w.servers))
 	for i, s := range w.servers {
 		shard, err := w.code.EncodeOne(w.value, i)
 		if err != nil {
 			continue // unreachable
 		}
-		sends = append(sends, ioa.Send{To: s, Msg: w1Msg{RID: w.rid, Tag: tag, Shard: shard}})
+		w.out.Add(s, w1Msg{RID: w.rid, Tag: tag, Shard: shard})
 	}
-	return ioa.Effects{Sends: sends}
+	return w.out.Effects()
 }
 
 // Deliver implements ioa.Node.
@@ -230,6 +235,7 @@ func (w *SoloWriter) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 func (w *SoloWriter) Clone() ioa.Node {
 	cp := *w
 	cp.servers = append([]ioa.NodeID(nil), w.servers...)
+	cp.out = ioa.Outbox{}
 	return &cp
 }
 
@@ -247,6 +253,7 @@ type SoloReader struct {
 	rid     int64
 	acks    int
 	replies []readAck
+	out     ioa.Outbox
 }
 
 var _ ioa.Client = (*SoloReader)(nil)
@@ -279,11 +286,7 @@ func (r *SoloReader) startRound() ioa.Effects {
 	r.rid++
 	r.acks = 0
 	r.replies = r.replies[:0]
-	sends := make([]ioa.Send, 0, len(r.servers))
-	for _, s := range r.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: readMsg{RID: r.rid}})
-	}
-	return ioa.Effects{Sends: sends}
+	return r.out.All(r.servers, readMsg{RID: r.rid})
 }
 
 // Deliver implements ioa.Node.
@@ -331,6 +334,7 @@ func (r *SoloReader) Clone() ioa.Node {
 	cp := *r
 	cp.servers = append([]ioa.NodeID(nil), r.servers...)
 	cp.replies = append([]readAck(nil), r.replies...)
+	cp.out = ioa.Outbox{}
 	return &cp
 }
 

@@ -91,6 +91,7 @@ type Server struct {
 	id   ioa.NodeID
 	fin  slot
 	pend slot
+	out  ioa.Outbox
 }
 
 var (
@@ -113,13 +114,10 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		if !s.pend.Used || s.pend.Tag.Less(m.Tag) {
 			s.pend = slot{Used: true, Tag: m.Tag, Shard: m.Shard}
 		}
-		return reply(from, w1Ack{RID: m.RID})
+		return s.out.Reply(from, w1Ack{RID: m.RID})
 	case w2Msg:
-		if s.pend.Used && s.pend.Tag.Equal(m.Tag) {
-			s.fin = s.pend
-			s.pend = slot{}
-		}
-		return reply(from, w2Ack{RID: m.RID})
+		s.promote(m.Tag)
+		return s.out.Reply(from, w2Ack{RID: m.RID})
 	case readMsg:
 		ack := readAck{RID: m.RID}
 		if s.fin.Used {
@@ -132,14 +130,18 @@ func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			ack.PendTag = s.pend.Tag
 			ack.PendShard = s.pend.Shard
 		}
-		return reply(from, ack)
+		return s.out.Reply(from, ack)
 	default:
 		return ioa.Effects{}
 	}
 }
 
-func reply(to ioa.NodeID, msg ioa.Message) ioa.Effects {
-	return ioa.Effects{Sends: []ioa.Send{{To: to, Msg: msg}}}
+// promote finalizes the pending version when it is tag t's.
+func (s *Server) promote(t register.Tag) {
+	if s.pend.Used && s.pend.Tag.Equal(t) {
+		s.fin = s.pend
+		s.pend = slot{}
+	}
 }
 
 // StorageBits implements ioa.StorageMeter: at most two coded elements plus
@@ -162,7 +164,11 @@ func (s *Server) StateDigest() string {
 }
 
 // Clone implements ioa.Node.
-func (s *Server) Clone() ioa.Node { cp := *s; return &cp }
+func (s *Server) Clone() ioa.Node {
+	cp := *s
+	cp.out = ioa.Outbox{}
+	return &cp
+}
 
 // serverImage is the durable state a two-version replica persists across a
 // crash: its finalized and pending slots (shard payloads immutable, shared).
@@ -249,6 +255,7 @@ type Writer struct {
 	tag   register.Tag
 	value []byte
 	acks  int
+	out   ioa.Outbox
 }
 
 var (
@@ -291,15 +298,14 @@ func (w *Writer) Invoke(inv ioa.Invocation) ioa.Effects {
 	w.seq++
 	w.tag = register.Tag{Seq: w.seq, Writer: w.id}
 	w.value = inv.Value
-	sends := make([]ioa.Send, 0, len(w.servers))
 	for i, s := range w.servers {
 		shard, err := w.code.EncodeOne(w.value, i)
 		if err != nil {
 			continue // unreachable: i < n
 		}
-		sends = append(sends, ioa.Send{To: s, Msg: w1Msg{RID: w.rid, Tag: w.tag, Shard: shard}})
+		w.out.Add(s, w1Msg{RID: w.rid, Tag: w.tag, Shard: shard})
 	}
-	return ioa.Effects{Sends: sends}
+	return w.out.Effects()
 }
 
 // Deliver implements ioa.Node.
@@ -319,11 +325,7 @@ func (w *Writer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		w.phase = phaseW2
 		w.rid++
 		w.acks = 0
-		sends := make([]ioa.Send, 0, len(w.servers))
-		for _, s := range w.servers {
-			sends = append(sends, ioa.Send{To: s, Msg: w2Msg{RID: w.rid, Tag: w.tag}})
-		}
-		return ioa.Effects{Sends: sends}
+		return w.out.All(w.servers, w2Msg{RID: w.rid, Tag: w.tag})
 	case w2Ack:
 		if w.phase != phaseW2 || m.RID != w.rid {
 			return ioa.Effects{}
@@ -344,6 +346,7 @@ func (w *Writer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 func (w *Writer) Clone() ioa.Node {
 	cp := *w
 	cp.servers = append([]ioa.NodeID(nil), w.servers...)
+	cp.out = ioa.Outbox{}
 	return &cp
 }
 
@@ -361,6 +364,7 @@ type Reader struct {
 	acks int
 	// collected replies for the current round
 	replies []readAck
+	out     ioa.Outbox
 }
 
 var _ ioa.Client = (*Reader)(nil)
@@ -393,11 +397,7 @@ func (r *Reader) startRound() ioa.Effects {
 	r.rid++
 	r.acks = 0
 	r.replies = r.replies[:0]
-	sends := make([]ioa.Send, 0, len(r.servers))
-	for _, s := range r.servers {
-		sends = append(sends, ioa.Send{To: s, Msg: readMsg{RID: r.rid}})
-	}
-	return ioa.Effects{Sends: sends}
+	return r.out.All(r.servers, readMsg{RID: r.rid})
 }
 
 // Deliver implements ioa.Node.
@@ -466,6 +466,7 @@ func (r *Reader) Clone() ioa.Node {
 	cp := *r
 	cp.servers = append([]ioa.NodeID(nil), r.servers...)
 	cp.replies = append([]readAck(nil), r.replies...)
+	cp.out = ioa.Outbox{}
 	return &cp
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/abd"
 	"repro/internal/faults"
+	"repro/internal/ioa"
 	"repro/internal/workload"
 )
 
@@ -330,20 +331,73 @@ func TestComposedScenario(t *testing.T) {
 	}
 }
 
+// fate is one MessageFate decision: the question the kernel asked and the
+// plan's answer.
+type fate struct {
+	From, To ioa.NodeID
+	Seq      uint64
+	Step     int
+	Drop     bool
+	Delay    int
+}
+
+// fateLog wraps a plan and records every MessageFate decision the kernel
+// asks of it, in the order asked.
+type fateLog struct {
+	*faults.Plan
+	fates []fate
+}
+
+func (l *fateLog) MessageFate(from, to ioa.NodeID, seq uint64, step int) (bool, int) {
+	drop, delay := l.Plan.MessageFate(from, to, seq, step)
+	l.fates = append(l.fates, fate{From: from, To: to, Seq: seq, Step: step, Drop: drop, Delay: delay})
+	return drop, delay
+}
+
+// recordedABDRun is abdRun with the plan's decisions recorded: the plan is
+// installed wrapped, before the driver runs, so every send's fate lands in
+// the log.
+func recordedABDRun(t *testing.T, n, f int, spec string) ([]fate, *workload.Result) {
+	t.Helper()
+	cl, err := abd.Deploy(abd.Options{Servers: n, F: f, Writers: 1, Readers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := faults.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sc.Build(n, f, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &fateLog{Plan: plan}
+	cl.Sys.SetFaultPlan(log)
+	res, err := workload.Run(cl, workload.Spec{Seed: 5, Writes: 4, Reads: 4, TargetNu: 1, ValueBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.fates, res
+}
+
 // TestSameSeedSameFaultTrace replays the same seeded run twice and compares
-// the recorded fault traces event by event.
+// the plan's decisions one by one — every send's drop and delay, with the
+// link, sequence number and step it was decided at — and the fault counters.
 func TestSameSeedSameFaultTrace(t *testing.T) {
-	a := abdRun(t, 5, 2, "lossy=0.1+delay=1:20")
-	b := abdRun(t, 5, 2, "lossy=0.1+delay=1:20")
-	if len(a.History.Faults) == 0 {
-		t.Fatal("no fault events recorded")
+	a, ra := recordedABDRun(t, 5, 2, "lossy=0.1+delay=1:20")
+	b, rb := recordedABDRun(t, 5, 2, "lossy=0.1+delay=1:20")
+	if ra.Faults.Drops == 0 || ra.Faults.DelayedMessages == 0 {
+		t.Fatalf("no fault events decided: %+v", ra.Faults)
 	}
-	if len(a.History.Faults) != len(b.History.Faults) {
-		t.Fatalf("fault trace lengths differ: %d vs %d", len(a.History.Faults), len(b.History.Faults))
+	if len(a) != len(b) {
+		t.Fatalf("decision counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.History.Faults {
-		if a.History.Faults[i] != b.History.Faults[i] {
-			t.Fatalf("fault trace diverges at %d: %+v vs %+v", i, a.History.Faults[i], b.History.Faults[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("decisions diverge at %d: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+	if ra.Faults != rb.Faults {
+		t.Errorf("fault stats differ: %+v vs %+v", ra.Faults, rb.Faults)
 	}
 }

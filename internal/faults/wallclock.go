@@ -15,8 +15,9 @@
 // protocol traffic varies, exactly as it does for drop/delay rules.
 //
 // The WallClock owns the node-event schedule (crashes and recoveries) and
-// runs it on one goroutine, so a node's crash always precedes its recovery
-// even when the two land steps apart at a microsecond step duration. Link
+// runs it in order — the events due at step 0 inside Start, the rest on one
+// goroutine — so a node's crash always precedes its recovery even when the
+// two land steps apart at a microsecond step duration. Link
 // gating is pull-based instead: backends ask Hold at dispatch time and park
 // the frame themselves until the window's boundary, reusing their existing
 // delay-timer machinery (DESIGN.md section 12).
@@ -31,10 +32,12 @@ import (
 )
 
 // NodeHooks receives the wall-clock schedule's node events. Both callbacks
-// run on the WallClock's single event goroutine, in schedule order; a
-// backend's Crash hook stops the node (joining its loop is allowed — the
-// event goroutine has no other duties) and its Recover hook restarts the
-// node from its durable image, taken before its latest sends left it.
+// run in schedule order, one at a time: those due at step 0 on the goroutine
+// that calls Start, before it returns, the rest on the WallClock's event
+// goroutine. A backend's Crash hook stops the node (joining its loop is
+// allowed — neither goroutine has other duties meanwhile) and its Recover
+// hook restarts the node from its durable image, taken before its latest
+// sends left it.
 type NodeHooks struct {
 	Crash   func(node ioa.NodeID)
 	Recover func(node ioa.NodeID)
@@ -65,8 +68,11 @@ func NewWallClock(plan *Plan, stepDur time.Duration) *WallClock {
 	return &WallClock{plan: plan, stepDur: stepDur, done: make(chan struct{})}
 }
 
-// Start stamps the epoch and, when the plan schedules node events, launches
-// the event goroutine that fires hooks at each event's wall-clock time.
+// Start stamps the epoch, fires every node event due at step 0 or before on
+// the caller's goroutine, in schedule order, and, when later events remain,
+// launches the event goroutine that fires hooks at each one's wall-clock
+// time. So a crash at step 0 has happened when Start returns: a driver that
+// issues operations next never races it, however loaded the host.
 func (w *WallClock) Start(h NodeHooks) {
 	if w == nil {
 		return
@@ -76,6 +82,10 @@ func (w *WallClock) Start(h NodeHooks) {
 		return
 	}
 	events := w.plan.NodeEvents()
+	for len(events) > 0 && events[0].Step <= 0 {
+		w.fire(events[0], h)
+		events = events[1:]
+	}
 	if len(events) == 0 {
 		return
 	}
@@ -99,16 +109,21 @@ func (w *WallClock) run(events []ioa.NodeFaultEvent, h NodeHooks) {
 			return
 		case <-timer.C:
 		}
-		if ev.Recover {
-			w.recoveries.Add(1)
-			if h.Recover != nil {
-				h.Recover(ev.Node)
-			}
-		} else {
-			w.crashes.Add(1)
-			if h.Crash != nil {
-				h.Crash(ev.Node)
-			}
+		w.fire(ev, h)
+	}
+}
+
+// fire counts one node event and calls its hook.
+func (w *WallClock) fire(ev ioa.NodeFaultEvent, h NodeHooks) {
+	if ev.Recover {
+		w.recoveries.Add(1)
+		if h.Recover != nil {
+			h.Recover(ev.Node)
+		}
+	} else {
+		w.crashes.Add(1)
+		if h.Crash != nil {
+			h.Crash(ev.Node)
 		}
 	}
 }

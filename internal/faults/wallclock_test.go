@@ -69,6 +69,30 @@ func TestWallClockFiresEventsInOrder(t *testing.T) {
 	}
 }
 
+// TestWallClockStepZeroFiresInStart checks that the events due at step 0
+// have fired, in schedule order, when Start returns — a driver that issues
+// operations right after Start can never overtake a step-0 crash — and that
+// later events are left to the event goroutine.
+func TestWallClockStepZeroFiresInStart(t *testing.T) {
+	plan := &Plan{Crashes: []Crash{
+		{Node: 1, Step: 0},
+		{Node: 2, Step: 0, RecoverStep: 1 << 30},
+	}}
+	var got []ioa.NodeID // no lock: the step-0 hooks run on this goroutine
+	wc := NewWallClock(plan, time.Millisecond)
+	wc.Start(NodeHooks{
+		Crash:   func(n ioa.NodeID) { got = append(got, n) },
+		Recover: func(n ioa.NodeID) { t.Errorf("recovery of node %d fired at once", n) },
+	})
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("crashes fired by the time Start returned = %v, want [1 2]", got)
+	}
+	if wc.Crashes() != 2 || wc.Recoveries() != 0 {
+		t.Errorf("counters = %d crashes, %d recoveries; want 2, 0", wc.Crashes(), wc.Recoveries())
+	}
+	wc.Stop()
+}
+
 // TestWallClockStopAbandonsSchedule checks Stop joins the event goroutine
 // without firing far-future events, and is idempotent.
 func TestWallClockStopAbandonsSchedule(t *testing.T) {

@@ -14,6 +14,7 @@ type chatterClient struct {
 	id    NodeID
 	peers []NodeID
 	busy  bool
+	out   Outbox
 }
 
 func (c *chatterClient) ID() NodeID { return c.id }
@@ -21,28 +22,27 @@ func (c *chatterClient) Busy() bool { return c.busy }
 
 func (c *chatterClient) Invoke(inv Invocation) Effects {
 	c.busy = true
-	sends := make([]Send, 0, len(c.peers))
-	for _, p := range c.peers {
-		sends = append(sends, Send{To: p, Msg: pingMsg{Seq: 1}})
-	}
-	return Effects{Sends: sends}
+	return c.out.All(c.peers, pingMsg{Seq: 1})
 }
 
 func (c *chatterClient) Deliver(from NodeID, msg Message) Effects {
-	return Effects{Sends: []Send{{To: from, Msg: pingMsg{Seq: 1}}}}
+	return c.out.Reply(from, pingMsg{Seq: 1})
 }
 
-func (c *chatterClient) Clone() Node { cp := *c; return &cp }
+func (c *chatterClient) Clone() Node { cp := *c; cp.out = Outbox{}; return &cp }
 
-type chatterServer struct{ id NodeID }
+type chatterServer struct {
+	id  NodeID
+	out Outbox
+}
 
 func (s *chatterServer) ID() NodeID { return s.id }
 
 func (s *chatterServer) Deliver(from NodeID, msg Message) Effects {
-	return Effects{Sends: []Send{{To: from, Msg: pingMsg{Seq: 1}}}}
+	return s.out.Reply(from, pingMsg{Seq: 1})
 }
 
-func (s *chatterServer) Clone() Node { cp := *s; return &cp }
+func (s *chatterServer) Clone() Node { cp := *s; cp.out = Outbox{}; return &cp }
 
 // buildChatter wires nClients x nServers channels of perpetual traffic.
 func buildChatter(b *testing.B, nClients, nServers int) *System {

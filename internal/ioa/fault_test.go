@@ -62,21 +62,60 @@ func faultTestSystem(t *testing.T, n, q int) (*System, NodeID) {
 	return sys, client
 }
 
+// fate is one MessageFate decision: the question the kernel asked and the
+// plan's answer.
+type fate struct {
+	From, To NodeID
+	Seq      uint64
+	Step     int
+	Drop     bool
+	Delay    int
+}
+
+// fateLog wraps a FaultPlan and records every MessageFate decision the
+// kernel asks of it, in the order asked.
+type fateLog struct {
+	FaultPlan
+	fates []fate
+}
+
+func (l *fateLog) MessageFate(from, to NodeID, seq uint64, step int) (bool, int) {
+	drop, delay := l.FaultPlan.MessageFate(from, to, seq, step)
+	l.fates = append(l.fates, fate{From: from, To: to, Seq: seq, Step: step, Drop: drop, Delay: delay})
+	return drop, delay
+}
+
+// faulted returns the decisions that dropped or delayed their message.
+func (l *fateLog) faulted() []fate {
+	var out []fate
+	for _, f := range l.fates {
+		if f.Drop || f.Delay > 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // TestFaultDropStillReachesQuorum drops every message to one of three
-// servers; a quorum-2 operation must still complete, and the drops must be
-// recorded in the history and the stats.
+// servers; a quorum-2 operation must still complete, the one drop (to
+// server 3) must be the only fault the plan decided, and the stats must
+// count it.
 func TestFaultDropStillReachesQuorum(t *testing.T) {
 	sys, client := faultTestSystem(t, 3, 2)
-	sys.SetFaultPlan(&stubPlan{drop: map[ChanKey]bool{{From: client, To: 3}: true}})
+	log := &fateLog{FaultPlan: &stubPlan{drop: map[ChanKey]bool{{From: client, To: 3}: true}}}
+	sys.SetFaultPlan(log)
 	if _, err := sys.RunOp(client, Invocation{Kind: OpWrite}, 1000); err != nil {
 		t.Fatalf("op under single-link drop: %v", err)
 	}
 	if got := sys.FaultStats().Drops; got != 1 {
 		t.Errorf("drops = %d, want 1", got)
 	}
-	recs := sys.History().Faults
-	if len(recs) != 1 || recs[0].Kind != FaultDrop || recs[0].To != 3 {
-		t.Errorf("fault records = %+v, want one drop to server 3", recs)
+	if st := sys.FaultStats(); st.DelayedMessages != 0 || st.Crashes != 0 || st.Recoveries != 0 {
+		t.Errorf("stats = %+v, want the one drop and nothing else", st)
+	}
+	recs := log.faulted()
+	if len(recs) != 1 || !recs[0].Drop || recs[0].From != client || recs[0].To != 3 {
+		t.Errorf("faulted decisions = %+v, want one drop to server 3", recs)
 	}
 }
 

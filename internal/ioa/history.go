@@ -37,15 +37,11 @@ func (o Op) String() string {
 }
 
 // History is the sequence of operations observed at the clients of an
-// execution, in invocation order, together with the fault events the kernel
-// applied while producing it.
+// execution, in invocation order. The fault events the kernel applied while
+// producing it are counted, not listed (System.FaultStats).
 type History struct {
-	Ops []Op
-	// Faults records the injected fault events (drops, delays, scheduled
-	// crashes and recoveries) in the order they occurred. It is empty for
-	// fault-free runs.
-	Faults []FaultRecord
-	open   map[NodeID]int // client -> ID of its outstanding op
+	Ops  []Op
+	open map[NodeID]int // client -> ID of its outstanding op
 	// doneWrites counts completed writes so drivers tracking write
 	// concurrency need not rescan Ops after every delivery.
 	doneWrites int
@@ -134,7 +130,6 @@ func (h *History) AppendOp(op Op) error {
 func (h *History) clone() *History {
 	out := &History{
 		Ops:        make([]Op, len(h.Ops)),
-		Faults:     append([]FaultRecord(nil), h.Faults...),
 		open:       make(map[NodeID]int, len(h.open)),
 		doneWrites: h.doneWrites,
 		taken:      h.taken,
@@ -151,9 +146,6 @@ func (h *History) clone() *History {
 	}
 	return out
 }
-
-// addFault appends a fault record.
-func (h *History) addFault(r FaultRecord) { h.Faults = append(h.Faults, r) }
 
 // beginOp appends a new pending operation and returns its ID.
 func (h *History) beginOp(client NodeID, inv Invocation, step int) (int, error) {
@@ -223,10 +215,9 @@ func (h *History) OpByID(id int) (Op, error) {
 // Take returns the operation with the given ID, as OpByID does, for a caller
 // that consumes each operation's output as it completes and keeps its own
 // record (an interactive session). Once the operation has responded, the
-// history drops it, every other settled operation and every fault record so
-// far: only pending operations stay, so the response of one the caller gave
-// up on still lands. IDs are never reused, and the fault counters
-// (System.FaultStats) are kept apart. Nothing that reads a whole history —
+// history drops it and every other settled operation so far: only pending
+// operations stay, so the response of one the caller gave up on still lands.
+// IDs are never reused. Nothing that reads a whole history —
 // a consistency check, a fingerprint — can use one that is taken from.
 func (h *History) Take(id int) (Op, error) {
 	op, err := h.OpByID(id)
@@ -242,7 +233,6 @@ func (h *History) Take(id int) (Op, error) {
 	clear(h.Ops[len(kept):]) // release the values
 	h.taken += len(h.Ops) - len(kept)
 	h.Ops = kept
-	h.Faults = h.Faults[:0]
 	return op, nil
 }
 

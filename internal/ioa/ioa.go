@@ -23,6 +23,12 @@
 // message (or a byte slice reachable from one) after sending it, which lets
 // snapshots share message payloads safely. A payload drawn from a pool
 // (Pooled) is shared only with its holder count raised.
+//
+// The slice of sends a step returns is the node's, not the caller's: a node
+// builds it in its Outbox and reuses the buffer on its next step, so both
+// consumers — System here and the wall-clock node runtime — read Effects.Sends
+// before they step that node again. Only the messages themselves are
+// allocated per step, and a broadcast's message is boxed once.
 package ioa
 
 import "fmt"
@@ -74,13 +80,63 @@ type Send struct {
 
 // Effects is everything a node does in reaction to one input event: messages
 // it sends plus, for clients, the completion of the outstanding operation.
+//
+// Sends is valid until the node's next Deliver or Invoke: a node may build
+// it in an Outbox it reuses for every step. Consumers read it before they
+// step the node again and copy what they keep.
 type Effects struct {
 	Sends    []Send
 	Response *Response
 }
 
+// Outbox is a node's reusable send buffer: one per node, so a step
+// allocates only the messages it sends, and a broadcast boxes its message
+// once for every destination. Add collects sends and Effects hands them out;
+// the first Add after that starts a new batch, clearing every slot the last
+// one used, so the buffer keeps a sent message (or pooled payload) reachable
+// only until the node's next send, never across batches of different
+// sizes. A node's Clone must give the copy a zero Outbox, never share one.
+type Outbox struct {
+	sends  []Send
+	handed bool // sends went out in an Effects; the next Add starts afresh
+}
+
+// Add appends one send to the current batch.
+func (o *Outbox) Add(to NodeID, msg Message) {
+	if o.handed {
+		clear(o.sends)
+		o.sends = o.sends[:0]
+		o.handed = false
+	}
+	o.sends = append(o.sends, Send{To: to, Msg: msg})
+}
+
+// Effects hands out the current batch, valid until the next Add.
+func (o *Outbox) Effects() Effects {
+	o.handed = true
+	if len(o.sends) == 0 {
+		return Effects{}
+	}
+	return Effects{Sends: o.sends}
+}
+
+// Reply sends msg to one node: the whole effect of a server's step.
+func (o *Outbox) Reply(to NodeID, msg Message) Effects {
+	o.Add(to, msg)
+	return o.Effects()
+}
+
+// All sends the same msg to every node in ids: a quorum phase's broadcast.
+func (o *Outbox) All(ids []NodeID, msg Message) Effects {
+	for _, id := range ids {
+		o.Add(id, msg)
+	}
+	return o.Effects()
+}
+
 // Node is a deterministic event-driven automaton. Deliver must be a pure
 // state transition: same state + same input => same new state and effects.
+// The effects' Sends stay valid until the node's next Deliver or Invoke.
 type Node interface {
 	// ID returns the node's identity.
 	ID() NodeID
@@ -88,7 +144,8 @@ type Node interface {
 	Deliver(from NodeID, msg Message) Effects
 	// Clone returns a deep copy of the node; used by snapshots. Immutable
 	// payloads (message byte slices) may be shared; pooled payloads
-	// (erasure shards) are shared only once retained for the copy.
+	// (erasure shards) are shared only once retained for the copy. The
+	// copy has an Outbox of its own.
 	Clone() Node
 }
 
@@ -180,46 +237,6 @@ type NodeFaultEvent struct {
 	Step    int
 	Node    NodeID
 	Recover bool
-}
-
-// FaultKind classifies a recorded fault event.
-type FaultKind int
-
-// Fault event kinds recorded in the history.
-const (
-	FaultDrop FaultKind = iota + 1
-	FaultDelay
-	FaultCrash
-	FaultRecover
-)
-
-// String names the fault kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultCrash:
-		return "crash"
-	case FaultRecover:
-		return "recover"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// FaultRecord is one fault event as it occurred in an execution. Records are
-// appended to the history so a run's fault trace is as replayable and
-// fingerprintable as its operation trace.
-type FaultRecord struct {
-	Step int
-	Kind FaultKind
-	// From and To identify the affected link for drop/delay records; for
-	// crash/recover records From is the affected node and To is unused.
-	From, To NodeID
-	// Delay is the number of steps a delayed message was held.
-	Delay int
 }
 
 // FaultStats aggregates an execution's fault events.

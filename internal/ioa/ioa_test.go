@@ -18,6 +18,7 @@ type echoServer struct {
 	id       NodeID
 	received []int
 	bits     int
+	out      Outbox
 }
 
 func (s *echoServer) ID() NodeID { return s.id }
@@ -29,7 +30,7 @@ func (s *echoServer) Deliver(from NodeID, msg Message) Effects {
 	}
 	s.received = append(s.received, p.Seq)
 	s.bits = 64 * len(s.received)
-	return Effects{Sends: []Send{{To: from, Msg: pongMsg{Seq: p.Seq}}}}
+	return s.out.Reply(from, pongMsg{Seq: p.Seq})
 }
 
 func (s *echoServer) Clone() Node {
@@ -49,6 +50,7 @@ type quorumClient struct {
 	busy    bool
 	seq     int
 	acks    int
+	out     Outbox
 }
 
 func (c *quorumClient) ID() NodeID { return c.id }
@@ -58,11 +60,7 @@ func (c *quorumClient) Invoke(inv Invocation) Effects {
 	c.busy = true
 	c.seq++
 	c.acks = 0
-	sends := make([]Send, 0, len(c.servers))
-	for _, s := range c.servers {
-		sends = append(sends, Send{To: s, Msg: pingMsg{Seq: c.seq}})
-	}
-	return Effects{Sends: sends}
+	return c.out.All(c.servers, pingMsg{Seq: c.seq})
 }
 
 func (c *quorumClient) Deliver(from NodeID, msg Message) Effects {
@@ -81,6 +79,7 @@ func (c *quorumClient) Deliver(from NodeID, msg Message) Effects {
 func (c *quorumClient) Clone() Node {
 	cp := *c
 	cp.servers = append([]NodeID(nil), c.servers...)
+	cp.out = Outbox{}
 	return &cp
 }
 
@@ -442,5 +441,41 @@ func TestHistoryPrecedence(t *testing.T) {
 	pending := Op{InvokeStep: 0, RespondStep: -1}
 	if pending.PrecedesOp(b) {
 		t.Error("pending op precedes nothing")
+	}
+}
+
+// TestOutboxReuse holds the Outbox to its contract: a batch is what was
+// added since the last Effects, in order; a broadcast carries one message
+// value to every destination; a new batch reuses the buffer and clears every
+// slot the last one used, so nothing handed out stays reachable from it.
+func TestOutboxReuse(t *testing.T) {
+	var o Outbox
+	if eff := o.Effects(); eff.Sends != nil {
+		t.Fatalf("an empty batch hands out %v, want nil sends", eff.Sends)
+	}
+	eff := o.All([]NodeID{1, 2, 3}, pingMsg{Seq: 7})
+	if len(eff.Sends) != 3 || eff.Sends[0].To != 1 || eff.Sends[2].To != 3 || eff.Sends[1].Msg != (pingMsg{Seq: 7}) {
+		t.Fatalf("broadcast = %+v", eff.Sends)
+	}
+	first := &eff.Sends[0]
+	eff = o.Reply(9, pongMsg{Seq: 8})
+	if len(eff.Sends) != 1 || eff.Sends[0] != (Send{To: 9, Msg: pongMsg{Seq: 8}}) {
+		t.Fatalf("reply = %+v", eff.Sends)
+	}
+	if &eff.Sends[0] != first {
+		t.Error("a new batch did not reuse the buffer")
+	}
+	for i, s := range o.sends[1:cap(o.sends)] {
+		if s != (Send{}) {
+			t.Errorf("slot %d still holds %+v from the last batch", i+1, s)
+		}
+	}
+	o.Add(4, pingMsg{Seq: 1})
+	o.Add(5, pingMsg{Seq: 2})
+	if eff := o.Effects(); len(eff.Sends) != 2 || eff.Sends[1].To != 5 {
+		t.Fatalf("added batch = %+v", eff.Sends)
+	}
+	if got := testing.AllocsPerRun(100, func() { o.Reply(9, pongMsg{Seq: 1}) }); got != 0 {
+		t.Errorf("a reply of an unboxed value allocates %.0f times in a grown outbox, want 0", got)
 	}
 }

@@ -549,12 +549,10 @@ func (s *System) applyNodeFaultEvents() {
 			if s.crashed[i] {
 				s.Recover(ev.Node)
 				s.faultStats.Recoveries++
-				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultRecover, From: ev.Node})
 			}
 		} else if !s.crashed[i] {
 			s.Crash(ev.Node)
 			s.faultStats.Crashes++
-			s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultCrash, From: ev.Node})
 		}
 	}
 }
@@ -883,14 +881,12 @@ func (s *System) applyEffects(actor int, eff Effects) error {
 				// released: the count its Pooled payload carries just
 				// never comes back, which is always safe.
 				s.faultStats.Drops++
-				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDrop, From: from, To: send.To})
 				continue
 			}
 			if delay > 0 {
 				readyAt += delay
 				s.faultStats.DelayedMessages++
 				s.faultStats.DelayStepsTotal += delay
-				s.hist.addFault(FaultRecord{Step: s.steps, Kind: FaultDelay, From: from, To: send.To, Delay: delay})
 			}
 		}
 		ch := s.ensureChan(actor, to)

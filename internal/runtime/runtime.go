@@ -226,8 +226,8 @@ type invokeEvent struct {
 // owner at a time — the loop or a reader: the node's loop, which holds own
 // for each drain batch, or a tcp reader that took own to deliver a frame
 // inline (tcpLink.inbound). Across a scheduled crash, ownership passes to
-// the WallClock's event goroutine (which joins the loop and excludes inline
-// deliveries first) and back to the next incarnation.
+// the goroutine firing the WallClock's event (which joins the loop and
+// excludes inline deliveries first) and back to the next incarnation.
 type nodeState struct {
 	id   ioa.NodeID
 	node ioa.Node
@@ -370,7 +370,8 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 
 // start launches one goroutine per node, then starts the wall clock: its
 // epoch is stamped after every loop is running, so a crash scheduled at step
-// 0 still finds a live incarnation to stop.
+// 0 still finds a live incarnation to stop, and has stopped it when start
+// returns — before the driver issues its first operation.
 func (rt *runtime) start() {
 	for _, ns := range rt.nodes {
 		rt.wg.Add(1)
@@ -492,7 +493,8 @@ func (rt *runtime) handlePosted(ns *nodeState, ev event) {
 	}
 }
 
-// crashNode stops a node mid-run: runs on the WallClock's event goroutine.
+// crashNode stops a node mid-run: runs where the WallClock fires its events
+// (inside start for a step-0 crash, else on the clock's event goroutine).
 // The incarnation's loop is signalled and joined, the node is detached from
 // the link (on TCP a server's endpoint closes and peers' in-flight frames
 // die as real network loss, counted by their senders; a client leaves the
@@ -550,9 +552,9 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 	}
 }
 
-// recoverNode restarts a crashed node from its durable image: runs on the
-// WallClock's event goroutine, strictly after the node's crash (the clock
-// fires all node events in schedule order on one goroutine). The new
+// recoverNode restarts a crashed node from its durable image: runs where
+// the WallClock fires its events, strictly after the node's crash (the clock
+// fires all node events in schedule order, one at a time). The new
 // incarnation is a pristine clone of the deployed automaton with the image
 // restored onto it — state changed since the node's last send is lost,
 // everything it sent survives — re-attached to the link (on TCP a server

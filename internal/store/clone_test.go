@@ -20,7 +20,15 @@ import (
 // original, and a test binary poisons what the pool takes back. A snapshot
 // holds its elements for good: restored after the original has collected
 // them away, it still reads the value it held.
+//
+// The outbox subtests cover all seven algorithms: every node a write and a
+// read step through is copied, the copy is cloned, and the two receive the
+// same message; their sends must not share a backing array, or one node's
+// next step would overwrite what the other handed out.
 func TestCloneIndependence(t *testing.T) {
+	for _, alg := range []string{AlgABD, AlgABDMW, AlgCAS, AlgCASGC, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo} {
+		t.Run(alg+"/outbox", func(t *testing.T) { testOutboxNotShared(t, alg) })
+	}
 	for _, alg := range []string{AlgCAS, AlgCASGC, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo} {
 		for _, mode := range []string{"clone", "snapshot"} {
 			t.Run(alg+"/"+mode, func(t *testing.T) {
@@ -116,5 +124,70 @@ func TestCloneIndependence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// testOutboxNotShared steps a write and a read of alg by hand, one FIFO
+// delivery at a time. Before each delivery, the receiving node is copied and
+// the copy, its outbox used by one delivery of the message, is cloned; then
+// copy and clone both receive the message. The message is retained once per
+// extra delivery, so pooled elements keep their counts right.
+func testOutboxNotShared(t *testing.T, alg string) {
+	cl, _, err := DeployShard(alg, 5, 1, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := cl.Sys
+	checked := 0
+	for _, op := range []struct {
+		client ioa.NodeID
+		inv    ioa.Invocation
+	}{
+		{cl.Writers[0], ioa.Invocation{Kind: ioa.OpWrite, Value: register.MakeValue(1024, 1)}},
+		{cl.Readers[0], ioa.Invocation{Kind: ioa.OpRead}},
+	} {
+		id, err := sys.Invoke(op.client, op.inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for steps := 0; !ioa.OpDone(id)(sys); steps++ {
+			ready := sys.DeliverableChannels()
+			if len(ready) == 0 || steps > 10000 {
+				t.Fatalf("%s op %d did not complete", op.inv.Kind, id)
+			}
+			k := ready[0]
+			var msg ioa.Message
+			sys.DeliverSelect(k.From, k.To, func(m ioa.Message) bool {
+				if msg == nil {
+					msg = m
+				}
+				return false
+			})
+			n, err := sys.Node(k.To)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := msg.(ioa.Pooled); ok {
+				p.Retain()
+				p.Retain()
+				p.Retain()
+			}
+			orig := n.Clone()
+			orig.Deliver(k.From, msg)
+			cp := orig.Clone()
+			a, b := orig.Deliver(k.From, msg), cp.Deliver(k.From, msg)
+			if len(a.Sends) > 0 && len(b.Sends) > 0 {
+				checked++
+				if &a.Sends[0] == &b.Sends[0] {
+					t.Fatalf("node %d (%T) and its clone share one outbox: %d->%d %T", k.To, n, k.From, k.To, msg)
+				}
+			}
+			if err := sys.Deliver(k.From, k.To); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no delivery made both a node and its clone send")
 	}
 }

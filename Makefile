@@ -9,7 +9,7 @@ GO ?= go
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/store ./internal/transport
 MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkSimBatch|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
 
-.PHONY: build cross test race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
+.PHONY: build cross test race runtime-race smoke-runs chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,27 @@ race:
 runtime-race:
 	$(GO) test -race -count=2 ./internal/runtime ./internal/transport
 
+# Every alternative of a smoke target's -run pattern must name a test of the
+# package it runs in (go test -list), or a renamed test would drop out of the
+# smoke step without failing it. The patterns are read off the targets' own
+# commands (make -n), so there is no second copy of them to keep in step.
+# Alternatives are split at '|', so a pattern must not group them.
+SMOKE_TARGETS = chaos-smoke check-smoke telemetry-smoke
+smoke-runs:
+	@set -e; runs=$$($(MAKE) -s -n $(SMOKE_TARGETS) \
+		| awk '/ test .*-run /{for (i = 1; i < NF; i++) if ($$i == "-run") {p = $$(i+1); gsub("\047", "", p); print p, $$NF}}'); \
+	[ -n "$$runs" ] || { echo "smoke-runs: no -run pattern found in $(SMOKE_TARGETS)"; exit 1; }; \
+	echo "$$runs" | while read pat pkg; do \
+		tests=$$($(GO) test -list . $$pkg | grep -E '^(Test|Example|Fuzz)'); \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			echo "$$tests" | grep -Eq "$$alt" || { echo "smoke-runs: -run alternative $$alt matches no test in $$pkg"; exit 1; }; \
+		done; \
+	done
+	@echo smoke-runs ok
+
 # Chaos smoke: the wall-clock fault scheduler's crash+partition behavior on
 # the live and net backends under the race detector — the chaos tests first
-# (snapshot-restore durability, partition gate timing and healing, goroutine
+# (recovery from a server's cloned image, partition gate timing and healing, goroutine
 # reaping, quorum-kill quiescence, the gate order in front of the link, each
 # over both links; a client crash and recovery on the clients' shared tcp
 # endpoint; a server crash while its reader delivers to it inline; casgc's
@@ -171,4 +189,4 @@ deprecated-check:
 	@echo deprecated-check ok
 
 # Exactly what CI runs.
-ci: build cross vet fmt-check apicheck deprecated-check race runtime-race chaos-smoke check-smoke load-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check
+ci: build cross vet fmt-check apicheck deprecated-check race runtime-race smoke-runs chaos-smoke check-smoke load-smoke telemetry-smoke examples fuzz-smoke bench-smoke bench-micro-smoke bench-check

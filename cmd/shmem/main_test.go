@@ -216,8 +216,9 @@ func TestParentOutput(t *testing.T) {
 	}
 }
 
-// backendRun is one run under a crash with recovery (the snapshot/restore
-// path on the wall-clock backends), a healing partition and a control.
+// backendRun is one run under a crash with recovery (from the servers'
+// cloned images on the wall-clock backends), a healing partition and a
+// control.
 func backendRun(backend string) []string {
 	return []string{"run", "-backend", backend, "-shards", "3", "-algo", "cas", "-keys", "8", "-ops", "18",
 		"-valuebytes", "64", "-optimeout", "2s", "-faults", "crash-f@10:400,partition@40:2500,none"}

@@ -63,15 +63,7 @@ var (
 	_ ioa.Node         = (*Server)(nil)
 	_ ioa.StorageMeter = (*Server)(nil)
 	_ ioa.Digester     = (*Server)(nil)
-	_ ioa.Recoverable  = (*Server)(nil)
 )
-
-// serverImage is the durable state an ABD replica persists across a crash:
-// the highest (tag, value) pair it has acknowledged.
-type serverImage struct {
-	tag   register.Tag
-	value []byte
-}
 
 // NewServer returns an ABD server automaton.
 func NewServer(id ioa.NodeID) *Server { return &Server{id: id} }
@@ -100,23 +92,6 @@ func (s *Server) Clone() ioa.Node {
 	cp := *s
 	cp.out = ioa.Outbox{}
 	return &cp
-}
-
-// Snapshot implements ioa.Recoverable: the replica's durable state is its
-// (tag, value) pair. The value is immutable and shared with the image.
-func (s *Server) Snapshot() ioa.NodeSnapshot {
-	return serverImage{tag: s.tag, value: s.value}
-}
-
-// Restore implements ioa.Recoverable.
-func (s *Server) Restore(snap ioa.NodeSnapshot) error {
-	img, ok := snap.(serverImage)
-	if !ok {
-		return fmt.Errorf("abd: server %d: foreign snapshot %T", s.id, snap)
-	}
-	s.tag = img.tag
-	s.value = img.value
-	return nil
 }
 
 // StorageBits implements ioa.StorageMeter: one value plus one tag.

@@ -109,8 +109,8 @@ func (r *record) bits() int {
 //
 // The server is the holder of every coded element in recs: it owns the
 // count a pre-write handed it, retains one for each readFinAck it sends and
-// for each record a Clone or Snapshot copies, and releases the records that
-// collection or a Restore drops.
+// for each record a Clone copies, and releases the records that collection
+// drops, or all of them on Release.
 type Server struct {
 	id      ioa.NodeID
 	recs    []record
@@ -125,28 +125,7 @@ var (
 	_ ioa.Node         = (*Server)(nil)
 	_ ioa.StorageMeter = (*Server)(nil)
 	_ ioa.Digester     = (*Server)(nil)
-	_ ioa.Recoverable  = (*Server)(nil)
 )
-
-// serverImage is the durable state a CAS replica persists across a crash:
-// its version log with its running totals and the highest finalized tag.
-// gcDepth is configuration, not state, and stays with the node. An image
-// holds its own count of its records' elements until its holder calls
-// Release.
-type serverImage struct {
-	recs       []record
-	bits, fins int
-	maxFin     register.Tag
-}
-
-// Release lets go of the image's count of every element it holds: its
-// holder calls it once, when a newer image replaces it. The image must not
-// be restored afterwards.
-func (img serverImage) Release() {
-	for _, r := range img.recs {
-		r.Shard.Release()
-	}
-}
 
 // NewServer returns a CAS server. gcDepth < 0 disables garbage collection
 // (plain CAS); gcDepth = δ keeps the δ+1 highest finalized versions (CASGC).
@@ -267,42 +246,25 @@ func (s *Server) StateDigest() string {
 	return out
 }
 
-// retained copies records, retaining every element for the copy.
-func retained(recs []record) []record {
-	out := slices.Clone(recs)
-	for _, r := range out {
-		r.Shard.Retain()
-	}
-	return out
-}
-
 // Clone implements ioa.Node. The copy holds its own count of every element:
 // the two servers collect, and release, independently.
 func (s *Server) Clone() ioa.Node {
 	cp := *s
-	cp.recs = retained(s.recs)
+	cp.recs = slices.Clone(s.recs)
+	for _, r := range cp.recs {
+		r.Shard.Retain()
+	}
 	cp.out = ioa.Outbox{}
 	return &cp
 }
 
-// Snapshot implements ioa.Recoverable: a copy of the version log plus the
-// finalization high-water mark, holding its own count of every element.
-func (s *Server) Snapshot() ioa.NodeSnapshot {
-	return serverImage{recs: retained(s.recs), bits: s.bits, fins: s.fins, maxFin: s.maxFin}
-}
-
-// Restore implements ioa.Recoverable. The records it replaces are released;
-// the image keeps its own.
-func (s *Server) Restore(snap ioa.NodeSnapshot) error {
-	img, ok := snap.(serverImage)
-	if !ok {
-		return fmt.Errorf("cas: server %d: foreign snapshot %T", s.id, snap)
-	}
+// Release lets go of the server's count of every element it holds: a
+// holder of a copy set aside (a durable image) calls it once, when it drops
+// the copy. The server must not be used afterwards.
+func (s *Server) Release() {
 	for _, r := range s.recs {
 		r.Shard.Release()
 	}
-	s.recs, s.bits, s.fins, s.maxFin = retained(img.recs), img.bits, img.fins, img.maxFin
-	return nil
 }
 
 // --- configuration ---

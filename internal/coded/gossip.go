@@ -28,7 +28,6 @@ var (
 	_ ioa.Node         = (*GossipServer)(nil)
 	_ ioa.StorageMeter = (*GossipServer)(nil)
 	_ ioa.Digester     = (*GossipServer)(nil)
-	_ ioa.Recoverable  = (*GossipServer)(nil)
 )
 
 // NewGossipServer returns a gossiping two-version server. peers must list
@@ -67,19 +66,11 @@ func (g *GossipServer) StorageBits() int { return g.inner.StorageBits() }
 // StateDigest implements ioa.Digester.
 func (g *GossipServer) StateDigest() string { return "g" + g.inner.StateDigest() }
 
-// Clone implements ioa.Node.
+// Clone implements ioa.Node. The peer list is configuration, fixed at
+// construction and never written, so the copy shares it.
 func (g *GossipServer) Clone() ioa.Node {
-	cp := &GossipServer{peers: append([]ioa.NodeID(nil), g.peers...)}
-	cp.inner = *(g.inner.Clone().(*Server))
-	return cp
+	return &GossipServer{inner: *(g.inner.Clone().(*Server)), peers: g.peers}
 }
-
-// Snapshot implements ioa.Recoverable. The peer list is configuration, not
-// durable state; only the inner two-version slots are imaged.
-func (g *GossipServer) Snapshot() ioa.NodeSnapshot { return g.inner.Snapshot() }
-
-// Restore implements ioa.Recoverable.
-func (g *GossipServer) Restore(snap ioa.NodeSnapshot) error { return g.inner.Restore(snap) }
 
 // DeployGossip builds a gossiping two-version SWSR cluster. The client
 // protocols are identical to the plain two-version register; only the

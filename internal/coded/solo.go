@@ -10,9 +10,11 @@ import (
 	"repro/internal/register"
 )
 
-// SoloServer stores exactly one coded element of an (N, k=N-f) code: the
+// SoloServer serves exactly one coded element of an (N, k=N-f) code: the
 // minimum conceivable storage, N/(N-f)·log2|V| total, matching the Theorem
-// B.1 (Singleton) bound with equality up to tag metadata.
+// B.1 (Singleton) bound with equality up to tag metadata. It also keeps the
+// element it last replaced (prev), which no read uses but StorageBits
+// meters, so its measured storage is twice that from the second write on.
 //
 // A server answers a read with its current element only. A read returns
 // the highest tag among its N-f replies, decoded, and asks again while that
@@ -28,7 +30,7 @@ import (
 type SoloServer struct {
 	id   ioa.NodeID
 	cur  slot
-	prev slot // previous version, metered and imaged but never read
+	prev slot // previous version: never read, but kept and metered from the second write on
 	out  ioa.Outbox
 }
 
@@ -36,13 +38,7 @@ var (
 	_ ioa.Node         = (*SoloServer)(nil)
 	_ ioa.StorageMeter = (*SoloServer)(nil)
 	_ ioa.Digester     = (*SoloServer)(nil)
-	_ ioa.Recoverable  = (*SoloServer)(nil)
 )
-
-// soloImage is the durable state a Solo replica persists across a crash.
-type soloImage struct {
-	cur, prev slot
-}
 
 // NewSoloServer returns a single-version coded server.
 func NewSoloServer(id ioa.NodeID) *SoloServer { return &SoloServer{id: id} }
@@ -72,10 +68,11 @@ func (s *SoloServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	}
 }
 
-// StorageBits implements ioa.StorageMeter. Only the current version counts
-// as retained storage once the previous is dropped; prev is transiently
-// non-empty only between a write's arrival and its overwrite, mirroring the
-// "single version" accounting of the classical coding setup.
+// StorageBits implements ioa.StorageMeter: the current version and the
+// previous one, each a tag plus its coded element. A write never empties
+// prev, it only replaces it, so from the second write on a server holds two
+// elements and is metered for both: twice the single-version storage the
+// classical coding setup assumes.
 func (s *SoloServer) StorageBits() int {
 	bits := 0
 	for _, sl := range []slot{s.cur, s.prev} {
@@ -98,22 +95,6 @@ func (s *SoloServer) Clone() ioa.Node {
 	cp := *s
 	cp.out = ioa.Outbox{}
 	return &cp
-}
-
-// Snapshot implements ioa.Recoverable.
-func (s *SoloServer) Snapshot() ioa.NodeSnapshot {
-	return soloImage{cur: s.cur, prev: s.prev}
-}
-
-// Restore implements ioa.Recoverable.
-func (s *SoloServer) Restore(snap ioa.NodeSnapshot) error {
-	img, ok := snap.(soloImage)
-	if !ok {
-		return fmt.Errorf("coded: solo server %d: foreign snapshot %T", s.id, snap)
-	}
-	s.cur = img.cur
-	s.prev = img.prev
-	return nil
 }
 
 // SoloConfig configures a Solo register.

@@ -98,7 +98,6 @@ var (
 	_ ioa.Node         = (*Server)(nil)
 	_ ioa.StorageMeter = (*Server)(nil)
 	_ ioa.Digester     = (*Server)(nil)
-	_ ioa.Recoverable  = (*Server)(nil)
 )
 
 // NewServer returns a two-version coded server.
@@ -168,28 +167,6 @@ func (s *Server) Clone() ioa.Node {
 	cp := *s
 	cp.out = ioa.Outbox{}
 	return &cp
-}
-
-// serverImage is the durable state a two-version replica persists across a
-// crash: its finalized and pending slots (shard payloads immutable, shared).
-type serverImage struct {
-	fin, pend slot
-}
-
-// Snapshot implements ioa.Recoverable.
-func (s *Server) Snapshot() ioa.NodeSnapshot {
-	return serverImage{fin: s.fin, pend: s.pend}
-}
-
-// Restore implements ioa.Recoverable.
-func (s *Server) Restore(snap ioa.NodeSnapshot) error {
-	img, ok := snap.(serverImage)
-	if !ok {
-		return fmt.Errorf("coded: server %d: foreign snapshot %T", s.id, snap)
-	}
-	s.fin = img.fin
-	s.pend = img.pend
-	return nil
 }
 
 // --- configuration ---

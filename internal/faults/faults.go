@@ -24,8 +24,8 @@ import (
 )
 
 // ErrUnsupported marks a fault-plan feature the selected execution backend
-// genuinely cannot execute — today, scheduled recovery of a node whose
-// automaton lacks the ioa.Recoverable snapshot surface. Backends wrap it so
+// genuinely cannot execute — today, scheduled recovery of a client, whose
+// pending operation dies with the crash. Backends wrap it so
 // callers branch with errors.Is(err, faults.ErrUnsupported) instead of
 // matching message text. (The wall-clock backends used to reject every
 // outage and crash schedule as "step-indexed and simulator-only"; those now
@@ -204,8 +204,8 @@ func (p *Plan) NextLinkChange(from, to ioa.NodeID, step int) int {
 
 // RecoveredNodes returns the nodes the plan schedules a recovery for,
 // deduplicated, in schedule order. Wall-clock backends use it to verify
-// every such node's automaton offers the ioa.Recoverable snapshot surface
-// before the run starts.
+// every such node is a server, and to give each a durable image, before the
+// run starts.
 func (p *Plan) RecoveredNodes() []ioa.NodeID {
 	var out []ioa.NodeID
 	seen := make(map[ioa.NodeID]bool)

@@ -36,8 +36,8 @@ import (
 // that calls Start, before it returns, the rest on the WallClock's event
 // goroutine. A backend's Crash hook stops the node (joining its loop is
 // allowed — neither goroutine has other duties meanwhile) and its Recover
-// hook restarts the node from its durable image, taken before its latest
-// sends left it.
+// hook restarts the node from its durable image, a clone of the automaton
+// taken before its latest sends left it.
 type NodeHooks struct {
 	Crash   func(node ioa.NodeID)
 	Recover func(node ioa.NodeID)

@@ -142,10 +142,17 @@ type Node interface {
 	ID() NodeID
 	// Deliver handles a message from another node.
 	Deliver(from NodeID, msg Message) Effects
-	// Clone returns a deep copy of the node; used by snapshots. Immutable
-	// payloads (message byte slices) may be shared; pooled payloads
-	// (erasure shards) are shared only once retained for the copy. The
-	// copy has an Outbox of its own.
+	// Clone returns a deep copy of the node; used by snapshots, and by the
+	// wall-clock backends as a server's durable image: a server the fault
+	// plan recovers is cloned before each of its effects' sends leaves it,
+	// and a scheduled recovery restarts it from a clone of that image, so
+	// state changed since its last send is lost and what any peer saw
+	// survives (the crash-recovery model the quorum arguments assume). A
+	// server keeps no volatile state, so a clone is all it stores.
+	// Immutable payloads (message byte slices) may be shared; pooled
+	// payloads (erasure shards) are shared only once retained for the copy,
+	// and a copy that retains them has a Release method its holder calls
+	// once when it drops the copy. The copy has an Outbox of its own.
 	Clone() Node
 }
 
@@ -165,36 +172,6 @@ type Client interface {
 // paper's log2|S_i| storage cost (see DESIGN.md, substitutions table).
 type StorageMeter interface {
 	StorageBits() int
-}
-
-// NodeSnapshot is an opaque durable-state image produced by a Recoverable
-// node. Images are self-contained: they must stay valid after the node that
-// produced them keeps mutating (immutable payloads — message byte slices,
-// erasure shards — may be shared, exactly as Clone shares them, pooled ones
-// retained). An image that retains pooled payloads has a Release method, as
-// in Pooled, which its holder calls once when it drops the image; an image
-// nobody releases leaves them to the garbage collector.
-type NodeSnapshot any
-
-// Recoverable is implemented by automata that support crash-recovery
-// durability: Snapshot captures the node's durable state, Restore replaces a
-// node's state from such an image. The wall-clock backends image a server the
-// fault plan recovers before each of its effects' sends leaves it and, on a
-// scheduled recovery, restart the node from that image — state changed since
-// its last send is lost, what any peer saw survives, which is precisely the
-// crash-recovery model the paper's storage bounds and the quorum arguments
-// reason about (a server must persist enough to survive failures). A node
-// without this surface can still crash permanently; only scheduled recovery
-// requires it.
-type Recoverable interface {
-	Node
-	// Snapshot returns a self-contained image of the node's durable state.
-	// It is called on the node's own execution context, never concurrently
-	// with Deliver/Invoke.
-	Snapshot() NodeSnapshot
-	// Restore replaces the node's state from an image a node of the same
-	// type produced. It errors on a foreign image.
-	Restore(snap NodeSnapshot) error
 }
 
 // Digester is implemented by nodes whose state can be fingerprinted

@@ -57,7 +57,7 @@ func TestPartitionGateTiming(t *testing.T) {
 // is written, EVERY server then crashes (discarding all volatile state; on
 // tcp its listener closes) and recovers from its image (on tcp, on a fresh
 // socket), and a subsequent read must return the value — which at that
-// point exists nowhere but in the restored snapshots. Crash, recovery and
+// point exists nowhere but in the servers' images. Crash, recovery and
 // checkpoint counts surface in FaultStats. The skip covers a slow host whose
 // write is still in flight at the total crash, which no durability rule can
 // save.

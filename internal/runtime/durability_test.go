@@ -31,19 +31,17 @@ func recoverLate(cl *cluster.Cluster) *faults.Plan {
 
 // imageLink is the chan link with a check in front: every send from a node
 // the plan recovers must leave no later than the image a recovery would
-// restart that node from, that is, the image restored onto a pristine clone
-// must have the live automaton's state digest.
+// restart that node from, that is, the image must have the live automaton's
+// state digest.
 type imageLink struct {
 	*chanLink
 	checked, ahead atomic.Int64
 }
 
 func (l *imageLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
-	if from.init != nil {
-		img := from.init.Clone()
-		restored := from.snap == nil || img.(ioa.Recoverable).Restore(from.snap) == nil
+	if from.image != nil {
 		l.checked.Add(1)
-		if !restored || img.(ioa.Digester).StateDigest() != from.node.(ioa.Digester).StateDigest() {
+		if from.image.(ioa.Digester).StateDigest() != from.node.(ioa.Digester).StateDigest() {
 			l.ahead.Add(1)
 		}
 	}

@@ -346,8 +346,6 @@ func (n *recNode) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 func (n *recNode) Clone() ioa.Node {
 	return &recNode{id: n.id, log: n.log, pause: n.pause, reply: n.reply}
 }
-func (n *recNode) Snapshot() ioa.NodeSnapshot          { return nil }
-func (n *recNode) Restore(snap ioa.NodeSnapshot) error { return nil }
 
 // onLoop reports whether its caller runs on a node loop.
 func onLoop() bool {
@@ -655,7 +653,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 			log := recordAll(rt, nil)
 			victim := rt.nodes[victimID]
 			victim.node.(*recNode).pause = 20 * time.Microsecond
-			victim.init = victim.node.Clone()
+			victim.image = victim.node.Clone()
 			rt.start()
 
 			codec, ok := wire.CodecFor(0x10) // abd.queryMsg
@@ -745,7 +743,7 @@ func TestClientCrashOnSharedEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	writer, victim, sibling := cl.Writers[0], cl.Readers[0], cl.Readers[1]
-	rt.nodes[victim].init = rt.nodes[victim].node.Clone()
+	rt.nodes[victim].image = rt.nodes[victim].node.Clone()
 	rt.start()
 	t.Cleanup(rt.stop)
 	l := rt.link.(*tcpLink)

@@ -37,13 +37,14 @@
 //     the window's wall-clock boundary, a crashed node's goroutine stops,
 //     its link attachment is severed and its volatile state (mailbox,
 //     queues, the automaton itself) is discarded, and a scheduled recovery
-//     restarts the node from its durable image (ioa.Recoverable). A node the
-//     plan recovers is imaged before each effect's first send leaves it, so
-//     nothing it acknowledged can be lost to a crash.
-//     Recovery for a node without the Snapshot/Restore surface is the one
-//     unsupported combination, rejected with faults.ErrUnsupported. Every
-//     gate runs before the link sees the message, so a dropped message is
-//     never encoded and never touches a socket.
+//     restarts the node from its durable image, a Clone of the automaton. A
+//     server the plan recovers is cloned before each effect's first send
+//     leaves it, so nothing it acknowledged can be lost to a crash.
+//     Recovery of a client, whose pending operation dies with the crash,
+//     is the one unsupported combination, rejected with
+//     faults.ErrUnsupported. Every gate runs before the link sees the
+//     message, so a dropped message is never encoded and never touches a
+//     socket.
 //   - Flow control: mailboxes are bounded and a sender facing a full one
 //     blocks up to sendTimeout (1s) before the message is dropped and
 //     counted in FaultStats.TransportDropped; on the TCP link the goroutine
@@ -252,10 +253,12 @@ type nodeState struct {
 	// Crash-recovery machinery. crashCh and loopDone belong to one
 	// incarnation of the node loop; the WallClock goroutine replaces them
 	// only between incarnations (after closing crashCh and joining
-	// loopDone), so the loop reads them race-free.
-	init     ioa.Node         // pristine automaton recovery restarts from; nil when no recovery is scheduled
-	snap     ioa.NodeSnapshot // owner-written image taken before the node's latest sends; nil until it first sends
-	down     atomic.Bool      // true between a crash and its recovery
+	// loopDone), so the loop reads them race-free. image is the automaton
+	// a recovery restarts a clone of: nil when no recovery is scheduled,
+	// else pristine, and for a server replaced by the owner with a clone
+	// taken before each effect's sends.
+	image    ioa.Node
+	down     atomic.Bool // true between a crash and its recovery
 	crashCh  chan struct{}
 	loopDone chan struct{}
 }
@@ -350,11 +353,11 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 			if ns == nil {
 				return nil, fmt.Errorf("runtime: fault plan schedules recovery of unknown node %d", id)
 			}
-			if _, ok := ns.node.(ioa.Recoverable); !ok {
-				return nil, fmt.Errorf("runtime: %w: node %d (%T) is scheduled to recover but has no Snapshot/Restore surface",
-					faults.ErrUnsupported, id, ns.node)
+			if ns.client {
+				return nil, fmt.Errorf("runtime: %w: node %d is a client scheduled to recover; only servers recover",
+					faults.ErrUnsupported, id)
 			}
-			ns.init = ns.node.Clone()
+			ns.image = ns.node.Clone()
 		}
 	}
 	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
@@ -555,25 +558,18 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 // recoverNode restarts a crashed node from its durable image: runs where
 // the WallClock fires its events, strictly after the node's crash (the clock
 // fires all node events in schedule order, one at a time). The new
-// incarnation is a pristine clone of the deployed automaton with the image
-// restored onto it — state changed since the node's last send is lost,
-// everything it sent survives — re-attached to the link (on TCP a server
-// gets a fresh endpoint peers redial on their next send, a client rejoins
-// the shared one). A node that never sent restarts pristine. No lock guards
-// ns.snap here: crashNode joined the loop and took and released own, so its
-// last writer is done.
+// incarnation is a clone of the node's image — state changed since the
+// node's last send is lost, everything it sent survives — re-attached to the
+// link (on TCP a server gets a fresh endpoint peers redial on their next
+// send, a client rejoins the shared one). A node that never sent restarts
+// pristine. No lock guards ns.image here: crashNode joined the loop and took
+// and released own, so its last writer is done.
 func (rt *runtime) recoverNode(id ioa.NodeID) {
 	ns := rt.nodes[id]
-	if ns == nil || !ns.down.Load() || ns.init == nil {
+	if ns == nil || !ns.down.Load() || ns.image == nil {
 		return
 	}
-	node := ns.init.Clone()
-	if ns.snap != nil {
-		// Same automaton type by construction; Restore cannot reject it.
-		if err := node.(ioa.Recoverable).Restore(ns.snap); err != nil {
-			return // leave the node down rather than rejoin with bogus state
-		}
-	}
+	node := ns.image.Clone()
 	rt.discardVolatile(ns) // events that raced the detach die with the crash
 	if err := rt.link.up(ns); err != nil {
 		return // no attachment, no rejoin; the node stays down
@@ -622,8 +618,9 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 // operation interval to that point is sound for the checkers — the
 // linearization point of a quorum operation precedes response
 // determination), dispatches the sends, and refreshes the storage meters.
-// A node the plan recovers is imaged before the first send leaves it: the
-// one durability rule, so a recovery never rolls back anything a peer saw.
+// A server the plan recovers is cloned into its image before the first send
+// leaves it: the one durability rule, so a recovery never rolls back
+// anything a peer saw.
 func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 	if eff.Response != nil && ns.pendingDone != nil {
 		out := eff.Response.Value
@@ -636,14 +633,12 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 		ns.pendingDone <- out // buffered, single outstanding op: never blocks
 		ns.pendingDone = nil
 	}
-	if ns.init != nil && len(eff.Sends) > 0 {
-		if r, ok := ns.node.(ioa.Recoverable); ok { // a node without the surface recovers pristine
-			if old, ok := ns.snap.(interface{ Release() }); ok {
-				old.Release() // the new image replaces it, and a recovery restores only the newest
-			}
-			ns.snap = r.Snapshot()
-			rt.checkpoints.Add(1)
+	if ns.image != nil && !ns.client && len(eff.Sends) > 0 {
+		if old, ok := ns.image.(interface{ Release() }); ok {
+			old.Release() // the new image replaces it, and a recovery clones only the newest
 		}
+		ns.image = ns.node.Clone()
+		rt.checkpoints.Add(1)
 	}
 	for _, send := range eff.Sends {
 		rt.send(ns, send)

@@ -153,9 +153,9 @@ func TestPartitionHealsAndCompletes(t *testing.T) {
 	})
 }
 
-// bareServer is a minimal automaton WITHOUT the ioa.Recoverable surface,
-// for pinning the one fault-plan combination the runtime still rejects:
-// scheduled recovery of a node that cannot snapshot its state.
+// bareServer is a minimal server with the ioa.Node surface and nothing
+// else: its durable image is its Clone, so it crashes and recovers like any
+// server.
 type bareServer struct{ id ioa.NodeID }
 
 func (s *bareServer) ID() ioa.NodeID                                       { return s.id }
@@ -190,11 +190,11 @@ func bareCluster(t *testing.T) *cluster.Cluster {
 }
 
 // TestUnsupportedPlansAreTyped pins the remaining eager rejections and their
-// type: the random crash budget, and scheduled recovery of a node without a
-// Snapshot/Restore surface, both surface as faults.ErrUnsupported via
-// errors.Is before any goroutine starts or socket opens. Outage windows and
-// crash schedules themselves are not rejected (see the chaos tests), and a
-// crash WITHOUT scheduled recovery needs no snapshot surface.
+// type: the random crash budget, and scheduled recovery of a client, both
+// surface as faults.ErrUnsupported via errors.Is before any goroutine starts
+// or socket opens. Outage windows and crash schedules themselves are not
+// rejected (see the chaos tests), and a server with only the ioa.Node
+// surface crashes, with or without a scheduled recovery, and recovers.
 func TestUnsupportedPlansAreTyped(t *testing.T) {
 	overLinks(t, func(t *testing.T, backend string) {
 		cl, _ := deploy(t, store.AlgCAS, 5, 1, 1, 1)
@@ -203,18 +203,31 @@ func TestUnsupportedPlansAreTyped(t *testing.T) {
 			t.Errorf("crash budget: err = %v, want faults.ErrUnsupported", err)
 		}
 
-		plan := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5, RecoverStep: 10}}}
-		_, err = runtime.RunConfig(backend, bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, FaultPlan: plan}, runtime.Config{}, nil, nil)
+		clientPlan := &faults.Plan{Crashes: []faults.Crash{{Node: 101, Step: 5, RecoverStep: 10}}}
+		_, err = runtime.RunConfig(backend, bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8, FaultPlan: clientPlan}, runtime.Config{}, nil, nil)
 		if !errors.Is(err, faults.ErrUnsupported) {
-			t.Errorf("recovery without snapshot surface: err = %v, want faults.ErrUnsupported", err)
+			t.Errorf("recovery of a client: err = %v, want faults.ErrUnsupported", err)
 		}
 
 		noRecover := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 5}}}
 		in, err := runtime.OpenInteractive(backend, bareCluster(t), noRecover, runtime.Config{}, nil)
 		if err != nil {
-			t.Fatalf("crash-only plan on a node without a snapshot surface: %v", err)
+			t.Fatalf("crash-only plan on a bare server: %v", err)
 		}
 		in.Close()
+
+		recovers := &faults.Plan{Crashes: []faults.Crash{{Node: 1, Step: 0, RecoverStep: 5}}}
+		in, err = runtime.OpenInteractive(backend, bareCluster(t), recovers, runtime.Config{StepDur: time.Millisecond}, nil)
+		if err != nil {
+			t.Fatalf("crash+recovery plan on a bare server: %v", err)
+		}
+		defer in.Close()
+		for deadline := time.Now().Add(5 * time.Second); in.FaultStats().Recoveries == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if fs := in.FaultStats(); fs.Crashes != 1 || fs.Recoveries != 1 {
+			t.Errorf("bare server: %d crashes, %d recoveries; want 1, 1", fs.Crashes, fs.Recoveries)
+		}
 	})
 	if _, err := runtime.RunConfig("carrier-pigeon", bareCluster(t), workload.Spec{Writes: 1, TargetNu: 1, ValueBytes: 8}, runtime.Config{}, nil, nil); err == nil {
 		t.Error("unknown backend name accepted")

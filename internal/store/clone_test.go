@@ -11,15 +11,16 @@ import (
 // TestCloneIndependence is the clone guard at unit scale for every coded
 // server: cas.Server (CAS, CASGC), coded.Server (twoversion),
 // coded.GossipServer and coded.SoloServer. After a few writes, each server
-// is copied — by Clone, or by Snapshot onto a fresh server's Restore — and
-// the copies, with clones of the clients, are driven through more writes
-// (past CASGC's collection depth), reads and collection in a system of
-// their own. The originals' digests must not move, and the original system
-// must still read the value it held: a copy that shares a pooled element
-// without retaining it would release it back to the pool under the
-// original, and a test binary poisons what the pool takes back. A snapshot
-// holds its elements for good: restored after the original has collected
-// them away, it still reads the value it held.
+// is copied — by Clone, or, in the snapshot mode, by a clone of the image
+// a recovering server keeps (itself a Clone, set aside) — and the copies,
+// with clones of the clients, are driven through more writes (past CASGC's
+// collection depth), reads and collection in a system of their own. The
+// originals' digests must not move, and the original system must still
+// read the value it held: a copy that shares a pooled element without
+// retaining it would release it back to the pool under the original, and a
+// test binary poisons what the pool takes back. An image holds its
+// elements for good: cloned again after the original has collected them
+// away, it still reads the value it held.
 //
 // The outbox subtests cover all seven algorithms: every node a write and a
 // read step through is copied, the copy is cloned, and the two receive the
@@ -32,13 +33,6 @@ func TestCloneIndependence(t *testing.T) {
 	for _, alg := range []string{AlgCAS, AlgCASGC, AlgTwoVersion, AlgTwoVersionGossip, AlgSolo} {
 		for _, mode := range []string{"clone", "snapshot"} {
 			t.Run(alg+"/"+mode, func(t *testing.T) {
-				deploy := func() *ioa.System {
-					cl, _, err := DeployShard(alg, 5, 1, 1, 0, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return cl.Sys
-				}
 				orig, _, err := DeployShard(alg, 5, 1, 1, 0, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -85,24 +79,16 @@ func TestCloneIndependence(t *testing.T) {
 				write(orig.Sys, 1)
 				held := write(orig.Sys, 2)
 				digests := map[ioa.NodeID]string{}
-				images := map[ioa.NodeID]ioa.NodeSnapshot{}
+				images := map[ioa.NodeID]ioa.Node{}
 				for _, id := range orig.Servers {
 					n := node(orig.Sys, id)
 					digests[id] = n.(ioa.Digester).StateDigest()
-					images[id] = n.(ioa.Recoverable).Snapshot()
+					images[id] = n.Clone()
 				}
-				restore := func(fresh *ioa.System) func(ioa.NodeID, ioa.Node) ioa.Node {
-					return func(id ioa.NodeID, _ ioa.Node) ioa.Node {
-						n := node(fresh, id)
-						if err := n.(ioa.Recoverable).Restore(images[id]); err != nil {
-							t.Fatal(err)
-						}
-						return n
-					}
-				}
+				restore := func(id ioa.NodeID, _ ioa.Node) ioa.Node { return images[id].Clone() }
 				copyOf := func(_ ioa.NodeID, n ioa.Node) ioa.Node { return n.Clone() }
 				if mode == "snapshot" {
-					copyOf = restore(deploy())
+					copyOf = restore
 				}
 				copies := assemble(copyOf)
 
@@ -120,7 +106,7 @@ func TestCloneIndependence(t *testing.T) {
 					for seed := uint64(20); seed < 24; seed++ {
 						write(orig.Sys, seed)
 					}
-					read(assemble(restore(deploy())), held, "a late restore")
+					read(assemble(restore), held, "a late restore")
 				}
 			})
 		}

@@ -38,7 +38,11 @@ func (l *chanLink) sampler(*telemetry.Registry, telemetry.Label) func() { return
 // counted — loss the unordered lossy channel model already admits. Per-link
 // FIFO is preserved: siphoned events are handled before anything still in
 // the mailbox, in arrival order. A timer goroutine has no mailbox to siphon;
-// it blocks plainly with the deadline.
+// it blocks plainly with the deadline (post). The fast path touches only the
+// target mailbox: a lock-free poll of done (a stopped runtime sends nothing),
+// then a non-blocking send that locks the mailbox alone. The runtime-wide
+// done channel, the sender's crashCh, its own mailbox and the deadline are
+// selected on only once the target is full.
 func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoop bool) {
 	rt, to := l.rt, l.rt.nodes[toID]
 	if to.down.Load() {
@@ -50,10 +54,11 @@ func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoo
 		rt.post(to, ev, sendTimeout)
 		return
 	}
+	if rt.stopping() {
+		return
+	}
 	select {
 	case to.mb <- ev:
-		return
-	case <-rt.done:
 		return
 	default:
 	}

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -133,4 +135,101 @@ func TestDelayTimersStoppedOnClose(t *testing.T) {
 			t.Fatal("stop did not mark the runtime stopped")
 		}
 	})
+}
+
+// TestPostAfterStopIsRefused posts into a mailbox with room to spare after
+// the runtime stopped: every post must be refused, not enqueued on the toss
+// of a two-way select between the mailbox and done, so an operation that
+// races Close fails at once instead of sitting out its OpTimeout. On the
+// chan link an in-loop send after the stop must leave the mailbox empty too.
+func TestPostAfterStopIsRefused(t *testing.T) {
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		const n = 1000
+		rt := &runtime{done: make(chan struct{})}
+		rt.link = mkLink(rt)
+		from := &nodeState{id: 1, mb: make(chan event, 1), crashCh: make(chan struct{})}
+		to := &nodeState{id: 2, mb: make(chan event, n)}
+		rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
+		close(rt.done)
+		for i := 0; i < n; i++ {
+			if rt.post(to, event{msg: i}, sendTimeout) {
+				t.Fatalf("post %d after stop was enqueued", i)
+			}
+		}
+		if l, ok := rt.link.(*chanLink); ok {
+			for i := 0; i < n; i++ {
+				l.send(from, to.id, i, true)
+			}
+		}
+		if q := len(to.mb); q != 0 {
+			t.Fatalf("%d events enqueued after stop", q)
+		}
+	})
+}
+
+// TestBlockedSendReleasedByStop blocks a node loop's chan-link send and a
+// post on a full mailbox (capacity 1, no consumer) and then stops the
+// runtime: the blocked path is the only place the sends still select on
+// done, so both must return well before sendTimeout, and a send cut short
+// by shutdown is neither backpressure loss nor a crashed sender's message.
+func TestBlockedSendReleasedByStop(t *testing.T) {
+	rt := &runtime{done: make(chan struct{})}
+	l := &chanLink{rt: rt}
+	rt.link = l
+	from := &nodeState{id: 1, mb: make(chan event, 1), crashCh: make(chan struct{})}
+	to := &nodeState{id: 2, mb: make(chan event, 1)}
+	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
+	to.mb <- event{}
+
+	sent, posted := make(chan struct{}), make(chan bool, 1)
+	go func() {
+		defer close(sent)
+		l.send(from, to.id, "in-loop", true)
+	}()
+	go func() { posted <- rt.post(to, event{msg: "posted"}, sendTimeout) }()
+	eventually(t, "both senders parked on the full mailbox", func() bool {
+		return parkedInSelect("(*chanLink).send(") && parkedInSelect("(*runtime).post(")
+	})
+	select {
+	case <-sent:
+		t.Fatal("in-loop send returned before stop with the target full")
+	case <-posted:
+		t.Fatal("post returned before stop with the target full")
+	default:
+	}
+
+	close(rt.done)
+	deadline := time.After(200 * time.Millisecond)
+	select {
+	case <-sent:
+	case <-deadline:
+		t.Fatal("in-loop send still blocked 200ms after stop")
+	}
+	select {
+	case ok := <-posted:
+		if ok {
+			t.Fatal("post blocked on a full mailbox reported success after stop")
+		}
+	case <-deadline:
+		t.Fatal("post still blocked 200ms after stop")
+	}
+	if o, d := rt.overflow.Load(), l.dead.Load(); o != 0 || d != 0 {
+		t.Fatalf("shutdown counted as loss: overflow %d, dead %d", o, d)
+	}
+	if q := len(to.mb); q != 1 {
+		t.Fatalf("target mailbox holds %d events, want only the one that filled it", q)
+	}
+}
+
+// parkedInSelect reports whether some goroutine is parked in a select inside
+// the function whose stack frame contains fn.
+func parkedInSelect(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:goruntime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte(fn)) {
+			return true
+		}
+	}
+	return false
 }

@@ -409,6 +409,19 @@ func (rt *runtime) stop() {
 	rt.wg.Wait()
 }
 
+// stopping reports whether stop has closed done. A one-case select with a
+// default reads an open, empty channel without taking its lock, so the
+// per-message paths poll done here and select on it, with every node
+// goroutine contending for its one lock, only once they have to block.
+func (rt *runtime) stopping() bool {
+	select {
+	case <-rt.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // after schedules f to run once after d, tracking the timer so stop can
 // cancel it: an untracked time.AfterFunc would leak every in-flight delay
 // timer past Close and keep firing into a dead runtime.
@@ -425,9 +438,7 @@ func (rt *runtime) after(d time.Duration, f func()) {
 		rt.timerMu.Lock()
 		delete(rt.timers, t)
 		rt.timerMu.Unlock()
-		select {
-		case <-rt.done:
-		default:
+		if !rt.stopping() {
 			f()
 		}
 	})
@@ -450,11 +461,12 @@ func (rt *runtime) loop(ns *nodeState) {
 	for {
 		if len(ns.deferred) > 0 {
 			select {
-			case <-rt.done:
-				return
 			case <-crashed:
 				return
 			default:
+			}
+			if rt.stopping() {
+				return
 			}
 			ev := ns.deferred[0]
 			ns.deferred[0] = event{} // the backing array must not pin the handled message
@@ -695,17 +707,21 @@ func (rt *runtime) dispatch(from *nodeState, to ioa.NodeID, msg ioa.Message, inL
 }
 
 // post enqueues with backpressure from outside any node loop — a driver, a
-// timer or a transport reader: the fast path is a non-blocking channel send;
-// a full mailbox blocks the caller up to timeout, after which the event is
-// dropped and counted. A blocked transport reader stops consuming its
-// socket, so on the TCP link the pressure propagates to the peer through
-// TCP flow control. It reports whether the event was enqueued.
+// timer or a transport reader. The fast path touches only the target
+// mailbox: a lock-free poll of done (a stopped runtime refuses every post),
+// then a non-blocking send that locks the mailbox alone. Only a full mailbox
+// pays for the multi-way select, which also watches done: the caller blocks
+// up to timeout, after which the event is dropped and counted. A blocked
+// transport reader stops consuming its socket, so on the TCP link the
+// pressure propagates to the peer through TCP flow control. It reports
+// whether the event was enqueued.
 func (rt *runtime) post(to *nodeState, ev event, timeout time.Duration) bool {
+	if rt.stopping() {
+		return false
+	}
 	select {
 	case to.mb <- ev:
 		return true
-	case <-rt.done:
-		return false
 	default:
 	}
 	t := time.NewTimer(timeout)

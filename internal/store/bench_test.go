@@ -1,9 +1,10 @@
 package store
 
 import (
-	"runtime"
+	goruntime "runtime"
 	"testing"
 
+	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func BenchmarkSimBatch(b *testing.B) {
 		Shards:     4,
 		Backend:    "sim",
 		Seed:       1,
-		Workers:    runtime.NumCPU(),
+		Workers:    goruntime.NumCPU(),
 	}
 	spec := workload.MultiSpec{
 		Seed: 1, Keys: 64, Ops: 2000, ReadFraction: 0.3, Skew: "zipf",
@@ -40,4 +41,43 @@ func BenchmarkSimBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Ops), "ns/simop")
+}
+
+// BenchmarkLiveBatch is BenchmarkSimBatch's twin on the live backend: one
+// batch of the benchmark's live-abd-64b-pipe shape through Run — abd-mwmr on
+// five servers (f = 1), two writers and two readers each keeping 8
+// operations in flight, 64 B values, every settled operation streamed into
+// the online checker. An iteration is an 8,000-operation batch on fresh
+// node goroutines, so ns/liveop is the mailbox hop, the automaton step and
+// the checker per operation, plus the batch's share of setting a cluster up.
+func BenchmarkLiveBatch(b *testing.B) {
+	cfg, err := Config{
+		Algorithms:  []string{AlgABDMW},
+		Servers:     5,
+		F:           1,
+		Writers:     2,
+		Readers:     2,
+		Backend:     "live",
+		Seed:        1,
+		Net:         runtime.Config{Pipeline: 8},
+		OnlineCheck: true,
+	}.Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := workload.MultiSpec{
+		Seed: 1, Keys: 64, Ops: 8000, ReadFraction: 0.3, TargetNu: 2, ValueBytes: 64,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalOps != spec.Ops || res.QuiescentShards != 0 {
+			b.Fatalf("batch ran %d operations with %d quiescent shards, want %d and none",
+				res.TotalOps, res.QuiescentShards, spec.Ops)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Ops), "ns/liveop")
 }

@@ -4,10 +4,11 @@ GO ?= go
 # GF(2^8)/erasure coding, linearizability checker, the CAS server's collector,
 # the node runtime's interactive 64 KiB path, the standing simulator store's
 # interactive 1 KiB path, one batch of the benchmark's simulator grid and one
-# of its live pipelined abd-mwmr workload, the TCP transport's 64 B round trip and five-peer fan-out, and one client's
+# of its pipelined abd-mwmr workload on each of the live and net backends, the
+# TCP transport's 64 B round trip and five-peer fan-out, and one client's
 # five-server query round through the runtime's tcp link).
 MICRO_PKGS = ./internal/gf ./internal/erasure ./internal/ioa ./internal/consistency ./internal/cas ./internal/runtime ./internal/session ./internal/store ./internal/transport
-MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkSimBatch|BenchmarkLiveBatch|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
+MICRO_BENCH = 'BenchmarkMulSlice|BenchmarkEncodeDecode|BenchmarkEncode64K|BenchmarkDecodeParity64K|BenchmarkFairRunSweep|BenchmarkRandomRunSweep|BenchmarkCheckAtomicDense|BenchmarkCheckAtomicLarge|BenchmarkObserveLargeValues|BenchmarkServerGC|BenchmarkInteractive64K|BenchmarkInteractiveSim|BenchmarkSimBatch|BenchmarkLiveBatch|BenchmarkNetBatch|BenchmarkEndpointRoundTrip|BenchmarkEndpointFanOut|BenchmarkTCPLinkQuorum'
 
 .PHONY: build cross test race runtime-race smoke-runs chaos-smoke check-smoke load-smoke telemetry-smoke bench bench-smoke bench-micro bench-micro-smoke bench-check fuzz-smoke examples fmt fmt-check vet apicheck apicheck-update deprecated-check ci
 
@@ -65,11 +66,12 @@ smoke-runs:
 # pooled coded elements under a crash, delays and loss; the durability
 # rule: no send from a recovering server ahead of its image, and an
 # acknowledged write surviving an immediate crash of every server; a send
-# blocked on a full mailbox released by shutdown, and a post after shutdown
-# refused), then a small `shmem grid` scenario matrix driving the whole grid
+# blocked on a full mailbox released by shutdown, a post after shutdown
+# refused, and shutdown closing each live loop's crash channel once, after
+# a crash for good and after a recovery), then a small `shmem grid` scenario matrix driving the whole grid
 # over real goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash|BlockedSendReleasedByStop|PostAfterStopIsRefused' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash|BlockedSendReleasedByStop|PostAfterStopIsRefused|StopClosesEachLoopOnce' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

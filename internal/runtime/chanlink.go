@@ -42,7 +42,11 @@ func (l *chanLink) sampler(*telemetry.Registry, telemetry.Label) func() { return
 // target mailbox: a lock-free poll of done (a stopped runtime sends nothing),
 // then a non-blocking send that locks the mailbox alone. The runtime-wide
 // done channel, the sender's crashCh, its own mailbox and the deadline are
-// selected on only once the target is full.
+// selected on only once the target is full. stop closes done and then the
+// crashCh of every live incarnation: a parked send wakes through done, but
+// one that siphoned meanwhile finds both closed at its next select and may
+// take crashCh, so there it polls done. A shutdown counts neither as a
+// crashed sender's message nor as overflow.
 func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoop bool) {
 	rt, to := l.rt, l.rt.nodes[toID]
 	if to.down.Load() {
@@ -71,9 +75,14 @@ func (l *chanLink) send(from *nodeState, toID ioa.NodeID, msg ioa.Message, inLoo
 		case own := <-from.mb:
 			from.deferred = append(from.deferred, own)
 		case <-from.crashCh:
+			if rt.stopping() {
+				return // stop closed crashCh after done: a shutdown, not a crash
+			}
 			// The sender's incarnation was crashed while blocked here; the
 			// undelivered message dies with it, and its loop notices the
-			// crash as soon as this send unwinds.
+			// crash as soon as this send unwinds. A crash cannot race
+			// stop's close of done: stop stops the wall clock first, and
+			// crashNode joins this loop before it returns.
 			l.dead.Add(1)
 			return
 		case <-t.C:

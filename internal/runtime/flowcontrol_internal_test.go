@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	goruntime "runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,33 +174,72 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 // runtime: the blocked path is the only place the sends still select on
 // done, so both must return well before sendTimeout, and a send cut short
 // by shutdown is neither backpressure loss nor a crashed sender's message.
+// The stop is made twice: by a bare close of done, and by signalStop, which
+// closes the sender's crashCh right after done. A parked send is always woken
+// by the first close, done; so in the signalStop subtest a pump keeps
+// feeding the sender's own mailbox, the send keeps siphoning and re-entering
+// its select, and a stop that lands between two selects leaves done and
+// crashCh both closed at the next one, either of which may win: woken
+// through crashCh, the send must tell the shutdown from a crash. The post
+// runs on both links; the in-loop send is the chan link's own.
 func TestBlockedSendReleasedByStop(t *testing.T) {
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		t.Run("close-done", func(t *testing.T) {
+			testBlockedSendReleased(t, mkLink, func(rt *runtime) { close(rt.done) }, false)
+		})
+		t.Run("signalStop", func(t *testing.T) {
+			testBlockedSendReleased(t, mkLink, (*runtime).signalStop, true)
+		})
+	})
+}
+
+func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func(*runtime), pump bool) {
 	rt := &runtime{done: make(chan struct{})}
-	l := &chanLink{rt: rt}
-	rt.link = l
+	rt.link = mkLink(rt)
+	l, chanLinked := rt.link.(*chanLink)
 	from := &nodeState{id: 1, mb: make(chan event, 1), crashCh: make(chan struct{})}
-	to := &nodeState{id: 2, mb: make(chan event, 1)}
+	to := &nodeState{id: 2, mb: make(chan event, 1), crashCh: make(chan struct{})}
 	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
 	to.mb <- event{}
 
 	sent, posted := make(chan struct{}), make(chan bool, 1)
 	go func() {
 		defer close(sent)
-		l.send(from, to.id, "in-loop", true)
+		if chanLinked {
+			l.send(from, to.id, "in-loop", true)
+		}
 	}()
 	go func() { posted <- rt.post(to, event{msg: "posted"}, sendTimeout) }()
-	eventually(t, "both senders parked on the full mailbox", func() bool {
-		return parkedInSelect("(*chanLink).send(") && parkedInSelect("(*runtime).post(")
+	eventually(t, "the senders parked on the full mailbox", func() bool {
+		return (!chanLinked || parkedInSelect("(*chanLink).send(")) && parkedInSelect("(*runtime).post(")
 	})
 	select {
 	case <-sent:
-		t.Fatal("in-loop send returned before stop with the target full")
+		if chanLinked {
+			t.Fatal("in-loop send returned before stop with the target full")
+		}
 	case <-posted:
 		t.Fatal("post returned before stop with the target full")
 	default:
 	}
 
-	close(rt.done)
+	if pump && chanLinked {
+		quit := make(chan struct{})
+		defer close(quit)
+		var pumped atomic.Int64
+		go func() {
+			for {
+				select {
+				case from.mb <- event{msg: "own"}:
+					pumped.Add(1)
+				case <-quit:
+					return
+				}
+			}
+		}()
+		eventually(t, "the blocked send siphoning its own mailbox", func() bool { return pumped.Load() >= 100 })
+	}
+	stop(rt)
 	deadline := time.After(200 * time.Millisecond)
 	select {
 	case <-sent:
@@ -213,12 +254,108 @@ func TestBlockedSendReleasedByStop(t *testing.T) {
 	case <-deadline:
 		t.Fatal("post still blocked 200ms after stop")
 	}
-	if o, d := rt.overflow.Load(), l.dead.Load(); o != 0 || d != 0 {
-		t.Fatalf("shutdown counted as loss: overflow %d, dead %d", o, d)
+	if o := rt.overflow.Load(); o != 0 {
+		t.Fatalf("shutdown counted as overflow: %d", o)
+	}
+	if chanLinked {
+		if d := l.dead.Load(); d != 0 {
+			t.Fatalf("shutdown counted as a crashed sender's message: dead %d", d)
+		}
 	}
 	if q := len(to.mb); q != 1 {
 		t.Fatalf("target mailbox holds %d events, want only the one that filled it", q)
 	}
+}
+
+// TestStopClosesEachLoopOnce stops a running cluster on each link after a
+// server crashed for good (crashNode closed its crashCh before the stop) and
+// after a server crashed and recovered (its new incarnation has a fresh
+// crashCh), once mid-run with operations in flight and once after every
+// operation returned. stop must close each live incarnation's crashCh once —
+// a second close panics — and skip the crashed one, and every node loop
+// must have exited when stop returns.
+func TestStopClosesEachLoopOnce(t *testing.T) {
+	plans := []struct {
+		name, spec string
+		recoveries int
+	}{
+		{"crashed", "crash-f@0", 0},
+		{"recovered", "crash-f@0:20", 1},
+	}
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		for _, p := range plans {
+			for _, midRun := range []bool{true, false} {
+				name := p.name + "/after-run"
+				if midRun {
+					name = p.name + "/mid-run"
+				}
+				t.Run(name, func(t *testing.T) {
+					sc, err := faults.Parse(p.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plan, err := sc.Build(3, 1, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cl := abdCluster(t)
+					rt, err := newRuntime(cl, plan, Config{}, nil, mkLink)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rt.start()
+					eventually(t, "the plan's crash and recovery", func() bool {
+						return rt.wc.Crashes() == 1 && rt.wc.Recoveries() == p.recoveries
+					})
+
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var wg sync.WaitGroup
+					var completed atomic.Int64
+					for _, c := range []struct {
+						id   ioa.NodeID
+						kind ioa.OpKind
+					}{{cl.Writers[0], ioa.OpWrite}, {cl.Readers[0], ioa.OpRead}} {
+						wg.Add(1)
+						go func(id ioa.NodeID, kind ioa.OpKind) {
+							defer wg.Done()
+							for i := 0; midRun || i < 20; i++ {
+								if ctx.Err() != nil {
+									return
+								}
+								inv := ioa.Invocation{Kind: kind}
+								if kind == ioa.OpWrite {
+									inv.Value = []byte{byte(i)}
+								}
+								if _, _, ok := rt.invokeAsync(id, inv).wait(ctx, time.Second); ok {
+									completed.Add(1)
+								}
+							}
+						}(c.id, c.kind)
+					}
+					if midRun {
+						eventually(t, "operations completing", func() bool { return completed.Load() >= 4 })
+						rt.stop()
+						cancel()
+						wg.Wait()
+					} else {
+						wg.Wait()
+						if n := completed.Load(); n != 40 {
+							t.Fatalf("%d of 40 operations completed", n)
+						}
+						rt.stop()
+					}
+					for id, ns := range rt.nodes {
+						select {
+						case <-ns.loopDone:
+						default:
+							t.Errorf("node %d: loop still running after stop returned", id)
+						}
+					}
+				})
+			}
+		}
+	})
 }
 
 // parkedInSelect reports whether some goroutine is parked in a select inside

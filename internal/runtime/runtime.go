@@ -253,7 +253,10 @@ type nodeState struct {
 	// Crash-recovery machinery. crashCh and loopDone belong to one
 	// incarnation of the node loop; the WallClock goroutine replaces them
 	// only between incarnations (after closing crashCh and joining
-	// loopDone), so the loop reads them race-free. image is the automaton
+	// loopDone), so the loop reads them race-free. crashCh is the one
+	// channel the loop parks on besides its mailbox, and it is closed
+	// exactly once: by crashNode when the incarnation crashes, or by stop
+	// (signalStop) when it is still live at shutdown. image is the automaton
 	// a recovery restarts a clone of: nil when no recovery is scheduled,
 	// else pristine, and for a server replaced by the owner with a clone
 	// taken before each effect's sends.
@@ -389,15 +392,16 @@ func (rt *runtime) start() {
 // first so it reads the run, not its teardown: frames stop strands (a
 // server's last write into a peer endpoint that closed first) are not loss.
 // The wall clock stops next: after wc.Stop returns no crash/recovery hook is
-// in flight, so no new loop goroutine can race wg.Wait. After stop returns,
-// the storage maxima are final and no timer from this run remains
-// scheduled.
+// in flight, so no new loop goroutine can race wg.Wait, and every node's
+// down flag and crashCh hold still for signalStop, which ends each live
+// loop. After stop returns, the storage maxima are final and no timer from
+// this run remains scheduled.
 func (rt *runtime) stop() {
 	if rt.stopTelemetry != nil {
 		rt.stopTelemetry()
 	}
 	rt.wc.Stop()
-	close(rt.done)
+	rt.signalStop()
 	rt.timerMu.Lock()
 	rt.stopped = true
 	for t := range rt.timers {
@@ -409,10 +413,29 @@ func (rt *runtime) stop() {
 	rt.wg.Wait()
 }
 
+// signalStop closes done, then the crashCh of every node that is not down,
+// so each live loop sees its own incarnation's channel close, exactly as at
+// a crash. A down node's crashCh was closed by crashNode and is not closed
+// again. done comes first: a chan-link send blocked on a full mailbox that
+// takes its sender's crashCh polls done to tell the shutdown from a crash.
+// The caller must have stopped the wall clock, so no crashNode or
+// recoverNode changes a node's down flag or crashCh meanwhile.
+func (rt *runtime) signalStop() {
+	close(rt.done)
+	for _, ns := range rt.nodes {
+		if !ns.down.Load() {
+			close(ns.crashCh)
+		}
+	}
+}
+
 // stopping reports whether stop has closed done. A one-case select with a
 // default reads an open, empty channel without taking its lock, so the
-// per-message paths poll done here and select on it, with every node
-// goroutine contending for its one lock, only once they have to block.
+// paths that still read done poll it here: post's and the chan-link send's
+// fast paths, after's timer callback, and a send woken through its sender's
+// crashCh. Only post's and the chan-link send's full-mailbox slow paths
+// select on done; a node loop never does — stop ends it through its own
+// crashCh, so no park or wake of a loop touches a channel every node shares.
 func (rt *runtime) stopping() bool {
 	select {
 	case <-rt.done:
@@ -453,20 +476,20 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // write per destination endpoint); no send is held past drainBatch+1 events.
 // Events the chan link siphoned off the node's own mailbox while it was
 // blocked sending are handled first, one per flush: they arrived before
-// anything still queued, so per-link FIFO holds.
+// anything still queued, so per-link FIFO holds. The loop parks on its
+// mailbox and its incarnation's crashCh alone, both its own: crashNode
+// closes crashCh at a crash, and stop closes it for every live incarnation
+// at shutdown, so the loop never reads the runtime-wide done.
 func (rt *runtime) loop(ns *nodeState) {
 	crashed, exited := ns.crashCh, ns.loopDone
-	defer close(exited)
 	defer rt.wg.Done()
+	defer close(exited) // before Done: a loop stop has joined reads as exited
 	for {
 		if len(ns.deferred) > 0 {
 			select {
 			case <-crashed:
 				return
 			default:
-			}
-			if rt.stopping() {
-				return
 			}
 			ev := ns.deferred[0]
 			ns.deferred[0] = event{} // the backing array must not pin the handled message
@@ -478,8 +501,6 @@ func (rt *runtime) loop(ns *nodeState) {
 			continue
 		}
 		select {
-		case <-rt.done:
-			return
 		case <-crashed:
 			return
 		case ev := <-ns.mb:

@@ -50,14 +50,25 @@ func BenchmarkSimBatch(b *testing.B) {
 // the online checker. An iteration is an 8,000-operation batch on fresh
 // node goroutines, so ns/liveop is the mailbox hop, the automaton step and
 // the checker per operation, plus the batch's share of setting a cluster up.
-func BenchmarkLiveBatch(b *testing.B) {
+func BenchmarkLiveBatch(b *testing.B) { benchWallClockBatch(b, BackendLive, 8000, "ns/liveop") }
+
+// BenchmarkNetBatch is BenchmarkLiveBatch's twin on the net backend, the
+// shape of net-abd-64b-pipe: the same batch of 10,000 operations, every
+// message framed and carried over loopback TCP, so ns/netop adds the wire
+// encoding and the socket writes and reads to the live path.
+func BenchmarkNetBatch(b *testing.B) { benchWallClockBatch(b, BackendNet, 10000, "ns/netop") }
+
+// benchWallClockBatch runs one pipelined abd-mwmr batch of ops operations
+// per iteration on a wall-clock backend and reports the time per operation
+// in unit.
+func benchWallClockBatch(b *testing.B, backend string, ops int, unit string) {
 	cfg, err := Config{
 		Algorithms:  []string{AlgABDMW},
 		Servers:     5,
 		F:           1,
 		Writers:     2,
 		Readers:     2,
-		Backend:     "live",
+		Backend:     backend,
 		Seed:        1,
 		Net:         runtime.Config{Pipeline: 8},
 		OnlineCheck: true,
@@ -66,7 +77,7 @@ func BenchmarkLiveBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	spec := workload.MultiSpec{
-		Seed: 1, Keys: 64, Ops: 8000, ReadFraction: 0.3, TargetNu: 2, ValueBytes: 64,
+		Seed: 1, Keys: 64, Ops: ops, ReadFraction: 0.3, TargetNu: 2, ValueBytes: 64,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -79,5 +90,5 @@ func BenchmarkLiveBatch(b *testing.B) {
 				res.TotalOps, res.QuiescentShards, spec.Ops)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Ops), "ns/liveop")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Ops), unit)
 }

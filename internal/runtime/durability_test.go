@@ -38,7 +38,7 @@ type imageLink struct {
 	checked, ahead atomic.Int64
 }
 
-func (l *imageLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
+func (l *imageLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	if from.image != nil {
 		l.checked.Add(1)
 		if from.image.(ioa.Digester).StateDigest() != from.node.(ioa.Digester).StateDigest() {
@@ -148,8 +148,8 @@ type firstElementLink struct {
 	first ioa.Pooled
 }
 
-func (l *firstElementLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
-	if p, ok := msg.(ioa.Pooled); ok && to == l.to {
+func (l *firstElementLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
+	if p, ok := msg.(ioa.Pooled); ok && to.id == l.to {
 		l.mu.Lock()
 		if l.first == nil {
 			l.first = p

@@ -36,8 +36,8 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	}
 	defer close(rt.done)
 	l := &chanLink{rt: rt}
-	from := &nodeState{id: 1, mb: make(chan event, 4), crashCh: make(chan struct{})}
-	to := &nodeState{id: 2, mb: make(chan event, 4)}
+	from := &nodeState{id: 1, mb: newMailbox(4), crashCh: make(chan struct{})}
+	to := &nodeState{id: 2, mb: newMailbox(4)}
 	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
 
 	const n = 1000
@@ -45,14 +45,13 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
-		for i := 0; i < n; i++ {
-			ev := <-to.mb
+		consume(to.mb, n, func(ev event) {
 			got = append(got, ev.msg.(int))
 			time.Sleep(20 * time.Microsecond) // slower than the producer
-		}
+		})
 	}()
 	for i := 0; i < n; i++ {
-		l.send(from, 2, i, true)
+		l.send(from, to, i, true)
 	}
 	<-consumed
 	for i, v := range got {
@@ -73,7 +72,7 @@ func TestPostDropsAfterSendTimeout(t *testing.T) {
 		rt := &runtime{done: make(chan struct{})}
 		defer close(rt.done)
 		rt.link = mkLink(rt)
-		ns := &nodeState{mb: make(chan event, 2)}
+		ns := &nodeState{mb: newMailbox(2)}
 		for i := 0; i < 2; i++ {
 			if !rt.post(ns, event{}, 20*time.Millisecond) {
 				t.Fatal("post to empty mailbox failed")
@@ -149,8 +148,8 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 		const n = 1000
 		rt := &runtime{done: make(chan struct{})}
 		rt.link = mkLink(rt)
-		from := &nodeState{id: 1, mb: make(chan event, 1), crashCh: make(chan struct{})}
-		to := &nodeState{id: 2, mb: make(chan event, n)}
+		from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
+		to := &nodeState{id: 2, mb: newMailbox(n)}
 		rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
 		close(rt.done)
 		for i := 0; i < n; i++ {
@@ -160,10 +159,10 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 		}
 		if l, ok := rt.link.(*chanLink); ok {
 			for i := 0; i < n; i++ {
-				l.send(from, to.id, i, true)
+				l.send(from, to, i, true)
 			}
 		}
-		if q := len(to.mb); q != 0 {
+		if q := mailboxLen(to.mb); q != 0 {
 			t.Fatalf("%d events enqueued after stop", q)
 		}
 	})
@@ -177,10 +176,10 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 // The stop is made twice: by a bare close of done, and by signalStop, which
 // closes the sender's crashCh right after done. A parked send is always woken
 // by the first close, done; so in the signalStop subtest a pump keeps
-// feeding the sender's own mailbox, the send keeps siphoning and re-entering
-// its select, and a stop that lands between two selects leaves done and
-// crashCh both closed at the next one, either of which may win: woken
-// through crashCh, the send must tell the shutdown from a crash. The post
+// feeding the sender's own mailbox, the send keeps siphoning at each wake
+// and re-entering its select, and a stop that lands between two selects
+// leaves done and crashCh both closed at the next one, either of which may
+// win: woken through crashCh, the send must tell the shutdown from a crash. The post
 // runs on both links; the in-loop send is the chan link's own.
 func TestBlockedSendReleasedByStop(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
@@ -197,16 +196,18 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 	rt := &runtime{done: make(chan struct{})}
 	rt.link = mkLink(rt)
 	l, chanLinked := rt.link.(*chanLink)
-	from := &nodeState{id: 1, mb: make(chan event, 1), crashCh: make(chan struct{})}
-	to := &nodeState{id: 2, mb: make(chan event, 1), crashCh: make(chan struct{})}
+	from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
+	to := &nodeState{id: 2, mb: newMailbox(1), crashCh: make(chan struct{})}
 	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
-	to.mb <- event{}
+	if to.mb.put(event{}) != nil {
+		t.Fatal("an empty mailbox refused the filler")
+	}
 
 	sent, posted := make(chan struct{}), make(chan bool, 1)
 	go func() {
 		defer close(sent)
 		if chanLinked {
-			l.send(from, to.id, "in-loop", true)
+			l.send(from, to, "in-loop", true)
 		}
 	}()
 	go func() { posted <- rt.post(to, event{msg: "posted"}, sendTimeout) }()
@@ -229,11 +230,19 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 		var pumped atomic.Int64
 		go func() {
 			for {
+				if room := from.mb.put(event{msg: "own"}); room != nil {
+					select {
+					case <-room:
+					case <-quit:
+						return
+					}
+					continue
+				}
+				pumped.Add(1)
 				select {
-				case from.mb <- event{msg: "own"}:
-					pumped.Add(1)
 				case <-quit:
 					return
+				default:
 				}
 			}
 		}()
@@ -262,7 +271,7 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 			t.Fatalf("shutdown counted as a crashed sender's message: dead %d", d)
 		}
 	}
-	if q := len(to.mb); q != 1 {
+	if q := mailboxLen(to.mb); q != 1 {
 		t.Fatalf("target mailbox holds %d events, want only the one that filled it", q)
 	}
 }
@@ -358,15 +367,153 @@ func TestStopClosesEachLoopOnce(t *testing.T) {
 	})
 }
 
+// TestMailboxWakeNeverLost runs four putters against one consumer that
+// parks on the mailbox's wake channel alone and takes the whole queue per
+// wakeup, on a mailbox small enough that the putters keep waiting for room.
+// A wake token is put only on the empty → non-empty edge, so a lost wakeup
+// would leave the consumer parked with events waiting: every event must
+// arrive exactly once, in each putter's order, before the watchdog fires.
+func TestMailboxWakeNeverLost(t *testing.T) {
+	const putters, each = 4, 5000
+	m := newMailbox(8)
+	for p := 0; p < putters; p++ {
+		go func(p int) {
+			for i := 0; i < each; i++ {
+				for room := m.put(event{from: ioa.NodeID(p), msg: i}); room != nil; room = m.put(event{from: ioa.NodeID(p), msg: i}) {
+					<-room
+				}
+			}
+		}(p)
+	}
+	next := make([]int, putters)
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		consume(m, putters*each, func(ev event) {
+			p, i := int(ev.from), ev.msg.(int)
+			if i != next[p] {
+				t.Errorf("putter %d: event %d arrived when %d was due", p, i, next[p])
+			}
+			next[p] = i + 1
+		})
+	}()
+	select {
+	case <-consumed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("consumer still parked after 10s; per putter it got %v of %d", next, each)
+	}
+	if q := mailboxLen(m); q != 0 {
+		t.Fatalf("%d events left in the mailbox after all were consumed", q)
+	}
+}
+
+// TestCrashWakesIdleLoop crashes a server and a client whose loops are
+// parked on empty mailboxes: the loops wait on their wake channels alone, so
+// crashNode must reach them through the token it puts after closing crashCh,
+// and return within 200ms, on both links.
+func TestCrashWakesIdleLoop(t *testing.T) {
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		cl := abdCluster(t)
+		rt, err := newRuntime(cl, nil, Config{}, nil, mkLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.start()
+		eventually(t, "every loop parked on its wake channel", func() bool {
+			return parkedIn("chan receive", "(*runtime).loop(") == len(rt.nodes)
+		})
+		for _, id := range []ioa.NodeID{cl.Servers[0], cl.Writers[0]} {
+			crashed := make(chan struct{})
+			go func() {
+				defer close(crashed)
+				rt.crashNode(id)
+			}()
+			select {
+			case <-crashed:
+			case <-time.After(200 * time.Millisecond):
+				// No stop: it would wait on the same parked loop.
+				t.Fatalf("crashNode(%d) still blocked 200ms after the crash of an idle loop", id)
+			}
+		}
+		rt.stop()
+	})
+}
+
+// TestCrashDiscardedOpNeverStarted queues an operation behind one that
+// cannot complete (every send delayed seconds) and crashes the client: the
+// crash abandons the queued invocation, so its wait must report it as never
+// started — the session keeps it out of the history and the client in use —
+// while the stuck one it held mid-protocol stays genuinely pending.
+func TestCrashDiscardedOpNeverStarted(t *testing.T) {
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		cl := abdCluster(t)
+		sc, err := faults.Parse("delay=2000:4000") // 2-4s of wall delay at StepDur 1ms
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sc.Build(3, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := newRuntime(cl, plan, Config{StepDur: time.Millisecond}, nil, mkLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.start()
+		defer rt.stop()
+		w := cl.Writers[0]
+		stuck := rt.invokeAsync(w, ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("stuck")})
+		queued := rt.invokeAsync(w, ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("queued")})
+		eventually(t, "the first write started", func() bool { return stuck.ie.state.Load() == invStarted })
+		rt.crashNode(w)
+		if _, started, ok := queued.wait(context.Background(), 20*time.Millisecond); started || ok {
+			t.Fatalf("queued op discarded by the crash: started=%v ok=%v, want neither", started, ok)
+		}
+		if _, started, ok := stuck.wait(context.Background(), 20*time.Millisecond); !started || ok {
+			t.Fatalf("op the crash left mid-protocol: started=%v ok=%v, want started and not ok", started, ok)
+		}
+	})
+}
+
+// consume parks on m's wake channel alone and takes the whole mailbox per
+// wakeup, as a node loop does, handing each event to f until n arrived.
+func consume(m *mailbox, n int, f func(event)) {
+	var q []event
+	for got := 0; got < n; {
+		if q = m.take(q[:0]); len(q) == 0 {
+			<-m.wake
+			continue
+		}
+		for _, ev := range q {
+			f(ev)
+		}
+		got += len(q)
+		clear(q)
+	}
+}
+
+// mailboxLen reports how many events wait in m, not counting any take.
+func mailboxLen(m *mailbox) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.q)
+}
+
 // parkedInSelect reports whether some goroutine is parked in a select inside
 // the function whose stack frame contains fn.
-func parkedInSelect(fn string) bool {
+func parkedInSelect(fn string) bool { return parkedIn("select", fn) > 0 }
+
+// parkedIn counts the goroutines parked in the wait state named (as a
+// goroutine dump prints it: "select", "chan receive", ...) inside the
+// function whose stack frame contains fn.
+func parkedIn(wait, fn string) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:goruntime.Stack(buf, true)]
+	n := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte(fn)) {
-			return true
+		if bytes.Contains(g, []byte(" ["+wait)) && bytes.Contains(g, []byte(fn)) {
+			n++
 		}
 	}
-	return false
+	return n
 }

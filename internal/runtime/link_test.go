@@ -75,8 +75,8 @@ func (l *recLink) down(ns *nodeState) {
 	l.downs = append(l.downs, ns.id)
 }
 
-func (l *recLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
-	l.sent <- sentMsg{from.id, to, msg, inLoop, time.Now()}
+func (l *recLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
+	l.sent <- sentMsg{from.id, to.id, msg, inLoop, time.Now()}
 }
 
 func (l *recLink) flush(*nodeState) {}
@@ -434,7 +434,7 @@ func TestTCPLinkWire(t *testing.T) {
 		}
 	}
 
-	l.send(rt.nodes[1], 2, msg, true)
+	l.send(rt.nodes[1], rt.nodes[2], msg, true)
 	if s := stats(1); s.FramesSent != 0 {
 		t.Fatalf("an owner's send left before its batch ended: %+v", s)
 	}
@@ -444,15 +444,15 @@ func TestTCPLinkWire(t *testing.T) {
 	}
 	arrives(2, 1, 1)
 
-	l.send(rt.nodes[1], 3, msg, false) // a timer goroutine's send
+	l.send(rt.nodes[1], rt.nodes[3], msg, false) // a timer goroutine's send
 	if s := stats(1); s.FramesSent != 2 || s.BatchesSent != 2 {
 		t.Fatalf("a timer goroutine's send: %+v, want it written at once", s)
 	}
 	arrives(3, 1, 1)
 
 	before := stats(writer)
-	l.send(rt.nodes[1], writer, msg, true)
-	l.send(rt.nodes[1], reader, msg, true)
+	l.send(rt.nodes[1], rt.nodes[writer], msg, true)
+	l.send(rt.nodes[1], rt.nodes[reader], msg, true)
 	l.flush(rt.nodes[1])
 	if s := stats(1); s.FramesSent != 4 || s.BatchesSent != 3 {
 		t.Fatalf("replies to two clients: %+v, want both frames in one more write", s)
@@ -528,7 +528,7 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 		defer h.mu.Unlock()
 		return h.releasing && len(h.groups) == 0
 	})
-	l.send(rt.nodes[1], 2, codec.Sample(3), false) // a timer goroutine's send
+	l.send(rt.nodes[1], rt.nodes[2], codec.Sample(3), false) // a timer goroutine's send
 	h.mu.Lock()
 	held := len(h.groups) == 1 && len(h.groups[0].frames) == 1
 	h.mu.Unlock()
@@ -587,7 +587,7 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 	go func() {
 		defer close(streamed)
 		for i := 0; i < n; i++ {
-			l.send(rt.nodes[2], 1, codec.Sample(uint64(i)), false)
+			l.send(rt.nodes[2], rt.nodes[1], codec.Sample(uint64(i)), false)
 			if i%20 == 0 {
 				time.Sleep(50 * time.Microsecond) // pace the stream across many lock cycles
 			}
@@ -669,7 +669,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 						return
 					default:
 					}
-					l.send(rt.nodes[2], victimID, codec.Sample(i), false)
+					l.send(rt.nodes[2], rt.nodes[victimID], codec.Sample(i), false)
 				}
 			}()
 			by := func(n *recNode) func(delivery) bool { return func(d delivery) bool { return d.by == n } }
@@ -772,7 +772,7 @@ func TestClientCrashOnSharedEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("abd wire types not registered")
 	}
-	l.send(rt.nodes[cl.Servers[0]], victim, codec.Sample(1), false)
+	l.send(rt.nodes[cl.Servers[0]], rt.nodes[victim], codec.Sample(1), false)
 	eventually(t, "the frame for the crashed client counted lost", func() bool {
 		return rt.faultStats().TransportDropped > lost && l.detached.Load() > 0
 	})
@@ -813,7 +813,7 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	}
 	batch := func(k int) {
 		for i := 0; i < k; i++ {
-			l.send(rt.nodes[1], 2, codec.Sample(uint64(i)), true)
+			l.send(rt.nodes[1], rt.nodes[2], codec.Sample(uint64(i)), true)
 		}
 		l.flush(rt.nodes[1])
 	}
@@ -835,8 +835,8 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 		t.Fatalf("after recovery: %d frames in %d writes, want %d in 2", got, w, n+m)
 	}
 
-	l.send(rt.nodes[1], ioa.NodeID(cluster.WriterBase), codec.Sample(0), true)
-	l.send(rt.nodes[1], ioa.NodeID(cluster.ReaderBase), codec.Sample(1), true)
+	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.WriterBase)], codec.Sample(0), true)
+	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.ReaderBase)], codec.Sample(1), true)
 	l.flush(rt.nodes[1])
 	eventually(t, "both client frames counted once", func() bool { sample(); return clientsRecv.Value() == 2 })
 }
@@ -1012,10 +1012,14 @@ func BenchmarkTCPLinkQuorum(b *testing.B) {
 	if !ok {
 		b.Fatal("abd wire types not registered")
 	}
+	servers := make([]*nodeState, len(cl.Servers))
+	for i, id := range cl.Servers {
+		servers[i] = rt.nodes[id]
+	}
 	round := func(i int) {
 		query := codec.Sample(uint64(i))
 		client.own.Lock()
-		for _, s := range cl.Servers {
+		for _, s := range servers {
 			l.send(client, s, query, true)
 		}
 		client.own.Unlock()

@@ -45,9 +45,11 @@
 //     faults.ErrUnsupported. Every gate runs before the link sees the
 //     message, so a dropped message is never encoded and never touches a
 //     socket.
-//   - Flow control: mailboxes are bounded and a sender facing a full one
-//     blocks up to sendTimeout (1s) before the message is dropped and
-//     counted in FaultStats.TransportDropped; on the TCP link the goroutine
+//   - Flow control: a mailbox is a bounded slice that senders append to
+//     under a lock and the node's loop takes whole, parking on a one-slot
+//     wake channel when it is empty. A sender facing a full one blocks up
+//     to sendTimeout (1s) before the message is dropped and counted in
+//     FaultStats.TransportDropped; on the TCP link the goroutine
 //     releasing an endpoint's held frames writes each connection itself,
 //     under the endpoint's send lock, its write bounded by the transport's
 //     own 1s deadline. The paper's channels are unordered and lossy under
@@ -139,9 +141,10 @@ const (
 	sendTimeout = time.Second
 )
 
-// drainBatch bounds how many extra mailbox events a node loop handles per
-// wakeup: coalescing amortizes the scheduler round trip under load, the
-// bound keeps one hot node from running unpreempted forever.
+// drainBatch bounds a node loop's drain batch (a run) to drainBatch+1
+// events of its queue, after which it flushes the link and polls its
+// crashCh: coalescing amortizes the flush under load, the bound keeps a
+// send from being held behind a long queue.
 const drainBatch = 32
 
 // link is the seam between the node runtime and the network that carries its
@@ -162,14 +165,15 @@ type link interface {
 	// runtime before the next incarnation starts. down must leave the
 	// node's loss counters readable from exactly one place.
 	down(ns *nodeState)
-	// send carries one gated message. inLoop reports that the caller owns
-	// from: its loop (so the chan link may consume from's mailbox while it
-	// waits), or a tcp reader delivering to it inline; the tcp link holds
-	// the message until the batch or run ends. A delayed or held message
-	// arrives on a timer goroutine with inLoop false, and leaves at once
-	// (on the tcp link, with the release of the endpoint's held frames
-	// that it starts or finds under way).
-	send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool)
+	// send carries one gated message to the node the runtime resolved it
+	// to. inLoop reports that the caller owns from: its loop (so the chan
+	// link may consume from's mailbox while it waits), or a tcp reader
+	// delivering to it inline; the tcp link holds the message until the
+	// batch or run ends. A delayed or held message arrives on a timer
+	// goroutine with inLoop false, and leaves at once (on the tcp link,
+	// with the release of the endpoint's held frames that it starts or
+	// finds under way).
+	send(from, to *nodeState, msg ioa.Message, inLoop bool)
 	// flush ends one drain batch of ns's loop, on that loop: whatever the
 	// link held of the batch's sends leaves now.
 	flush(ns *nodeState)
@@ -197,7 +201,8 @@ func newLink(backend string) (func(*runtime) link, error) {
 
 // event is one mailbox entry: a message delivery, or (inv != nil) an
 // operation invocation injected by the driver. Only the node's loop takes
-// events off the mailbox, and handles them holding the ownership lock.
+// events off the mailbox (itself, or through its chan-link send siphoning
+// while blocked), and handles them holding the ownership lock.
 type event struct {
 	from    ioa.NodeID
 	msg     ioa.Message
@@ -232,17 +237,21 @@ type invokeEvent struct {
 type nodeState struct {
 	id   ioa.NodeID
 	node ioa.Node
-	mb   chan event // one channel for the node's whole lifetime, across incarnations
+	mb   *mailbox // one for the node's whole lifetime, across incarnations
 
 	pendingDone chan []byte    // outstanding op's response channel; non-nil exactly while the automaton holds an op
 	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil in interactive sessions
 	invq        []*invokeEvent // pipelined invocations awaiting their turn
-	deferred    []event        // events the chan link siphoned off mb while blocked on a peer's full mailbox
+	// q is the loop's one queue: its last take of mb, then whatever its
+	// chan-link send siphoned off mb while blocked on a peer's full
+	// mailbox. Events before head are handled (and zeroed); loop-owned.
+	q    []event
+	head int
 
-	// Not beside mb, which every sender to the node reads: the loop writes
-	// own twice per drain batch, and must not take that cache line from them.
+	// Not beside mb's pointer, which every sender to the node reads: the loop
+	// writes own twice per run, and must not take that cache line from them.
 	own    sync.Mutex   // the ownership lock; only the loop and the crash path block on it, readers only TryLock
-	queued atomic.Int32 // events tcp readers posted to mb that are not handled yet; inline delivery waits for zero
+	queued atomic.Int32 // events tcp readers posted that are not handled yet, in mb or q; inline delivery waits for zero
 
 	meter            ioa.StorageMeter // nil unless the node reports storage; loop-owned (rewritten on recovery)
 	metered          bool             // set once at construction: the automaton type reports storage
@@ -253,13 +262,13 @@ type nodeState struct {
 	// Crash-recovery machinery. crashCh and loopDone belong to one
 	// incarnation of the node loop; the WallClock goroutine replaces them
 	// only between incarnations (after closing crashCh and joining
-	// loopDone), so the loop reads them race-free. crashCh is the one
-	// channel the loop parks on besides its mailbox, and it is closed
-	// exactly once: by crashNode when the incarnation crashes, or by stop
-	// (signalStop) when it is still live at shutdown. image is the automaton
-	// a recovery restarts a clone of: nil when no recovery is scheduled,
-	// else pristine, and for a server replaced by the owner with a clone
-	// taken before each effect's sends.
+	// loopDone), so the loop reads them race-free. crashCh is closed
+	// exactly once, followed by a wake token in mb: by crashNode when the
+	// incarnation crashes, or by stop (signalStop) when it is still live at
+	// shutdown. The loop polls it once per run and after every wakeup.
+	// image is the automaton a recovery restarts a clone of: nil when no
+	// recovery is scheduled, else pristine, and for a server replaced by
+	// the owner with a clone taken before each effect's sends.
 	image    ioa.Node
 	down     atomic.Bool // true between a crash and its recovery
 	crashCh  chan struct{}
@@ -339,7 +348,7 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 		ns := &nodeState{
 			id:       id,
 			node:     n.Clone(),
-			mb:       make(chan event, cfg.Mailbox),
+			mb:       newMailbox(cfg.Mailbox),
 			crashCh:  make(chan struct{}),
 			loopDone: make(chan struct{}),
 		}
@@ -414,28 +423,38 @@ func (rt *runtime) stop() {
 }
 
 // signalStop closes done, then the crashCh of every node that is not down,
-// so each live loop sees its own incarnation's channel close, exactly as at
-// a crash. A down node's crashCh was closed by crashNode and is not closed
-// again. done comes first: a chan-link send blocked on a full mailbox that
-// takes its sender's crashCh polls done to tell the shutdown from a crash.
-// The caller must have stopped the wall clock, so no crashNode or
-// recoverNode changes a node's down flag or crashCh meanwhile.
+// each followed by a wake token, so each live loop sees its own
+// incarnation's channel close, exactly as at a crash. A down node's crashCh
+// was closed by crashNode and is not closed again. done comes first: a
+// chan-link send blocked on a full mailbox that takes its sender's crashCh
+// polls done to tell the shutdown from a crash. The caller must have
+// stopped the wall clock, so no crashNode or recoverNode changes a node's
+// down flag or crashCh meanwhile.
 func (rt *runtime) signalStop() {
 	close(rt.done)
 	for _, ns := range rt.nodes {
 		if !ns.down.Load() {
-			close(ns.crashCh)
+			ns.endIncarnation()
 		}
 	}
+}
+
+// endIncarnation closes the running incarnation's crashCh, then puts a
+// wake token: a loop parked on an empty mailbox wakes, polls crashCh and
+// exits. The caller closes each crashCh once.
+func (ns *nodeState) endIncarnation() {
+	close(ns.crashCh)
+	ns.mb.signal()
 }
 
 // stopping reports whether stop has closed done. A one-case select with a
 // default reads an open, empty channel without taking its lock, so the
 // paths that still read done poll it here: post's and the chan-link send's
 // fast paths, after's timer callback, and a send woken through its sender's
-// crashCh. Only post's and the chan-link send's full-mailbox slow paths
-// select on done; a node loop never does — stop ends it through its own
-// crashCh, so no park or wake of a loop touches a channel every node shares.
+// crashCh or a room channel. Only post's and the chan-link send's
+// full-mailbox slow paths select on done; a node loop never does — stop
+// ends it through its own crashCh and wake token, so no park or wake of a
+// loop touches a channel every node shares.
 func (rt *runtime) stopping() bool {
 	select {
 	case <-rt.done:
@@ -468,56 +487,55 @@ func (rt *runtime) after(d time.Duration, f func()) {
 	rt.timers[t] = struct{}{}
 }
 
-// loop is one node goroutine — one incarnation of the node: it takes the
-// ownership lock, handles its first event, then drains up to drainBatch more
-// without going back to the scheduler — under load a node wakes once per
-// burst instead of once per message — releases the lock and flushes the
-// link, so the batch's sends leave together (on the tcp link, one socket
-// write per destination endpoint); no send is held past drainBatch+1 events.
-// Events the chan link siphoned off the node's own mailbox while it was
-// blocked sending are handled first, one per flush: they arrived before
-// anything still queued, so per-link FIFO holds. The loop parks on its
-// mailbox and its incarnation's crashCh alone, both its own: crashNode
-// closes crashCh at a crash, and stop closes it for every live incarnation
-// at shutdown, so the loop never reads the runtime-wide done.
+// loop is one node goroutine — one incarnation of the node. It takes its
+// whole mailbox in one lock and handles the queue under the ownership lock
+// in runs of at most drainBatch+1 events, flushing the link after each run,
+// so a run's sends leave together (on the tcp link, one socket write per
+// destination endpoint) and no send is held past drainBatch+1 events. Events
+// its chan-link send siphoned while blocked are appended to the same queue:
+// they arrived after everything already in it and before anything still in
+// the mailbox, so per-link FIFO holds. It polls its incarnation's crashCh
+// once per run, and with the queue and the mailbox empty it parks on the
+// mailbox's wake channel alone: crashNode at a crash, and stop for every
+// live incarnation at shutdown, close crashCh and then put a wake token, so
+// the loop reads neither the runtime-wide done nor any select.
 func (rt *runtime) loop(ns *nodeState) {
 	crashed, exited := ns.crashCh, ns.loopDone
 	defer rt.wg.Done()
 	defer close(exited) // before Done: a loop stop has joined reads as exited
 	for {
-		if len(ns.deferred) > 0 {
-			select {
-			case <-crashed:
-				return
-			default:
-			}
-			ev := ns.deferred[0]
-			ns.deferred[0] = event{} // the backing array must not pin the handled message
-			ns.deferred = ns.deferred[1:]
-			ns.own.Lock()
-			rt.handle(ns, ev)
-			ns.own.Unlock()
-			rt.link.flush(ns)
-			continue
-		}
 		select {
 		case <-crashed:
 			return
-		case ev := <-ns.mb:
-			ns.own.Lock()
-			rt.handlePosted(ns, ev)
-			for i := 0; i < drainBatch && len(ns.deferred) == 0; i++ {
-				select {
-				case ev := <-ns.mb:
-					rt.handlePosted(ns, ev)
-				default:
-					i = drainBatch
-				}
-			}
-			ns.own.Unlock()
-			rt.link.flush(ns)
+		default:
 		}
+		if ns.head == len(ns.q) {
+			ns.takeMail()
+			if len(ns.q) == 0 {
+				<-ns.mb.wake
+				continue
+			}
+		}
+		ns.own.Lock()
+		for n := 0; n <= drainBatch && ns.head < len(ns.q); n++ {
+			ev := ns.q[ns.head]
+			ns.q[ns.head] = event{} // the backing array must not pin the handled message
+			ns.head++
+			rt.handlePosted(ns, ev)
+		}
+		ns.own.Unlock()
+		rt.link.flush(ns)
 	}
+}
+
+// takeMail moves every event waiting in ns's mailbox to the end of the
+// loop's queue; an exhausted queue is reset first, so the take swaps. Run by
+// ns's loop, its blocked send, or the crash path with the loop joined.
+func (ns *nodeState) takeMail() {
+	if ns.head == len(ns.q) {
+		ns.q, ns.head = ns.q[:0], 0
+	}
+	ns.q = ns.mb.take(ns.q)
 }
 
 // handlePosted handles an event the loop took off the mailbox; once a frame
@@ -547,7 +565,7 @@ func (rt *runtime) crashNode(id ioa.NodeID) {
 		return
 	}
 	ns.down.Store(true)
-	close(ns.crashCh)
+	ns.endIncarnation()
 	<-ns.loopDone
 	// Exclude inline deliveries before the link lets go: one in flight ends
 	// before the lock is ours, and every later one re-checks down under it,
@@ -561,31 +579,31 @@ func (rt *runtime) crashNode(id ioa.NodeID) {
 // discardVolatile empties the node's mailbox and queues between incarnations.
 // Only called while the node is down with no loop goroutine running and
 // inline deliveries excluded, so the loop-owned fields are safe to touch.
+// The mailbox and the loop's queue go through one path: every queued
+// invocation is abandoned (its driver sees "never started"), and every frame
+// a tcp reader posted stops holding back inline delivery.
 func (rt *runtime) discardVolatile(ns *nodeState) {
-	for {
-		select {
-		case ev := <-ns.mb:
-			if ev.inv != nil {
-				ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-			if ev.counted {
-				ns.queued.Add(-1)
-			}
-		default:
-			ns.deferred = nil
-			for _, ie := range ns.invq {
-				ie.state.CompareAndSwap(invQueued, invAbandoned)
-			}
-			ns.invq = nil
-			if ns.pendingTk != nil {
-				// The op dies with the crash: permanently pending.
-				ns.pendingTk.Abandon()
-				ns.pendingTk = nil
-			}
-			ns.pendingDone = nil
-			return
+	ns.takeMail()
+	for _, ev := range ns.q[ns.head:] {
+		if ev.inv != nil {
+			ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
+		}
+		if ev.counted {
+			ns.queued.Add(-1)
 		}
 	}
+	clear(ns.q)
+	ns.q, ns.head = ns.q[:0], 0
+	for _, ie := range ns.invq {
+		ie.state.CompareAndSwap(invQueued, invAbandoned)
+	}
+	ns.invq = nil
+	if ns.pendingTk != nil {
+		// The op dies with the crash: permanently pending.
+		ns.pendingTk.Abandon()
+		ns.pendingTk = nil
+	}
+	ns.pendingDone = nil
 }
 
 // recoverNode restarts a crashed node from its durable image: runs where
@@ -687,7 +705,8 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 // on the sender's owner. Sequence numbers are global, as in the kernel, so
 // the same plan seed draws from the same decision stream.
 func (rt *runtime) send(from *nodeState, s ioa.Send) {
-	if rt.nodes[s.To] == nil {
+	to := rt.nodes[s.To]
+	if to == nil {
 		return
 	}
 	if rt.plan != nil {
@@ -700,11 +719,11 @@ func (rt *runtime) send(from *nodeState, s ioa.Send) {
 		if delay > 0 {
 			rt.delayed.Add(1)
 			rt.delaySteps.Add(int64(delay))
-			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() { rt.dispatch(from, s.To, s.Msg, false) })
+			rt.after(time.Duration(delay)*rt.cfg.StepDur, func() { rt.dispatch(from, to, s.Msg, false) })
 			return
 		}
 	}
-	rt.dispatch(from, s.To, s.Msg, true)
+	rt.dispatch(from, to, s.Msg, true)
 }
 
 // dispatch gates the message on the plan's outage windows at the current
@@ -713,8 +732,8 @@ func (rt *runtime) send(from *nodeState, s ioa.Send) {
 // windows abut; held messages are accounted as delays of (boundary - now)
 // steps. A message whose sender crashed while it was parked (or mid-handle)
 // dies with the sender: nothing is sent on behalf of a down node.
-func (rt *runtime) dispatch(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
-	if hold, steps := rt.wc.Hold(from.id, to); hold > 0 {
+func (rt *runtime) dispatch(from, to *nodeState, msg ioa.Message, inLoop bool) {
+	if hold, steps := rt.wc.Hold(from.id, to.id); hold > 0 {
 		rt.delayed.Add(1)
 		rt.delaySteps.Add(int64(steps))
 		rt.after(hold, func() { rt.dispatch(from, to, msg, false) })
@@ -730,31 +749,37 @@ func (rt *runtime) dispatch(from *nodeState, to ioa.NodeID, msg ioa.Message, inL
 // post enqueues with backpressure from outside any node loop — a driver, a
 // timer or a transport reader. The fast path touches only the target
 // mailbox: a lock-free poll of done (a stopped runtime refuses every post),
-// then a non-blocking send that locks the mailbox alone. Only a full mailbox
-// pays for the multi-way select, which also watches done: the caller blocks
-// up to timeout, after which the event is dropped and counted. A blocked
-// transport reader stops consuming its socket, so on the TCP link the
-// pressure propagates to the peer through TCP flow control. It reports
-// whether the event was enqueued.
+// then an append under the mailbox's lock. Only a full mailbox pays for a
+// select, on the mailbox's room channel, the deadline and done: the caller
+// retries at each take that makes room, up to timeout, after which the
+// event is dropped and counted. A blocked transport reader stops consuming
+// its socket, so on the TCP link the pressure propagates to the peer
+// through TCP flow control. It reports whether the event was enqueued.
 func (rt *runtime) post(to *nodeState, ev event, timeout time.Duration) bool {
 	if rt.stopping() {
 		return false
 	}
-	select {
-	case to.mb <- ev:
+	room := to.mb.put(ev)
+	if room == nil {
 		return true
-	default:
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
-	select {
-	case to.mb <- ev:
-		return true
-	case <-t.C:
-		rt.overflow.Add(1)
-		return false
-	case <-rt.done:
-		return false
+	for {
+		select {
+		case <-room:
+		case <-t.C:
+			rt.overflow.Add(1)
+			return false
+		case <-rt.done:
+			return false
+		}
+		if rt.stopping() {
+			return false
+		}
+		if room = to.mb.put(ev); room == nil {
+			return true
+		}
 	}
 }
 
@@ -807,9 +832,11 @@ func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte
 	case <-t.C:
 	case <-ctx.Done():
 	}
-	if p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
+	if p.ie.state.CompareAndSwap(invQueued, invAbandoned) || p.ie.state.Load() == invAbandoned {
+		// Never started: the node will skip it, or a crash discarded it
+		// still queued.
 		p.ie.span.End()
-		return nil, false, false // never started; the node will skip it
+		return nil, false, false
 	}
 	// Already started — it may even have completed in the race window.
 	select {

@@ -241,9 +241,9 @@ func (h *hold) add(addr string, frame []byte) {
 // adds it to the sending endpoint's hold. An owner's send (inLoop) leaves
 // when the owner's batch or run ends; a timer goroutine's releases the hold
 // at once. The address is snapshotted under mu (recovery replaces it).
-func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop bool) {
+func (l *tcpLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
-	frame = binary.AppendUvarint(frame, uint64(to))
+	frame = binary.AppendUvarint(frame, uint64(to.id))
 	frame, err := wire.Append(frame, msg)
 	if err != nil {
 		// An unregistered message type cannot cross the network; surfacing
@@ -255,7 +255,7 @@ func (l *tcpLink) send(from *nodeState, to ioa.NodeID, msg ioa.Message, inLoop b
 		p.Release() // the frame holds a copy of the payload: the message lets go of its own
 	}
 	l.mu.RLock()
-	addr := l.addrs[to]
+	addr := l.addrs[to.id]
 	l.mu.RUnlock()
 	h := l.holds[from.id]
 	h.add(addr, frame)

@@ -29,6 +29,18 @@ func bothLinks(t *testing.T, f func(t *testing.T, mkLink func(*runtime) link)) {
 // chan only: on tcp a node loop never blocks on a peer's mailbox — its sends
 // go to a socket, and the transport's own FIFO and backpressure tests
 // (internal/transport) cover that path.
+// setNodes gives a hand-built runtime its nodes, as newRuntime lays them
+// out: indexed by id, and listed by ascending id.
+func setNodes(rt *runtime, nodes ...*nodeState) {
+	for _, ns := range nodes {
+		for int(ns.id) >= len(rt.nodes) {
+			rt.nodes = append(rt.nodes, nil)
+		}
+		rt.nodes[ns.id] = ns
+		rt.all = append(rt.all, ns)
+	}
+}
+
 func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	rt := &runtime{
 		cfg:  Config{Mailbox: 4}.withDefaults(),
@@ -38,7 +50,7 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	l := &chanLink{rt: rt}
 	from := &nodeState{id: 1, mb: newMailbox(4), crashCh: make(chan struct{})}
 	to := &nodeState{id: 2, mb: newMailbox(4)}
-	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
+	setNodes(rt, from, to)
 
 	const n = 1000
 	got := make([]int, 0, n)
@@ -150,7 +162,7 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 		rt.link = mkLink(rt)
 		from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
 		to := &nodeState{id: 2, mb: newMailbox(n)}
-		rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
+		setNodes(rt, from, to)
 		close(rt.done)
 		for i := 0; i < n; i++ {
 			if rt.post(to, event{msg: i}, sendTimeout) {
@@ -198,7 +210,7 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 	l, chanLinked := rt.link.(*chanLink)
 	from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
 	to := &nodeState{id: 2, mb: newMailbox(1), crashCh: make(chan struct{})}
-	rt.nodes = map[ioa.NodeID]*nodeState{1: from, 2: to}
+	setNodes(rt, from, to)
 	if to.mb.put(event{}) != nil {
 		t.Fatal("an empty mailbox refused the filler")
 	}
@@ -354,11 +366,11 @@ func TestStopClosesEachLoopOnce(t *testing.T) {
 						}
 						rt.stop()
 					}
-					for id, ns := range rt.nodes {
+					for _, ns := range rt.all {
 						select {
 						case <-ns.loopDone:
 						default:
-							t.Errorf("node %d: loop still running after stop returned", id)
+							t.Errorf("node %d: loop still running after stop returned", ns.id)
 						}
 					}
 				})
@@ -420,7 +432,7 @@ func TestCrashWakesIdleLoop(t *testing.T) {
 		}
 		rt.start()
 		eventually(t, "every loop parked on its wake channel", func() bool {
-			return parkedIn("chan receive", "(*runtime).loop(") == len(rt.nodes)
+			return parkedIn("chan receive", "(*runtime).loop(") == len(rt.all)
 		})
 		for _, id := range []ioa.NodeID{cl.Servers[0], cl.Writers[0]} {
 			crashed := make(chan struct{})

@@ -62,7 +62,7 @@ func (s *Interactive) RunOp(ctx context.Context, client ioa.NodeID, inv ioa.Invo
 	if s.closed.Load() {
 		return nil, false, fmt.Errorf("runtime: session closed")
 	}
-	if ns := s.rt.nodes[client]; ns == nil || !ns.client {
+	if ns := s.rt.node(client); ns == nil || !ns.client {
 		return nil, false, fmt.Errorf("runtime: node %d is not a client of this deployment", client)
 	}
 	if err := ctx.Err(); err != nil {

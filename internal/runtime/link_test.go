@@ -101,8 +101,8 @@ func gated(t *testing.T, plan *faults.Plan) (*runtime, *recLink, time.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.ups) != len(rt.nodes) {
-		t.Fatalf("link saw %d attachments for %d nodes", len(rec.ups), len(rt.nodes))
+	if len(rec.ups) != len(rt.all) {
+		t.Fatalf("link saw %d attachments for %d nodes", len(rec.ups), len(rt.all))
 	}
 	t0 := time.Now()
 	rt.start()
@@ -271,6 +271,12 @@ func idleTCP(t *testing.T) (*runtime, *tcpLink) {
 	return rt, rt.link.(*tcpLink)
 }
 
+// streamFrame appends payload to dst as a transport stream carries it: its
+// 4-byte big-endian length, then the payload.
+func streamFrame(dst, payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(payload))), payload...)
+}
+
 // dialRaw opens a bare TCP connection to a node's endpoint and writes the
 // hello every dialed stream opens with, so what the test writes next is read
 // as frames.
@@ -281,7 +287,7 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write(transport.AppendFrame(nil, []byte(conn.LocalAddr().String()))); err != nil {
+	if _, err := conn.Write(streamFrame(nil, []byte(conn.LocalAddr().String()))); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -366,8 +372,8 @@ func onLoop() bool {
 // started by a recNode; a client's answers every delivery with reply.
 func recordAll(rt *runtime, reply func(from ioa.NodeID) []ioa.Send) *recLog {
 	log := &recLog{}
-	for id, ns := range rt.nodes {
-		n := &recNode{id: id, log: log}
+	for _, ns := range rt.all {
+		n := &recNode{id: ns.id, log: log}
 		if ns.client {
 			n.reply = reply
 		}
@@ -472,7 +478,7 @@ func TestTCPLinkWire(t *testing.T) {
 	raw := func(addr string, frames ...[]byte) {
 		conn := dialRaw(t, addr)
 		for _, frame := range frames {
-			if _, err := conn.Write(transport.AppendFrame(nil, frame)); err != nil {
+			if _, err := conn.Write(streamFrame(nil, frame)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -490,6 +496,20 @@ func TestTCPLinkWire(t *testing.T) {
 	if n := log.count(func(delivery) bool { return true }) - delivered; n != 0 {
 		t.Fatalf("%d bad frames reached an automaton", n)
 	}
+}
+
+// bigQueryAck is an abd.queryAck whose value is size bytes, built by
+// decoding its envelope: the codec's samples are all small.
+func bigQueryAck(t testing.TB, size int) ioa.Message {
+	t.Helper()
+	env := binary.AppendVarint([]byte{0x11}, 1) // abd.queryAck, RID 1
+	env = binary.AppendVarint(binary.AppendVarint(env, 1), 0)
+	env = binary.AppendUvarint(env, uint64(size))
+	msg, err := wire.Decode(append(env, make([]byte, size)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
 }
 
 // TestTimerSendRidesReleaseUnderWay pins the hold as the one place a frame
@@ -517,7 +537,9 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 	}
 
 	h := l.holds[1]
-	h.add(wedged.Addr().String(), make([]byte, transport.MaxFrame))
+	if held, err := h.add(wedged.Addr().String(), 1, 2, bigQueryAck(t, transport.MaxFrame-64)); !held || err != nil {
+		t.Fatalf("a frame within MaxFrame: held %t, %v", held, err)
+	}
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -530,7 +552,7 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 	})
 	l.send(rt.nodes[1], rt.nodes[2], codec.Sample(3), false) // a timer goroutine's send
 	h.mu.Lock()
-	held := len(h.groups) == 1 && len(h.groups[0].frames) == 1
+	held := len(h.groups) == 1 && h.groups[0].frames == 1
 	h.mu.Unlock()
 	sent := stats().FramesSent
 	select {
@@ -551,6 +573,94 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 	}
 	if n := log.count(func(d delivery) bool { return true }); n != 1 {
 		t.Fatalf("%d deliveries, want the timer's frame exactly once", n)
+	}
+}
+
+// TestFramesReadBackToBackStayDistinct is the guard against aliasing the
+// reader's frame buffer: two frames of one length, written in one write on
+// one connection, are read into the same buffer one after the other, and
+// each decodes to its own message, intact after the next one overwrote the
+// frame it came from.
+func TestFramesReadBackToBackStayDistinct(t *testing.T) {
+	rt, l := idleTCP(t)
+	log := recordAll(rt, nil)
+	codec, ok := wire.CodecFor(0x11) // abd.queryAck
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	first, second := codec.Sample(7), codec.Sample(31) // values of one length, different bytes
+	a, b := netFrame(t, 1, 2, first), netFrame(t, 1, 2, second)
+	if len(a) != len(b) || reflect.DeepEqual(first, second) {
+		t.Fatal("the samples must differ at one frame length")
+	}
+	conn := dialRaw(t, l.addrs[2])
+	if _, err := conn.Write(streamFrame(streamFrame(nil, a), b)); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "both frames delivered", func() bool { return log.count(func(delivery) bool { return true }) == 2 })
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for i, want := range []ioa.Message{first, second} {
+		if d := log.seen[i]; d.to != 2 || d.from != 1 || !reflect.DeepEqual(d.msg, want) {
+			t.Fatalf("delivery %d: %#v from %d at %d, want %#v from 1 at 2", i, d.msg, d.from, d.to, want)
+		}
+	}
+}
+
+// TestOversizeFrameRefusedAtHold sends a message whose frame is over
+// transport.MaxFrame: the hold refuses it, it is counted as loss and never
+// written, and the group it was refused from still carries the next frame
+// intact.
+func TestOversizeFrameRefusedAtHold(t *testing.T) {
+	rt, l := idleTCP(t)
+	log := recordAll(rt, nil)
+	stats := func() transport.Stats {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return l.eps[1].Stats()
+	}
+	l.send(rt.nodes[1], rt.nodes[2], bigQueryAck(t, transport.MaxFrame), false)
+	if s := stats(); s.FramesSent+s.BatchesSent+s.BytesSent != 0 {
+		t.Fatalf("an oversize frame reached the socket: %+v", s)
+	}
+	if d, _ := l.loss(); d != 1 {
+		t.Fatalf("%d frames counted lost, want the oversize one", d)
+	}
+
+	codec, _ := wire.CodecFor(0x11)
+	msg := codec.Sample(7)
+	l.send(rt.nodes[1], rt.nodes[2], msg, false)
+	eventually(t, "the next frame delivered", func() bool { return log.count(func(delivery) bool { return true }) == 1 })
+	if s := stats(); s.FramesSent != 1 || s.BatchesSent != 1 {
+		t.Fatalf("after the refusal: %+v, want the next frame alone written", s)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if d := log.seen[0]; d.to != 2 || d.from != 1 || !reflect.DeepEqual(d.msg, msg) {
+		t.Fatalf("delivered %#v from %d at %d, want %#v from 1 at 2", d.msg, d.from, d.to, msg)
+	}
+}
+
+// TestWarmHoldEncodesWithoutAllocating pins the send path's one copy: once
+// its group's buffer has grown, a hold frames and encodes an abd.queryAck
+// straight into it, allocating nothing.
+func TestWarmHoldEncodesWithoutAllocating(t *testing.T) {
+	codec, ok := wire.CodecFor(0x11) // abd.queryAck
+	if !ok {
+		t.Fatal("abd wire types not registered")
+	}
+	msg := codec.Sample(7)
+	h := &hold{}
+	add := func() {
+		if held, err := h.add("127.0.0.1:1", 1, cluster.WriterBase, msg); !held || err != nil {
+			t.Fatalf("held %t, %v", held, err)
+		}
+		g := &h.groups[0]
+		g.stream, g.frames = g.stream[:0], 0 // what a release leaves
+	}
+	add()
+	if n := testing.AllocsPerRun(1000, add); n != 0 {
+		t.Fatalf("encoding into a warm hold: %v allocations per message, want 0", n)
 	}
 }
 
@@ -909,9 +1019,9 @@ func TestNetConnectionsDoNotGrowWithClients(t *testing.T) {
 	accepted := socketsByLocalPort(t)
 	port := listenPorts(t, in.rt.link.(*tcpLink))
 	conns := 0
-	for id := range in.rt.nodes {
-		if !in.rt.nodes[id].client || id == cl.Writers[0] { // the clients' port once
-			conns += accepted[port(id)]
+	for _, ns := range in.rt.all {
+		if !ns.client || ns.id == cl.Writers[0] { // the clients' port once
+			conns += accepted[port(ns.id)]
 		}
 	}
 	if conns != len(cl.Servers) {

@@ -115,7 +115,7 @@ func RunConfig(backend string, cl *cluster.Cluster, spec workload.Spec, cfg Conf
 func (rt *runtime) storageReport() ioa.StorageReport {
 	rep := ioa.StorageReport{PerServerMaxBits: make(map[ioa.NodeID]int, len(rt.servers))}
 	for _, id := range rt.servers {
-		ns := rt.nodes[id]
+		ns := rt.node(id)
 		if ns == nil || !ns.metered {
 			continue
 		}

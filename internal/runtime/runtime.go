@@ -265,12 +265,16 @@ type nodeState struct {
 	// loopDone), so the loop reads them race-free. crashCh is closed
 	// exactly once, followed by a wake token in mb: by crashNode when the
 	// incarnation crashes, or by stop (signalStop) when it is still live at
-	// shutdown. The loop polls it once per run and after every wakeup.
+	// shutdown. ended is set just before that close and cleared by
+	// recoverNode for the next incarnation: the loop polls the flag, once
+	// per run and after every wakeup, and only a chan-link send blocked on a
+	// full mailbox selects on crashCh.
 	// image is the automaton a recovery restarts a clone of: nil when no
 	// recovery is scheduled, else pristine, and for a server replaced by
 	// the owner with a clone taken before each effect's sends.
 	image    ioa.Node
 	down     atomic.Bool // true between a crash and its recovery
+	ended    atomic.Bool // the running incarnation is over: crashCh is closed or about to be
 	crashCh  chan struct{}
 	loopDone chan struct{}
 }
@@ -280,8 +284,9 @@ type runtime struct {
 	cfg     Config
 	plan    *faults.Plan
 	wc      *faults.WallClock // step clock + crash/recovery event schedule
-	nodes   map[ioa.NodeID]*nodeState
-	servers []ioa.NodeID // the deployment's servers, whose storage maxima storageReport sums
+	nodes   []*nodeState      // indexed by NodeID, nil where no node has the id; resolve ids through node
+	all     []*nodeState      // every node, by ascending id
+	servers []ioa.NodeID      // the deployment's servers, whose storage maxima storageReport sums
 	link    link
 
 	feed *ioa.OpFeed             // stamps and orders a batch run's ops into its sink; nil in interactive sessions
@@ -332,7 +337,6 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 		cfg:     cfg,
 		plan:    plan,
 		tel:     tel,
-		nodes:   make(map[ioa.NodeID]*nodeState),
 		servers: cl.Servers,
 		timers:  make(map[*time.Timer]struct{}),
 		done:    make(chan struct{}),
@@ -340,7 +344,11 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 	if tel.Active() {
 		rt.tracer = tel.Registry.Tracer()
 	}
-	for _, id := range cl.Sys.NodeIDs() {
+	ids := cl.Sys.NodeIDs() // ascending, and small non-negative integers: the System admits no other
+	if len(ids) > 0 {
+		rt.nodes = make([]*nodeState, ids[len(ids)-1]+1)
+	}
+	for _, id := range ids {
 		n, err := cl.Automaton(id)
 		if err != nil {
 			return nil, err
@@ -355,13 +363,14 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 		ns.meter, _ = ns.node.(ioa.StorageMeter)
 		ns.metered = ns.meter != nil
 		rt.nodes[id] = ns
+		rt.all = append(rt.all, ns)
 	}
 	for _, id := range clients {
 		rt.nodes[id].client = true
 	}
 	if plan != nil {
 		for _, id := range plan.RecoveredNodes() {
-			ns := rt.nodes[id]
+			ns := rt.node(id)
 			if ns == nil {
 				return nil, fmt.Errorf("runtime: fault plan schedules recovery of unknown node %d", id)
 			}
@@ -374,7 +383,7 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 	}
 	rt.wc = faults.NewWallClock(plan, cfg.StepDur)
 	rt.link = mkLink(rt)
-	for _, ns := range rt.nodes {
+	for _, ns := range rt.all {
 		if err := rt.link.up(ns); err != nil {
 			rt.link.close()
 			return nil, fmt.Errorf("runtime: node %d: %w", ns.id, err)
@@ -383,12 +392,20 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 	return rt, nil
 }
 
+// node resolves a node id: nil for an id no node of the deployment has.
+func (rt *runtime) node(id ioa.NodeID) *nodeState {
+	if uint(id) < uint(len(rt.nodes)) {
+		return rt.nodes[id]
+	}
+	return nil
+}
+
 // start launches one goroutine per node, then starts the wall clock: its
 // epoch is stamped after every loop is running, so a crash scheduled at step
 // 0 still finds a live incarnation to stop, and has stopped it when start
 // returns — before the driver issues its first operation.
 func (rt *runtime) start() {
-	for _, ns := range rt.nodes {
+	for _, ns := range rt.all {
 		rt.wg.Add(1)
 		go rt.loop(ns)
 	}
@@ -432,17 +449,18 @@ func (rt *runtime) stop() {
 // down flag or crashCh meanwhile.
 func (rt *runtime) signalStop() {
 	close(rt.done)
-	for _, ns := range rt.nodes {
+	for _, ns := range rt.all {
 		if !ns.down.Load() {
 			ns.endIncarnation()
 		}
 	}
 }
 
-// endIncarnation closes the running incarnation's crashCh, then puts a
-// wake token: a loop parked on an empty mailbox wakes, polls crashCh and
-// exits. The caller closes each crashCh once.
+// endIncarnation sets ended and closes the running incarnation's crashCh,
+// then puts a wake token: a loop parked on an empty mailbox wakes, polls
+// ended and exits. The caller closes each crashCh once.
 func (ns *nodeState) endIncarnation() {
+	ns.ended.Store(true)
 	close(ns.crashCh)
 	ns.mb.signal()
 }
@@ -494,20 +512,18 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // destination endpoint) and no send is held past drainBatch+1 events. Events
 // its chan-link send siphoned while blocked are appended to the same queue:
 // they arrived after everything already in it and before anything still in
-// the mailbox, so per-link FIFO holds. It polls its incarnation's crashCh
-// once per run, and with the queue and the mailbox empty it parks on the
-// mailbox's wake channel alone: crashNode at a crash, and stop for every
-// live incarnation at shutdown, close crashCh and then put a wake token, so
-// the loop reads neither the runtime-wide done nor any select.
+// the mailbox, so per-link FIFO holds. It polls its incarnation's ended
+// flag once per run, and with the queue and the mailbox empty it parks on
+// the mailbox's wake channel alone: crashNode at a crash, and stop for every
+// live incarnation at shutdown, set ended, close crashCh and then put a wake
+// token, so the loop reads neither the runtime-wide done nor any select.
 func (rt *runtime) loop(ns *nodeState) {
-	crashed, exited := ns.crashCh, ns.loopDone
+	exited := ns.loopDone
 	defer rt.wg.Done()
 	defer close(exited) // before Done: a loop stop has joined reads as exited
 	for {
-		select {
-		case <-crashed:
+		if ns.ended.Load() {
 			return
-		default:
 		}
 		if ns.head == len(ns.q) {
 			ns.takeMail()
@@ -560,7 +576,7 @@ func (rt *runtime) handlePosted(ns *nodeState, ev event) {
 // the consistency checkers' completion semantics expect of an op lost to a
 // crash.
 func (rt *runtime) crashNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
+	ns := rt.node(id)
 	if ns == nil || ns.down.Load() {
 		return
 	}
@@ -616,7 +632,7 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 // pristine. No lock guards ns.image here: crashNode joined the loop and took
 // and released own, so its last writer is done.
 func (rt *runtime) recoverNode(id ioa.NodeID) {
-	ns := rt.nodes[id]
+	ns := rt.node(id)
 	if ns == nil || !ns.down.Load() || ns.image == nil {
 		return
 	}
@@ -629,6 +645,7 @@ func (rt *runtime) recoverNode(id ioa.NodeID) {
 	ns.meter, _ = node.(ioa.StorageMeter)
 	ns.crashCh = make(chan struct{})
 	ns.loopDone = make(chan struct{})
+	ns.ended.Store(false)
 	ns.down.Store(false)
 	rt.wg.Add(1)
 	go rt.loop(ns)
@@ -705,7 +722,7 @@ func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
 // on the sender's owner. Sequence numbers are global, as in the kernel, so
 // the same plan seed draws from the same decision stream.
 func (rt *runtime) send(from *nodeState, s ioa.Send) {
-	to := rt.nodes[s.To]
+	to := rt.node(s.To)
 	if to == nil {
 		return
 	}
@@ -793,7 +810,7 @@ type pendingOp struct {
 // node starts it when every earlier invocation at that client has responded.
 // Pipelining drivers keep several handles open per client.
 func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp {
-	ns := rt.nodes[client]
+	ns := rt.node(client)
 	ie := &invokeEvent{inv: inv, done: make(chan []byte, 1)}
 	if rt.tracer != nil {
 		ie.span = rt.tracer.Begin(inv.Kind.String())

@@ -41,18 +41,26 @@ import (
 // clients share — and the hold is the only place a frame waits. An owner's
 // sends stay there until the loop's drain batch or the reader's run (the
 // frames one socket read delivered) ends; then each destination's group
-// goes to the transport as one Send, written in one socket write. So a
-// server that answered four clients in one batch answers them in one write,
-// and two clients whose replies arrived in that one write send their next
-// requests to each server in one write. Sends from timer goroutines (delay
-// and outage holds) release the hold at once, or ride the release under
-// way; one release at a time writes an endpoint's frames.
+// goes to the transport as one write. So a server that answered four
+// clients in one batch answers them in one write, and two clients whose
+// replies arrived in that one write send their next requests to each server
+// in one write. Sends from timer goroutines (delay and outage holds) release
+// the hold at once, or ride the release under way; one release at a time
+// writes an endpoint's frames.
+//
+// A frame is built once: the hold encodes each message straight into its
+// destination's write buffer, framed as the socket carries it, and the
+// release writes that buffer as it is (transport.Endpoint.SendFramed). On
+// the way in, a reader reads each frame into a buffer it reuses and inbound
+// decodes it in place; the decoder copies byte strings and shards out, so
+// nothing delivered keeps the frame.
 type tcpLink struct {
 	rt *runtime
 
-	// holds maps every node to the hold of the endpoint it sends from. Built
-	// with the link and never changed, so it is read without a lock.
-	holds map[ioa.NodeID]*hold
+	// holds is the hold of the endpoint each node sends from, indexed by node
+	// id like runtime.nodes. Built with the link and never changed, so it is
+	// read without a lock.
+	holds []*hold
 
 	// mu guards everything below it: recovery replaces a server's endpoint
 	// and address. A node is in eps exactly while attached, so a server
@@ -66,7 +74,7 @@ type tcpLink struct {
 
 	badFrames atomic.Int64 // undecodable or misrouted inbound frames, dropped
 	detached  atomic.Int64 // inbound frames for a node that was down when they arrived
-	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints
+	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints, or refused over MaxFrame
 }
 
 // clientsOwner labels the shared client endpoint's telemetry series.
@@ -75,17 +83,17 @@ const clientsOwner = "clients"
 func newTCPLink(rt *runtime) *tcpLink {
 	l := &tcpLink{
 		rt:      rt,
-		holds:   make(map[ioa.NodeID]*hold, len(rt.nodes)),
+		holds:   make([]*hold, len(rt.nodes)),
 		eps:     make(map[ioa.NodeID]*transport.Endpoint),
 		addrs:   make(map[ioa.NodeID]string),
 		retired: make(map[ioa.NodeID]transport.Stats),
 	}
 	clients := &hold{}
-	for id, ns := range rt.nodes {
+	for _, ns := range rt.all {
 		if ns.client {
-			l.holds[id] = clients
+			l.holds[ns.id] = clients
 		} else {
-			l.holds[id] = &hold{owner: ns}
+			l.holds[ns.id] = &hold{owner: ns}
 		}
 	}
 	return l
@@ -150,15 +158,15 @@ func (l *tcpLink) down(ns *nodeState) {
 // each server under its id, summed over the endpoints its crashes retired,
 // and the clients' shared one under clientsOwner. Called with mu held.
 func (l *tcpLink) endpoints(f func(owner string, s transport.Stats)) {
-	for id, ns := range l.rt.nodes {
+	for _, ns := range l.rt.all {
 		if ns.client {
 			continue
 		}
-		s := l.retired[id]
-		if ep := l.eps[id]; ep != nil {
+		s := l.retired[ns.id]
+		if ep := l.eps[ns.id]; ep != nil {
 			s = sumStats(s, ep.Stats())
 		}
-		f(strconv.Itoa(int(id)), s)
+		f(strconv.Itoa(int(ns.id)), s)
 	}
 	if l.clients != nil {
 		f(clientsOwner, l.clients.Stats())
@@ -201,50 +209,88 @@ func (l *tcpLink) close() {
 // owner's (its loop, or a reader delivering inline) until the drain batch or
 // reader run that sent them ends, a timer goroutine's until the release it
 // starts or finds under way. Groups are per destination address, in
-// first-send order; their backing arrays are reused. One release at a time
-// sends them, so every (sender, destination) pair keeps its send order and
-// one goroutine at a time writes each of the endpoint's connections.
+// first-send order, and each is the write that carries it: its frames back
+// to back, each framed as the transport puts it on the wire. A send encodes
+// its message into its group through enc, and a release writes the group as
+// it is, so a frame is built once and copied by nothing before the socket.
+// Groups and their buffers are reused from release to release. One release
+// at a time sends them, so every (sender, destination) pair keeps its send
+// order and one goroutine at a time writes each of the endpoint's
+// connections.
 type hold struct {
 	owner *nodeState // the server whose endpoint sends the frames; nil for the clients' shared one
 
 	mu        sync.Mutex
 	groups    []heldGroup // waiting to be sent
 	spare     []heldGroup // the array the last release sent from, emptied for reuse
+	enc       wire.Buffer // encodes every message added, straight into its group
 	releasing bool        // a release is sending, and sends whatever is added meanwhile before it returns
 }
 
 // heldGroup is the frames held for one destination address, in send order.
 type heldGroup struct {
 	addr   string
-	frames [][]byte
+	stream []byte // the frames, back to back: [4-byte length][uvarint from][uvarint to][wire envelope]
+	frames int
 }
 
-func (h *hold) add(addr string, frame []byte) {
+// keptStream bounds the group buffer a release keeps for reuse: a larger one
+// (a burst of large values) is dropped once written.
+const keptStream = 1 << 20
+
+// add frames msg from one node to another — the 4-byte length, the sender
+// and destination ids, the wire envelope — at the end of addr's group. It
+// reports false, leaving the group as it was, for a frame over
+// transport.MaxFrame, which no peer would accept; an error is a message type
+// wire cannot encode.
+func (h *hold) add(addr string, from, to ioa.NodeID, msg ioa.Message) (bool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	g := h.group(addr)
+	start := len(g.stream)
+	s := append(g.stream, 0, 0, 0, 0) // the length, filled in below
+	s = binary.AppendUvarint(s, uint64(from))
+	s = binary.AppendUvarint(s, uint64(to))
+	s, err := h.enc.Append(s, msg)
+	n := len(s) - start - 4
+	if err != nil || n > transport.MaxFrame {
+		g.stream = s[:start]
+		return false, err
+	}
+	binary.BigEndian.PutUint32(s[start:], uint32(n))
+	g.stream, g.frames = s, g.frames+1
+	return true, nil
+}
+
+// group returns addr's group, opening one after the others if none is held.
+// Called with mu held.
+func (h *hold) group(addr string) *heldGroup {
 	for i := range h.groups {
 		if g := &h.groups[i]; g.addr == addr {
-			g.frames = append(g.frames, frame)
-			return
+			return g
 		}
 	}
 	if n := len(h.groups); n < cap(h.groups) {
-		h.groups = h.groups[:n+1] // reuse the slot and its frames array
+		h.groups = h.groups[:n+1] // reuse the slot and its buffer
 	} else {
 		h.groups = append(h.groups, heldGroup{})
 	}
 	g := &h.groups[len(h.groups)-1]
-	g.addr, g.frames = addr, append(g.frames, frame)
+	g.addr = addr
+	return g
 }
 
-// send frames the message — sender id, destination id, wire encoding — and
-// adds it to the sending endpoint's hold. An owner's send (inLoop) leaves
-// when the owner's batch or run ends; a timer goroutine's releases the hold
-// at once. The address is snapshotted under mu (recovery replaces it).
+// send frames the message into the sending endpoint's hold. An owner's send
+// (inLoop) leaves when the owner's batch or run ends; a timer goroutine's
+// releases the hold at once. The address is snapshotted under mu (recovery
+// replaces it). A frame over transport.MaxFrame is refused at the hold and
+// counted as loss: it is never written.
 func (l *tcpLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
-	frame := binary.AppendUvarint(make([]byte, 0, 64), uint64(from.id))
-	frame = binary.AppendUvarint(frame, uint64(to.id))
-	frame, err := wire.Append(frame, msg)
+	l.mu.RLock()
+	addr := l.addrs[to.id]
+	l.mu.RUnlock()
+	h := l.holds[from.id]
+	held, err := h.add(addr, from.id, to.id, msg)
 	if err != nil {
 		// An unregistered message type cannot cross the network; surfacing
 		// it as loss would hide the bug, so panic — the wire registry tests
@@ -254,11 +300,9 @@ func (l *tcpLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	if p, ok := msg.(ioa.Pooled); ok {
 		p.Release() // the frame holds a copy of the payload: the message lets go of its own
 	}
-	l.mu.RLock()
-	addr := l.addrs[to.id]
-	l.mu.RUnlock()
-	h := l.holds[from.id]
-	h.add(addr, frame)
+	if !held {
+		l.sendErrs.Add(1)
+	}
 	if !inLoop {
 		l.release(h)
 	}
@@ -267,14 +311,14 @@ func (l *tcpLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
 // flush ends the node loop's drain batch by releasing its endpoint's hold.
 func (l *tcpLink) flush(ns *nodeState) { l.release(l.holds[ns.id]) }
 
-// release sends what h holds: each destination's frames go to the
-// transport as one group, in the order they were sent. A caller that finds
-// a release under way leaves its frames to it and returns; the one
-// releasing sends until nothing is held. A Send error (failed dial, closed
-// endpoint) is real-network silence — the endpoint redials on the next send
-// and protocol timeouts own recovery — but it is counted, so lossy-run
-// reports do not understate loss. Sends run outside mu, since one can block
-// for the transport's full send timeout.
+// release sends what h holds: each destination's group goes to the
+// transport as one write, its frames in the order they were sent. A caller
+// that finds a release under way leaves its frames to it and returns; the
+// one releasing sends until nothing is held. A send error (failed dial,
+// closed endpoint) is real-network silence — the endpoint redials on the
+// next send and protocol timeouts own recovery — but it is counted, so
+// lossy-run reports do not understate loss. Sends run outside mu, since one
+// can block for the transport's full send timeout.
 func (l *tcpLink) release(h *hold) {
 	h.mu.Lock()
 	if h.releasing {
@@ -294,11 +338,13 @@ func (l *tcpLink) release(h *hold) {
 		l.mu.RUnlock()
 		for i := range out {
 			g := &out[i]
-			if ep == nil || ep.Send(g.addr, g.frames...) != nil {
-				l.sendErrs.Add(int64(len(g.frames)))
+			if g.frames > 0 && (ep == nil || ep.SendFramed(g.addr, g.stream, g.frames) != nil) {
+				l.sendErrs.Add(int64(g.frames))
 			}
-			clear(g.frames) // the reused slot must not pin sent frames
-			g.frames = g.frames[:0]
+			if cap(g.stream) > keptStream {
+				g.stream = nil
+			}
+			g.stream, g.frames = g.stream[:0], 0
 		}
 		h.mu.Lock()
 		h.spare = out[:0]
@@ -326,7 +372,7 @@ func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 		l.badFrames.Add(1)
 		return
 	}
-	ns := l.rt.nodes[ioa.NodeID(to)]
+	ns := l.rt.node(ioa.NodeID(to))
 	if ns == nil || (owner != nil && ns != owner) || (owner == nil && !ns.client) {
 		l.badFrames.Add(1)
 		return

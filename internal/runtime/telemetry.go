@@ -69,7 +69,7 @@ func (rt *runtime) startTelemetry(cl *cluster.Cluster, spec workload.Spec, chk c
 	}
 	var gs []nodeGauges
 	for _, id := range cl.Servers {
-		ns := rt.nodes[id]
+		ns := rt.node(id)
 		if ns == nil || !ns.metered {
 			continue
 		}

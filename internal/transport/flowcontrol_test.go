@@ -465,7 +465,7 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 	defer redialed.Close()
 	br := bufio.NewReader(redialed)
 	for _, want := range []string{a.Addr(), "waiting"} { // the hello, then the waiter's frame
-		if got, err := readFrame(br, MaxFrame); err != nil || string(got) != want {
+		if got, err := readFrame(br, MaxFrame, nil); err != nil || string(got) != want {
 			t.Fatalf("redialed stream: read %q, %v; want %q", got, err, want)
 		}
 	}

@@ -16,18 +16,18 @@ import (
 // up to the first bad length or truncation, and count a stream refused at a
 // hello over maxHello or a length over MaxFrame in Stats.Malformed.
 func FuzzReadFrames(f *testing.F) {
-	hello := AppendFrame(nil, []byte("127.0.0.1:7000"))
-	one := AppendFrame(nil, []byte("one"))
+	hello := appendFrame(nil, []byte("127.0.0.1:7000"))
+	one := appendFrame(nil, []byte("one"))
 	tooLong := []byte{0xff, 0xff, 0xff, 0xff}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	f.Add([]byte{})
 	f.Add(cat(hello, one))
-	f.Add(cat(hello, AppendFrame(nil, []byte("a")), AppendFrame(nil, nil), AppendFrame(nil, []byte("bcd")))) // back to back, one empty
+	f.Add(cat(hello, appendFrame(nil, []byte("a")), appendFrame(nil, nil), appendFrame(nil, []byte("bcd")))) // back to back, one empty
 	f.Add(cat(hello, one, tooLong, one))                                                                     // the frame after a bad length is never read
-	f.Add(cat(hello, AppendFrame(nil, []byte("x")), []byte{0}))                                              // a stray byte: truncated length
+	f.Add(cat(hello, appendFrame(nil, []byte("x")), []byte{0}))                                              // a stray byte: truncated length
 	f.Add(cat(hello, tooLong, []byte{0x00}))                                                                 // length over MaxFrame
 	f.Add(cat(hello, []byte{0x00, 0xff, 0x00, 0x00, 0x00}))                                                  // length under MaxFrame, payload missing
-	f.Add(cat(AppendFrame(nil, make([]byte, maxHello+1)), one))                                              // hello over its cap
+	f.Add(cat(appendFrame(nil, make([]byte, maxHello+1)), one))                                              // hello over its cap
 	f.Add(one)                                                                                               // a hello and nothing after it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := &Endpoint{conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{})}

@@ -32,6 +32,12 @@
 //     and one per payload — that hands each frame to the handler in order,
 //     telling it whether another whole frame is already buffered: the frames
 //     one read delivered are a run, and the handler learns where it ends.
+//     The reader reads every frame into one buffer of its own, reused from
+//     frame to frame, so a ServeRuns handler borrows the frame for the call;
+//     Serve hands its handler a copy to keep.
+//   - Framed sends: SendFramed writes frames its caller has already framed
+//     back to back, as they go on the wire, so a layer that builds its
+//     frames in place writes them with no copy in between.
 //   - Retirement and redial: a failed write, or the stream ending under its
 //     reader, retires the connection and the next Send redials — loss on a
 //     broken connection reaches the layer above as what it is on a real
@@ -216,9 +222,10 @@ func (e *Endpoint) Stats() Stats {
 	}
 }
 
-// Serve is ServeRuns for a handler that has no use for run ends.
+// Serve is ServeRuns for a handler that has no use for run ends. Each frame
+// is copied out of the reader's buffer, so the handler may keep it.
 func (e *Endpoint) Serve(handler func(frame []byte)) {
-	e.ServeRuns(func(frame []byte, _ bool) { handler(frame) })
+	e.ServeRuns(func(frame []byte, _ bool) { handler(append([]byte(nil), frame...)) })
 }
 
 // ServeRuns installs handler and starts reading: a reader goroutine on every
@@ -227,9 +234,11 @@ func (e *Endpoint) Serve(handler func(frame []byte)) {
 // with each in order; more reports that the reader has the next frame whole
 // in its buffer already, so more == false ends a run — the frames one socket
 // read delivered — and the reader's next step may be a blocking read. The
-// handler runs on the reader goroutine and may keep the frame; a handler
-// that blocks exerts backpressure on that peer's inbound direction only.
-// ServeRuns is called once (Serve counts) and returns immediately.
+// handler runs on the reader goroutine. The frame is valid only during the
+// call: the reader reads the next frame into the same buffer, so a handler
+// that keeps anything of it copies it. A handler that blocks exerts
+// backpressure on that peer's inbound direction only. ServeRuns is called
+// once (Serve counts) and returns immediately.
 func (e *Endpoint) ServeRuns(handler func(frame []byte, more bool)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -298,7 +307,7 @@ func (e *Endpoint) serveConn(pc *peerConn, accepted bool) {
 // reports false, refusing the stream, on a hello that does not arrive whole
 // or names an address over maxHello bytes (counted Malformed).
 func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
-	hello, err := readFrame(br, maxHello)
+	hello, err := readFrame(br, maxHello, nil)
 	if err != nil {
 		if errors.Is(err, errTooLarge) {
 			e.malformed.Add(1)
@@ -314,12 +323,19 @@ func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
 	return true
 }
 
+// keptReadBuf bounds the frame buffer a reader keeps between frames: a
+// larger frame is read into a buffer of its own, dropped once handled.
+const keptReadBuf = 1 << 20
+
 // readFrames decodes frames off r until it fails or the endpoint closes,
 // handing each to handler in order, with whether the next is buffered whole.
-// A length over MaxFrame ends the stream and is counted as Malformed.
+// Every frame is read into the same buffer, so each is valid only until the
+// handler returns. A length over MaxFrame ends the stream and is counted as
+// Malformed.
 func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte, more bool)) {
+	var buf []byte
 	for {
-		frame, err := readFrame(r, MaxFrame)
+		frame, err := readFrame(r, MaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, errTooLarge) {
 				e.malformed.Add(1)
@@ -331,7 +347,10 @@ func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte, more b
 		}
 		e.framesRecv.Add(1)
 		e.bytesRecv.Add(uint64(len(frame)))
-		handler(frame, buffered(r)) // freshly allocated by readFrame: the handler may keep it
+		handler(frame, buffered(r))
+		if cap(frame) <= keptReadBuf {
+			buf = frame
+		}
 	}
 }
 
@@ -352,9 +371,9 @@ func buffered(r *bufio.Reader) bool {
 // write. Frames whose write timed out unwritten or failed are dropped and
 // counted once in Stats — they are "lost in the network", exactly like
 // frames on a connection that breaks mid-flight; protocol-level timeouts own
-// recovery. Send returns an error only when no connection could be
-// established or the endpoint was closed before Send began; a Send that
-// Close cuts short returns nil, its frames discarded.
+// recovery. Send returns an error only when a frame exceeds MaxFrame, no
+// connection could be established or the endpoint was closed before Send
+// began; a Send that Close cuts short returns nil, its frames discarded.
 func (e *Endpoint) Send(addr string, frames ...[]byte) error {
 	for _, frame := range frames {
 		if len(frame) > MaxFrame {
@@ -366,43 +385,63 @@ func (e *Endpoint) Send(addr string, frames ...[]byte) error {
 	}
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
-	if e.closed.Load() { // Close began while this Send waited: a discard, not loss
+	e.buf = e.buf[:0]
+	for _, frame := range frames {
+		e.buf = appendFrame(e.buf, frame)
+	}
+	return e.sendLocked(addr, e.buf, len(frames))
+}
+
+// SendFramed is Send for a group its caller has framed already: stream holds
+// frames frames back to back, each its 4-byte big-endian length and its
+// payload, exactly as Send would write them, and goes to the socket as it
+// is, in one write. The caller keeps every payload within MaxFrame and may
+// reuse stream once SendFramed returns.
+func (e *Endpoint) SendFramed(addr string, stream []byte, frames int) error {
+	if e.closed.Load() {
+		return errClosed
+	}
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	return e.sendLocked(addr, stream, frames)
+}
+
+// sendLocked writes a framed group with sendMu held, retrying once on a
+// fresh connection, and counts the frames of a failed write as loss.
+func (e *Endpoint) sendLocked(addr string, stream []byte, frames int) error {
+	if e.closed.Load() { // Close began while the sender waited: a discard, not loss
 		return nil
 	}
-	err := e.send(addr, frames)
+	err := e.send(addr, stream, frames)
 	if err == errStale {
 		// The connection died between lookup and write: one retry on a fresh
 		// connection. A second death means the peer is gone and the frames
 		// are lost like any other frames on a broken connection.
-		if err = e.send(addr, frames); err == nil {
-			e.requeued.Add(uint64(len(frames)))
+		if err = e.send(addr, stream, frames); err == nil {
+			e.requeued.Add(uint64(frames))
 		}
 	}
 	switch err {
 	case errFull:
-		e.droppedFull.Add(uint64(len(frames)))
+		e.droppedFull.Add(uint64(frames))
 	case errDead, errStale:
-		e.droppedDead.Add(uint64(len(frames)))
+		e.droppedDead.Add(uint64(frames))
 	default:
 		return err
 	}
 	return nil
 }
 
-// send writes frames to addr's pooled connection, with sendMu held. It
-// reports errStale when the connection was found retired before the write
-// — by the peer ending the stream, or a failed write of an earlier Send. A
-// write that timed out unwritten keeps the connection (errFull); any other
-// failure retires it (errDead) — unless Close is under way, whose discards
-// are not loss.
-func (e *Endpoint) send(addr string, frames [][]byte) error {
+// send writes a framed group to addr's pooled connection, with sendMu held.
+// It reports errStale when the connection was found retired before the
+// write — by the peer ending the stream, or a failed write of an earlier
+// Send. A write that timed out unwritten keeps the connection (errFull); any
+// other failure retires it (errDead) — unless Close is under way, whose
+// discards are not loss.
+func (e *Endpoint) send(addr string, stream []byte, frames int) error {
 	pc, err := e.conn(addr)
 	if err != nil {
 		return err
-	}
-	e.buf = e.buf[:0]
-	for _, frame := range frames {
-		e.buf = AppendFrame(e.buf, frame)
 	}
 	if pc.dead.Load() {
 		return errStale
@@ -413,12 +452,12 @@ func (e *Endpoint) send(addr string, frames [][]byte) error {
 		pc.deadline = now.Add(e.cfg.SendTimeout)
 		pc.c.SetWriteDeadline(pc.deadline) // fails only on a closed connection, whose Write fails too
 	}
-	wrote, err := pc.c.Write(e.buf)
+	wrote, err := pc.c.Write(stream)
 	switch {
 	case err == nil:
-		e.framesSent.Add(uint64(len(frames)))
+		e.framesSent.Add(uint64(frames))
 		e.batchesSent.Add(1)
-		e.bytesSent.Add(uint64(len(e.buf) - 4*len(frames)))
+		e.bytesSent.Add(uint64(len(stream) - 4*frames))
 		return nil
 	case e.closed.Load(): // Close failed the write: a discard, not loss
 		return nil
@@ -448,7 +487,7 @@ func (e *Endpoint) conn(addr string) (*peerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if _, err := c.Write(AppendFrame(nil, []byte(e.Addr()))); err != nil {
+	if _, err := c.Write(appendFrame(nil, []byte(e.Addr()))); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("transport: hello to %s: %w", addr, err)
 	}
@@ -491,16 +530,17 @@ func (e *Endpoint) Close() error {
 	return err
 }
 
-// AppendFrame appends the frame for payload to dst: its 4-byte big-endian
+// appendFrame appends the frame for payload to dst: its 4-byte big-endian
 // length, then the payload. The caller keeps payload within MaxFrame.
-func AppendFrame(dst, payload []byte) []byte {
+func appendFrame(dst, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
 }
 
-// readFrame reads one length-prefixed frame, rejecting a length over limit
-// before allocating. The payload is freshly allocated.
-func readFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
+// readFrame reads one length-prefixed frame into buf, rejecting a length
+// over limit before allocating. The payload reuses buf's array when it fits
+// and is freshly allocated otherwise.
+func readFrame(r *bufio.Reader, limit uint32, buf []byte) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
 		return nil, err
@@ -510,7 +550,10 @@ func readFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d > %d", errTooLarge, n, limit)
 	}
 	r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
-	payload := make([]byte, n)
+	if uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

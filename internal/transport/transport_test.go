@@ -70,6 +70,52 @@ func TestSendDeliversFrames(t *testing.T) {
 	}
 }
 
+// TestServeHandsFramesToKeep pins Serve's side of the frame contract: a
+// connection's reader reads every frame into one reused buffer, and ServeRuns
+// handlers borrow each frame for the call, but a Serve handler is handed a
+// copy of its own. Frames of one length sent as one group arrive in one read
+// and would share the reader's buffer; kept past their calls, each still
+// holds its own bytes.
+func TestServeHandsFramesToKeep(t *testing.T) {
+	const n = 32
+	a, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var mu sync.Mutex
+	var kept [][]byte
+	b.Serve(func(frame []byte) {
+		mu.Lock()
+		kept = append(kept, frame)
+		mu.Unlock()
+	})
+	frames := make([][]byte, n)
+	for i := range frames {
+		frames[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 16)
+	}
+	if err := a.Send(b.Addr(), frames...); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(kept) == n
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i, f := range kept {
+		if !bytes.Equal(f, frames[i]) {
+			t.Fatalf("kept frame %d reads %q after later frames were read, want %q", i, f, frames[i])
+		}
+	}
+}
+
 // TestConnectionReuse pins the pooling behavior: many sends to one peer
 // share a single dialed connection, and the peer's sends back ride the same
 // connection — after a→b and then b→a, a has accepted no connection, and
@@ -266,7 +312,7 @@ func TestCloseIsGracefulAndIdempotent(t *testing.T) {
 }
 
 // TestFrameCodec pins the one framing layer: a frame is its 4-byte
-// big-endian length and its payload, nothing else, whether AppendFrame
+// big-endian length and its payload, nothing else, whether appendFrame
 // builds it or Send writes it; frames back to back read back in order; a
 // stream Send dials opens with a hello frame naming the dialer; and a length
 // over MaxFrame is refused on both sides.
@@ -275,26 +321,28 @@ func TestFrameCodec(t *testing.T) {
 	var stream []byte
 	for _, p := range payloads {
 		n := len(stream)
-		stream = AppendFrame(stream, p)
+		stream = appendFrame(stream, p)
 		if got := stream[n:]; binary.BigEndian.Uint32(got) != uint32(len(p)) || !bytes.Equal(got[4:], p) {
-			t.Fatalf("AppendFrame(%d bytes) = % x…", len(p), got[:4])
+			t.Fatalf("appendFrame(%d bytes) = % x…", len(p), got[:4])
 		}
 	}
 	r := bufio.NewReader(bytes.NewReader(stream))
+	var buf []byte // reused from frame to frame, as a connection's reader does
 	for i, p := range payloads {
-		got, err := readFrame(r, MaxFrame)
+		got, err := readFrame(r, MaxFrame, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame %d read back as %q, want %q", i, got, p)
 		}
+		buf = got
 	}
-	if _, err := readFrame(r, MaxFrame); err != io.EOF {
+	if _, err := readFrame(r, MaxFrame, nil); err != io.EOF {
 		t.Fatalf("read past the last frame = %v, want EOF", err)
 	}
 
-	// What Send puts on the socket is exactly AppendFrame's bytes.
+	// What Send puts on the socket is exactly appendFrame's bytes.
 	a, err := Listen("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +350,7 @@ func TestFrameCodec(t *testing.T) {
 	defer a.Close()
 	_, peer := pipePeer(a, "peer")
 	defer peer.Close()
-	want := AppendFrame(nil, payloads[0])
+	want := appendFrame(nil, payloads[0])
 	written := make(chan []byte, 1)
 	go func() {
 		got := make([]byte, len(want))
@@ -314,6 +362,26 @@ func TestFrameCodec(t *testing.T) {
 	}
 	if got := <-written; !bytes.Equal(got, want) {
 		t.Fatalf("Send wrote % x, want % x", got, want)
+	}
+
+	// SendFramed writes its caller's framed stream as it is, in one write,
+	// and counts its frames and their payload bytes as Send would.
+	want = appendFrame(appendFrame(nil, payloads[3]), payloads[0])
+	go func() {
+		got := make([]byte, len(want))
+		io.ReadFull(peer, got)
+		written <- got
+	}()
+	before := a.Stats()
+	if err := a.SendFramed("peer", want, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-written; !bytes.Equal(got, want) {
+		t.Fatalf("SendFramed wrote % x, want % x", got, want)
+	}
+	if s := a.Stats(); s.FramesSent-before.FramesSent != 2 || s.BatchesSent-before.BatchesSent != 1 ||
+		s.BytesSent-before.BytesSent != uint64(len(payloads[3])+len(payloads[0])) {
+		t.Fatalf("SendFramed of two frames counted %+v after %+v", s, before)
 	}
 
 	// A dialed stream opens with the hello: one frame whose payload is the
@@ -331,7 +399,7 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dialed.Close()
-	want = AppendFrame(AppendFrame(nil, []byte(a.Addr())), payloads[0])
+	want = appendFrame(appendFrame(nil, []byte(a.Addr())), payloads[0])
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(dialed, got); err != nil {
 		t.Fatal(err)
@@ -342,7 +410,7 @@ func TestFrameCodec(t *testing.T) {
 
 	// Oversized length prefixes are rejected before allocation.
 	evil := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(bufio.NewReader(evil), MaxFrame); !errors.Is(err, errTooLarge) {
+	if _, err := readFrame(bufio.NewReader(evil), MaxFrame, nil); !errors.Is(err, errTooLarge) {
 		t.Fatalf("oversized frame length read as %v, want errTooLarge", err)
 	}
 	if err := a.Send("peer", make([]byte, MaxFrame+1)); err == nil {
@@ -359,10 +427,10 @@ func TestFrameCodec(t *testing.T) {
 func TestReadFramesMarksRunEnds(t *testing.T) {
 	var stream []byte
 	for _, p := range []string{"a", "bc", "def"} {
-		stream = AppendFrame(stream, []byte(p))
+		stream = appendFrame(stream, []byte(p))
 	}
-	stream = AppendFrame(stream, bytes.Repeat([]byte{'x'}, 8<<10))
-	stream = AppendFrame(AppendFrame(stream, []byte("tail1")), []byte("tail2"))
+	stream = appendFrame(stream, bytes.Repeat([]byte{'x'}, 8<<10))
+	stream = appendFrame(appendFrame(stream, []byte("tail1")), []byte("tail2"))
 	var got []bool
 	e := &Endpoint{}
 	e.readFrames(bufio.NewReader(bytes.NewReader(stream)), func(_ []byte, more bool) { got = append(got, more) })

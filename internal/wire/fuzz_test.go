@@ -39,7 +39,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for _, id := range wire.Types() {
 			c, _ := wire.CodecFor(id)
 			msg := c.Sample(seed)
-			data, err := wire.Encode(msg)
+			data, err := wire.Append(nil, msg)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", c.Name, err)
 			}
@@ -63,7 +63,7 @@ func FuzzWireDecodeRobust(f *testing.F) {
 	f.Add([]byte{0x27, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	for _, id := range wire.Types() {
 		c, _ := wire.CodecFor(id)
-		if data, err := wire.Encode(c.Sample(3)); err == nil {
+		if data, err := wire.Append(nil, c.Sample(3)); err == nil {
 			f.Add(data)
 		}
 	}
@@ -75,7 +75,7 @@ func FuzzWireDecodeRobust(f *testing.F) {
 		// Anything that decodes cleanly must survive a second round trip
 		// unchanged. (Byte identity is not required: varint readers accept
 		// non-minimal paddings that re-encode shorter.)
-		again, err := wire.Encode(msg)
+		again, err := wire.Append(nil, msg)
 		if err != nil {
 			t.Fatalf("decoded %T but cannot re-encode: %v", msg, err)
 		}

@@ -15,7 +15,7 @@
 //
 // Every Codec also carries a Sample generator, which is how the fuzz tests
 // round-trip *every* registered message type without this package knowing
-// any concrete type: Sample(seed) -> Encode -> Decode -> re-Encode must be
+// any concrete type: Sample(seed) -> Append -> Decode -> re-Append must be
 // the identity on bytes and reflect.DeepEqual on values (a decoded shard's
 // pool handle set aside).
 package wire
@@ -26,6 +26,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 
 	"repro/internal/erasure"
 	"repro/internal/ioa"
@@ -95,22 +96,35 @@ func CodecFor(id TypeID) (Codec, bool) {
 // extended slice. Unregistered message types are an error: the transport
 // backend can only carry what the codec knows.
 func Append(dst []byte, msg ioa.Message) ([]byte, error) {
+	var b Buffer
+	return b.Append(dst, msg)
+}
+
+// Append is the package's Append through b: it encodes the message onto dst
+// and returns the extended slice, leaving b empty. A codec's encoder is
+// handed the Buffer it writes through, so a fresh one escapes to the heap;
+// a caller that keeps b and the slice it appends to encodes allocating
+// nothing.
+func (b *Buffer) Append(dst []byte, msg ioa.Message) ([]byte, error) {
 	id, ok := typeIDs[reflect.TypeOf(msg)]
 	if !ok {
 		return dst, fmt.Errorf("wire: message type %T is not registered", msg)
 	}
-	b := Buffer{buf: append(dst, byte(id))}
-	codecs[id].Encode(&b, msg)
-	return b.buf, nil
+	b.buf = append(dst, byte(id))
+	codecs[id].Encode(b, msg)
+	out := b.buf
+	b.buf = nil
+	return out, nil
 }
 
-// Encode encodes the message into a fresh envelope.
-func Encode(msg ioa.Message) ([]byte, error) { return Append(nil, msg) }
+// readers recycles Decode's Readers: a codec's decoder is handed the Reader
+// it reads through, so a fresh one would escape to the heap on every call.
+var readers = sync.Pool{New: func() any { return new(Reader) }}
 
-// Decode parses one envelope produced by Encode/Append. Malformed input —
-// unknown type id, truncated body, trailing bytes, oversized lengths —
-// returns an error; it never panics and never allocates beyond the input's
-// own length.
+// Decode parses one envelope produced by Append. Malformed input — unknown
+// type id, truncated body, trailing bytes, oversized lengths — returns an
+// error; it never panics and never allocates beyond the input's own length.
+// The message keeps nothing of data: byte strings and shards are copied out.
 func Decode(data []byte) (ioa.Message, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: empty envelope")
@@ -119,13 +133,17 @@ func Decode(data []byte) (ioa.Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown type id 0x%02x", data[0])
 	}
-	r := Reader{buf: data[1:]}
-	msg := c.Decode(&r)
-	if err := r.Err(); err != nil {
+	r := readers.Get().(*Reader)
+	r.buf = data[1:]
+	msg := c.Decode(r)
+	err, trailing := r.err, len(r.buf)
+	*r = Reader{} // a pooled Reader must not pin data
+	readers.Put(r)
+	if err != nil {
 		return nil, fmt.Errorf("wire: %s: %w", c.Name, err)
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("wire: %s: %d trailing bytes", c.Name, len(r.buf))
+	if trailing != 0 {
+		return nil, fmt.Errorf("wire: %s: %d trailing bytes", c.Name, trailing)
 	}
 	return msg, nil
 }
@@ -134,9 +152,6 @@ func Decode(data []byte) (ioa.Message, error) {
 
 // Buffer accumulates an encoded body. The primitives mirror Reader's.
 type Buffer struct{ buf []byte }
-
-// Bytes returns the accumulated encoding.
-func (b *Buffer) Bytes() []byte { return b.buf }
 
 // Uvarint appends an unsigned varint.
 func (b *Buffer) Uvarint(v uint64) { b.buf = binary.AppendUvarint(b.buf, v) }
@@ -253,7 +268,7 @@ func (r *Reader) span() []byte {
 }
 
 // Bytes8 reads a length-prefixed byte string into a slice of its own. Zero
-// length decodes to nil, preserving Encode(Decode(x)) == x for messages built
+// length decodes to nil, preserving Append(Decode(x)) == x for messages built
 // with nil slices.
 func (r *Reader) Bytes8() []byte {
 	b := r.span()

@@ -49,15 +49,15 @@ func TestRegistryCoversAllAlgorithms(t *testing.T) {
 }
 
 // TestRoundTripEveryType round-trips deterministic samples of every
-// registered message type: Decode(Encode(m)) must equal m structurally and
-// re-encode to identical bytes.
+// registered message type: Decode(Append(nil, m)) must equal m structurally
+// and re-encode to identical bytes.
 func TestRoundTripEveryType(t *testing.T) {
 	for _, id := range wire.Types() {
 		c, _ := wire.CodecFor(id)
 		t.Run(c.Name, func(t *testing.T) {
 			for seed := uint64(0); seed < 64; seed++ {
 				msg := c.Sample(seed)
-				data, err := wire.Encode(msg)
+				data, err := wire.Append(nil, msg)
 				if err != nil {
 					t.Fatalf("seed %d: encode: %v", seed, err)
 				}
@@ -68,7 +68,7 @@ func TestRoundTripEveryType(t *testing.T) {
 				if !reflect.DeepEqual(plain(msg), plain(back)) {
 					t.Fatalf("seed %d: round trip changed the message:\n sent %#v\n got  %#v", seed, msg, back)
 				}
-				again, err := wire.Encode(back)
+				again, err := wire.Append(nil, back)
 				if err != nil {
 					t.Fatalf("seed %d: re-encode: %v", seed, err)
 				}
@@ -77,6 +77,44 @@ func TestRoundTripEveryType(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBufferAppendReusable pins the encoder a caller keeps: one Buffer,
+// reused across every registered type's samples, appends each envelope onto
+// the bytes already in dst, leaving them as they were, and encodes exactly
+// what Append encodes. Decodes that fail in between leave nothing behind in
+// the recycled Readers: every envelope still decodes to its message.
+func TestBufferAppendReusable(t *testing.T) {
+	var b wire.Buffer
+	var stream []byte
+	for _, id := range wire.Types() {
+		c, _ := wire.CodecFor(id)
+		for seed := uint64(0); seed < 8; seed++ {
+			msg := c.Sample(seed)
+			want, err := wire.Append(nil, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := len(stream)
+			before := string(stream)
+			if stream, err = b.Append(stream, msg); err != nil {
+				t.Fatal(err)
+			}
+			if string(stream[:start]) != before || string(stream[start:]) != string(want) {
+				t.Fatalf("%s seed %d: Buffer.Append wrote % x after the prefix, want % x", c.Name, seed, stream[start:], want)
+			}
+			if _, err := wire.Decode(want[:len(want)-1]); err == nil && len(want) > 1 {
+				t.Fatalf("%s seed %d: a truncated envelope decoded", c.Name, seed)
+			}
+			back, err := wire.Decode(stream[start:])
+			if err != nil || !reflect.DeepEqual(plain(back), plain(msg)) {
+				t.Fatalf("%s seed %d: decoded %#v, %v; want %#v", c.Name, seed, back, err, msg)
+			}
+		}
+	}
+	if _, err := b.Append(stream, "not registered"); err == nil {
+		t.Fatal("unregistered message type must fail to encode")
 	}
 }
 
@@ -92,7 +130,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	// Truncate a real envelope at every split point.
 	id := wire.Types()[0]
 	c, _ := wire.CodecFor(id)
-	full, err := wire.Encode(c.Sample(7))
+	full, err := wire.Append(nil, c.Sample(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +142,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := wire.Decode(append(append([]byte(nil), full...), 0)); err == nil {
 		t.Error("trailing byte must fail")
 	}
-	if _, err := wire.Encode("not registered"); err == nil {
+	if _, err := wire.Append(nil, "not registered"); err == nil {
 		t.Error("unregistered message type must fail to encode")
 	}
 }
@@ -119,7 +157,7 @@ func TestDecodedShardIsPooled(t *testing.T) {
 		t.Fatal("cas wire types not registered")
 	}
 	sent := c.Sample(5)
-	data, err := wire.Encode(sent)
+	data, err := wire.Append(nil, sent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,17 @@ smoke-runs:
 # rule: no send from a recovering server ahead of its image, and an
 # acknowledged write surviving an immediate crash of every server; a send
 # blocked on a full mailbox released by shutdown, a post after shutdown
-# refused, and shutdown closing each live loop's crash channel once, after
-# a crash for good and after a recovery; a mailbox never losing a wakeup,
-# a crash reaching a loop parked on an empty mailbox, and an invocation a
-# crash discarded reported as never started), then a small `shmem grid`
-# scenario matrix driving the whole grid over real goroutines and real
-# sockets.
+# refused, and shutdown closing every mailbox and ending each live loop
+# once, after a crash for good and after a recovery; a mailbox never losing
+# a wakeup, a crash reaching a loop parked on an empty mailbox, a blocked
+# send ending with its sender's crash, and an invocation a crash discarded
+# reported as never started), then the wake and shutdown tests again, 50
+# times over, since a lost wakeup shows only on a rare schedule, then a
+# small `shmem grid` scenario matrix driving the whole grid over real
+# goroutines and real sockets.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash|BlockedSendReleasedByStop|PostAfterStopIsRefused|StopClosesEachLoopOnce|MailboxWakeNeverLost|CrashWakesIdleLoop|CrashDiscardedOpNeverStarted' ./internal/runtime
+	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash|BlockedSendReleasedByStop|PostAfterStopIsRefused|StopClosesEachLoopOnce|MailboxWakeNeverLost|CrashWakesIdleLoop|BlockedSendEndsWithItsSendersCrash|CrashDiscardedOpNeverStarted' ./internal/runtime
+	$(GO) test -race -count=50 -run 'BlockedSendReleasedByStop|PostAfterStopIsRefused|MailboxWakeNeverLost|CrashWakesIdleLoop|BlockedSendEndsWithItsSendersCrash' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

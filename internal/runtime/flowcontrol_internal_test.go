@@ -19,16 +19,6 @@ func bothLinks(t *testing.T, f func(t *testing.T, mkLink func(*runtime) link)) {
 	t.Run("tcp", func(t *testing.T) { f(t, func(rt *runtime) link { return newTCPLink(rt) }) })
 }
 
-// TestPostFIFOUnderSustainedOverflow drives 1000 sequence-marked messages
-// from one node loop's position through the chan link into a mailbox
-// (capacity 4) that is overflowing the whole time, with a consumer slower
-// than the producer. Every message must survive (the sender blocks for
-// backpressure, never drops within sendTimeout) and arrive in order — the
-// per-link FIFO a spawn-on-overflow fallback silently breaks.
-//
-// chan only: on tcp a node loop never blocks on a peer's mailbox — its sends
-// go to a socket, and the transport's own FIFO and backpressure tests
-// (internal/transport) cover that path.
 // setNodes gives a hand-built runtime its nodes, as newRuntime lays them
 // out: indexed by id, and listed by ascending id.
 func setNodes(rt *runtime, nodes ...*nodeState) {
@@ -41,14 +31,20 @@ func setNodes(rt *runtime, nodes ...*nodeState) {
 	}
 }
 
+// TestPostFIFOUnderSustainedOverflow drives 1000 sequence-marked messages
+// from one node loop's position through the chan link into a mailbox
+// (capacity 4) that is overflowing the whole time, with a consumer slower
+// than the producer. Every message must survive (the sender blocks for
+// backpressure, never drops within sendTimeout) and arrive in order — the
+// per-link FIFO a spawn-on-overflow fallback silently breaks.
+//
+// chan only: on tcp a node loop never blocks on a peer's mailbox — its sends
+// go to a socket, and the transport's own FIFO and backpressure tests
+// (internal/transport) cover that path.
 func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
-	rt := &runtime{
-		cfg:  Config{Mailbox: 4}.withDefaults(),
-		done: make(chan struct{}),
-	}
-	defer close(rt.done)
+	rt := &runtime{cfg: Config{Mailbox: 4}.withDefaults()}
 	l := &chanLink{rt: rt}
-	from := &nodeState{id: 1, mb: newMailbox(4), crashCh: make(chan struct{})}
+	from := &nodeState{id: 1, mb: newMailbox(4)}
 	to := &nodeState{id: 2, mb: newMailbox(4)}
 	setNodes(rt, from, to)
 
@@ -81,17 +77,16 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 // and be counted as transport loss — not park goroutines or vanish silently.
 func TestPostDropsAfterSendTimeout(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
-		rt := &runtime{done: make(chan struct{})}
-		defer close(rt.done)
+		rt := &runtime{}
 		rt.link = mkLink(rt)
 		ns := &nodeState{mb: newMailbox(2)}
 		for i := 0; i < 2; i++ {
-			if !rt.post(ns, event{}, 20*time.Millisecond) {
+			if ok, _ := rt.post(nil, ns, event{}, 20*time.Millisecond); !ok {
 				t.Fatal("post to empty mailbox failed")
 			}
 		}
 		start := time.Now()
-		if rt.post(ns, event{}, 20*time.Millisecond) {
+		if ok, _ := rt.post(nil, ns, event{}, 20*time.Millisecond); ok {
 			t.Fatal("post to wedged mailbox succeeded")
 		}
 		if took := time.Since(start); took > time.Second {
@@ -151,21 +146,21 @@ func TestDelayTimersStoppedOnClose(t *testing.T) {
 }
 
 // TestPostAfterStopIsRefused posts into a mailbox with room to spare after
-// the runtime stopped: every post must be refused, not enqueued on the toss
-// of a two-way select between the mailbox and done, so an operation that
-// races Close fails at once instead of sitting out its OpTimeout. On the
-// chan link an in-loop send after the stop must leave the mailbox empty too.
+// the runtime stopped: every post must be refused by the closed mailbox, not
+// enqueued, so an operation that races Close fails at once instead of
+// sitting out its OpTimeout. On the chan link an in-loop send after the stop
+// must leave the mailbox empty too.
 func TestPostAfterStopIsRefused(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
 		const n = 1000
-		rt := &runtime{done: make(chan struct{})}
+		rt := &runtime{}
 		rt.link = mkLink(rt)
-		from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
+		from := &nodeState{id: 1, mb: newMailbox(1)}
 		to := &nodeState{id: 2, mb: newMailbox(n)}
 		setNodes(rt, from, to)
-		close(rt.done)
+		rt.signalStop()
 		for i := 0; i < n; i++ {
-			if rt.post(to, event{msg: i}, sendTimeout) {
+			if ok, _ := rt.post(nil, to, event{msg: i}, sendTimeout); ok {
 				t.Fatalf("post %d after stop was enqueued", i)
 			}
 		}
@@ -182,21 +177,28 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 
 // TestBlockedSendReleasedByStop blocks a node loop's chan-link send and a
 // post on a full mailbox (capacity 1, no consumer) and then stops the
-// runtime: the blocked path is the only place the sends still select on
-// done, so both must return well before sendTimeout, and a send cut short
-// by shutdown is neither backpressure loss nor a crashed sender's message.
-// The stop is made twice: by a bare close of done, and by signalStop, which
-// closes the sender's crashCh right after done. A parked send is always woken
-// by the first close, done; so in the signalStop subtest a pump keeps
-// feeding the sender's own mailbox, the send keeps siphoning at each wake
-// and re-entering its select, and a stop that lands between two selects
-// leaves done and crashCh both closed at the next one, either of which may
-// win: woken through crashCh, the send must tell the shutdown from a crash. The post
-// runs on both links; the in-loop send is the chan link's own.
+// runtime: a sender waits on nothing but the mailbox, so shutdown reaches
+// both through it — they must return well before sendTimeout, and a send cut
+// short by shutdown is neither backpressure loss nor a crashed sender's
+// message. The stop is made twice: in close-done by closing the mailboxes
+// alone (the runtime-wide signal, which closing a done channel once was),
+// and by signalStop, which closes them and then ends each incarnation as a
+// crash does. A parked send is always released by the first, its target's
+// mailbox closing; so in the signalStop subtest a pump keeps feeding the
+// sender's own mailbox, the send keeps siphoning at each wake and
+// re-entering its wait, and a stop that lands between two waits leaves the
+// target closed and the sender's incarnation ended at the next one, either
+// of which may win: woken through its own wake channel, the send must tell
+// the shutdown (its own mailbox closed) from a crash. The post runs on both
+// links; the in-loop send is the chan link's own.
 func TestBlockedSendReleasedByStop(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
 		t.Run("close-done", func(t *testing.T) {
-			testBlockedSendReleased(t, mkLink, func(rt *runtime) { close(rt.done) }, false)
+			testBlockedSendReleased(t, mkLink, func(rt *runtime) {
+				for _, ns := range rt.all {
+					ns.mb.close()
+				}
+			}, false)
 		})
 		t.Run("signalStop", func(t *testing.T) {
 			testBlockedSendReleased(t, mkLink, (*runtime).signalStop, true)
@@ -205,13 +207,13 @@ func TestBlockedSendReleasedByStop(t *testing.T) {
 }
 
 func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func(*runtime), pump bool) {
-	rt := &runtime{done: make(chan struct{})}
+	rt := &runtime{}
 	rt.link = mkLink(rt)
 	l, chanLinked := rt.link.(*chanLink)
-	from := &nodeState{id: 1, mb: newMailbox(1), crashCh: make(chan struct{})}
-	to := &nodeState{id: 2, mb: newMailbox(1), crashCh: make(chan struct{})}
+	from := &nodeState{id: 1, mb: newMailbox(1)}
+	to := &nodeState{id: 2, mb: newMailbox(1)}
 	setNodes(rt, from, to)
-	if to.mb.put(event{}) != nil {
+	if _, ok := to.mb.put(event{}); !ok {
 		t.Fatal("an empty mailbox refused the filler")
 	}
 
@@ -222,9 +224,17 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 			l.send(from, to, "in-loop", true)
 		}
 	}()
-	go func() { posted <- rt.post(to, event{msg: "posted"}, sendTimeout) }()
+	go func() {
+		ok, _ := rt.post(nil, to, event{msg: "posted"}, sendTimeout)
+		posted <- ok
+	}()
+	// The in-loop send waits in post too: on chan, two goroutines park there.
+	parked := 1
+	if chanLinked {
+		parked = 2
+	}
 	eventually(t, "the senders parked on the full mailbox", func() bool {
-		return (!chanLinked || parkedInSelect("(*chanLink).send(")) && parkedInSelect("(*runtime).post(")
+		return parkedIn("select", "(*runtime).post(") == parked
 	})
 	select {
 	case <-sent:
@@ -242,7 +252,10 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 		var pumped atomic.Int64
 		go func() {
 			for {
-				if room := from.mb.put(event{msg: "own"}); room != nil {
+				if room, ok := from.mb.put(event{msg: "own"}); !ok {
+					if room == nil {
+						return // the stop closed the mailbox
+					}
 					select {
 					case <-room:
 					case <-quit:
@@ -289,12 +302,12 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 }
 
 // TestStopClosesEachLoopOnce stops a running cluster on each link after a
-// server crashed for good (crashNode closed its crashCh before the stop) and
-// after a server crashed and recovered (its new incarnation has a fresh
-// crashCh), once mid-run with operations in flight and once after every
-// operation returned. stop must close each live incarnation's crashCh once —
-// a second close panics — and skip the crashed one, and every node loop
-// must have exited when stop returns.
+// server crashed for good (crashNode ended its incarnation before the stop)
+// and after a server crashed and recovered (recoverNode cleared ended for
+// its new incarnation), once mid-run with operations in flight and once
+// after every operation returned. stop must close every mailbox and end
+// each live incarnation — the recovered one's too — and skip the crashed
+// one, and every node loop must have exited when stop returns.
 func TestStopClosesEachLoopOnce(t *testing.T) {
 	plans := []struct {
 		name, spec string
@@ -391,7 +404,11 @@ func TestMailboxWakeNeverLost(t *testing.T) {
 	for p := 0; p < putters; p++ {
 		go func(p int) {
 			for i := 0; i < each; i++ {
-				for room := m.put(event{from: ioa.NodeID(p), msg: i}); room != nil; room = m.put(event{from: ioa.NodeID(p), msg: i}) {
+				for {
+					room, ok := m.put(event{from: ioa.NodeID(p), msg: i})
+					if ok {
+						break
+					}
 					<-room
 				}
 			}
@@ -421,7 +438,7 @@ func TestMailboxWakeNeverLost(t *testing.T) {
 
 // TestCrashWakesIdleLoop crashes a server and a client whose loops are
 // parked on empty mailboxes: the loops wait on their wake channels alone, so
-// crashNode must reach them through the token it puts after closing crashCh,
+// crashNode must reach them through the token it puts after setting ended,
 // and return within 200ms, on both links.
 func TestCrashWakesIdleLoop(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
@@ -485,6 +502,43 @@ func TestCrashDiscardedOpNeverStarted(t *testing.T) {
 			t.Fatalf("op the crash left mid-protocol: started=%v ok=%v, want started and not ok", started, ok)
 		}
 	})
+}
+
+// TestBlockedSendEndsWithItsSendersCrash blocks a node loop's chan-link send
+// on a full mailbox (capacity 1, no consumer) and then ends the sender's
+// incarnation as crashNode does, its mailbox left open: the send must return
+// well before sendTimeout, and its message dies with the crashed sender —
+// counted as a crashed sender's message, not as overflow, and never put in
+// the target's mailbox. TestBlockedSendReleasedByStop is the shutdown half.
+func TestBlockedSendEndsWithItsSendersCrash(t *testing.T) {
+	rt := &runtime{}
+	l := &chanLink{rt: rt}
+	rt.link = l
+	from := &nodeState{id: 1, mb: newMailbox(1)}
+	to := &nodeState{id: 2, mb: newMailbox(1)}
+	setNodes(rt, from, to)
+	if _, ok := to.mb.put(event{}); !ok {
+		t.Fatal("an empty mailbox refused the filler")
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		l.send(from, to, "in-loop", true)
+	}()
+	eventually(t, "the send parked on the full mailbox", func() bool { return parkedInSelect("(*chanLink).send(") })
+	from.down.Store(true)
+	from.endIncarnation()
+	select {
+	case <-sent:
+	case <-time.After(200 * time.Millisecond):
+		t.Fatal("in-loop send still blocked 200ms after its sender crashed")
+	}
+	if d, o := l.dead.Load(), rt.overflow.Load(); d != 1 || o != 0 {
+		t.Fatalf("crashed sender's blocked send counted dead %d, overflow %d; want 1 and 0", d, o)
+	}
+	if q := mailboxLen(to.mb); q != 1 {
+		t.Fatalf("target mailbox holds %d events, want only the one that filled it", q)
+	}
 }
 
 // consume parks on m's wake channel alone and takes the whole mailbox per

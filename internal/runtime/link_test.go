@@ -431,6 +431,17 @@ func TestTCPLinkWire(t *testing.T) {
 		eventually(t, fmt.Sprintf("%d frames from %d at %d", times, from, to), func() bool {
 			return log.count(func(d delivery) bool { return d.to == to && d.from == from }) == times
 		})
+		// The reader that delivered holds the node's lock until its handle
+		// returns, after the delivery is recorded. A frame another reader
+		// brings meanwhile finds the node busy and is posted, to a mailbox no
+		// loop drains here: wait until the lock is free.
+		eventually(t, fmt.Sprintf("the reader that delivered to %d letting go", to), func() bool {
+			if !rt.nodes[to].own.TryLock() {
+				return false
+			}
+			rt.nodes[to].own.Unlock()
+			return true
+		})
 		log.mu.Lock()
 		defer log.mu.Unlock()
 		for _, d := range log.seen {
@@ -469,6 +480,9 @@ func TestTCPLinkWire(t *testing.T) {
 		arrives(s, writer, 1)
 		arrives(s, reader, 1)
 	}
+	// A write is counted once it returns, which may be after its peer
+	// delivered it.
+	eventually(t, "the clients' endpoint counting its writes", func() bool { return stats(writer).FramesSent-before.FramesSent >= 6 })
 	if s := stats(writer); s.FramesSent-before.FramesSent != 6 || s.BatchesSent-before.BatchesSent != 3 {
 		t.Fatalf("two clients' requests from one reader run: %d frames in %d writes, want 6 in 3 (one per server)",
 			s.FramesSent-before.FramesSent, s.BatchesSent-before.BatchesSent)

@@ -1,6 +1,9 @@
 package runtime
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // mailbox is a node's bounded event queue, one for the node's whole
 // lifetime, across incarnations. Senders append under a mutex; the node's
@@ -15,33 +18,43 @@ import "sync"
 // loop, or its own send siphoning while blocked) takes the mailbox next, so
 // the put is taken after it. A token can be stale — its events were taken
 // before the loop parked — and then costs one empty take. crashNode and
-// signalStop put a token too, after closing crashCh, so a parked loop sees
-// its incarnation end.
+// signalStop put a token too, after setting the incarnation's ended flag, so
+// a parked loop sees its incarnation end.
+//
+// The mailbox is also how a sender learns that the runtime stopped: stop
+// closes every mailbox before it ends any incarnation, and a closed mailbox
+// refuses every put and releases the senders waiting for room.
 type mailbox struct {
 	wake chan struct{} // one slot; a token means the mailbox may hold events or the incarnation may have ended
 	cap  int           // Config.Mailbox: events that may wait here at once
 
-	mu   sync.Mutex
-	q    []event
-	room chan struct{} // made by a put that finds the mailbox full, closed by the next take; nil otherwise
+	mu     sync.Mutex
+	q      []event
+	room   chan struct{} // made by a put that finds the mailbox full, closed by the next take or by close; nil otherwise
+	closed atomic.Bool   // set under mu by close, so no put appends after it; read bare by a blocked send telling shutdown from crash
 }
 
 func newMailbox(capacity int) *mailbox {
 	return &mailbox{wake: make(chan struct{}, 1), cap: capacity}
 }
 
-// put appends ev unless the mailbox is full; then it returns the channel the
-// next take closes, and the caller waits on it and tries again. A put on an
-// empty mailbox signals wake.
-func (m *mailbox) put(ev event) (full <-chan struct{}) {
+// put appends ev and reports true, unless the mailbox is closed or full. A
+// full one returns the channel the next take closes, and the caller waits on
+// it and tries again; a closed one returns no channel: it refuses for good.
+// A put on an empty mailbox signals wake.
+func (m *mailbox) put(ev event) (room <-chan struct{}, ok bool) {
 	m.mu.Lock()
+	if m.closed.Load() {
+		m.mu.Unlock()
+		return nil, false
+	}
 	if len(m.q) >= m.cap {
 		if m.room == nil {
 			m.room = make(chan struct{})
 		}
 		room := m.room
 		m.mu.Unlock()
-		return room
+		return room, false
 	}
 	m.q = append(m.q, ev)
 	first := len(m.q) == 1
@@ -49,7 +62,7 @@ func (m *mailbox) put(ev event) (full <-chan struct{}) {
 	if first {
 		m.signal()
 	}
-	return nil
+	return nil, true
 }
 
 // signal puts a wake token unless one is already waiting.
@@ -81,4 +94,18 @@ func (m *mailbox) take(q []event) []event {
 		close(room)
 	}
 	return q
+}
+
+// close makes every later put refuse, and releases every sender waiting for
+// room, whose retry is then refused. What the mailbox holds stays: a loop
+// may still take it.
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed.Store(true)
+	room := m.room
+	m.room = nil
+	m.mu.Unlock()
+	if room != nil {
+		close(room)
+	}
 }

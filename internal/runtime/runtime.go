@@ -49,7 +49,9 @@
 //     under a lock and the node's loop takes whole, parking on a one-slot
 //     wake channel when it is empty. A sender facing a full one blocks up
 //     to sendTimeout (1s) before the message is dropped and counted in
-//     FaultStats.TransportDropped; on the TCP link the goroutine
+//     FaultStats.TransportDropped. The mailbox is the only thing a sender
+//     waits on: shutdown closes every mailbox, which refuses every later
+//     put and releases every waiting sender. On the TCP link the goroutine
 //     releasing an endpoint's held frames writes each connection itself,
 //     under the endpoint's send lock, its write bounded by the transport's
 //     own 1s deadline. The paper's channels are unordered and lossy under
@@ -143,8 +145,8 @@ const (
 
 // drainBatch bounds a node loop's drain batch (a run) to drainBatch+1
 // events of its queue, after which it flushes the link and polls its
-// crashCh: coalescing amortizes the flush under load, the bound keeps a
-// send from being held behind a long queue.
+// incarnation's ended flag: coalescing amortizes the flush under load, the
+// bound keeps a send from being held behind a long queue.
 const drainBatch = 32
 
 // link is the seam between the node runtime and the network that carries its
@@ -259,23 +261,21 @@ type nodeState struct {
 	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
 	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
 
-	// Crash-recovery machinery. crashCh and loopDone belong to one
-	// incarnation of the node loop; the WallClock goroutine replaces them
-	// only between incarnations (after closing crashCh and joining
-	// loopDone), so the loop reads them race-free. crashCh is closed
-	// exactly once, followed by a wake token in mb: by crashNode when the
-	// incarnation crashes, or by stop (signalStop) when it is still live at
-	// shutdown. ended is set just before that close and cleared by
-	// recoverNode for the next incarnation: the loop polls the flag, once
-	// per run and after every wakeup, and only a chan-link send blocked on a
-	// full mailbox selects on crashCh.
+	// Crash-recovery machinery. ended and loopDone belong to one
+	// incarnation of the node loop; the WallClock goroutine renews them
+	// only between incarnations (after joining loopDone), so the loop reads
+	// them race-free. ended is set once per incarnation, followed by a wake
+	// token in mb (endIncarnation): by crashNode when the incarnation
+	// crashes, or by stop (signalStop) when it is still live at shutdown,
+	// after closing mb. The loop polls the flag once per run and after
+	// every wakeup, and a chan-link send blocked on a full mailbox reads it
+	// at each wake token; recoverNode clears it for the next incarnation.
 	// image is the automaton a recovery restarts a clone of: nil when no
 	// recovery is scheduled, else pristine, and for a server replaced by
 	// the owner with a clone taken before each effect's sends.
 	image    ioa.Node
 	down     atomic.Bool // true between a crash and its recovery
-	ended    atomic.Bool // the running incarnation is over: crashCh is closed or about to be
-	crashCh  chan struct{}
+	ended    atomic.Bool // the running incarnation is over; a wake token follows
 	loopDone chan struct{}
 }
 
@@ -303,10 +303,9 @@ type runtime struct {
 
 	timerMu sync.Mutex
 	timers  map[*time.Timer]struct{} // pending delay/outage timers, stopped at shutdown
-	stopped bool
+	stopped bool                     // stop has begun: no timer is scheduled or fires a send
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // newRuntime clones every automaton out of the cluster registry, prepares
@@ -339,7 +338,6 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 		tel:     tel,
 		servers: cl.Servers,
 		timers:  make(map[*time.Timer]struct{}),
-		done:    make(chan struct{}),
 	}
 	if tel.Active() {
 		rt.tracer = tel.Registry.Tracer()
@@ -357,7 +355,6 @@ func newRuntime(cl *cluster.Cluster, plan *faults.Plan, cfg Config, tel *telemet
 			id:       id,
 			node:     n.Clone(),
 			mb:       newMailbox(cfg.Mailbox),
-			crashCh:  make(chan struct{}),
 			loopDone: make(chan struct{}),
 		}
 		ns.meter, _ = ns.node.(ioa.StorageMeter)
@@ -413,21 +410,20 @@ func (rt *runtime) start() {
 }
 
 // stop shuts everything down: the telemetry sampler takes its final sample,
-// every pending delay/outage timer is stopped, the link closes (no more
-// events are handed to mailboxes), every goroutine joins. The sample comes
-// first so it reads the run, not its teardown: frames stop strands (a
-// server's last write into a peer endpoint that closed first) are not loss.
-// The wall clock stops next: after wc.Stop returns no crash/recovery hook is
-// in flight, so no new loop goroutine can race wg.Wait, and every node's
-// down flag and crashCh hold still for signalStop, which ends each live
-// loop. After stop returns, the storage maxima are final and no timer from
-// this run remains scheduled.
+// the wall clock stops, every pending delay/outage timer is stopped and no
+// other fires a send, every mailbox closes and every live loop ends, the
+// link closes, every goroutine joins. The sample comes first so it reads
+// the run, not its teardown: frames stop strands (a server's last write into
+// a peer endpoint that closed first) are not loss. After wc.Stop returns no
+// crash/recovery hook is in flight, so no new loop goroutine can race
+// wg.Wait, and every node's down flag holds still for signalStop. After stop
+// returns, the storage maxima are final and no timer from this run remains
+// scheduled.
 func (rt *runtime) stop() {
 	if rt.stopTelemetry != nil {
 		rt.stopTelemetry()
 	}
 	rt.wc.Stop()
-	rt.signalStop()
 	rt.timerMu.Lock()
 	rt.stopped = true
 	for t := range rt.timers {
@@ -435,20 +431,23 @@ func (rt *runtime) stop() {
 	}
 	rt.timers = nil
 	rt.timerMu.Unlock()
+	rt.signalStop()
 	rt.link.close()
 	rt.wg.Wait()
 }
 
-// signalStop closes done, then the crashCh of every node that is not down,
-// each followed by a wake token, so each live loop sees its own
-// incarnation's channel close, exactly as at a crash. A down node's crashCh
-// was closed by crashNode and is not closed again. done comes first: a
-// chan-link send blocked on a full mailbox that takes its sender's crashCh
-// polls done to tell the shutdown from a crash. The caller must have
-// stopped the wall clock, so no crashNode or recoverNode changes a node's
-// down flag or crashCh meanwhile.
+// signalStop closes every node's mailbox, then ends the incarnation of every
+// node that is not down exactly as a crash does. The mailboxes close first:
+// a send blocked on a full mailbox is refused as soon as its target's
+// closes, and a blocked chan-link send woken by its own loop's end finds its
+// own mailbox closed, which tells the shutdown from a crash. A down node's
+// incarnation was ended by crashNode and is not ended again. The caller must
+// have stopped the wall clock, so no crashNode or recoverNode changes a
+// node's down flag meanwhile.
 func (rt *runtime) signalStop() {
-	close(rt.done)
+	for _, ns := range rt.all {
+		ns.mb.close()
+	}
 	for _, ns := range rt.all {
 		if !ns.down.Load() {
 			ns.endIncarnation()
@@ -456,30 +455,12 @@ func (rt *runtime) signalStop() {
 	}
 }
 
-// endIncarnation sets ended and closes the running incarnation's crashCh,
-// then puts a wake token: a loop parked on an empty mailbox wakes, polls
-// ended and exits. The caller closes each crashCh once.
+// endIncarnation sets ended, then puts a wake token: a loop parked on an
+// empty mailbox wakes, polls ended and exits, and a chan-link send the loop
+// has blocked on a full mailbox returns.
 func (ns *nodeState) endIncarnation() {
 	ns.ended.Store(true)
-	close(ns.crashCh)
 	ns.mb.signal()
-}
-
-// stopping reports whether stop has closed done. A one-case select with a
-// default reads an open, empty channel without taking its lock, so the
-// paths that still read done poll it here: post's and the chan-link send's
-// fast paths, after's timer callback, and a send woken through its sender's
-// crashCh or a room channel. Only post's and the chan-link send's
-// full-mailbox slow paths select on done; a node loop never does — stop
-// ends it through its own crashCh and wake token, so no park or wake of a
-// loop touches a channel every node shares.
-func (rt *runtime) stopping() bool {
-	select {
-	case <-rt.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // after schedules f to run once after d, tracking the timer so stop can
@@ -497,8 +478,9 @@ func (rt *runtime) after(d time.Duration, f func()) {
 		// the mutex, so t is always the registered timer here.
 		rt.timerMu.Lock()
 		delete(rt.timers, t)
+		stopped := rt.stopped
 		rt.timerMu.Unlock()
-		if !rt.stopping() {
+		if !stopped {
 			f()
 		}
 	})
@@ -515,8 +497,8 @@ func (rt *runtime) after(d time.Duration, f func()) {
 // the mailbox, so per-link FIFO holds. It polls its incarnation's ended
 // flag once per run, and with the queue and the mailbox empty it parks on
 // the mailbox's wake channel alone: crashNode at a crash, and stop for every
-// live incarnation at shutdown, set ended, close crashCh and then put a wake
-// token, so the loop reads neither the runtime-wide done nor any select.
+// live incarnation at shutdown, set ended and then put a wake token, so the
+// loop reads no channel but its own wake and selects on nothing.
 func (rt *runtime) loop(ns *nodeState) {
 	exited := ns.loopDone
 	defer rt.wg.Done()
@@ -643,7 +625,6 @@ func (rt *runtime) recoverNode(id ioa.NodeID) {
 	}
 	ns.node = node
 	ns.meter, _ = node.(ioa.StorageMeter)
-	ns.crashCh = make(chan struct{})
 	ns.loopDone = make(chan struct{})
 	ns.ended.Store(false)
 	ns.down.Store(false)
@@ -763,39 +744,45 @@ func (rt *runtime) dispatch(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	rt.link.send(from, to, msg, inLoop)
 }
 
-// post enqueues with backpressure from outside any node loop — a driver, a
-// timer or a transport reader. The fast path touches only the target
-// mailbox: a lock-free poll of done (a stopped runtime refuses every post),
-// then an append under the mailbox's lock. Only a full mailbox pays for a
-// select, on the mailbox's room channel, the deadline and done: the caller
-// retries at each take that makes room, up to timeout, after which the
-// event is dropped and counted. A blocked transport reader stops consuming
-// its socket, so on the TCP link the pressure propagates to the peer
-// through TCP flow control. It reports whether the event was enqueued.
-func (rt *runtime) post(to *nodeState, ev event, timeout time.Duration) bool {
-	if rt.stopping() {
-		return false
+// post enqueues ev in to's mailbox with backpressure: the one place a
+// sender waits. The fast path is an append under the mailbox's lock. A full
+// mailbox makes the caller wait on its room channel and retry at each take
+// that makes room, up to timeout, after which the event is dropped and
+// counted as overflow. A closed mailbox — the runtime stopped — refuses the
+// event, at once or when it releases the wait, and counts nothing. A node
+// loop's chan-link send passes its own node as loop: while it waits, each
+// token on the loop's wake channel siphons the loop's mailbox into its
+// queue, and a token that finds the incarnation ended returns — a crash,
+// reported in crashed, unless the loop's own mailbox is closed, which makes
+// it the shutdown. Drivers, timers and transport readers pass a nil loop. A
+// blocked transport reader stops consuming its socket, so on the TCP link
+// the pressure propagates to the peer through TCP flow control. It reports
+// whether the event was enqueued.
+func (rt *runtime) post(loop, to *nodeState, ev event, timeout time.Duration) (ok, crashed bool) {
+	room, ok := to.mb.put(ev)
+	if ok || room == nil {
+		return ok, false
 	}
-	room := to.mb.put(ev)
-	if room == nil {
-		return true
+	var wake <-chan struct{} // nil, so never ready, for a caller without a loop
+	if loop != nil {
+		wake = loop.mb.wake
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	for {
 		select {
 		case <-room:
+			if room, ok = to.mb.put(ev); ok || room == nil {
+				return ok, false
+			}
+		case <-wake:
+			loop.takeMail()
+			if loop.ended.Load() {
+				return false, !loop.mb.closed.Load()
+			}
 		case <-t.C:
 			rt.overflow.Add(1)
-			return false
-		case <-rt.done:
-			return false
-		}
-		if rt.stopping() {
-			return false
-		}
-		if room = to.mb.put(ev); room == nil {
-			return true
+			return false, false
 		}
 	}
 }
@@ -820,7 +807,7 @@ func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp
 	// a client mailbox saturated by protocol traffic clears as the node
 	// drains, and dropping the invocation early would under-run fault-free
 	// workloads that are merely overloaded.
-	if !rt.post(ns, event{inv: ie}, rt.cfg.OpTimeout) {
+	if ok, _ := rt.post(nil, ns, event{inv: ie}, rt.cfg.OpTimeout); !ok {
 		ie.state.Store(invAbandoned)
 		p.failed = true
 		ie.span.End()

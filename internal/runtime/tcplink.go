@@ -407,7 +407,7 @@ func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 	}
 	ev.counted = true
 	ns.queued.Add(1) // before the post: the loop may handle the event at once
-	if !l.rt.post(ns, ev, sendTimeout) {
+	if ok, _ := l.rt.post(nil, ns, ev, sendTimeout); !ok {
 		ns.queued.Add(-1)
 	}
 }

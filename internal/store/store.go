@@ -55,7 +55,7 @@ type ShardResult struct {
 	// NormalizedTotal is the shard's MaxTotalBits / log2|V|.
 	NormalizedTotal float64
 	// Latencies holds the shard's per-operation wall-clock durations (live
-	// backend only; empty on the simulator). Like Elapsed, they vary run to
+	// and net backends only; empty on the simulator). Like Elapsed, they vary run to
 	// run and are excluded from Fingerprint.
 	Latencies []time.Duration
 	// OpsVerified counts operations the online checker retired as provably
@@ -104,8 +104,8 @@ type Result struct {
 	OpsPerSec float64
 	Workers   int
 	// LatencyP50 and LatencyP99 are nearest-rank percentiles over every
-	// shard's completed-operation latencies (live backend only; zero on the
-	// simulator). Excluded from Fingerprint.
+	// shard's completed-operation latencies (live and net backends only;
+	// zero on the simulator). Excluded from Fingerprint.
 	LatencyP50 time.Duration
 	LatencyP99 time.Duration
 	// OpsVerified sums the per-shard online-checker retirement counts and

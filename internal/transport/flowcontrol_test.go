@@ -41,6 +41,20 @@ func waitingToSend() int {
 	return n
 }
 
+// writeBlocked reports whether a sender is parked in its socket write, under
+// Endpoint.send: past the connection lookup and its check for a retired
+// connection, so whatever retires the connection now fails this write.
+func writeBlocked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte(" [IO wait")) && bytes.Contains(g, []byte("(*FD).Write(")) && bytes.Contains(g, []byte("(*Endpoint).send(")) {
+			return true
+		}
+	}
+	return false
+}
+
 // sendHeld reports whether a sender holds e's send lock: it is dialing or in
 // its write, or about to be.
 func sendHeld(e *Endpoint) bool {
@@ -407,7 +421,10 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 // not the socket. The writer's frame is real loss and lands in DroppedDead,
 // not among Close's uncounted discards; the waiting sender finds the
 // connection retired when it gets the lock, redials, and is delivered on the
-// fresh connection.
+// fresh connection. The peer half-closes only once the writer is parked in
+// its socket write: a writer that merely holds the send lock may still be
+// between pooling the connection and checking it, and would correctly take
+// its stale retry onto a second connection the test never accepts.
 func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -434,7 +451,7 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 		a.mu.Lock()
 		pc = a.conns[addr]
 		a.mu.Unlock()
-		return pc != nil && sendHeld(a)
+		return pc != nil && (writeBlocked() || len(sent) > 0)
 	})
 	go func() { sent <- a.Send(addr, []byte("waiting")) }()
 	waitFor(t, 5*time.Second, func() bool { return waitingToSend() == 1 || len(sent) > 0 })

@@ -100,8 +100,8 @@ type Result struct {
 	// Faults aggregates the fault events the kernel applied during the run.
 	Faults ioa.FaultStats
 	// Latencies holds one wall-clock duration per operation that completed
-	// within its timeout, in no particular order. Only the live backend
-	// fills it — simulator runs have no meaningful per-op wall time — so it
+	// within its timeout, in no particular order. Only the wall-clock
+	// backends, live and net, fill it — simulator runs have no meaningful per-op wall time — so it
 	// is empty for simulator results and excluded from every fingerprint.
 	Latencies []time.Duration
 }

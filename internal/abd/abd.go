@@ -27,27 +27,6 @@ import (
 	"repro/internal/register"
 )
 
-// --- messages ---
-
-type queryMsg struct{ RID int64 }
-
-type queryAck struct {
-	RID   int64
-	Tag   register.Tag
-	Value []byte
-}
-
-type putMsg struct {
-	RID   int64
-	Tag   register.Tag
-	Value []byte
-}
-
-// BearsValue implements ioa.ValueBearer: the put message carries the value.
-func (putMsg) BearsValue() bool { return true }
-
-type putAck struct{ RID int64 }
-
 // --- server ---
 
 // Server is an ABD replica storing the highest-tagged (tag, value) pair it
@@ -73,15 +52,15 @@ func (s *Server) ID() ioa.NodeID { return s.id }
 
 // Deliver implements ioa.Node.
 func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	switch m := msg.(type) {
-	case queryMsg:
-		return s.out.Reply(from, queryAck{RID: m.RID, Tag: s.tag, Value: s.value})
-	case putMsg:
-		if s.tag.Less(m.Tag) {
-			s.tag = m.Tag
-			s.value = m.Value
+	switch msg.Kind {
+	case kindQuery:
+		return s.out.Reply(from, ioa.Msg{Kind: kindQueryAck, RID: msg.RID, Tag: s.tag, Body: register.Value(s.value)})
+	case kindPut:
+		if s.tag.Less(msg.Tag) {
+			s.tag = msg.Tag
+			s.value = msg.Body.(register.WriteValue)
 		}
-		return s.out.Reply(from, putAck{RID: m.RID})
+		return s.out.Reply(from, ioa.Msg{Kind: kindPutAck, RID: msg.RID})
 	default:
 		return ioa.Effects{}
 	}
@@ -248,7 +227,7 @@ func (c *Client) startQuery() ioa.Effects {
 	c.phase = phaseQuery
 	c.rid++
 	c.acks = 0
-	return c.out.All(c.servers, queryMsg{RID: c.rid})
+	return c.out.All(c.servers, ioa.Msg{Kind: kindQuery, RID: c.rid})
 }
 
 func (c *Client) startPut(tag register.Tag, value []byte) ioa.Effects {
@@ -257,7 +236,7 @@ func (c *Client) startPut(tag register.Tag, value []byte) ioa.Effects {
 	c.acks = 0
 	c.bestTag = tag
 	c.bestVal = value
-	return c.out.All(c.servers, putMsg{RID: c.rid, Tag: tag, Value: value})
+	return c.out.All(c.servers, ioa.Msg{Kind: kindPut, RID: c.rid, Tag: tag, Body: register.WriteValue(value)})
 }
 
 // Deliver implements ioa.Node.
@@ -265,15 +244,18 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !c.busy {
 		return ioa.Effects{}
 	}
-	switch m := msg.(type) {
-	case queryAck:
-		if c.phase != phaseQuery || m.RID != c.rid {
+	if msg.RID != c.rid {
+		return ioa.Effects{}
+	}
+	switch msg.Kind {
+	case kindQueryAck:
+		if c.phase != phaseQuery {
 			return ioa.Effects{}
 		}
 		c.acks++
-		if c.bestTag.Less(m.Tag) {
-			c.bestTag = m.Tag
-			c.bestVal = m.Value
+		if c.bestTag.Less(msg.Tag) {
+			c.bestTag = msg.Tag
+			c.bestVal = msg.Body.(register.Value)
 		}
 		if c.acks < c.quorum {
 			return ioa.Effects{}
@@ -284,8 +266,8 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		}
 		// Read: write back the maximum (tag, value) observed.
 		return c.startPut(c.bestTag, c.bestVal)
-	case putAck:
-		if c.phase != phasePut || m.RID != c.rid {
+	case kindPutAck:
+		if c.phase != phasePut {
 			return ioa.Effects{}
 		}
 		c.acks++

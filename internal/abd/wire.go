@@ -2,64 +2,22 @@ package abd
 
 import (
 	"repro/internal/ioa"
-	"repro/internal/register"
 	"repro/internal/wire"
 )
 
-// Wire type identifiers for the ABD messages (wire's 0x10–0x1f range).
+// Message kinds (wire's 0x10–0x1f range). Queries and put acks are their
+// header alone; a query ack carries the server's tag and value, a put the
+// tag and value written.
 const (
-	wireQuery    wire.TypeID = 0x10
-	wireQueryAck wire.TypeID = 0x11
-	wirePut      wire.TypeID = 0x12
-	wirePutAck   wire.TypeID = 0x13
+	kindQuery    ioa.Kind = 0x10
+	kindQueryAck ioa.Kind = 0x11 // body register.Value
+	kindPut      ioa.Kind = 0x12 // body register.WriteValue
+	kindPutAck   ioa.Kind = 0x13
 )
 
-// sampleTag derives a deterministic tag for the fuzz samples.
-func sampleTag(seed uint64) register.Tag {
-	return register.Tag{Seq: int64(seed % 1024), Writer: ioa.NodeID(seed % 7)}
-}
-
 func init() {
-	wire.Register(wireQuery, wire.Codec{
-		Name:   "abd.queryMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(queryMsg).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return queryMsg{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return queryMsg{RID: int64(seed)} },
-	})
-	wire.Register(wireQueryAck, wire.Codec{
-		Name: "abd.queryAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			a := m.(queryAck)
-			b.Varint(a.RID)
-			b.Tag(a.Tag)
-			b.Bytes8(a.Value)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return queryAck{RID: r.Varint(), Tag: r.Tag(), Value: r.Bytes8()}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			return queryAck{RID: int64(seed), Tag: sampleTag(seed), Value: register.MakeValue(8+int(seed%24), seed)}
-		},
-	})
-	wire.Register(wirePut, wire.Codec{
-		Name: "abd.putMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			p := m.(putMsg)
-			b.Varint(p.RID)
-			b.Tag(p.Tag)
-			b.Bytes8(p.Value)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return putMsg{RID: r.Varint(), Tag: r.Tag(), Value: r.Bytes8()}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			return putMsg{RID: int64(seed), Tag: sampleTag(seed + 1), Value: register.MakeValue(8+int(seed%16), seed+1)}
-		},
-	})
-	wire.Register(wirePutAck, wire.Codec{
-		Name:   "abd.putAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(putAck).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return putAck{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return putAck{RID: int64(seed)} },
-	})
+	wire.Register(kindQuery, "abd.queryMsg", nil)
+	wire.Register(kindQueryAck, "abd.queryAck", &wire.Value)
+	wire.Register(kindPut, "abd.putMsg", &wire.WriteValue)
+	wire.Register(kindPutAck, "abd.putAck", nil)
 }

@@ -33,57 +33,6 @@ import (
 	"repro/internal/register"
 )
 
-// --- messages ---
-
-type queryFinMsg struct{ RID int64 }
-
-type queryFinAck struct {
-	RID int64
-	Tag register.Tag // responder's highest finalized tag
-}
-
-type preWriteMsg struct {
-	RID   int64
-	Tag   register.Tag
-	Shard erasure.Shard
-}
-
-// BearsValue implements ioa.ValueBearer: pre-write messages carry coded
-// elements of the value.
-func (preWriteMsg) BearsValue() bool { return true }
-
-// Retain and Release implement ioa.Pooled: the message holds its coded
-// element until the receiving server takes the count over.
-func (m preWriteMsg) Retain()  { m.Shard.Retain() }
-func (m preWriteMsg) Release() { m.Shard.Release() }
-
-type preWriteAck struct{ RID int64 }
-
-type finalizeMsg struct {
-	RID int64
-	Tag register.Tag
-}
-
-type finalizeAck struct{ RID int64 }
-
-// readFinMsg is the reader's second phase: it finalizes tag at the server
-// (tag propagation, needed for atomicity) and asks for the coded element.
-type readFinMsg struct {
-	RID int64
-	Tag register.Tag
-}
-
-type readFinAck struct {
-	RID      int64
-	HasShard bool
-	Shard    erasure.Shard
-}
-
-// Retain and Release implement ioa.Pooled: the ack holds the count the
-// server retained for it until the reader takes it over.
-func (m readFinAck) Retain()  { m.Shard.Retain() }
-func (m readFinAck) Release() { m.Shard.Release() }
-
 // --- server ---
 
 // record is one stored version: its tag, an optional coded element and a
@@ -138,28 +87,29 @@ func (s *Server) ID() ioa.NodeID { return s.id }
 
 // Deliver implements ioa.Node.
 func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	switch m := msg.(type) {
-	case queryFinMsg:
-		return s.out.Reply(from, queryFinAck{RID: m.RID, Tag: s.maxFin})
-	case preWriteMsg:
-		r := s.entry(m.Tag)
+	switch msg.Kind {
+	case kindQueryFin:
+		return s.out.Reply(from, ioa.Msg{Kind: kindQueryFinAck, RID: msg.RID, Tag: s.maxFin})
+	case kindPreWrite:
+		shard := msg.Body.(register.WriteElement).Shard
+		r := s.entry(msg.Tag)
 		if r.HasShard {
-			m.Shard.Release() // a duplicate: the server already holds this tag's element
+			shard.Release() // a duplicate: the server already holds this tag's element
 		} else {
-			r.HasShard, r.Shard = true, m.Shard
-			s.bits += 8 * len(m.Shard.Data)
+			r.HasShard, r.Shard = true, shard
+			s.bits += 8 * len(shard.Data)
 			s.gc()
 		}
-		return s.out.Reply(from, preWriteAck{RID: m.RID})
-	case finalizeMsg:
-		s.finalize(m.Tag)
-		return s.out.Reply(from, finalizeAck{RID: m.RID})
-	case readFinMsg:
-		s.finalize(m.Tag)
-		ack := readFinAck{RID: m.RID}
-		if i, ok := s.find(m.Tag); ok && s.recs[i].HasShard {
-			ack.HasShard, ack.Shard = true, s.recs[i].Shard
-			ack.Shard.Retain() // the ack holds its own count: collection may drop the record first
+		return s.out.Reply(from, ioa.Msg{Kind: kindPreWriteAck, RID: msg.RID})
+	case kindFinalize:
+		s.finalize(msg.Tag)
+		return s.out.Reply(from, ioa.Msg{Kind: kindFinalizeAck, RID: msg.RID})
+	case kindReadFin:
+		s.finalize(msg.Tag)
+		ack := ioa.Msg{Kind: kindReadFinAck, RID: msg.RID}
+		if i, ok := s.find(msg.Tag); ok && s.recs[i].HasShard {
+			s.recs[i].Shard.Retain() // the ack holds its own count: collection may drop the record first
+			ack.Body = register.Element{Shard: s.recs[i].Shard}
 		}
 		return s.out.Reply(from, ack)
 	default:
@@ -365,8 +315,6 @@ type Client struct {
 var (
 	_ ioa.Client          = (*Client)(nil)
 	_ quorum.PhasedWriter = (*Client)(nil)
-	_ ioa.Pooled          = preWriteMsg{}
-	_ ioa.Pooled          = readFinAck{}
 )
 
 // NewClient returns a CAS client.
@@ -415,24 +363,24 @@ func (c *Client) startQuery() ioa.Effects {
 	c.acks = 0
 	c.maxFin = register.Tag{}
 	c.dropShards()
-	return c.out.All(c.servers, queryFinMsg{RID: c.rid})
+	return c.out.All(c.servers, ioa.Msg{Kind: kindQueryFin, RID: c.rid})
 }
 
 // Deliver implements ioa.Node.
 func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	if !c.busy {
-		if m, ok := msg.(readFinAck); ok {
-			m.Shard.Release() // a late element of a finished read: held, and let go
-		}
+	if msg.Kind == kindReadFinAck {
+		return c.readFinAck(msg)
+	}
+	if !c.busy || msg.RID != c.rid {
 		return ioa.Effects{}
 	}
-	switch m := msg.(type) {
-	case queryFinAck:
-		if c.phase != phaseQuery || m.RID != c.rid {
+	switch msg.Kind {
+	case kindQueryFinAck:
+		if c.phase != phaseQuery {
 			return ioa.Effects{}
 		}
 		c.acks++
-		c.maxFin = register.MaxTag(c.maxFin, m.Tag)
+		c.maxFin = register.MaxTag(c.maxFin, msg.Tag)
 		if c.acks < c.q {
 			return ioa.Effects{}
 		}
@@ -445,8 +393,8 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			return c.respondRead(nil)
 		}
 		return c.startReadFin()
-	case preWriteAck:
-		if c.phase != phasePreWrite || m.RID != c.rid {
+	case kindPreWriteAck:
+		if c.phase != phasePreWrite {
 			return ioa.Effects{}
 		}
 		c.acks++
@@ -454,8 +402,8 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			return ioa.Effects{}
 		}
 		return c.startFinalize()
-	case finalizeAck:
-		if c.phase != phaseFinalize || m.RID != c.rid {
+	case kindFinalizeAck:
+		if c.phase != phaseFinalize {
 			return ioa.Effects{}
 		}
 		c.acks++
@@ -465,31 +413,37 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		c.busy = false
 		c.phase = phaseIdle
 		return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpWrite}}
-	case readFinAck:
-		if c.role != RoleReader || c.phase != phaseReadFin || m.RID != c.rid {
-			m.Shard.Release() // stale: the reader holds the element, and lets go
-			return ioa.Effects{}
-		}
-		c.acks++
-		if m.HasShard {
-			c.shards = append(c.shards, m.Shard)
-		}
-		if c.acks < c.q {
-			return ioa.Effects{}
-		}
-		if len(c.shards) >= c.code.K() {
-			val, err := c.code.Decode(c.shards)
-			if err == nil {
-				c.dropShards() // decoded into val, which the reader owns: an idle reader pins no coded elements
-				return c.respondRead(val)
-			}
-		}
-		// Too few coded elements survived (possible only when garbage
-		// collection raced this read): retry from the query phase.
-		return c.startQuery()
 	default:
 		return ioa.Effects{}
 	}
+}
+
+// readFinAck takes a server's reply to the read-finalize phase. The reply
+// holds a count of its element, if it has one: the reader keeps it, or lets
+// go of a late or stale one.
+func (c *Client) readFinAck(msg ioa.Message) ioa.Effects {
+	e, has := msg.Body.(register.Element)
+	if !c.busy || c.role != RoleReader || c.phase != phaseReadFin || msg.RID != c.rid {
+		e.Release()
+		return ioa.Effects{}
+	}
+	c.acks++
+	if has {
+		c.shards = append(c.shards, e.Shard)
+	}
+	if c.acks < c.q {
+		return ioa.Effects{}
+	}
+	if len(c.shards) >= c.code.K() {
+		val, err := c.code.Decode(c.shards)
+		if err == nil {
+			c.dropShards() // decoded into val, which the reader owns: an idle reader pins no coded elements
+			return c.respondRead(val)
+		}
+	}
+	// Too few coded elements survived (possible only when garbage
+	// collection raced this read): retry from the query phase.
+	return c.startQuery()
 }
 
 func (c *Client) startPreWrite() ioa.Effects {
@@ -505,7 +459,7 @@ func (c *Client) startPreWrite() ioa.Effects {
 			// Cannot happen: i < n by construction. Skip defensively.
 			continue
 		}
-		c.out.Add(s, preWriteMsg{RID: c.rid, Tag: c.tag, Shard: shard})
+		c.out.Add(s, ioa.Msg{Kind: kindPreWrite, RID: c.rid, Tag: c.tag, Body: register.WriteElement{Shard: shard}})
 	}
 	c.writeVal = nil // encoded: the value is the servers' to hold now, not the writer's
 	return c.out.Effects()
@@ -515,7 +469,7 @@ func (c *Client) startFinalize() ioa.Effects {
 	c.phase = phaseFinalize
 	c.rid++
 	c.acks = 0
-	return c.out.All(c.servers, finalizeMsg{RID: c.rid, Tag: c.tag})
+	return c.out.All(c.servers, ioa.Msg{Kind: kindFinalize, RID: c.rid, Tag: c.tag})
 }
 
 func (c *Client) startReadFin() ioa.Effects {
@@ -524,7 +478,7 @@ func (c *Client) startReadFin() ioa.Effects {
 	c.acks = 0
 	c.tag = c.maxFin
 	c.dropShards()
-	return c.out.All(c.servers, readFinMsg{RID: c.rid, Tag: c.tag})
+	return c.out.All(c.servers, ioa.Msg{Kind: kindReadFin, RID: c.rid, Tag: c.tag})
 }
 
 func (c *Client) respondRead(val []byte) ioa.Effects {

@@ -84,11 +84,11 @@ func TestGCMatchesSortOracle(t *testing.T) {
 				var msg ioa.Message
 				switch rng.Intn(3) {
 				case 0:
-					msg = preWriteMsg{Tag: tag, Shard: erasure.Shard{Index: 0, Data: []byte{byte(step)}}}
+					msg = &ioa.Msg{Kind: kindPreWrite, Tag: tag, Body: register.WriteElement{Shard: erasure.Shard{Index: 0, Data: []byte{byte(step)}}}}
 				case 1:
-					msg = finalizeMsg{Tag: tag}
+					msg = &ioa.Msg{Kind: kindFinalize, Tag: tag}
 				default:
-					msg = readFinMsg{Tag: tag}
+					msg = &ioa.Msg{Kind: kindReadFin, Tag: tag}
 				}
 				got.Deliver(9, msg)
 				want.Deliver(9, msg)
@@ -153,11 +153,11 @@ func TestRunningCountersMatchRecount(t *testing.T) {
 				switch rng.Intn(8) {
 				case 0, 1, 2:
 					shard := erasure.NewShard(rng.Intn(5), 1+rng.Intn(300))
-					s.Deliver(9, preWriteMsg{Tag: tag, Shard: shard})
+					s.Deliver(9, &ioa.Msg{Kind: kindPreWrite, Tag: tag, Body: register.WriteElement{Shard: shard}})
 				case 3, 4:
-					s.Deliver(9, finalizeMsg{Tag: tag})
+					s.Deliver(9, &ioa.Msg{Kind: kindFinalize, Tag: tag})
 				case 5:
-					ack := s.Deliver(9, readFinMsg{Tag: tag}).Sends[0].Msg.(readFinAck)
+					ack, _ := s.Deliver(9, &ioa.Msg{Kind: kindReadFin, Tag: tag}).Sends[0].Msg.Body.(register.Element)
 					ack.Release()
 				case 6:
 					if aside != nil {
@@ -189,9 +189,9 @@ func steadyServer(depth int) *Server {
 	s := NewServer(1, depth)
 	for seq := int64(1); seq <= int64(depth)+2; seq++ {
 		tag := register.Tag{Seq: seq, Writer: 100}
-		s.Deliver(9, preWriteMsg{Tag: tag, Shard: erasure.Shard{Data: make([]byte, 64)}})
+		s.Deliver(9, &ioa.Msg{Kind: kindPreWrite, Tag: tag, Body: register.WriteElement{Shard: erasure.Shard{Data: make([]byte, 64)}}})
 		if seq <= int64(depth)+1 {
-			s.Deliver(9, finalizeMsg{Tag: tag})
+			s.Deliver(9, &ioa.Msg{Kind: kindFinalize, Tag: tag})
 		}
 	}
 	return s
@@ -252,7 +252,7 @@ func TestClientReleasesValueAndShards(t *testing.T) {
 	r.Invoke(ioa.Invocation{Kind: ioa.OpRead})
 	tag := register.Tag{Seq: 1, Writer: cl.Writers[0]}
 	for i := 0; i < r.q; i++ {
-		r.Deliver(cl.Servers[i], queryFinAck{RID: r.rid, Tag: tag})
+		r.Deliver(cl.Servers[i], &ioa.Msg{Kind: kindQueryFinAck, RID: r.rid, Tag: tag})
 	}
 	var mid *Client
 	var resp *ioa.Response
@@ -264,7 +264,7 @@ func TestClientReleasesValueAndShards(t *testing.T) {
 		if i == r.q-1 {
 			mid = r.Clone().(*Client)
 		}
-		resp = r.Deliver(cl.Servers[i], readFinAck{RID: r.rid, HasShard: true, Shard: shard}).Response
+		resp = r.Deliver(cl.Servers[i], &ioa.Msg{Kind: kindReadFinAck, RID: r.rid, Body: register.Element{Shard: shard}}).Response
 	}
 	if resp == nil || string(resp.Value) != string(v) {
 		t.Fatal("the hand-driven read did not return the written value")
@@ -296,7 +296,7 @@ func TestMidReadCloneIndependence(t *testing.T) {
 	start := func(c *Client, seq int64) {
 		c.Invoke(ioa.Invocation{Kind: ioa.OpRead})
 		for i := 0; i < c.q; i++ {
-			c.Deliver(cl.Servers[i], queryFinAck{RID: c.rid, Tag: register.Tag{Seq: seq, Writer: cl.Writers[0]}})
+			c.Deliver(cl.Servers[i], &ioa.Msg{Kind: kindQueryFinAck, RID: c.rid, Tag: register.Tag{Seq: seq, Writer: cl.Writers[0]}})
 		}
 	}
 	v, w := register.MakeValue(2048, 1), register.MakeValue(2048, 2)
@@ -306,7 +306,7 @@ func TestMidReadCloneIndependence(t *testing.T) {
 	if resp := finish(t, cp, v, cp.q-1, cp.q); resp == nil || !bytes.Equal(resp.Value, v) {
 		t.Fatal("the copy did not decode the value")
 	}
-	cp.Deliver(cl.Servers[4], readFinAck{RID: cp.rid, HasShard: true, Shard: encode(t, cp, v, 4)}) // late
+	cp.Deliver(cl.Servers[4], &ioa.Msg{Kind: kindReadFinAck, RID: cp.rid, Body: register.Element{Shard: encode(t, cp, v, 4)}}) // late
 	start(cp, 2)
 	if resp := finish(t, cp, w, 0, cp.q); resp == nil || !bytes.Equal(resp.Value, w) {
 		t.Fatal("the copy's second read did not decode")
@@ -331,7 +331,7 @@ func finish(t *testing.T, c *Client, v []byte, from, to int) *ioa.Response {
 	t.Helper()
 	var resp *ioa.Response
 	for i := from; i < to; i++ {
-		resp = c.Deliver(c.servers[i], readFinAck{RID: c.rid, HasShard: true, Shard: encode(t, c, v, i)}).Response
+		resp = c.Deliver(c.servers[i], &ioa.Msg{Kind: kindReadFinAck, RID: c.rid, Body: register.Element{Shard: encode(t, c, v, i)}}).Response
 	}
 	return resp
 }

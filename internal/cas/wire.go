@@ -1,113 +1,32 @@
 package cas
 
 import (
-	"repro/internal/erasure"
 	"repro/internal/ioa"
-	"repro/internal/register"
 	"repro/internal/wire"
 )
 
-// Wire type identifiers for the CAS/CASGC messages (wire's 0x20–0x2f range).
+// Message kinds (wire's 0x20–0x2f range). Every message is its header alone
+// — the request id and, where the phase names one, a tag — but a pre-write,
+// which carries the server's coded element, and a read-finalize ack, which
+// carries the element the server holds for the tag, if any.
 const (
-	wireQueryFin    wire.TypeID = 0x20
-	wireQueryFinAck wire.TypeID = 0x21
-	wirePreWrite    wire.TypeID = 0x22
-	wirePreWriteAck wire.TypeID = 0x23
-	wireFinalize    wire.TypeID = 0x24
-	wireFinalizeAck wire.TypeID = 0x25
-	wireReadFin     wire.TypeID = 0x26
-	wireReadFinAck  wire.TypeID = 0x27
+	kindQueryFin    ioa.Kind = 0x20
+	kindQueryFinAck ioa.Kind = 0x21 // tag: the responder's highest finalized tag
+	kindPreWrite    ioa.Kind = 0x22 // body register.WriteElement
+	kindPreWriteAck ioa.Kind = 0x23
+	kindFinalize    ioa.Kind = 0x24
+	kindFinalizeAck ioa.Kind = 0x25
+	kindReadFin     ioa.Kind = 0x26 // the reader's second phase: finalize tag, and ask for its element
+	kindReadFinAck  ioa.Kind = 0x27 // body register.Element, nil when the server holds none
 )
 
-func sampleTag(seed uint64) register.Tag {
-	return register.Tag{Seq: int64(seed % 512), Writer: ioa.NodeID(seed % 5)}
-}
-
-func sampleShard(seed uint64) erasure.Shard {
-	return erasure.Shard{Index: int(seed % 9), Data: register.MakeValue(8+int(seed%16), seed)}
-}
-
 func init() {
-	wire.Register(wireQueryFin, wire.Codec{
-		Name:   "cas.queryFinMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(queryFinMsg).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return queryFinMsg{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return queryFinMsg{RID: int64(seed)} },
-	})
-	wire.Register(wireQueryFinAck, wire.Codec{
-		Name: "cas.queryFinAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			a := m.(queryFinAck)
-			b.Varint(a.RID)
-			b.Tag(a.Tag)
-		},
-		Decode: func(r *wire.Reader) ioa.Message { return queryFinAck{RID: r.Varint(), Tag: r.Tag()} },
-		Sample: func(seed uint64) ioa.Message { return queryFinAck{RID: int64(seed), Tag: sampleTag(seed)} },
-	})
-	wire.Register(wirePreWrite, wire.Codec{
-		Name: "cas.preWriteMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			p := m.(preWriteMsg)
-			b.Varint(p.RID)
-			b.Tag(p.Tag)
-			b.Shard(p.Shard)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return preWriteMsg{RID: r.Varint(), Tag: r.Tag(), Shard: r.Shard()}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			return preWriteMsg{RID: int64(seed), Tag: sampleTag(seed), Shard: sampleShard(seed)}
-		},
-	})
-	wire.Register(wirePreWriteAck, wire.Codec{
-		Name:   "cas.preWriteAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(preWriteAck).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return preWriteAck{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return preWriteAck{RID: int64(seed)} },
-	})
-	wire.Register(wireFinalize, wire.Codec{
-		Name: "cas.finalizeMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			f := m.(finalizeMsg)
-			b.Varint(f.RID)
-			b.Tag(f.Tag)
-		},
-		Decode: func(r *wire.Reader) ioa.Message { return finalizeMsg{RID: r.Varint(), Tag: r.Tag()} },
-		Sample: func(seed uint64) ioa.Message { return finalizeMsg{RID: int64(seed), Tag: sampleTag(seed + 2)} },
-	})
-	wire.Register(wireFinalizeAck, wire.Codec{
-		Name:   "cas.finalizeAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(finalizeAck).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return finalizeAck{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return finalizeAck{RID: int64(seed)} },
-	})
-	wire.Register(wireReadFin, wire.Codec{
-		Name: "cas.readFinMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			f := m.(readFinMsg)
-			b.Varint(f.RID)
-			b.Tag(f.Tag)
-		},
-		Decode: func(r *wire.Reader) ioa.Message { return readFinMsg{RID: r.Varint(), Tag: r.Tag()} },
-		Sample: func(seed uint64) ioa.Message { return readFinMsg{RID: int64(seed), Tag: sampleTag(seed + 3)} },
-	})
-	wire.Register(wireReadFinAck, wire.Codec{
-		Name: "cas.readFinAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			a := m.(readFinAck)
-			b.Varint(a.RID)
-			b.Bool(a.HasShard)
-			b.Shard(a.Shard)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return readFinAck{RID: r.Varint(), HasShard: r.Bool(), Shard: r.Shard()}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			a := readFinAck{RID: int64(seed), HasShard: seed%2 == 0}
-			if a.HasShard {
-				a.Shard = sampleShard(seed)
-			}
-			return a
-		},
-	})
+	wire.Register(kindQueryFin, "cas.queryFinMsg", nil)
+	wire.Register(kindQueryFinAck, "cas.queryFinAck", nil)
+	wire.Register(kindPreWrite, "cas.preWriteMsg", &wire.WriteElement)
+	wire.Register(kindPreWriteAck, "cas.preWriteAck", nil)
+	wire.Register(kindFinalize, "cas.finalizeMsg", nil)
+	wire.Register(kindFinalizeAck, "cas.finalizeAck", nil)
+	wire.Register(kindReadFin, "cas.readFinMsg", nil)
+	wire.Register(kindReadFinAck, "cas.readFinAck", &wire.Element)
 }

@@ -358,19 +358,19 @@ func TestSoloProfileSinglePhase(t *testing.T) {
 func TestServerDigests(t *testing.T) {
 	s := NewServer(1)
 	d0 := s.StateDigest()
-	s.Deliver(100, w1Msg{RID: 1, Tag: register.Tag{Seq: 1, Writer: 100}, Shard: shardOf(t, []byte("x"))})
+	s.Deliver(100, &ioa.Msg{Kind: kindW1, RID: 1, Tag: register.Tag{Seq: 1, Writer: 100}, Body: register.WriteElement{Shard: shardOf(t, []byte("x"))}})
 	d1 := s.StateDigest()
 	if d0 == d1 {
 		t.Error("digest must change after W1")
 	}
-	s.Deliver(100, w2Msg{RID: 2, Tag: register.Tag{Seq: 1, Writer: 100}})
+	s.Deliver(100, &ioa.Msg{Kind: kindW2, RID: 2, Tag: register.Tag{Seq: 1, Writer: 100}})
 	d2 := s.StateDigest()
 	if d1 == d2 {
 		t.Error("digest must change after W2 promotion")
 	}
 	solo := NewSoloServer(2)
 	e0 := solo.StateDigest()
-	solo.Deliver(100, w1Msg{RID: 1, Tag: register.Tag{Seq: 1, Writer: 100}, Shard: shardOf(t, []byte("y"))})
+	solo.Deliver(100, &ioa.Msg{Kind: kindW1, RID: 1, Tag: register.Tag{Seq: 1, Writer: 100}, Body: register.WriteElement{Shard: shardOf(t, []byte("y"))}})
 	if solo.StateDigest() == e0 {
 		t.Error("solo digest must change after W1")
 	}
@@ -380,3 +380,74 @@ func shardOf(t *testing.T, v []byte) erasure.Shard {
 	t.Helper()
 	return erasure.Shard{Index: 0, Data: v}
 }
+
+// TestStepAllocs bounds what a steady-state step allocates: an outbox carves
+// its messages from a slab, one allocation per 16 messages that
+// AllocsPerRun's whole-number mean reads as 0, so a server's W1 and W2 acks
+// and a gossip server's finalization notes, headers alone, allocate nothing,
+// and neither does the writer's W2 broadcast: a write allocates only its W1
+// bodies and their coded elements.
+func TestStepAllocs(t *testing.T) {
+	cfg := Config{Servers: []ioa.NodeID{1, 2, 3, 4, 5}, F: 1}
+	tag := register.Tag{Seq: 1, Writer: 100}
+	w1 := &ioa.Msg{Kind: kindW1, RID: ridBase, Tag: tag, Body: register.WriteElement{Shard: shardOf(t, []byte("x"))}}
+	w2 := &ioa.Msg{Kind: kindW2, RID: ridBase + 1, Tag: tag}
+	for _, s := range []ioa.Node{NewServer(1), NewSoloServer(1), NewGossipServer(1, []ioa.NodeID{2, 3, 4, 5})} {
+		for _, m := range []ioa.Message{w1, w2} {
+			deliver(s, 100, m) // the outbox grows once
+			if got := testing.AllocsPerRun(100, func() { deliver(s, 100, m) }); got != 0 {
+				t.Errorf("%T.Deliver(kind 0x%02x) allocates %.0f times, want 0", s, m.Kind, got)
+			}
+		}
+	}
+
+	w, err := NewWriter(100, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := register.MakeValue(1024, 1)
+	n := len(cfg.Servers)
+	encode := testing.AllocsPerRun(100, func() {
+		for i := 0; i < n; i++ {
+			w.code.EncodeOne(v, i)
+		}
+	})
+	// Each call's acks are built beforehand, so the measurement holds only
+	// the writer's own allocations.
+	const runs = 100
+	w.rid = ridBase
+	acks := make([]ioa.Message, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range acks {
+		acks[i] = &ioa.Msg{Kind: kindW1Ack, RID: ridBase + int64(2*i+1)} // Invoke's W1 id; W2 takes the next
+	}
+	call := 0
+	got := testing.AllocsPerRun(runs, func() {
+		invoke(w, ioa.Invocation{Kind: ioa.OpWrite, Value: v})
+		for j := 0; j < cfg.Quorum(); j++ {
+			deliver(w, cfg.Servers[j], acks[call])
+		}
+		call++
+	})
+	if w.phase != phaseW2 {
+		t.Fatalf("the quorum's acks left the writer in phase %d, want W2", w.phase)
+	}
+	if want := float64(n) + encode; got > want {
+		t.Errorf("a W1 and a W2 phase start allocate %.0f times, want at most %.0f: %d W1 bodies and their elements (%.0f allocations)",
+			got, want, n, encode)
+	}
+}
+
+// ridBase starts the request ids a test measures past 255: Go boxes an
+// integer-sized value below 256 without allocating, so a small id would
+// hide what boxing a message costs.
+const ridBase = 1 << 20
+
+// deliver and invoke step a node through its interface, as the kernel does:
+// out of line, so the compiler cannot keep a step's sends on the test's
+// stack.
+//
+//go:noinline
+func deliver(n ioa.Node, from ioa.NodeID, m ioa.Message) ioa.Effects { return n.Deliver(from, m) }
+
+//go:noinline
+func invoke(c ioa.Client, inv ioa.Invocation) ioa.Effects { return c.Invoke(inv) }

@@ -3,18 +3,13 @@ package coded
 import (
 	"repro/internal/cluster"
 	"repro/internal/ioa"
-	"repro/internal/register"
 )
 
-// finNote is server-to-server gossip: "tag T is finalized". A server whose
-// pending slot holds T promotes it without waiting for the writer's W2.
-type finNote struct {
-	Tag register.Tag
-}
-
 // GossipServer is a two-version coded server that additionally gossips
-// finalization notes to its peers. Functionally it converges faster when the
-// writer's W2 messages are delayed; architecturally it moves the register
+// finalization notes to its peers: "tag T is finalized" (kindFinNote), on
+// which a server whose pending slot holds T promotes it without waiting for
+// the writer's W2. Functionally it converges faster when the writer's W2
+// messages are delayed; architecturally it moves the register
 // out of the "no server gossip" class of Theorem 4.1 and into the universal
 // class of Theorem 5.1, whose valency probes must first drain the
 // server-to-server channels (Definition 5.3). The adversary package runs
@@ -41,19 +36,18 @@ func (g *GossipServer) ID() ioa.NodeID { return g.inner.id }
 
 // Deliver implements ioa.Node.
 func (g *GossipServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	switch m := msg.(type) {
-	case w2Msg:
+	switch msg.Kind {
+	case kindW2:
 		// Ack the writer, then spread the finalization to peers.
-		g.inner.promote(m.Tag)
+		g.inner.promote(msg.Tag)
 		out := &g.inner.out
-		out.Add(from, w2Ack{RID: m.RID})
-		note := ioa.Message(finNote{Tag: m.Tag}) // boxed once for every peer
+		out.Add(from, ioa.Msg{Kind: kindW2Ack, RID: msg.RID})
 		for _, p := range g.peers {
-			out.Add(p, note)
+			out.Add(p, ioa.Msg{Kind: kindFinNote, Tag: msg.Tag})
 		}
 		return out.Effects()
-	case finNote:
-		g.inner.promote(m.Tag)
+	case kindFinNote:
+		g.inner.promote(msg.Tag)
 		return ioa.Effects{}
 	default:
 		return g.inner.Deliver(from, msg)

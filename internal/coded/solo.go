@@ -48,21 +48,15 @@ func (s *SoloServer) ID() ioa.NodeID { return s.id }
 
 // Deliver implements ioa.Node.
 func (s *SoloServer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	switch m := msg.(type) {
-	case w1Msg:
-		if !s.cur.Used || s.cur.Tag.Less(m.Tag) {
+	switch msg.Kind {
+	case kindW1:
+		if !s.cur.Used || s.cur.Tag.Less(msg.Tag) {
 			s.prev = s.cur
-			s.cur = slot{Used: true, Tag: m.Tag, Shard: m.Shard}
+			s.cur = slot{Used: true, Tag: msg.Tag, Shard: msg.Body.(register.WriteElement).Shard}
 		}
-		return s.out.Reply(from, w1Ack{RID: m.RID})
-	case readMsg:
-		ack := readAck{RID: m.RID}
-		if s.cur.Used {
-			ack.HasFin = true
-			ack.FinTag = s.cur.Tag
-			ack.FinShard = s.cur.Shard
-		}
-		return s.out.Reply(from, ack)
+		return s.out.Reply(from, ioa.Msg{Kind: kindW1Ack, RID: msg.RID})
+	case kindRead:
+		return s.out.Reply(from, ioa.Msg{Kind: kindReadAck, RID: msg.RID, Body: slots{Fin: s.cur}})
 	default:
 		return ioa.Effects{}
 	}
@@ -190,7 +184,7 @@ func (w *SoloWriter) Invoke(inv ioa.Invocation) ioa.Effects {
 		if err != nil {
 			continue // unreachable
 		}
-		w.out.Add(s, w1Msg{RID: w.rid, Tag: tag, Shard: shard})
+		w.out.Add(s, ioa.Msg{Kind: kindW1, RID: w.rid, Tag: tag, Body: register.WriteElement{Shard: shard}})
 	}
 	return w.out.Effects()
 }
@@ -200,8 +194,7 @@ func (w *SoloWriter) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !w.busy {
 		return ioa.Effects{}
 	}
-	m, ok := msg.(w1Ack)
-	if !ok || m.RID != w.rid {
+	if msg.Kind != kindW1Ack || msg.RID != w.rid {
 		return ioa.Effects{}
 	}
 	w.acks++
@@ -233,7 +226,7 @@ type SoloReader struct {
 	busy    bool
 	rid     int64
 	acks    int
-	replies []readAck
+	replies []slots
 	out     ioa.Outbox
 }
 
@@ -267,7 +260,7 @@ func (r *SoloReader) startRound() ioa.Effects {
 	r.rid++
 	r.acks = 0
 	r.replies = r.replies[:0]
-	return r.out.All(r.servers, readMsg{RID: r.rid})
+	return r.out.All(r.servers, ioa.Msg{Kind: kindRead, RID: r.rid})
 }
 
 // Deliver implements ioa.Node.
@@ -275,12 +268,11 @@ func (r *SoloReader) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !r.busy {
 		return ioa.Effects{}
 	}
-	m, ok := msg.(readAck)
-	if !ok || m.RID != r.rid {
+	if msg.Kind != kindReadAck || msg.RID != r.rid {
 		return ioa.Effects{}
 	}
 	r.acks++
-	r.replies = append(r.replies, m)
+	r.replies = append(r.replies, msg.Body.(slots))
 	if r.acks < r.q {
 		return ioa.Effects{}
 	}
@@ -289,12 +281,12 @@ func (r *SoloReader) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	var top register.Tag
 	var shards []erasure.Shard
 	for _, rep := range r.replies {
-		switch {
-		case !rep.HasFin:
-		case len(shards) == 0 || top.Less(rep.FinTag):
-			top, shards = rep.FinTag, append(shards[:0], rep.FinShard)
-		case rep.FinTag == top:
-			shards = append(shards, rep.FinShard)
+		switch cur := rep.Fin; {
+		case !cur.Used:
+		case len(shards) == 0 || top.Less(cur.Tag):
+			top, shards = cur.Tag, append(shards[:0], cur.Shard)
+		case cur.Tag == top:
+			shards = append(shards, cur.Shard)
 		}
 	}
 	if len(shards) == 0 {
@@ -314,7 +306,7 @@ func (r *SoloReader) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 func (r *SoloReader) Clone() ioa.Node {
 	cp := *r
 	cp.servers = append([]ioa.NodeID(nil), r.servers...)
-	cp.replies = append([]readAck(nil), r.replies...)
+	cp.replies = append([]slots(nil), r.replies...)
 	cp.out = ioa.Outbox{}
 	return &cp
 }

@@ -44,39 +44,6 @@ import (
 	"repro/internal/register"
 )
 
-// --- messages ---
-
-type w1Msg struct {
-	RID   int64
-	Tag   register.Tag
-	Shard erasure.Shard
-}
-
-// BearsValue implements ioa.ValueBearer: W1 messages carry coded elements of
-// the value.
-func (w1Msg) BearsValue() bool { return true }
-
-type w1Ack struct{ RID int64 }
-
-type w2Msg struct {
-	RID int64
-	Tag register.Tag
-}
-
-type w2Ack struct{ RID int64 }
-
-type readMsg struct{ RID int64 }
-
-type readAck struct {
-	RID       int64
-	HasFin    bool
-	FinTag    register.Tag
-	FinShard  erasure.Shard
-	HasPend   bool
-	PendTag   register.Tag
-	PendShard erasure.Shard
-}
-
 // --- server ---
 
 // slot is one stored coded version.
@@ -85,6 +52,10 @@ type slot struct {
 	Tag   register.Tag
 	Shard erasure.Shard
 }
+
+// slots is a read ack's body: the server's finalized and pending versions
+// (a solo server's one version in Fin), each a zero slot when unused.
+type slots struct{ Fin, Pend slot }
 
 // Server is a two-version coded replica: one finalized and one pending slot.
 type Server struct {
@@ -108,28 +79,17 @@ func (s *Server) ID() ioa.NodeID { return s.id }
 
 // Deliver implements ioa.Node.
 func (s *Server) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
-	switch m := msg.(type) {
-	case w1Msg:
-		if !s.pend.Used || s.pend.Tag.Less(m.Tag) {
-			s.pend = slot{Used: true, Tag: m.Tag, Shard: m.Shard}
+	switch msg.Kind {
+	case kindW1:
+		if !s.pend.Used || s.pend.Tag.Less(msg.Tag) {
+			s.pend = slot{Used: true, Tag: msg.Tag, Shard: msg.Body.(register.WriteElement).Shard}
 		}
-		return s.out.Reply(from, w1Ack{RID: m.RID})
-	case w2Msg:
-		s.promote(m.Tag)
-		return s.out.Reply(from, w2Ack{RID: m.RID})
-	case readMsg:
-		ack := readAck{RID: m.RID}
-		if s.fin.Used {
-			ack.HasFin = true
-			ack.FinTag = s.fin.Tag
-			ack.FinShard = s.fin.Shard
-		}
-		if s.pend.Used {
-			ack.HasPend = true
-			ack.PendTag = s.pend.Tag
-			ack.PendShard = s.pend.Shard
-		}
-		return s.out.Reply(from, ack)
+		return s.out.Reply(from, ioa.Msg{Kind: kindW1Ack, RID: msg.RID})
+	case kindW2:
+		s.promote(msg.Tag)
+		return s.out.Reply(from, ioa.Msg{Kind: kindW2Ack, RID: msg.RID})
+	case kindRead:
+		return s.out.Reply(from, ioa.Msg{Kind: kindReadAck, RID: msg.RID, Body: slots{Fin: s.fin, Pend: s.pend}})
 	default:
 		return ioa.Effects{}
 	}
@@ -280,7 +240,7 @@ func (w *Writer) Invoke(inv ioa.Invocation) ioa.Effects {
 		if err != nil {
 			continue // unreachable: i < n
 		}
-		w.out.Add(s, w1Msg{RID: w.rid, Tag: w.tag, Shard: shard})
+		w.out.Add(s, ioa.Msg{Kind: kindW1, RID: w.rid, Tag: w.tag, Body: register.WriteElement{Shard: shard}})
 	}
 	return w.out.Effects()
 }
@@ -290,9 +250,12 @@ func (w *Writer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !w.busy {
 		return ioa.Effects{}
 	}
-	switch m := msg.(type) {
-	case w1Ack:
-		if w.phase != phaseW1 || m.RID != w.rid {
+	if msg.RID != w.rid {
+		return ioa.Effects{}
+	}
+	switch msg.Kind {
+	case kindW1Ack:
+		if w.phase != phaseW1 {
 			return ioa.Effects{}
 		}
 		w.acks++
@@ -302,9 +265,9 @@ func (w *Writer) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		w.phase = phaseW2
 		w.rid++
 		w.acks = 0
-		return w.out.All(w.servers, w2Msg{RID: w.rid, Tag: w.tag})
-	case w2Ack:
-		if w.phase != phaseW2 || m.RID != w.rid {
+		return w.out.All(w.servers, ioa.Msg{Kind: kindW2, RID: w.rid, Tag: w.tag})
+	case kindW2Ack:
+		if w.phase != phaseW2 {
 			return ioa.Effects{}
 		}
 		w.acks++
@@ -340,7 +303,7 @@ type Reader struct {
 	rid  int64
 	acks int
 	// collected replies for the current round
-	replies []readAck
+	replies []slots
 	out     ioa.Outbox
 }
 
@@ -374,7 +337,7 @@ func (r *Reader) startRound() ioa.Effects {
 	r.rid++
 	r.acks = 0
 	r.replies = r.replies[:0]
-	return r.out.All(r.servers, readMsg{RID: r.rid})
+	return r.out.All(r.servers, ioa.Msg{Kind: kindRead, RID: r.rid})
 }
 
 // Deliver implements ioa.Node.
@@ -382,12 +345,11 @@ func (r *Reader) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 	if !r.busy {
 		return ioa.Effects{}
 	}
-	m, ok := msg.(readAck)
-	if !ok || m.RID != r.rid {
+	if msg.Kind != kindReadAck || msg.RID != r.rid {
 		return ioa.Effects{}
 	}
 	r.acks++
-	r.replies = append(r.replies, m)
+	r.replies = append(r.replies, msg.Body.(slots))
 	if r.acks < r.q {
 		return ioa.Effects{}
 	}
@@ -409,14 +371,14 @@ func (r *Reader) tryDecode() ([]byte, bool) {
 	sawAny := false
 	shardsByTag := make(map[register.Tag][]erasure.Shard)
 	for _, rep := range r.replies {
-		if rep.HasFin {
-			tstar = register.MaxTag(tstar, rep.FinTag)
+		if fin := rep.Fin; fin.Used {
+			tstar = register.MaxTag(tstar, fin.Tag)
 			sawAny = true
-			shardsByTag[rep.FinTag] = append(shardsByTag[rep.FinTag], rep.FinShard)
+			shardsByTag[fin.Tag] = append(shardsByTag[fin.Tag], fin.Shard)
 		}
-		if rep.HasPend {
+		if pend := rep.Pend; pend.Used {
 			sawAny = true
-			shardsByTag[rep.PendTag] = append(shardsByTag[rep.PendTag], rep.PendShard)
+			shardsByTag[pend.Tag] = append(shardsByTag[pend.Tag], pend.Shard)
 		}
 	}
 	if !sawAny {
@@ -442,7 +404,7 @@ func (r *Reader) tryDecode() ([]byte, bool) {
 func (r *Reader) Clone() ioa.Node {
 	cp := *r
 	cp.servers = append([]ioa.NodeID(nil), r.servers...)
-	cp.replies = append([]readAck(nil), r.replies...)
+	cp.replies = append([]slots(nil), r.replies...)
 	cp.out = ioa.Outbox{}
 	return &cp
 }

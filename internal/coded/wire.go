@@ -1,111 +1,59 @@
 package coded
 
 import (
-	"repro/internal/erasure"
 	"repro/internal/ioa"
 	"repro/internal/register"
 	"repro/internal/wire"
 )
 
-// Wire type identifiers for the two-version/solo/gossip coded-register
-// messages (wire's 0x30–0x3f range). The solo register reuses w1Msg/readMsg/
-// readAck, so these seven codecs cover the whole package.
+// Message kinds (wire's 0x30–0x3f range). The solo register reuses W1, read
+// and read ack, so these seven kinds cover the whole package. W1 carries a
+// coded element and a read ack the server's slots; every other message is
+// its header alone.
 const (
-	wireW1      wire.TypeID = 0x30
-	wireW1Ack   wire.TypeID = 0x31
-	wireW2      wire.TypeID = 0x32
-	wireW2Ack   wire.TypeID = 0x33
-	wireRead    wire.TypeID = 0x34
-	wireReadAck wire.TypeID = 0x35
-	wireFinNote wire.TypeID = 0x36
+	kindW1      ioa.Kind = 0x30 // body register.WriteElement
+	kindW1Ack   ioa.Kind = 0x31
+	kindW2      ioa.Kind = 0x32
+	kindW2Ack   ioa.Kind = 0x33
+	kindRead    ioa.Kind = 0x34
+	kindReadAck ioa.Kind = 0x35 // body slots
+	kindFinNote ioa.Kind = 0x36 // server-to-server gossip: tag is finalized
 )
 
-func sampleTag(seed uint64) register.Tag {
-	return register.Tag{Seq: int64(seed % 256), Writer: ioa.NodeID(seed % 3)}
-}
-
-func sampleShard(seed uint64) erasure.Shard {
-	return erasure.Shard{Index: int(seed % 7), Data: register.MakeValue(8+int(seed%12), seed)}
+// slotsBody is the codec of a read ack's slots: per slot, a presence byte,
+// the tag and the coded element.
+var slotsBody = wire.Body{
+	Encode: func(b *wire.Buffer, body any) bool {
+		s, ok := body.(slots)
+		for _, sl := range [2]slot{s.Fin, s.Pend} {
+			b.Bool(sl.Used)
+			b.Tag(sl.Tag)
+			b.Shard(sl.Shard)
+		}
+		return ok
+	},
+	Decode: func(r *wire.Reader) any {
+		fin := slot{Used: r.Bool(), Tag: r.Tag(), Shard: r.Shard()}
+		return slots{Fin: fin, Pend: slot{Used: r.Bool(), Tag: r.Tag(), Shard: r.Shard()}}
+	},
+	Sample: func(seed uint64) any {
+		var s slots
+		if seed%2 == 0 {
+			s.Fin = slot{Used: true, Tag: register.Tag{Seq: int64(seed % 256), Writer: ioa.NodeID(seed % 3)}, Shard: wire.SampleShard(seed)}
+		}
+		if seed%3 == 0 {
+			s.Pend = slot{Used: true, Tag: register.Tag{Seq: int64(seed%256) + 1, Writer: ioa.NodeID(seed % 3)}, Shard: wire.SampleShard(seed + 1)}
+		}
+		return s
+	},
 }
 
 func init() {
-	wire.Register(wireW1, wire.Codec{
-		Name: "coded.w1Msg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			w := m.(w1Msg)
-			b.Varint(w.RID)
-			b.Tag(w.Tag)
-			b.Shard(w.Shard)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return w1Msg{RID: r.Varint(), Tag: r.Tag(), Shard: r.Shard()}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			return w1Msg{RID: int64(seed), Tag: sampleTag(seed), Shard: sampleShard(seed)}
-		},
-	})
-	wire.Register(wireW1Ack, wire.Codec{
-		Name:   "coded.w1Ack",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(w1Ack).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return w1Ack{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return w1Ack{RID: int64(seed)} },
-	})
-	wire.Register(wireW2, wire.Codec{
-		Name: "coded.w2Msg",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			w := m.(w2Msg)
-			b.Varint(w.RID)
-			b.Tag(w.Tag)
-		},
-		Decode: func(r *wire.Reader) ioa.Message { return w2Msg{RID: r.Varint(), Tag: r.Tag()} },
-		Sample: func(seed uint64) ioa.Message { return w2Msg{RID: int64(seed), Tag: sampleTag(seed + 1)} },
-	})
-	wire.Register(wireW2Ack, wire.Codec{
-		Name:   "coded.w2Ack",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(w2Ack).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return w2Ack{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return w2Ack{RID: int64(seed)} },
-	})
-	wire.Register(wireRead, wire.Codec{
-		Name:   "coded.readMsg",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Varint(m.(readMsg).RID) },
-		Decode: func(r *wire.Reader) ioa.Message { return readMsg{RID: r.Varint()} },
-		Sample: func(seed uint64) ioa.Message { return readMsg{RID: int64(seed)} },
-	})
-	wire.Register(wireReadAck, wire.Codec{
-		Name: "coded.readAck",
-		Encode: func(b *wire.Buffer, m ioa.Message) {
-			a := m.(readAck)
-			b.Varint(a.RID)
-			b.Bool(a.HasFin)
-			b.Tag(a.FinTag)
-			b.Shard(a.FinShard)
-			b.Bool(a.HasPend)
-			b.Tag(a.PendTag)
-			b.Shard(a.PendShard)
-		},
-		Decode: func(r *wire.Reader) ioa.Message {
-			return readAck{
-				RID:    r.Varint(),
-				HasFin: r.Bool(), FinTag: r.Tag(), FinShard: r.Shard(),
-				HasPend: r.Bool(), PendTag: r.Tag(), PendShard: r.Shard(),
-			}
-		},
-		Sample: func(seed uint64) ioa.Message {
-			a := readAck{RID: int64(seed), HasFin: seed%2 == 0, HasPend: seed%3 == 0}
-			if a.HasFin {
-				a.FinTag, a.FinShard = sampleTag(seed), sampleShard(seed)
-			}
-			if a.HasPend {
-				a.PendTag, a.PendShard = sampleTag(seed+1), sampleShard(seed+1)
-			}
-			return a
-		},
-	})
-	wire.Register(wireFinNote, wire.Codec{
-		Name:   "coded.finNote",
-		Encode: func(b *wire.Buffer, m ioa.Message) { b.Tag(m.(finNote).Tag) },
-		Decode: func(r *wire.Reader) ioa.Message { return finNote{Tag: r.Tag()} },
-		Sample: func(seed uint64) ioa.Message { return finNote{Tag: sampleTag(seed)} },
-	})
+	wire.Register(kindW1, "coded.w1Msg", &wire.WriteElement)
+	wire.Register(kindW1Ack, "coded.w1Ack", nil)
+	wire.Register(kindW2, "coded.w2Msg", nil)
+	wire.Register(kindW2Ack, "coded.w2Ack", nil)
+	wire.Register(kindRead, "coded.readMsg", nil)
+	wire.Register(kindReadAck, "coded.readAck", &slotsBody)
+	wire.Register(kindFinNote, "coded.finNote", nil)
 }

@@ -22,11 +22,11 @@ func (c *chatterClient) Busy() bool { return c.busy }
 
 func (c *chatterClient) Invoke(inv Invocation) Effects {
 	c.busy = true
-	return c.out.All(c.peers, pingMsg{Seq: 1})
+	return c.out.All(c.peers, ping(1))
 }
 
 func (c *chatterClient) Deliver(from NodeID, msg Message) Effects {
-	return c.out.Reply(from, pingMsg{Seq: 1})
+	return c.out.Reply(from, ping(1))
 }
 
 func (c *chatterClient) Clone() Node { cp := *c; cp.out = Outbox{}; return &cp }
@@ -39,7 +39,7 @@ type chatterServer struct {
 func (s *chatterServer) ID() NodeID { return s.id }
 
 func (s *chatterServer) Deliver(from NodeID, msg Message) Effects {
-	return s.out.Reply(from, pingMsg{Seq: 1})
+	return s.out.Reply(from, ping(1))
 }
 
 func (s *chatterServer) Clone() Node { cp := *s; cp.out = Outbox{}; return &cp }

@@ -164,8 +164,8 @@ func TestFaultDelayReordersLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := &scriptClient{id: 100, sends: []Send{
-		{To: 1, Msg: pingMsg{Seq: 1}},
-		{To: 1, Msg: pingMsg{Seq: 2}},
+		{To: 1, Msg: &Msg{Kind: kindPing, RID: 1}},
+		{To: 1, Msg: &Msg{Kind: kindPing, RID: 2}},
 	}}
 	if err := sys.AddClient(sender); err != nil {
 		t.Fatal(err)

@@ -19,16 +19,20 @@
 //   - whole-system snapshots with deep-cloned node state, and
 //   - per-server storage accounting in bits, the paper's cost metric.
 //
-// Messages are treated as immutable values: nodes must never mutate a
-// message (or a byte slice reachable from one) after sending it, which lets
-// snapshots share message payloads safely. A payload drawn from a pool
-// (Pooled) is shared only with its holder count raised.
+// Every message has one shape, a Msg: a header (its Kind, the request id
+// RID it belongs to, a version Tag) and, only for the messages that carry
+// data, a Body. Messages are immutable: nodes must never write a message (or
+// a byte slice reachable from one) after sending it, which lets queues,
+// mailboxes and snapshots share it. A body whose payload is drawn from a
+// pool (Pooled) is shared only with its holder count raised.
 //
 // The slice of sends a step returns is the node's, not the caller's: a node
 // builds it in its Outbox and reuses the buffer on its next step, so both
 // consumers — System here and the wall-clock node runtime — read Effects.Sends
-// before they step that node again. Only the messages themselves are
-// allocated per step, and a broadcast's message is boxed once.
+// before they step that node again. The Outbox carves the messages
+// themselves from slabs it never reuses, so a header-only send allocates no
+// message of its own; only a body is boxed, and a broadcast stores its
+// message, and boxes its body, once.
 package ioa
 
 import "fmt"
@@ -36,8 +40,59 @@ import "fmt"
 // NodeID identifies a node. Servers and clients share one namespace.
 type NodeID int
 
-// Message is an immutable value exchanged between nodes.
-type Message any
+// Kind identifies a message's type: what a node switches on, and the byte
+// that leads its wire frame. Each algorithm package owns a range of kinds
+// (internal/wire lists them).
+type Kind uint8
+
+// Msg is a message's value. The header — Kind, the request id RID of the
+// phase it belongs to, a version Tag — is all that queries, acks and
+// finalizations carry; their Body is nil. A message that carries data holds
+// it in Body: a value, a coded element, or a coded register's reply slots. A
+// body that bears a written value says so through ValueBearer, and one that
+// holds a pooled payload through Pooled.
+type Msg struct {
+	Kind Kind
+	RID  int64
+	Tag  Tag
+	Body any
+}
+
+// Message is a message as nodes exchange it: its Msg, shared by pointer by
+// every holder, since nobody writes a message once it is sent.
+type Message = *Msg
+
+// Tag is a version identifier: a sequence number paired with the writer's id
+// to break ties, ordered lexicographically. It is the (z, id) "tag" used by
+// multi-writer algorithms such as ABD and CAS.
+type Tag struct {
+	Seq    int64
+	Writer NodeID
+}
+
+// Less reports whether t orders strictly before u.
+func (t Tag) Less(u Tag) bool {
+	if t.Seq != u.Seq {
+		return t.Seq < u.Seq
+	}
+	return t.Writer < u.Writer
+}
+
+// Equal reports whether the tags are identical.
+func (t Tag) Equal(u Tag) bool { return t.Seq == u.Seq && t.Writer == u.Writer }
+
+// IsZero reports whether t is the bottom tag (no write yet).
+func (t Tag) IsZero() bool { return t.Seq == 0 && t.Writer == 0 }
+
+// Next returns the tag a writer with the given id uses after observing t.
+func (t Tag) Next(writer NodeID) Tag { return Tag{Seq: t.Seq + 1, Writer: writer} }
+
+// Bits returns the metadata size of a tag for storage accounting: 64 bits of
+// sequence number plus 32 bits of writer id.
+func (t Tag) Bits() int { return 96 }
+
+// String formats the tag.
+func (t Tag) String() string { return fmt.Sprintf("(%d,w%d)", t.Seq, t.Writer) }
 
 // OpKind distinguishes read and write operations.
 type OpKind int
@@ -89,27 +144,51 @@ type Effects struct {
 	Response *Response
 }
 
+// Slab carves messages from allocations of slabLen Msgs and never writes a
+// carved one again: a message may outlive its carving in any queue, mailbox
+// or snapshot, and a full slab lives on in the messages carved from it. So
+// a message costs a slabLen-th of an allocation. The zero Slab is ready to
+// use; one goroutine at a time may carve from it.
+type Slab struct{ msgs []Msg }
+
+// slabLen is how many messages a Slab carves from one allocation.
+const slabLen = 16
+
+// Carve stores msg in the slab and returns it as a Message.
+func (s *Slab) Carve(msg Msg) Message {
+	if len(s.msgs) == cap(s.msgs) {
+		s.msgs = make([]Msg, 0, slabLen)
+	}
+	s.msgs = append(s.msgs, msg)
+	return &s.msgs[len(s.msgs)-1]
+}
+
 // Outbox is a node's reusable send buffer: one per node, so a step
-// allocates only the messages it sends, and a broadcast boxes its message
-// once for every destination. Add collects sends and Effects hands them out;
-// the first Add after that starts a new batch, clearing every slot the last
-// one used, so the buffer keeps a sent message (or pooled payload) reachable
-// only until the node's next send, never across batches of different
-// sizes. A node's Clone must give the copy a zero Outbox, never share one.
+// allocates only the bodies of the messages it sends, and a broadcast stores
+// its message and boxes its body once for every destination. Add collects
+// sends and Effects hands them out; the first Add after that starts a new
+// batch, clearing every slot the last one used, so the buffer keeps a send
+// reachable only until the node's next send, never across batches of
+// different sizes. The messages themselves are carved from the outbox's
+// Slab. A node's Clone must give the copy a zero Outbox, never share one.
 type Outbox struct {
 	sends  []Send
+	slab   Slab
 	handed bool // sends went out in an Effects; the next Add starts afresh
 }
 
-// Add appends one send to the current batch.
-func (o *Outbox) Add(to NodeID, msg Message) {
+// add appends one send of a carved message to the current batch.
+func (o *Outbox) add(to NodeID, m Message) {
 	if o.handed {
 		clear(o.sends)
 		o.sends = o.sends[:0]
 		o.handed = false
 	}
-	o.sends = append(o.sends, Send{To: to, Msg: msg})
+	o.sends = append(o.sends, Send{To: to, Msg: m})
 }
+
+// Add appends one send to the current batch.
+func (o *Outbox) Add(to NodeID, msg Msg) { o.add(to, o.slab.Carve(msg)) }
 
 // Effects hands out the current batch, valid until the next Add.
 func (o *Outbox) Effects() Effects {
@@ -121,15 +200,16 @@ func (o *Outbox) Effects() Effects {
 }
 
 // Reply sends msg to one node: the whole effect of a server's step.
-func (o *Outbox) Reply(to NodeID, msg Message) Effects {
+func (o *Outbox) Reply(to NodeID, msg Msg) Effects {
 	o.Add(to, msg)
 	return o.Effects()
 }
 
 // All sends the same msg to every node in ids: a quorum phase's broadcast.
-func (o *Outbox) All(ids []NodeID, msg Message) Effects {
+func (o *Outbox) All(ids []NodeID, msg Msg) Effects {
+	m := o.slab.Carve(msg)
 	for _, id := range ids {
-		o.Add(id, msg)
+		o.add(id, m)
 	}
 	return o.Effects()
 }
@@ -262,19 +342,19 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.TransportRequeued += o.TransportRequeued
 }
 
-// ValueBearer marks messages that carry information about a written value
-// (the "value-dependent messages" of Definition 6.4). The Theorem 6.5
-// execution construction withholds exactly these messages.
+// ValueBearer marks message bodies that carry information about a written
+// value (the "value-dependent messages" of Definition 6.4). The Theorem 6.5
+// execution construction withholds exactly the messages with such a body.
 type ValueBearer interface {
 	BearsValue() bool
 }
 
-// Pooled is implemented by messages whose payload is drawn from a pool and
-// counts its holders (erasure shards). The message is one holder: whoever
-// keeps a copy of it beside the one it was handed calls Retain, and a holder
-// that is done with the payload without handing the message on calls
-// Release. A message nobody releases — dropped by a fault, addressed to a
-// crashed node, kept in a snapshot — leaves its payload to the garbage
+// Pooled is implemented by message bodies whose payload is drawn from a pool
+// and counts its holders (erasure shards). The message is one holder:
+// whoever keeps a copy of it beside the one it was handed calls Retain, and
+// a holder that is done with the payload without handing the message on
+// calls Release. A message nobody releases — dropped by a fault, addressed
+// to a crashed node, kept in a snapshot — leaves its payload to the garbage
 // collector, which is always safe.
 type Pooled interface {
 	Retain()
@@ -283,6 +363,6 @@ type Pooled interface {
 
 // BearsValue reports whether a message is value-dependent.
 func BearsValue(m Message) bool {
-	v, ok := m.(ValueBearer)
+	v, ok := m.Body.(ValueBearer)
 	return ok && v.BearsValue()
 }

@@ -9,8 +9,14 @@ import (
 
 // --- toy automata for kernel tests ---
 
-type pingMsg struct{ Seq int }
-type pongMsg struct{ Seq int }
+const (
+	kindPing Kind = iota + 1
+	kindPong
+)
+
+// ping and pong are the toy automata's messages: a sequence number in RID.
+func ping(seq int) Msg { return Msg{Kind: kindPing, RID: int64(seq)} }
+func pong(seq int) Msg { return Msg{Kind: kindPong, RID: int64(seq)} }
 
 // echoServer replies pong to every ping and records the order of sequence
 // numbers it received.
@@ -24,13 +30,12 @@ type echoServer struct {
 func (s *echoServer) ID() NodeID { return s.id }
 
 func (s *echoServer) Deliver(from NodeID, msg Message) Effects {
-	p, ok := msg.(pingMsg)
-	if !ok {
+	if msg.Kind != kindPing {
 		return Effects{}
 	}
-	s.received = append(s.received, p.Seq)
+	s.received = append(s.received, int(msg.RID))
 	s.bits = 64 * len(s.received)
-	return s.out.Reply(from, pongMsg{Seq: p.Seq})
+	return s.out.Reply(from, pong(int(msg.RID)))
 }
 
 func (s *echoServer) Clone() Node {
@@ -60,12 +65,11 @@ func (c *quorumClient) Invoke(inv Invocation) Effects {
 	c.busy = true
 	c.seq++
 	c.acks = 0
-	return c.out.All(c.servers, pingMsg{Seq: c.seq})
+	return c.out.All(c.servers, ping(c.seq))
 }
 
 func (c *quorumClient) Deliver(from NodeID, msg Message) Effects {
-	p, ok := msg.(pongMsg)
-	if !ok || p.Seq != c.seq || !c.busy {
+	if msg.Kind != kindPong || msg.RID != int64(c.seq) || !c.busy {
 		return Effects{}
 	}
 	c.acks++
@@ -407,13 +411,12 @@ type gossipServer struct {
 func (s *gossipServer) ID() NodeID { return s.id }
 
 func (s *gossipServer) Deliver(from NodeID, msg Message) Effects {
-	p, ok := msg.(pingMsg)
-	if !ok {
+	if msg.Kind != kindPing {
 		return Effects{}
 	}
 	return Effects{Sends: []Send{
-		{To: from, Msg: pongMsg{Seq: p.Seq}},
-		{To: s.peer, Msg: p},
+		{To: from, Msg: &Msg{Kind: kindPong, RID: msg.RID}},
+		{To: s.peer, Msg: msg},
 	}}
 }
 
@@ -445,23 +448,26 @@ func TestHistoryPrecedence(t *testing.T) {
 }
 
 // TestOutboxReuse holds the Outbox to its contract: a batch is what was
-// added since the last Effects, in order; a broadcast carries one message
-// value to every destination; a new batch reuses the buffer and clears every
-// slot the last one used, so nothing handed out stays reachable from it.
+// added since the last Effects, in order; a broadcast carries one message to
+// every destination; a new batch reuses the buffer and clears every slot the
+// last one used, so nothing handed out stays reachable from it; and a sent
+// message is never written again, however many batches follow it, while a
+// header-only send costs one slab allocation per slabLen messages.
 func TestOutboxReuse(t *testing.T) {
 	var o Outbox
 	if eff := o.Effects(); eff.Sends != nil {
 		t.Fatalf("an empty batch hands out %v, want nil sends", eff.Sends)
 	}
-	eff := o.All([]NodeID{1, 2, 3}, pingMsg{Seq: 7})
-	if len(eff.Sends) != 3 || eff.Sends[0].To != 1 || eff.Sends[2].To != 3 || eff.Sends[1].Msg != (pingMsg{Seq: 7}) {
+	eff := o.All([]NodeID{1, 2, 3}, ping(7))
+	if len(eff.Sends) != 3 || eff.Sends[0].To != 1 || eff.Sends[2].To != 3 || *eff.Sends[1].Msg != ping(7) || eff.Sends[0].Msg != eff.Sends[1].Msg {
 		t.Fatalf("broadcast = %+v", eff.Sends)
 	}
 	first := &eff.Sends[0]
-	eff = o.Reply(9, pongMsg{Seq: 8})
-	if len(eff.Sends) != 1 || eff.Sends[0] != (Send{To: 9, Msg: pongMsg{Seq: 8}}) {
+	eff = o.Reply(9, pong(8))
+	if len(eff.Sends) != 1 || eff.Sends[0].To != 9 || *eff.Sends[0].Msg != pong(8) {
 		t.Fatalf("reply = %+v", eff.Sends)
 	}
+	sent := eff.Sends[0].Msg
 	if &eff.Sends[0] != first {
 		t.Error("a new batch did not reuse the buffer")
 	}
@@ -470,12 +476,19 @@ func TestOutboxReuse(t *testing.T) {
 			t.Errorf("slot %d still holds %+v from the last batch", i+1, s)
 		}
 	}
-	o.Add(4, pingMsg{Seq: 1})
-	o.Add(5, pingMsg{Seq: 2})
+	o.Add(4, ping(1))
+	o.Add(5, ping(2))
 	if eff := o.Effects(); len(eff.Sends) != 2 || eff.Sends[1].To != 5 {
 		t.Fatalf("added batch = %+v", eff.Sends)
 	}
-	if got := testing.AllocsPerRun(100, func() { o.Reply(9, pongMsg{Seq: 1}) }); got != 0 {
-		t.Errorf("a reply of an unboxed value allocates %.0f times in a grown outbox, want 0", got)
+	if got := testing.AllocsPerRun(100, func() {
+		for i := 0; i < slabLen; i++ {
+			o.Reply(9, pong(i))
+		}
+	}); got != 1 {
+		t.Errorf("%d header-only replies allocate %.0f times in a grown outbox, want one slab", slabLen, got)
+	}
+	if *sent != pong(8) {
+		t.Errorf("a sent message was rewritten by later batches: %+v", *sent)
 	}
 }

@@ -1012,7 +1012,7 @@ func (s *System) cloneState() *System {
 		if len(ch.q) > 0 {
 			nc.q = append([]queued(nil), ch.q...)
 			for _, m := range nc.q {
-				if p, ok := m.msg.(Pooled); ok {
+				if p, ok := m.msg.Body.(Pooled); ok {
 					p.Retain() // both systems' queues hold the message now
 				}
 			}

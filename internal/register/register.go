@@ -1,46 +1,51 @@
 // Package register defines the shared types of a read/write register
-// emulation: version tags, value helpers and bit-size accounting used by the
-// storage-cost experiments.
+// emulation: version tags, the message bodies the emulations share, value
+// helpers and bit-size accounting used by the storage-cost experiments.
 package register
 
 import (
 	"encoding/binary"
-	"fmt"
 
+	"repro/internal/erasure"
 	"repro/internal/ioa"
 )
 
-// Tag is a version identifier: a sequence number paired with the writer's id
-// to break ties, ordered lexicographically. It is the (z, id) "tag" used by
-// multi-writer algorithms such as ABD and CAS.
-type Tag struct {
-	Seq    int64
-	Writer ioa.NodeID
-}
+// Tag is the version identifier of ioa, where a message's header carries
+// it: a sequence number and the writer's id, ordered lexicographically.
+type Tag = ioa.Tag
 
-// Less reports whether t orders strictly before u.
-func (t Tag) Less(u Tag) bool {
-	if t.Seq != u.Seq {
-		return t.Seq < u.Seq
-	}
-	return t.Writer < u.Writer
-}
+// The message bodies below are what the emulations' data-bearing messages
+// hold in ioa.Message.Body; every other message is its header alone. The
+// Write bodies are a writer's value-dependent messages (Definition 6.4), the
+// others a server's replies.
 
-// Equal reports whether the tags are identical.
-func (t Tag) Equal(u Tag) bool { return t.Seq == u.Seq && t.Writer == u.Writer }
+// Value is a stored value a server reports back (an ABD query ack).
+type Value []byte
 
-// IsZero reports whether t is the bottom tag (no write yet).
-func (t Tag) IsZero() bool { return t.Seq == 0 && t.Writer == 0 }
+// WriteValue is the value a replicating writer sends every server.
+type WriteValue []byte
 
-// Next returns the tag a writer with the given id uses after observing t.
-func (t Tag) Next(writer ioa.NodeID) Tag { return Tag{Seq: t.Seq + 1, Writer: writer} }
+// BearsValue implements ioa.ValueBearer.
+func (WriteValue) BearsValue() bool { return true }
 
-// Bits returns the metadata size of a tag for storage accounting: 64 bits of
-// sequence number plus 32 bits of writer id.
-func (t Tag) Bits() int { return 96 }
+// Element is a coded element a server hands a reader. It holds a count of
+// its pooled shard (ioa.Pooled, through the embedded Shard) until the reader
+// takes it over.
+type Element struct{ erasure.Shard }
 
-// String formats the tag.
-func (t Tag) String() string { return fmt.Sprintf("(%d,w%d)", t.Seq, t.Writer) }
+// WriteElement is the coded element of the value a writer sends one server,
+// pooled like Element.
+type WriteElement struct{ erasure.Shard }
+
+// BearsValue implements ioa.ValueBearer.
+func (WriteElement) BearsValue() bool { return true }
+
+var (
+	_ ioa.ValueBearer = WriteValue(nil)
+	_ ioa.ValueBearer = WriteElement{}
+	_ ioa.Pooled      = Element{}
+	_ ioa.Pooled      = WriteElement{}
+)
 
 // MaxTag returns the larger of two tags.
 func MaxTag(a, b Tag) Tag {

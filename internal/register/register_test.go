@@ -16,11 +16,11 @@ func TestTagOrdering(t *testing.T) {
 		a, b Tag
 		less bool
 	}{
-		{Tag{1, 1}, Tag{2, 1}, true},
-		{Tag{2, 1}, Tag{1, 1}, false},
-		{Tag{1, 1}, Tag{1, 2}, true}, // writer id breaks ties
-		{Tag{1, 2}, Tag{1, 1}, false},
-		{Tag{1, 1}, Tag{1, 1}, false},
+		{Tag{Seq: 1, Writer: 1}, Tag{Seq: 2, Writer: 1}, true},
+		{Tag{Seq: 2, Writer: 1}, Tag{Seq: 1, Writer: 1}, false},
+		{Tag{Seq: 1, Writer: 1}, Tag{Seq: 1, Writer: 2}, true}, // writer id breaks ties
+		{Tag{Seq: 1, Writer: 2}, Tag{Seq: 1, Writer: 1}, false},
+		{Tag{Seq: 1, Writer: 1}, Tag{Seq: 1, Writer: 1}, false},
 	}
 	for _, tt := range tests {
 		if got := tt.a.Less(tt.b); got != tt.less {
@@ -61,7 +61,7 @@ func TestTagTotalOrder(t *testing.T) {
 }
 
 func TestTagSortAgreesWithLess(t *testing.T) {
-	tags := []Tag{{3, 1}, {1, 2}, {1, 1}, {2, 9}, {0, 0}}
+	tags := []Tag{{Seq: 3, Writer: 1}, {Seq: 1, Writer: 2}, {Seq: 1, Writer: 1}, {Seq: 2, Writer: 9}, {Seq: 0, Writer: 0}}
 	sort.Slice(tags, func(i, j int) bool { return tags[i].Less(tags[j]) })
 	for i := 1; i < len(tags); i++ {
 		if tags[i].Less(tags[i-1]) {

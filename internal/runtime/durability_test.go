@@ -149,7 +149,7 @@ type firstElementLink struct {
 }
 
 func (l *firstElementLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
-	if p, ok := msg.(ioa.Pooled); ok && to.id == l.to {
+	if p, ok := msg.Body.(ioa.Pooled); ok && to.id == l.to {
 		l.mu.Lock()
 		if l.first == nil {
 			l.first = p

@@ -54,12 +54,12 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 	go func() {
 		defer close(consumed)
 		consume(to.mb, n, func(ev event) {
-			got = append(got, ev.msg.(int))
+			got = append(got, int(ev.msg.RID))
 			time.Sleep(20 * time.Microsecond) // slower than the producer
 		})
 	}()
 	for i := 0; i < n; i++ {
-		l.send(from, to, i, true)
+		l.send(from, to, &ioa.Msg{RID: int64(i)}, true)
 	}
 	<-consumed
 	for i, v := range got {
@@ -160,13 +160,13 @@ func TestPostAfterStopIsRefused(t *testing.T) {
 		setNodes(rt, from, to)
 		rt.signalStop()
 		for i := 0; i < n; i++ {
-			if ok, _ := rt.post(nil, to, event{msg: i}, sendTimeout); ok {
+			if ok, _ := rt.post(nil, to, event{msg: &ioa.Msg{RID: int64(i)}}, sendTimeout); ok {
 				t.Fatalf("post %d after stop was enqueued", i)
 			}
 		}
 		if l, ok := rt.link.(*chanLink); ok {
 			for i := 0; i < n; i++ {
-				l.send(from, to, i, true)
+				l.send(from, to, &ioa.Msg{RID: int64(i)}, true)
 			}
 		}
 		if q := mailboxLen(to.mb); q != 0 {
@@ -221,11 +221,11 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 	go func() {
 		defer close(sent)
 		if chanLinked {
-			l.send(from, to, "in-loop", true)
+			l.send(from, to, label("in-loop"), true)
 		}
 	}()
 	go func() {
-		ok, _ := rt.post(nil, to, event{msg: "posted"}, sendTimeout)
+		ok, _ := rt.post(nil, to, event{msg: label("posted")}, sendTimeout)
 		posted <- ok
 	}()
 	// The in-loop send waits in post too: on chan, two goroutines park there.
@@ -252,7 +252,7 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 		var pumped atomic.Int64
 		go func() {
 			for {
-				if room, ok := from.mb.put(event{msg: "own"}); !ok {
+				if room, ok := from.mb.put(event{msg: label("own")}); !ok {
 					if room == nil {
 						return // the stop closed the mailbox
 					}
@@ -405,7 +405,7 @@ func TestMailboxWakeNeverLost(t *testing.T) {
 		go func(p int) {
 			for i := 0; i < each; i++ {
 				for {
-					room, ok := m.put(event{from: ioa.NodeID(p), msg: i})
+					room, ok := m.put(event{from: ioa.NodeID(p), msg: &ioa.Msg{RID: int64(i)}})
 					if ok {
 						break
 					}
@@ -419,7 +419,7 @@ func TestMailboxWakeNeverLost(t *testing.T) {
 	go func() {
 		defer close(consumed)
 		consume(m, putters*each, func(ev event) {
-			p, i := int(ev.from), ev.msg.(int)
+			p, i := int(ev.from), int(ev.msg.RID)
 			if i != next[p] {
 				t.Errorf("putter %d: event %d arrived when %d was due", p, i, next[p])
 			}
@@ -523,7 +523,7 @@ func TestBlockedSendEndsWithItsSendersCrash(t *testing.T) {
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
-		l.send(from, to, "in-loop", true)
+		l.send(from, to, label("in-loop"), true)
 	}()
 	eventually(t, "the send parked on the full mailbox", func() bool { return parkedInSelect("(*chanLink).send(") })
 	from.down.Store(true)

@@ -175,10 +175,10 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 
 	t.Run("ungated message is sent on the caller's goroutine", func(t *testing.T) {
 		rt, rec, _ := gated(t, nil)
-		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: "direct"})
+		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: label("direct")})
 		select {
 		case m := <-rec.sent:
-			if m.from != 1 || m.to != 2 || m.msg != "direct" || !m.inLoop {
+			if m.from != 1 || m.to != 2 || m.msg.Body != "direct" || !m.inLoop {
 				t.Fatalf("link got %+v, want the message as sent, in-loop", m)
 			}
 		default:
@@ -194,12 +194,12 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 			},
 			Outages: []faults.Outage{{From: only(1), To: only(2), Start: 0, End: 100}},
 		})
-		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: "doomed"})
+		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: label("doomed")})
 		if fs := rt.faultStats(); fs.Drops != 1 || fs.DelayedMessages != 0 {
 			t.Fatalf("dropped message: %+v, want 1 drop and no delay or hold", fs)
 		}
-		rt.send(rt.nodes[1], ioa.Send{To: 3, Msg: "spared"})
-		if m := rec.next(t); m.msg != "spared" || m.to != 3 || !m.inLoop {
+		rt.send(rt.nodes[1], ioa.Send{To: 3, Msg: label("spared")})
+		if m := rec.next(t); m.msg.Body != "spared" || m.to != 3 || !m.inLoop {
 			t.Fatalf("link got %+v, want only the unmatched message, sent in-loop", m)
 		}
 		rec.silent(t)
@@ -213,7 +213,7 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 			Rules:   []faults.Rule{{From: only(1), To: only(2), DelayMin: 50, DelayMax: 50}},
 			Outages: []faults.Outage{{From: only(1), To: only(2), Start: 0, End: 100}},
 		})
-		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: "slow"})
+		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: label("slow")})
 		rec.silent(t)
 		m := rec.next(t)
 		if m.inLoop {
@@ -234,7 +234,7 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 			{From: only(1), To: only(2), Start: 0, End: 60},
 			{From: only(1), To: only(2), Start: 60, End: 120},
 		}})
-		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: "twice held"})
+		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: label("twice held")})
 		m := rec.next(t)
 		if at := m.at.Sub(t0); at < 120*time.Millisecond-tolerance {
 			t.Errorf("sent %v after start; the second window (to 120ms) did not re-gate it", at)
@@ -248,12 +248,12 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 		rt, rec, _ := gated(t, &faults.Plan{
 			Rules: []faults.Rule{{From: only(1), To: only(2), DelayMin: 30, DelayMax: 30}},
 		})
-		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: "parked across the crash"})
+		rt.send(rt.nodes[1], ioa.Send{To: 2, Msg: label("parked across the crash")})
 		rt.crashNode(1)
 		if len(rec.downs) != 1 || rec.downs[0] != 1 {
 			t.Fatalf("link saw detachments %v, want [1]", rec.downs)
 		}
-		rt.send(rt.nodes[1], ioa.Send{To: 3, Msg: "sent by a dead node"})
+		rt.send(rt.nodes[1], ioa.Send{To: 3, Msg: label("sent by a dead node")})
 		eventually(t, "both messages counted lost", func() bool { return rt.faultStats().TransportDropped == 2 })
 		rec.silent(t)
 	})
@@ -382,6 +382,18 @@ func recordAll(rt *runtime, reply func(from ioa.NodeID) []ioa.Send) *recLog {
 	return log
 }
 
+// sampler returns wire's samples of kind k, which must be registered.
+func sampler(t testing.TB, k ioa.Kind) func(seed uint64) ioa.Message {
+	t.Helper()
+	if wire.Name(k) == "" {
+		t.Fatalf("wire kind 0x%02x not registered", byte(k))
+	}
+	return func(seed uint64) ioa.Message { return wire.Sample(k, seed) }
+}
+
+// label is a message that carries a name, for links that never encode it.
+func label(name string) ioa.Message { return &ioa.Msg{Body: name} }
+
 // netFrame is the frame tcpLink.send builds for msg.
 func netFrame(t testing.TB, from, to ioa.NodeID, msg ioa.Message) []byte {
 	t.Helper()
@@ -401,19 +413,17 @@ func netFrame(t testing.TB, from, to ioa.NodeID, msg ioa.Message) []byte {
 // two clients leave as one write to the clients' shared endpoint and reach
 // the clients their destination ids name; delivered in that one reader run,
 // the two clients send a request to every server, and those leave as one
-// write per server. Frames that do not decode, or name a node the endpoint
-// they arrive on does not serve, are counted and dropped without reaching an
-// automaton.
+// write per server. Frames that do not decode (an unregistered kind, a
+// truncated header or body, a body its kind does not have), or name a node
+// the endpoint they arrive on does not serve, are counted and dropped
+// without reaching an automaton.
 func TestTCPLinkWire(t *testing.T) {
 	rt, l := idleTCP(t)
 	writer, reader := ioa.NodeID(cluster.WriterBase), ioa.NodeID(cluster.ReaderBase)
 	servers := []ioa.NodeID{1, 2, 3}
 
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck: varint, tag and value bytes
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
-	msg := codec.Sample(7)
+	sample := sampler(t, 0x11) // abd.queryAck: varint, tag and value bytes
+	msg := sample(7)
 	log := recordAll(rt, func(ioa.NodeID) []ioa.Send {
 		sends := make([]ioa.Send, len(servers))
 		for i, s := range servers {
@@ -502,18 +512,20 @@ func TestTCPLinkWire(t *testing.T) {
 		[]byte{0x01},             // sender 1, no destination id
 		[]byte{0x01, 0x03, 0x11}, // to server 3, on server 2's endpoint
 		[]byte{0x01, 0x09, 0x11}, // to node 9, which does not exist
-		[]byte{0x01, 0x02, 0xee}, // to server 2, unregistered type id
-		[]byte{0x01, 0x02, 0x11}, // to server 2, queryAck with a truncated body
+		[]byte{0x01, 0x02, 0xee}, // to server 2, unregistered kind
+		[]byte{0x01, 0x02, 0x11}, // to server 2, queryAck with a truncated header
+		[]byte{0x01, 0x02, 0x11, 0x02, 0x02, 0x00, 0x05, 0x61}, // to server 2, queryAck with a truncated body
+		[]byte{0x01, 0x02, 0x10, 0x02, 0x00, 0x00, 0x01, 0x61}, // to server 2, a header-only query with a body
 	)
 	raw(l.addrs[writer], []byte{0x01, 0x02, 0x11}) // to a server, on the clients' endpoint
-	eventually(t, "seven bad frames counted", func() bool { d, _ := l.loss(); return d == 7 })
+	eventually(t, "nine bad frames counted", func() bool { d, _ := l.loss(); return d == 9 })
 	if n := log.count(func(delivery) bool { return true }) - delivered; n != 0 {
 		t.Fatalf("%d bad frames reached an automaton", n)
 	}
 }
 
 // bigQueryAck is an abd.queryAck whose value is size bytes, built by
-// decoding its envelope: the codec's samples are all small.
+// decoding its frame: the codec's samples are all small.
 func bigQueryAck(t testing.TB, size int) ioa.Message {
 	t.Helper()
 	env := binary.AppendVarint([]byte{0x11}, 1) // abd.queryAck, RID 1
@@ -535,10 +547,7 @@ func bigQueryAck(t testing.TB, size int) ioa.Message {
 func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 	rt, l := idleTCP(t)
 	log := recordAll(rt, nil)
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
+	sample := sampler(t, 0x11)                      // abd.queryAck
 	wedged, err := net.Listen("tcp", "127.0.0.1:0") // accepts in the kernel, never reads
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +573,7 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 		defer h.mu.Unlock()
 		return h.releasing && len(h.groups) == 0
 	})
-	l.send(rt.nodes[1], rt.nodes[2], codec.Sample(3), false) // a timer goroutine's send
+	l.send(rt.nodes[1], rt.nodes[2], sample(3), false) // a timer goroutine's send
 	h.mu.Lock()
 	held := len(h.groups) == 1 && h.groups[0].frames == 1
 	h.mu.Unlock()
@@ -598,11 +607,8 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 func TestFramesReadBackToBackStayDistinct(t *testing.T) {
 	rt, l := idleTCP(t)
 	log := recordAll(rt, nil)
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
-	first, second := codec.Sample(7), codec.Sample(31) // values of one length, different bytes
+	sample := sampler(t, 0x11)             // abd.queryAck
+	first, second := sample(7), sample(31) // values of one length, different bytes
 	a, b := netFrame(t, 1, 2, first), netFrame(t, 1, 2, second)
 	if len(a) != len(b) || reflect.DeepEqual(first, second) {
 		t.Fatal("the samples must differ at one frame length")
@@ -641,8 +647,8 @@ func TestOversizeFrameRefusedAtHold(t *testing.T) {
 		t.Fatalf("%d frames counted lost, want the oversize one", d)
 	}
 
-	codec, _ := wire.CodecFor(0x11)
-	msg := codec.Sample(7)
+	sample := sampler(t, 0x11)
+	msg := sample(7)
 	l.send(rt.nodes[1], rt.nodes[2], msg, false)
 	eventually(t, "the next frame delivered", func() bool { return log.count(func(delivery) bool { return true }) == 1 })
 	if s := stats(); s.FramesSent != 1 || s.BatchesSent != 1 {
@@ -659,11 +665,8 @@ func TestOversizeFrameRefusedAtHold(t *testing.T) {
 // its group's buffer has grown, a hold frames and encodes an abd.queryAck
 // straight into it, allocating nothing.
 func TestWarmHoldEncodesWithoutAllocating(t *testing.T) {
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
-	msg := codec.Sample(7)
+	sample := sampler(t, 0x11) // abd.queryAck
+	msg := sample(7)
 	h := &hold{}
 	add := func() {
 		if held, err := h.add("127.0.0.1:1", 1, cluster.WriterBase, msg); !held || err != nil {
@@ -698,10 +701,7 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 	log := recordAll(rt, nil)
 	rt.start()
 	target := rt.nodes[1]
-	codec, ok := wire.CodecFor(0x10) // abd.queryMsg{RID}
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
+	sample := sampler(t, 0x10) // abd.queryMsg{RID}
 	from := func(id ioa.NodeID) func(delivery) bool {
 		return func(d delivery) bool { return d.to == 1 && d.from == id }
 	}
@@ -711,7 +711,7 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 	go func() {
 		defer close(streamed)
 		for i := 0; i < n; i++ {
-			l.send(rt.nodes[2], rt.nodes[1], codec.Sample(uint64(i)), false)
+			l.send(rt.nodes[2], rt.nodes[1], sample(uint64(i)), false)
 			if i%20 == 0 {
 				time.Sleep(50 * time.Microsecond) // pace the stream across many lock cycles
 			}
@@ -722,9 +722,17 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 		if injected > 0 {
 			target.own.Lock()
 		}
-		l.inbound(target, netFrame(t, 3, 1, codec.Sample(uint64(injected))))
+		l.inbound(target, netFrame(t, 3, 1, sample(uint64(injected))))
 		injected++
-		for wait := time.Now().Add(time.Millisecond); target.queued.Load() < 2 && time.Now().Before(wait); {
+		// The first window stays shut until a streamed frame is posted behind
+		// the injected one, so the stream has a posted delivery whatever the
+		// scheduler does: on a loaded host no frame may reach the reader
+		// inside any later 1 ms window.
+		wait := time.Now().Add(time.Millisecond)
+		if injected == 1 {
+			wait = deadline
+		}
+		for target.queued.Load() < 2 && time.Now().Before(wait) {
 			goruntime.Gosched() // let the reader post behind the injected message
 		}
 		target.own.Unlock()
@@ -740,7 +748,7 @@ func TestInlineDeliveryKeepsLinkFIFO(t *testing.T) {
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	for _, d := range log.seen {
-		if want := codec.Sample(uint64(next[d.from])); !reflect.DeepEqual(d.msg, want) {
+		if want := sample(uint64(next[d.from])); !reflect.DeepEqual(d.msg, want) {
 			t.Fatalf("from node %d: got %#v, want %#v next: per-link FIFO broken", d.from, d.msg, want)
 		}
 		next[d.from]++
@@ -780,10 +788,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 			victim.image = victim.node.Clone()
 			rt.start()
 
-			codec, ok := wire.CodecFor(0x10) // abd.queryMsg
-			if !ok {
-				t.Fatal("abd wire types not registered")
-			}
+			sample := sampler(t, 0x10) // abd.queryMsg
 			quit, streamed := make(chan struct{}), make(chan struct{})
 			go func() {
 				defer close(streamed)
@@ -793,7 +798,7 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 						return
 					default:
 					}
-					l.send(rt.nodes[2], rt.nodes[victimID], codec.Sample(i), false)
+					l.send(rt.nodes[2], rt.nodes[victimID], sample(i), false)
 				}
 			}()
 			by := func(n *recNode) func(delivery) bool { return func(d delivery) bool { return d.by == n } }
@@ -892,11 +897,8 @@ func TestClientCrashOnSharedEndpoint(t *testing.T) {
 	shared := l.clients
 	l.mu.RUnlock()
 	lost := rt.faultStats().TransportDropped
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
-	l.send(rt.nodes[cl.Servers[0]], rt.nodes[victim], codec.Sample(1), false)
+	sample := sampler(t, 0x11) // abd.queryAck
+	l.send(rt.nodes[cl.Servers[0]], rt.nodes[victim], sample(1), false)
 	eventually(t, "the frame for the crashed client counted lost", func() bool {
 		return rt.faultStats().TransportDropped > lost && l.detached.Load() > 0
 	})
@@ -931,13 +933,10 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	writes := reg.Counter(telemetry.MetricTransportBatchesSent, "", shard, node)
 	clientsRecv := reg.Counter(telemetry.MetricTransportFramesRecv, "", shard, telemetry.L("node", clientsOwner))
 
-	codec, ok := wire.CodecFor(0x11) // abd.queryAck
-	if !ok {
-		t.Fatal("abd wire types not registered")
-	}
+	ack := sampler(t, 0x11) // abd.queryAck
 	batch := func(k int) {
 		for i := 0; i < k; i++ {
-			l.send(rt.nodes[1], rt.nodes[2], codec.Sample(uint64(i)), true)
+			l.send(rt.nodes[1], rt.nodes[2], ack(uint64(i)), true)
 		}
 		l.flush(rt.nodes[1])
 	}
@@ -959,8 +958,8 @@ func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 		t.Fatalf("after recovery: %d frames in %d writes, want %d in 2", got, w, n+m)
 	}
 
-	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.WriterBase)], codec.Sample(0), true)
-	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.ReaderBase)], codec.Sample(1), true)
+	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.WriterBase)], ack(0), true)
+	l.send(rt.nodes[1], rt.nodes[ioa.NodeID(cluster.ReaderBase)], ack(1), true)
 	l.flush(rt.nodes[1])
 	eventually(t, "both client frames counted once", func() bool { sample(); return clientsRecv.Value() == 2 })
 }
@@ -1132,16 +1131,13 @@ func BenchmarkTCPLinkQuorum(b *testing.B) {
 	client.node = &acker{id: client.id, acks: acks}
 	rt.start()
 	defer rt.stop()
-	codec, ok := wire.CodecFor(0x10) // abd.queryMsg
-	if !ok {
-		b.Fatal("abd wire types not registered")
-	}
+	sample := sampler(b, 0x10) // abd.queryMsg
 	servers := make([]*nodeState, len(cl.Servers))
 	for i, id := range cl.Servers {
 		servers[i] = rt.nodes[id]
 	}
 	round := func(i int) {
-		query := codec.Sample(uint64(i))
+		query := sample(uint64(i))
 		client.own.Lock()
 		for _, s := range servers {
 			l.send(client, s, query, true)

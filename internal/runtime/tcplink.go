@@ -230,7 +230,7 @@ type hold struct {
 // heldGroup is the frames held for one destination address, in send order.
 type heldGroup struct {
 	addr   string
-	stream []byte // the frames, back to back: [4-byte length][uvarint from][uvarint to][wire envelope]
+	stream []byte // the frames, back to back: [4-byte length][uvarint from][uvarint to][wire frame]
 	frames int
 }
 
@@ -239,10 +239,10 @@ type heldGroup struct {
 const keptStream = 1 << 20
 
 // add frames msg from one node to another — the 4-byte length, the sender
-// and destination ids, the wire envelope — at the end of addr's group. It
+// and destination ids, the wire frame — at the end of addr's group. It
 // reports false, leaving the group as it was, for a frame over
-// transport.MaxFrame, which no peer would accept; an error is a message type
-// wire cannot encode.
+// transport.MaxFrame, which no peer would accept; an error is a message wire
+// cannot encode.
 func (h *hold) add(addr string, from, to ioa.NodeID, msg ioa.Message) (bool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -292,12 +292,13 @@ func (l *tcpLink) send(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	h := l.holds[from.id]
 	held, err := h.add(addr, from.id, to.id, msg)
 	if err != nil {
-		// An unregistered message type cannot cross the network; surfacing
-		// it as loss would hide the bug, so panic — the wire registry tests
-		// make this unreachable for shipped algorithms.
+		// An unregistered kind, or a body that disagrees with its kind,
+		// cannot cross the network; surfacing it as loss would hide the
+		// bug, so panic — the wire registry tests make this unreachable for
+		// shipped algorithms.
 		panic(fmt.Sprintf("runtime: node %d sent unencodable message: %v", from.id, err))
 	}
-	if p, ok := msg.(ioa.Pooled); ok {
+	if p, ok := msg.Body.(ioa.Pooled); ok {
 		p.Release() // the frame holds a copy of the payload: the message lets go of its own
 	}
 	if !held {
@@ -381,7 +382,14 @@ func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 		l.detached.Add(1)
 		return
 	}
-	msg, err := wire.Decode(frame[n+m:])
+	// The header is read before the body is decoded: what a frame is — its
+	// kind, the request it answers — is known before it costs a decode.
+	hdr, body, err := wire.Header(frame[n+m:])
+	if err != nil {
+		l.badFrames.Add(1)
+		return
+	}
+	msg, err := wire.DecodeBody(hdr, body)
 	if err != nil {
 		l.badFrames.Add(1)
 		return

@@ -153,7 +153,7 @@ func testOutboxNotShared(t *testing.T, alg string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p, ok := msg.(ioa.Pooled); ok {
+			if p, ok := msg.Body.(ioa.Pooled); ok {
 				p.Retain()
 				p.Retain()
 				p.Retain()

@@ -1,31 +1,37 @@
 // Package wire is the compact binary codec the real-network transport
-// backend speaks: every ioa.Message an algorithm sends over a socket is
-// framed as a one-byte type identifier followed by a hand-written varint
-// body. The codec is a registry — each algorithm package (abd, cas, coded)
-// registers a Codec per message type from an assigned identifier range in
-// its init, keeping the field layout next to the type it serializes while
-// this package owns the envelope, the primitive encoders and the decode
-// hardening (bounds-checked lengths, no panics on malformed input).
+// backend speaks. Every ioa.Message crosses a socket as one frame of the
+// same layout:
 //
-// Identifier ranges (a Register collision panics at init):
+//	[kind][rid][tag][body]
+//
+// the kind byte, the request id as a zigzag varint, the version tag as two
+// more (sequence, writer), then the body. The header is written and read
+// here once, for every message; a body is written by its type's codec. The
+// codecs sit in a table indexed by kind, filled by each algorithm package's
+// init: a kind registered with no codec is header-only, its frame ending
+// after the tag, and a codec serves every kind that carries its body type.
+// The shared bodies of package register have their codecs here; a package
+// with a body of its own registers that codec beside the type. This package
+// also owns the primitive encoders and the decode hardening (bounds-checked
+// lengths, no panics on malformed input).
+//
+// Kind ranges (a Register collision panics at init):
 //
 //	0x10–0x1f  internal/abd    (query/put and their acks)
 //	0x20–0x2f  internal/cas    (query-fin, pre-write, finalize, read-fin)
 //	0x30–0x3f  internal/coded  (W1/W2, read, gossip finalization notes)
 //
-// Every Codec also carries a Sample generator, which is how the fuzz tests
-// round-trip *every* registered message type without this package knowing
-// any concrete type: Sample(seed) -> Append -> Decode -> re-Append must be
-// the identity on bytes and reflect.DeepEqual on values (a decoded shard's
-// pool handle set aside).
+// Every body codec also carries a Sample generator, which is how the fuzz
+// tests round-trip every registered kind without this package knowing the
+// algorithms: Sample(kind, seed) -> Append -> Decode -> re-Append must be the
+// identity on bytes and reflect.DeepEqual on values (a decoded shard's pool
+// handle set aside).
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
-	"sort"
 	"sync"
 
 	"repro/internal/erasure"
@@ -33,119 +39,226 @@ import (
 	"repro/internal/register"
 )
 
-// TypeID identifies a registered message type on the wire.
-type TypeID byte
-
-// Codec serializes one concrete message type. Encode appends the body to
-// the buffer; Decode consumes it from the reader and returns the message as
-// the same concrete value type the automata type-switch on. Sample produces
-// a deterministic pseudo-random instance for the round-trip fuzz tests.
-type Codec struct {
-	// Name labels the type in errors and test output (e.g. "abd.putMsg").
-	Name string
-	// Encode appends the message body (everything after the TypeID byte).
-	Encode func(b *Buffer, msg ioa.Message)
-	// Decode reads the body back. Implementations use the Reader's sticky
-	// error: read every field, then rely on Decode's final Err check.
-	Decode func(r *Reader) ioa.Message
-	// Sample returns a deterministic instance derived from seed.
-	Sample func(seed uint64) ioa.Message
+// Body is the codec of one body type. Encode appends the body, reporting
+// false when it is not of the codec's type: a message whose body disagrees
+// with its kind. Decode reads one back, relying on the Reader's sticky
+// error: it reads every field, and DecodeBody checks Err once at the end. Sample
+// returns a deterministic body derived from seed, for the round-trip tests.
+type Body struct {
+	Encode func(b *Buffer, body any) bool
+	Decode func(r *Reader) any
+	Sample func(seed uint64) any
 }
 
-// registry maps both directions: TypeID -> Codec for decoding and concrete
-// reflect.Type -> TypeID for encoding. Populated at init time only (the
+// kind is one entry of the table: the kind's name in errors and test output
+// (e.g. "abd.putMsg"; empty while unregistered) and its body codec, nil for
+// a header-only kind.
+type kind struct {
+	name string
+	body *Body
+}
+
+// kinds is the table, indexed by kind. It is filled at init time only (the
 // algorithm packages' init functions), read-only afterwards — no locking.
-var (
-	codecs  = map[TypeID]Codec{}
-	typeIDs = map[reflect.Type]TypeID{}
-)
+var kinds [256]kind
 
-// Register binds a TypeID to a codec. The sample message fixes the concrete
-// Go type the codec encodes. Register panics on a duplicate id or type —
-// a wire-format bug that must fail at init, not at send time.
-func Register(id TypeID, c Codec) {
-	if _, dup := codecs[id]; dup {
-		panic(fmt.Sprintf("wire: duplicate type id 0x%02x (%s)", byte(id), c.Name))
+// Register names a kind and binds its body codec, nil for a header-only
+// kind. Register panics on a duplicate kind — a wire-format bug that must
+// fail at init, not at send time.
+func Register(k ioa.Kind, name string, body *Body) {
+	if prev := kinds[k].name; prev != "" {
+		panic(fmt.Sprintf("wire: kind 0x%02x registered twice (%s and %s)", byte(k), prev, name))
 	}
-	rt := reflect.TypeOf(c.Sample(0))
-	if prev, dup := typeIDs[rt]; dup {
-		panic(fmt.Sprintf("wire: type %v registered twice (ids 0x%02x and 0x%02x)", rt, byte(prev), byte(id)))
-	}
-	codecs[id] = c
-	typeIDs[rt] = id
+	kinds[k] = kind{name: name, body: body}
 }
 
-// Types returns the registered type ids, ascending — the fuzz tests sweep
-// the registry through this.
-func Types() []TypeID {
-	out := make([]TypeID, 0, len(codecs))
-	for id := range codecs {
-		out = append(out, id)
+// Kinds returns the registered kinds, ascending — the fuzz tests sweep the
+// table through this.
+func Kinds() []ioa.Kind {
+	var out []ioa.Kind
+	for k := range kinds {
+		if kinds[k].name != "" {
+			out = append(out, ioa.Kind(k))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// CodecFor returns the codec registered under id.
-func CodecFor(id TypeID) (Codec, bool) {
-	c, ok := codecs[id]
-	return c, ok
+// Name returns the name a kind was registered under, "" if none.
+func Name(k ioa.Kind) string { return kinds[k].name }
+
+// Sample returns a deterministic message of kind k derived from seed: a
+// header from the seed and, if the kind has a body, its codec's sample.
+func Sample(k ioa.Kind, seed uint64) ioa.Message {
+	m := &ioa.Msg{Kind: k, RID: int64(seed), Tag: ioa.Tag{Seq: int64(seed % 1024), Writer: ioa.NodeID(seed % 7)}}
+	if c := kinds[k].body; c != nil {
+		m.Body = c.Sample(seed)
+	}
+	return m
 }
 
-// Append encodes the message onto dst ([TypeID][body]) and returns the
-// extended slice. Unregistered message types are an error: the transport
-// backend can only carry what the codec knows.
+// Append encodes the message onto dst ([kind][rid][tag][body]) and returns
+// the extended slice. An unregistered kind, or a body that disagrees with
+// the kind, is an error: the transport backend can only carry what the
+// codec knows.
 func Append(dst []byte, msg ioa.Message) ([]byte, error) {
 	var b Buffer
 	return b.Append(dst, msg)
 }
 
 // Append is the package's Append through b: it encodes the message onto dst
-// and returns the extended slice, leaving b empty. A codec's encoder is
-// handed the Buffer it writes through, so a fresh one escapes to the heap;
-// a caller that keeps b and the slice it appends to encodes allocating
+// and returns the extended slice, leaving b empty. A body codec is handed
+// the Buffer it writes through, so a fresh one escapes to the heap; a
+// caller that keeps b and the slice it appends to encodes allocating
 // nothing.
 func (b *Buffer) Append(dst []byte, msg ioa.Message) ([]byte, error) {
-	id, ok := typeIDs[reflect.TypeOf(msg)]
-	if !ok {
-		return dst, fmt.Errorf("wire: message type %T is not registered", msg)
+	if msg == nil {
+		return dst, fmt.Errorf("wire: nil message")
 	}
-	b.buf = append(dst, byte(id))
-	codecs[id].Encode(b, msg)
+	k := kinds[msg.Kind]
+	if k.name == "" {
+		return dst, fmt.Errorf("wire: kind 0x%02x is not registered", byte(msg.Kind))
+	}
+	b.buf = append(dst, byte(msg.Kind))
+	b.Varint(msg.RID)
+	b.Tag(msg.Tag)
+	ok := msg.Body == nil
+	if k.body != nil {
+		ok = k.body.Encode(b, msg.Body)
+	}
 	out := b.buf
 	b.buf = nil
+	if !ok {
+		return dst, fmt.Errorf("wire: %s: body %T does not fit the kind", k.name, msg.Body)
+	}
 	return out, nil
 }
 
-// readers recycles Decode's Readers: a codec's decoder is handed the Reader
-// it reads through, so a fresh one would escape to the heap on every call.
+// readers recycles the Readers frames are decoded through: a body codec is
+// handed the Reader it reads through, so a fresh one would escape to the
+// heap on every call, and each Reader carves the messages it decodes from a
+// slab of its own.
 var readers = sync.Pool{New: func() any { return new(Reader) }}
 
-// Decode parses one envelope produced by Append. Malformed input — unknown
-// type id, truncated body, trailing bytes, oversized lengths — returns an
-// error; it never panics and never allocates beyond the input's own length.
-// The message keeps nothing of data: byte strings and shards are copied out.
+// Decode parses one frame produced by Append: Header, then DecodeBody.
+// Malformed input — unknown kind, truncated header or body, trailing bytes,
+// oversized lengths — returns an error; it never panics and never allocates
+// beyond the input's own length. The message keeps nothing of data: byte
+// strings and shards are copied out.
 func Decode(data []byte) (ioa.Message, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("wire: empty envelope")
-	}
-	c, ok := codecs[TypeID(data[0])]
-	if !ok {
-		return nil, fmt.Errorf("wire: unknown type id 0x%02x", data[0])
-	}
-	r := readers.Get().(*Reader)
-	r.buf = data[1:]
-	msg := c.Decode(r)
-	err, trailing := r.err, len(r.buf)
-	*r = Reader{} // a pooled Reader must not pin data
-	readers.Put(r)
+	hdr, body, err := Header(data)
 	if err != nil {
-		return nil, fmt.Errorf("wire: %s: %w", c.Name, err)
+		return nil, err
 	}
-	if trailing != 0 {
-		return nil, fmt.Errorf("wire: %s: %d trailing bytes", c.Name, trailing)
+	return DecodeBody(hdr, body)
+}
+
+// Header reads a frame's header, allocating nothing: the message it returns
+// has its kind, RID and tag and no body yet, and body is the rest of the
+// frame. A caller can judge the message by its header before it pays for
+// the body. The kind must be registered.
+func Header(data []byte) (hdr ioa.Msg, body []byte, err error) {
+	if len(data) == 0 {
+		return hdr, nil, fmt.Errorf("wire: empty frame")
 	}
-	return msg, nil
+	k := ioa.Kind(data[0])
+	if kinds[k].name == "" {
+		return hdr, nil, fmt.Errorf("wire: unknown kind 0x%02x", data[0])
+	}
+	r := Reader{buf: data[1:]}
+	hdr = ioa.Msg{Kind: k, RID: r.Varint(), Tag: r.Tag()}
+	if r.err != nil {
+		return ioa.Msg{}, nil, fmt.Errorf("wire: %s header: %w", kinds[k].name, r.err)
+	}
+	return hdr, r.buf, nil
+}
+
+// DecodeBody decodes the body of the message whose header Header read, from
+// the rest of the frame, and returns the whole message. A header-only kind
+// must have nothing left.
+func DecodeBody(hdr ioa.Msg, data []byte) (ioa.Message, error) {
+	k := kinds[hdr.Kind]
+	r := readers.Get().(*Reader)
+	r.buf = data
+	if k.body != nil {
+		hdr.Body = k.body.Decode(r)
+	}
+	err, trailing := r.err, len(r.buf)
+	var m ioa.Message
+	if err == nil && trailing == 0 {
+		m = r.slab.Carve(hdr)
+	}
+	r.buf, r.err = nil, nil // a pooled Reader must not pin data
+	readers.Put(r)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("wire: %s: %w", k.name, err)
+	case trailing != 0:
+		return nil, fmt.Errorf("wire: %s: %d trailing bytes", k.name, trailing)
+	}
+	return m, nil
+}
+
+// --- the shared bodies' codecs ---
+
+// Value and WriteValue carry a register.Value and a register.WriteValue: a
+// length-prefixed byte string.
+var (
+	Value      = bytesBody[register.Value]()
+	WriteValue = bytesBody[register.WriteValue]()
+)
+
+func bytesBody[T ~[]byte]() Body {
+	return Body{
+		Encode: func(b *Buffer, body any) bool {
+			v, ok := body.(T)
+			b.Bytes8(v)
+			return ok
+		},
+		Decode: func(r *Reader) any { return T(r.Bytes8()) },
+		Sample: func(seed uint64) any { return T(register.MakeValue(8+int(seed%24), seed)) },
+	}
+}
+
+// Element carries a register.Element or none: a presence byte, then the
+// coded element. A nil body is a server that holds no element to hand over.
+var Element = Body{
+	Encode: func(b *Buffer, body any) bool {
+		e, ok := body.(register.Element)
+		b.Bool(ok)
+		if ok {
+			b.Shard(e.Shard)
+		}
+		return ok || body == nil
+	},
+	Decode: func(r *Reader) any {
+		if !r.Bool() {
+			return nil
+		}
+		return register.Element{Shard: r.Shard()}
+	},
+	Sample: func(seed uint64) any {
+		if seed%2 == 1 {
+			return nil
+		}
+		return register.Element{Shard: SampleShard(seed)}
+	},
+}
+
+// WriteElement carries a register.WriteElement: the coded element.
+var WriteElement = Body{
+	Encode: func(b *Buffer, body any) bool {
+		e, ok := body.(register.WriteElement)
+		b.Shard(e.Shard)
+		return ok
+	},
+	Decode: func(r *Reader) any { return register.WriteElement{Shard: r.Shard()} },
+	Sample: func(seed uint64) any { return register.WriteElement{Shard: SampleShard(seed)} },
+}
+
+// SampleShard derives a deterministic coded element for a body's Sample.
+func SampleShard(seed uint64) erasure.Shard {
+	return erasure.Shard{Index: int(seed % 9), Data: register.MakeValue(8+int(seed%16), seed)}
 }
 
 // --- primitive encoding ---
@@ -174,8 +287,8 @@ func (b *Buffer) Bytes8(v []byte) {
 	b.buf = append(b.buf, v...)
 }
 
-// Tag appends a register version tag (sequence + writer id).
-func (b *Buffer) Tag(t register.Tag) {
+// Tag appends a version tag (sequence + writer id).
+func (b *Buffer) Tag(t ioa.Tag) {
 	b.Varint(t.Seq)
 	b.Varint(int64(t.Writer))
 }
@@ -190,8 +303,9 @@ func (b *Buffer) Shard(s erasure.Shard) {
 // malformed field every subsequent read returns the zero value, and Decode
 // surfaces Err once at the end — codecs read fields unconditionally.
 type Reader struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	slab ioa.Slab // what Decode carves the messages it reads through this Reader from
 }
 
 // Err returns the first decoding error, if any.
@@ -278,14 +392,14 @@ func (r *Reader) Bytes8() []byte {
 	return append([]byte(nil), b...)
 }
 
-// Tag reads a register version tag.
-func (r *Reader) Tag() register.Tag {
+// Tag reads a version tag.
+func (r *Reader) Tag() ioa.Tag {
 	seq := r.Varint()
 	w := r.Varint()
 	if w < math.MinInt32 || w > math.MaxInt32 {
 		r.fail("tag writer id %d outside int32 range", w)
 	}
-	return register.Tag{Seq: seq, Writer: ioa.NodeID(w)}
+	return ioa.Tag{Seq: seq, Writer: ioa.NodeID(w)}
 }
 
 // Shard reads an erasure-coded element into a buffer drawn from the shard

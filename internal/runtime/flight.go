@@ -36,7 +36,7 @@ func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec, chk check
 	var activeWrites, peakWrites atomic.Int64
 
 	type flight struct {
-		p       *pendingOp
+		ie      *invokeEvent
 		start   time.Time
 		isWrite bool
 	}
@@ -45,7 +45,7 @@ func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec, chk check
 		var lats []time.Duration
 		var window []flight
 		settle := func(fl flight) bool {
-			_, _, ok := fl.p.wait(context.Background(), cfg.OpTimeout)
+			_, _, ok := fl.ie.wait(context.Background(), cfg.OpTimeout)
 			if fl.isWrite {
 				activeWrites.Add(-1)
 			}
@@ -110,8 +110,8 @@ func (rt *runtime) runFlights(cl *cluster.Cluster, spec workload.Spec, chk check
 			// The rare loser of the abandon race (the stuck op completed
 			// right after its timeout, so this one started) is settled
 			// normally.
-			if fl.p.failed || fl.p.ie.state.CompareAndSwap(invQueued, invAbandoned) {
-				fl.p.ie.span.End()
+			if fl.ie.abandon() {
+				fl.ie.span.End()
 				if fl.isWrite {
 					activeWrites.Add(-1)
 				}

@@ -67,7 +67,7 @@ func TestPostFIFOUnderSustainedOverflow(t *testing.T) {
 			t.Fatalf("message %d arrived with sequence %d; per-link FIFO broken", i, v)
 		}
 	}
-	if d := rt.overflow.Load() + l.dead.Load(); d != 0 {
+	if d := rt.overflow.Load() + rt.dead.Load(); d != 0 {
 		t.Fatalf("%d drops on a consuming link", d)
 	}
 }
@@ -292,7 +292,7 @@ func testBlockedSendReleased(t *testing.T, mkLink func(*runtime) link, stop func
 		t.Fatalf("shutdown counted as overflow: %d", o)
 	}
 	if chanLinked {
-		if d := l.dead.Load(); d != 0 {
+		if d := rt.dead.Load(); d != 0 {
 			t.Fatalf("shutdown counted as a crashed sender's message: dead %d", d)
 		}
 	}
@@ -493,7 +493,7 @@ func TestCrashDiscardedOpNeverStarted(t *testing.T) {
 		w := cl.Writers[0]
 		stuck := rt.invokeAsync(w, ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("stuck")})
 		queued := rt.invokeAsync(w, ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("queued")})
-		eventually(t, "the first write started", func() bool { return stuck.ie.state.Load() == invStarted })
+		eventually(t, "the first write started", func() bool { return stuck.state.Load() == invStarted })
 		rt.crashNode(w)
 		if _, started, ok := queued.wait(context.Background(), 20*time.Millisecond); started || ok {
 			t.Fatalf("queued op discarded by the crash: started=%v ok=%v, want neither", started, ok)
@@ -533,7 +533,7 @@ func TestBlockedSendEndsWithItsSendersCrash(t *testing.T) {
 	case <-time.After(200 * time.Millisecond):
 		t.Fatal("in-loop send still blocked 200ms after its sender crashed")
 	}
-	if d, o := l.dead.Load(), rt.overflow.Load(); d != 1 || o != 0 {
+	if d, o := rt.dead.Load(), rt.overflow.Load(); d != 1 || o != 0 {
 		t.Fatalf("crashed sender's blocked send counted dead %d, overflow %d; want 1 and 0", d, o)
 	}
 	if q := mailboxLen(to.mb); q != 1 {

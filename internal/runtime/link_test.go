@@ -259,6 +259,60 @@ func TestGatesRunInOrderBeforeLink(t *testing.T) {
 	})
 }
 
+// TestSendToDownNodeStopsAtGate crashes a server of a running deployment
+// and sends to it from a client through the runtime's send path: a message
+// to a down node is loss at the gate, counted once in TransportDropped, and
+// no link sees it. On tcp it is never framed into the clients' hold for the
+// server's dead address, so the release at the end of the client's batch
+// dials nothing, and neither the link's send errors nor the clients'
+// transport counters move; on chan nothing reaches the server's mailbox.
+func TestSendToDownNodeStopsAtGate(t *testing.T) {
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		cl := abdCluster(t)
+		rt, err := newRuntime(cl, nil, Config{}, nil, mkLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.start()
+		defer rt.stop()
+		server, client := rt.nodes[cl.Servers[0]], rt.nodes[cl.Writers[0]]
+		rt.crashNode(server.id)
+		l, tcp := rt.link.(*tcpLink)
+		var errs int64
+		var before sentStats
+		if tcp {
+			errs, before = l.sendErrs.Load(), snapshot(l.holds[client.id].stats)
+		}
+		lost := rt.faultStats().TransportDropped
+
+		rt.send(client, ioa.Send{To: server.id, Msg: sampler(t, 0x10)(1)}) // abd.queryMsg
+		if tcp {
+			l.mu.RLock()
+			dead := l.addrs[server.id]
+			l.mu.RUnlock()
+			h := l.holds[client.id]
+			h.mu.Lock()
+			for _, g := range h.groups {
+				if g.addr == dead {
+					h.mu.Unlock()
+					t.Fatalf("the clients' hold has a group of %d frames for the down server's address %s", g.frames, dead)
+				}
+			}
+			h.mu.Unlock()
+			l.flush(client) // the end of the client's batch
+			if e, after := l.sendErrs.Load(), snapshot(h.stats); e != errs || after != before {
+				t.Fatalf("a send to a down server reached the transport: send errors %d -> %d, clients' counters %+v -> %+v", errs, e, before, after)
+			}
+		}
+		if got := rt.faultStats().TransportDropped - lost; got != 1 {
+			t.Fatalf("TransportDropped rose by %d, want 1", got)
+		}
+		if q := mailboxLen(server.mb); q != 0 {
+			t.Fatalf("the down server's mailbox holds %d events", q)
+		}
+	})
+}
+
 // idleTCP attaches an ABD cluster to a tcpLink without starting the node
 // loops: frames that arrive only fill mailboxes.
 func idleTCP(t *testing.T) (*runtime, *tcpLink) {
@@ -431,11 +485,7 @@ func TestTCPLinkWire(t *testing.T) {
 		}
 		return sends
 	})
-	stats := func(id ioa.NodeID) transport.Stats {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		return l.eps[id].Stats()
-	}
+	stats := func(id ioa.NodeID) sentStats { return snapshot(l.holds[id].stats) }
 	arrives := func(to, from ioa.NodeID, times int) {
 		t.Helper()
 		eventually(t, fmt.Sprintf("%d frames from %d at %d", times, from, to), func() bool {
@@ -524,6 +574,16 @@ func TestTCPLinkWire(t *testing.T) {
 	}
 }
 
+// sentStats is the write side of a transport.Stats block, read at one
+// moment.
+type sentStats struct {
+	FramesSent, BatchesSent, BytesSent, DroppedFull, DroppedDead uint64
+}
+
+func snapshot(s *transport.Stats) sentStats {
+	return sentStats{s.FramesSent.Load(), s.BatchesSent.Load(), s.BytesSent.Load(), s.DroppedFull.Load(), s.DroppedDead.Load()}
+}
+
 // bigQueryAck is an abd.queryAck whose value is size bytes, built by
 // decoding its frame: the codec's samples are all small.
 func bigQueryAck(t testing.TB, size int) ioa.Message {
@@ -553,11 +613,7 @@ func TestTimerSendRidesReleaseUnderWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wedged.Close()
-	stats := func() transport.Stats {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		return l.eps[1].Stats()
-	}
+	stats := func() sentStats { return snapshot(l.holds[1].stats) }
 
 	h := l.holds[1]
 	if held, err := h.add(wedged.Addr().String(), 1, 2, bigQueryAck(t, transport.MaxFrame-64)); !held || err != nil {
@@ -634,11 +690,7 @@ func TestFramesReadBackToBackStayDistinct(t *testing.T) {
 func TestOversizeFrameRefusedAtHold(t *testing.T) {
 	rt, l := idleTCP(t)
 	log := recordAll(rt, nil)
-	stats := func() transport.Stats {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		return l.eps[1].Stats()
-	}
+	stats := func() sentStats { return snapshot(l.holds[1].stats) }
 	l.send(rt.nodes[1], rt.nodes[2], bigQueryAck(t, transport.MaxFrame), false)
 	if s := stats(); s.FramesSent+s.BatchesSent+s.BytesSent != 0 {
 		t.Fatalf("an oversize frame reached the socket: %+v", s)
@@ -831,11 +883,12 @@ func TestCrashDuringInlineDelivery(t *testing.T) {
 	}
 }
 
-// TestTCPLinkLossCountedOnce pins the loss accounting across a detach: an
-// endpoint's counters are in the live sum while the node is attached and in
-// the retired totals afterwards — never both. One stream with a length over
-// MaxFrame reaches node 1's endpoint; down(1) must leave loss() where it was
-// (nothing is in flight, so Close strands no frame).
+// TestTCPLinkLossCountedOnce pins the loss accounting across a detach: a
+// server's endpoint counts into the server's block, which outlives the
+// endpoint, so loss reads it once whether the endpoint is open or closed.
+// One stream with a length over MaxFrame reaches node 1's endpoint; down(1)
+// must leave loss() where it was (nothing is in flight, so Close strands no
+// frame).
 func TestTCPLinkLossCountedOnce(t *testing.T) {
 	rt, l := idleTCP(t)
 
@@ -918,10 +971,9 @@ func TestClientCrashOnSharedEndpoint(t *testing.T) {
 
 // TestTCPLinkTelemetryAcrossRecovery pins the transport series across a
 // crash: server 1's loop sends n frames in one drain batch, crashes,
-// recovers on a fresh endpoint whose own counters restart at zero, and sends
-// m < n more in the next. Its series must read n+m frames in 2 writes — the
-// retired endpoint's totals plus the live one's — not stall at n until the
-// new endpoint passes it. The clients' shared endpoint has one series of its
+// recovers on a fresh endpoint, and sends m < n more in the next. Its series
+// must read n+m frames in 2 writes — both endpoints counted into the
+// server's one block — not stall at n until the new endpoint passes it. The clients' shared endpoint has one series of its
 // own, so no client reports the writes of another.
 func TestTCPLinkTelemetryAcrossRecovery(t *testing.T) {
 	const n, m = 5, 3
@@ -1150,9 +1202,9 @@ func BenchmarkTCPLinkQuorum(b *testing.B) {
 	}
 	round(0) // connections dialed
 	sent := func() (frames, writes uint64) {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		l.endpoints(func(_ string, s transport.Stats) { frames, writes = frames+s.FramesSent, writes+s.BatchesSent })
+		for _, h := range l.owners {
+			frames, writes = frames+h.stats.FramesSent.Load(), writes+h.stats.BatchesSent.Load()
+		}
 		return frames, writes
 	}
 	f0, w0 := sent()

@@ -44,7 +44,12 @@
 //     is the one unsupported combination, rejected with
 //     faults.ErrUnsupported. Every gate runs before the link sees the
 //     message, so a dropped message is never encoded and never touches a
-//     socket.
+//     socket. A message to a node that is down is never received, as in
+//     the paper's model: it is loss at the gate, beside a crashed sender's,
+//     so no link encodes, holds or dials it. The runtime owns every loss
+//     decision; a link counts only what dies physically on its way (frames
+//     in flight to a node that went down, a dead connection, a corrupt
+//     frame).
 //   - Flow control: a mailbox is a bounded slice that senders append to
 //     under a lock and the node's loop takes whole, parking on a one-slot
 //     wake channel when it is empty. A sender facing a full one blocks up
@@ -151,21 +156,20 @@ const drainBatch = 32
 
 // link is the seam between the node runtime and the network that carries its
 // messages. The runtime owns a message until send is called: the fault
-// gates (drop, delay, outage hold, crashed sender) have all passed by then,
-// and from that call on the link owns it — it either reaches the target's
-// mailbox through rt.post or is counted in loss. There are two
-// implementations, chanLink and tcpLink, plus the recording fake the gate
-// tests substitute.
+// gates (drop, delay, outage hold, crashed sender, down target) have all
+// passed by then, and from that call on the link owns it — it either
+// reaches the target's mailbox through rt.post or is counted in loss. There
+// are two implementations, chanLink and tcpLink, plus the recording fake the
+// gate tests substitute.
 type link interface {
 	// up attaches a node to the network before its loop starts: once at
 	// start and again at every recovery. An error leaves the node detached
 	// (a failed recovery leaves it down).
 	up(ns *nodeState) error
 	// down detaches a crashed node; its loop has been joined and ns.down is
-	// set. From here until the next up, messages addressed to the node are
-	// loss, and whatever still slipped into its mailbox is discarded by the
-	// runtime before the next incarnation starts. down must leave the
-	// node's loss counters readable from exactly one place.
+	// set. From here until the next up, the gate stops messages addressed
+	// to the node, and whatever still slipped into its mailbox is discarded
+	// by the runtime before the next incarnation starts.
 	down(ns *nodeState)
 	// send carries one gated message to the node the runtime resolved it
 	// to. inLoop reports that the caller owns from: its loop (so the chan
@@ -219,14 +223,19 @@ type event struct {
 const (
 	invQueued    int32 = iota // in a mailbox or node queue, not yet started
 	invStarted                // the automaton has been invoked
-	invAbandoned              // the driver gave up before it started
+	invAbandoned              // the driver gave up, or a crash discarded it, before it started
+	invRefused                // the post was refused: it never reached the node
 )
 
+// invokeEvent is one submitted operation, from the driver's post to its
+// response: the driver waits on it, and the node holds it as its pending
+// operation while the automaton runs it.
 type invokeEvent struct {
 	inv   ioa.Invocation
 	done  chan []byte     // buffered 1; receives the response value when recorded
-	state atomic.Int32    // invQueued -> invStarted (node) | invAbandoned (driver)
+	state atomic.Int32    // invQueued -> invStarted (node) | invAbandoned (driver, crash); or invRefused
 	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
+	tk    *ioa.Ticket     // the feed ticket, from the start to the response; nil in interactive sessions; owner's
 }
 
 // nodeState is everything a node's owner owns: the automaton clone, its
@@ -241,9 +250,8 @@ type nodeState struct {
 	node ioa.Node
 	mb   *mailbox // one for the node's whole lifetime, across incarnations
 
-	pendingDone chan []byte    // outstanding op's response channel; non-nil exactly while the automaton holds an op
-	pendingTk   *ioa.Ticket    // outstanding op's feed ticket; nil in interactive sessions
-	invq        []*invokeEvent // pipelined invocations awaiting their turn
+	pending *invokeEvent   // the op the automaton holds; nil exactly while it holds none
+	invq    []*invokeEvent // pipelined invocations awaiting their turn
 	// q is the loop's one queue: its last take of mb, then whatever its
 	// chan-link send siphoned off mb while blocked on a peer's full
 	// mailbox. Events before head are handled (and zeroed); loop-owned.
@@ -259,7 +267,6 @@ type nodeState struct {
 	metered          bool             // set once at construction: the automaton type reports storage
 	client           bool             // set once at construction: a writer or reader of the deployment
 	curBits, maxBits atomic.Int64     // written by the node loop, readable mid-run
-	pendingSpan      *telemetry.Span  // outstanding op's trace span; loop-owned
 
 	// Crash-recovery machinery. ended and loopDone belong to one
 	// incarnation of the node loop; the WallClock goroutine renews them
@@ -298,7 +305,7 @@ type runtime struct {
 
 	drops, delayed, delaySteps atomic.Int64
 	overflow                   atomic.Int64 // events dropped after their deadline on a full mailbox
-	dead                       atomic.Int64 // gated messages whose sender had crashed by release time
+	dead                       atomic.Int64 // messages of a crashed sender, or to a down node, stopped at the gate or cut short by the crash
 	checkpoints                atomic.Int64 // durable images taken ahead of a recovering node's sends
 
 	timerMu sync.Mutex
@@ -596,12 +603,10 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 		ie.state.CompareAndSwap(invQueued, invAbandoned)
 	}
 	ns.invq = nil
-	if ns.pendingTk != nil {
-		// The op dies with the crash: permanently pending.
-		ns.pendingTk.Abandon()
-		ns.pendingTk = nil
+	if ie := ns.pending; ie != nil && ie.tk != nil {
+		ie.tk.Abandon() // the op dies with the crash: permanently pending
 	}
-	ns.pendingDone = nil
+	ns.pending = nil
 }
 
 // recoverNode restarts a crashed node from its durable image: runs where
@@ -645,7 +650,7 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 	// Start queued invocations while the client is free. Normally at most
 	// one starts; the loop only cascades when an invocation responds
 	// immediately (e.g. a degenerate automaton), or skips abandoned entries.
-	for ns.pendingDone == nil && len(ns.invq) > 0 {
+	for ns.pending == nil && len(ns.invq) > 0 {
 		ie := ns.invq[0]
 		ns.invq[0] = nil // the backing array must not pin the started invocation's value
 		ns.invq = ns.invq[1:]
@@ -653,11 +658,10 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 			continue // abandoned before it started: it never happened
 		}
 		ie.span.Mark(telemetry.StageStart)
-		ns.pendingSpan = ie.span
 		if rt.feed != nil {
-			ns.pendingTk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
+			ie.tk = rt.feed.Begin(ns.id, ie.inv.Kind, ie.inv.Value)
 		}
-		ns.pendingDone = ie.done
+		ns.pending = ie
 		rt.apply(ns, ns.node.(ioa.Client).Invoke(ie.inv))
 	}
 }
@@ -671,16 +675,14 @@ func (rt *runtime) handle(ns *nodeState, ev event) {
 // leaves it: the one durability rule, so a recovery never rolls back
 // anything a peer saw.
 func (rt *runtime) apply(ns *nodeState, eff ioa.Effects) {
-	if eff.Response != nil && ns.pendingDone != nil {
+	if ie := ns.pending; eff.Response != nil && ie != nil {
 		out := eff.Response.Value
-		if ns.pendingTk != nil {
-			ns.pendingTk.Complete(out)
-			ns.pendingTk = nil
+		if ie.tk != nil {
+			ie.tk.Complete(out)
 		}
-		ns.pendingSpan.Mark(telemetry.StageEffect)
-		ns.pendingSpan = nil
-		ns.pendingDone <- out // buffered, single outstanding op: never blocks
-		ns.pendingDone = nil
+		ie.span.Mark(telemetry.StageEffect)
+		ns.pending = nil
+		ie.done <- out // buffered, single outstanding op: never blocks
 	}
 	if ns.image != nil && !ns.client && len(eff.Sends) > 0 {
 		if old, ok := ns.image.(interface{ Release() }); ok {
@@ -729,7 +731,9 @@ func (rt *runtime) send(from *nodeState, s ioa.Send) {
 // and re-dispatched at the next outage boundary, re-checking then in case
 // windows abut; held messages are accounted as delays of (boundary - now)
 // steps. A message whose sender crashed while it was parked (or mid-handle)
-// dies with the sender: nothing is sent on behalf of a down node.
+// dies with the sender: nothing is sent on behalf of a down node. A message
+// to a node that is down is never received (the paper's model), so it is
+// loss here, before any link encodes, holds or dials it.
 func (rt *runtime) dispatch(from, to *nodeState, msg ioa.Message, inLoop bool) {
 	if hold, steps := rt.wc.Hold(from.id, to.id); hold > 0 {
 		rt.delayed.Add(1)
@@ -737,7 +741,7 @@ func (rt *runtime) dispatch(from, to *nodeState, msg ioa.Message, inLoop bool) {
 		rt.after(hold, func() { rt.dispatch(from, to, msg, false) })
 		return
 	}
-	if from.down.Load() {
+	if from.down.Load() || to.down.Load() {
 		rt.dead.Add(1)
 		return
 	}
@@ -787,69 +791,67 @@ func (rt *runtime) post(loop, to *nodeState, ev event, timeout time.Duration) (o
 	}
 }
 
-// pendingOp is a handle on one asynchronously submitted invocation.
-type pendingOp struct {
-	ie     *invokeEvent
-	failed bool // the post was dropped; the op never reached the node
-}
-
 // invokeAsync submits an operation at a client and returns immediately; the
 // node starts it when every earlier invocation at that client has responded.
-// Pipelining drivers keep several handles open per client.
-func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *pendingOp {
+// Pipelining drivers keep several open per client.
+func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *invokeEvent {
 	ns := rt.node(client)
 	ie := &invokeEvent{inv: inv, done: make(chan []byte, 1)}
 	if rt.tracer != nil {
 		ie.span = rt.tracer.Begin(inv.Kind.String())
 	}
-	p := &pendingOp{ie: ie}
 	// Invocations get the full op timeout to enqueue, not just sendTimeout:
 	// a client mailbox saturated by protocol traffic clears as the node
 	// drains, and dropping the invocation early would under-run fault-free
 	// workloads that are merely overloaded.
 	if ok, _ := rt.post(nil, ns, event{inv: ie}, rt.cfg.OpTimeout); !ok {
-		ie.state.Store(invAbandoned)
-		p.failed = true
+		ie.state.Store(invRefused)
 		ie.span.End()
 	} else {
 		ie.span.Mark(telemetry.StageQueue)
 	}
-	return p
+	return ie
+}
+
+// abandon gives the invocation up unless it has started, and reports
+// whether it never started: refused, abandoned by a crash, or abandoned now.
+func (ie *invokeEvent) abandon() bool {
+	return ie.state.CompareAndSwap(invQueued, invAbandoned) || ie.state.Load() != invStarted
 }
 
 // wait blocks for the response, the timeout, or ctx cancellation. It returns
 // the response value, whether the operation actually started (a started but
 // incomplete op is genuinely pending: it may still take effect and must stay
 // pending in any checked history; an unstarted one never happened), and
-// whether it completed.
-func (p *pendingOp) wait(ctx context.Context, timeout time.Duration) (out []byte, started, ok bool) {
-	if p.failed {
+// whether it completed. A refused invocation returns at once.
+func (ie *invokeEvent) wait(ctx context.Context, timeout time.Duration) (out []byte, started, ok bool) {
+	if ie.state.Load() == invRefused {
 		return nil, false, false
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
+	case out := <-ie.done:
+		ie.span.Mark(telemetry.StageComplete)
+		ie.span.End()
 		return out, true, true
 	case <-t.C:
 	case <-ctx.Done():
 	}
-	if p.ie.state.CompareAndSwap(invQueued, invAbandoned) || p.ie.state.Load() == invAbandoned {
+	if ie.abandon() {
 		// Never started: the node will skip it, or a crash discarded it
 		// still queued.
-		p.ie.span.End()
+		ie.span.End()
 		return nil, false, false
 	}
 	// Already started — it may even have completed in the race window.
 	select {
-	case out := <-p.ie.done:
-		p.ie.span.Mark(telemetry.StageComplete)
-		p.ie.span.End()
+	case out := <-ie.done:
+		ie.span.Mark(telemetry.StageComplete)
+		ie.span.End()
 		return out, true, true
 	default:
-		p.ie.span.End()
+		ie.span.End()
 		return nil, true, false
 	}
 }

@@ -20,11 +20,13 @@ import (
 // server's endpoint closes, so peers' in-flight frames die as real network
 // loss, and a recovered server listens on a FRESH endpoint peers redial on
 // their next send. A crashed client only detaches: its siblings keep the
-// shared endpoint, and frames that arrive for it while it is down are
-// counted loss. Two endpoints share one connection both ways, opened by
-// whichever sent first — in a fault-free run the clients' endpoint, since
-// servers only answer — so a server's replies ride the clients' own socket
-// and no server dials a client.
+// shared endpoint. The runtime stops every message to a down node at its
+// gate, so the link never encodes, holds or dials one; only frames already
+// in flight when the node went down reach it, and inbound counts those as
+// loss. Two endpoints share one connection both ways, opened by whichever
+// sent first — in a fault-free run the clients' endpoint, since servers only
+// answer — so a server's replies ride the clients' own socket and no server
+// dials a client.
 //
 // A transport reader delivers a frame to an idle node itself: if it wins the
 // node's ownership lock and nothing posted to the node is still waiting, it
@@ -54,26 +56,30 @@ import (
 // the way in, a reader reads each frame into a buffer it reuses and inbound
 // decodes it in place; the decoder copies byte strings and shards out, so
 // nothing delivered keeps the frame.
+//
+// Each hold also carries its endpoint owner's transport counters: one block
+// for the whole run, handed to every endpoint the owner listens on, so a
+// server's totals outlive the endpoints its crashes close, and loss and the
+// telemetry sampler read them without a lock.
 type tcpLink struct {
 	rt *runtime
 
 	// holds is the hold of the endpoint each node sends from, indexed by node
-	// id like runtime.nodes. Built with the link and never changed, so it is
-	// read without a lock.
-	holds []*hold
+	// id like runtime.nodes; owners lists each hold once, every server's by
+	// ascending id, then the clients'. Built with the link and never changed,
+	// so both are read without a lock.
+	holds  []*hold
+	owners []*hold
 
 	// mu guards everything below it: recovery replaces a server's endpoint
-	// and address. A node is in eps exactly while attached, so a server
-	// endpoint's counters are read from one place at a time — live while
-	// attached, in retired once down has folded them.
+	// and address.
 	mu      sync.RWMutex
 	eps     map[ioa.NodeID]*transport.Endpoint // the endpoint an attached node sends from: a server's own, or clients
 	addrs   map[ioa.NodeID]string              // dialable address per node; a down server keeps its dead one
-	retired map[ioa.NodeID]transport.Stats     // final counters of the server's endpoints a crash closed, summed
 	clients *transport.Endpoint                // shared by every client node, opened at the first one's up; only close closes it
 
 	badFrames atomic.Int64 // undecodable or misrouted inbound frames, dropped
-	detached  atomic.Int64 // inbound frames for a node that was down when they arrived
+	detached  atomic.Int64 // inbound frames in flight to a node that was down when they arrived
 	sendErrs  atomic.Int64 // frames lost to failed dials/closed or detached endpoints, or refused over MaxFrame
 }
 
@@ -82,28 +88,29 @@ const clientsOwner = "clients"
 
 func newTCPLink(rt *runtime) *tcpLink {
 	l := &tcpLink{
-		rt:      rt,
-		holds:   make([]*hold, len(rt.nodes)),
-		eps:     make(map[ioa.NodeID]*transport.Endpoint),
-		addrs:   make(map[ioa.NodeID]string),
-		retired: make(map[ioa.NodeID]transport.Stats),
+		rt:    rt,
+		holds: make([]*hold, len(rt.nodes)),
+		eps:   make(map[ioa.NodeID]*transport.Endpoint),
+		addrs: make(map[ioa.NodeID]string),
 	}
-	clients := &hold{}
+	clients := &hold{stats: new(transport.Stats)}
 	for _, ns := range rt.all {
 		if ns.client {
 			l.holds[ns.id] = clients
-		} else {
-			l.holds[ns.id] = &hold{owner: ns}
+			continue
 		}
+		h := &hold{owner: ns, stats: new(transport.Stats)}
+		l.holds[ns.id], l.owners = h, append(l.owners, h)
 	}
+	l.owners = append(l.owners, clients)
 	return l
 }
 
-// up attaches a node. A server gets a fresh listening endpoint and its
-// address is re-pointed, so peers redial the new address on their next send
-// while anything aimed at a dead socket is counted loss; a client attaches
-// to the shared endpoint, opened by the first client up. Endpoints run on
-// the transport's defaults (2s dial timeout, 1s send timeout).
+// up attaches a node. A server gets a fresh listening endpoint, counting
+// into the server's block, and its address is re-pointed, so peers redial
+// the new address on their next send; a client attaches to the shared
+// endpoint, opened by the first client up. Endpoints run on the transport's
+// defaults (2s dial timeout, 1s send timeout).
 func (l *tcpLink) up(ns *nodeState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -111,18 +118,17 @@ func (l *tcpLink) up(ns *nodeState) error {
 		l.eps[ns.id], l.addrs[ns.id] = l.clients, l.clients.Addr()
 		return nil
 	}
-	ep, err := transport.Listen(l.rt.cfg.ListenAddr, transport.Config{})
+	h := l.holds[ns.id]
+	ep, err := transport.Listen(l.rt.cfg.ListenAddr, transport.Config{Stats: h.stats})
 	if err != nil {
 		return err
 	}
-	owner := ns // a server's endpoint serves that server alone
 	if ns.client {
-		l.clients, owner = ep, nil
+		l.clients = ep
 	}
 	l.eps[ns.id], l.addrs[ns.id] = ep, ep.Addr()
-	h := l.holds[ns.id]
 	ep.ServeRuns(func(frame []byte, more bool) {
-		l.inbound(owner, frame)
+		l.inbound(h.owner, frame) // a server's endpoint serves that server alone
 		if !more {
 			l.release(h) // the run ends: what its inline deliveries sent leaves
 		}
@@ -131,59 +137,16 @@ func (l *tcpLink) up(ns *nodeState) error {
 }
 
 // down detaches a crashed node. A client's shared endpoint stays up for its
-// siblings; inbound counts frames for the client as loss until it is back. A
-// server's endpoint closes, and its final counters fold into the server's
-// retired totals, so neither loss nor the telemetry series ever lose them —
-// and, the endpoint being gone from eps, never count them twice.
+// siblings; inbound counts frames still in flight to the client as loss
+// until it is back. A server's endpoint closes; its counters stay in the
+// server's block.
 func (l *tcpLink) down(ns *nodeState) {
-	if ns.client {
-		l.mu.Lock()
-		delete(l.eps, ns.id)
-		l.mu.Unlock()
-		return
-	}
-	l.mu.RLock()
-	ep := l.eps[ns.id]
-	l.mu.RUnlock()
-	ep.Close()
-	// Detach and fold in one critical section, so a concurrent reader sees
-	// the endpoint's counters live or retired, never both and never neither.
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	ep := l.eps[ns.id]
 	delete(l.eps, ns.id)
-	l.retired[ns.id] = sumStats(l.retired[ns.id], ep.Stats())
-}
-
-// endpoints calls f once per endpoint the link has owned, with its counters:
-// each server under its id, summed over the endpoints its crashes retired,
-// and the clients' shared one under clientsOwner. Called with mu held.
-func (l *tcpLink) endpoints(f func(owner string, s transport.Stats)) {
-	for _, ns := range l.rt.all {
-		if ns.client {
-			continue
-		}
-		s := l.retired[ns.id]
-		if ep := l.eps[ns.id]; ep != nil {
-			s = sumStats(s, ep.Stats())
-		}
-		f(strconv.Itoa(int(ns.id)), s)
-	}
-	if l.clients != nil {
-		f(clientsOwner, l.clients.Stats())
-	}
-}
-
-func sumStats(a, b transport.Stats) transport.Stats {
-	return transport.Stats{
-		DroppedFull:    a.DroppedFull + b.DroppedFull,
-		DroppedDead:    a.DroppedDead + b.DroppedDead,
-		Requeued:       a.Requeued + b.Requeued,
-		Malformed:      a.Malformed + b.Malformed,
-		FramesSent:     a.FramesSent + b.FramesSent,
-		BatchesSent:    a.BatchesSent + b.BatchesSent,
-		BytesSent:      a.BytesSent + b.BytesSent,
-		FramesReceived: a.FramesReceived + b.FramesReceived,
-		BytesReceived:  a.BytesReceived + b.BytesReceived,
+	l.mu.Unlock()
+	if !ns.client {
+		ep.Close() // outside mu: a reader ending its run releases a hold, which takes mu
 	}
 }
 
@@ -218,7 +181,8 @@ func (l *tcpLink) close() {
 // order and one goroutine at a time writes each of the endpoint's
 // connections.
 type hold struct {
-	owner *nodeState // the server whose endpoint sends the frames; nil for the clients' shared one
+	owner *nodeState       // the server whose endpoint sends the frames; nil for the clients' shared one
+	stats *transport.Stats // the counters of every endpoint owner has listened on, for the whole run
 
 	mu        sync.Mutex
 	groups    []heldGroup // waiting to be sent
@@ -421,19 +385,18 @@ func (l *tcpLink) inbound(owner *nodeState, frame []byte) {
 }
 
 func (l *tcpLink) loss() (dropped, requeued int) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	dropped = int(l.sendErrs.Load() + l.badFrames.Load() + l.detached.Load())
-	l.endpoints(func(_ string, s transport.Stats) {
-		dropped += int(s.DroppedFull + s.DroppedDead + s.Malformed)
-		requeued += int(s.Requeued)
-	})
+	for _, h := range l.owners {
+		dropped += int(h.stats.DroppedFull.Load() + h.stats.DroppedDead.Load() + h.stats.Malformed.Load())
+		requeued += int(h.stats.Requeued.Load())
+	}
 	return dropped, requeued
 }
 
-// endpointTransport is the counter set the sampler lifts one endpoint's
-// transport totals into. A server's totals span every endpoint it has owned,
-// so they never move backward across a crash; Raise mirrors them.
+// endpointTransport is the counter set the sampler lifts one endpoint
+// owner's transport block into. A server's block spans every endpoint it
+// has listened on, so its totals never move backward across a crash; Raise
+// mirrors them.
 type endpointTransport struct {
 	framesSent, framesRecv   telemetry.Counter
 	batchesSent              telemetry.Counter
@@ -442,28 +405,31 @@ type endpointTransport struct {
 	requeued, malformed      telemetry.Counter
 }
 
-func (t *endpointTransport) lift(s transport.Stats) {
-	t.framesSent.Raise(s.FramesSent)
-	t.framesRecv.Raise(s.FramesReceived)
-	t.batchesSent.Raise(s.BatchesSent)
-	t.bytesSent.Raise(s.BytesSent)
-	t.bytesRecv.Raise(s.BytesReceived)
-	t.droppedFull.Raise(s.DroppedFull)
-	t.droppedDead.Raise(s.DroppedDead)
-	t.requeued.Raise(s.Requeued)
-	t.malformed.Raise(s.Malformed)
+func (t *endpointTransport) lift(s *transport.Stats) {
+	t.framesSent.Raise(s.FramesSent.Load())
+	t.framesRecv.Raise(s.FramesReceived.Load())
+	t.batchesSent.Raise(s.BatchesSent.Load())
+	t.bytesSent.Raise(s.BytesSent.Load())
+	t.bytesRecv.Raise(s.BytesReceived.Load())
+	t.droppedFull.Raise(s.DroppedFull.Load())
+	t.droppedDead.Raise(s.DroppedDead.Load())
+	t.requeued.Raise(s.Requeued.Load())
+	t.malformed.Raise(s.Malformed.Load())
 }
 
-// sampler registers one transport counter set per endpoint — each server's
-// under node=<id>, the clients' shared one under node="clients", so no
-// endpoint is counted twice — and returns the lift from
-// transport.Endpoint.Stats.
+// sampler registers one transport counter set per endpoint owner — each
+// server's under node=<id>, the clients' shared one under node="clients",
+// so no endpoint is counted twice — and returns the lift from the owners'
+// blocks.
 func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
-	sets := make(map[string]*endpointTransport)
-	l.mu.RLock()
-	l.endpoints(func(owner string, _ transport.Stats) {
+	sets := make([]*endpointTransport, len(l.owners))
+	for i, h := range l.owners {
+		owner := clientsOwner
+		if h.owner != nil {
+			owner = strconv.Itoa(int(h.owner.id))
+		}
 		nl := telemetry.L("node", owner)
-		sets[owner] = &endpointTransport{
+		sets[i] = &endpointTransport{
 			framesSent:  reg.Counter(telemetry.MetricTransportFramesSent, "frames written to peer sockets", sl, nl),
 			framesRecv:  reg.Counter(telemetry.MetricTransportFramesRecv, "frames received and handed to the node", sl, nl),
 			batchesSent: reg.Counter(telemetry.MetricTransportBatchesSent, "socket writes carrying frames (frames/batches = coalescing factor)", sl, nl),
@@ -474,11 +440,10 @@ func (l *tcpLink) sampler(reg *telemetry.Registry, sl telemetry.Label) func() {
 			requeued:    reg.Counter(telemetry.MetricTransportRequeued, "frames resent on a redialed connection", sl, nl),
 			malformed:   reg.Counter(telemetry.MetricTransportMalformed, "inbound streams refused at a length over MaxFrame", sl, nl),
 		}
-	})
-	l.mu.RUnlock()
+	}
 	return func() {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
-		l.endpoints(func(owner string, s transport.Stats) { sets[owner].lift(s) })
+		for i, h := range l.owners {
+			sets[i].lift(h.stats)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func TestBatchedDeliveryPreservesOrder(t *testing.T) {
 			t.Fatalf("frame %d arrived with sequence %d; per-link FIFO broken", i, v)
 		}
 	}
-	if s := a.Stats(); s.DroppedFull+s.DroppedDead > 0 {
+	if s := a.Stats(); s.DroppedFull.Load()+s.DroppedDead.Load() > 0 {
 		t.Fatalf("healthy link dropped frames: %+v", s)
 	}
 }
@@ -151,8 +151,8 @@ func TestSendGroup(t *testing.T) {
 		if err := a.Send(b.Addr(), numbered(first, more)...); err != nil {
 			t.Fatal(err)
 		}
-		if s := a.Stats(); s.FramesSent != first+more || s.BatchesSent != 2 {
-			t.Fatalf("groups of %d and %d: %d frames in %d writes, want one write each", first, more, s.FramesSent, s.BatchesSent)
+		if s := a.Stats(); s.FramesSent.Load() != first+more || s.BatchesSent.Load() != 2 {
+			t.Fatalf("groups of %d and %d: %d frames in %d writes, want one write each", first, more, s.FramesSent.Load(), s.BatchesSent.Load())
 		}
 		waitFor(t, 5*time.Second, func() bool {
 			mu.Lock()
@@ -184,7 +184,7 @@ func TestSendGroup(t *testing.T) {
 		if took := time.Since(start); took < timeout {
 			t.Fatalf("a group to a peer that never reads returned after %v, before SendTimeout %v", took, timeout)
 		}
-		if s := a.Stats(); s.DroppedFull+s.DroppedDead != n || s.FramesSent+s.Requeued != 0 {
+		if s := a.Stats(); s.DroppedFull.Load()+s.DroppedDead.Load() != n || s.FramesSent.Load()+s.Requeued.Load() != 0 {
 			t.Fatalf("%+v: want each of the %d frames dropped exactly once", s, n)
 		}
 	})
@@ -214,7 +214,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []arrival
-	b := &Endpoint{}
+	b := &Endpoint{cfg: Config{}.withDefaults()}
 	go func() {
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && waitingToSend() < 2; {
 			time.Sleep(time.Millisecond)
@@ -262,7 +262,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 		}
 	}
 	st := a.Stats()
-	if st.FramesSent != senders*sends*group || st.BatchesSent != senders*sends || st.DroppedFull+st.DroppedDead > 0 {
+	if st.FramesSent.Load() != senders*sends*group || st.BatchesSent.Load() != senders*sends || st.DroppedFull.Load()+st.DroppedDead.Load() > 0 {
 		t.Fatalf("healthy link: %+v, want %d frames sent in %d writes and none dropped", st, senders*sends*group, senders*sends)
 	}
 }
@@ -316,7 +316,7 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 
 		before := runtime.NumGoroutine()
 		frame := make([]byte, 1<<20) // large frames fill the kernel buffer fast
-		dropped := func() uint64 { s := a.Stats(); return s.DroppedFull + s.DroppedDead }
+		dropped := func() uint64 { s := a.Stats(); return s.DroppedFull.Load() + s.DroppedDead.Load() }
 		for i := 0; i < 64 && dropped() < 3; i++ {
 			timedSend(a, ln.Addr().String(), frame)
 		}
@@ -339,7 +339,7 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 		defer peer.Close()
 
 		timedSend(a, "peer", []byte("unread"))
-		if s := a.Stats(); s.DroppedFull != 1 || s.DroppedDead != 0 || pc.dead.Load() {
+		if s := a.Stats(); s.DroppedFull.Load() != 1 || s.DroppedDead.Load() != 0 || pc.dead.Load() {
 			t.Fatalf("zero-byte timeout: %+v, dead=%v; want one full drop and the connection kept", s, pc.dead.Load())
 		}
 
@@ -355,7 +355,7 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if s := a.Stats(); s.DroppedFull != 3 || s.DroppedDead != 0 || pc.dead.Load() {
+		if s := a.Stats(); s.DroppedFull.Load() != 3 || s.DroppedDead.Load() != 0 || pc.dead.Load() {
 			t.Fatalf("two senders timed out: %+v, dead=%v; want three full drops and the connection kept", s, pc.dead.Load())
 		}
 
@@ -368,7 +368,7 @@ func TestSendBackpressureDropsAreCounted(t *testing.T) {
 		if err := <-read; err != nil {
 			t.Fatal(err)
 		}
-		if s := a.Stats(); s.DroppedFull != 3 || s.DroppedDead != 1 || !pc.dead.Load() {
+		if s := a.Stats(); s.DroppedFull.Load() != 3 || s.DroppedDead.Load() != 1 || !pc.dead.Load() {
 			t.Fatalf("partial write: %+v, dead=%v; want one dead drop and the connection retired", s, pc.dead.Load())
 		}
 	})
@@ -405,7 +405,7 @@ func TestCloseDuringFlushIsNotLoss(t *testing.T) {
 			t.Fatal("a Send still blocked after Close")
 		}
 	}
-	if s := a.Stats(); s.DroppedFull+s.DroppedDead != 0 {
+	if s := a.Stats(); s.DroppedFull.Load()+s.DroppedDead.Load() != 0 {
 		t.Fatalf("Close's discards counted as loss: %+v", s)
 	}
 	if err := a.Send("peer", []byte("late")); err != errClosed {
@@ -471,7 +471,7 @@ func TestPeerCloseMidFlushIsLoss(t *testing.T) {
 			t.Fatal("a Send still blocked after the peer ended its stream")
 		}
 	}
-	if s := a.Stats(); s.DroppedDead != 1 || s.DroppedFull+s.Requeued != 0 || s.FramesSent != 1 || !pc.dead.Load() {
+	if s := a.Stats(); s.DroppedDead.Load() != 1 || s.DroppedFull.Load()+s.Requeued.Load() != 0 || s.FramesSent.Load() != 1 || !pc.dead.Load() {
 		t.Fatalf("peer ended its stream mid-write: %+v, dead=%t; want the writer's frame dropped dead and the waiter's sent", s, pc.dead.Load())
 	}
 
@@ -518,7 +518,7 @@ func TestDeadConnDropsAreCounted(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		s := a.Stats()
-		if s.DroppedDead > 0 {
+		if s.DroppedDead.Load() > 0 {
 			return
 		}
 		_ = a.Send(ln.Addr().String(), frame) // dial errors are fine; keep probing

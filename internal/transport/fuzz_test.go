@@ -30,7 +30,7 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(cat(appendFrame(nil, make([]byte, maxHello+1)), one))                                              // hello over its cap
 	f.Add(one)                                                                                               // a hello and nothing after it
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := &Endpoint{conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{})}
+		e := &Endpoint{cfg: Config{}.withDefaults(), conns: make(map[string]*peerConn), open: make(map[*peerConn]struct{})}
 		var handed uint64
 		e.handler = func([]byte, bool) { handed++ }
 		local, remote := net.Pipe()
@@ -78,9 +78,9 @@ func FuzzReadFrames(f *testing.F) {
 			}
 		}
 		s := e.Stats()
-		if s.Malformed != malformed || s.FramesReceived != frames || handed != frames || s.FramesSent != 0 {
+		if s.Malformed.Load() != malformed || s.FramesReceived.Load() != frames || handed != frames || s.FramesSent.Load() != 0 {
 			t.Fatalf("stream of %d bytes: malformed %d, received %d, handed %d, sent %d; want malformed %d, frames %d, none sent",
-				len(data), s.Malformed, s.FramesReceived, handed, s.FramesSent, malformed, frames)
+				len(data), s.Malformed.Load(), s.FramesReceived.Load(), handed, s.FramesSent.Load(), malformed, frames)
 		}
 		if greeted && (len(e.conns) != 1 || e.conns[addr] != pc) || !greeted && len(e.conns) != 0 {
 			t.Fatalf("greeted %t as %q: pool %v, want the connection pooled under the hello's address, or nothing pooled", greeted, addr, e.conns)

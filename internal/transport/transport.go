@@ -12,7 +12,7 @@
 //     sides so a corrupt or hostile length cannot force an unbounded
 //     allocation.
 //   - One connection per peer pair: the first Send to a peer dials it
-//     (bounded by DialTimeout) and opens the stream with one hello frame
+//     (bounded by a 2s timeout) and opens the stream with one hello frame
 //     naming the dialer's own listen address; the accepting side adopts the
 //     connection as its way back to that address, so replies ride the
 //     request's socket (the kernel piggybacks its ACKs on them) and the
@@ -43,10 +43,15 @@
 //     broken connection reaches the layer above as what it is on a real
 //     network: silence, bounded by op timeouts.
 //   - Bounded sends: the write carries a SendTimeout deadline and the dial
-//     a DialTimeout one, so a sender waiting on the lock waits only for
-//     bounded dials and writes ahead of it; each frame a failed write drops
-//     is counted once in Stats.
+//     a 2s one, so a sender waiting on the lock waits only for bounded
+//     dials and writes ahead of it; each frame a failed write drops is
+//     counted once in Stats.
 //     Per-link order holds from Send to handler for every surviving frame.
+//   - Counters belong to the caller: an endpoint adds to the Stats block
+//     Config.Stats names, so a layer that replaces an endpoint (a crashed
+//     server listening again on a fresh one) hands every incarnation the
+//     same block, and its totals outlive each endpoint. With no block given,
+//     Listen allocates one.
 //   - Graceful shutdown: Close stops the accept loop, closes every
 //     connection, and joins every goroutine the endpoint started — no frame
 //     handler runs after Close returns.
@@ -92,60 +97,66 @@ var (
 	errStale = errors.New("transport: connection retired before the write")
 )
 
+// dialTimeout bounds an outbound connection attempt.
+const dialTimeout = 2 * time.Second
+
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
-	// DialTimeout bounds an outbound connection attempt (default 2s).
-	DialTimeout time.Duration
 	// SendTimeout bounds how long a socket write may block before its
 	// frames are dropped and counted (default 1s). This is the
 	// backpressure window: under sustained overload senders slow to the
 	// socket's drain rate instead of growing queues.
 	SendTimeout time.Duration
+	// Stats is the block the endpoint counts into (default: a fresh one).
+	// Every endpoint given the same block adds to it while it runs.
+	Stats *Stats
 }
 
 func (c Config) withDefaults() Config {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.SendTimeout <= 0 {
 		c.SendTimeout = time.Second
+	}
+	if c.Stats == nil {
+		c.Stats = new(Stats)
 	}
 	return c
 }
 
-// Stats is a point-in-time snapshot of an endpoint's frame-loss accounting.
+// Stats is an endpoint's frame-loss and throughput accounting, read live.
 // Every frame an endpoint accepted for delivery and then lost is counted in
 // exactly one bucket; frames waiting for the send lock or in flight when
-// Close runs are deliberate shutdown discards and are not counted.
+// Close runs are deliberate shutdown discards and are not counted. The
+// block belongs to whoever passed it in Config.Stats, and outlives the
+// endpoint.
 type Stats struct {
 	// DroppedFull counts frames whose write timed out having written
 	// nothing; the connection is kept.
-	DroppedFull uint64
+	DroppedFull atomic.Uint64
 	// DroppedDead counts frames in a write that failed otherwise, which
 	// retires the connection, or whose retry found its fresh connection
 	// retired too.
-	DroppedDead uint64
+	DroppedDead atomic.Uint64
 	// Requeued counts frames Send wrote on a fresh connection by its one
 	// retry, after the pooled connection was found retired before the
 	// write.
-	Requeued uint64
+	Requeued atomic.Uint64
 	// Malformed counts inbound streams refused at a length prefix over
 	// MaxFrame, or at a hello naming an address over 256 bytes; the reader
 	// closes such a stream, so nothing after the bad prefix reaches the
 	// handler.
-	Malformed uint64
+	Malformed atomic.Uint64
 	// FramesSent / BatchesSent / BytesSent count the write side: frames
 	// successfully written to a socket, the socket writes (one per Send)
 	// carrying them, and the frames' payload bytes (length prefixes
 	// excluded). BatchesSent <= FramesSent; their ratio is the achieved
 	// coalescing factor. A connection's hello is not a frame.
-	FramesSent  uint64
-	BatchesSent uint64
-	BytesSent   uint64
+	FramesSent  atomic.Uint64
+	BatchesSent atomic.Uint64
+	BytesSent   atomic.Uint64
 	// FramesReceived / BytesReceived count the read side: frames handed to
 	// the Serve handler and their payload bytes.
-	FramesReceived uint64
-	BytesReceived  uint64
+	FramesReceived atomic.Uint64
+	BytesReceived  atomic.Uint64
 }
 
 // Endpoint is a network identity: a TCP listener, and a pool of
@@ -164,17 +175,6 @@ type Endpoint struct {
 	open    map[*peerConn]struct{}        // every connection not yet retired by its reader, pooled or not
 	handler func(frame []byte, more bool) // installed by ServeRuns; no reader runs before
 	closed  atomic.Bool                   // Close has begun (set under mu): what it strands is a deliberate discard, not loss
-
-	droppedFull atomic.Uint64
-	droppedDead atomic.Uint64
-	requeued    atomic.Uint64
-	malformed   atomic.Uint64
-
-	framesSent  atomic.Uint64
-	batchesSent atomic.Uint64
-	bytesSent   atomic.Uint64
-	framesRecv  atomic.Uint64
-	bytesRecv   atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -207,20 +207,9 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 // Addr returns the endpoint's dialable address (with the resolved port).
 func (e *Endpoint) Addr() string { return e.listener.Addr().String() }
 
-// Stats snapshots the endpoint's frame-loss and throughput counters.
-func (e *Endpoint) Stats() Stats {
-	return Stats{
-		DroppedFull:    e.droppedFull.Load(),
-		DroppedDead:    e.droppedDead.Load(),
-		Requeued:       e.requeued.Load(),
-		Malformed:      e.malformed.Load(),
-		FramesSent:     e.framesSent.Load(),
-		BatchesSent:    e.batchesSent.Load(),
-		BytesSent:      e.bytesSent.Load(),
-		FramesReceived: e.framesRecv.Load(),
-		BytesReceived:  e.bytesRecv.Load(),
-	}
-}
+// Stats returns the block the endpoint counts into: Config.Stats, or the
+// one Listen allocated.
+func (e *Endpoint) Stats() *Stats { return e.cfg.Stats }
 
 // Serve is ServeRuns for a handler that has no use for run ends. Each frame
 // is copied out of the reader's buffer, so the handler may keep it.
@@ -310,7 +299,7 @@ func (e *Endpoint) adopt(pc *peerConn, br *bufio.Reader) bool {
 	hello, err := readFrame(br, maxHello, nil)
 	if err != nil {
 		if errors.Is(err, errTooLarge) {
-			e.malformed.Add(1)
+			e.cfg.Stats.Malformed.Add(1)
 		}
 		return false
 	}
@@ -338,15 +327,15 @@ func (e *Endpoint) readFrames(r *bufio.Reader, handler func(frame []byte, more b
 		frame, err := readFrame(r, MaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, errTooLarge) {
-				e.malformed.Add(1)
+				e.cfg.Stats.Malformed.Add(1)
 			}
 			return
 		}
 		if e.closed.Load() {
 			return
 		}
-		e.framesRecv.Add(1)
-		e.bytesRecv.Add(uint64(len(frame)))
+		e.cfg.Stats.FramesReceived.Add(1)
+		e.cfg.Stats.BytesReceived.Add(uint64(len(frame)))
 		handler(frame, buffered(r))
 		if cap(frame) <= keptReadBuf {
 			buf = frame
@@ -418,14 +407,14 @@ func (e *Endpoint) sendLocked(addr string, stream []byte, frames int) error {
 		// connection. A second death means the peer is gone and the frames
 		// are lost like any other frames on a broken connection.
 		if err = e.send(addr, stream, frames); err == nil {
-			e.requeued.Add(uint64(frames))
+			e.cfg.Stats.Requeued.Add(uint64(frames))
 		}
 	}
 	switch err {
 	case errFull:
-		e.droppedFull.Add(uint64(frames))
+		e.cfg.Stats.DroppedFull.Add(uint64(frames))
 	case errDead, errStale:
-		e.droppedDead.Add(uint64(frames))
+		e.cfg.Stats.DroppedDead.Add(uint64(frames))
 	default:
 		return err
 	}
@@ -455,9 +444,9 @@ func (e *Endpoint) send(addr string, stream []byte, frames int) error {
 	wrote, err := pc.c.Write(stream)
 	switch {
 	case err == nil:
-		e.framesSent.Add(uint64(frames))
-		e.batchesSent.Add(1)
-		e.bytesSent.Add(uint64(len(stream) - 4*frames))
+		e.cfg.Stats.FramesSent.Add(uint64(frames))
+		e.cfg.Stats.BatchesSent.Add(1)
+		e.cfg.Stats.BytesSent.Add(uint64(len(stream) - 4*frames))
 		return nil
 	case e.closed.Load(): // Close failed the write: a discard, not loss
 		return nil
@@ -483,7 +472,7 @@ func (e *Endpoint) conn(addr string) (*peerConn, error) {
 
 	// Dial and say hello outside mu: a slow peer must not stall accepts and
 	// readers. The hello goes first on the stream, before any frame.
-	c, err := net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}

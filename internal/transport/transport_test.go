@@ -258,7 +258,7 @@ func TestSimultaneousDial(t *testing.T) {
 		}
 		mu.Unlock()
 		for i, e := range eps {
-			if s := e.Stats(); s.DroppedFull+s.DroppedDead+s.Requeued+s.Malformed != 0 || s.FramesSent != n {
+			if s := e.Stats(); s.DroppedFull.Load()+s.DroppedDead.Load()+s.Requeued.Load()+s.Malformed.Load() != 0 || s.FramesSent.Load() != n {
 				t.Fatalf("round %d: endpoint %d: %+v, want %d frames sent and nothing lost", round, i, s, n)
 			}
 		}
@@ -269,7 +269,7 @@ func TestSimultaneousDial(t *testing.T) {
 // peer is down are lost (a real network's behavior), and sends succeed
 // again once a new listener owns the address-equivalent endpoint.
 func TestSendAfterPeerRestart(t *testing.T) {
-	a, _ := Listen("127.0.0.1:0", Config{DialTimeout: 200 * time.Millisecond})
+	a, _ := Listen("127.0.0.1:0", Config{})
 	defer a.Close()
 	b, _ := Listen("127.0.0.1:0", Config{})
 	var frames atomic.Int64
@@ -372,16 +372,17 @@ func TestFrameCodec(t *testing.T) {
 		io.ReadFull(peer, got)
 		written <- got
 	}()
-	before := a.Stats()
+	s := a.Stats()
+	frames, batches, bytes0 := s.FramesSent.Load(), s.BatchesSent.Load(), s.BytesSent.Load()
 	if err := a.SendFramed("peer", want, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-written; !bytes.Equal(got, want) {
 		t.Fatalf("SendFramed wrote % x, want % x", got, want)
 	}
-	if s := a.Stats(); s.FramesSent-before.FramesSent != 2 || s.BatchesSent-before.BatchesSent != 1 ||
-		s.BytesSent-before.BytesSent != uint64(len(payloads[3])+len(payloads[0])) {
-		t.Fatalf("SendFramed of two frames counted %+v after %+v", s, before)
+	if f, b, n := s.FramesSent.Load()-frames, s.BatchesSent.Load()-batches, s.BytesSent.Load()-bytes0; f != 2 || b != 1 ||
+		n != uint64(len(payloads[3])+len(payloads[0])) {
+		t.Fatalf("SendFramed of two frames counted %d frames, %d writes, %d bytes", f, b, n)
 	}
 
 	// A dialed stream opens with the hello: one frame whose payload is the
@@ -432,7 +433,7 @@ func TestReadFramesMarksRunEnds(t *testing.T) {
 	stream = appendFrame(stream, bytes.Repeat([]byte{'x'}, 8<<10))
 	stream = appendFrame(appendFrame(stream, []byte("tail1")), []byte("tail2"))
 	var got []bool
-	e := &Endpoint{}
+	e := &Endpoint{cfg: Config{}.withDefaults()}
 	e.readFrames(bufio.NewReader(bytes.NewReader(stream)), func(_ []byte, more bool) { got = append(got, more) })
 	if want := []bool{true, true, false, false, true, false}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("run marks %v, want %v", got, want)

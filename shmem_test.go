@@ -64,6 +64,43 @@ func TestStepBudgetTyped(t *testing.T) {
 	}
 }
 
+// TestHistoryFullRefusesOp fills a shard's history to its cap with an
+// operation the checker can never retire: a write abandoned mid-protocol
+// (its one-delivery budget exhausted) stays pending, and a pending
+// operation pins the online checker's frontier. The next operation is
+// refused with ErrHistoryFull before it starts: it is not counted, and the
+// value it would have written is not what a later read returns — that read
+// is refused too, since nothing can free the shard.
+func TestHistoryFullRefusesOp(t *testing.T) {
+	st, err := Open(Config{Algorithms: []string{"abd-mwmr"}, Servers: 3, F: 1, Writers: 2, StepBudget: 1, HistoryCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx := context.Background()
+	if err := st.Put(ctx, 0, MakeValue(64, 1)); !errors.Is(err, ErrStepBudget) {
+		t.Fatalf("first write = %v, want ErrStepBudget", err)
+	}
+	refused := MakeValue(64, 2)
+	if err := st.Put(ctx, 0, refused); !errors.Is(err, ErrHistoryFull) {
+		t.Fatalf("write at the cap = %v, want ErrHistoryFull", err)
+	}
+	if m := st.Metrics(); m.TotalWrites != 1 || m.TotalReads != 0 || m.PendingOps != 1 {
+		t.Fatalf("after the refused write: TotalWrites %d, TotalReads %d, PendingOps %d; want 1, 0, 1: a refused op is not counted",
+			m.TotalWrites, m.TotalReads, m.PendingOps)
+	}
+	got, err := st.Get(ctx, 0)
+	if bytes.Equal(got, refused) {
+		t.Fatal("a read returned the value of the write the cap refused")
+	}
+	if !errors.Is(err, ErrHistoryFull) {
+		t.Fatalf("read at the cap = %q, %v; want ErrHistoryFull", got, err)
+	}
+	if m := st.Metrics(); m.TotalWrites != 1 || m.TotalReads != 0 {
+		t.Fatalf("after the refused read: TotalWrites %d, TotalReads %d; want 1, 0", m.TotalWrites, m.TotalReads)
+	}
+}
+
 // TestOptionsSetTheirField: every functional option is the same as setting
 // its Config field — the two spellings open stores that resolve to identical
 // configurations.

@@ -74,11 +74,12 @@ smoke-runs:
 # reported as never started, and a send to a crashed server stopped at the
 # runtime's gate before any link frames, holds or dials it), then the wake
 # and shutdown tests again, 50 times over, since a lost wakeup shows only on
-# a rare schedule, then a small `shmem grid` scenario matrix driving the
-# whole grid over real goroutines and real sockets.
+# a rare schedule (the crash's wake of a discarded invocation's waiter among
+# them), then a small `shmem grid` scenario matrix driving the whole grid
+# over real goroutines and real sockets.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Partition|Recovery|CrashRecover|CrashReaps|QuorumKill|GatesRunInOrder|ClientCrashOnSharedEndpoint|CrashDuringInlineDelivery|PooledSharesSurviveFaults|NoSendAheadOfItsImage|AckedWriteSurvivesImmediateCrash|BlockedSendReleasedByStop|PostAfterStopIsRefused|StopClosesEachLoopOnce|MailboxWakeNeverLost|CrashWakesIdleLoop|BlockedSendEndsWithItsSendersCrash|CrashDiscardedOpNeverStarted|SendToDownNodeStopsAtGate' ./internal/runtime
-	$(GO) test -race -count=50 -run 'BlockedSendReleasedByStop|PostAfterStopIsRefused|MailboxWakeNeverLost|CrashWakesIdleLoop|BlockedSendEndsWithItsSendersCrash|InlineDeliveryKeepsLinkFIFO' ./internal/runtime
+	$(GO) test -race -count=50 -run 'BlockedSendReleasedByStop|PostAfterStopIsRefused|MailboxWakeNeverLost|CrashWakesIdleLoop|BlockedSendEndsWithItsSendersCrash|CrashDiscardedOpNeverStarted|InlineDeliveryKeepsLinkFIFO' ./internal/runtime
 	$(GO) run -race ./cmd/shmem grid -backend live,net -n 3 -f 1 -keys 8 -ops 16 -valuebytes 64 -optimeout 2s > /dev/null
 	@echo chaos-smoke ok
 

@@ -76,7 +76,7 @@ func TestSubcommands(t *testing.T) {
 			args: []string{"run", "-shards", "4", "-algo", "casgc,abd-mwmr", "-faults", "none,crash-f@10,partition@40:4000,delay=1:16",
 				"-nu", "2", "-valuebytes", "1024", "-keys", "64", "-skew", "zipf", "-reads", "0.3", "-ops", "400"},
 			want:        []string{"0/4 shards quiescent", "1 crashes"},
-			fingerprint: "cb62b66328d83657b1314513e1ebf24b0d2cf1a851db17ef6f8c23afa509ae42",
+			fingerprint: "e0c90b0c4ad7cf3e642b3d0f673bc8c4e4e454a002c91626892fcd4019660944",
 		},
 		{
 			// The single-writer deploy paths (abd, twoversion,

@@ -12,11 +12,20 @@
 //
 //	write (SWMR):  put(tag,v) to all, await N-f acks.           [1 phase]
 //	write (MWMR):  query tags, await N-f; put(max+1,v), await N-f. [2 phases]
-//	read:          query (tag,value), await N-f; write back the maximum
-//	               (tag,value) to all, await N-f acks; return it.
+//	read:          query (tag,value), await N-f. If all N-f acks carry one
+//	               tag, return its value.                       [1 phase]
+//	               Otherwise write back the maximum (tag,value) to all,
+//	               await N-f acks, and return it.               [2 phases]
 //
 // Quorums of size N-f with N >= 2f+1 pairwise intersect, which yields
-// atomicity; liveness holds with up to f crashes.
+// atomicity; liveness holds with up to f crashes. A read's write-back exists
+// to leave a quorum holding the tag it returns, so that every later
+// operation's query quorum meets a server with that tag or a higher one.
+// When the N-f servers of its query quorum all reported the maximum tag, that
+// quorum already holds it: a server's tag only grows (a put lowers nothing,
+// and a recovered server restarts from an image taken before its reply left
+// it), so the write-back would change no server's state and is skipped.
+// Writes, servers and the Section 6.1 write profile are the same either way.
 package abd
 
 import (
@@ -115,6 +124,7 @@ type Client struct {
 	rid      int64
 	writeVal []byte
 	acks     int
+	agree    int // query acks carrying bestTag; a higher tag resets it
 	bestTag  register.Tag
 	bestVal  []byte
 	localSeq int64 // SWMR writer's own sequence counter
@@ -226,7 +236,7 @@ func (c *Client) Invoke(inv ioa.Invocation) ioa.Effects {
 func (c *Client) startQuery() ioa.Effects {
 	c.phase = phaseQuery
 	c.rid++
-	c.acks = 0
+	c.acks, c.agree = 0, 0
 	return c.out.All(c.servers, ioa.Msg{Kind: kindQuery, RID: c.rid})
 }
 
@@ -253,9 +263,13 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 			return ioa.Effects{}
 		}
 		c.acks++
-		if c.bestTag.Less(msg.Tag) {
+		switch {
+		case c.bestTag.Less(msg.Tag):
 			c.bestTag = msg.Tag
 			c.bestVal = msg.Body.(register.Value)
+			c.agree = 1
+		case c.bestTag.Equal(msg.Tag):
+			c.agree++
 		}
 		if c.acks < c.quorum {
 			return ioa.Effects{}
@@ -263,6 +277,11 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		if c.role == RoleWriter {
 			// MWMR write: advance to the put phase with a fresh tag.
 			return c.startPut(c.bestTag.Next(c.id), c.writeVal)
+		}
+		if c.agree == c.acks {
+			// Read whose whole query quorum holds the maximum tag: the
+			// write-back would change nothing, so respond now.
+			return c.finish()
 		}
 		// Read: write back the maximum (tag, value) observed.
 		return c.startPut(c.bestTag, c.bestVal)
@@ -274,15 +293,20 @@ func (c *Client) Deliver(from ioa.NodeID, msg ioa.Message) ioa.Effects {
 		if c.acks < c.quorum {
 			return ioa.Effects{}
 		}
-		c.busy = false
-		c.phase = phaseIdle
-		if c.role == RoleWriter {
-			return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpWrite}}
-		}
-		return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: c.bestVal}}
+		return c.finish()
 	default:
 		return ioa.Effects{}
 	}
+}
+
+// finish ends the operation: a write responds, a read returns bestVal.
+func (c *Client) finish() ioa.Effects {
+	c.busy = false
+	c.phase = phaseIdle
+	if c.role == RoleWriter {
+		return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpWrite}}
+	}
+	return ioa.Effects{Response: &ioa.Response{Kind: ioa.OpRead, Value: c.bestVal}}
 }
 
 // Clone implements ioa.Node.

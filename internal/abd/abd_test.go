@@ -314,6 +314,184 @@ func TestStaleAcksIgnored(t *testing.T) {
 	if eff.Response != nil {
 		t.Error("wrong-phase ack must be ignored")
 	}
+
+	// A quorum of agreeing acks ends the read in one round trip. The
+	// quorum's late members, and replies carrying the next op's id, find
+	// the client idle and change nothing.
+	tag := register.Tag{Seq: 1, Writer: 101}
+	ack := func(rid int64) *ioa.Msg {
+		return &ioa.Msg{Kind: kindQueryAck, RID: rid, Tag: tag, Body: register.Value("v1")}
+	}
+	rid := cl.rid
+	for i, s := range cfg.Servers[:cfg.Quorum()] {
+		eff = cl.Deliver(s, ack(rid))
+		if last := i == cfg.Quorum()-1; (eff.Response != nil) != last {
+			t.Fatalf("query ack %d: response %v, want one at the quorum's last ack only", i+1, eff.Response)
+		}
+	}
+	for _, m := range []*ioa.Msg{
+		ack(rid), // the 4th and 5th query acks of the finished read
+		ack(rid),
+		ack(rid + 1), // replies no request of the next op has asked for yet
+		{Kind: kindPutAck, RID: rid + 1},
+		{Kind: kindQueryAck, RID: rid + 1, Tag: tag.Next(102), Body: register.Value("v2")},
+	} {
+		if eff := cl.Deliver(5, m); eff.Response != nil || len(eff.Sends) != 0 {
+			t.Errorf("reply kind 0x%02x rid %d after a one-round read: %+v, want no effect", m.Kind, m.RID, eff)
+		}
+	}
+	if cl.Busy() || cl.rid != rid || !cl.bestTag.Equal(tag) || string(cl.bestVal) != "v1" {
+		t.Errorf("late replies changed the idle client: busy=%v rid=%d (want %d) best=%s/%q",
+			cl.Busy(), cl.rid, rid, cl.bestTag, cl.bestVal)
+	}
+	// The next read starts clean: the old read's late ack is stale for it.
+	if eff := cl.Invoke(ioa.Invocation{Kind: ioa.OpRead}); len(eff.Sends) != len(cfg.Servers) {
+		t.Fatalf("next read sends %d queries, want %d", len(eff.Sends), len(cfg.Servers))
+	}
+	if eff := cl.Deliver(4, ack(rid)); eff.Response != nil || len(eff.Sends) != 0 || cl.acks != 0 || cl.agree != 0 {
+		t.Errorf("the previous read's ack counted toward the next read: acks=%d agree=%d", cl.acks, cl.agree)
+	}
+}
+
+// TestOneRoundReadBoundary pins where a read's one-round path starts and
+// stops (N=5, f=2, quorum 3): a quorum of acks all carrying one tag ends
+// the read at the quorum's last ack, five sends for the whole read, whether
+// that tag is the initial one or a written one; a single disagreeing ack,
+// whether the maximum tag came first or last, makes the read write the
+// maximum back to every server.
+func TestOneRoundReadBoundary(t *testing.T) {
+	cfg := Config{Servers: cluster5(), F: 2}
+	old := register.Tag{Seq: 1, Writer: 101}
+	newer := register.Tag{Seq: 2, Writer: 101}
+	for _, c := range []struct {
+		name      string
+		tags      []register.Tag // the quorum's acks, in arrival order
+		writeBack bool
+	}{
+		{"agree", []register.Tag{newer, newer, newer}, false},
+		{"agree on the initial tag", []register.Tag{{}, {}, {}}, false},
+		{"maximum first", []register.Tag{newer, old, old}, true},
+		{"maximum last", []register.Tag{old, old, newer}, true},
+		{"maximum in the middle", []register.Tag{newer, old, newer}, true},
+		{"initial beside written", []register.Tag{{}, newer, newer}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, err := NewClient(201, RoleReader, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sends := len(cl.Invoke(ioa.Invocation{Kind: ioa.OpRead}).Sends)
+			val := func(tag register.Tag) register.Value {
+				if tag.IsZero() {
+					return nil
+				}
+				return register.MakeValue(8, uint64(tag.Seq))
+			}
+			var eff ioa.Effects
+			for i, tag := range c.tags {
+				eff = cl.Deliver(cfg.Servers[i], &ioa.Msg{Kind: kindQueryAck, RID: cl.rid, Tag: tag, Body: val(tag)})
+				sends += len(eff.Sends)
+				if i < len(c.tags)-1 && (eff.Response != nil || len(eff.Sends) != 0) {
+					t.Fatalf("ack %d of %d acted before the quorum: %+v", i+1, len(c.tags), eff)
+				}
+			}
+			want := c.tags[0]
+			for _, tag := range c.tags {
+				if want.Less(tag) {
+					want = tag
+				}
+			}
+			if !c.writeBack {
+				if eff.Response == nil || !bytes.Equal(eff.Response.Value, val(want)) {
+					t.Fatalf("an agreeing quorum's last ack: response %+v, want the value of %s", eff.Response, want)
+				}
+				if sends != len(cfg.Servers) {
+					t.Errorf("one-round read sent %d messages, want %d (its queries alone)", sends, len(cfg.Servers))
+				}
+				return
+			}
+			if eff.Response != nil || cl.phase != phasePut || len(eff.Sends) != len(cfg.Servers) {
+				t.Fatalf("disagreeing quorum: response %v, phase %d, %d sends; want a write-back to all %d servers",
+					eff.Response, cl.phase, len(eff.Sends), len(cfg.Servers))
+			}
+			for _, snd := range eff.Sends {
+				if m := snd.Msg; m.Kind != kindPut || !m.Tag.Equal(want) || !bytes.Equal(m.Body.(register.WriteValue), val(want)) {
+					t.Fatalf("write-back %+v, want a put of %s", m, want)
+				}
+			}
+		})
+	}
+}
+
+// TestNewOldInversionSchedule drives the read that must write back (N=5,
+// f=1, quorum 4) through one fixed simulator schedule: a write's put reaches
+// server 1 only, reader R1's query quorum {1,2,3,4} sees the new tag beside
+// old ones, and reader R2's quorum {2,3,4,5} leaves server 1 out. R1 must
+// leave a quorum holding the new tag before it returns it, or R2, which
+// starts after R1 returns, reads the old value: the new/old inversion
+// CheckAtomic rejects. A reader that skipped its write-back whenever it
+// could not prove it redundant would fail here.
+func TestNewOldInversionSchedule(t *testing.T) {
+	c := deploy(t, Options{Servers: 5, F: 1, Writers: 1, Readers: 2})
+	w, r1, r2 := c.writers[0], c.readers[0], c.readers[1]
+	v := []byte("new")
+	if _, err := c.sys.Invoke(w, ioa.Invocation{Kind: ioa.OpWrite, Value: v}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.sys.Deliver(w, c.servers[0]); err != nil { // the put reaches server 1 alone
+		t.Fatal(err)
+	}
+	read := func(r ioa.NodeID, quorum []ioa.NodeID) ioa.Op {
+		t.Helper()
+		id, err := c.sys.Invoke(r, ioa.Invocation{Kind: ioa.OpRead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exchange(t, c.sys, r, quorum)
+		op := c.sys.History().Ops[id]
+		if op.Pending() {
+			t.Fatalf("read at %d did not finish against servers %v", r, quorum)
+		}
+		return op
+	}
+	read1 := read(r1, c.servers[:4])
+	// One step between the reads: the kernel stamps a response and the
+	// next step's invocation with one step number, so back-to-back reads
+	// would overlap in the history. Server 1's put ack reaching the writer
+	// is that step; the write stays pending.
+	if err := c.sys.Deliver(c.servers[0], w); err != nil {
+		t.Fatal(err)
+	}
+	read2 := read(r2, c.servers[1:])
+	if !read1.PrecedesOp(read2) {
+		t.Fatalf("R1 %v does not precede R2 %v", read1, read2)
+	}
+	if !bytes.Equal(read1.Output, v) || !bytes.Equal(read2.Output, v) {
+		t.Errorf("R1 read %q, R2 read %q; want both %q", read1.Output, read2.Output, v)
+	}
+	if err := consistency.CheckAtomic(c.sys.History(), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exchange delivers every message between client and the given servers,
+// both ways, until none is left: the client's phases run against those
+// servers alone, and whatever it sends anyone else stays in the channel.
+func exchange(t *testing.T, sys *ioa.System, client ioa.NodeID, servers []ioa.NodeID) {
+	t.Helper()
+	all := func(ioa.Message) bool { return true }
+	for moved := true; moved; {
+		moved = false
+		for _, s := range servers {
+			for _, k := range []ioa.ChanKey{{From: client, To: s}, {From: s, To: client}} {
+				ok, err := sys.DeliverSelect(k.From, k.To, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved = moved || ok
+			}
+		}
+	}
 }
 
 // TestStepAllocs bounds what a steady-state step allocates: every node

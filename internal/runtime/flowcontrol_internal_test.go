@@ -472,7 +472,8 @@ func TestCrashWakesIdleLoop(t *testing.T) {
 // cannot complete (every send delayed seconds) and crashes the client: the
 // crash abandons the queued invocation, so its wait must report it as never
 // started — the session keeps it out of the history and the client in use —
-// while the stuck one it held mid-protocol stays genuinely pending.
+// and return at once rather than sleep out its timeout, while the stuck one
+// it held mid-protocol stays genuinely pending.
 func TestCrashDiscardedOpNeverStarted(t *testing.T) {
 	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
 		cl := abdCluster(t)
@@ -495,8 +496,12 @@ func TestCrashDiscardedOpNeverStarted(t *testing.T) {
 		queued := rt.invokeAsync(w, ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("queued")})
 		eventually(t, "the first write started", func() bool { return stuck.state.Load() == invStarted })
 		rt.crashNode(w)
-		if _, started, ok := queued.wait(context.Background(), 20*time.Millisecond); started || ok {
+		t0 := time.Now()
+		if _, started, ok := queued.wait(context.Background(), 5*time.Second); started || ok {
 			t.Fatalf("queued op discarded by the crash: started=%v ok=%v, want neither", started, ok)
+		}
+		if d := time.Since(t0); d > 100*time.Millisecond {
+			t.Fatalf("wait on an op the crash discarded returned after %v, want at once", d)
 		}
 		if _, started, ok := stuck.wait(context.Background(), 20*time.Millisecond); !started || ok {
 			t.Fatalf("op the crash left mid-protocol: started=%v ok=%v, want started and not ok", started, ok)

@@ -232,7 +232,7 @@ const (
 // operation while the automaton runs it.
 type invokeEvent struct {
 	inv   ioa.Invocation
-	done  chan []byte     // buffered 1; receives the response value when recorded
+	done  chan []byte     // buffered 1; receives the response value when recorded, closed when the op is abandoned
 	state atomic.Int32    // invQueued -> invStarted (node) | invAbandoned (driver, crash); or invRefused
 	span  *telemetry.Span // sampled lifecycle trace; nil for unsampled ops
 	tk    *ioa.Ticket     // the feed ticket, from the start to the response; nil in interactive sessions; owner's
@@ -585,13 +585,13 @@ func (rt *runtime) crashNode(id ioa.NodeID) {
 // Only called while the node is down with no loop goroutine running and
 // inline deliveries excluded, so the loop-owned fields are safe to touch.
 // The mailbox and the loop's queue go through one path: every queued
-// invocation is abandoned (its driver sees "never started"), and every frame
-// a tcp reader posted stops holding back inline delivery.
+// invocation is abandoned (its driver wakes and sees "never started"), and
+// every frame a tcp reader posted stops holding back inline delivery.
 func (rt *runtime) discardVolatile(ns *nodeState) {
 	ns.takeMail()
 	for _, ev := range ns.q[ns.head:] {
 		if ev.inv != nil {
-			ev.inv.state.CompareAndSwap(invQueued, invAbandoned)
+			ev.inv.abandon()
 		}
 		if ev.counted {
 			ns.queued.Add(-1)
@@ -600,7 +600,7 @@ func (rt *runtime) discardVolatile(ns *nodeState) {
 	clear(ns.q)
 	ns.q, ns.head = ns.q[:0], 0
 	for _, ie := range ns.invq {
-		ie.state.CompareAndSwap(invQueued, invAbandoned)
+		ie.abandon()
 	}
 	ns.invq = nil
 	if ie := ns.pending; ie != nil && ie.tk != nil {
@@ -815,15 +815,23 @@ func (rt *runtime) invokeAsync(client ioa.NodeID, inv ioa.Invocation) *invokeEve
 
 // abandon gives the invocation up unless it has started, and reports
 // whether it never started: refused, abandoned by a crash, or abandoned now.
+// Giving it up closes done, which wakes a waiter at once (a crash abandons
+// ops their drivers still wait on): an op that never started never responds,
+// so nothing else ever sends on done.
 func (ie *invokeEvent) abandon() bool {
-	return ie.state.CompareAndSwap(invQueued, invAbandoned) || ie.state.Load() != invStarted
+	if ie.state.CompareAndSwap(invQueued, invAbandoned) {
+		close(ie.done)
+		return true
+	}
+	return ie.state.Load() != invStarted
 }
 
-// wait blocks for the response, the timeout, or ctx cancellation. It returns
-// the response value, whether the operation actually started (a started but
-// incomplete op is genuinely pending: it may still take effect and must stay
-// pending in any checked history; an unstarted one never happened), and
-// whether it completed. A refused invocation returns at once.
+// wait blocks for the response, a crash's discard, the timeout, or ctx
+// cancellation. It returns the response value, whether the operation actually
+// started (a started but incomplete op is genuinely pending: it may still
+// take effect and must stay pending in any checked history; an unstarted one
+// never happened), and whether it completed. A refused invocation returns at
+// once, and so does a discarded one.
 func (ie *invokeEvent) wait(ctx context.Context, timeout time.Duration) (out []byte, started, ok bool) {
 	if ie.state.Load() == invRefused {
 		return nil, false, false
@@ -831,7 +839,10 @@ func (ie *invokeEvent) wait(ctx context.Context, timeout time.Duration) (out []b
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case out := <-ie.done:
+	case out, open := <-ie.done:
+		if !open {
+			break // a crash abandoned it while queued
+		}
 		ie.span.Mark(telemetry.StageComplete)
 		ie.span.End()
 		return out, true, true

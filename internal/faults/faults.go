@@ -89,9 +89,10 @@ func (o Outage) covers(from, to ioa.NodeID) bool {
 type Crash struct {
 	Node ioa.NodeID
 	Step int
-	// RecoverStep, when positive, revives the node at that step with its
-	// state intact (crash-recovery). Zero means the node stays down, the
-	// paper's permanent-crash model.
+	// RecoverStep, when positive, revives the node at that step
+	// (crash-recovery); what reached it while it was down is lost on every
+	// backend. Zero means the node stays down, the paper's permanent-crash
+	// model.
 	RecoverStep int
 }
 

@@ -223,10 +223,17 @@ func TestFaultOutageHeals(t *testing.T) {
 	}
 }
 
-// TestFaultScheduledCrashRecover crashes the only server before the send and
-// recovers it at step 50: the held message must be delivered on recovery.
+// TestFaultScheduledCrashRecover crashes the only server at step 0 and
+// recovers it at step 50. A message to a down node is lost, as on the
+// wall-clock backends: the op invoked while the server is down goes
+// quiescent with its ping counted as a drop, and an op invoked after the
+// recovery completes.
 func TestFaultScheduledCrashRecover(t *testing.T) {
 	sys, client := faultTestSystem(t, 1, 1)
+	fresh := NodeID(101)
+	if err := sys.AddClient(&quorumClient{id: fresh, servers: []NodeID{1}, quorum: 1}); err != nil {
+		t.Fatal(err)
+	}
 	sys.SetFaultPlan(&stubPlan{events: []NodeFaultEvent{
 		{Step: 0, Node: 1},
 		{Step: 50, Node: 1, Recover: true},
@@ -234,15 +241,46 @@ func TestFaultScheduledCrashRecover(t *testing.T) {
 	if !sys.Crashed(1) {
 		t.Fatal("step-0 crash event not applied at SetFaultPlan")
 	}
-	if _, err := sys.RunOp(client, Invocation{Kind: OpWrite}, 100); err != nil {
-		t.Fatalf("op across crash/recovery: %v", err)
+	if _, err := sys.RunOp(client, Invocation{Kind: OpWrite}, 100); !errors.Is(err, ErrQuiescent) {
+		t.Fatalf("op with the only server down: got %v, want ErrQuiescent", err)
 	}
 	st := sys.FaultStats()
-	if st.Crashes != 1 || st.Recoveries != 1 {
-		t.Errorf("stats = %+v, want 1 crash and 1 recovery", st)
+	if st.Crashes != 1 || st.Recoveries != 1 || st.Drops != 1 {
+		t.Errorf("stats = %+v, want 1 crash, 1 recovery and the ping's drop", st)
 	}
-	if sys.Crashed(1) {
-		t.Error("server still crashed after scheduled recovery")
+	if sys.Crashed(1) || sys.QueueLen(client, 1) != 0 {
+		t.Errorf("server crashed %t with %d messages queued to it, want it up and none", sys.Crashed(1), sys.QueueLen(client, 1))
+	}
+	if _, err := sys.RunOp(fresh, Invocation{Kind: OpWrite}, 100); err != nil {
+		t.Fatalf("op after recovery: %v", err)
+	}
+}
+
+// TestFaultDelayedPastRecoveryDelivered crashes the only server at step 0
+// and recovers it at step 50 under a 100-step delay on the client's link: a
+// message is lost only if its target is down when it arrives, so the ping
+// sent while the server is down arrives after the recovery and the op
+// completes. A 10-step delay lands inside the crash, and the ping is lost.
+func TestFaultDelayedPastRecoveryDelivered(t *testing.T) {
+	for _, c := range []struct{ delay, drops int }{{100, 0}, {10, 1}} {
+		sys, client := faultTestSystem(t, 1, 1)
+		sys.SetFaultPlan(&stubPlan{
+			delay: map[ChanKey]int{{From: client, To: 1}: c.delay},
+			events: []NodeFaultEvent{
+				{Step: 0, Node: 1},
+				{Step: 50, Node: 1, Recover: true},
+			},
+		})
+		_, err := sys.RunOp(client, Invocation{Kind: OpWrite}, 100)
+		if lost := c.drops > 0; (lost && !errors.Is(err, ErrQuiescent)) || (!lost && err != nil) {
+			t.Fatalf("delay %d: op returned %v, want lost=%t", c.delay, err, lost)
+		}
+		if got := sys.FaultStats().Drops; got != c.drops {
+			t.Errorf("delay %d: %d drops, want %d", c.delay, got, c.drops)
+		}
+		if err := sys.CheckReadySetInvariants(); err != nil {
+			t.Errorf("delay %d: %v", c.delay, err)
+		}
 	}
 }
 

@@ -298,7 +298,8 @@ type NodeFaultEvent struct {
 
 // FaultStats aggregates an execution's fault events.
 type FaultStats struct {
-	// Drops counts messages discarded at send time.
+	// Drops counts lost messages: discarded by the plan at send time, or,
+	// on the simulator, arriving at a crashed node (System.Crash).
 	Drops int
 	// DelayedMessages counts messages assigned a nonzero delivery delay, and
 	// DelayStepsTotal sums those delays.
@@ -313,8 +314,7 @@ type FaultStats struct {
 	// keeps state intact in-process.
 	Checkpoints int
 	// FastForwards counts the times a scheduler advanced logical time
-	// because every queued message was delayed, blocked or addressed to a
-	// crashed node.
+	// because every queued message was delayed or blocked.
 	FastForwards int
 	// TransportDropped counts messages lost below the fault plan: mailboxes
 	// that stayed full past the send deadline, frames whose socket write
@@ -353,8 +353,8 @@ type ValueBearer interface {
 // and counts its holders (erasure shards). The message is one holder:
 // whoever keeps a copy of it beside the one it was handed calls Retain, and
 // a holder that is done with the payload without handing the message on
-// calls Release. A message nobody releases — dropped by a fault, addressed
-// to a crashed node, kept in a snapshot — leaves its payload to the garbage
+// calls Release. A message nobody releases — dropped by a fault, lost at a
+// crashed node, kept in a snapshot — leaves its payload to the garbage
 // collector, which is always safe.
 type Pooled interface {
 	Retain()

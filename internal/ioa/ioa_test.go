@@ -174,6 +174,28 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestBackToBackOpsPrecede runs two operations one after the other, each
+// on its own client: the history must order them in real time, so the
+// second's invocation is stamped after the first's response.
+func TestBackToBackOpsPrecede(t *testing.T) {
+	sys, servers, first := buildToySystem(t, 3, 2)
+	second := NodeID(101)
+	if err := sys.AddClient(&quorumClient{id: second, servers: servers, quorum: 2}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := sys.RunOp(first, Invocation{Kind: OpWrite}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.RunOp(second, Invocation{Kind: OpWrite}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.PrecedesOp(b) || b.PrecedesOp(a) {
+		t.Errorf("back-to-back ops %v and %v are not ordered first before second", a, b)
+	}
+}
+
 func TestCrashBlocksDeliveryButKeepsInFlight(t *testing.T) {
 	sys, servers, client := buildToySystem(t, 3, 3)
 	if _, err := sys.Invoke(client, Invocation{Kind: OpWrite}); err != nil {

@@ -47,9 +47,9 @@ func (s *System) FairRun(maxSteps int, stop StopFunc) error {
 		sweep := s.deliverables()
 		if len(sweep) == 0 {
 			// Under a fault plan the system may be only temporarily idle:
-			// every queued message delayed, link-blocked or addressed to a
-			// crashed node with a recovery ahead. Advance logical time to
-			// the next scheduled fault boundary before giving up.
+			// every queued message delayed or link-blocked, or a crashed
+			// node with a recovery ahead. Advance logical time to the next
+			// scheduled fault boundary before giving up.
 			if s.FaultForward() {
 				continue
 			}

@@ -36,8 +36,11 @@ type queued struct {
 //     pops.
 //   - deliverable mirrors CanDeliver for this channel at the current step; it
 //     is recomputed (refresh) after every event that can change any of its
-//     inputs: send, delivery, crash/recover, silence, freeze, fault-plan
+//     inputs: send, delivery, crash, silence, freeze, fault-plan
 //     installation and link outage boundaries (via link wakes).
+//   - a channel into a crashed node holds no ready message: a message that
+//     arrives (its delay ends) while its target is down is lost, and Crash
+//     discards what had arrived before it.
 //   - idx is the channel's position in System.chans, and bit idx of
 //     System.readySet is set exactly when deliverable is.
 //   - from and to are the endpoints' slots, key holds their ids, and the
@@ -274,8 +277,7 @@ func (s *System) reindexReady() {
 // the plan's next outage boundary so the flag is recomputed exactly when the
 // link's blocked status may change.
 func (s *System) refresh(ch *channel) {
-	d := ch.ready > 0 && !ch.frozen &&
-		!s.crashed[ch.to] && !s.silenced[ch.to] && !s.silenced[ch.from]
+	d := ch.ready > 0 && !ch.frozen && !s.silenced[ch.to] && !s.silenced[ch.from]
 	if s.faults != nil && len(ch.q) > 0 {
 		if d && s.faults.LinkBlocked(ch.key.From, ch.key.To, s.steps) {
 			d = false
@@ -302,16 +304,6 @@ func (s *System) refresh(ch *channel) {
 	}
 }
 
-// refreshTo refreshes every channel into the node in the given slot (crash
-// and recovery change only those).
-func (s *System) refreshTo(slot int) {
-	for from := range s.nodes {
-		if ch := s.links[from*s.stride+slot]; ch != nil {
-			s.refresh(ch)
-		}
-	}
-}
-
 // refreshNode refreshes every channel touching the node in the given slot
 // (silence changes affect both directions).
 func (s *System) refreshNode(slot int) {
@@ -320,7 +312,11 @@ func (s *System) refreshNode(slot int) {
 			s.refresh(ch)
 		}
 	}
-	s.refreshTo(slot)
+	for from := range s.nodes {
+		if ch := s.links[from*s.stride+slot]; ch != nil {
+			s.refresh(ch)
+		}
+	}
 }
 
 // pushWake inserts a wake into the min-heap.
@@ -363,15 +359,23 @@ func (s *System) popWake() wake {
 	return top
 }
 
-// advance pops every wake whose step has been reached: delayed messages
-// become ready and link boundaries trigger a refresh. It is called after
-// every step-counter change so channel flags are always current.
+// advance pops every wake whose step has been reached: a delayed message
+// arrives, and is lost if its target is down; a link boundary triggers a
+// refresh. It is called after every step-counter change so channel flags are
+// always current.
 func (s *System) advance() {
 	for len(s.wakes) > 0 && s.wakes[0].t <= s.steps {
 		w := s.popWake()
-		if w.link {
+		switch {
+		case w.link:
 			w.ch.linkWake = 0
-		} else {
+		case s.crashed[w.ch.to]:
+			// The channel holds no other ready message (see channel), so
+			// the first one whose delay has ended is this wake's.
+			w.ch.ready++
+			w.ch.removeAt(w.ch.firstReady(s.steps))
+			s.faultStats.Drops++
+		default:
 			w.ch.ready++
 		}
 		s.refresh(w.ch)
@@ -462,8 +466,10 @@ func (s *System) CheckReadySetInvariants() error {
 		if ready != ch.ready {
 			return fmt.Errorf("ioa: channel %v ready count %d, recomputed %d (step %d)", ch.key, ch.ready, ready, s.steps)
 		}
-		want := ready > 0 && !ch.frozen &&
-			!s.Crashed(ch.key.To) && !s.Silenced(ch.key.To) && !s.Silenced(ch.key.From) &&
+		if ready > 0 && s.Crashed(ch.key.To) {
+			return fmt.Errorf("ioa: channel %v into crashed node %d holds %d ready messages (step %d)", ch.key, ch.key.To, ready, s.steps)
+		}
+		want := ready > 0 && !ch.frozen && !s.Silenced(ch.key.To) && !s.Silenced(ch.key.From) &&
 			!s.linkBlocked(ch.key)
 		if want != ch.deliverable {
 			return fmt.Errorf("ioa: channel %v deliverable flag %t, recomputed %t (step %d, q=%d ready=%d frozen=%t)",
@@ -482,12 +488,26 @@ func (s *System) CheckReadySetInvariants() error {
 	return nil
 }
 
-// Crash fails a node: it takes no further steps. In-flight messages it sent
+// Crash fails a node: it takes no further steps, and a message that arrives
+// for it while it is down is lost (counted in FaultStats.Drops), as a failed
+// server in the paper never receives one. Crash discards what has arrived;
+// the rest is dropped as it arrives. In-flight messages the node sent
 // earlier remain deliverable, matching the crash model of Section 3.
 func (s *System) Crash(id NodeID) {
-	if i, ok := s.slot(id); ok {
-		s.crashed[i] = true
-		s.refreshTo(i)
+	i, ok := s.slot(id)
+	if !ok {
+		return
+	}
+	s.crashed[i] = true
+	for from := range s.nodes {
+		ch := s.links[from*s.stride+i]
+		if ch == nil || ch.ready == 0 {
+			continue
+		}
+		s.faultStats.Drops += ch.ready
+		ch.q = slices.DeleteFunc(ch.q, func(e queued) bool { return e.readyAt <= s.steps })
+		ch.ready = 0
+		s.refresh(ch)
 	}
 }
 
@@ -498,13 +518,12 @@ func (s *System) Crashed(id NodeID) bool {
 }
 
 // Recover lifts a Crash: the node resumes taking steps with its state intact,
-// modeling a crash-recovery (long unresponsive pause) failure rather than the
-// paper's permanent crash. Messages addressed to the node while it was down
-// were held in the channels and become deliverable again.
+// modeling crash-recovery rather than the paper's permanent crash. What was
+// sent to it while it was down and arrived then is lost; a message still
+// delayed reaches it when its delay ends.
 func (s *System) Recover(id NodeID) {
 	if i, ok := s.slot(id); ok {
 		s.crashed[i] = false
-		s.refreshTo(i)
 	}
 }
 
@@ -592,8 +611,8 @@ func (ch *channel) removeAt(i int) Message {
 }
 
 // FaultForward advances logical time when faults have made the system
-// temporarily idle: every queued message is delayed, link-blocked or
-// addressed to a crashed node, but a scheduled event (delay expiry, outage
+// temporarily idle: every queued message is delayed or held by a blocked,
+// frozen or silenced link, but a scheduled event (delay expiry, outage
 // boundary, node crash/recovery) lies ahead. It jumps the step counter to the
 // earliest such point, applies due node events, and reports whether it
 // advanced. Schedulers call it before declaring the system quiescent; without
@@ -602,8 +621,8 @@ func (ch *channel) removeAt(i int) Message {
 // The candidate set is the next scheduled node event plus the earliest valid
 // wake: a link wake counts while its channel is non-empty, and a message
 // wake counts only while its channel has no ready message (a channel that
-// already holds a ready-but-undeliverable message — say, addressed to a
-// crashed node — contributes no boundary, exactly as the per-channel
+// already holds a ready-but-undeliverable message — say, on a frozen link —
+// contributes no boundary, exactly as the per-channel
 // minimum-readyAt sweep of the pre-index kernel behaved). The heap is
 // traversed as a tree with subtree pruning (children never precede their
 // parent), so the search touches only the invalid prefix of the heap instead
@@ -812,7 +831,7 @@ func (s *System) DeliverSelect(from, to NodeID, match func(Message) bool) (bool,
 	if ch == nil || len(ch.q) == 0 {
 		return false, nil
 	}
-	if ch.frozen || s.crashed[ch.to] || s.silenced[ch.to] || s.silenced[ch.from] || s.linkBlocked(ch.key) {
+	if ch.frozen || s.silenced[ch.to] || s.silenced[ch.from] || s.linkBlocked(ch.key) {
 		return false, nil
 	}
 	for i := range ch.q {
@@ -847,7 +866,8 @@ func (s *System) Invoke(client NodeID, inv Invocation) (int, error) {
 	if c.Busy() {
 		return 0, fmt.Errorf("ioa: client %d is busy", client)
 	}
-	id, err := s.hist.beginOp(client, inv, s.steps)
+	// Stamped with the step it runs in, as a response is.
+	id, err := s.hist.beginOp(client, inv, s.steps+1)
 	if err != nil {
 		return 0, err
 	}
@@ -859,9 +879,9 @@ func (s *System) Invoke(client NodeID, inv Invocation) (int, error) {
 }
 
 // applyEffects enqueues sends of the node in slot actor (subjecting each to
-// the fault plan's drop and delay decisions), records responses, bumps the
-// step counter, applies due scheduled node faults and refreshes storage
-// accounting for the acting node.
+// the fault plan's drop and delay decisions, and to loss at a down target),
+// records responses, bumps the step counter, applies due scheduled node
+// faults and refreshes storage accounting for the acting node.
 func (s *System) applyEffects(actor int, eff Effects) error {
 	s.steps++
 	s.advance()
@@ -888,6 +908,10 @@ func (s *System) applyEffects(actor int, eff Effects) error {
 				s.faultStats.DelayedMessages++
 				s.faultStats.DelayStepsTotal += delay
 			}
+		}
+		if readyAt <= s.steps && s.crashed[to] {
+			s.faultStats.Drops++
+			continue
 		}
 		ch := s.ensureChan(actor, to)
 		ch.q = append(ch.q, queued{msg: send.Msg, seq: seq, readyAt: readyAt})

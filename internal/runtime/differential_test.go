@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -39,21 +40,30 @@ func lossyDelayGrid(t *testing.T) []string {
 	return append(grid, "lossy=0.02+delay=1:24")
 }
 
+// crashRecover crashes f servers at step 5 and recovers them at step 10.
+const crashRecover = "crash-f@5:10"
+
 // TestCrossBackendDifferential is the backend contract test: the same
 // workload.MultiSpec runs on the simulator and on the node runtime over both
-// links, and each backend's histories must pass the algorithm's consistency
-// condition (store.Run errors otherwise). Every deployable algorithm runs
-// fault-free and under pure delay; abd-mwmr and cas also run every lossy
-// grid point, where each quiescent shard waits out one OpTimeout. The
-// simulator side additionally re-asserts its determinism oracle role — the
-// same seed fingerprints byte-identically at two worker counts — while the
-// live and net sides are checked for safety, the only guarantee they make.
+// links, and each backend's histories must pass the algorithm's own
+// consistency condition (store.Run errors otherwise). Every deployable
+// algorithm runs fault-free, under pure delay and through f crashes that
+// recover, where every backend loses what reaches a down server; abd-mwmr
+// and cas also run every lossy grid point, where each quiescent shard waits
+// out one OpTimeout. The simulator side additionally re-asserts its
+// determinism oracle role — the same seed fingerprints byte-identically at
+// two worker counts — while the live and net sides are checked for safety,
+// the only guarantee they make under loss.
 func TestCrossBackendDifferential(t *testing.T) {
 	lossy := lossyDelayGrid(t)
 	for _, alg := range store.Algorithms() {
-		specs := []string{"none", "delay=1:24"}
+		specs := []string{"none", "delay=1:24", crashRecover}
 		if alg == store.AlgABDMW || alg == store.AlgCAS {
-			specs = lossy
+			specs = append(slices.Clip(lossy), crashRecover)
+		}
+		_, cond, err := store.DeployShard(alg, 5, 1, 2, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, spec := range specs {
 			alg, spec := alg, spec
@@ -81,9 +91,27 @@ func TestCrossBackendDifferential(t *testing.T) {
 						ValueBytes:   64,
 					})
 				}
+				// Each shard is judged by its algorithm's own condition, and
+				// must stay live fault-free, under pure delay and through f
+				// crashes, which leave a quorum up; under loss, quiescent
+				// shards are legitimate verdicts on any backend.
+				judge := func(backend string, res *store.Result) {
+					for _, s := range res.PerShard {
+						if s.Condition != cond {
+							t.Errorf("%s backend: shard %d checked %q, want %q", backend, s.Shard, s.Condition, cond)
+						}
+					}
+					if (spec == "none" || spec == "delay=1:24" || spec == crashRecover) && res.QuiescentShards != 0 {
+						t.Errorf("%s backend lost liveness under %q: %d quiescent shards", backend, spec, res.QuiescentShards)
+					}
+				}
 				simA, err := run(store.BackendSim, 1)
 				if err != nil {
 					t.Fatalf("sim backend: %v", err)
+				}
+				judge(store.BackendSim, simA)
+				if f := simA.Faults; spec == crashRecover && (f.Crashes == 0 || f.Recoveries == 0) {
+					t.Errorf("sim backend under %q recorded %+v, want crashes and recoveries", spec, f)
 				}
 				simB, err := run(store.BackendSim, 4)
 				if err != nil {
@@ -97,12 +125,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s backend: %v", backend, err)
 					}
-					// Under pure delay (no loss) a wall-clock run must not
-					// lose liveness; under loss, quiescent shards are
-					// legitimate verdicts on any backend.
-					if (spec == "none" || spec == "delay=1:24") && res.QuiescentShards != 0 {
-						t.Errorf("%s backend lost liveness under %q: %d quiescent shards", backend, spec, res.QuiescentShards)
-					}
+					judge(backend, res)
 				}
 			})
 		}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -136,6 +137,70 @@ func TestAckedWriteSurvivesImmediateCrash(t *testing.T) {
 		if string(out) != string(val) {
 			t.Fatalf("read %q after every server crashed and recovered, want the acknowledged %q", out, val)
 		}
+	})
+}
+
+// TestPutToDownServerIsLost holds the simulator and both links to one crash
+// model: on abd with N=5 and f=1, server 5 crashes, a write completes on the
+// other four, and server 5 recovers. The write's put to server 5 was lost
+// and counted once, and the recovered server does not hold the write's
+// tag: a message to a down node is never received, on every backend.
+func TestPutToDownServerIsLost(t *testing.T) {
+	write := ioa.Invocation{Kind: ioa.OpWrite, Value: []byte("written while server 5 was down")}
+	deploy := func(t *testing.T) (cl *cluster.Cluster, down ioa.NodeID, pristine string) {
+		t.Helper()
+		cl, err := abd.Deploy(abd.Options{Servers: 5, F: 1, Writers: 1, Readers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		down = cl.Servers[4]
+		n, err := cl.Sys.Node(down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl, down, n.(ioa.Digester).StateDigest()
+	}
+	judge := func(t *testing.T, lost int, got, pristine string) {
+		t.Helper()
+		if lost != 1 {
+			t.Errorf("%d messages counted lost, want the put to the down server", lost)
+		}
+		if got != pristine {
+			t.Errorf("recovered server holds %s, want its state from before the write, %s", got, pristine)
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		cl, down, pristine := deploy(t)
+		sys := cl.Sys
+		sys.Crash(down)
+		if _, err := sys.RunOp(cl.Writers[0], write, 1000); err != nil {
+			t.Fatal(err)
+		}
+		sys.Recover(down)
+		if err := sys.FairRun(1000, nil); !errors.Is(err, ioa.ErrQuiescent) {
+			t.Fatalf("draining after the recovery: %v", err)
+		}
+		n, _ := sys.Node(down)
+		judge(t, sys.FaultStats().Drops, n.(ioa.Digester).StateDigest(), pristine)
+	})
+	bothLinks(t, func(t *testing.T, mkLink func(*runtime) link) {
+		cl, down, pristine := deploy(t)
+		rt, err := newRuntime(cl, recoverLate(cl), Config{}, nil, mkLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.start()
+		t.Cleanup(rt.stop)
+		rt.crashNode(down)
+		if _, _, ok := rt.invokeAsync(cl.Writers[0], write).wait(context.Background(), rt.cfg.OpTimeout); !ok {
+			t.Fatal("write did not complete")
+		}
+		rt.recoverNode(down)
+		ns := rt.node(down)
+		ns.own.Lock()
+		got := ns.node.(ioa.Digester).StateDigest()
+		ns.own.Unlock()
+		judge(t, rt.faultStats().TransportDropped, got, pristine)
 	})
 }
 
